@@ -1,8 +1,9 @@
 """Command-line front end for pipeline runs, combiner fitting, and ingestion.
 
-Errors surface as one structured JSON line on stderr with exit code 1 so
-callers can script against failures; TRK_LOG sets the logging level (its
-only configuration channel).
+Bad input, I/O errors and solver or training failures surface as one
+structured JSON line on stderr with exit code 1 so callers can script
+against failures; TRK_LOG sets the logging level (its only configuration
+channel).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, RuntimeError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
 

@@ -66,6 +66,13 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
         raise ValueError(f"unknown config key {full!r}")
 
 
+def _section(raw: dict, key: str, default: dict | None = None) -> dict:
+    spec = raw.get(key, {} if default is None else default)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{key} must be a JSON object")
+    return spec
+
+
 def _build_combiner(spec: dict) -> RiskCombiner:
     _reject_unknown(spec, {"form", "weight", "input_coeff", "output_coeff", "power"}, "combiner")
     form = spec.get("form")
@@ -135,16 +142,16 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         seed = int(raw.get("seed", 0))
         out_dir = Path(raw.get("out_dir", "trk_run"))
-        combiner = _build_combiner(raw.get("combiner", {"form": "polynomial2"}))
-        divergence_kind, ot = _build_ot(raw.get("divergence", {}))
-        train = _build_train(raw.get("train", {}), seed, "train", TrainConfig(epochs=100))
+        combiner = _build_combiner(_section(raw, "combiner", {"form": "polynomial2"}))
+        divergence_kind, ot = _build_ot(_section(raw, "divergence"))
+        train = _build_train(_section(raw, "train"), seed, "train", TrainConfig(epochs=100))
         risk_train = _build_train(
-            raw.get("risk_train", {}), seed, "risk_train", TrainConfig(learning_rate=0.5)
+            _section(raw, "risk_train"), seed, "risk_train", TrainConfig(learning_rate=0.5)
         )
         rescale = float(raw.get("input_risk_rescale", 1.0))
         if rescale <= 0.0:
             raise ValueError(f"input_risk_rescale must be positive, got {rescale}")
-        mode_params = _validate_mode_params(mode, raw.get(mode, {}))
+        mode_params = _validate_mode_params(mode, _section(raw, mode))
         echo = _normalized_echo(
             mode, seed, out_dir, raw, combiner, divergence_kind, ot, train, risk_train, rescale,
             mode_params,

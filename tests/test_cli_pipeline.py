@@ -244,6 +244,13 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "key", ["combiner", "divergence", "train", "risk_train", "synthetic_office"]
+    )
+    def test_non_object_section_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a JSON object$"):
+            PipelineConfig.from_dict({"mode": "synthetic_office", key: []})
+
     def test_linear_combiner_rejects_polynomial_keys(self):
         raw = {"mode": "gaussian_lab", "combiner": {"form": "linear", "input_coeff": 1.0}}
         with pytest.raises(ValueError, match="combiner.input_coeff"):
@@ -670,6 +677,21 @@ class TestCli:
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_runtime_failure_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "synthetic_office",
+            "out_dir": str(tmp_path / "out"),
+            "train": {"learning_rate": 1e308},
+            "synthetic_office": {"samples_per_domain": 24},
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "objective became nan" in json.loads(lines[0])["error"]
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

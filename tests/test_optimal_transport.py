@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance as scipy_w1
 
 import oracles
+import trk.optimal_transport as ot_module
 from trk.distributions import EmpiricalDistribution, Gaussian1D, gaussian_w2, sample
 from trk.optimal_transport import (
     Coupling,
@@ -206,6 +207,68 @@ class TestWassersteinDispatch:
         dist, _ = wasserstein(a, b, OtConfig(p=2.0))
         closed = np.sqrt(gaussian_w2(Gaussian1D(0.0, 1.0), Gaussian1D(1.0, 1.0)))
         assert dist == pytest.approx(closed, abs=5e-2)
+
+
+class TestAssignmentRoute:
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        solve_lp = ot_module._solve_lp
+
+        def counting(*args):
+            calls.append(args)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(ot_module, "_solve_lp", counting)
+        return calls
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_auto_matches_lp_and_assignment_oracle(self, p, lp_calls):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            a = random_cloud(rng, 30, 2)
+            b = random_cloud(rng, 30, 2)
+            auto, _ = wasserstein(a, b, OtConfig(p=p))
+            assert not lp_calls  # uniform and equal-size: assignment, not HiGHS
+            lp, _ = wasserstein(a, b, OtConfig(p=p, method="exact_lp"))
+            assert auto == pytest.approx(lp, rel=1e-8)
+            expected = oracles.assignment_ot_cost(a.points, b.points, p=p)
+            assert auto**p == pytest.approx(expected, rel=1e-8)
+            lp_calls.clear()
+
+    def test_plan_is_a_scaled_permutation(self):
+        rng = np.random.default_rng(42)
+        n = 25
+        a = random_cloud(rng, n, 3)
+        b = random_cloud(rng, n, 3)
+        _, coupling = wasserstein(a, b)
+        nonzero = coupling.plan[coupling.plan != 0.0]
+        assert nonzero.size == n
+        assert np.all(nonzero == 1.0 / n)
+        assert coupling.marginal_violation(a.weights, b.weights) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "sizes,weighted", [((12, 12), True), ((12, 9), False)], ids=["weighted", "unequal"]
+    )
+    def test_other_clouds_keep_the_lp(self, sizes, weighted, lp_calls):
+        rng = np.random.default_rng(43)
+        a = random_cloud(rng, sizes[0], 2, weighted=weighted)
+        b = random_cloud(rng, sizes[1], 2)
+        wasserstein(a, b)
+        assert len(lp_calls) == 1
+
+    def test_explicit_lp_never_solves_an_assignment(self, monkeypatch):
+        def forbidden(cost):
+            raise AssertionError("exact_lp must run HiGHS")
+
+        monkeypatch.setattr(ot_module, "linear_sum_assignment", forbidden)
+        rng = np.random.default_rng(44)
+        a = random_cloud(rng, 15, 2)
+        b = random_cloud(rng, 15, 2)
+        dist, _ = wasserstein(a, b, OtConfig(method="exact_lp"))
+        assert dist == pytest.approx(
+            oracles.assignment_ot_cost(a.points, b.points), rel=1e-8
+        )
 
 
 class TestSinkhorn:
