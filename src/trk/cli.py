@@ -3,7 +3,9 @@
 Bad input, I/O errors and solver or training failures surface as one
 structured JSON line on stderr with exit code 1 so callers can script
 against failures; TRK_LOG sets the logging level (its only configuration
-channel).
+channel).  Floating-point errors numpy meets during a command (overflow,
+invalid values, division by zero) are logged at DEBUG instead of printed
+as warnings, so stderr stays machine-readable.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
-from .transfer_core import LinearCombiner
+from .pipeline import PipelineConfig, _combiner_echo, fit_combiner, ingest_dataset, run
 
 logger = logging.getLogger("trk")
 
@@ -25,6 +28,11 @@ logger = logging.getLogger("trk")
 def _configure_logging() -> None:
     level = os.environ.get("TRK_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+
+
+def _log_fp_error(kind: str, _flag: int) -> None:
+    caller = sys._getframe(1)  # the frame whose numpy operation raised the error
+    logger.debug("floating-point %s at %s:%d", kind, caller.f_code.co_filename, caller.f_lineno)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,16 +99,7 @@ def _cmd_fit_combiner(args: argparse.Namespace) -> int:
                 )
             )
     combiner, corr = fit_combiner(rows, args.form, args.grid_size, args.grid_max)
-    if isinstance(combiner, LinearCombiner):
-        fitted = {"form": "linear", "weight": combiner.weight}
-    else:
-        fitted = {
-            "form": "polynomial2",
-            "input_coeff": combiner.input_coeff,
-            "output_coeff": combiner.output_coeff,
-            "power": combiner.power,
-        }
-    print(json.dumps({"combiner": fitted, "correlation": corr}, sort_keys=True))
+    print(json.dumps({"combiner": _combiner_echo(combiner), "correlation": corr}, sort_keys=True))
     return 0
 
 
@@ -121,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         "ingest-check": _cmd_ingest_check,
     }
     try:
-        return handlers[args.command](args)
+        with np.errstate(divide="call", over="call", invalid="call", call=_log_fp_error):
+            return handlers[args.command](args)
     except (ValueError, OSError, RuntimeError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1

@@ -31,9 +31,9 @@ PSD_EIG_TOL = 1e-8
 _WEIGHT_SUM_TOL = 1e-9
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """Return a read-only float64 copy of `arr`."""
-    out = np.array(arr, dtype=np.float64, copy=True)
+def _freeze(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """Return a read-only copy of `arr` with the given dtype."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 

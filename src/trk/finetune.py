@@ -22,9 +22,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution
-from .optimal_transport import OtConfig, wasserstein
-from .transfer_core import AffineMap, AffineModel, TransportMap
+from .distributions import EmpiricalDistribution, _freeze
+from .optimal_transport import OtConfig, _quantile_coupling, wasserstein
+from .transfer_core import (
+    AffineMap,
+    AffineModel,
+    IdentityMap,
+    TransportMap,
+    combine,
+    input_risk,
+)
 
 __all__ = [
     "TrainConfig",
@@ -44,13 +51,6 @@ __all__ = [
 
 _INIT_SCALE = 0.1
 _PLATEAU_TOL = 1e-9
-
-
-def _freeze_labels(arr: np.ndarray) -> np.ndarray:
-    """Return a read-only integer copy of `arr`."""
-    out = np.array(arr, dtype=np.int64, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -163,19 +163,9 @@ def _quantile_cost_and_grad(
     of either side, so the subgradient accumulates per-segment terms with
     sign(0) = 0 at ties.
     """
-    order = np.argsort(values, kind="stable")
-    u = values[order]
-    cu = np.cumsum(weights[order])
-    order_v = np.argsort(proxy.points[:, 0], kind="stable")
-    v = proxy.points[order_v, 0]
-    cv = np.cumsum(proxy.weights[order_v])
-    edges = np.concatenate([[0.0], np.union1d(cu[:-1], cv[:-1]), [1.0]])
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    # Round-off can leave a cumulative weight a hair under 1; clip the index.
-    iu = np.minimum(np.searchsorted(cu, mids, side="left"), len(u) - 1)
-    iv = np.minimum(np.searchsorted(cv, mids, side="left"), len(v) - 1)
-    gaps = np.diff(edges)
-    diff = u[iu] - v[iv]
+    v = proxy.points[:, 0]
+    iu, iv, gaps = _quantile_coupling(values, weights, v, proxy.weights)
+    diff = values[iu] - v[iv]
     # Overflow to inf on a runaway iterate is fine: the trainer reads any
     # non-finite objective as divergence.
     with np.errstate(over="ignore"):
@@ -184,10 +174,8 @@ def _quantile_cost_and_grad(
             seg = np.sign(diff) * gaps
         else:
             seg = p * np.abs(diff) ** (p - 1.0) * np.sign(diff) * gaps
-    grad_sorted = np.zeros(len(u))
-    np.add.at(grad_sorted, iu, seg)
-    grad = np.zeros(len(u))
-    grad[order] = grad_sorted
+    grad = np.zeros(len(values))
+    np.add.at(grad, iu, seg)
     return cost, grad
 
 
@@ -419,8 +407,8 @@ class SyntheticDomain:
     classes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "train_labels", _freeze_labels(self.train_labels))
-        object.__setattr__(self, "held_out_labels", _freeze_labels(self.held_out_labels))
+        object.__setattr__(self, "train_labels", _freeze(self.train_labels, np.int64))
+        object.__setattr__(self, "held_out_labels", _freeze(self.held_out_labels, np.int64))
         if self.train_labels.shape != (self.train.size,):
             raise ValueError("train_labels must match the training cloud size")
         if self.held_out_labels.shape != (self.held_out.size,):
@@ -493,15 +481,21 @@ def evaluate_risk_accuracy_pairs(
     risk_cfg: TrainConfig = TrainConfig(learning_rate=0.5),
     train_cfg: TrainConfig = TrainConfig(epochs=100),
     input_rescale: float = 1.0,
+    ot: OtConfig = OtConfig(),
 ) -> list[PairResult]:
     """Transfer table over all ordered domain pairs.
 
     For each pair the source head is trained on the source domain, target
-    points are re-expressed as source logits, and three quantities come out:
-    the input risk W_1 between the raw feature clouds (optionally rescaled),
-    the trained-and-budgeted output risk against the target label law, and
-    the fine-tuned head's held-out accuracy.  Per-pair seeds are derived as
+    points are re-expressed as source class probabilities, and three
+    quantities come out: the input risk W_p^p between the raw feature clouds
+    (order and solver from `ot`, optionally rescaled), the
+    trained-and-budgeted output risk against the target label law, and the
+    fine-tuned head's held-out accuracy.  Per-pair seeds are derived as
     seed + pair index so pairs are independent but reproducible.
+
+    Raises:
+        TrainingDivergedError: if a source head's representation of the
+            target points is not finite.
     """
     if len(domains) < 2:
         raise ValueError(f"need at least 2 domains, got {len(domains)}")
@@ -510,7 +504,6 @@ def evaluate_risk_accuracy_pairs(
     classes = domains[0].classes
     if any(d.classes != classes for d in domains):
         raise ValueError("all domains must share the class count")
-    from .transfer_core import combine  # local import to avoid cycle at module load
 
     results = []
     pair_index = 0
@@ -518,9 +511,10 @@ def evaluate_risk_accuracy_pairs(
         for target in domains:
             if source is target:
                 continue
+            pair = f"{source.name}->{target.name}"
             pair_risk_cfg = replace(risk_cfg, seed=risk_cfg.seed + pair_index)
             pair_train_cfg = replace(train_cfg, seed=train_cfg.seed + pair_index)
-            _, source_model, _ = train_classifier(
+            _, source_model, source_trace = train_classifier(
                 SoftmaxHeadFamily(source.train.dim, classes),
                 source.train,
                 source.train_labels,
@@ -534,25 +528,35 @@ def evaluate_risk_accuracy_pairs(
             # boundaries loses information, so domain shift actually hurts;
             # raw logits would let the fine-tuned head undo any shift.
             def represent(points: np.ndarray) -> np.ndarray:
-                return _softmax(source_model(points))
+                # A head can keep a finite loss with weights so large that
+                # its logits overflow on points far from the source domain.
+                features = _softmax(source_model(points))
+                if not np.all(np.isfinite(features)):
+                    raise TrainingDivergedError(
+                        f"source head of {pair} diverged: non-finite representation "
+                        "of the target points",
+                        source_trace,
+                    )
+                return features
 
-            e_in = input_rescale * wasserstein(
-                target.train, source.train, OtConfig(p=1.0)
-            )[0]
+            e_in = input_rescale * input_risk(
+                IdentityMap(target.train.dim), target.train, source.train, "wasserstein", ot
+            )
+            features = represent(target.train.points)
             proxy = EmpiricalDistribution.from_points(
                 target.train_labels.astype(float)[:, None]
             )
             e_out, _, _ = minimize_output_risk(
                 AffineMapFamily(classes, 1),
-                represent,
-                target.train,
+                IdentityMap(classes),
+                EmpiricalDistribution(features, target.train.weights),
                 proxy,
                 p=1.0,
                 cfg=pair_risk_cfg,
             )
             accuracy, _, _ = train_classifier(
                 SoftmaxHeadFamily(classes, classes),
-                EmpiricalDistribution.from_points(represent(target.train.points)),
+                EmpiricalDistribution.from_points(features),
                 target.train_labels,
                 EmpiricalDistribution.from_points(represent(target.held_out.points)),
                 target.held_out_labels,
@@ -560,7 +564,7 @@ def evaluate_risk_accuracy_pairs(
             )
             results.append(
                 PairResult(
-                    pair=f"{source.name}->{target.name}",
+                    pair=pair,
                     accuracy=accuracy,
                     input_risk=e_in,
                     output_risk=e_out,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2, psd_sqrt
-from .transfer_core import AffineModel
+from .transfer_core import AffineModel, _gaussian_pushforward
 
 __all__ = [
     "GaussianTask",
@@ -298,16 +298,10 @@ def output_augmentation_laws(
         np.concatenate([source_model.bias, initializer.bias]),
     )
     x_law = target.joint.x_marginal()
-    p_st = GaussianND(
-        stacked.weights @ x_law.mean + stacked.bias,
-        stacked.weights @ x_law.cov @ stacked.weights.T,
+    return (
+        _gaussian_pushforward(x_law, stacked),
+        _gaussian_pushforward(x_law, optimal_linear_model(target)),
     )
-    target_model = optimal_linear_model(target)
-    p_t = GaussianND(
-        target_model.weights @ x_law.mean + target_model.bias,
-        target_model.weights @ x_law.cov @ target_model.weights.T,
-    )
-    return p_st, p_t
 
 
 def output_augmentation_risks(

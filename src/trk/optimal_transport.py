@@ -123,6 +123,33 @@ def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -
     return np.linalg.norm(diff, axis=2) ** p
 
 
+def _quantile_coupling(
+    u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monotone coupling of two weighted 1-D samples by a merged sweep.
+
+    Splits the unit interval at the cumulative-weight breakpoints of both
+    samples; on each segment the two quantile functions are constant.
+
+    Returns:
+        (iu, iv, lengths): per segment, the index into `u` and into `v` of
+        the atoms coupled there, and the segment's length (its mass).
+    """
+    order_u = np.argsort(u, kind="stable")
+    order_v = np.argsort(v, kind="stable")
+    cu = np.cumsum(uw[order_u])
+    cv = np.cumsum(vw[order_v])
+    # Breakpoints where either quantile function can jump.
+    ts = np.union1d(cu[:-1], cv[:-1])
+    ts = ts[(ts > 0.0) & (ts < 1.0)]
+    edges = np.concatenate([[0.0], ts, [1.0]])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    # Round-off can leave the last cumulative weight a hair under 1, so clip.
+    iu = np.minimum(np.searchsorted(cu, mids, side="left"), len(u) - 1)
+    iv = np.minimum(np.searchsorted(cv, mids, side="left"), len(v) - 1)
+    return order_u[iu], order_v[iv], np.diff(edges)
+
+
 def wasserstein_1d_exact(
     a: EmpiricalDistribution, b: EmpiricalDistribution, p: float = 1.0
 ) -> float:
@@ -138,22 +165,8 @@ def wasserstein_1d_exact(
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
     u, v = a.points[:, 0], b.points[:, 0]
-    iu = np.argsort(u, kind="stable")
-    iv = np.argsort(v, kind="stable")
-    u, uw = u[iu], a.weights[iu]
-    v, vw = v[iv], b.weights[iv]
-    cu = np.cumsum(uw)
-    cv = np.cumsum(vw)
-    # Breakpoints where either quantile function can jump.
-    ts = np.union1d(cu[:-1], cv[:-1])
-    ts = ts[(ts > 0.0) & (ts < 1.0)]
-    edges = np.concatenate([[0.0], ts, [1.0]])
-    lengths = np.diff(edges)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    # Round-off can leave the last cumulative weight a hair under 1, so clip.
-    qu = u[np.minimum(np.searchsorted(cu, mids, side="left"), len(u) - 1)]
-    qv = v[np.minimum(np.searchsorted(cv, mids, side="left"), len(v) - 1)]
-    cost = float(np.sum(lengths * np.abs(qu - qv) ** p))
+    iu, iv, lengths = _quantile_coupling(u, a.weights, v, b.weights)
+    cost = float(np.sum(lengths * np.abs(u[iu] - v[iv]) ** p))
     return cost ** (1.0 / p)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +88,35 @@ def _build_combiner(spec: dict) -> RiskCombiner:
     raise ValueError(f"combiner.form must be 'linear' or 'polynomial2', got {form!r}")
 
 
-def _build_ot(spec: dict) -> tuple[str, OtConfig]:
+def _build_ot(spec: dict, mode: str) -> tuple[str, OtConfig]:
+    """Divergence kind and solver settings for the mode's input risk.
+
+    Sampled modes transport point clouds (W_1 by default; KL is undefined
+    there).  gaussian_lab evaluates closed forms, which need W_2 and run no
+    solver, so solver keys are rejected rather than silently ignored.
+    """
     allowed = {"kind", "p", "method", "sinkhorn_epsilon", "sinkhorn_max_iter", "lp_max_support"}
     _reject_unknown(spec, allowed, "divergence")
     kind = spec.get("kind", "wasserstein")
     if kind not in ("wasserstein", "kl"):
         raise ValueError(f"divergence.kind must be 'wasserstein' or 'kl', got {kind!r}")
+    p = float(spec.get("p", 2.0 if mode == "gaussian_lab" else 1.0))
+    if mode == "gaussian_lab":
+        for key in sorted(allowed - {"kind", "p"}):
+            if key in spec:
+                raise ValueError(
+                    f"divergence.{key} does not apply to gaussian_lab: its risks are closed "
+                    "forms computed without a transport solver"
+                )
+        if p != 2.0:
+            raise ValueError(f"divergence.p must be 2 in gaussian_lab (closed-form W_2), got {p}")
+    elif kind == "kl":
+        raise ValueError(
+            f"divergence.kind 'kl' is not defined for the sampled clouds of {mode}; "
+            "use 'wasserstein'"
+        )
     cfg = OtConfig(
-        p=float(spec.get("p", 2.0)),
+        p=p,
         method=spec.get("method", "auto"),
         sinkhorn_epsilon=spec.get("sinkhorn_epsilon"),
         sinkhorn_max_iter=int(spec.get("sinkhorn_max_iter", 2000)),
@@ -143,7 +164,7 @@ class PipelineConfig:
         seed = int(raw.get("seed", 0))
         out_dir = Path(raw.get("out_dir", "trk_run"))
         combiner = _build_combiner(_section(raw, "combiner", {"form": "polynomial2"}))
-        divergence_kind, ot = _build_ot(_section(raw, "divergence"))
+        divergence_kind, ot = _build_ot(_section(raw, "divergence"), mode)
         train = _build_train(_section(raw, "train"), seed, "train", TrainConfig(epochs=100))
         risk_train = _build_train(
             _section(raw, "risk_train"), seed, "risk_train", TrainConfig(learning_rate=0.5)
@@ -236,14 +257,7 @@ def _normalized_echo(
         "seed": seed,
         "out_dir": str(out_dir),
         "combiner": _combiner_echo(combiner),
-        "divergence": {
-            "kind": divergence_kind,
-            "p": ot.p,
-            "method": ot.method,
-            "sinkhorn_epsilon": ot.sinkhorn_epsilon,
-            "sinkhorn_max_iter": ot.sinkhorn_max_iter,
-            "lp_max_support": ot.lp_max_support,
-        },
+        "divergence": {"kind": divergence_kind, **asdict(ot)},
         "train": {
             "epochs": train.epochs,
             "learning_rate": train.learning_rate,
@@ -386,7 +400,7 @@ def _dataset_to_domain(
 
 def _pair_rows_from_domains(domains: list[SyntheticDomain], cfg: PipelineConfig) -> list[dict]:
     results = evaluate_risk_accuracy_pairs(
-        domains, cfg.combiner, cfg.risk_train, cfg.train, cfg.input_risk_rescale
+        domains, cfg.combiner, cfg.risk_train, cfg.train, cfg.input_risk_rescale, cfg.ot
     )
     rows = []
     for res in results:

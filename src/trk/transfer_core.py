@@ -10,21 +10,21 @@ two numbers into a single score, and `transfer_risk` minimizes that score
 over a candidate set of map pairs.
 
 Wasserstein-flavored risks are reported in cost units, i.e. W_p^p, matching
-the closed forms in `gaussian_lab`; `task_distance` is the exception since
-it must satisfy metric axioms and therefore uses the distance W_p itself.
+the closed forms in `gaussian_lab`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .distributions import (
     EmpiricalDistribution,
-    Gaussian1D,
+    GaussianLike,
     GaussianND,
+    _as_nd,
     gaussian_kl,
     gaussian_w2,
 )
@@ -32,12 +32,9 @@ from .optimal_transport import OtConfig, wasserstein
 
 __all__ = [
     "AffineModel",
-    "MlpModel",
     "TransportMap",
     "IdentityMap",
-    "ProjectionMap",
     "AffineMap",
-    "MlpMap",
     "TransportPair",
     "RiskCombiner",
     "LinearCombiner",
@@ -48,14 +45,10 @@ __all__ = [
     "output_risk_kl",
     "combine",
     "transfer_risk",
-    "task_distance",
-    "bregman",
     "cross_entropy_sandwich",
 ]
 
-GaussianLike = Gaussian1D | GaussianND
 _MODES = ("xy", "y_only", "x_only")
-_ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 
 @dataclass(frozen=True)
@@ -95,61 +88,6 @@ class AffineModel:
         if points.shape[1] != self.in_dim:
             raise ValueError(f"expected points of dim {self.in_dim}, got {points.shape[1]}")
         return points @ self.weights.T + self.bias
-
-
-@dataclass(frozen=True)
-class MlpModel:
-    """Small fully connected net; `activation` applies between layers."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    activation: str = "relu"
-
-    def __post_init__(self) -> None:
-        weights = tuple(np.atleast_2d(np.asarray(w, dtype=np.float64)) for w in self.weights)
-        biases = tuple(np.asarray(b, dtype=np.float64).reshape(-1) for b in self.biases)
-        if len(weights) == 0 or len(weights) != len(biases):
-            raise ValueError("need matching, nonempty weight and bias lists")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}, expected one of {_ACTIVATIONS}"
-            )
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: bias length {b.shape[0]} vs rows {w.shape[0]}")
-            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
-                raise ValueError(
-                    f"layer {i}: input dim {w.shape[1]} does not chain from previous "
-                    f"output dim {weights[i - 1].shape[0]}"
-                )
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.in_dim,) + tuple(w.shape[0] for w in self.weights)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if out.shape[1] != self.in_dim:
-            raise ValueError(f"expected points of dim {self.in_dim}, got {out.shape[1]}")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = out @ w.T + b
-            if i < last:
-                if self.activation == "relu":
-                    out = np.maximum(out, 0.0)
-                elif self.activation == "sigmoid":
-                    out = 1.0 / (1.0 + np.exp(-out))
-        return out
 
 
 class TransportMap:
@@ -193,41 +131,6 @@ class IdentityMap(TransportMap):
 
 
 @dataclass(frozen=True)
-class ProjectionMap(TransportMap):
-    """Keeps the coordinates listed in `indices`, in order."""
-
-    input_dim: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        indices = tuple(int(i) for i in self.indices)
-        if len(indices) == 0:
-            raise ValueError("indices must be nonempty")
-        if any(i < 0 or i >= self.input_dim for i in indices):
-            raise ValueError(f"indices out of range for input dim {self.input_dim}: {indices}")
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def in_dim(self) -> int:
-        return self.input_dim
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.indices)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.input_dim:
-            raise ValueError(f"expected points of dim {self.input_dim}, got {points.shape[1]}")
-        return points[:, self.indices]
-
-    def as_affine(self) -> AffineModel:
-        mat = np.zeros((len(self.indices), self.input_dim))
-        mat[np.arange(len(self.indices)), self.indices] = 1.0
-        return AffineModel(mat, np.zeros(len(self.indices)))
-
-
-@dataclass(frozen=True)
 class AffineMap(TransportMap):
     model: AffineModel
 
@@ -244,22 +147,6 @@ class AffineMap(TransportMap):
 
     def as_affine(self) -> AffineModel:
         return self.model
-
-
-@dataclass(frozen=True)
-class MlpMap(TransportMap):
-    model: MlpModel
-
-    @property
-    def in_dim(self) -> int:
-        return self.model.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.model.out_dim
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.model(points)
 
 
 def _model_as_affine(model) -> AffineModel | None:
@@ -285,7 +172,7 @@ class TransportPair:
 
     input_map: TransportMap
     output_map: TransportMap
-    source_model: AffineModel | MlpModel | None
+    source_model: AffineModel | TransportMap | None
     mode: str = "y_only"
 
     def __post_init__(self) -> None:
@@ -424,7 +311,7 @@ class RiskReport:
 
 
 def _gaussian_pushforward(dist: GaussianLike, model: AffineModel) -> GaussianND:
-    nd = dist.as_nd() if isinstance(dist, Gaussian1D) else dist
+    nd = _as_nd(dist)
     if model.in_dim != nd.dim:
         raise ValueError(f"map expects dim {model.in_dim}, distribution has dim {nd.dim}")
     return GaussianND(model.weights @ nd.mean + model.bias, model.weights @ nd.cov @ model.weights.T)
@@ -466,11 +353,10 @@ def input_risk(
                 "sample the distribution instead"
             )
         pushed = _gaussian_pushforward(law_xt, affine)
-        target = law_xs.as_nd() if isinstance(law_xs, Gaussian1D) else law_xs
         if metric == "kl":
-            return gaussian_kl(pushed, target)
+            return gaussian_kl(pushed, law_xs)
         _require_w2_order(cfg.p, "wasserstein input risk")
-        return gaussian_w2(pushed, target)
+        return gaussian_w2(pushed, law_xs)
     raise TypeError(
         f"carriers must both be empirical or both Gaussian, got "
         f"{type(law_xt).__name__} and {type(law_xs).__name__}"
@@ -517,8 +403,7 @@ def output_risk_w(
             f"Gaussian inputs need a Gaussian target output law, got {type(target_out).__name__}"
         )
     _require_w2_order(p, "wasserstein output risk")
-    target = target_out.as_nd() if isinstance(target_out, Gaussian1D) else target_out
-    return gaussian_w2(predicted, target)
+    return gaussian_w2(predicted, target_out)
 
 
 def output_risk_kl(
@@ -625,71 +510,6 @@ def transfer_risk(
             best = (combined, index, report)
     assert best is not None
     return best[2], best[1]
-
-
-def task_distance(
-    task_a: tuple[EmpiricalDistribution | GaussianLike, Callable[[np.ndarray], np.ndarray]],
-    task_b: tuple[EmpiricalDistribution | GaussianLike, Callable[[np.ndarray], np.ndarray]],
-    cap: float,
-    eval_points: np.ndarray,
-    cfg: OtConfig = OtConfig(),
-) -> float:
-    """Distance between (distribution, model) tasks.
-
-    Sum of the Wasserstein distance between the input laws and the model
-    discrepancy min(cap, sup over eval_points of ||f_a(x) - f_b(x)||).  Both
-    summands are metrics (the second via the cap), so the sum is one.
-    """
-    if cap <= 0.0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
-    if eval_points.shape[0] == 0:
-        raise ValueError("eval_points must be nonempty")
-    dist_a, model_a = task_a
-    dist_b, model_b = task_b
-    if isinstance(dist_a, EmpiricalDistribution) and isinstance(dist_b, EmpiricalDistribution):
-        base, _ = wasserstein(dist_a, dist_b, cfg)
-    elif isinstance(dist_a, GaussianLike) and isinstance(dist_b, GaussianLike):
-        _require_w2_order(cfg.p, "task distance")
-        base = float(np.sqrt(gaussian_w2(dist_a, dist_b)))
-    else:
-        raise TypeError("task distributions must both be empirical or both Gaussian")
-    gaps = np.linalg.norm(
-        np.atleast_2d(model_a(eval_points)) - np.atleast_2d(model_b(eval_points)), axis=1
-    )
-    return float(base + min(cap, float(gaps.max())))
-
-
-_BREGMAN_TAGS = ("half_squared_norm", "neg_entropy")
-
-
-def bregman(
-    u: np.ndarray,
-    v: np.ndarray,
-    phi: str | Callable[[np.ndarray], float] = "half_squared_norm",
-    grad: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
-    """Bregman divergence phi(u) - phi(v) - <grad phi(v), u - v>.
-
-    `phi` is either a known tag ('half_squared_norm', 'neg_entropy') or a
-    callable, in which case its gradient must be supplied.
-    """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    if callable(phi):
-        if grad is None:
-            raise ValueError("a callable phi needs its gradient")
-        return float(phi(u) - phi(v) - grad(v) @ (u - v))
-    if phi == "half_squared_norm":
-        diff = u - v
-        return float(0.5 * diff @ diff)
-    if phi == "neg_entropy":
-        if u.min() <= 0.0 or v.min() <= 0.0:
-            raise ValueError("neg_entropy needs strictly positive vectors")
-        return float(np.sum(u * np.log(u / v)) - u.sum() + v.sum())
-    raise ValueError(f"unknown phi tag {phi!r}, expected one of {_BREGMAN_TAGS}")
 
 
 def cross_entropy_sandwich(

@@ -1,12 +1,20 @@
 """Tests for config parsing, dataset ingestion, pipeline runs, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
+import trk
 from trk import __version__
 from trk.cli import main
+from trk.finetune import make_synthetic_domains
+from trk.optimal_transport import SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
 from trk.transfer_core import LinearCombiner, PolynomialCombiner, combine
 
@@ -238,6 +246,21 @@ class TestPipelineConfig:
             ({"mode": "gaussian_lab", "input_risk_rescale": -2.0}, "must be positive"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"dim": 0}}, "must be >= 1"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"n_pairs": 0}}, "must be >= 1"),
+            ({"mode": "gaussian_lab", "divergence": {"p": 3}}, "divergence.p must be 2"),
+            ({"mode": "gaussian_lab", "divergence": {"kind": "kl", "p": 1}},
+             "divergence.p must be 2"),
+            ({"mode": "gaussian_lab", "divergence": {"method": "sinkhorn"}},
+             "divergence.method does not apply"),
+            ({"mode": "gaussian_lab", "divergence": {"sinkhorn_epsilon": 0.1}},
+             "divergence.sinkhorn_epsilon does not apply"),
+            ({"mode": "gaussian_lab", "divergence": {"sinkhorn_max_iter": 10}},
+             "divergence.sinkhorn_max_iter does not apply"),
+            ({"mode": "gaussian_lab", "divergence": {"lp_max_support": 10}},
+             "divergence.lp_max_support does not apply"),
+            ({"mode": "synthetic_office", "divergence": {"kind": "kl"}},
+             "divergence.kind 'kl' is not defined"),
+            ({"mode": "empirical", "divergence": {"kind": "kl"}},
+             "divergence.kind 'kl' is not defined"),
         ],
     )
     def test_invalid_values_rejected(self, raw, message):
@@ -274,6 +297,12 @@ class TestPipelineConfig:
         assert echo["divergence"]["p"] == 2.0
         assert echo["train"]["epochs"] == 100
         assert echo["gaussian_lab"]["identical_tasks"] is False
+
+    @pytest.mark.parametrize("mode", ["synthetic_office", "empirical"])
+    def test_sampled_modes_default_to_w1(self, mode):
+        cfg = PipelineConfig.from_dict({"mode": mode})
+        assert cfg.ot.p == 1.0
+        assert cfg.echo["divergence"]["p"] == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +509,32 @@ def office_report(tmp_path_factory):
 
 
 class TestSyntheticOfficeMode:
+    def tiny_config(self, tmp_path, divergence):
+        return PipelineConfig.from_dict(
+            {
+                "mode": "synthetic_office",
+                "out_dir": str(tmp_path),
+                "divergence": divergence,
+                "synthetic_office": {"samples_per_domain": 24},
+            }
+        )
+
+    def test_input_risk_follows_divergence_p(self, tmp_path):
+        report = run(self.tiny_config(tmp_path, {"p": 2}))
+        domains = {d.name: d for d in make_synthetic_domains(0, samples_per_domain=24)}
+        assert report["config"]["divergence"]["p"] == 2.0
+        for row in report["rows"]:
+            expected = oracles.assignment_ot_cost(
+                domains[row["target"]].train.points, domains[row["source"]].train.points, p=2
+            )
+            assert row["input_risk"] == pytest.approx(expected, rel=1e-8)
+
+    def test_input_risk_follows_divergence_solver(self, tmp_path):
+        divergence = {"method": "sinkhorn", "sinkhorn_max_iter": 1}
+        with pytest.raises(SinkhornConvergenceError) as caught:
+            run(self.tiny_config(tmp_path, divergence))
+        assert caught.value.iterations == 1
+
     def test_all_six_ordered_pairs_reported(self, office_report):
         report, _ = office_report
         names = [(row["source"], row["target"]) for row in report["rows"]]
@@ -686,12 +741,42 @@ class TestCli:
             "train": {"learning_rate": 1e308},
             "synthetic_office": {"samples_per_domain": 24},
         }))
-        assert main(["run", "--config", str(config)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert "objective became nan" in json.loads(lines[0])["error"]
+        # The source head's loss stays finite, but its weights overflow on
+        # target points; at seed 0 and 2 that used to surface as a NaN
+        # objective and as a bad-input error respectively.
+        for seed, pair in ((0, "domain_a->domain_b"), (2, "domain_a->domain_c")):
+            assert main(["run", "--config", str(config), "--seed", str(seed)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == (
+                f"source head of {pair} diverged: non-finite representation of the target points"
+            )
+
+    @pytest.mark.parametrize("log_level", ["WARNING", "DEBUG"])
+    def test_runtime_failure_stderr_is_one_json_line(self, tmp_path, log_level):
+        # numpy warnings bypass capsys, so run the CLI in a child process.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "synthetic_office",
+            "out_dir": str(tmp_path / "out"),
+            "train": {"learning_rate": 1e308},
+            "synthetic_office": {"samples_per_domain": 24},
+        }))
+        src = str(Path(trk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, TRK_LOG=log_level)
+        done = subprocess.run(
+            [sys.executable, "-m", "trk.cli", "run", "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert "diverged" in json.loads(lines[-1])["error"]
+        if log_level == "WARNING":
+            assert len(lines) == 1, done.stderr
+        else:
+            assert any(line.startswith("DEBUG:trk:floating-point overflow") for line in lines)
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

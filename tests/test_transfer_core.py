@@ -11,18 +11,14 @@ from trk.transfer_core import (
     AffineModel,
     IdentityMap,
     LinearCombiner,
-    MlpMap,
-    MlpModel,
     PolynomialCombiner,
-    ProjectionMap,
+    TransportMap,
     TransportPair,
-    bregman,
     combine,
     cross_entropy_sandwich,
     input_risk,
     output_risk_kl,
     output_risk_w,
-    task_distance,
     transfer_risk,
 )
 
@@ -33,6 +29,16 @@ def empirical(points):
 
 def scalar_affine(w, b):
     return AffineModel(np.array([[float(w)]]), np.array([float(b)]))
+
+
+class AbsMap(TransportMap):
+    """|x| = relu(x) + relu(-x), a one-hidden-layer ReLU net with no affine form."""
+
+    def __init__(self, dim):
+        self.in_dim = self.out_dim = dim
+
+    def __call__(self, points):
+        return np.maximum(points, 0.0) + np.maximum(-points, 0.0)
 
 
 def identity_pair(dim=1, source=None):
@@ -55,46 +61,11 @@ class TestModels:
         with pytest.raises(ValueError, match="bias length"):
             AffineModel(np.eye(2), np.zeros(3))
 
-    def test_mlp_forward_relu(self):
-        model = MlpModel(
-            weights=(np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])),
-            biases=(np.zeros(2), np.zeros(1)),
-            activation="relu",
-        )
-        # relu(x) + relu(-x) = |x|
-        np.testing.assert_allclose(model(np.array([[-3.0], [2.0]])), [[3.0], [2.0]])
-
-    def test_mlp_rejects_broken_chain(self):
-        with pytest.raises(ValueError, match="chain"):
-            MlpModel(
-                weights=(np.ones((2, 1)), np.ones((1, 3))),
-                biases=(np.zeros(2), np.zeros(1)),
-            )
-
-    def test_mlp_rejects_unknown_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            MlpModel(weights=(np.eye(2),), biases=(np.zeros(2),), activation="tanh")
-
-
 class TestTransportMaps:
-    def test_projection_selects_coordinates(self):
-        proj = ProjectionMap(3, (2, 0))
-        np.testing.assert_allclose(proj(np.array([[1.0, 2.0, 3.0]])), [[3.0, 1.0]])
-
-    def test_projection_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ProjectionMap(2, (0, 5))
-
     def test_identity_as_affine_round_trip(self):
         model = IdentityMap(3).as_affine()
         pts = np.arange(6.0).reshape(2, 3)
         np.testing.assert_allclose(model(pts), pts)
-
-    def test_projection_as_affine_matches_call(self):
-        proj = ProjectionMap(4, (1, 3))
-        pts = np.arange(8.0).reshape(2, 4)
-        np.testing.assert_allclose(proj.as_affine()(pts), proj(pts))
-
 
 class TestTransportPair:
     def test_apply_modes_match_as_affine(self):
@@ -125,9 +96,9 @@ class TestTransportPair:
             TransportPair(IdentityMap(3), IdentityMap(1), source, mode="y_only")
 
     def test_mlp_component_blocks_as_affine(self):
-        mlp = MlpModel(weights=(np.ones((1, 1)),), biases=(np.zeros(1),))
-        pair = TransportPair(IdentityMap(1), MlpMap(mlp), scalar_affine(1, 0), mode="y_only")
+        pair = TransportPair(IdentityMap(1), AbsMap(1), scalar_affine(1, 0), mode="y_only")
         assert pair.as_affine() is None
+        np.testing.assert_allclose(pair.apply(np.array([[-2.0], [3.0]])), [[2.0], [3.0]])
 
 
 class TestInputRisk:
@@ -178,9 +149,11 @@ class TestInputRisk:
             input_risk(IdentityMap(1), Gaussian1D(0, 1), Gaussian1D(1, 1), cfg=OtConfig(p=1.0))
 
     def test_mlp_pushforward_of_gaussian_rejected(self):
-        mlp = MlpMap(MlpModel(weights=(np.eye(1),), biases=(np.zeros(1),)))
-        with pytest.raises(ValueError, match="no closed-form Gaussian pushforward"):
-            input_risk(mlp, Gaussian1D(0, 1), Gaussian1D(0, 1), cfg=OtConfig(p=2.0))
+        with pytest.raises(ValueError, match="AbsMap has no closed-form Gaussian pushforward"):
+            input_risk(AbsMap(1), Gaussian1D(0, 1), Gaussian1D(0, 1), cfg=OtConfig(p=2.0))
+        # The same map on samples is fine: the pushforward is just evaluated.
+        cloud = empirical([[-1.0], [2.0]])
+        assert input_risk(AbsMap(1), cloud, empirical([[1.0], [2.0]])) == 0.0
 
 
 class TestOutputRiskW:
@@ -352,81 +325,6 @@ class TestTransferRisk:
         law_xt, law_xs, target = self.make_gaussian_setup()
         with pytest.raises(ValueError, match="at least one candidate"):
             transfer_risk([], law_xt, law_xs, target, LinearCombiner(1.0))
-
-
-class TestTaskDistance:
-    def make_tasks(self):
-        rng = np.random.default_rng(45)
-        dists = [empirical(rng.normal(size=(12, 2)) + shift) for shift in (0.0, 0.8, 2.0)]
-        models = [
-            AffineModel(np.eye(2) * s, np.zeros(2)) for s in (1.0, 1.3, 0.6)
-        ]
-        return list(zip(dists, models))
-
-    def test_identical_task_distance_zero(self):
-        task = self.make_tasks()[0]
-        pts = np.zeros((1, 2))
-        assert task_distance(task, task, cap=5.0, eval_points=pts) == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetry_and_triangle(self):
-        tasks = self.make_tasks()
-        pts = np.random.default_rng(46).normal(size=(20, 2))
-        d = {}
-        for i in range(3):
-            for j in range(3):
-                d[i, j] = task_distance(tasks[i], tasks[j], cap=5.0, eval_points=pts)
-        for i in range(3):
-            for j in range(3):
-                assert d[i, j] == pytest.approx(d[j, i], rel=1e-9, abs=1e-12)
-                for k in range(3):
-                    assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
-
-    def test_cap_binds_remote_models(self):
-        cloud = empirical([[0.0]])
-        near = (cloud, scalar_affine(1.0, 0.0))
-        far = (cloud, scalar_affine(1.0, 100.0))
-        value = task_distance(near, far, cap=2.5, eval_points=np.zeros((1, 1)))
-        assert value == pytest.approx(2.5, abs=1e-12)
-
-    def test_cap_must_be_positive(self):
-        task = (empirical([[0.0]]), scalar_affine(1.0, 0.0))
-        with pytest.raises(ValueError, match="cap"):
-            task_distance(task, task, cap=0.0, eval_points=np.zeros((1, 1)))
-
-
-class TestBregman:
-    def test_half_squared_norm_frozen(self):
-        assert bregman(np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(12.5, abs=1e-12)
-
-    def test_zero_at_equal_arguments(self):
-        u = np.array([1.0, -2.0, 0.5])
-        assert bregman(u, u) == 0.0
-
-    def test_neg_entropy_matches_kl_on_pmfs(self):
-        u = np.array([0.2, 0.8])
-        v = np.array([0.5, 0.5])
-        expected = float(np.sum(u * np.log(u / v)))
-        assert bregman(u, v, phi="neg_entropy") == pytest.approx(expected, abs=1e-12)
-
-    def test_callable_phi_quadratic_form(self):
-        mat = np.array([[2.0, 0.5], [0.5, 1.0]])
-        phi = lambda x: 0.5 * x @ mat @ x
-        grad = lambda x: mat @ x
-        u, v = np.array([1.0, 2.0]), np.array([-1.0, 0.5])
-        diff = u - v
-        assert bregman(u, v, phi=phi, grad=grad) == pytest.approx(
-            0.5 * diff @ mat @ diff, abs=1e-12
-        )
-
-    def test_callable_phi_requires_grad(self):
-        with pytest.raises(ValueError, match="gradient"):
-            bregman(np.zeros(2), np.ones(2), phi=lambda x: 0.0)
-
-    def test_nonnegative_for_convex_phi(self):
-        rng = np.random.default_rng(47)
-        for _ in range(100):
-            u, v = rng.normal(size=(2, 3))
-            assert bregman(u, v) >= 0.0
 
 
 class TestCrossEntropySandwich:
