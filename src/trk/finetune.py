@@ -7,13 +7,11 @@ law, and report the achieved Wasserstein risk under a fixed epoch budget.
 The second is a plain softmax classifier head used to measure transfer
 accuracy on held-out data.
 
-For scalar outputs the risk objective is the exact quantile-coupling
-Wasserstein cost, which is piecewise smooth in the parameters; training uses
-its subgradient with ties resolved to zero.  For multi-dimensional outputs
-the objective switches to an entropic surrogate whose gradient flows through
-the transport plan, while the reported risk always comes from the exact
-solver.  Everything is full-batch and seeded, so runs are bitwise
-reproducible.
+Output maps are scalar.  The risk objective is the exact quantile-coupling
+Wasserstein cost W_p^p, which is piecewise smooth in the parameters;
+training uses its subgradient with ties resolved to zero, and the reported
+risk is that same objective at the kept iterate.  Everything is full-batch
+and seeded, so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze
-from .optimal_transport import OtConfig, _quantile_coupling, wasserstein
+from .optimal_transport import OtConfig, _quantile_coupling
 from .transfer_core import (
     AffineMap,
     AffineModel,
@@ -179,26 +177,6 @@ def _quantile_cost_and_grad(
     return cost, grad
 
 
-def _entropic_cost_and_grad(
-    outputs: np.ndarray,
-    weights: np.ndarray,
-    proxy: EmpiricalDistribution,
-    p: float,
-    epsilon: float,
-    max_iter: int,
-) -> tuple[float, np.ndarray]:
-    """Entropic surrogate cost and its plan-weighted gradient in `outputs`."""
-    cfg = OtConfig(p=p, method="sinkhorn", sinkhorn_epsilon=epsilon, sinkhorn_max_iter=max_iter)
-    _, coupling = wasserstein(EmpiricalDistribution(outputs, weights), proxy, cfg)
-    diff = outputs[:, None, :] - proxy.points[None, :, :]
-    norms = np.linalg.norm(diff, axis=2)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    scale = coupling.plan * p * safe ** (p - 2.0)
-    scale = np.where(norms > 0.0, scale, 0.0)
-    grad = np.sum(scale[:, :, None] * diff, axis=1)
-    return coupling.cost, grad
-
-
 def transport_objective(
     family: AffineMapFamily,
     params: np.ndarray,
@@ -206,25 +184,21 @@ def transport_objective(
     weights: np.ndarray,
     proxy: EmpiricalDistribution,
     p: float = 1.0,
-    epsilon: float | None = None,
-    sinkhorn_max_iter: int = 5000,
 ) -> tuple[float, np.ndarray]:
     """Training objective W_p^p(pushforward, proxy) and its parameter gradient.
 
-    Scalar output families get the exact quantile cost; higher-dimensional
-    ones need `epsilon` and get the entropic surrogate.  The gradient chains
-    the per-output subgradient through the affine parameterization.
+    The family must map to scalars; the objective is then the exact quantile
+    cost, and the gradient chains its per-output subgradient through the
+    affine parameterization.
+
+    Raises:
+        ValueError: if the family's output dimension is not 1.
     """
+    if family.out_dim != 1:
+        raise ValueError(f"output maps must be scalar, got output dimension {family.out_dim}")
     outputs = family.apply(params, inputs)
-    if family.out_dim == 1:
-        cost, grad_out = _quantile_cost_and_grad(outputs[:, 0], weights, proxy, p)
-        grad_out = grad_out[:, None]
-    else:
-        if epsilon is None:
-            raise ValueError("multi-dimensional outputs need an explicit epsilon")
-        cost, grad_out = _entropic_cost_and_grad(
-            outputs, weights, proxy, p, epsilon, sinkhorn_max_iter
-        )
+    cost, grad_out = _quantile_cost_and_grad(outputs[:, 0], weights, proxy, p)
+    grad_out = grad_out[:, None]
     grad_weights = grad_out.T @ inputs
     grad_bias = grad_out.sum(axis=0)
     return cost, np.concatenate([grad_weights.ravel(), grad_bias])
@@ -251,15 +225,6 @@ def cross_entropy_objective(
     return value, np.concatenate([grad_weights.ravel(), grad_bias])
 
 
-def _exact_risk(
-    outputs: np.ndarray, weights: np.ndarray, proxy: EmpiricalDistribution, p: float
-) -> float:
-    support = max(len(outputs), proxy.size)
-    cfg = OtConfig(p=p, lp_max_support=max(support, 400))
-    distance, _ = wasserstein(EmpiricalDistribution(outputs, weights), proxy, cfg)
-    return distance**p
-
-
 def minimize_output_risk(
     family: AffineMapFamily,
     source_model,
@@ -273,8 +238,8 @@ def minimize_output_risk(
 
     The epoch budget is the search-space restriction: no early stopping, and
     the returned map is the best iterate seen, never worse than the
-    initialization.  The reported risk is always the exact transport cost of
-    that map, even when training descended the entropic surrogate.
+    initialization.  The objective is the exact transport cost, so the
+    reported risk is the best objective value itself.
 
     Returns:
         (risk, map, trace) with risk = W_p^p of the best iterate.
@@ -282,7 +247,8 @@ def minimize_output_risk(
     Raises:
         TrainingDivergedError: if the objective leaves the reals; the error
             carries the trace accumulated so far.
-        ValueError: on dimension mismatches between family, model and laws.
+        ValueError: on a family whose output is not scalar, and on
+            dimension mismatches between family, model and laws.
     """
     if family.parameter_count() < 1:
         raise ValueError("family has no trainable parameters")
@@ -303,20 +269,10 @@ def minimize_output_risk(
     if params.shape != (family.parameter_count(),):
         raise ValueError(f"init must have shape ({family.parameter_count()},)")
 
-    epsilon = None
-    if family.out_dim > 1:
-        # Freeze the surrogate temperature at the usual fraction of the
-        # initial cost scale so the objective stays fixed across epochs.
-        initial = family.apply(params, inputs)
-        diff = initial[:, None, :] - law_yt_proxy.points[None, :, :]
-        epsilon = 0.05 * float(np.mean(np.linalg.norm(diff, axis=2) ** p))
-
     objectives: list[float] = []
     best_params, best_value = params.copy(), np.inf
     for _ in range(cfg.epochs):
-        value, grad = transport_objective(
-            family, params, inputs, law_xt.weights, law_yt_proxy, p, epsilon
-        )
+        value, grad = transport_objective(family, params, inputs, law_xt.weights, law_yt_proxy, p)
         if not np.isfinite(value):
             trace = TrainTrace(tuple(objectives), best_params, len(objectives))
             raise TrainingDivergedError(
@@ -326,14 +282,11 @@ def minimize_output_risk(
         if value < best_value:
             best_params, best_value = params.copy(), value
         params = params - cfg.learning_rate * grad
-    final_value, _ = transport_objective(
-        family, params, inputs, law_xt.weights, law_yt_proxy, p, epsilon
-    )
+    final_value, _ = transport_objective(family, params, inputs, law_xt.weights, law_yt_proxy, p)
     if np.isfinite(final_value) and final_value < best_value:
-        best_params = params.copy()
+        best_params, best_value = params.copy(), final_value
     trace = TrainTrace(tuple(objectives), best_params, cfg.epochs)
-    risk = _exact_risk(family.apply(best_params, inputs), law_xt.weights, law_yt_proxy, p)
-    return risk, family.build(best_params), trace
+    return best_value, family.build(best_params), trace
 
 
 def train_classifier(

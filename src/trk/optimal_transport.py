@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .distributions import EmpiricalDistribution
@@ -119,8 +120,7 @@ class Coupling:
 
 
 def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -> np.ndarray:
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    return np.linalg.norm(diff, axis=2) ** p
+    return cdist(a.points, b.points) ** p
 
 
 def _quantile_coupling(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -257,7 +258,12 @@ def _normalized_echo(
         "seed": seed,
         "out_dir": str(out_dir),
         "combiner": _combiner_echo(combiner),
-        "divergence": {"kind": divergence_kind, **asdict(ot)},
+        # gaussian_lab's closed forms run no solver, so only kind and p apply there.
+        "divergence": (
+            {"kind": divergence_kind, "p": ot.p}
+            if mode == "gaussian_lab"
+            else {"kind": divergence_kind, **asdict(ot)}
+        ),
         "train": {
             "epochs": train.epochs,
             "learning_rate": train.learning_rate,
@@ -282,7 +288,8 @@ def ingest_dataset(
     and every other column is a feature.  JSON files are objects with
     "features" (list of rows), "labels", and optional per-row "weights",
     which may be unnormalized counts and are rescaled to sum to 1.
-    Malformed cells are reported with their file line number.
+    Every value must be a finite number; a malformed one is reported with
+    its file and its CSV line or JSON row.
 
     Returns:
         (distribution, labels) with one label per row, as floats.
@@ -307,6 +314,8 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
         header = [name.strip() for name in header]
         if label_column not in header:
             raise ValueError(f"{path}: no {label_column!r} column in header {header}")
+        if len(header) < 2:
+            raise ValueError(f"{path}: no feature columns besides {label_column!r}")
         label_idx = header.index(label_column)
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
@@ -320,11 +329,16 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
                 if cell == "":
                     raise ValueError(f"{path}: line {line_no}, column {name!r}: missing value")
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {line_no}, column {name!r}: could not parse {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: line {line_no}, column {name!r}: non-finite value {cell!r}"
+                    )
+                parsed.append(value)
             labels.append(parsed.pop(label_idx))
             rows.append(parsed)
     if not rows:
@@ -343,32 +357,53 @@ def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
     _reject_unknown(payload, {"features", "labels", "weights"}, str(path))
     features = payload.get("features")
     labels = payload.get("labels")
+    weights = payload.get("weights")
     if not features or labels is None:
         raise ValueError(f"{path}: needs non-empty 'features' and 'labels'")
-    width = len(features[0])
+    for key, value in (("features", features), ("labels", labels), ("weights", weights)):
+        if value is not None and not isinstance(value, list):
+            raise ValueError(f"{path}: {key!r} must be a JSON array")
+    rows = []
     for i, row in enumerate(features):
-        if len(row) != width:
-            raise ValueError(f"{path}: features row {i} has {len(row)} values, expected {width}")
-        if not all(isinstance(x, (int, float)) for x in row):
-            raise ValueError(f"{path}: features row {i} has a non-numeric value")
+        if not isinstance(row, list) or not row:
+            raise ValueError(f"{path}: features row {i} must be a non-empty array of numbers")
+        if len(row) != len(features[0]):
+            raise ValueError(
+                f"{path}: features row {i} has {len(row)} values, expected {len(features[0])}"
+            )
+        rows.append([_json_number(x, f"{path}: features row {i}") for x in row])
     if len(labels) != len(features):
         raise ValueError(f"{path}: {len(labels)} labels for {len(features)} feature rows")
-    weights = payload.get("weights")
+    labels = [_json_number(x, f"{path}: labels row {i}") for i, x in enumerate(labels)]
     if weights is None:
-        dist = EmpiricalDistribution.from_points(np.asarray(features, dtype=float))
+        dist = EmpiricalDistribution.from_points(np.asarray(rows))
     else:
         if len(weights) != len(features):
             raise ValueError(f"{path}: {len(weights)} weights for {len(features)} feature rows")
-        w = np.asarray(weights, dtype=float)
-        if not np.all(np.isfinite(w)) or w.min() < 0.0 or w.sum() <= 0.0:
+        w = np.asarray(
+            [_json_number(x, f"{path}: weights row {i}") for i, x in enumerate(weights)]
+        )
+        if w.min() < 0.0 or w.sum() <= 0.0:
             raise ValueError(f"{path}: weights must be finite, nonnegative, not all zero")
-        dist = EmpiricalDistribution(np.asarray(features, dtype=float), w / w.sum())
-    return dist, np.asarray(labels, dtype=float)
+        dist = EmpiricalDistribution(np.asarray(rows), w / w.sum())
+    return dist, np.asarray(labels)
 
 
-def _dataset_to_domain(
-    path: str, cfg: PipelineConfig, classes_hint: list[int]
-) -> SyntheticDomain:
+def _json_number(value, where: str) -> float:
+    """A JSON value as a finite float, or a ValueError prefixed by `where`."""
+    # bool is an int subclass, but `true` is not a number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} has a non-numeric value {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{where} has a non-finite value {value!r}")
+    return number
+
+
+def _ingest_labeled(path: str, cfg: PipelineConfig) -> tuple[EmpiricalDistribution, np.ndarray]:
     dist, raw_labels = ingest_dataset(
         path, cfg.mode_params["format"], cfg.mode_params["label_column"]
     )
@@ -377,8 +412,13 @@ def _dataset_to_domain(
         raise ValueError(f"{path}: labels must be nonnegative integers for transfer runs")
     if dist.size < 4:
         raise ValueError(f"{path}: need at least 4 rows to split")
-    classes_hint.append(int(labels.max()) + 1)
-    rng = np.random.default_rng(cfg.seed)
+    return dist, labels
+
+
+def _dataset_to_domain(
+    path: str, dist: EmpiricalDistribution, labels: np.ndarray, classes: int, seed: int
+) -> SyntheticDomain:
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(dist.size)
     half = dist.size // 2
     first, second = perm[:half], perm[half:]
@@ -387,7 +427,6 @@ def _dataset_to_domain(
         weights = dist.weights[idx]
         return EmpiricalDistribution(dist.points[idx], weights / weights.sum())
 
-    classes = max(classes_hint)
     return SyntheticDomain(
         name=Path(path).stem,
         train=part(first),
@@ -424,17 +463,15 @@ def _run_empirical(cfg: PipelineConfig, override_risks: str | Path | None) -> li
     paths = cfg.mode_params["datasets"]
     if len(paths) < 2:
         raise ValueError("empirical mode needs at least 2 datasets (or an override table)")
-    classes_hint: list[int] = []
-    domains = [_dataset_to_domain(p, cfg, classes_hint) for p in paths]
-    classes = max(classes_hint)
+    datasets = [_ingest_labeled(p, cfg) for p in paths]
+    classes = max(int(labels.max()) for _, labels in datasets) + 1
     if classes < 2:
         raise ValueError("datasets contain fewer than 2 classes")
     domains = [
-        SyntheticDomain(
-            d.name, d.train, d.train_labels, d.held_out, d.held_out_labels, classes
-        )
-        for d in domains
+        _dataset_to_domain(p, dist, labels, classes, cfg.seed)
+        for p, (dist, labels) in zip(paths, datasets)
     ]
+    del datasets  # the domains hold copies; keep only those alive while training
     return _pair_rows_from_domains(domains, cfg)
 
 

@@ -464,18 +464,14 @@ def transfer_risk(
     combiner: RiskCombiner,
     divergence: str = "wasserstein",
     cfg: OtConfig = OtConfig(),
-    proxy_target: bool | None = None,
 ) -> tuple[RiskReport, int]:
     """Minimize the combined risk over a candidate set of transport pairs.
 
     Input risk always uses the wasserstein metric (order cfg.p); `divergence`
     selects how the output risk is measured.  Ties are broken toward the
-    lowest candidate index.
-
-    Args:
-        proxy_target: mark the report as approximate because target_out is
-            the observed output law rather than the true prediction law; None
-            infers it from the carrier kind (sampled target law == proxy).
+    lowest candidate index.  A sampled target_out is the observed output law
+    standing in for the true prediction law, so its report is marked
+    approximate.
 
     Returns:
         (report for the best candidate, its index).
@@ -484,8 +480,7 @@ def transfer_risk(
         raise ValueError("need at least one candidate transport pair")
     if divergence not in ("wasserstein", "kl"):
         raise ValueError(f"unknown divergence {divergence!r}")
-    if proxy_target is None:
-        proxy_target = isinstance(target_out, EmpiricalDistribution)
+    approximate = isinstance(target_out, EmpiricalDistribution)
 
     best: tuple[float, int, RiskReport] | None = None
     for index, candidate in enumerate(candidates):
@@ -505,7 +500,7 @@ def transfer_risk(
                 combined=combined,
                 combiner=combiner.tag,
                 divergence=divergence,
-                approximation=bool(proxy_target),
+                approximation=approximate,
             )
             best = (combined, index, report)
     assert best is not None

@@ -298,6 +298,13 @@ class TestPipelineConfig:
         assert echo["train"]["epochs"] == 100
         assert echo["gaussian_lab"]["identical_tasks"] is False
 
+    @pytest.mark.parametrize("mode", ["gaussian_lab", "synthetic_office", "empirical"])
+    def test_echoed_divergence_keys_per_mode(self, mode):
+        # gaussian_lab rejects the solver keys, so its echo must not show them.
+        solver = {"method", "sinkhorn_epsilon", "sinkhorn_max_iter", "lp_max_support"}
+        expected = {"kind", "p"} | (set() if mode == "gaussian_lab" else solver)
+        assert set(PipelineConfig.from_dict({"mode": mode}).echo["divergence"]) == expected
+
     @pytest.mark.parametrize("mode", ["synthetic_office", "empirical"])
     def test_sampled_modes_default_to_w1(self, mode):
         cfg = PipelineConfig.from_dict({"mode": mode})
@@ -649,6 +656,29 @@ class TestFitCombiner:
             fit_combiner(rows, "linear", grid_max=0.0)
 
 
+# Each file holds one bad value that ingest-check must reject naming its place.
+BAD_DATASETS = [
+    ("nan_feature.csv", "x,label\n1.0,0\nnan,1\n",
+     "line 3, column 'x': non-finite value 'nan'"),
+    ("inf_label.csv", "x,label\n1.0,0\n2.0,inf\n",
+     "line 3, column 'label': non-finite value 'inf'"),
+    ("label_only.csv", "label\n0\n1\n", "no feature columns besides 'label'"),
+    ("bool_feature.json", '{"features": [[1.0], [true]], "labels": [0, 1]}',
+     "features row 1 has a non-numeric value True"),
+    ("nan_feature.json", '{"features": [[1.0], [NaN]], "labels": [0, 1]}',
+     "features row 1 has a non-finite value nan"),
+    ("text_weight.json",
+     '{"features": [[1.0], [2.0]], "labels": [0, 1], "weights": [1.0, "a"]}',
+     "weights row 1 has a non-numeric value 'a'"),
+    ("text_label.json", '{"features": [[1.0], [2.0]], "labels": [0, "b"]}',
+     "labels row 1 has a non-numeric value 'b'"),
+    ("flat_features.json", '{"features": [1.0, 2.0], "labels": [0, 1]}',
+     "features row 0 must be a non-empty array of numbers"),
+    ("object_labels.json", '{"features": [[1.0]], "labels": {"a": 0}}',
+     "'labels' must be a JSON array"),
+]
+
+
 class TestCli:
     def run_config(self, tmp_path, **extra):
         raw = {
@@ -728,6 +758,17 @@ class TestCli:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert "line 3, column 'x'" in err["error"]
+
+    @pytest.mark.parametrize("name,body,where", BAD_DATASETS, ids=[c[0] for c in BAD_DATASETS])
+    def test_ingest_check_rejects_bad_values(self, tmp_path, capsys, name, body, where):
+        path = tmp_path / name
+        path.write_text(body)
+        assert main(["ingest-check", "--path", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == f"{path}: {where}"
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1

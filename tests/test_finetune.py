@@ -140,10 +140,10 @@ class TestTransportObjective:
                 ) / (2 * step)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_multidim_requires_epsilon(self):
+    def test_multidim_output_rejected(self):
         rng = np.random.default_rng(2)
         family = AffineMapFamily(2, 2)
-        with pytest.raises(ValueError, match="epsilon"):
+        with pytest.raises(ValueError, match="scalar, got output dimension 2"):
             transport_objective(
                 family,
                 family.init_parameters(rng),
@@ -282,22 +282,17 @@ class TestMinimizeOutputRisk:
         assert first[0] == second[0]
         assert first[2].objectives == second[2].objectives
 
-    def test_multidim_surrogate_reports_exact_risk(self):
-        rng = np.random.default_rng(8)
-        law_xt = EmpiricalDistribution.from_points(rng.normal(size=(40, 2)))
-        source_model = AffineModel(np.eye(2), np.zeros(2))
-        proxy = EmpiricalDistribution.from_points(rng.normal(size=(40, 2)) + 1.0)
-        family = AffineMapFamily(2, 2)
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_reports_exact_risk_of_returned_map(self, p):
+        source_model, law_xt, proxy = self.setup_instance(seed=8, n=40)
         risk, best_map, trace = minimize_output_risk(
-            family, source_model, law_xt, proxy, p=2.0, cfg=TrainConfig(epochs=5, seed=8)
+            AffineMapFamily(1, 1), source_model, law_xt, proxy, p=p,
+            cfg=TrainConfig(epochs=5, seed=8),
         )
         assert trace.epochs_run == 5
-        assert risk >= 0.0
-        from trk.optimal_transport import OtConfig, wasserstein
-
-        pushed = EmpiricalDistribution(best_map(law_xt.points), law_xt.weights)
-        exact, _ = wasserstein(pushed, proxy, OtConfig(p=2.0))
-        assert risk == pytest.approx(exact**2, abs=1e-12)
+        pushed = best_map(source_model(law_xt.points))[:, 0]
+        exact = quantile_wp_1d(pushed, law_xt.weights, proxy.points[:, 0], proxy.weights, p=p)
+        assert risk == pytest.approx(exact, rel=1e-12)
 
     def test_dimension_validation(self):
         source_model, law_xt, proxy = self.setup_instance()
@@ -310,6 +305,11 @@ class TestMinimizeOutputRisk:
         with pytest.raises(ValueError, match="init"):
             minimize_output_risk(
                 AffineMapFamily(1, 1), source_model, law_xt, proxy, init=np.zeros(5)
+            )
+        plane = EmpiricalDistribution.from_points(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="scalar, got output dimension 2"):
+            minimize_output_risk(
+                AffineMapFamily(2, 2), AffineModel(np.eye(2), np.zeros(2)), plane, plane
             )
 
 
