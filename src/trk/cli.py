@@ -20,7 +20,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .pipeline import PipelineConfig, _combiner_echo, fit_combiner, ingest_dataset, run
+from .pipeline import (
+    PipelineConfig,
+    _combiner_echo,
+    _csv_number,
+    fit_combiner,
+    ingest_dataset,
+    run,
+)
 
 logger = logging.getLogger("trk")
 
@@ -88,14 +95,13 @@ def _cmd_fit_combiner(args: argparse.Namespace) -> int:
         needed = {"input_risk", "output_risk", "accuracy"}
         if reader.fieldnames is None or not needed <= set(reader.fieldnames):
             raise ValueError(f"{args.rows}: needs columns {sorted(needed)}")
-        for record in reader:
+        for line_no, record in enumerate(reader, start=2):
             if record["accuracy"] in (None, ""):
                 continue
             rows.append(
-                (
-                    float(record["input_risk"]),
-                    float(record["output_risk"]),
-                    float(record["accuracy"]),
+                tuple(
+                    _csv_number(record[column], args.rows, line_no, column)
+                    for column in ("input_risk", "output_risk", "accuracy")
                 )
             )
     combiner, corr = fit_combiner(rows, args.form, args.grid_size, args.grid_max)

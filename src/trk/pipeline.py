@@ -67,6 +67,35 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
         raise ValueError(f"unknown config key {full!r}")
 
 
+_KIND_NAMES = {bool: "true or false", str: "a string", list: "a list of strings"}
+
+
+def _value(spec: dict, key: str, kind: type, default, path: str = ""):
+    """`spec[key]` (or `default` when absent) read as `kind`, else a ValueError.
+
+    Numbers must be finite JSON numbers and never booleans; an int may be
+    written as an integral float (2.0) but not as 2.5.  A list is a list of
+    strings.  None passes only where it is the default.  Errors name the key
+    path.
+    """
+    value = spec.get(key, default)
+    if value is None and default is None:
+        return None
+    full = f"{path}.{key}" if path else key
+    if kind is float or kind is int:
+        number = _json_number(value, full)
+        if kind is float:
+            return number
+        if not number.is_integer():
+            raise ValueError(f"{full} must be an integer, got {value!r}")
+        return int(value)
+    if not isinstance(value, kind) or (
+        kind is list and not all(isinstance(item, str) for item in value)
+    ):
+        raise ValueError(f"{full} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _section(raw: dict, key: str, default: dict | None = None) -> dict:
     spec = raw.get(key, {} if default is None else default)
     if not isinstance(spec, dict):
@@ -79,12 +108,12 @@ def _build_combiner(spec: dict) -> RiskCombiner:
     form = spec.get("form")
     if form == "linear":
         _reject_unknown(spec, {"form", "weight"}, "combiner")
-        return LinearCombiner(float(spec.get("weight", 1.0)))
+        return LinearCombiner(_value(spec, "weight", float, 1.0, "combiner"))
     if form == "polynomial2":
         return PolynomialCombiner(
-            float(spec.get("input_coeff", 1.0)),
-            float(spec.get("output_coeff", 1.0)),
-            float(spec.get("power", 2.0)),
+            _value(spec, "input_coeff", float, 1.0, "combiner"),
+            _value(spec, "output_coeff", float, 1.0, "combiner"),
+            _value(spec, "power", float, 2.0, "combiner"),
         )
     raise ValueError(f"combiner.form must be 'linear' or 'polynomial2', got {form!r}")
 
@@ -101,7 +130,7 @@ def _build_ot(spec: dict, mode: str) -> tuple[str, OtConfig]:
     kind = spec.get("kind", "wasserstein")
     if kind not in ("wasserstein", "kl"):
         raise ValueError(f"divergence.kind must be 'wasserstein' or 'kl', got {kind!r}")
-    p = float(spec.get("p", 2.0 if mode == "gaussian_lab" else 1.0))
+    p = _value(spec, "p", float, 2.0 if mode == "gaussian_lab" else 1.0, "divergence")
     if mode == "gaussian_lab":
         for key in sorted(allowed - {"kind", "p"}):
             if key in spec:
@@ -118,10 +147,10 @@ def _build_ot(spec: dict, mode: str) -> tuple[str, OtConfig]:
         )
     cfg = OtConfig(
         p=p,
-        method=spec.get("method", "auto"),
-        sinkhorn_epsilon=spec.get("sinkhorn_epsilon"),
-        sinkhorn_max_iter=int(spec.get("sinkhorn_max_iter", 2000)),
-        lp_max_support=int(spec.get("lp_max_support", 400)),
+        method=_value(spec, "method", str, "auto", "divergence"),
+        sinkhorn_epsilon=_value(spec, "sinkhorn_epsilon", float, None, "divergence"),
+        sinkhorn_max_iter=_value(spec, "sinkhorn_max_iter", int, 2000, "divergence"),
+        lp_max_support=_value(spec, "lp_max_support", int, 400, "divergence"),
     )
     return kind, cfg
 
@@ -129,10 +158,10 @@ def _build_ot(spec: dict, mode: str) -> tuple[str, OtConfig]:
 def _build_train(spec: dict, seed: int, path: str, defaults: TrainConfig) -> TrainConfig:
     _reject_unknown(spec, {"epochs", "learning_rate", "plateau_patience"}, path)
     return TrainConfig(
-        epochs=int(spec.get("epochs", defaults.epochs)),
-        learning_rate=float(spec.get("learning_rate", defaults.learning_rate)),
+        epochs=_value(spec, "epochs", int, defaults.epochs, path),
+        learning_rate=_value(spec, "learning_rate", float, defaults.learning_rate, path),
         seed=seed,
-        plateau_patience=int(spec.get("plateau_patience", defaults.plateau_patience)),
+        plateau_patience=_value(spec, "plateau_patience", int, defaults.plateau_patience, path),
     )
 
 
@@ -162,15 +191,17 @@ class PipelineConfig:
         mode = raw.get("mode")
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        seed = int(raw.get("seed", 0))
-        out_dir = Path(raw.get("out_dir", "trk_run"))
+        seed = _value(raw, "seed", int, 0)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        out_dir = Path(_value(raw, "out_dir", str, "trk_run"))
         combiner = _build_combiner(_section(raw, "combiner", {"form": "polynomial2"}))
         divergence_kind, ot = _build_ot(_section(raw, "divergence"), mode)
         train = _build_train(_section(raw, "train"), seed, "train", TrainConfig(epochs=100))
         risk_train = _build_train(
             _section(raw, "risk_train"), seed, "risk_train", TrainConfig(learning_rate=0.5)
         )
-        rescale = float(raw.get("input_risk_rescale", 1.0))
+        rescale = _value(raw, "input_risk_rescale", float, 1.0)
         if rescale <= 0.0:
             raise ValueError(f"input_risk_rescale must be positive, got {rescale}")
         mode_params = _validate_mode_params(mode, _section(raw, mode))
@@ -206,19 +237,19 @@ def _validate_mode_params(mode: str, params: dict) -> dict:
     if mode == "empirical":
         _reject_unknown(params, {"datasets", "format", "label_column"}, "empirical")
         return {
-            "datasets": list(params.get("datasets", [])),
-            "format": params.get("format"),
-            "label_column": params.get("label_column", "label"),
+            "datasets": list(_value(params, "datasets", list, [], mode)),
+            "format": _value(params, "format", str, None, mode),
+            "label_column": _value(params, "label_column", str, "label", mode),
         }
     if mode == "gaussian_lab":
         _reject_unknown(
             params, {"dim", "n_pairs", "drift", "identical_tasks"}, "gaussian_lab"
         )
         out = {
-            "dim": int(params.get("dim", 2)),
-            "n_pairs": int(params.get("n_pairs", 6)),
-            "drift": float(params.get("drift", 0.25)),
-            "identical_tasks": bool(params.get("identical_tasks", False)),
+            "dim": _value(params, "dim", int, 2, mode),
+            "n_pairs": _value(params, "n_pairs", int, 6, mode),
+            "drift": _value(params, "drift", float, 0.25, mode),
+            "identical_tasks": _value(params, "identical_tasks", bool, False, mode),
         }
         if out["dim"] < 1 or out["n_pairs"] < 1:
             raise ValueError("gaussian_lab.dim and n_pairs must be >= 1")
@@ -229,12 +260,12 @@ def _validate_mode_params(mode: str, params: dict) -> dict:
         "synthetic_office",
     )
     return {
-        "n_domains": int(params.get("n_domains", 3)),
-        "classes": int(params.get("classes", 3)),
-        "samples_per_domain": int(params.get("samples_per_domain", 400)),
-        "rotation": float(params.get("rotation", 0.15)),
-        "shift": float(params.get("shift", 1.4)),
-        "spread": float(params.get("spread", 0.0)),
+        "n_domains": _value(params, "n_domains", int, 3, mode),
+        "classes": _value(params, "classes", int, 3, mode),
+        "samples_per_domain": _value(params, "samples_per_domain", int, 400, mode),
+        "rotation": _value(params, "rotation", float, 0.15, mode),
+        "shift": _value(params, "shift", float, 1.4, mode),
+        "spread": _value(params, "spread", float, 0.0, mode),
     }
 
 
@@ -323,27 +354,31 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
                 raise ValueError(
                     f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if cell == "":
-                    raise ValueError(f"{path}: line {line_no}, column {name!r}: missing value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {line_no}, column {name!r}: could not parse {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: line {line_no}, column {name!r}: non-finite value {cell!r}"
-                    )
-                parsed.append(value)
+            parsed = [_csv_number(cell, path, line_no, name) for name, cell in zip(header, row)]
             labels.append(parsed.pop(label_idx))
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return EmpiricalDistribution.from_points(np.asarray(rows)), np.asarray(labels)
+
+
+def _csv_number(cell: str | None, path: str | Path, line_no: int, column: str) -> float:
+    """One CSV cell as a finite float, or a ValueError naming file, line and column."""
+    try:
+        value = float(cell)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError):  # TypeError: a short csv.DictReader row gives None
+        pass
+    where = f"{path}: line {line_no}, column {column!r}"
+    cell = (cell or "").strip()
+    if not cell:
+        raise ValueError(f"{where}: missing value")
+    try:
+        float(cell)
+    except ValueError:
+        raise ValueError(f"{where}: could not parse {cell!r}") from None
+    raise ValueError(f"{where}: non-finite value {cell!r}")
 
 
 def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
@@ -484,17 +519,20 @@ def _rows_from_override(path: str | Path, cfg: PipelineConfig) -> list[dict]:
         if reader.fieldnames is None or not needed <= set(reader.fieldnames):
             raise ValueError(f"{path}: override table needs columns {sorted(needed)}")
         for line_no, record in enumerate(reader, start=2):
-            try:
-                e_in = cfg.input_risk_rescale * float(record["input_risk"])
-                e_out = float(record["output_risk"])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-numeric risk") from None
+            e_in = cfg.input_risk_rescale * _csv_number(
+                record["input_risk"], path, line_no, "input_risk"
+            )
+            e_out = _csv_number(record["output_risk"], path, line_no, "output_risk")
             accuracy = record.get("accuracy")
+            if accuracy in (None, ""):
+                accuracy = None
+            else:
+                accuracy = _csv_number(accuracy, path, line_no, "accuracy")
             rows.append(
                 {
                     "source": record["source"],
                     "target": record["target"],
-                    "accuracy": float(accuracy) if accuracy not in (None, "") else None,
+                    "accuracy": accuracy,
                     "input_risk": e_in,
                     "output_risk": e_out,
                     "transfer_risk": combine(cfg.combiner, e_in, e_out),

@@ -1,13 +1,15 @@
 """Core transfer-risk operations.
 
-A transfer setup is described by a pair of transport maps: one carrying the
-target input distribution onto the source inputs, and one carrying source
-predictions (and optionally the raw target inputs) onto the target output
-space.  The input risk measures how far the transported target inputs stay
-from the source inputs; the output risk measures how far the induced
-prediction distribution stays from the target outputs.  A combiner folds the
-two numbers into a single score, and `transfer_risk` minimizes that score
-over a candidate set of map pairs.
+A transfer setup is an input transport carrying the target inputs onto the
+source inputs, the frozen source model, and an output transport carrying
+the source predictions onto the target output space.  The input risk
+measures how far the transported target inputs stay from the source inputs,
+on sampled clouds (through `optimal_transport.wasserstein`) or in closed
+form on Gaussian carriers.  The output risk measures how far the induced
+prediction law stays from the target output law; here it is the closed form
+on Gaussian carriers, while sampled output risks are estimated by
+`finetune.minimize_output_risk`, which trains the output map.  A combiner
+folds the two numbers into a single score.
 
 Wasserstein-flavored risks are reported in cost units, i.e. W_p^p, matching
 the closed forms in `gaussian_lab`.
@@ -15,8 +17,7 @@ the closed forms in `gaussian_lab`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +40,12 @@ __all__ = [
     "RiskCombiner",
     "LinearCombiner",
     "PolynomialCombiner",
-    "RiskReport",
     "input_risk",
     "output_risk_w",
     "output_risk_kl",
     "combine",
-    "transfer_risk",
     "cross_entropy_sandwich",
 ]
-
-_MODES = ("xy", "y_only", "x_only")
-
 
 @dataclass(frozen=True)
 class AffineModel:
@@ -159,83 +155,40 @@ def _model_as_affine(model) -> AffineModel | None:
 
 @dataclass(frozen=True)
 class TransportPair:
-    """Input transport, output transport, and the frozen source model.
+    """Input transport, frozen source model, and output transport.
 
     The induced intermediate predictor is
 
-        f(x) = output_map(x, s)   with s = source_model(input_map(x)),
-
-    where `mode` controls what the output transport sees: 'xy' feeds the
-    concatenation (x, s), 'y_only' feeds s alone, and 'x_only' feeds x alone
-    (the source model may then be omitted).
+        f(x) = output_map(source_model(input_map(x))).
     """
 
     input_map: TransportMap
     output_map: TransportMap
-    source_model: AffineModel | TransportMap | None
-    mode: str = "y_only"
+    source_model: AffineModel | TransportMap
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
-        if self.source_model is None and self.mode != "x_only":
-            raise ValueError(f"mode {self.mode!r} needs a source model")
-        if self.source_model is not None:
-            if self.input_map.out_dim != self.source_model.in_dim:
-                raise ValueError(
-                    f"input map produces dim {self.input_map.out_dim} but source model "
-                    f"expects {self.source_model.in_dim}"
-                )
-        d_in = self.input_map.in_dim
-        if self.mode == "xy":
-            expected = d_in + self.source_model.out_dim
-        elif self.mode == "y_only":
-            expected = self.source_model.out_dim
-        else:
-            expected = d_in
-        if self.output_map.in_dim != expected:
+        if self.input_map.out_dim != self.source_model.in_dim:
             raise ValueError(
-                f"output map expects dim {self.output_map.in_dim} but mode {self.mode!r} "
-                f"supplies dim {expected}"
+                f"input map produces dim {self.input_map.out_dim} but source model "
+                f"expects {self.source_model.in_dim}"
             )
-
-    @property
-    def in_dim(self) -> int:
-        return self.input_map.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.output_map.out_dim
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the intermediate predictor on a batch of target inputs."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.mode == "x_only":
-            return self.output_map(points)
-        source_out = self.source_model(self.input_map(points))
-        if self.mode == "y_only":
-            return self.output_map(source_out)
-        return self.output_map(np.concatenate([points, source_out], axis=1))
+        if self.output_map.in_dim != self.source_model.out_dim:
+            raise ValueError(
+                f"output map expects dim {self.output_map.in_dim} but the source model "
+                f"supplies dim {self.source_model.out_dim}"
+            )
 
     def as_affine(self) -> AffineModel | None:
         """Collapse to one affine model when every component is affine."""
         out = _model_as_affine(self.output_map)
-        if out is None:
-            return None
-        if self.mode == "x_only":
-            return out
         inp = _model_as_affine(self.input_map)
         src = _model_as_affine(self.source_model)
-        if inp is None or src is None:
+        if out is None or inp is None or src is None:
             return None
         # s(x) = src(inp(x)) as one affine map.
         s_w = src.weights @ inp.weights
         s_b = src.weights @ inp.bias + src.bias
-        if self.mode == "y_only":
-            return AffineModel(out.weights @ s_w, out.weights @ s_b + out.bias)
-        d_in = self.input_map.in_dim
-        w_x, w_s = out.weights[:, :d_in], out.weights[:, d_in:]
-        return AffineModel(w_x + w_s @ s_w, w_s @ s_b + out.bias)
+        return AffineModel(out.weights @ s_w, out.weights @ s_b + out.bias)
 
 
 class RiskCombiner:
@@ -245,8 +198,6 @@ class RiskCombiner:
     Lipschitz on bounded domains; the shipped combiners satisfy all three by
     construction.
     """
-
-    tag: str
 
     def combine(self, input_risk_value: float, output_risk_value: float) -> float:
         raise NotImplementedError
@@ -262,10 +213,6 @@ class LinearCombiner(RiskCombiner):
         if self.weight < 0.0 or not np.isfinite(self.weight):
             raise ValueError(f"weight must be a finite nonnegative real, got {self.weight}")
 
-    @property
-    def tag(self) -> str:
-        return f"linear(weight={self.weight:g})"
-
     def combine(self, input_risk_value: float, output_risk_value: float) -> float:
         return float(output_risk_value + self.weight * input_risk_value)
 
@@ -279,17 +226,15 @@ class PolynomialCombiner(RiskCombiner):
     power: float = 2.0
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.input_coeff, self.output_coeff, self.power))):
+            raise ValueError(
+                f"coefficients and power must be finite, got ({self.input_coeff}, "
+                f"{self.output_coeff}, {self.power})"
+            )
         if self.input_coeff < 0.0 or self.output_coeff < 0.0:
             raise ValueError("coefficients must be nonnegative")
         if self.power < 1.0:
             raise ValueError(f"power must be >= 1 for Lipschitz behavior, got {self.power}")
-
-    @property
-    def tag(self) -> str:
-        return (
-            f"polynomial(input={self.input_coeff:g}, output={self.output_coeff:g}, "
-            f"power={self.power:g})"
-        )
 
     def combine(self, input_risk_value: float, output_risk_value: float) -> float:
         return float(
@@ -298,30 +243,11 @@ class PolynomialCombiner(RiskCombiner):
         )
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    """Risk numbers for one transport pair, as used by the pipeline."""
-
-    input_risk: float
-    output_risk: float
-    combined: float
-    combiner: str
-    divergence: str
-    approximation: bool
-
-
 def _gaussian_pushforward(dist: GaussianLike, model: AffineModel) -> GaussianND:
     nd = _as_nd(dist)
     if model.in_dim != nd.dim:
         raise ValueError(f"map expects dim {model.in_dim}, distribution has dim {nd.dim}")
     return GaussianND(model.weights @ nd.mean + model.bias, model.weights @ nd.cov @ model.weights.T)
-
-
-def _require_w2_order(p: float, context: str) -> None:
-    if p != 2.0:
-        raise ValueError(
-            f"{context} on Gaussian carriers is closed-form only for p=2, got p={p}"
-        )
 
 
 def input_risk(
@@ -355,7 +281,11 @@ def input_risk(
         pushed = _gaussian_pushforward(law_xt, affine)
         if metric == "kl":
             return gaussian_kl(pushed, law_xs)
-        _require_w2_order(cfg.p, "wasserstein input risk")
+        if cfg.p != 2.0:
+            raise ValueError(
+                f"wasserstein input risk on Gaussian carriers is closed-form only for p=2, "
+                f"got p={cfg.p}"
+            )
         return gaussian_w2(pushed, law_xs)
     raise TypeError(
         f"carriers must both be empirical or both Gaussian, got "
@@ -363,88 +293,31 @@ def input_risk(
     )
 
 
-def _predictive_distribution(
-    f_st: TransportPair, law_xt: EmpiricalDistribution | GaussianLike
-) -> EmpiricalDistribution | GaussianND:
-    if isinstance(law_xt, EmpiricalDistribution):
-        return EmpiricalDistribution(f_st.apply(law_xt.points), law_xt.weights)
+def output_risk_w(
+    f_st: TransportPair, law_xt: GaussianLike, target_out: GaussianLike
+) -> float:
+    """Closed-form output risk W_2(f_st # law_xt, target_out)^2 on Gaussian carriers.
+
+    `target_out` is the true prediction law.  Sampled output risks are
+    estimated by `finetune.minimize_output_risk`, which trains the output map.
+    """
+    if not (isinstance(law_xt, GaussianLike) and isinstance(target_out, GaussianLike)):
+        raise TypeError(
+            f"output risk needs Gaussian carriers, got {type(law_xt).__name__} and "
+            f"{type(target_out).__name__} (sampled output risks come from finetune)"
+        )
     affine = f_st.as_affine()
     if affine is None:
         raise ValueError(
-            "transport pair contains a non-affine component; Gaussian carriers need an "
-            "affine pair (sample the distribution instead)"
+            "transport pair contains a non-affine component, so its Gaussian pushforward "
+            "has no closed form"
         )
-    return _gaussian_pushforward(law_xt, affine)
+    return gaussian_w2(_gaussian_pushforward(law_xt, affine), target_out)
 
 
-def output_risk_w(
-    f_st: TransportPair,
-    law_xt: EmpiricalDistribution | GaussianLike,
-    target_out: EmpiricalDistribution | GaussianLike,
-    p: float = 2.0,
-    cfg: OtConfig = OtConfig(),
-) -> float:
-    """Wasserstein output risk W_p(f_st # law_xt, target_out)^p.
-
-    `target_out` is the true prediction law when it is known (Gaussian
-    carriers) and otherwise the observed target-output proxy.
-    """
-    predicted = _predictive_distribution(f_st, law_xt)
-    if isinstance(predicted, EmpiricalDistribution):
-        if not isinstance(target_out, EmpiricalDistribution):
-            raise TypeError(
-                "sampled inputs need a sampled target output law, got "
-                f"{type(target_out).__name__}"
-            )
-        distance, _ = wasserstein(predicted, target_out, replace(cfg, p=p))
-        return float(distance**p)
-    if not isinstance(target_out, GaussianLike):
-        raise TypeError(
-            f"Gaussian inputs need a Gaussian target output law, got {type(target_out).__name__}"
-        )
-    _require_w2_order(p, "wasserstein output risk")
-    return gaussian_w2(predicted, target_out)
-
-
-def output_risk_kl(
-    p_st: GaussianLike | np.ndarray,
-    p_t: GaussianLike | np.ndarray,
-    smoothing: float = 0.0,
-) -> float:
-    """KL output risk KL(p_t || p_st) of the target law from the predicted law.
-
-    Gaussian carriers use the closed form.  Discrete carriers are probability
-    vectors over a shared index set; `smoothing` adds mass epsilon to every
-    cell of both vectors (renormalizing) before taking the divergence, and a
-    target cell with mass outside the predicted support raises unless
-    smoothing is positive, since the singular part of the decomposition is
-    not represented here.
-    """
-    if isinstance(p_st, GaussianLike) and isinstance(p_t, GaussianLike):
-        return gaussian_kl(p_t, p_st)
-    if isinstance(p_st, GaussianLike) or isinstance(p_t, GaussianLike):
-        raise TypeError("carriers must both be Gaussian or both discrete")
-    q = np.asarray(p_st, dtype=np.float64).reshape(-1)
-    p = np.asarray(p_t, dtype=np.float64).reshape(-1)
-    if q.shape != p.shape:
-        raise ValueError(f"pmf length mismatch: {q.shape[0]} vs {p.shape[0]}")
-    if q.min() < 0.0 or p.min() < 0.0:
-        raise ValueError("pmf entries must be nonnegative")
-    for name, vec in (("p_st", q), ("p_t", p)):
-        if abs(vec.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must sum to 1, got {vec.sum()!r}")
-    if smoothing < 0.0:
-        raise ValueError("smoothing must be nonnegative")
-    if smoothing > 0.0:
-        q = (q + smoothing) / (1.0 + smoothing * q.shape[0])
-        p = (p + smoothing) / (1.0 + smoothing * p.shape[0])
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        raise ValueError(
-            "target law puts mass outside the predicted support; the divergence has a "
-            "singular part (pass smoothing > 0 to regularize)"
-        )
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+def output_risk_kl(p_st: GaussianLike, p_t: GaussianLike) -> float:
+    """Closed-form output risk KL(p_t || p_st) of the target law from the predicted law."""
+    return gaussian_kl(p_t, p_st)
 
 
 def combine(combiner: RiskCombiner, input_risk_value: float, output_risk_value: float) -> float:
@@ -454,57 +327,6 @@ def combine(combiner: RiskCombiner, input_risk_value: float, output_risk_value: 
             f"risks must be nonnegative, got ({input_risk_value}, {output_risk_value})"
         )
     return combiner.combine(float(input_risk_value), float(output_risk_value))
-
-
-def transfer_risk(
-    candidates: Sequence[TransportPair],
-    law_xt: EmpiricalDistribution | GaussianLike,
-    law_xs: EmpiricalDistribution | GaussianLike,
-    target_out: EmpiricalDistribution | GaussianLike,
-    combiner: RiskCombiner,
-    divergence: str = "wasserstein",
-    cfg: OtConfig = OtConfig(),
-) -> tuple[RiskReport, int]:
-    """Minimize the combined risk over a candidate set of transport pairs.
-
-    Input risk always uses the wasserstein metric (order cfg.p); `divergence`
-    selects how the output risk is measured.  Ties are broken toward the
-    lowest candidate index.  A sampled target_out is the observed output law
-    standing in for the true prediction law, so its report is marked
-    approximate.
-
-    Returns:
-        (report for the best candidate, its index).
-    """
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate transport pair")
-    if divergence not in ("wasserstein", "kl"):
-        raise ValueError(f"unknown divergence {divergence!r}")
-    approximate = isinstance(target_out, EmpiricalDistribution)
-
-    best: tuple[float, int, RiskReport] | None = None
-    for index, candidate in enumerate(candidates):
-        e_i = input_risk(candidate.input_map, law_xt, law_xs, "wasserstein", cfg)
-        if divergence == "wasserstein":
-            e_o = output_risk_w(candidate, law_xt, target_out, cfg.p, cfg)
-        else:
-            predicted = _predictive_distribution(candidate, law_xt)
-            if isinstance(predicted, EmpiricalDistribution):
-                raise ValueError("kl output risk needs Gaussian carriers")
-            e_o = output_risk_kl(predicted, target_out)
-        combined = combine(combiner, e_i, e_o)
-        if best is None or combined < best[0]:
-            report = RiskReport(
-                input_risk=e_i,
-                output_risk=e_o,
-                combined=combined,
-                combiner=combiner.tag,
-                divergence=divergence,
-                approximation=approximate,
-            )
-            best = (combined, index, report)
-    assert best is not None
-    return best[2], best[1]
 
 
 def cross_entropy_sandwich(

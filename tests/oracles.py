@@ -158,8 +158,10 @@ def quantile_wp_1d(
         if hi - lo <= 1e-15:
             continue
         mid = (lo + hi) / 2.0
-        qu = u[np.searchsorted(cu, mid, side="right") - 1]
-        qv = v[np.searchsorted(cv, mid, side="right") - 1]
+        # A cumulative sum may end just below 1, leaving the last segment's
+        # midpoint past the last breakpoint; that mass belongs to the last atom.
+        qu = u[min(np.searchsorted(cu, mid, side="right") - 1, u.size - 1)]
+        qv = v[min(np.searchsorted(cv, mid, side="right") - 1, v.size - 1)]
         total += (hi - lo) * abs(qu - qv) ** p
     return float(total)
 

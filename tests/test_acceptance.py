@@ -198,12 +198,8 @@ def test_criterion_02_closed_forms_cross_validated():
             p_st, p_t = predictive_laws(source, target)
 
             kl_core = output_risk_kl(p_st, p_t)
-            pair = TransportPair(
-                IdentityMap(dim), IdentityMap(1), optimal_linear_model(source), mode="y_only"
-            )
-            w_core = output_risk_w(
-                pair, target.joint.x_marginal(), p_t, p=2.0, cfg=OtConfig(p=2.0)
-            )
+            pair = TransportPair(IdentityMap(dim), IdentityMap(1), optimal_linear_model(source))
+            w_core = output_risk_w(pair, target.joint.x_marginal(), p_t)
             if abs(kl.total - kl_core) > 1e-9:
                 failures.append(
                     f"instance {i}: kl closed form off by {abs(kl.total - kl_core):.2e}"
@@ -530,8 +526,8 @@ def test_criterion_11_continuity_probes():
         )
 
         def combined_for(model_eta):
-            pair = TransportPair(IdentityMap(2), IdentityMap(1), model_eta, mode="y_only")
-            e_out = output_risk_w(pair, x_marginal, p_t, p=2.0, cfg=ot_cfg)
+            pair = TransportPair(IdentityMap(2), IdentityMap(1), model_eta)
+            e_out = output_risk_w(pair, x_marginal, p_t)
             return combine(STUDY_COMBINER, e_in, e_out)
 
         base = combined_for(model)

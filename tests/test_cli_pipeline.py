@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import trk
@@ -32,6 +34,8 @@ STUDY_COMBINER = {"form": "polynomial2", "input_coeff": 0.31, "output_coeff": 0.
 # 0.31 * e_in + 0.92 * e_out**2 per row, exact to the double.
 STUDY_COMBINED = [0.22463928, 0.214378, 0.329373, 0.05237152, 0.35279108000000003, 0.20204448]
 STUDY_PEARSON = -0.9602048844431917
+# What json.load gives for NaN and for 1e400.
+NAN, INF = float("nan"), float("inf")
 
 
 def write_study_table(path, with_accuracy=True):
@@ -199,7 +203,59 @@ class TestIngestJson:
             ingest_dataset(path)
 
 
+# Arbitrary JSON values, including what json.load makes of NaN, 1e400 and
+# integers beyond the float range.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+_SHARED_PATHS = [
+    ("mode",), ("seed",), ("out_dir",), ("input_risk_rescale",),
+    ("combiner",), ("combiner", "form"), ("combiner", "weight"), ("combiner", "input_coeff"),
+    ("combiner", "output_coeff"), ("combiner", "power"),
+    ("divergence",), ("divergence", "kind"), ("divergence", "p"), ("divergence", "method"),
+    ("divergence", "sinkhorn_epsilon"), ("divergence", "sinkhorn_max_iter"),
+    ("divergence", "lp_max_support"),
+    ("train",), ("train", "epochs"), ("train", "learning_rate"), ("train", "plateau_patience"),
+    ("risk_train",), ("risk_train", "epochs"), ("risk_train", "learning_rate"),
+    ("risk_train", "plateau_patience"),
+]
+_MODE_KEYS = {
+    "empirical": ["datasets", "format", "label_column"],
+    "gaussian_lab": ["dim", "n_pairs", "drift", "identical_tasks"],
+    "synthetic_office": [
+        "n_domains", "classes", "samples_per_domain", "rotation", "shift", "spread",
+    ],
+}
+CONFIG_PATHS = [
+    (mode, path) for mode in _MODE_KEYS for path in _SHARED_PATHS + [(mode,)]
+] + [(mode, (mode, key)) for mode, keys in _MODE_KEYS.items() for key in keys]
+
+
 class TestPipelineConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(mode_path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+    def test_fuzzed_value_parses_or_raises_value_error(self, mode_path, value):
+        # Parsing only: from_dict never runs anything.
+        mode, path = mode_path
+        form = "linear" if path[-1] == "weight" else "polynomial2"
+        raw = {"mode": mode, "combiner": {"form": form}}
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        try:
+            PipelineConfig.from_dict(raw)
+        except ValueError:
+            pass
+
     def test_defaults(self):
         cfg = PipelineConfig.from_dict({"mode": "gaussian_lab"})
         assert cfg.seed == 0
@@ -261,6 +317,28 @@ class TestPipelineConfig:
              "divergence.kind 'kl' is not defined"),
             ({"mode": "empirical", "divergence": {"kind": "kl"}},
              "divergence.kind 'kl' is not defined"),
+            ({"mode": "gaussian_lab", "gaussian_lab": {"identical_tasks": "no"}},
+             "gaussian_lab.identical_tasks must be true or false, got 'no'"),
+            ({"mode": "empirical", "empirical": {"datasets": "ab.csv"}},
+             "empirical.datasets must be a list of strings, got 'ab.csv'"),
+            ({"mode": "synthetic_office", "train": {"epochs": 2.5}},
+             "train.epochs must be an integer, got 2.5"),
+            ({"mode": "gaussian_lab", "combiner": {"form": "polynomial2", "input_coeff": NAN}},
+             "combiner.input_coeff has a non-finite value nan"),
+            ({"mode": "gaussian_lab", "input_risk_rescale": NAN},
+             "input_risk_rescale has a non-finite value nan"),
+            ({"mode": "gaussian_lab", "gaussian_lab": {"dim": [2]}},
+             r"gaussian_lab.dim has a non-numeric value \[2\]"),
+            ({"mode": "gaussian_lab", "out_dir": 5}, "out_dir must be a string, got 5"),
+            ({"mode": "gaussian_lab", "gaussian_lab": {"drift": NAN}},
+             "gaussian_lab.drift has a non-finite value nan"),
+            ({"mode": "gaussian_lab", "seed": INF}, "seed has a non-finite value inf"),
+            ({"mode": "gaussian_lab", "gaussian_lab": {"n_pairs": INF}},
+             "gaussian_lab.n_pairs has a non-finite value inf"),
+            ({"mode": "gaussian_lab", "divergence": {"p": "two"}},
+             "divergence.p has a non-numeric value 'two'"),
+            ({"mode": "gaussian_lab", "seed": "x"}, "seed has a non-numeric value 'x'"),
+            ({"mode": "gaussian_lab", "seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_invalid_values_rejected(self, raw, message):
@@ -436,7 +514,7 @@ class TestEmpiricalOverride:
         table.write_text(
             "source,target,input_risk,output_risk\nA,B,0.1,0.2\nB,A,oops,0.2\n"
         )
-        with pytest.raises(ValueError, match="line 3: non-numeric risk"):
+        with pytest.raises(ValueError, match="line 3, column 'input_risk': could not parse 'oops'"):
             run(self.make_config(tmp_path), override_risks=table)
 
     def test_empty_table_rejected(self, tmp_path):
@@ -679,6 +757,29 @@ BAD_DATASETS = [
 ]
 
 
+# Each table holds one bad number that the command must reject naming its cell.
+BAD_NUMBER_TABLES = [
+    ("override_nan", "run", "source,target,input_risk,output_risk\nA,B,nan,0.2\n",
+     "line 2, column 'input_risk': non-finite value 'nan'"),
+    ("override_inf", "run", "source,target,input_risk,output_risk\nA,B,0.1,inf\n",
+     "line 2, column 'output_risk': non-finite value 'inf'"),
+    ("override_text_accuracy", "run",
+     "source,target,input_risk,output_risk,accuracy\nA,B,0.1,0.2,abc\n",
+     "line 2, column 'accuracy': could not parse 'abc'"),
+    ("override_short_row", "run", "source,target,input_risk,output_risk\nA,B,0.1\n",
+     "line 2, column 'output_risk': missing value"),
+    ("fit_nan", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,nan,0.6\n0.3,0.4,0.7\n",
+     "line 3, column 'output_risk': non-finite value 'nan'"),
+    ("fit_text", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\nabc,0.3,0.6\n0.3,0.4,0.7\n",
+     "line 3, column 'input_risk': could not parse 'abc'"),
+    ("fit_missing", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,,0.6\n0.3,0.4,0.7\n",
+     "line 3, column 'output_risk': missing value"),
+]
+
+
 class TestCli:
     def run_config(self, tmp_path, **extra):
         raw = {
@@ -769,6 +870,25 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == f"{path}: {where}"
+
+    @pytest.mark.parametrize(
+        "name,command,body,where", BAD_NUMBER_TABLES, ids=[c[0] for c in BAD_NUMBER_TABLES]
+    )
+    def test_bad_number_cells_rejected(self, tmp_path, capsys, name, command, body, where):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(body)
+        if command == "run":
+            config = self.run_config(tmp_path, mode="empirical")
+            argv = ["run", "--config", str(config), "--override-risks", str(table)]
+        else:
+            argv = ["fit-combiner", "--rows", str(table), "--form", "linear"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == f"{table}: {where}"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -284,15 +284,19 @@ class TestMinimizeOutputRisk:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_reports_exact_risk_of_returned_map(self, p):
-        source_model, law_xt, proxy = self.setup_instance(seed=8, n=40)
-        risk, best_map, trace = minimize_output_risk(
-            AffineMapFamily(1, 1), source_model, law_xt, proxy, p=p,
-            cfg=TrainConfig(epochs=5, seed=8),
-        )
-        assert trace.epochs_run == 5
-        pushed = best_map(source_model(law_xt.points))[:, 0]
-        exact = quantile_wp_1d(pushed, law_xt.weights, proxy.points[:, 0], proxy.weights, p=p)
-        assert risk == pytest.approx(exact, rel=1e-12)
+        # 80 uniform weights sum to 1 - 1.6e-15, which once broke the oracle.
+        for n in (40, 80):
+            source_model, law_xt, proxy = self.setup_instance(seed=8, n=n)
+            risk, best_map, trace = minimize_output_risk(
+                AffineMapFamily(1, 1), source_model, law_xt, proxy, p=p,
+                cfg=TrainConfig(epochs=5, seed=8),
+            )
+            assert trace.epochs_run == 5
+            pushed = best_map(source_model(law_xt.points))[:, 0]
+            exact = quantile_wp_1d(
+                pushed, law_xt.weights, proxy.points[:, 0], proxy.weights, p=p
+            )
+            assert risk == pytest.approx(exact, rel=1e-12)
 
     def test_dimension_validation(self):
         source_model, law_xt, proxy = self.setup_instance()

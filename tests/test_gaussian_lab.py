@@ -348,11 +348,9 @@ class TestOutputAugmentation:
             np.vstack([source_model.weights, init.weights]),
             np.concatenate([source_model.bias, init.bias]),
         )
-        pair = TransportPair(
-            IdentityMap(2), IdentityMap(stacked.out_dim), stacked, mode="y_only"
-        )
+        pair = TransportPair(IdentityMap(2), IdentityMap(stacked.out_dim), stacked)
         _, p_t = output_augmentation_laws(source, target, init)
-        route = output_risk_w(pair, target.joint.x_marginal(), p_t, p=2.0)
+        route = output_risk_w(pair, target.joint.x_marginal(), p_t)
         assert w == pytest.approx(route, abs=1e-12)
 
     def test_singular_intermediate_covariance_rejected(self):

@@ -19,7 +19,6 @@ from trk.transfer_core import (
     input_risk,
     output_risk_kl,
     output_risk_w,
-    transfer_risk,
 )
 
 
@@ -47,7 +46,6 @@ def identity_pair(dim=1, source=None):
         input_map=IdentityMap(dim),
         output_map=IdentityMap(source.out_dim),
         source_model=source,
-        mode="y_only",
     )
 
 
@@ -68,37 +66,28 @@ class TestTransportMaps:
         np.testing.assert_allclose(model(pts), pts)
 
 class TestTransportPair:
-    def test_apply_modes_match_as_affine(self):
+    def test_as_affine_matches_composition(self):
         rng = np.random.default_rng(41)
+        input_map = AffineMap(AffineModel(rng.normal(size=(3, 3)), rng.normal(size=3)))
         source = AffineModel(rng.normal(size=(2, 3)), rng.normal(size=2))
+        output_map = AffineMap(AffineModel(rng.normal(size=(2, 2)), rng.normal(size=2)))
         pts = rng.normal(size=(7, 3))
-        for mode, out_in_dim in (("xy", 5), ("y_only", 2), ("x_only", 3)):
-            output_map = AffineMap(AffineModel(rng.normal(size=(2, out_in_dim)), rng.normal(size=2)))
-            pair = TransportPair(IdentityMap(3), output_map, source, mode=mode)
-            collapsed = pair.as_affine()
-            assert collapsed is not None
-            np.testing.assert_allclose(collapsed(pts), pair.apply(pts), atol=1e-12)
-
-    def test_x_only_allows_missing_source_model(self):
-        pair = TransportPair(IdentityMap(2), IdentityMap(2), None, mode="x_only")
-        pts = np.ones((3, 2))
-        np.testing.assert_allclose(pair.apply(pts), pts)
-
-    def test_y_only_requires_source_model(self):
-        with pytest.raises(ValueError, match="needs a source model"):
-            TransportPair(IdentityMap(2), IdentityMap(2), None, mode="y_only")
+        collapsed = TransportPair(input_map, output_map, source).as_affine()
+        assert collapsed is not None
+        np.testing.assert_allclose(
+            collapsed(pts), output_map(source(input_map(pts))), rtol=0, atol=1e-12
+        )
 
     def test_dimension_validation(self):
         source = AffineModel(np.ones((1, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="output map expects"):
-            TransportPair(IdentityMap(2), IdentityMap(3), source, mode="y_only")
+            TransportPair(IdentityMap(2), IdentityMap(3), source)
         with pytest.raises(ValueError, match="source model"):
-            TransportPair(IdentityMap(3), IdentityMap(1), source, mode="y_only")
+            TransportPair(IdentityMap(3), IdentityMap(1), source)
 
     def test_mlp_component_blocks_as_affine(self):
-        pair = TransportPair(IdentityMap(1), AbsMap(1), scalar_affine(1, 0), mode="y_only")
+        pair = TransportPair(IdentityMap(1), AbsMap(1), scalar_affine(1, 0))
         assert pair.as_affine() is None
-        np.testing.assert_allclose(pair.apply(np.array([[-2.0], [3.0]])), [[2.0], [3.0]])
 
 
 class TestInputRisk:
@@ -157,35 +146,31 @@ class TestInputRisk:
 
 
 class TestOutputRiskW:
-    def test_exact_reproduction_is_zero(self):
-        cloud = empirical([[0.0], [1.0], [2.0]])
-        pair = identity_pair(1)
-        value = output_risk_w(pair, cloud, cloud, p=1.0)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
     def test_gaussian_affine_pair_matches_closed_form(self):
         # Source model doubles the input; the prediction law is then
         # N(2 mu, 4 sigma^2) and the risk is the closed-form W2^2 to target.
         law_xt = Gaussian1D(1.0, 2.0)
         target = Gaussian1D(0.5, 1.0)
         pair = identity_pair(1, source=scalar_affine(2.0, 0.0))
-        value = output_risk_w(pair, law_xt, target, p=2.0)
+        value = output_risk_w(pair, law_xt, target)
         assert value == pytest.approx(gaussian_w2(Gaussian1D(2.0, 8.0), target), abs=1e-12)
 
-    def test_empirical_matches_assignment_oracle(self):
-        rng = np.random.default_rng(43)
-        xs = rng.normal(size=(30, 1))
-        ys = rng.normal(size=(30, 1))
-        pair = identity_pair(1, source=scalar_affine(1.5, 0.25))
-        value = output_risk_w(pair, empirical(xs), empirical(ys), p=1.0)
-        assert value == pytest.approx(
-            oracles.assignment_ot_cost(xs * 1.5 + 0.25, ys, p=1.0), rel=1e-8
-        )
+    def test_sampled_carriers_rejected(self):
+        # Sampled output risks are trained in finetune, not computed here.
+        cloud = empirical([[0.0], [1.0]])
+        with pytest.raises(TypeError, match="needs Gaussian carriers"):
+            output_risk_w(identity_pair(1), cloud, cloud)
 
     def test_mixed_carriers_rejected(self):
-        pair = identity_pair(1)
-        with pytest.raises(TypeError, match="sampled target output"):
-            output_risk_w(pair, empirical([[0.0]]), Gaussian1D(0, 1))
+        cloud, gaussian = empirical([[0.0], [1.0]]), Gaussian1D(0, 1)
+        for law_xt, target in ((cloud, gaussian), (gaussian, cloud)):
+            with pytest.raises(TypeError, match="needs Gaussian carriers"):
+                output_risk_w(identity_pair(1), law_xt, target)
+
+    def test_non_affine_pair_rejected(self):
+        pair = TransportPair(IdentityMap(1), AbsMap(1), scalar_affine(1, 0))
+        with pytest.raises(ValueError, match="non-affine component"):
+            output_risk_w(pair, Gaussian1D(0, 1), Gaussian1D(0, 1))
 
 
 class TestOutputRiskKl:
@@ -195,34 +180,6 @@ class TestOutputRiskKl:
         expected = 0.5 * (0.5 - np.log(0.5) - 1.0)
         assert output_risk_kl(p_st, p_t) == pytest.approx(expected, abs=1e-12)
         assert output_risk_kl(p_st, p_t) == pytest.approx(gaussian_kl(p_t, p_st), abs=1e-15)
-
-    def test_discrete_frozen_value(self):
-        # Frozen: 0.5 log(0.5/0.9) + 0.5 log(0.5/0.1) = 0.5108256237659907.
-        value = output_risk_kl(np.array([0.9, 0.1]), np.array([0.5, 0.5]), smoothing=0.0)
-        assert value == pytest.approx(0.5108256237659907, abs=1e-12)
-
-    def test_disjoint_support_needs_smoothing(self):
-        p_st = np.array([1.0, 0.0])
-        p_t = np.array([0.0, 1.0])
-        with pytest.raises(ValueError, match="singular part"):
-            output_risk_kl(p_st, p_t, smoothing=0.0)
-        smoothed = output_risk_kl(p_st, p_t, smoothing=1e-6)
-        assert np.isfinite(smoothed) and smoothed > 0.0
-
-    def test_smoothing_shrinks_toward_zero_divergence(self):
-        p_st = np.array([0.9, 0.1])
-        p_t = np.array([0.5, 0.5])
-        raw = output_risk_kl(p_st, p_t)
-        heavy = output_risk_kl(p_st, p_t, smoothing=10.0)
-        assert heavy < raw
-
-    def test_pmf_validation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            output_risk_kl(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            output_risk_kl(np.array([1.1, -0.1]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="length mismatch"):
-            output_risk_kl(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 class TestCombine:
@@ -250,6 +207,13 @@ class TestCombine:
             PolynomialCombiner(-0.1, 1.0)
         with pytest.raises(ValueError, match="power"):
             PolynomialCombiner(1.0, 1.0, 0.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                LinearCombiner(bad)
+            with pytest.raises(ValueError, match="finite"):
+                PolynomialCombiner(bad, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                PolynomialCombiner(1.0, 1.0, bad)
 
     def test_monotone_in_each_argument(self):
         rng = np.random.default_rng(44)
@@ -259,72 +223,6 @@ class TestCombine:
                 step = rng.uniform(0.01, 0.5)
                 assert combiner.combine(e_i + step, e_o) >= combiner.combine(e_i, e_o)
                 assert combiner.combine(e_i, e_o + step) >= combiner.combine(e_i, e_o)
-
-
-class TestTransferRisk:
-    def make_gaussian_setup(self):
-        law_xt = Gaussian1D(0.0, 1.0)
-        law_xs = Gaussian1D(0.0, 1.0)
-        target = Gaussian1D(1.0, 1.0)
-        return law_xt, law_xs, target
-
-    def test_picks_strictly_better_candidate(self):
-        law_xt, law_xs, target = self.make_gaussian_setup()
-        source = scalar_affine(1.0, 0.0)
-        # First candidate leaves predictions at N(0,1); second shifts them
-        # onto the target law exactly.
-        bad = identity_pair(1, source=source)
-        good = TransportPair(IdentityMap(1), AffineMap(scalar_affine(1.0, 1.0)), source)
-        report, index = transfer_risk(
-            [bad, good], law_xt, law_xs, target, LinearCombiner(1.0), cfg=OtConfig(p=2.0)
-        )
-        assert index == 1
-        assert report.output_risk == pytest.approx(0.0, abs=1e-12)
-        assert report.combined == pytest.approx(report.output_risk + report.input_risk, abs=1e-12)
-
-    def test_tie_breaks_to_lowest_index(self):
-        law_xt, law_xs, target = self.make_gaussian_setup()
-        source = scalar_affine(1.0, 0.0)
-        twin_a = identity_pair(1, source=source)
-        twin_b = identity_pair(1, source=source)
-        _, index = transfer_risk(
-            [twin_a, twin_b], law_xt, law_xs, target, LinearCombiner(1.0), cfg=OtConfig(p=2.0)
-        )
-        assert index == 0
-
-    def test_report_combined_consistency(self):
-        law_xt, law_xs, target = self.make_gaussian_setup()
-        pair = identity_pair(1, source=scalar_affine(2.0, 0.5))
-        combiner = PolynomialCombiner(0.31, 0.92, 2.0)
-        report, _ = transfer_risk([pair], law_xt, law_xs, target, combiner, cfg=OtConfig(p=2.0))
-        assert report.combined == pytest.approx(
-            combine(combiner, report.input_risk, report.output_risk), abs=1e-12
-        )
-        assert report.combiner == combiner.tag
-        assert report.approximation is False
-
-    def test_kl_divergence_route(self):
-        law_xt, law_xs, target = self.make_gaussian_setup()
-        pair = identity_pair(1)
-        report, _ = transfer_risk(
-            [pair], law_xt, law_xs, target, LinearCombiner(1.0), divergence="kl",
-            cfg=OtConfig(p=2.0),
-        )
-        assert report.divergence == "kl"
-        assert report.output_risk == pytest.approx(gaussian_kl(target, Gaussian1D(0, 1)), abs=1e-12)
-
-    def test_proxy_flag_inferred_for_sampled_target(self):
-        cloud = empirical([[0.0], [1.0]])
-        pair = identity_pair(1)
-        report, _ = transfer_risk(
-            [pair], cloud, cloud, cloud, LinearCombiner(1.0), cfg=OtConfig(p=1.0)
-        )
-        assert report.approximation is True
-
-    def test_empty_candidates_rejected(self):
-        law_xt, law_xs, target = self.make_gaussian_setup()
-        with pytest.raises(ValueError, match="at least one candidate"):
-            transfer_risk([], law_xt, law_xs, target, LinearCombiner(1.0))
 
 
 class TestCrossEntropySandwich:
@@ -363,7 +261,7 @@ class TestCrossEntropySandwich:
 class TestContinuityProbe:
     def test_combined_risk_deviation_vanishes_with_perturbation(self):
         # Perturb the target input law along a fixed direction and watch the
-        # combined risk of a fixed candidate return to its base value.
+        # combined risk of a fixed transport pair return to its base value.
         source = scalar_affine(1.0, 0.0)
         pair = identity_pair(1, source=source)
         combiner = LinearCombiner(0.5)
@@ -372,10 +270,9 @@ class TestContinuityProbe:
         cfg = OtConfig(p=2.0)
 
         def combined(delta):
-            report, _ = transfer_risk(
-                [pair], Gaussian1D(delta, 1.0), law_xs, target, combiner, cfg=cfg
-            )
-            return report.combined
+            law_xt = Gaussian1D(delta, 1.0)
+            e_in = input_risk(pair.input_map, law_xt, law_xs, "wasserstein", cfg)
+            return combine(combiner, e_in, output_risk_w(pair, law_xt, target))
 
         base = combined(0.0)
         deltas = [2.0**-k for k in range(1, 9)]
