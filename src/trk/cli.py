@@ -11,19 +11,18 @@ as warnings, so stderr stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .pipeline import (
     PipelineConfig,
-    _combiner_echo,
-    _csv_number,
+    _read_risk_table,
     fit_combiner,
     ingest_dataset,
     run,
@@ -89,23 +88,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_combiner(args: argparse.Namespace) -> int:
-    rows = []
-    with open(args.rows, newline="") as handle:
-        reader = csv.DictReader(handle)
-        needed = {"input_risk", "output_risk", "accuracy"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise ValueError(f"{args.rows}: needs columns {sorted(needed)}")
-        for line_no, record in enumerate(reader, start=2):
-            if record["accuracy"] in (None, ""):
-                continue
-            rows.append(
-                tuple(
-                    _csv_number(record[column], args.rows, line_no, column)
-                    for column in ("input_risk", "output_risk", "accuracy")
-                )
-            )
+    table = _read_risk_table(args.rows, ("input_risk", "output_risk", "accuracy"))
+    rows = [(e_in, e_out, accuracy) for _, e_in, e_out, accuracy in table if accuracy is not None]
     combiner, corr = fit_combiner(rows, args.form, args.grid_size, args.grid_max)
-    print(json.dumps({"combiner": _combiner_echo(combiner), "correlation": corr}, sort_keys=True))
+    fitted = {"form": args.form, **asdict(combiner)}
+    print(json.dumps({"combiner": fitted, "correlation": corr}, sort_keys=True))
     return 0
 
 

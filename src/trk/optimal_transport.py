@@ -83,7 +83,7 @@ class OtConfig:
 
     def __post_init__(self) -> None:
         if self.p < 1.0:
-            raise ValueError(f"order p must be >= 1, got {self.p}")
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
         if self.sinkhorn_epsilon is not None and self.sinkhorn_epsilon <= 0.0:

@@ -1,7 +1,7 @@
 """Experiment orchestration: config parsing, dataset ingestion, reports.
 
-A run is driven by a strict JSON config (unknown keys are rejected so typos
-fail loudly), produces a JSON report plus a flat CSV pair table, and is
+A run is driven by a strict JSON config (a key the run would not read is
+rejected, so typos and dead knobs fail loudly), produces a JSON report plus a flat CSV pair table, and is
 deterministic given the seed: the pair table is byte-identical across runs.
 Three modes share the report schema.  `empirical` ingests labeled feature
 clouds and runs the transfer protocol over every ordered dataset pair (or
@@ -14,10 +14,11 @@ accuracy/risk table with rank correlations.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,29 +60,117 @@ _MODES = ("empirical", "gaussian_lab", "synthetic_office")
 _FIT_NOISE_TOL = 1e-12
 _CSV_COLUMNS = ("source", "target", "accuracy", "input_risk", "output_risk", "transfer_risk")
 
+# The config schema: one table per section, key -> (type, default).  A tuple
+# type lists the legal values; a dict type is a nested section.  A run reads
+# the tables its mode, combiner form and solver method select (`_tables`),
+# rejects every other key by its path, and echoes what it parsed.
+_ROOT = {
+    "mode": (_MODES, None),
+    "seed": (int, 0),
+    "out_dir": (str, "trk_run"),
+    "input_risk_rescale": (float, 1.0),
+    "combiner": (dict, {}),
+    "divergence": (dict, {}),
+}
+_FORMS = {
+    "linear": {"weight": (float, 1.0)},
+    "polynomial2": {
+        "input_coeff": (float, 1.0), "output_coeff": (float, 1.0), "power": (float, 2.0),
+    },
+}
+_COMBINER = {"form": (tuple(_FORMS), "polynomial2")}
+# p None is the mode's own order: W_2 for gaussian_lab's closed forms, W_1
+# between sampled clouds.
+_DIVERGENCE = {"kind": (("wasserstein", "kl"), "wasserstein"), "p": (float, None)}
+# Only the sampled modes run a transport solver, and each method reads only
+# its own keys: the LP's support cap and Sinkhorn's regularization and budget.
+_LP = {"lp_max_support": (int, 400)}
+_SINKHORN = {"sinkhorn_epsilon": (float, None), "sinkhorn_max_iter": (int, 2000)}
+_SOLVERS = {"auto": {**_LP, **_SINKHORN}, "exact_1d": {}, "exact_lp": _LP, "sinkhorn": _SINKHORN}
+_SOLVER = {"method": (tuple(_SOLVERS), "auto")}
+# Only the sampled modes train.  The output-risk descent always spends its
+# whole epoch budget, so risk_train has no plateau_patience.
+_TRAINING = {"train": (dict, {}), "risk_train": (dict, {})}
+_TRAIN = {"epochs": (int, 100), "learning_rate": (float, 0.05), "plateau_patience": (int, 10)}
+_RISK_TRAIN = {"epochs": (int, 10), "learning_rate": (float, 0.5)}
+_MODE_TABLES = {
+    "empirical": {
+        "datasets": (list, []),
+        "format": (("csv", "json", None), None),
+        "label_column": (str, "label"),
+    },
+    "gaussian_lab": {
+        "dim": (int, 2), "n_pairs": (int, 6), "drift": (float, 0.25),
+        "identical_tasks": (bool, False),
+    },
+    "synthetic_office": {
+        "n_domains": (int, 3), "classes": (int, 3), "samples_per_domain": (int, 400),
+        "rotation": (float, 0.15), "shift": (float, 1.4), "spread": (float, 0.0),
+    },
+}
 
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+
+def _tables(mode: str, form: str, method: str) -> dict[str, dict]:
+    """Section path ("" for the root) -> table, for one run's choices."""
+    root = {**_ROOT, mode: (dict, {})}
+    tables = {
+        "combiner": {**_COMBINER, **_FORMS[form]},
+        "divergence": _DIVERGENCE,
+        mode: _MODE_TABLES[mode],
+    }
+    if mode != "gaussian_lab":
+        root |= _TRAINING
+        tables |= {
+            "divergence": {**_DIVERGENCE, **_SOLVER, **_SOLVERS[method]},
+            "train": _TRAIN,
+            "risk_train": _RISK_TRAIN,
+        }
+    return {"": root, **tables}
+
+
+# Every key path some run reads.
+_KNOWN = {
+    f"{path}.{key}" if path else key
+    for choices in itertools.product(_MODES, _FORMS, _SOLVERS)
+    for path, table in _tables(*choices).items()
+    for key in table
+}
+
+
+def _reject_unknown(mapping: dict, allowed, path: str, context: str | None = None) -> None:
+    """Reject keys outside `allowed`; one some other run reads does not apply to `context`."""
+    unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         full = f"{path}.{unknown[0]}" if path else unknown[0]
+        if context is not None and full in _KNOWN:
+            raise ValueError(f"{full} does not apply to {context}")
         raise ValueError(f"unknown config key {full!r}")
 
 
 _KIND_NAMES = {bool: "true or false", str: "a string", list: "a list of strings"}
 
 
-def _value(spec: dict, key: str, kind: type, default, path: str = ""):
+def _value(spec: dict, key: str, kind, default, path: str = ""):
     """`spec[key]` (or `default` when absent) read as `kind`, else a ValueError.
 
+    A tuple kind lists the legal values, and a dict kind is a JSON object.
     Numbers must be finite JSON numbers and never booleans; an int may be
     written as an integral float (2.0) but not as 2.5.  A list is a list of
-    strings.  None passes only where it is the default.  Errors name the key
-    path.
+    strings.  Otherwise None passes only where it is the default.  Errors
+    name the key path.
     """
     value = spec.get(key, default)
+    full = f"{path}.{key}" if path else key
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ValueError(f"{full} must be one of {kind}, got {value!r}")
+    if kind is dict:
+        if isinstance(value, dict):
+            return value
+        raise ValueError(f"{full} must be a JSON object")
     if value is None and default is None:
         return None
-    full = f"{path}.{key}" if path else key
     if kind is float or kind is int:
         number = _json_number(value, full)
         if kind is float:
@@ -93,76 +182,57 @@ def _value(spec: dict, key: str, kind: type, default, path: str = ""):
         kind is list and not all(isinstance(item, str) for item in value)
     ):
         raise ValueError(f"{full} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
+    return list(value) if kind is list else value  # never hand out the table's default
 
 
-def _section(raw: dict, key: str, default: dict | None = None) -> dict:
-    spec = raw.get(key, {} if default is None else default)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{key} must be a JSON object")
-    return spec
+def _read(spec: dict, path: str, table: dict, context: str) -> dict:
+    _reject_unknown(spec, table, path, context)
+    return {key: _value(spec, key, kind, default, path) for key, (kind, default) in table.items()}
 
 
-def _build_combiner(spec: dict) -> RiskCombiner:
-    _reject_unknown(spec, {"form", "weight", "input_coeff", "output_coeff", "power"}, "combiner")
-    form = spec.get("form")
-    if form == "linear":
-        _reject_unknown(spec, {"form", "weight"}, "combiner")
-        return LinearCombiner(_value(spec, "weight", float, 1.0, "combiner"))
-    if form == "polynomial2":
-        return PolynomialCombiner(
-            _value(spec, "input_coeff", float, 1.0, "combiner"),
-            _value(spec, "output_coeff", float, 1.0, "combiner"),
-            _value(spec, "power", float, 2.0, "combiner"),
-        )
-    raise ValueError(f"combiner.form must be 'linear' or 'polynomial2', got {form!r}")
+def _parse(raw: dict) -> dict:
+    """`raw` read against the tables its run selects: the root, sections nested."""
+    mode = _value(raw, "mode", *_ROOT["mode"])
+    combiner = _value(raw, "combiner", *_ROOT["combiner"])
+    form = _value(combiner, "form", *_COMBINER["form"], "combiner")
+    divergence = _value(raw, "divergence", *_ROOT["divergence"])
+    method = _value(divergence, "method", *_SOLVER["method"], "divergence")
+    # A rejected key names the choice that leaves it unread.
+    contexts = {"combiner": form, "divergence": method if mode != "gaussian_lab" else mode}
+    tables = _tables(mode, form, method)
+    config = _read(raw, "", tables.pop(""), mode)
+    for path, table in tables.items():
+        config[path] = _read(config[path], path, table, contexts.get(path, mode))
+    return config
 
 
-def _build_ot(spec: dict, mode: str) -> tuple[str, OtConfig]:
-    """Divergence kind and solver settings for the mode's input risk.
+def _require(ok: bool, path: str, rule: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{path} must be {rule}, got {value!r}")
 
-    Sampled modes transport point clouds (W_1 by default; KL is undefined
-    there).  gaussian_lab evaluates closed forms, which need W_2 and run no
-    solver, so solver keys are rejected rather than silently ignored.
-    """
-    allowed = {"kind", "p", "method", "sinkhorn_epsilon", "sinkhorn_max_iter", "lp_max_support"}
-    _reject_unknown(spec, allowed, "divergence")
-    kind = spec.get("kind", "wasserstein")
-    if kind not in ("wasserstein", "kl"):
-        raise ValueError(f"divergence.kind must be 'wasserstein' or 'kl', got {kind!r}")
-    p = _value(spec, "p", float, 2.0 if mode == "gaussian_lab" else 1.0, "divergence")
+
+def _build(cls, path: str, **fields):
+    """`cls(**fields)`, with the section path in front of its range errors."""
+    try:
+        return cls(**fields)
+    except ValueError as err:  # its messages open with the field name
+        raise ValueError(f"{path}.{err}") from None
+
+
+def _check_mode_params(mode: str, params: dict) -> None:
+    """Ranges the mode's generators would otherwise reject at run time."""
     if mode == "gaussian_lab":
-        for key in sorted(allowed - {"kind", "p"}):
-            if key in spec:
-                raise ValueError(
-                    f"divergence.{key} does not apply to gaussian_lab: its risks are closed "
-                    "forms computed without a transport solver"
-                )
-        if p != 2.0:
-            raise ValueError(f"divergence.p must be 2 in gaussian_lab (closed-form W_2), got {p}")
-    elif kind == "kl":
-        raise ValueError(
-            f"divergence.kind 'kl' is not defined for the sampled clouds of {mode}; "
-            "use 'wasserstein'"
+        for key in ("dim", "n_pairs"):
+            _require(params[key] >= 1, f"gaussian_lab.{key}", ">= 1", params[key])
+        _require(params["drift"] >= 0.0, "gaussian_lab.drift", ">= 0", params["drift"])
+    elif mode == "synthetic_office":
+        for key in ("n_domains", "classes"):
+            _require(params[key] >= 2, f"synthetic_office.{key}", ">= 2", params[key])
+        least = 4 * params["classes"]
+        _require(
+            params["samples_per_domain"] >= least, "synthetic_office.samples_per_domain",
+            f">= 4 * classes = {least}", params["samples_per_domain"],
         )
-    cfg = OtConfig(
-        p=p,
-        method=_value(spec, "method", str, "auto", "divergence"),
-        sinkhorn_epsilon=_value(spec, "sinkhorn_epsilon", float, None, "divergence"),
-        sinkhorn_max_iter=_value(spec, "sinkhorn_max_iter", int, 2000, "divergence"),
-        lp_max_support=_value(spec, "lp_max_support", int, 400, "divergence"),
-    )
-    return kind, cfg
-
-
-def _build_train(spec: dict, seed: int, path: str, defaults: TrainConfig) -> TrainConfig:
-    _reject_unknown(spec, {"epochs", "learning_rate", "plateau_patience"}, path)
-    return TrainConfig(
-        epochs=_value(spec, "epochs", int, defaults.epochs, path),
-        learning_rate=_value(spec, "learning_rate", float, defaults.learning_rate, path),
-        seed=seed,
-        plateau_patience=_value(spec, "plateau_patience", int, defaults.plateau_patience, path),
-    )
 
 
 @dataclass(frozen=True)
@@ -175,52 +245,53 @@ class PipelineConfig:
     combiner: RiskCombiner
     divergence_kind: str
     ot: OtConfig
-    train: TrainConfig
-    risk_train: TrainConfig
+    train: TrainConfig | None  # None in gaussian_lab, which trains nothing
+    risk_train: TrainConfig | None
     input_risk_rescale: float
     mode_params: dict
     echo: dict
 
     @staticmethod
     def from_dict(raw: dict) -> "PipelineConfig":
-        allowed = {
-            "mode", "seed", "out_dir", "combiner", "divergence", "train", "risk_train",
-            "input_risk_rescale", "empirical", "gaussian_lab", "synthetic_office",
-        }
-        _reject_unknown(raw, allowed, "")
-        mode = raw.get("mode")
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        seed = _value(raw, "seed", int, 0)
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        out_dir = Path(_value(raw, "out_dir", str, "trk_run"))
-        combiner = _build_combiner(_section(raw, "combiner", {"form": "polynomial2"}))
-        divergence_kind, ot = _build_ot(_section(raw, "divergence"), mode)
-        train = _build_train(_section(raw, "train"), seed, "train", TrainConfig(epochs=100))
-        risk_train = _build_train(
-            _section(raw, "risk_train"), seed, "risk_train", TrainConfig(learning_rate=0.5)
-        )
-        rescale = _value(raw, "input_risk_rescale", float, 1.0)
-        if rescale <= 0.0:
-            raise ValueError(f"input_risk_rescale must be positive, got {rescale}")
-        mode_params = _validate_mode_params(mode, _section(raw, mode))
-        echo = _normalized_echo(
-            mode, seed, out_dir, raw, combiner, divergence_kind, ot, train, risk_train, rescale,
-            mode_params,
-        )
+        config = _parse(raw)
+        mode, seed, rescale = config["mode"], config["seed"], config["input_risk_rescale"]
+        _require(seed >= 0, "seed", ">= 0", seed)
+        _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
+        _check_mode_params(mode, config[mode])
+        divergence = config["divergence"]
+        kind = divergence["kind"]
+        if divergence["p"] is None:
+            divergence["p"] = 2.0 if mode == "gaussian_lab" else 1.0
+        if mode == "gaussian_lab" and divergence["p"] != 2.0:
+            raise ValueError(
+                f"divergence.p must be 2 in gaussian_lab (closed-form W_2), got {divergence['p']}"
+            )
+        if mode != "gaussian_lab" and kind == "kl":
+            raise ValueError(
+                f"divergence.kind 'kl' is not defined for the sampled clouds of {mode}; "
+                "use 'wasserstein'"
+            )
+        ot = _build(OtConfig, "divergence", **{k: v for k, v in divergence.items() if k != "kind"})
+        params = dict(config["combiner"])
+        form = params.pop("form")
+        combiner_type = LinearCombiner if form == "linear" else PolynomialCombiner
+        combiner = _build(combiner_type, "combiner", **params)
+        train = risk_train = None
+        if mode != "gaussian_lab":
+            train = _build(TrainConfig, "train", seed=seed, **config["train"])
+            risk_train = _build(TrainConfig, "risk_train", seed=seed, **config["risk_train"])
         return PipelineConfig(
             mode=mode,
             seed=seed,
-            out_dir=out_dir,
+            out_dir=Path(config["out_dir"]),
             combiner=combiner,
-            divergence_kind=divergence_kind,
+            divergence_kind=kind,
             ot=ot,
             train=train,
             risk_train=risk_train,
             input_risk_rescale=rescale,
-            mode_params=mode_params,
-            echo=echo,
+            mode_params=config[mode],
+            echo=config,
         )
 
     @staticmethod
@@ -231,83 +302,6 @@ class PipelineConfig:
             raise ValueError("config root must be a JSON object")
         raw.update(overrides or {})
         return PipelineConfig.from_dict(raw)
-
-
-def _validate_mode_params(mode: str, params: dict) -> dict:
-    if mode == "empirical":
-        _reject_unknown(params, {"datasets", "format", "label_column"}, "empirical")
-        return {
-            "datasets": list(_value(params, "datasets", list, [], mode)),
-            "format": _value(params, "format", str, None, mode),
-            "label_column": _value(params, "label_column", str, "label", mode),
-        }
-    if mode == "gaussian_lab":
-        _reject_unknown(
-            params, {"dim", "n_pairs", "drift", "identical_tasks"}, "gaussian_lab"
-        )
-        out = {
-            "dim": _value(params, "dim", int, 2, mode),
-            "n_pairs": _value(params, "n_pairs", int, 6, mode),
-            "drift": _value(params, "drift", float, 0.25, mode),
-            "identical_tasks": _value(params, "identical_tasks", bool, False, mode),
-        }
-        if out["dim"] < 1 or out["n_pairs"] < 1:
-            raise ValueError("gaussian_lab.dim and n_pairs must be >= 1")
-        return out
-    _reject_unknown(
-        params,
-        {"n_domains", "classes", "samples_per_domain", "rotation", "shift", "spread"},
-        "synthetic_office",
-    )
-    return {
-        "n_domains": _value(params, "n_domains", int, 3, mode),
-        "classes": _value(params, "classes", int, 3, mode),
-        "samples_per_domain": _value(params, "samples_per_domain", int, 400, mode),
-        "rotation": _value(params, "rotation", float, 0.15, mode),
-        "shift": _value(params, "shift", float, 1.4, mode),
-        "spread": _value(params, "spread", float, 0.0, mode),
-    }
-
-
-def _combiner_echo(combiner: RiskCombiner) -> dict:
-    if isinstance(combiner, LinearCombiner):
-        return {"form": "linear", "weight": combiner.weight}
-    return {
-        "form": "polynomial2",
-        "input_coeff": combiner.input_coeff,
-        "output_coeff": combiner.output_coeff,
-        "power": combiner.power,
-    }
-
-
-def _normalized_echo(
-    mode, seed, out_dir, raw, combiner, divergence_kind, ot, train, risk_train, rescale,
-    mode_params,
-) -> dict:
-    return {
-        "mode": mode,
-        "seed": seed,
-        "out_dir": str(out_dir),
-        "combiner": _combiner_echo(combiner),
-        # gaussian_lab's closed forms run no solver, so only kind and p apply there.
-        "divergence": (
-            {"kind": divergence_kind, "p": ot.p}
-            if mode == "gaussian_lab"
-            else {"kind": divergence_kind, **asdict(ot)}
-        ),
-        "train": {
-            "epochs": train.epochs,
-            "learning_rate": train.learning_rate,
-            "plateau_patience": train.plateau_patience,
-        },
-        "risk_train": {
-            "epochs": risk_train.epochs,
-            "learning_rate": risk_train.learning_rate,
-            "plateau_patience": risk_train.plateau_patience,
-        },
-        "input_risk_rescale": rescale,
-        mode: mode_params if mode != "empirical" else dict(mode_params),
-    }
 
 
 def ingest_dataset(
@@ -379,6 +373,33 @@ def _csv_number(cell: str | None, path: str | Path, line_no: int, column: str) -
     except ValueError:
         raise ValueError(f"{where}: could not parse {cell!r}") from None
     raise ValueError(f"{where}: non-finite value {cell!r}")
+
+
+def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
+    """A risk table's rows as (record, input risk, output risk, accuracy or None).
+
+    `needed` names the columns the caller reads.  Risks must be finite and
+    nonnegative, as every combiner requires, and a nonblank accuracy finite;
+    a bad cell fails with its file, line and column.
+    """
+    rows = []
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not set(needed) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: risk table needs columns {sorted(needed)}")
+        for line_no, record in enumerate(reader, start=2):
+            risks = []
+            for column in ("input_risk", "output_risk"):
+                risks.append(_csv_number(record[column], path, line_no, column))
+                if risks[-1] < 0.0:
+                    raise ValueError(
+                        f"{path}: line {line_no}, column {column!r}: negative risk {risks[-1]!r}"
+                    )
+            accuracy = record.get("accuracy") or None
+            if accuracy is not None:
+                accuracy = _csv_number(accuracy, path, line_no, "accuracy")
+            rows.append((record, *risks, accuracy))
+    return rows
 
 
 def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
@@ -513,31 +534,19 @@ def _run_empirical(cfg: PipelineConfig, override_risks: str | Path | None) -> li
 def _rows_from_override(path: str | Path, cfg: PipelineConfig) -> list[dict]:
     """Combine externally supplied risk rows; no training happens here."""
     rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        needed = {"source", "target", "input_risk", "output_risk"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise ValueError(f"{path}: override table needs columns {sorted(needed)}")
-        for line_no, record in enumerate(reader, start=2):
-            e_in = cfg.input_risk_rescale * _csv_number(
-                record["input_risk"], path, line_no, "input_risk"
-            )
-            e_out = _csv_number(record["output_risk"], path, line_no, "output_risk")
-            accuracy = record.get("accuracy")
-            if accuracy in (None, ""):
-                accuracy = None
-            else:
-                accuracy = _csv_number(accuracy, path, line_no, "accuracy")
-            rows.append(
-                {
-                    "source": record["source"],
-                    "target": record["target"],
-                    "accuracy": accuracy,
-                    "input_risk": e_in,
-                    "output_risk": e_out,
-                    "transfer_risk": combine(cfg.combiner, e_in, e_out),
-                }
-            )
+    needed = ("source", "target", "input_risk", "output_risk")
+    for record, e_in, e_out, accuracy in _read_risk_table(path, needed):
+        e_in *= cfg.input_risk_rescale
+        rows.append(
+            {
+                "source": record["source"],
+                "target": record["target"],
+                "accuracy": accuracy,
+                "input_risk": e_in,
+                "output_risk": e_out,
+                "transfer_risk": combine(cfg.combiner, e_in, e_out),
+            }
+        )
     if not rows:
         raise ValueError(f"{path}: override table has no rows")
     return rows

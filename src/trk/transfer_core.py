@@ -226,13 +226,12 @@ class PolynomialCombiner(RiskCombiner):
     power: float = 2.0
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite((self.input_coeff, self.output_coeff, self.power))):
-            raise ValueError(
-                f"coefficients and power must be finite, got ({self.input_coeff}, "
-                f"{self.output_coeff}, {self.power})"
-            )
-        if self.input_coeff < 0.0 or self.output_coeff < 0.0:
-            raise ValueError("coefficients must be nonnegative")
+        for name in ("input_coeff", "output_coeff", "power"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name != "power" and value < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.power < 1.0:
             raise ValueError(f"power must be >= 1 for Lipschitz behavior, got {self.power}")
 

@@ -1,5 +1,6 @@
 """Tests for config parsing, dataset ingestion, pipeline runs, and the CLI."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 import trk
-from trk import __version__
+from trk import __version__, pipeline
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
 from trk.optimal_transport import SinkhornConvergenceError
@@ -234,9 +235,40 @@ _MODE_KEYS = {
         "n_domains", "classes", "samples_per_domain", "rotation", "shift", "spread",
     ],
 }
+# Each mode also gets every mode's section, its own and the foreign ones.
 CONFIG_PATHS = [
-    (mode, path) for mode in _MODE_KEYS for path in _SHARED_PATHS + [(mode,)]
-] + [(mode, (mode, key)) for mode, keys in _MODE_KEYS.items() for key in keys]
+    (mode, path) for mode in _MODE_KEYS for path in _SHARED_PATHS + [(m,) for m in _MODE_KEYS]
+] + [
+    (mode, (section, key))
+    for mode in _MODE_KEYS for section, keys in _MODE_KEYS.items() for key in keys
+]
+
+
+# Configs that set a key their run would never read, and the one error each gets.
+UNREAD_KEYS = [
+    ({"mode": "synthetic_office", "gaussian_lab": {"dimm": "x"}},
+     "gaussian_lab does not apply to synthetic_office"),
+    ({"mode": "synthetic_office", "empirical": 5}, "empirical does not apply to synthetic_office"),
+    ({"mode": "empirical", "synthetic_office": {}}, "synthetic_office does not apply to empirical"),
+    ({"mode": "gaussian_lab", "train": {"epochs": 3, "learning_rate": 9.0}},
+     "train does not apply to gaussian_lab"),
+    ({"mode": "gaussian_lab", "risk_train": {}}, "risk_train does not apply to gaussian_lab"),
+    ({"mode": "synthetic_office", "risk_train": {"plateau_patience": 1}},
+     "unknown config key 'risk_train.plateau_patience'"),
+    ({"mode": "empirical", "risk_train": {"plateau_patience": 1000}},
+     "unknown config key 'risk_train.plateau_patience'"),
+    ({"mode": "synthetic_office",
+      "divergence": {"method": "exact_lp", "sinkhorn_epsilon": 5.0, "sinkhorn_max_iter": 1}},
+     "divergence.sinkhorn_epsilon does not apply to exact_lp"),
+    ({"mode": "empirical", "divergence": {"method": "exact_1d", "lp_max_support": 10}},
+     "divergence.lp_max_support does not apply to exact_1d"),
+    ({"mode": "empirical", "divergence": {"method": "exact_1d", "sinkhorn_max_iter": 10}},
+     "divergence.sinkhorn_max_iter does not apply to exact_1d"),
+    ({"mode": "synthetic_office", "divergence": {"method": "sinkhorn", "lp_max_support": 10}},
+     "divergence.lp_max_support does not apply to sinkhorn"),
+    ({"mode": "gaussian_lab", "combiner": {"form": "polynomial2", "weight": 1.0}},
+     "combiner.weight does not apply to polynomial2"),
+]
 
 
 class TestPipelineConfig:
@@ -263,9 +295,10 @@ class TestPipelineConfig:
         assert cfg.ot.p == 2.0
         assert cfg.input_risk_rescale == 1.0
         assert isinstance(cfg.combiner, PolynomialCombiner)
-        assert cfg.train.epochs == 100
-        assert cfg.risk_train.learning_rate == 0.5
         assert cfg.mode_params["n_pairs"] == 6
+        sampled = PipelineConfig.from_dict({"mode": "synthetic_office"})
+        assert sampled.train.epochs == 100
+        assert sampled.risk_train.learning_rate == 0.5
 
     def test_train_configs_inherit_run_seed(self):
         cfg = PipelineConfig.from_dict({"mode": "synthetic_office", "seed": 11})
@@ -279,8 +312,8 @@ class TestPipelineConfig:
             ({"mode": "gaussian_lab", "combiner": {"form": "linear", "wieght": 1}},
              "'combiner.wieght'"),
             ({"mode": "gaussian_lab", "divergence": {"pp": 2}}, "'divergence.pp'"),
-            ({"mode": "gaussian_lab", "train": {"lr": 0.1}}, "'train.lr'"),
-            ({"mode": "gaussian_lab", "risk_train": {"lr": 0.1}}, "'risk_train.lr'"),
+            ({"mode": "synthetic_office", "train": {"lr": 0.1}}, "'train.lr'"),
+            ({"mode": "synthetic_office", "risk_train": {"lr": 0.1}}, "'risk_train.lr'"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"dims": 2}}, "'gaussian_lab.dims'"),
             ({"mode": "synthetic_office", "synthetic_office": {"blobs": 3}},
              "'synthetic_office.blobs'"),
@@ -339,11 +372,39 @@ class TestPipelineConfig:
              "divergence.p has a non-numeric value 'two'"),
             ({"mode": "gaussian_lab", "seed": "x"}, "seed has a non-numeric value 'x'"),
             ({"mode": "gaussian_lab", "seed": -1}, "seed must be >= 0, got -1"),
+            ({"mode": "synthetic_office", "train": {"epochs": 0}},
+             "train.epochs must be >= 1, got 0"),
+            ({"mode": "empirical", "risk_train": {"learning_rate": 0.0}},
+             "risk_train.learning_rate must be positive, got 0.0"),
+            ({"mode": "synthetic_office", "divergence": {"p": 0.5}},
+             "divergence.p must be >= 1, got 0.5"),
+            ({"mode": "gaussian_lab", "combiner": {"power": 0.5}},
+             "combiner.power must be >= 1 for Lipschitz behavior, got 0.5"),
+            ({"mode": "gaussian_lab", "combiner": {"input_coeff": -1}},
+             "combiner.input_coeff must be nonnegative, got -1.0"),
+            ({"mode": "gaussian_lab", "combiner": {"form": "linear", "weight": -1}},
+             "combiner.weight must be a finite nonnegative real, got -1.0"),
+            ({"mode": "synthetic_office", "synthetic_office": {"classes": 1}},
+             "synthetic_office.classes must be >= 2, got 1"),
+            ({"mode": "synthetic_office", "synthetic_office": {"n_domains": 1}},
+             "synthetic_office.n_domains must be >= 2, got 1"),
+            ({"mode": "synthetic_office", "synthetic_office": {"samples_per_domain": 5}},
+             r"synthetic_office.samples_per_domain must be >= 4 \* classes = 12, got 5"),
+            ({"mode": "gaussian_lab", "gaussian_lab": {"drift": -1}},
+             "gaussian_lab.drift must be >= 0, got -1.0"),
+            ({"mode": "empirical", "empirical": {"format": "xml"}},
+             r"empirical.format must be one of \('csv', 'json', None\), got 'xml'"),
         ],
     )
     def test_invalid_values_rejected(self, raw, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw,message", UNREAD_KEYS)
+    def test_keys_the_run_never_reads_rejected(self, raw, message):
+        with pytest.raises(ValueError) as caught:
+            PipelineConfig.from_dict(raw)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "key", ["combiner", "divergence", "train", "risk_train", "synthetic_office"]
@@ -373,8 +434,10 @@ class TestPipelineConfig:
             "form": "polynomial2", "input_coeff": 0.31, "output_coeff": 0.92, "power": 2.0,
         }
         assert echo["divergence"]["p"] == 2.0
-        assert echo["train"]["epochs"] == 100
+        assert "train" not in echo and "risk_train" not in echo
         assert echo["gaussian_lab"]["identical_tasks"] is False
+        sampled = PipelineConfig.from_dict({"mode": "synthetic_office"}).echo
+        assert sampled["train"]["epochs"] == 100
 
     @pytest.mark.parametrize("mode", ["gaussian_lab", "synthetic_office", "empirical"])
     def test_echoed_divergence_keys_per_mode(self, mode):
@@ -768,6 +831,11 @@ BAD_NUMBER_TABLES = [
      "line 2, column 'accuracy': could not parse 'abc'"),
     ("override_short_row", "run", "source,target,input_risk,output_risk\nA,B,0.1\n",
      "line 2, column 'output_risk': missing value"),
+    ("override_negative", "run", "source,target,input_risk,output_risk\nA,B,-0.1,0.2\n",
+     "line 2, column 'input_risk': negative risk -0.1"),
+    ("fit_negative", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,-0.3,0.6\n0.3,0.4,0.7\n",
+     "line 3, column 'output_risk': negative risk -0.3"),
     ("fit_nan", "fit-combiner",
      "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,nan,0.6\n0.3,0.4,0.7\n",
      "line 3, column 'output_risk': non-finite value 'nan'"),
@@ -782,13 +850,9 @@ BAD_NUMBER_TABLES = [
 
 class TestCli:
     def run_config(self, tmp_path, **extra):
-        raw = {
-            "mode": "gaussian_lab",
-            "seed": 2,
-            "out_dir": str(tmp_path / "out"),
-            "gaussian_lab": {"dim": 2, "n_pairs": 2},
-        }
-        raw.update(extra)
+        raw = {"mode": "gaussian_lab", "seed": 2, "out_dir": str(tmp_path / "out"), **extra}
+        if raw["mode"] == "gaussian_lab":
+            raw["gaussian_lab"] = {"dim": 2, "n_pairs": 2}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         return path
@@ -939,9 +1003,124 @@ class TestCli:
         else:
             assert any(line.startswith("DEBUG:trk:floating-point overflow") for line in lines)
 
+    @pytest.mark.parametrize("raw,message", UNREAD_KEYS)
+    def test_unread_key_exits_with_one_json_line(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message}
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "gaussian_lab", "divergence": {"pp": 2}}))
         assert main(["run", "--config", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "divergence.pp" in err["error"]
+
+
+def accepted_key_paths(mode):
+    """Every leaf key path the config tables accept in `mode`, over all forms and methods."""
+    paths = set()
+    for form, method in itertools.product(pipeline._FORMS, pipeline._SOLVERS):
+        for section, table in pipeline._tables(mode, form, method).items():
+            paths |= {
+                f"{section}.{key}" if section else key
+                for key, (kind, _) in table.items() if kind is not dict
+            }
+    return sorted(paths)
+
+
+# Tiny runs of each mode; a case's settings are merged into its mode's base.
+KNOB_BASE = {
+    "synthetic_office": {"mode": "synthetic_office", "synthetic_office": {"samples_per_domain": 24}},
+    "gaussian_lab": {"mode": "gaussian_lab", "gaussian_lab": {"n_pairs": 2}},
+}
+# Key path -> (another value, base settings the key needs to be read or to
+# matter).  Default Sinkhorn settings do not converge on 12-point clouds, so
+# the solver keys run with an explicit epsilon.
+KNOB_CASES = {
+    "seed": (5, {}),
+    "input_risk_rescale": (2.0, {}),
+    "combiner.form": ("linear", {}),
+    "combiner.weight": (0.5, {"combiner": {"form": "linear"}}),
+    "combiner.input_coeff": (0.5, {}),
+    "combiner.output_coeff": (0.5, {}),
+    "combiner.power": (3.0, {}),
+    "divergence.kind": ("kl", {}),
+    "divergence.p": (2.0, {}),
+    "divergence.method": ("sinkhorn", {"divergence": {"sinkhorn_epsilon": 0.2}}),
+    "divergence.lp_max_support": (1, {"divergence": {"sinkhorn_epsilon": 0.2}}),
+    "divergence.sinkhorn_epsilon": (0.2, {"divergence": {"method": "sinkhorn"}}),
+    "divergence.sinkhorn_max_iter": (
+        1, {"divergence": {"method": "sinkhorn", "sinkhorn_epsilon": 0.2}},
+    ),
+    "train.epochs": (5, {}),
+    "train.learning_rate": (0.5, {}),
+    # At the default rate the descent improves every epoch and never stalls.
+    "train.plateau_patience": (1, {"train": {"learning_rate": 2.0}}),
+    "risk_train.epochs": (3, {}),
+    "risk_train.learning_rate": (0.05, {}),
+    "synthetic_office.n_domains": (2, {}),
+    "synthetic_office.classes": (2, {}),
+    "synthetic_office.samples_per_domain": (32, {}),
+    "synthetic_office.rotation": (0.5, {}),
+    "synthetic_office.shift": (2.0, {}),
+    "synthetic_office.spread": (0.5, {}),
+    "gaussian_lab.dim": (3, {}),
+    "gaussian_lab.n_pairs": (3, {}),
+    "gaussian_lab.drift": (0.5, {}),
+    "gaussian_lab.identical_tasks": (True, {}),
+}
+# mode has no default (it selects the tables), out_dir moves the outputs,
+# and these divergence keys have one legal value in their mode.
+KNOB_EXEMPT = {
+    ("synthetic_office", "mode"), ("gaussian_lab", "mode"),
+    ("synthetic_office", "out_dir"), ("gaussian_lab", "out_dir"),
+    ("synthetic_office", "divergence.kind"), ("gaussian_lab", "divergence.p"),
+}
+KNOBS = [
+    (mode, path) for mode in KNOB_BASE for path in accepted_key_paths(mode)
+    if (mode, path) not in KNOB_EXEMPT
+]
+
+
+def merged(base, settings):
+    out = dict(base)
+    for key, value in settings.items():
+        out[key] = merged(base.get(key, {}), value) if isinstance(value, dict) else value
+    return out
+
+
+@pytest.fixture(scope="module")
+def knob_rows(tmp_path_factory):
+    """Report rows of a config run through the CLI (None when it exits 1), cached."""
+    cache = {}
+
+    def rows(raw):
+        key = json.dumps(raw, sort_keys=True)
+        if key not in cache:
+            work = tmp_path_factory.mktemp("knob")
+            path = work / "cfg.json"
+            path.write_text(json.dumps({**raw, "out_dir": str(work / "out")}))
+            ok = main(["run", "--config", str(path)]) == 0
+            cache[key] = json.loads((work / "out" / "report.json").read_text())["rows"] if ok else None
+        return cache[key]
+
+    return rows
+
+
+@pytest.mark.parametrize("mode,path", KNOBS, ids=[f"{m}:{p}" for m, p in KNOBS])
+def test_every_accepted_key_changes_the_result(knob_rows, mode, path):
+    assert path in KNOB_CASES, f"no liveness case for {path}"
+    value, settings = KNOB_CASES[path]
+    base = merged(KNOB_BASE[mode], settings)
+    change = value
+    for part in reversed(path.split(".")):
+        change = {part: change}
+    before, after = knob_rows(base), knob_rows(merged(base, change))
+    assert (before is None) != (after is None) or before != after
