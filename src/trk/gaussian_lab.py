@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2, psd_sqrt
 from .transfer_core import AffineModel, _gaussian_pushforward
@@ -316,6 +315,8 @@ def output_augmentation_risks(
     (cov_T, cov_ST) plus the explicit bias quadratic form, giving an
     independent route to the identical total.
     """
+    from scipy.linalg import eigh
+
     p_st, p_t = output_augmentation_laws(source, target, initializer)
     sign, _ = np.linalg.slogdet(p_st.cov)
     if sign <= 0:

@@ -9,6 +9,8 @@ transport polytope between two uniform clouds of equal size has a
 permutation matrix among its optimal vertices.  The entropic route
 over-approximates the exact cost by an epsilon-dependent amount; it is
 cross-checked against the LP in the test suite rather than bounded here.
+Each route imports its scipy solver inside the function that runs it, so a
+one-dimensional run never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .distributions import EmpiricalDistribution
 
@@ -120,6 +118,8 @@ class Coupling:
 
 
 def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     return cdist(a.points, b.points) ** p
 
 
@@ -171,6 +171,9 @@ def wasserstein_1d_exact(
 
 
 def _solve_lp(aw: np.ndarray, bw: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     n, m = cost.shape
     idx = np.arange(n * m)
     rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
@@ -199,6 +202,8 @@ def _is_uniform_pair(a: EmpiricalDistribution, b: EmpiricalDistribution) -> bool
 
 def _solve_assignment(weights: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Optimal permutation plan carrying mass weights[i] along each matched pair."""
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     plan = np.zeros_like(cost)
     plan[rows, cols] = weights[rows]
@@ -227,6 +232,8 @@ def _round_to_marginals(plan: np.ndarray, aw: np.ndarray, bw: np.ndarray) -> np.
 def _solve_sinkhorn(
     aw: np.ndarray, bw: np.ndarray, cost: np.ndarray, epsilon: float, max_iter: int
 ) -> np.ndarray:
+    from scipy.special import logsumexp
+
     with np.errstate(divide="ignore"):  # zero weights drop out as -inf
         la, lb = np.log(aw), np.log(bw)
     scaled = -cost / epsilon

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .distributions import EmpiricalDistribution
@@ -219,12 +218,17 @@ def _build(cls, path: str, **fields):
         raise ValueError(f"{path}.{err}") from None
 
 
-def _check_mode_params(mode: str, params: dict) -> None:
-    """Ranges the mode's generators would otherwise reject at run time."""
+def _check_mode_params(mode: str, params: dict, given: dict) -> None:
+    """Ranges the mode's generators would otherwise reject at run time.
+
+    `given` is the section as written, before defaults were filled in.
+    """
     if mode == "gaussian_lab":
         for key in ("dim", "n_pairs"):
             _require(params[key] >= 1, f"gaussian_lab.{key}", ">= 1", params[key])
         _require(params["drift"] >= 0.0, "gaussian_lab.drift", ">= 0", params["drift"])
+        if params["identical_tasks"] and "drift" in given:  # an identical pair has no drift
+            raise ValueError("gaussian_lab.drift does not apply to identical_tasks")
     elif mode == "synthetic_office":
         for key in ("n_domains", "classes"):
             _require(params[key] >= 2, f"synthetic_office.{key}", ">= 2", params[key])
@@ -232,6 +236,12 @@ def _check_mode_params(mode: str, params: dict) -> None:
         _require(
             params["samples_per_domain"] >= least, "synthetic_office.samples_per_domain",
             f">= 4 * classes = {least}", params["samples_per_domain"],
+        )
+        # The last domain's blobs have width 0.45 * (1 + (n_domains - 1) * spread).
+        last = params["n_domains"] - 1
+        _require(
+            1.0 + last * params["spread"] >= 0.0, "synthetic_office.spread",
+            f">= -1 / (n_domains - 1) = {-1.0 / last!r}", params["spread"],
         )
 
 
@@ -257,7 +267,7 @@ class PipelineConfig:
         mode, seed, rescale = config["mode"], config["seed"], config["input_risk_rescale"]
         _require(seed >= 0, "seed", ">= 0", seed)
         _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
-        _check_mode_params(mode, config[mode])
+        _check_mode_params(mode, config[mode], raw.get(mode, {}))
         divergence = config["divergence"]
         kind = divergence["kind"]
         if divergence["p"] is None:
@@ -606,10 +616,38 @@ def _correlations(rows: list[dict]) -> dict | None:
     risk = np.array([s[1] for s in scored])
     if np.all(accuracy == accuracy[0]) or np.all(risk == risk[0]):
         return None
-    return {
-        "spearman": float(stats.spearmanr(accuracy, risk).statistic),
-        "pearson": float(stats.pearsonr(accuracy, risk).statistic),
-    }
+    return {"spearman": _spearman(accuracy, risk), "pearson": _pearson(accuracy, risk)}
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho as scipy.stats.spearmanr computes it: Pearson of average ranks."""
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])  # corrcoef clips to [-1, 1]
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group sharing the mean of the ranks it spans."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r by scipy.stats.pearsonr's arithmetic, for non-constant inputs.
+
+    Each centred vector is scaled by its largest magnitude before its norm
+    is taken, so the norm cannot overflow; rounding past |r| = 1 is clipped.
+    """
+    units = []
+    for v in (x, y):
+        centred = v - v.mean()
+        largest = np.abs(centred).max()
+        units.append(centred / (largest * np.linalg.norm(centred / largest, axis=-1)))
+    return float(np.clip(np.dot(*units), -1.0, 1.0))
 
 
 def _format_cell(value) -> str:

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 import trk
@@ -268,6 +270,8 @@ UNREAD_KEYS = [
      "divergence.lp_max_support does not apply to sinkhorn"),
     ({"mode": "gaussian_lab", "combiner": {"form": "polynomial2", "weight": 1.0}},
      "combiner.weight does not apply to polynomial2"),
+    ({"mode": "gaussian_lab", "gaussian_lab": {"identical_tasks": True, "drift": 0.9}},
+     "gaussian_lab.drift does not apply to identical_tasks"),
 ]
 
 
@@ -394,6 +398,9 @@ class TestPipelineConfig:
              "gaussian_lab.drift must be >= 0, got -1.0"),
             ({"mode": "empirical", "empirical": {"format": "xml"}},
              r"empirical.format must be one of \('csv', 'json', None\), got 'xml'"),
+            ({"mode": "synthetic_office",
+              "synthetic_office": {"samples_per_domain": 24, "spread": -1}},
+             r"synthetic_office.spread must be >= -1 / \(n_domains - 1\) = -0.5, got -1.0"),
         ],
     )
     def test_invalid_values_rejected(self, raw, message):
@@ -585,6 +592,49 @@ class TestEmpiricalOverride:
         table.write_text("source,target,input_risk,output_risk,accuracy\n")
         with pytest.raises(ValueError, match="no rows"):
             run(self.make_config(tmp_path), override_risks=table)
+
+
+# Small integers give ties; the floats span magnitudes.
+CORRELATION_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+)
+
+
+class TestCorrelations:
+    """The report's numpy correlations against scipy.stats as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=st.integers(3, 12).flatmap(
+            lambda n: st.tuples(*[st.lists(CORRELATION_VALUES, min_size=n, max_size=n)] * 2)
+        )
+    )
+    @example(pair=([1.0, 2.0, 3.0], [4.0, 5.0, 9.0]))
+    @example(pair=([1.0, 2.0, 3.0], [0.3, 0.2, 0.1]))
+    @example(pair=([1.0, 1.0, 2.0, 2.0], [5.0, 5.0, 5.0, 7.0]))
+    def test_match_scipy(self, pair):
+        x, y = (np.array(v) for v in pair)
+        assume(not np.all(x == x[0]) and not np.all(y == y[0]))  # undefined, reported as None
+        np.testing.assert_array_equal(pipeline._average_ranks(x), stats.rankdata(x))
+        with warnings.catch_warnings():
+            # scipy flags nearly constant inputs; the arithmetic compared is the same.
+            warnings.simplefilter("ignore", stats.NearConstantInputWarning)
+            pearson = float(stats.pearsonr(x, y).statistic)
+        assert pipeline._spearman(x, y) == float(stats.spearmanr(x, y).statistic)
+        assert pipeline._pearson(x, y) == pytest.approx(pearson, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 40])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_pairs(self, n, sign):
+        # Rounding leaves some of these a hair inside +-1, in scipy as here.
+        x = np.random.default_rng(n).normal(size=n)
+        y = sign * np.exp(3.0 * x)
+        assert pipeline._spearman(x, y) == float(stats.spearmanr(x, y).statistic)
+        assert pipeline._spearman(x, y) == pytest.approx(sign, abs=1e-15)
+        assert pipeline._pearson(x, y) == pytest.approx(
+            float(stats.pearsonr(x, y).statistic), rel=1e-12
+        )
 
 
 class TestEmpiricalDatasets:
@@ -1002,6 +1052,66 @@ class TestCli:
             assert len(lines) == 1, done.stderr
         else:
             assert any(line.startswith("DEBUG:trk:floating-point overflow") for line in lines)
+
+    @pytest.mark.parametrize(
+        "command,forbidden",
+        [
+            ("version", "scipy"),
+            ("gaussian_lab", "scipy"),
+            ("empirical_1d", "scipy"),
+            ("ingest_check", "scipy"),
+            ("fit_combiner", "scipy"),
+            ("synthetic_office", "scipy.stats"),
+        ],
+    )
+    def test_command_imports_only_the_scipy_it_runs(self, tmp_path, command, forbidden):
+        # A fresh interpreter, so only this command's imports are in sys.modules.
+        for name, offset in (("a", 0.0), ("b", 1.5)):
+            rows = [f"{offset + 0.1 * i + 2.0 * (i % 2)!r},{i % 2}" for i in range(16)]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["f0,label", *rows]) + "\n")
+        configs = {
+            "gaussian_lab": {"mode": "gaussian_lab", "gaussian_lab": {"n_pairs": 2}},
+            "empirical_1d": {
+                "mode": "empirical",
+                "empirical": {"datasets": [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]},
+                "train": {"epochs": 5},
+                "risk_train": {"epochs": 2},
+            },
+            "synthetic_office": {
+                "mode": "synthetic_office",
+                "synthetic_office": {"samples_per_domain": 24},
+                "train": {"epochs": 5},
+                "risk_train": {"epochs": 2},
+            },
+        }
+        if command == "version":
+            argv = ["--version"]
+        elif command == "ingest_check":
+            argv = ["ingest-check", "--path", str(tmp_path / "a.csv")]
+        elif command == "fit_combiner":
+            table = write_study_table(tmp_path / "rows.csv")
+            argv = ["fit-combiner", "--rows", str(table), "--form", "linear"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({**configs[command], "out_dir": str(tmp_path / "out")}))
+            argv = ["run", "--config", str(config)]
+        child = (
+            "import json, sys\n"
+            "from trk.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as done:\n"  # argparse's --version exits with 0
+            "    code = done.code\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        )
+        src = str(Path(trk.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, done.stderr
+        assert [m for m in loaded if m == forbidden or m.startswith(forbidden + ".")] == []
 
     @pytest.mark.parametrize("raw,message", UNREAD_KEYS)
     def test_unread_key_exits_with_one_json_line(self, tmp_path, capsys, raw, message):
