@@ -9,6 +9,8 @@ transport polytope between two uniform clouds of equal size has a
 permutation matrix among its optimal vertices.  The entropic route
 over-approximates the exact cost by an epsilon-dependent amount; it is
 cross-checked against the LP in the test suite rather than bounded here.
+The three dense routes refuse, before building the cost matrix, an instance
+whose n x m working set would exceed DENSE_BUDGET_BYTES.
 Each route imports its scipy solver inside the function that runs it, so a
 one-dimensional run never loads scipy.
 """
@@ -36,6 +38,12 @@ MARGINAL_TOL = 1e-7
 
 _SINKHORN_TOL = 1e-6
 _SINKHORN_CHECK_EVERY = 10
+
+# Working-set memory above which a dense route refuses the instance.
+DENSE_BUDGET_BYTES = 1 << 30
+# Peak traced memory of each dense route, counted in n x m float64 matrices
+# (tracemalloc at a few hundred points per side; HiGHS's own heap excluded).
+_DENSE_MATRICES = {"assignment": 3, "exact_lp": 41, "sinkhorn": 10}
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -121,6 +129,17 @@ def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -
     from scipy.spatial.distance import cdist
 
     return cdist(a.points, b.points) ** p
+
+
+def _check_dense_budget(method: str, n: int, m: int) -> None:
+    """Refuse a dense route whose n x m working set would exceed the budget."""
+    needed = _DENSE_MATRICES[method] * n * m * 8
+    if needed > DENSE_BUDGET_BYTES:
+        raise ValueError(
+            f"the {method} route on supports of {n} and {m} points needs about "
+            f"{needed / 2**30:.1f} GiB, above the {DENSE_BUDGET_BYTES / 2**30:g} GiB "
+            "dense-transport budget; subsample the clouds"
+        )
 
 
 def _quantile_coupling(
@@ -274,9 +293,11 @@ def wasserstein(
         quantile route returns None since it never materializes a plan.
 
     Raises:
-        ValueError: on dimension mismatch, or when an explicitly requested
+        ValueError: on dimension mismatch, when an explicitly requested
             method cannot handle the instance (wrong dimension for
-            'exact_1d', support above lp_max_support for 'exact_lp').
+            'exact_1d', support above lp_max_support for 'exact_lp'), or
+            when a dense route would exceed DENSE_BUDGET_BYTES.  Size
+            checks run before the cost matrix is built.
         SinkhornConvergenceError: when the entropic route misses tolerance.
     """
     if a.dim != b.dim:
@@ -295,15 +316,16 @@ def wasserstein(
     if method == "exact_1d":
         return wasserstein_1d_exact(a, b, cfg.p), None
 
+    if method == "exact_lp" and max(a.size, b.size) > cfg.lp_max_support:
+        raise ValueError(
+            f"support {max(a.size, b.size)} exceeds lp_max_support={cfg.lp_max_support}; "
+            "use sinkhorn for instances this large"
+        )
+    _check_dense_budget(method, a.size, b.size)
     cost = _cost_matrix(a, b, cfg.p)
     if method == "assignment":
         plan = _solve_assignment(a.weights, cost)
     elif method == "exact_lp":
-        if max(a.size, b.size) > cfg.lp_max_support:
-            raise ValueError(
-                f"support {max(a.size, b.size)} exceeds lp_max_support={cfg.lp_max_support}; "
-                "use sinkhorn for instances this large"
-            )
         plan = _solve_lp(a.weights, b.weights, cost)
     elif method == "sinkhorn":
         if cost.max() == 0.0:

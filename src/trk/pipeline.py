@@ -323,25 +323,31 @@ def ingest_dataset(
     and every other column is a feature.  JSON files are objects with
     "features" (list of rows), "labels", and optional per-row "weights",
     which may be unnormalized counts and are rescaled to sum to 1.
-    Every value must be a finite number; a malformed one is reported with
-    its file and its CSV line or JSON row.
+    Files are read as UTF-8.  Every value must be a finite number; a
+    malformed one is reported with its file and its CSV line or JSON row.
 
     Returns:
         (distribution, labels) with one label per row, as floats.
+
+    Raises:
+        ValueError: on any input that is not such a dataset, naming the file.
     """
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower()
-    if format == "csv":
-        return _ingest_csv(path, label_column)
-    if format == "json":
-        return _ingest_json(path)
+    try:
+        if format == "csv":
+            return _ingest_csv(path, label_column)
+        if format == "json":
+            return _ingest_json(path)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
 def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, np.ndarray]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = _csv_rows(path, csv.reader(handle))
         try:
             header = next(reader)
         except StopIteration:
@@ -364,6 +370,14 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return EmpiricalDistribution.from_points(np.asarray(rows)), np.asarray(labels)
+
+
+def _csv_rows(path: Path, reader):
+    """The rows of a csv reader; a line it cannot split fails with file and line."""
+    try:
+        yield from reader
+    except csv.Error as err:  # e.g. a cell over the csv module's field size limit
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
 
 
 def _csv_number(cell: str | None, path: str | Path, line_no: int, column: str) -> float:
@@ -413,11 +427,13 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
 
 
 def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: invalid JSON at line {err.lineno}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: top level must be an object")
     _reject_unknown(payload, {"features", "labels", "weights"}, str(path))
@@ -449,9 +465,13 @@ def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
         w = np.asarray(
             [_json_number(x, f"{path}: weights row {i}") for i, x in enumerate(weights)]
         )
-        if w.min() < 0.0 or w.sum() <= 0.0:
-            raise ValueError(f"{path}: weights must be finite, nonnegative, not all zero")
-        dist = EmpiricalDistribution(np.asarray(rows), w / w.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = w.sum()
+        if w.min() < 0.0 or not 0.0 < total < math.inf:
+            raise ValueError(
+                f"{path}: weights must be nonnegative, not all zero, with a finite sum"
+            )
+        dist = EmpiricalDistribution(np.asarray(rows), w / total)
     return dist, np.asarray(labels)
 
 

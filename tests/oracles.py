@@ -206,3 +206,26 @@ def fit_multinomial_logistic_newton(
             break
     mat = theta.reshape(k, dd)
     return mat[:, :d], mat[:, d]
+
+
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted softmax cross-entropy from its defining formula.
+
+    With log p = z - max z - log sum exp(z - max z) row by row, the value is
+    -sum_i w_i log p_i[y_i], its gradient in the logits is w_i (p_i - e_{y_i})
+    and the probabilities are exp(z - max z) / sum exp(z - max z).  Every
+    row reduction is numpy's axis-1 max or sum.
+
+    Returns:
+        (value, logit gradient of shape (n, k), probabilities of shape (n, k)).
+    """
+    n, k = logits.shape
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    value = float(-np.sum(weights * log_probs[np.arange(n), labels]))
+    grad_logits = (np.exp(log_probs) - np.eye(k)[labels]) * weights[:, None]
+    unnormalized = np.exp(shifted)
+    probs = unnormalized / unnormalized.sum(axis=1, keepdims=True)
+    return value, grad_logits, probs

@@ -219,6 +219,61 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=5,
 )
+# Dataset fuzz inputs: well-formed tables of numbers, sometimes ragged or
+# holding a bad cell, plus arbitrary text.  Lone surrogates in the text encode
+# to bytes that are not UTF-8.
+CSV_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(
+    -(10**6), 10**6
+).map(str)
+CSV_CELLS = (
+    CSV_NUMBERS
+    | st.sampled_from(["", " ", "nan", "-inf", "1e400", "1e-400", "0x1", "1_0", '"', '"1,2"'])
+    | st.text(max_size=6)
+)
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(
+        st.lists(st.sampled_from(["x", "y", "label", " label "]) | st.text(max_size=4),
+                 min_size=1, max_size=4)
+        | st.just(["x", "label"])
+    )
+    cell = draw(st.sampled_from([CSV_NUMBERS, CSV_CELLS]))
+    rows = draw(st.lists(
+        st.lists(cell, min_size=len(header), max_size=len(header))
+        | st.lists(CSV_CELLS, max_size=5),
+        max_size=6,
+    ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(",".join(cells) for cells in [header, *rows]) + newline
+
+
+CSV_TEXTS = csv_texts() | st.text(max_size=80)
+JSON_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+JSON_NUMBERS = JSON_FINITE | st.sampled_from([10**400, float("nan"), float("inf"), True])
+
+
+@st.composite
+def json_datasets(draw):
+    n = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 3))
+    number = draw(st.sampled_from([JSON_FINITE, JSON_NUMBERS]))
+    doc = {
+        "features": draw(st.lists(
+            st.lists(number, min_size=dim, max_size=dim), min_size=n, max_size=n
+        )),
+        "labels": draw(st.lists(number, min_size=n, max_size=n)),
+    }
+    if draw(st.booleans()):
+        weight = draw(st.sampled_from([st.floats(0.0, 1e300), number]))
+        doc["weights"] = draw(st.lists(weight, min_size=n, max_size=n))
+    if draw(st.booleans()):  # one field replaced by an arbitrary value
+        doc[draw(st.sampled_from(["features", "labels", "weights", "extra"]))] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+JSON_DOCUMENTS = json_datasets() | JSON_VALUES.map(json.dumps) | st.text(max_size=40)
 _SHARED_PATHS = [
     ("mode",), ("seed",), ("out_dir",), ("input_risk_rescale",),
     ("combiner",), ("combiner", "form"), ("combiner", "weight"), ("combiner", "input_coeff"),
@@ -273,6 +328,36 @@ UNREAD_KEYS = [
     ({"mode": "gaussian_lab", "gaussian_lab": {"identical_tasks": True, "drift": 0.9}},
      "gaussian_lab.drift does not apply to identical_tasks"),
 ]
+
+
+class TestIngestFuzz:
+    """Any dataset file parses to a finite labeled cloud or is refused by name."""
+
+    @staticmethod
+    def ingest_or_refuse(path, text):
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        try:
+            dist, labels = ingest_dataset(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+            return
+        assert np.all(np.isfinite(dist.points))
+        assert labels.shape == (dist.size,)
+        assert np.all(np.isfinite(labels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=CSV_TEXTS)
+    @example(text="x,label\n" + "1" * 200_000 + ",0\n")  # over csv's field size limit
+    @example(text="x,label\n\udcff,0\n")  # not UTF-8
+    def test_csv(self, tmp_path_factory, text):
+        self.ingest_or_refuse(tmp_path_factory.getbasetemp() / "fuzz.csv", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=JSON_DOCUMENTS)
+    @example(text="[" * 100_000 + "]" * 100_000)  # deeper than the decoder recurses
+    @example(text='{"features": [[1.0], [2.0]], "labels": [0, 1], "weights": [1e308, 1e308]}')
+    def test_json(self, tmp_path_factory, text):
+        self.ingest_or_refuse(tmp_path_factory.getbasetemp() / "fuzz.json", text)
 
 
 class TestPipelineConfig:
@@ -985,6 +1070,24 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == f"{path}: {where}"
 
+    def test_ingest_check_refusal_has_no_traceback(self, tmp_path):
+        # A cell over the csv module's field size limit used to escape as a
+        # traceback; the child process shows all of stderr.
+        path = tmp_path / "wide.csv"
+        path.write_text("x,label\n" + "1" * 200_000 + ",0\n")
+        src = str(Path(trk.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "trk.cli", "ingest-check", "--path", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0]) == {
+            "error": f"{path}: line 2: field larger than field limit (131072)"
+        }
+
     @pytest.mark.parametrize(
         "name,command,body,where", BAD_NUMBER_TABLES, ids=[c[0] for c in BAD_NUMBER_TABLES]
     )
@@ -1028,6 +1131,24 @@ class TestCli:
             assert json.loads(lines[0])["error"] == (
                 f"source head of {pair} diverged: non-finite representation of the target points"
             )
+
+    def test_dense_budget_refusal_is_one_json_line(self, tmp_path, capsys):
+        # Two 20 000-point training halves: the Sinkhorn route refuses them.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "synthetic_office",
+            "out_dir": str(tmp_path / "out"),
+            "divergence": {"method": "sinkhorn"},
+            "train": {"epochs": 1},
+            "synthetic_office": {"n_domains": 2, "samples_per_domain": 40_000},
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "supports of 20000 and 20000 points" in json.loads(lines[0])["error"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("log_level", ["WARNING", "DEBUG"])
     def test_runtime_failure_stderr_is_one_json_line(self, tmp_path, log_level):

@@ -1,9 +1,12 @@
 """Tests for gradient-descent risk minimization and classifier training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import fit_multinomial_logistic_newton, quantile_wp_1d
+from oracles import fit_multinomial_logistic_newton, quantile_wp_1d, softmax_cross_entropy
+from trk import finetune
 from trk.distributions import EmpiricalDistribution, Gaussian1D, gaussian_w2
 from trk.finetune import (
     AffineMapFamily,
@@ -181,6 +184,94 @@ class TestCrossEntropyObjective:
                     - cross_entropy_objective(family, params - offset, points, labels, weights)[0]
                 ) / (2 * step)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def oracle_objective(family, params, points, labels, weights):
+    """The oracle's value, parameter gradient and probabilities for one head."""
+    value, grad_logits, probs = softmax_cross_entropy(
+        family.apply(params, points), labels, weights
+    )
+    grad = np.concatenate([(grad_logits.T @ points).ravel(), grad_logits.sum(axis=0)])
+    return value, grad, probs
+
+
+def softmax_instances(classes, seed):
+    """Heads and data for the kernel-vs-oracle checks, edge cases included.
+
+    Covers a single row, logits from mild to saturated, logits near +-700
+    (whose exponentials overflow unless shifted) and zero weights.
+    """
+    rng = np.random.default_rng(seed)
+    for n, in_dim, scale in ((1, 1, 1.0), (1, 3, 300.0), (50, 1, 1.0), (257, 2, 3.0),
+                             (257, 4, 40.0), (1000, 1, 300.0)):
+        family = SoftmaxHeadFamily(in_dim, classes)
+        params = scale * rng.normal(size=family.parameter_count())
+        points = rng.normal(size=(n, in_dim))
+        labels = rng.integers(0, classes, size=n)
+        weights = rng.random(n)
+        yield family, params, points, labels, weights / weights.sum()
+    # Bias near +-700: one class at 700-710, the rest near -700.
+    family = SoftmaxHeadFamily(2, classes)
+    weights_part = rng.normal(size=2 * classes)
+    bias = np.full(classes, -700.0) + rng.random(classes)
+    bias[rng.integers(classes)] = 700.0 + 10.0 * rng.random()
+    points = rng.normal(size=(64, 2))
+    labels = rng.integers(0, classes, size=64)
+    weights = rng.random(64)
+    weights[::3] = 0.0
+    yield family, np.concatenate([weights_part, bias]), points, labels, weights / weights.sum()
+
+
+class TestSoftmaxKernel:
+    """`cross_entropy_objective` and `_softmax` against the axis-1 oracle."""
+
+    @pytest.mark.parametrize("classes", range(2, 8))
+    def test_bit_equal_below_eight_classes(self, classes):
+        for family, params, points, labels, weights in softmax_instances(classes, classes):
+            value, grad = cross_entropy_objective(family, params, points, labels, weights)
+            probs = finetune._softmax(family.apply(params, points))
+            ref_value, ref_grad, ref_probs = oracle_objective(
+                family, params, points, labels, weights
+            )
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+            np.testing.assert_array_equal(probs, ref_probs)
+
+    @pytest.mark.parametrize("classes", range(8, 17))
+    def test_within_an_ulp_of_the_normalizer_from_eight_classes(self, classes):
+        # numpy sums 8 or more terms in blocks of 8, the kernel column by
+        # column, so the normalizer may differ in its last ulp.  That is an
+        # absolute error in the loss: a loss near zero would see it as a
+        # large relative one, but random labels keep these losses of order 1.
+        for family, params, points, labels, weights in softmax_instances(classes, classes):
+            value, grad = cross_entropy_objective(family, params, points, labels, weights)
+            probs = finetune._softmax(family.apply(params, points))
+            ref_value, ref_grad, ref_probs = oracle_objective(
+                family, params, points, labels, weights
+            )
+            assert value == pytest.approx(ref_value, rel=1e-14)
+            assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+            np.testing.assert_allclose(probs, ref_probs, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("in_dim", [1, 4])
+    def test_peak_memory_is_few_class_arrays(self, in_dim):
+        # Each (n, classes) temporary costs n * classes * 8 bytes; the kernel
+        # keeps the logits and one buffer alive plus a few length-n vectors.
+        n, classes = 10_000, 4
+        rng = np.random.default_rng(in_dim)
+        family = SoftmaxHeadFamily(in_dim, classes)
+        params = rng.normal(size=family.parameter_count())
+        points = rng.normal(size=(n, in_dim))
+        labels = rng.integers(0, classes, size=n)
+        weights = uniform_weights(n)
+        cross_entropy_objective(family, params, points, labels, weights)
+        tracemalloc.start()
+        try:
+            cross_entropy_objective(family, params, points, labels, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * classes * 8
 
 
 class TestMinimizeOutputRisk:

@@ -1,5 +1,7 @@
 """Tests for the discrete optimal transport solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,44 @@ class TestSinkhorn:
         # produced a feasible plan.
         assert coupling.marginal_violation(a.weights, b.weights) < 1e-6
         assert dist > 0.0
+
+
+class TestDenseBudget:
+    def test_refuses_before_allocating_the_cost_matrix(self):
+        rng = np.random.default_rng(36)
+        n = 20_000
+        a, b = random_cloud(rng, n, 2), random_cloud(rng, n, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                wasserstein(a, b, OtConfig(method="sinkhorn"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith(
+            "the sinkhorn route on supports of 20000 and 20000 points needs about"
+        )
+        assert "above the 1 GiB dense-transport budget" in str(exc.value)
+        # Not even one row of the 20 000 x 20 000 cost matrix was allocated.
+        assert peak < n * 8
+
+    @pytest.mark.parametrize("method", sorted(ot_module._DENSE_MATRICES))
+    def test_budget_is_the_working_set_arithmetic(self, method):
+        # The largest square instance under the budget passes; one more point
+        # per side is refused.  Only sizes are checked, nothing is allocated.
+        per_entry = ot_module._DENSE_MATRICES[method] * 8
+        n = int(np.sqrt(ot_module.DENSE_BUDGET_BYTES / per_entry))
+        assert n * n * per_entry <= ot_module.DENSE_BUDGET_BYTES
+        ot_module._check_dense_budget(method, n, n)
+        with pytest.raises(ValueError, match=f"supports of {n + 1} and {n + 1} points"):
+            ot_module._check_dense_budget(method, n + 1, n + 1)
+
+    def test_one_dimensional_clouds_need_no_budget(self):
+        rng = np.random.default_rng(37)
+        a, b = random_cloud(rng, 20_000, 1), random_cloud(rng, 20_000, 1)
+        dist, coupling = wasserstein(a, b)
+        assert coupling is None
+        assert dist == pytest.approx(scipy_w1(a.points[:, 0], b.points[:, 0]), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
