@@ -1,9 +1,10 @@
 """Gradient-descent training for output transport maps and classifier heads.
 
 Two training problems live here.  The first descends the output transport
-risk: given a pretrained source model and an empirical target law, fit a map
-on top of the source outputs so the pushforward matches the target output
-law, and report the achieved Wasserstein risk under a fixed epoch budget.
+risk: given the law of a frozen source model's outputs on the target inputs,
+fit an affine map on top of them so the pushforward matches the target
+output law, and report the achieved Wasserstein risk under a fixed epoch
+budget.
 The second is a plain softmax classifier head used to measure transfer
 accuracy on held-out data.
 
@@ -22,14 +23,7 @@ import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze
 from .optimal_transport import OtConfig, _quantile_coupling
-from .transfer_core import (
-    AffineMap,
-    AffineModel,
-    IdentityMap,
-    TransportMap,
-    combine,
-    input_risk,
-)
+from .transfer_core import AffineModel, combine, input_risk
 
 __all__ = [
     "TrainConfig",
@@ -129,9 +123,8 @@ class AffineMapFamily:
         weights, bias = self.unpack(params)
         return points @ weights.T + bias
 
-    def build(self, params: np.ndarray) -> TransportMap:
-        weights, bias = self.unpack(params)
-        return AffineMap(AffineModel(weights, bias))
+    def build(self, params: np.ndarray) -> AffineModel:
+        return AffineModel(*self.unpack(params))
 
 
 class SoftmaxHeadFamily(AffineMapFamily):
@@ -261,19 +254,20 @@ def cross_entropy_objective(
 
 def minimize_output_risk(
     family: AffineMapFamily,
-    source_model,
-    law_xt: EmpiricalDistribution,
+    law_zt: EmpiricalDistribution,
     law_yt_proxy: EmpiricalDistribution,
     p: float = 1.0,
     cfg: TrainConfig = TrainConfig(),
-    init: np.ndarray | None = None,
-) -> tuple[float, TransportMap, TrainTrace]:
-    """Descend W_p^p(map # source outputs, proxy) for exactly cfg.epochs.
+) -> tuple[float, AffineModel, TrainTrace]:
+    """Descend W_p^p(map # law_zt, proxy) for exactly cfg.epochs.
 
-    The epoch budget is the search-space restriction: no early stopping, and
-    the returned map is the best iterate seen, never worse than the
-    initialization.  The objective is the exact transport cost, so the
-    reported risk is the best objective value itself.
+    `law_zt` is the law of the frozen source model's outputs on the target
+    inputs; the family's maps carry it onto the target output space, where
+    `law_yt_proxy` stands in for the target output law.  The epoch budget is
+    the search-space restriction: no early stopping, and the returned map is
+    the best iterate seen, never worse than the seeded initialization.  The
+    objective is the exact transport cost, so the reported risk is the best
+    objective value itself.
 
     Returns:
         (risk, map, trace) with risk = W_p^p of the best iterate.
@@ -282,31 +276,23 @@ def minimize_output_risk(
         TrainingDivergedError: if the objective leaves the reals; the error
             carries the trace accumulated so far.
         ValueError: on a family whose output is not scalar, and on
-            dimension mismatches between family, model and laws.
+            dimension mismatches between the family and the laws.
     """
-    if family.parameter_count() < 1:
-        raise ValueError("family has no trainable parameters")
-    inputs = np.asarray(source_model(law_xt.points), dtype=float)
-    if inputs.shape[1] != family.in_dim:
+    inputs = law_zt.points
+    if law_zt.dim != family.in_dim:
         raise ValueError(
-            f"source model emits dimension {inputs.shape[1]}, family expects {family.in_dim}"
+            f"source outputs have dimension {law_zt.dim}, family expects {family.in_dim}"
         )
     if law_yt_proxy.dim != family.out_dim:
         raise ValueError(
             f"proxy dimension {law_yt_proxy.dim} != family output dimension {family.out_dim}"
         )
-    params = (
-        np.asarray(init, dtype=float)
-        if init is not None
-        else family.init_parameters(np.random.default_rng(cfg.seed))
-    )
-    if params.shape != (family.parameter_count(),):
-        raise ValueError(f"init must have shape ({family.parameter_count()},)")
+    params = family.init_parameters(np.random.default_rng(cfg.seed))
 
     objectives: list[float] = []
     best_params, best_value = params.copy(), np.inf
     for _ in range(cfg.epochs):
-        value, grad = transport_objective(family, params, inputs, law_xt.weights, law_yt_proxy, p)
+        value, grad = transport_objective(family, params, inputs, law_zt.weights, law_yt_proxy, p)
         if not np.isfinite(value):
             trace = TrainTrace(tuple(objectives), best_params, len(objectives))
             raise TrainingDivergedError(
@@ -316,7 +302,7 @@ def minimize_output_risk(
         if value < best_value:
             best_params, best_value = params.copy(), value
         params = params - cfg.learning_rate * grad
-    final_value, _ = transport_objective(family, params, inputs, law_xt.weights, law_yt_proxy, p)
+    final_value, _ = transport_objective(family, params, inputs, law_zt.weights, law_yt_proxy, p)
     if np.isfinite(final_value) and final_value < best_value:
         best_params, best_value = params.copy(), final_value
     trace = TrainTrace(tuple(objectives), best_params, cfg.epochs)
@@ -378,8 +364,7 @@ def train_classifier(
     trace = TrainTrace(tuple(losses), best_params, len(losses))
     predicted = family.predict(best_params, eval_features.points)
     accuracy = float(np.sum(eval_features.weights * (predicted == eval_labels)))
-    weights, bias = family.unpack(best_params)
-    return accuracy, AffineModel(weights, bias), trace
+    return accuracy, family.build(best_params), trace
 
 
 @dataclass(frozen=True)
@@ -526,16 +511,13 @@ def evaluate_risk_accuracy_pairs(
                     )
                 return features
 
-            e_in = input_rescale * input_risk(
-                IdentityMap(target.train.dim), target.train, source.train, "wasserstein", ot
-            )
+            e_in = input_rescale * input_risk(target.train, source.train, "wasserstein", ot)
             features = represent(target.train.points)
             proxy = EmpiricalDistribution.from_points(
                 target.train_labels.astype(float)[:, None]
             )
             e_out, _, _ = minimize_output_risk(
                 AffineMapFamily(classes, 1),
-                IdentityMap(classes),
                 EmpiricalDistribution(features, target.train.weights),
                 proxy,
                 p=1.0,

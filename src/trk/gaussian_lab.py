@@ -42,20 +42,14 @@ __all__ = [
     "random_basic_pair",
 ]
 
-_ROLES = ("source", "target")
 _EMBED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class GaussianTask:
-    """A learning task: joint Gaussian law of (X, Y) plus a role label."""
+    """A learning task: joint Gaussian law of (X, Y)."""
 
     joint: GaussianJoint
-    role: str = "source"
-
-    def __post_init__(self) -> None:
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
 
     @property
     def dim_x(self) -> int:
@@ -355,7 +349,6 @@ def augment_features(
     cov_new: np.ndarray,
     cov_cross: np.ndarray,
     cov_new_y: np.ndarray,
-    role: str = "target",
 ) -> GaussianTask:
     """Extend a scalar-output task with new feature coordinates.
 
@@ -382,7 +375,7 @@ def augment_features(
         cov_xy=np.vstack([sj.cov_xy, cov_new_y]),
         cov_yy=sj.cov_yy,
     )
-    return GaussianTask(joint, role=role)
+    return GaussianTask(joint)
 
 
 def conditionally_independent_augmentation(
@@ -390,7 +383,6 @@ def conditionally_independent_augmentation(
     mean_new: np.ndarray,
     cov_new: np.ndarray,
     cov_cross: np.ndarray,
-    role: str = "target",
 ) -> GaussianTask:
     """Feature augmentation whose new coordinates add no predictive value.
 
@@ -401,10 +393,10 @@ def conditionally_independent_augmentation(
     """
     cov_cross = np.asarray(cov_cross, dtype=float).reshape(source.dim_x, -1)
     cov_new_y = cov_cross.T @ np.linalg.solve(source.joint.cov_xx, source.joint.cov_xy)
-    return augment_features(source, mean_new, cov_new, cov_cross, cov_new_y, role=role)
+    return augment_features(source, mean_new, cov_new, cov_cross, cov_new_y)
 
 
-def restrict_inputs(task: GaussianTask, keep: int, role: str = "source") -> GaussianTask:
+def restrict_inputs(task: GaussianTask, keep: int) -> GaussianTask:
     """Sub-task over the first `keep` input coordinates."""
     if not 1 <= keep <= task.dim_x:
         raise ValueError(f"keep must be in [1, {task.dim_x}], got {keep}")
@@ -416,10 +408,10 @@ def restrict_inputs(task: GaussianTask, keep: int, role: str = "source") -> Gaus
         cov_xy=j.cov_xy[:keep, :],
         cov_yy=j.cov_yy,
     )
-    return GaussianTask(joint, role=role)
+    return GaussianTask(joint)
 
 
-def restrict_outputs(task: GaussianTask, keep: int, role: str = "source") -> GaussianTask:
+def restrict_outputs(task: GaussianTask, keep: int) -> GaussianTask:
     """Sub-task over the first `keep` output coordinates."""
     if not 1 <= keep <= task.dim_y:
         raise ValueError(f"keep must be in [1, {task.dim_y}], got {keep}")
@@ -431,7 +423,7 @@ def restrict_outputs(task: GaussianTask, keep: int, role: str = "source") -> Gau
         cov_xy=j.cov_xy[:, :keep],
         cov_yy=j.cov_yy[:keep, :keep],
     )
-    return GaussianTask(joint, role=role)
+    return GaussianTask(joint)
 
 
 def random_task(
@@ -440,7 +432,6 @@ def random_task(
     seed: int,
     eig_range: tuple[float, float] = (0.5, 2.0),
     mean_scale: float = 0.5,
-    role: str = "source",
 ) -> GaussianTask:
     """Random nondegenerate task with controlled spectrum and mean scale.
 
@@ -464,7 +455,7 @@ def random_task(
         cov_xy=full[:dim_x, dim_x:],
         cov_yy=full[dim_x:, dim_x:],
     )
-    return GaussianTask(joint, role=role)
+    return GaussianTask(joint)
 
 
 def _regression_joint(
@@ -509,16 +500,12 @@ def random_basic_pair(
     direction = rng.normal(size=dim)
     w_s = direction / np.linalg.norm(direction) * rng.uniform(0.7, 1.1)
     b_s = rng.uniform(-0.5, 0.5)
-    source = GaussianTask(
-        _regression_joint(mean_sx, cov_sx, w_s, b_s, rng.uniform(0.4, 1.0)), role="source"
-    )
+    source = GaussianTask(_regression_joint(mean_sx, cov_sx, w_s, b_s, rng.uniform(0.4, 1.0)))
 
     # Convex blending keeps the input spectrum inside eig_range.
     cov_tx = 0.8 * cov_sx + 0.2 * input_cov()
     mean_tx = mean_sx + rng.uniform(-drift, drift, size=dim)
     w_t = w_s + rng.uniform(-drift, drift, size=dim)
     b_t = b_s + rng.uniform(-drift, drift)
-    target = GaussianTask(
-        _regression_joint(mean_tx, cov_tx, w_t, b_t, rng.uniform(0.4, 1.0)), role="target"
-    )
+    target = GaussianTask(_regression_joint(mean_tx, cov_tx, w_t, b_t, rng.uniform(0.4, 1.0)))
     return source, target

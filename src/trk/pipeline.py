@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .finetune import (
     make_synthetic_domains,
 )
 from .gaussian_lab import (
-    GaussianTask,
     basic_case_risks,
     random_basic_pair,
     random_task,
@@ -40,7 +40,6 @@ from .gaussian_lab import (
 )
 from .optimal_transport import OtConfig
 from .transfer_core import (
-    IdentityMap,
     LinearCombiner,
     PolynomialCombiner,
     RiskCombiner,
@@ -335,18 +334,25 @@ def ingest_dataset(
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower()
-    try:
-        if format == "csv":
-            return _ingest_csv(path, label_column)
-        if format == "json":
-            return _ingest_json(path)
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not UTF-8 text") from None
+    if format == "csv":
+        return _ingest_csv(path, label_column)
+    if format == "json":
+        return _ingest_json(path)
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
+@contextmanager
+def _open_text(path: str | Path, newline: str | None = None):
+    """`path` opened as UTF-8 text; bytes that do not decode fail naming the file."""
+    with open(path, newline=newline, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _open_text(path, newline="") as handle:
         reader = _csv_rows(path, csv.reader(handle))
         try:
             header = next(reader)
@@ -381,22 +387,29 @@ def _csv_rows(path: Path, reader):
 
 
 def _csv_number(cell: str | None, path: str | Path, line_no: int, column: str) -> float:
-    """One CSV cell as a finite float, or a ValueError naming file, line and column."""
+    """One CSV cell as a finite float, or a ValueError naming file, line and column.
+
+    Python's float() also reads digit-group underscores ("1_0" is 10.0);
+    a cell holding one is rejected as unparsable.
+    """
     try:
         value = float(cell)
-        if math.isfinite(value):
+        if math.isfinite(value) and "_" not in cell:
             return value
-    except (TypeError, ValueError):  # TypeError: a short csv.DictReader row gives None
+    except (TypeError, ValueError):  # TypeError: a short risk-table row gives None
         pass
     where = f"{path}: line {line_no}, column {column!r}"
     cell = (cell or "").strip()
     if not cell:
         raise ValueError(f"{where}: missing value")
-    try:
-        float(cell)
-    except ValueError:
-        raise ValueError(f"{where}: could not parse {cell!r}") from None
-    raise ValueError(f"{where}: non-finite value {cell!r}")
+    if "_" not in cell:
+        try:
+            float(cell)
+        except ValueError:
+            pass
+        else:
+            raise ValueError(f"{where}: non-finite value {cell!r}")
+    raise ValueError(f"{where}: could not parse {cell!r}")
 
 
 def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
@@ -407,11 +420,18 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
     a bad cell fails with its file, line and column.
     """
     rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(needed) <= set(reader.fieldnames):
+    with _open_text(path, newline="") as handle:
+        reader = csv.reader(handle)
+        lines = _csv_rows(path, reader)
+        header = next(lines, None)
+        if header is None or not set(needed) <= set(header):
             raise ValueError(f"{path}: risk table needs columns {sorted(needed)}")
-        for line_no, record in enumerate(reader, start=2):
+        for cells in lines:
+            if not cells:  # a blank line
+                continue
+            # A short row leaves its last columns None; extra cells go to key None.
+            record = dict(itertools.zip_longest(header, cells))
+            line_no = reader.line_num
             risks = []
             for column in ("input_risk", "output_risk"):
                 risks.append(_csv_number(record[column], path, line_no, column))
@@ -427,7 +447,7 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
 
 
 def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as err:
@@ -588,7 +608,7 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
     for i in range(params["n_pairs"]):
         if params["identical_tasks"]:
             source = random_task(params["dim"], 1, seed=cfg.seed + i)
-            target = GaussianTask(source.joint, role="target")
+            target = source
         else:
             source, target = random_basic_pair(
                 params["dim"], seed=cfg.seed + i, drift=params["drift"]
@@ -596,7 +616,6 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
         kl, w = basic_case_risks(source, target)
         risk, regret_value, residual = risk_regret_residual(source, target)
         e_in = cfg.input_risk_rescale * input_risk(
-            IdentityMap(params["dim"]),
             target.joint.x_marginal(),
             source.joint.x_marginal(),
             metric=cfg.divergence_kind,

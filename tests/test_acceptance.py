@@ -48,13 +48,10 @@ from trk.gaussian_lab import (
 from trk.optimal_transport import OtConfig, wasserstein
 from trk.transfer_core import (
     AffineModel,
-    IdentityMap,
     PolynomialCombiner,
-    TransportPair,
     combine,
     cross_entropy_sandwich,
     input_risk,
-    output_risk_kl,
     output_risk_w,
 )
 
@@ -197,9 +194,8 @@ def test_criterion_02_closed_forms_cross_validated():
             kl, w = basic_case_risks(source, target)
             p_st, p_t = predictive_laws(source, target)
 
-            kl_core = output_risk_kl(p_st, p_t)
-            pair = TransportPair(IdentityMap(dim), IdentityMap(1), optimal_linear_model(source))
-            w_core = output_risk_w(pair, target.joint.x_marginal(), p_t)
+            kl_core = gaussian_kl(p_t, p_st)
+            w_core = output_risk_w(optimal_linear_model(source), target.joint.x_marginal(), p_t)
             if abs(kl.total - kl_core) > 1e-9:
                 failures.append(
                     f"instance {i}: kl closed form off by {abs(kl.total - kl_core):.2e}"
@@ -329,7 +325,7 @@ def test_criterion_07_feature_augmentation_no_harm():
     def body(failures):
         for i in range(50):
             rng = np.random.default_rng(90_000 + i)
-            source = random_task(2, 1, seed=90_500 + i, role="source")
+            source = random_task(2, 1, seed=90_500 + i)
             target = conditionally_independent_augmentation(
                 source,
                 mean_new=rng.uniform(-0.5, 0.5, size=1),
@@ -349,8 +345,8 @@ def test_criterion_07_feature_augmentation_no_harm():
                 break
         n_mc = 20_000
         for i in range(200):
-            full = random_task(3, 1, seed=91_000 + i, role="target")
-            reduced = restrict_inputs(full, 2, role="target")
+            full = random_task(3, 1, seed=91_000 + i)
+            reduced = restrict_inputs(full, 2)
             cloud = sample(full.joint, n_mc, seed=92_000 + i)
             x, y = cloud.points[:, :3], cloud.points[:, 3]
             f_full = optimal_linear_model(full)
@@ -373,7 +369,7 @@ def test_criterion_08_output_augmentation_formulas():
         rng = np.random.default_rng(95_000)
         for i in range(100):
             d, k = (2, 1) if i % 2 == 0 else (3, 2)
-            target = random_task(d, 1 + k, seed=96_000 + i, role="target")
+            target = random_task(d, 1 + k, seed=96_000 + i)
             source = restrict_outputs(target, 1)
             best = optimal_output_initializer(source, target)
             kl, w, dec = output_augmentation_risks(source, target, best)
@@ -469,7 +465,6 @@ def test_criterion_11_continuity_probes():
 
         def combined_risk(source, target):
             e_in = input_risk(
-                IdentityMap(source.dim_x),
                 target.joint.x_marginal(),
                 source.joint.x_marginal(),
                 metric="wasserstein",
@@ -504,8 +499,7 @@ def test_criterion_11_continuity_probes():
                     cov_xx=sj.cov_xx,
                     cov_xy=sj.cov_xy,
                     cov_yy=sj.cov_yy,
-                ),
-                role="source",
+                )
             )
             deviations.append(abs(combined_risk(shifted, target) - base))
         check_decay(deviations, "source-mean shift")
@@ -518,7 +512,6 @@ def test_criterion_11_continuity_probes():
         x_marginal = target.joint.x_marginal()
         _, p_t = predictive_laws(source, target)
         e_in = input_risk(
-            IdentityMap(2),
             x_marginal,
             source.joint.x_marginal(),
             metric="wasserstein",
@@ -526,8 +519,7 @@ def test_criterion_11_continuity_probes():
         )
 
         def combined_for(model_eta):
-            pair = TransportPair(IdentityMap(2), IdentityMap(1), model_eta)
-            e_out = output_risk_w(pair, x_marginal, p_t)
+            e_out = output_risk_w(model_eta, x_marginal, p_t)
             return combine(STUDY_COMBINER, e_in, e_out)
 
         base = combined_for(model)

@@ -939,6 +939,8 @@ BAD_DATASETS = [
     ("inf_label.csv", "x,label\n1.0,0\n2.0,inf\n",
      "line 3, column 'label': non-finite value 'inf'"),
     ("label_only.csv", "label\n0\n1\n", "no feature columns besides 'label'"),
+    ("underscore_feature.csv", "x,label\n1_0,0\n2.0,1\n",
+     "line 2, column 'x': could not parse '1_0'"),
     ("bool_feature.json", '{"features": [[1.0], [true]], "labels": [0, 1]}',
      "features row 1 has a non-numeric value True"),
     ("nan_feature.json", '{"features": [[1.0], [NaN]], "labels": [0, 1]}',
@@ -955,7 +957,9 @@ BAD_DATASETS = [
 ]
 
 
-# Each table holds one bad number that the command must reject naming its cell.
+# Each table holds one bad cell that the command must reject naming its file,
+# and its line and column where the cell could be split from the file.  Lone
+# surrogates are written as the bytes they escape, which are not UTF-8.
 BAD_NUMBER_TABLES = [
     ("override_nan", "run", "source,target,input_risk,output_risk\nA,B,nan,0.2\n",
      "line 2, column 'input_risk': non-finite value 'nan'"),
@@ -968,6 +972,13 @@ BAD_NUMBER_TABLES = [
      "line 2, column 'output_risk': missing value"),
     ("override_negative", "run", "source,target,input_risk,output_risk\nA,B,-0.1,0.2\n",
      "line 2, column 'input_risk': negative risk -0.1"),
+    ("override_underscore", "run", "source,target,input_risk,output_risk\nA,B,1_0,0.2\n",
+     "line 2, column 'input_risk': could not parse '1_0'"),
+    ("override_over_field_limit", "run",
+     "source,target,input_risk,output_risk\nA,B," + "1" * 200_000 + ",0.2\n",
+     "line 2: field larger than field limit (131072)"),
+    ("override_not_utf8", "run", "source,target,input_risk,output_risk\nA,B,\udcff,0.2\n",
+     "not UTF-8 text"),
     ("fit_negative", "fit-combiner",
      "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,-0.3,0.6\n0.3,0.4,0.7\n",
      "line 3, column 'output_risk': negative risk -0.3"),
@@ -980,6 +991,12 @@ BAD_NUMBER_TABLES = [
     ("fit_missing", "fit-combiner",
      "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,,0.6\n0.3,0.4,0.7\n",
      "line 3, column 'output_risk': missing value"),
+    ("fit_over_field_limit", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n" + "1" * 200_000 + ",0.3,0.6\n0.3,0.4,0.7\n",
+     "line 3: field larger than field limit (131072)"),
+    ("fit_not_utf8", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n\udcff,0.3,0.6\n0.3,0.4,0.7\n",
+     "not UTF-8 text"),
 ]
 
 
@@ -1093,7 +1110,7 @@ class TestCli:
     )
     def test_bad_number_cells_rejected(self, tmp_path, capsys, name, command, body, where):
         table = tmp_path / f"{name}.csv"
-        table.write_text(body)
+        table.write_bytes(body.encode("utf-8", "surrogateescape"))
         if command == "run":
             config = self.run_config(tmp_path, mode="empirical")
             argv = ["run", "--config", str(config), "--override-risks", str(table)]

@@ -277,40 +277,28 @@ class TestSoftmaxKernel:
 class TestMinimizeOutputRisk:
     def setup_instance(self, seed=4, n=80):
         rng = np.random.default_rng(seed)
-        law_xt = EmpiricalDistribution.from_points(rng.normal(size=(n, 1)))
-        source_model = AffineModel([[1.0]], [0.0])
+        law_zt = EmpiricalDistribution.from_points(rng.normal(size=(n, 1)))
         proxy = EmpiricalDistribution.from_points(
             1.5 * rng.normal(size=(60, 1)) + 0.7
         )
-        return source_model, law_xt, proxy
-
-    def test_perfect_init_stays_at_zero(self):
-        source_model, law_xt, _ = self.setup_instance()
-        family = AffineMapFamily(1, 1)
-        target_map = AffineModel([[1.5]], [0.7])
-        proxy = EmpiricalDistribution(target_map(law_xt.points), law_xt.weights)
-        risk, _, trace = minimize_output_risk(
-            family, source_model, law_xt, proxy, init=family.pack(target_map)
-        )
-        assert risk == 0.0
-        assert all(v == 0.0 for v in trace.objectives)
+        return law_zt, proxy
 
     def test_reaches_grid_optimum(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         family = AffineMapFamily(1, 1)
         risk, _, _ = minimize_output_risk(
-            family, source_model, law_xt, proxy, cfg=TrainConfig(epochs=10, learning_rate=0.3)
+            family, law_zt, proxy, cfg=TrainConfig(epochs=10, learning_rate=0.3)
         )
         # Exhaustive W1 over a (w, b) grid, evaluated by the quantile formula
         # directly: uniform weights make the merged segment layout the same
         # for every grid point, so the whole grid vectorizes.
-        n, m = law_xt.size, proxy.size
+        n, m = law_zt.size, proxy.size
         cu, cv = np.arange(1, n + 1) / n, np.arange(1, m + 1) / m
         edges = np.concatenate([[0.0], np.union1d(cu[:-1], cv[:-1]), [1.0]])
         mids, gaps = (edges[:-1] + edges[1:]) / 2.0, np.diff(edges)
         iu = np.minimum(np.searchsorted(cu, mids), n - 1)
         iv = np.minimum(np.searchsorted(cv, mids), m - 1)
-        su = np.sort(law_xt.points[:, 0])[iu]
+        su = np.sort(law_zt.points[:, 0])[iu]
         sv = np.sort(proxy.points[:, 0])[iv]
         grid_w, grid_b = np.meshgrid(
             np.linspace(0.0, 3.0, 100), np.linspace(-1.0, 2.0, 100), indexing="ij"
@@ -322,38 +310,37 @@ class TestMinimizeOutputRisk:
         assert 0.0 <= risk <= 1.1 * grid
 
     def test_budget_is_monotone(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         family = AffineMapFamily(1, 1)
         risk_10, _, _ = minimize_output_risk(
-            family, source_model, law_xt, proxy, cfg=TrainConfig(epochs=10, seed=5)
+            family, law_zt, proxy, cfg=TrainConfig(epochs=10, seed=5)
         )
         risk_50, _, _ = minimize_output_risk(
-            family, source_model, law_xt, proxy, cfg=TrainConfig(epochs=50, seed=5)
+            family, law_zt, proxy, cfg=TrainConfig(epochs=50, seed=5)
         )
         assert risk_50 <= risk_10 + 1e-9
 
     def test_never_worse_than_initialization(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         risk, _, trace = minimize_output_risk(
-            AffineMapFamily(1, 1), source_model, law_xt, proxy, cfg=TrainConfig(seed=6)
+            AffineMapFamily(1, 1), law_zt, proxy, cfg=TrainConfig(seed=6)
         )
         assert risk <= trace.objectives[0] + 1e-12
 
     def test_runs_exactly_the_budget(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         _, _, trace = minimize_output_risk(
-            AffineMapFamily(1, 1), source_model, law_xt, proxy, cfg=TrainConfig(epochs=7)
+            AffineMapFamily(1, 1), law_zt, proxy, cfg=TrainConfig(epochs=7)
         )
         assert trace.epochs_run == 7
         assert len(trace.objectives) == 7
 
     def test_divergence_carries_trace(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         with pytest.raises(TrainingDivergedError) as info:
             minimize_output_risk(
                 AffineMapFamily(1, 1),
-                source_model,
-                law_xt,
+                law_zt,
                 proxy,
                 p=2.0,
                 cfg=TrainConfig(epochs=200, learning_rate=1e6),
@@ -363,12 +350,12 @@ class TestMinimizeOutputRisk:
         assert all(np.isfinite(v) for v in trace.objectives)
 
     def test_deterministic(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         first = minimize_output_risk(
-            AffineMapFamily(1, 1), source_model, law_xt, proxy, cfg=TrainConfig(seed=7)
+            AffineMapFamily(1, 1), law_zt, proxy, cfg=TrainConfig(seed=7)
         )
         second = minimize_output_risk(
-            AffineMapFamily(1, 1), source_model, law_xt, proxy, cfg=TrainConfig(seed=7)
+            AffineMapFamily(1, 1), law_zt, proxy, cfg=TrainConfig(seed=7)
         )
         assert first[0] == second[0]
         assert first[2].objectives == second[2].objectives
@@ -377,35 +364,27 @@ class TestMinimizeOutputRisk:
     def test_reports_exact_risk_of_returned_map(self, p):
         # 80 uniform weights sum to 1 - 1.6e-15, which once broke the oracle.
         for n in (40, 80):
-            source_model, law_xt, proxy = self.setup_instance(seed=8, n=n)
+            law_zt, proxy = self.setup_instance(seed=8, n=n)
             risk, best_map, trace = minimize_output_risk(
-                AffineMapFamily(1, 1), source_model, law_xt, proxy, p=p,
+                AffineMapFamily(1, 1), law_zt, proxy, p=p,
                 cfg=TrainConfig(epochs=5, seed=8),
             )
             assert trace.epochs_run == 5
-            pushed = best_map(source_model(law_xt.points))[:, 0]
+            pushed = best_map(law_zt.points)[:, 0]
             exact = quantile_wp_1d(
-                pushed, law_xt.weights, proxy.points[:, 0], proxy.weights, p=p
+                pushed, law_zt.weights, proxy.points[:, 0], proxy.weights, p=p
             )
             assert risk == pytest.approx(exact, rel=1e-12)
 
     def test_dimension_validation(self):
-        source_model, law_xt, proxy = self.setup_instance()
+        law_zt, proxy = self.setup_instance()
         with pytest.raises(ValueError, match="family expects"):
-            minimize_output_risk(AffineMapFamily(2, 1), source_model, law_xt, proxy)
+            minimize_output_risk(AffineMapFamily(2, 1), law_zt, proxy)
         with pytest.raises(ValueError, match="proxy dimension"):
-            minimize_output_risk(
-                AffineMapFamily(1, 2), source_model, law_xt, proxy
-            )
-        with pytest.raises(ValueError, match="init"):
-            minimize_output_risk(
-                AffineMapFamily(1, 1), source_model, law_xt, proxy, init=np.zeros(5)
-            )
+            minimize_output_risk(AffineMapFamily(1, 2), law_zt, proxy)
         plane = EmpiricalDistribution.from_points(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="scalar, got output dimension 2"):
-            minimize_output_risk(
-                AffineMapFamily(2, 2), AffineModel(np.eye(2), np.zeros(2)), plane, plane
-            )
+            minimize_output_risk(AffineMapFamily(2, 2), plane, plane)
 
 
 def separable_blobs(seed, n=200, gap=4.0):

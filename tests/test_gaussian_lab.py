@@ -23,20 +23,14 @@ from trk.gaussian_lab import (
     restrict_outputs,
     risk_regret_residual,
 )
-from trk.transfer_core import (
-    AffineModel,
-    IdentityMap,
-    TransportPair,
-    output_risk_kl,
-    output_risk_w,
-)
+from trk.transfer_core import AffineModel, output_risk_w
 
 
-def scalar_task(var_x, cov_xy, var_y, mean_x=0.0, mean_y=0.0, role="source"):
+def scalar_task(var_x, cov_xy, var_y, mean_x=0.0, mean_y=0.0):
     joint = GaussianJoint(
         mean_x=[mean_x], mean_y=[mean_y], cov_xx=[[var_x]], cov_xy=[[cov_xy]], cov_yy=[[var_y]]
     )
-    return GaussianTask(joint, role=role)
+    return GaussianTask(joint)
 
 
 def mc_loss_gap(source, target, n=200_000, seed=0):
@@ -104,7 +98,7 @@ class TestPredictiveLaws:
     def test_moments_by_hand(self):
         # Source w = 1/2 on target inputs with variance 4: var_st = 1.
         source = scalar_task(2.0, 1.0, 1.5)
-        target = scalar_task(4.0, 1.0, 1.0, mean_x=1.0, mean_y=2.0, role="target")
+        target = scalar_task(4.0, 1.0, 1.0, mean_x=1.0, mean_y=2.0)
         p_st, p_t = predictive_laws(source, target)
         assert p_st.mean == pytest.approx(0.5)  # w_s * mu_tx + b_s = 0.5
         assert p_st.variance == pytest.approx(1.0)
@@ -115,7 +109,7 @@ class TestPredictiveLaws:
 class TestBasicCaseRisks:
     def test_identical_tasks_zero(self):
         source, _ = random_basic_pair(2, seed=53)
-        target = GaussianTask(source.joint, role="target")
+        target = GaussianTask(source.joint)
         kl, w = basic_case_risks(source, target)
         assert kl.total == pytest.approx(0.0, abs=1e-12)
         assert w.total == pytest.approx(0.0, abs=1e-12)
@@ -123,7 +117,7 @@ class TestBasicCaseRisks:
     def test_pure_mean_shift(self):
         # Same covariances, shifted output mean: only the bias terms move.
         source = scalar_task(1.0, 0.5, 1.0)
-        target = scalar_task(1.0, 0.5, 1.0, mean_y=0.7, role="target")
+        target = scalar_task(1.0, 0.5, 1.0, mean_y=0.7)
         kl, w = basic_case_risks(source, target)
         var_st = 0.25  # w = 1/2, var = w^2 * 1
         assert kl.variance_term == pytest.approx(0.0, abs=1e-14)
@@ -134,7 +128,7 @@ class TestBasicCaseRisks:
     def test_matched_prediction_variances(self):
         # Different joints, same regression slope: variance terms vanish.
         source = scalar_task(2.0, 1.0, 1.0)
-        target = scalar_task(1.0, 0.5, 1.0, role="target")
+        target = scalar_task(1.0, 0.5, 1.0)
         kl, w = basic_case_risks(source, target)
         assert kl.variance_term == pytest.approx(0.0, abs=1e-14)
         assert w.variance_term == pytest.approx(0.0, abs=1e-14)
@@ -144,7 +138,7 @@ class TestBasicCaseRisks:
             source, target = random_basic_pair(int(seed % 3) + 1, seed=100 + seed)
             kl, w = basic_case_risks(source, target)
             p_st, p_t = predictive_laws(source, target)
-            assert kl.total == pytest.approx(output_risk_kl(p_st, p_t), abs=1e-9)
+            assert kl.total == pytest.approx(gaussian_kl(p_t, p_st), abs=1e-9)
             assert w.total == pytest.approx(gaussian_w2(p_t, p_st), abs=1e-9)
 
     def test_matches_monte_carlo(self):
@@ -166,7 +160,7 @@ class TestBasicCaseRisks:
 
     def test_degenerate_source_predictor_rejected(self):
         source = scalar_task(1.0, 0.0, 1.0)  # w_s = 0
-        target = scalar_task(1.0, 0.5, 1.0, role="target")
+        target = scalar_task(1.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="degenerate"):
             basic_case_risks(source, target)
 
@@ -180,13 +174,13 @@ class TestBasicCaseRisks:
 class TestRegret:
     def test_identical_tasks_zero(self):
         source, _ = random_basic_pair(3, seed=59)
-        target = GaussianTask(source.joint, role="target")
+        target = GaussianTask(source.joint)
         assert regret(source, target) == pytest.approx(0.0, abs=1e-12)
 
     def test_doubled_weights_instance(self):
         # w_s = 1 = 2 w_t with zero means: regret is ||cov^1/2 w_t||^2 = 1/4.
         source = scalar_task(1.0, 1.0, 1.5)
-        target = scalar_task(1.0, 0.5, 1.0, role="target")
+        target = scalar_task(1.0, 0.5, 1.0)
         assert regret(source, target) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_monte_carlo_loss_gap(self):
@@ -208,7 +202,7 @@ class TestRiskRegretResidual:
     def test_parallel_weights_close_the_gap(self):
         # Same-direction weights make Cauchy-Schwarz tight: risk == regret.
         source = scalar_task(1.0, 1.0, 1.5)
-        target = scalar_task(1.0, 0.5, 1.0, role="target")
+        target = scalar_task(1.0, 0.5, 1.0)
         risk, reg, residual = risk_regret_residual(source, target)
         assert residual == pytest.approx(0.0, abs=1e-12)
         assert risk == pytest.approx(reg, abs=1e-12)
@@ -222,7 +216,7 @@ class TestRiskRegretResidual:
 
 class TestFeatureAugmentation:
     def base_source(self, seed=61):
-        return random_task(2, 1, seed=seed, role="source")
+        return random_task(2, 1, seed=seed)
 
     def test_conditionally_independent_augmentation_is_free(self):
         rng = np.random.default_rng(62)
@@ -265,7 +259,7 @@ class TestFeatureAugmentation:
         # Independent route: both laws share the output mean, so the risks
         # are plain divergences between N(mu, var_s) and N(mu, var_t).
         for seed in range(10):
-            full = random_task(4, 1, seed=700 + seed, role="target")
+            full = random_task(4, 1, seed=700 + seed)
             source = restrict_inputs(full, 2)
             kl, w = feature_augmentation_risks(source, full)
             sj, tj = source.joint, full.joint
@@ -279,7 +273,7 @@ class TestFeatureAugmentation:
     def test_no_harm_in_explained_variance(self):
         # More features never reduce the optimum's explained variance.
         for seed in range(50):
-            full = random_task(3, 1, seed=800 + seed, role="target")
+            full = random_task(3, 1, seed=800 + seed)
             source = restrict_inputs(full, 2)
             sj, tj = source.joint, full.joint
             var_s = float(sj.cov_xy[:, 0] @ np.linalg.solve(sj.cov_xx, sj.cov_xy[:, 0]))
@@ -288,19 +282,19 @@ class TestFeatureAugmentation:
 
     def test_embedding_violation_rejected(self):
         source = self.base_source()
-        other = random_task(3, 1, seed=63, role="target")
+        other = random_task(3, 1, seed=63)
         with pytest.raises(ValueError, match="embed"):
             feature_augmentation_risks(source, other)
 
     def test_needs_added_coordinates(self):
         source = self.base_source()
         with pytest.raises(ValueError, match="add feature coordinates"):
-            feature_augmentation_risks(source, GaussianTask(source.joint, role="target"))
+            feature_augmentation_risks(source, GaussianTask(source.joint))
 
 
 class TestOutputAugmentation:
     def make_pair(self, seed, d=2, l=1, k=1):
-        target = random_task(d, l + k, seed=seed, role="target")
+        target = random_task(d, l + k, seed=seed)
         source = restrict_outputs(target, l)
         return source, target
 
@@ -348,9 +342,8 @@ class TestOutputAugmentation:
             np.vstack([source_model.weights, init.weights]),
             np.concatenate([source_model.bias, init.bias]),
         )
-        pair = TransportPair(IdentityMap(2), IdentityMap(stacked.out_dim), stacked)
         _, p_t = output_augmentation_laws(source, target, init)
-        route = output_risk_w(pair, target.joint.x_marginal(), p_t)
+        route = output_risk_w(stacked, target.joint.x_marginal(), p_t)
         assert w == pytest.approx(route, abs=1e-12)
 
     def test_singular_intermediate_covariance_rejected(self):
@@ -391,7 +384,3 @@ class TestGenerators:
         np.testing.assert_array_equal(sub.joint.cov_xx, task.joint.cov_xx[:2, :2])
         sub_out = restrict_outputs(task, 1)
         np.testing.assert_array_equal(sub_out.joint.cov_yy, task.joint.cov_yy[:1, :1])
-
-    def test_role_validated(self):
-        with pytest.raises(ValueError, match="role"):
-            GaussianTask(random_task(1, 1, seed=74).joint, role="student")

@@ -1,4 +1,4 @@
-"""Tests for transport maps, risk operations, and combiners."""
+"""Tests for affine models, risk operations, and combiners."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,12 @@ import oracles
 from trk.distributions import EmpiricalDistribution, Gaussian1D, GaussianND, gaussian_kl, gaussian_w2
 from trk.optimal_transport import OtConfig
 from trk.transfer_core import (
-    AffineMap,
     AffineModel,
-    IdentityMap,
     LinearCombiner,
     PolynomialCombiner,
-    TransportMap,
-    TransportPair,
     combine,
     cross_entropy_sandwich,
     input_risk,
-    output_risk_kl,
     output_risk_w,
 )
 
@@ -30,25 +25,6 @@ def scalar_affine(w, b):
     return AffineModel(np.array([[float(w)]]), np.array([float(b)]))
 
 
-class AbsMap(TransportMap):
-    """|x| = relu(x) + relu(-x), a one-hidden-layer ReLU net with no affine form."""
-
-    def __init__(self, dim):
-        self.in_dim = self.out_dim = dim
-
-    def __call__(self, points):
-        return np.maximum(points, 0.0) + np.maximum(-points, 0.0)
-
-
-def identity_pair(dim=1, source=None):
-    source = source if source is not None else AffineModel(np.eye(dim), np.zeros(dim))
-    return TransportPair(
-        input_map=IdentityMap(dim),
-        output_map=IdentityMap(source.out_dim),
-        source_model=source,
-    )
-
-
 class TestModels:
     def test_affine_model_batch_eval(self):
         model = AffineModel(np.array([[1.0, 2.0]]), np.array([0.5]))
@@ -59,45 +35,14 @@ class TestModels:
         with pytest.raises(ValueError, match="bias length"):
             AffineModel(np.eye(2), np.zeros(3))
 
-class TestTransportMaps:
-    def test_identity_as_affine_round_trip(self):
-        model = IdentityMap(3).as_affine()
-        pts = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_allclose(model(pts), pts)
-
-class TestTransportPair:
-    def test_as_affine_matches_composition(self):
-        rng = np.random.default_rng(41)
-        input_map = AffineMap(AffineModel(rng.normal(size=(3, 3)), rng.normal(size=3)))
-        source = AffineModel(rng.normal(size=(2, 3)), rng.normal(size=2))
-        output_map = AffineMap(AffineModel(rng.normal(size=(2, 2)), rng.normal(size=2)))
-        pts = rng.normal(size=(7, 3))
-        collapsed = TransportPair(input_map, output_map, source).as_affine()
-        assert collapsed is not None
-        np.testing.assert_allclose(
-            collapsed(pts), output_map(source(input_map(pts))), rtol=0, atol=1e-12
-        )
-
-    def test_dimension_validation(self):
-        source = AffineModel(np.ones((1, 2)), np.zeros(1))
-        with pytest.raises(ValueError, match="output map expects"):
-            TransportPair(IdentityMap(2), IdentityMap(3), source)
-        with pytest.raises(ValueError, match="source model"):
-            TransportPair(IdentityMap(3), IdentityMap(1), source)
-
-    def test_mlp_component_blocks_as_affine(self):
-        pair = TransportPair(IdentityMap(1), AbsMap(1), scalar_affine(1, 0))
-        assert pair.as_affine() is None
-
 
 class TestInputRisk:
     def test_identity_same_distribution_is_zero(self):
         cloud = empirical([[0.0], [1.0], [2.0]])
-        assert input_risk(IdentityMap(1), cloud, cloud) == pytest.approx(0.0, abs=1e-12)
+        assert input_risk(cloud, cloud) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_unit_shift_w2(self):
         value = input_risk(
-            IdentityMap(1),
             Gaussian1D(0.0, 1.0),
             Gaussian1D(1.0, 1.0),
             metric="wasserstein",
@@ -106,19 +51,16 @@ class TestInputRisk:
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_kl_metric_orientation(self):
-        # KL(pushforward || source), which is asymmetric in the variances.
-        value = input_risk(
-            IdentityMap(1), Gaussian1D(0.0, 2.0), Gaussian1D(0.0, 1.0), metric="kl"
-        )
+        # KL(target || source), which is asymmetric in the variances.
+        value = input_risk(Gaussian1D(0.0, 2.0), Gaussian1D(0.0, 1.0), metric="kl")
         assert value == pytest.approx(gaussian_kl(Gaussian1D(0, 2), Gaussian1D(0, 1)), abs=1e-12)
 
     def test_empirical_affine_matches_assignment_oracle(self):
         rng = np.random.default_rng(42)
         target = rng.normal(size=(20, 2))
         source = rng.normal(size=(20, 2)) + 1.0
-        halving = AffineMap(AffineModel(0.5 * np.eye(2), np.zeros(2)))
         value = input_risk(
-            halving, empirical(target), empirical(source), cfg=OtConfig(method="exact_lp")
+            empirical(target / 2.0), empirical(source), cfg=OtConfig(method="exact_lp")
         )
         assert value == pytest.approx(
             oracles.assignment_ot_cost(target / 2.0, source, p=1.0), rel=1e-8
@@ -127,59 +69,37 @@ class TestInputRisk:
     def test_kl_on_samples_rejected(self):
         cloud = empirical([[0.0], [1.0]])
         with pytest.raises(ValueError, match="not defined for sampled"):
-            input_risk(IdentityMap(1), cloud, cloud, metric="kl")
+            input_risk(cloud, cloud, metric="kl")
 
     def test_mixed_carriers_rejected(self):
         with pytest.raises(TypeError, match="both"):
-            input_risk(IdentityMap(1), empirical([[0.0]]), Gaussian1D(0, 1))
+            input_risk(empirical([[0.0]]), Gaussian1D(0, 1))
 
     def test_gaussian_w1_rejected(self):
         with pytest.raises(ValueError, match="p=2"):
-            input_risk(IdentityMap(1), Gaussian1D(0, 1), Gaussian1D(1, 1), cfg=OtConfig(p=1.0))
-
-    def test_mlp_pushforward_of_gaussian_rejected(self):
-        with pytest.raises(ValueError, match="AbsMap has no closed-form Gaussian pushforward"):
-            input_risk(AbsMap(1), Gaussian1D(0, 1), Gaussian1D(0, 1), cfg=OtConfig(p=2.0))
-        # The same map on samples is fine: the pushforward is just evaluated.
-        cloud = empirical([[-1.0], [2.0]])
-        assert input_risk(AbsMap(1), cloud, empirical([[1.0], [2.0]])) == 0.0
+            input_risk(Gaussian1D(0, 1), Gaussian1D(1, 1), cfg=OtConfig(p=1.0))
 
 
 class TestOutputRiskW:
     def test_gaussian_affine_pair_matches_closed_form(self):
-        # Source model doubles the input; the prediction law is then
+        # The model doubles the input; the prediction law is then
         # N(2 mu, 4 sigma^2) and the risk is the closed-form W2^2 to target.
         law_xt = Gaussian1D(1.0, 2.0)
         target = Gaussian1D(0.5, 1.0)
-        pair = identity_pair(1, source=scalar_affine(2.0, 0.0))
-        value = output_risk_w(pair, law_xt, target)
+        value = output_risk_w(scalar_affine(2.0, 0.0), law_xt, target)
         assert value == pytest.approx(gaussian_w2(Gaussian1D(2.0, 8.0), target), abs=1e-12)
 
     def test_sampled_carriers_rejected(self):
         # Sampled output risks are trained in finetune, not computed here.
         cloud = empirical([[0.0], [1.0]])
         with pytest.raises(TypeError, match="needs Gaussian carriers"):
-            output_risk_w(identity_pair(1), cloud, cloud)
+            output_risk_w(scalar_affine(1, 0), cloud, cloud)
 
     def test_mixed_carriers_rejected(self):
         cloud, gaussian = empirical([[0.0], [1.0]]), Gaussian1D(0, 1)
         for law_xt, target in ((cloud, gaussian), (gaussian, cloud)):
             with pytest.raises(TypeError, match="needs Gaussian carriers"):
-                output_risk_w(identity_pair(1), law_xt, target)
-
-    def test_non_affine_pair_rejected(self):
-        pair = TransportPair(IdentityMap(1), AbsMap(1), scalar_affine(1, 0))
-        with pytest.raises(ValueError, match="non-affine component"):
-            output_risk_w(pair, Gaussian1D(0, 1), Gaussian1D(0, 1))
-
-
-class TestOutputRiskKl:
-    def test_gaussian_argument_order(self):
-        # The value is KL of the target law from the predicted law.
-        p_st, p_t = Gaussian1D(0.0, 2.0), Gaussian1D(0.0, 1.0)
-        expected = 0.5 * (0.5 - np.log(0.5) - 1.0)
-        assert output_risk_kl(p_st, p_t) == pytest.approx(expected, abs=1e-12)
-        assert output_risk_kl(p_st, p_t) == pytest.approx(gaussian_kl(p_t, p_st), abs=1e-15)
+                output_risk_w(scalar_affine(1, 0), law_xt, target)
 
 
 class TestCombine:
@@ -261,9 +181,8 @@ class TestCrossEntropySandwich:
 class TestContinuityProbe:
     def test_combined_risk_deviation_vanishes_with_perturbation(self):
         # Perturb the target input law along a fixed direction and watch the
-        # combined risk of a fixed transport pair return to its base value.
-        source = scalar_affine(1.0, 0.0)
-        pair = identity_pair(1, source=source)
+        # combined risk of a fixed model return to its base value.
+        model = scalar_affine(1.0, 0.0)
         combiner = LinearCombiner(0.5)
         law_xs = Gaussian1D(0.0, 1.0)
         target = Gaussian1D(0.0, 1.0)
@@ -271,8 +190,8 @@ class TestContinuityProbe:
 
         def combined(delta):
             law_xt = Gaussian1D(delta, 1.0)
-            e_in = input_risk(pair.input_map, law_xt, law_xs, "wasserstein", cfg)
-            return combine(combiner, e_in, output_risk_w(pair, law_xt, target))
+            e_in = input_risk(law_xt, law_xs, "wasserstein", cfg)
+            return combine(combiner, e_in, output_risk_w(model, law_xt, target))
 
         base = combined(0.0)
         deltas = [2.0**-k for k in range(1, 9)]
