@@ -74,13 +74,10 @@ class TrainTrace:
 
     objectives: tuple[float, ...]
     parameters: np.ndarray
-    epochs_run: int
 
-    def __post_init__(self) -> None:
-        if len(self.objectives) != self.epochs_run:
-            raise ValueError(
-                f"trace length {len(self.objectives)} != epochs_run {self.epochs_run}"
-            )
+    @property
+    def epochs_run(self) -> int:
+        return len(self.objectives)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -294,7 +291,7 @@ def minimize_output_risk(
     for _ in range(cfg.epochs):
         value, grad = transport_objective(family, params, inputs, law_zt.weights, law_yt_proxy, p)
         if not np.isfinite(value):
-            trace = TrainTrace(tuple(objectives), best_params, len(objectives))
+            trace = TrainTrace(tuple(objectives), best_params)
             raise TrainingDivergedError(
                 f"objective became {value} at epoch {len(objectives)}", trace
             )
@@ -305,7 +302,7 @@ def minimize_output_risk(
     final_value, _ = transport_objective(family, params, inputs, law_zt.weights, law_yt_proxy, p)
     if np.isfinite(final_value) and final_value < best_value:
         best_params, best_value = params.copy(), final_value
-    trace = TrainTrace(tuple(objectives), best_params, cfg.epochs)
+    trace = TrainTrace(tuple(objectives), best_params)
     return best_value, family.build(best_params), trace
 
 
@@ -351,7 +348,7 @@ def train_classifier(
     for _ in range(cfg.epochs):
         value, grad = cross_entropy_objective(family, params, features.points, labels, features.weights)
         if not np.isfinite(value):
-            trace = TrainTrace(tuple(losses), best_params, len(losses))
+            trace = TrainTrace(tuple(losses), best_params)
             raise TrainingDivergedError(f"loss became {value} at epoch {len(losses)}", trace)
         losses.append(value)
         if value < best_loss - _PLATEAU_TOL:
@@ -361,7 +358,7 @@ def train_classifier(
             if stall >= cfg.plateau_patience:
                 break
         params = params - cfg.learning_rate * grad
-    trace = TrainTrace(tuple(losses), best_params, len(losses))
+    trace = TrainTrace(tuple(losses), best_params)
     predicted = family.predict(best_params, eval_features.points)
     accuracy = float(np.sum(eval_features.weights * (predicted == eval_labels)))
     return accuracy, family.build(best_params), trace
@@ -440,11 +437,12 @@ def make_synthetic_domains(
 class PairResult:
     """One row of the transfer table for an ordered source -> target pair."""
 
-    pair: str
+    source: str
+    target: str
     accuracy: float
     input_risk: float
     output_risk: float
-    combined: float
+    transfer_risk: float
 
 
 def evaluate_risk_accuracy_pairs(
@@ -483,7 +481,6 @@ def evaluate_risk_accuracy_pairs(
         for target in domains:
             if source is target:
                 continue
-            pair = f"{source.name}->{target.name}"
             pair_risk_cfg = replace(risk_cfg, seed=risk_cfg.seed + pair_index)
             pair_train_cfg = replace(train_cfg, seed=train_cfg.seed + pair_index)
             _, source_model, source_trace = train_classifier(
@@ -505,8 +502,8 @@ def evaluate_risk_accuracy_pairs(
                 features = _softmax(source_model(points))
                 if not np.all(np.isfinite(features)):
                     raise TrainingDivergedError(
-                        f"source head of {pair} diverged: non-finite representation "
-                        "of the target points",
+                        f"source head of {source.name}->{target.name} diverged: non-finite "
+                        "representation of the target points",
                         source_trace,
                     )
                 return features
@@ -533,11 +530,12 @@ def evaluate_risk_accuracy_pairs(
             )
             results.append(
                 PairResult(
-                    pair=pair,
+                    source=source.name,
+                    target=target.name,
                     accuracy=accuracy,
                     input_risk=e_in,
                     output_risk=e_out,
-                    combined=combine(combiner, e_in, e_out),
+                    transfer_risk=combine(combiner, e_in, e_out),
                 )
             )
             pair_index += 1

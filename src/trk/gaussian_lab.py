@@ -1,6 +1,6 @@
 """Closed-form transfer risks for jointly Gaussian tasks.
 
-A task is a joint Gaussian over inputs X and outputs Y; its optimal linear
+A task is a `GaussianJoint` law of inputs X and outputs Y; its optimal linear
 predictor and the induced prediction laws have explicit moments, so every
 risk in `transfer_core` collapses to a formula here.  The module covers the
 basic source/target case with scalar outputs, the regret of reusing the
@@ -23,12 +23,10 @@ from .distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, g
 from .transfer_core import AffineModel, _gaussian_pushforward
 
 __all__ = [
-    "GaussianTask",
     "RiskDecomposition",
     "optimal_linear_model",
     "predictive_laws",
     "basic_case_risks",
-    "regret",
     "risk_regret_residual",
     "feature_augmentation_risks",
     "output_augmentation_risks",
@@ -46,43 +44,23 @@ _EMBED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class GaussianTask:
-    """A learning task: joint Gaussian law of (X, Y)."""
-
-    joint: GaussianJoint
-
-    @property
-    def dim_x(self) -> int:
-        return self.joint.dim_x
-
-    @property
-    def dim_y(self) -> int:
-        return self.joint.dim_y
-
-
-@dataclass(frozen=True)
 class RiskDecomposition:
-    """Variance/bias split of a risk; total is their sum by construction."""
+    """Variance/bias split of a risk; total is their sum."""
 
     variance_term: float
     bias_term: float
-    total: float | None = None
 
     def __post_init__(self) -> None:
         variance = float(self.variance_term)
         bias = float(self.bias_term)
         if variance < -1e-12 or bias < -1e-12:
             raise ValueError(f"risk terms must be nonnegative, got ({variance}, {bias})")
-        total = self.total
-        if total is None:
-            total = variance + bias
-        elif abs(float(total) - (variance + bias)) > 1e-12:
-            raise ValueError(
-                f"total {total!r} does not match variance + bias = {variance + bias!r}"
-            )
         object.__setattr__(self, "variance_term", variance)
         object.__setattr__(self, "bias_term", bias)
-        object.__setattr__(self, "total", float(total))
+
+    @property
+    def total(self) -> float:
+        return self.variance_term + self.bias_term
 
 
 def _h(ratio: float) -> float:
@@ -90,13 +68,12 @@ def _h(ratio: float) -> float:
     return 0.5 * (ratio - np.log(ratio) - 1.0)
 
 
-def optimal_linear_model(task: GaussianTask) -> AffineModel:
+def optimal_linear_model(joint: GaussianJoint) -> AffineModel:
     """Bayes-optimal affine predictor of Y from X under squared loss.
 
     weights = (cov_xx^-1 cov_xy)^T and bias = mean_y - weights @ mean_x;
     requires a nonsingular input covariance.
     """
-    joint = task.joint
     sign, logdet = np.linalg.slogdet(joint.cov_xx)
     if sign <= 0 or not np.isfinite(logdet):
         raise ValueError("input covariance is singular; the optimal model is not unique")
@@ -105,8 +82,14 @@ def optimal_linear_model(task: GaussianTask) -> AffineModel:
     return AffineModel(w.T, bias)
 
 
-def _scalar_setup(source: GaussianTask, target: GaussianTask):
-    """Shared moments for the scalar-output source/target formulas."""
+def _scalar_setup(source: GaussianJoint, target: GaussianJoint):
+    """Shared moments for the scalar-output source/target formulas.
+
+    Raises:
+        ValueError: when either prediction variance on the target inputs
+            vanishes; the prediction laws and the KL split are undefined
+            there and no clamped value is returned.
+    """
     if source.dim_y != 1 or target.dim_y != 1:
         raise ValueError(
             f"basic case needs scalar outputs, got dims {source.dim_y} and {target.dim_y}"
@@ -117,18 +100,20 @@ def _scalar_setup(source: GaussianTask, target: GaussianTask):
         )
     w_s = optimal_linear_model(source).weights[0]
     w_t = optimal_linear_model(target).weights[0]
-    cov_tx = target.joint.cov_xx
+    cov_tx = target.cov_xx
     var_st = float(w_s @ cov_tx @ w_s)
     var_t = float(w_t @ cov_tx @ w_t)
-    bias = float(
-        target.joint.mean_y[0]
-        - source.joint.mean_y[0]
-        - w_s @ (target.joint.mean_x - source.joint.mean_x)
-    )
+    if var_st <= 0.0 or var_t <= 0.0:
+        raise ValueError(
+            "degenerate prediction law: a predictor has zero variance on the target inputs"
+        )
+    bias = float(target.mean_y[0] - source.mean_y[0] - w_s @ (target.mean_x - source.mean_x))
     return w_s, w_t, cov_tx, var_st, var_t, bias
 
 
-def predictive_laws(source: GaussianTask, target: GaussianTask) -> tuple[Gaussian1D, Gaussian1D]:
+def predictive_laws(
+    source: GaussianJoint, target: GaussianJoint
+) -> tuple[Gaussian1D, Gaussian1D]:
     """Prediction laws on the target inputs: (source model's, target model's).
 
     The first law is what the frozen source predictor outputs on target
@@ -136,17 +121,13 @@ def predictive_laws(source: GaussianTask, target: GaussianTask) -> tuple[Gaussia
     are the closed-form counterparts of pushing the target input law through
     the respective affine models.
     """
-    w_s, _, _, var_st, var_t, bias = _scalar_setup(source, target)
-    if var_st <= 0.0 or var_t <= 0.0:
-        raise ValueError(
-            "degenerate prediction law: a predictor has zero variance on the target inputs"
-        )
-    mean_t = float(target.joint.mean_y[0])
+    _, _, _, var_st, var_t, bias = _scalar_setup(source, target)
+    mean_t = float(target.mean_y[0])
     return Gaussian1D(mean_t - bias, var_st), Gaussian1D(mean_t, var_t)
 
 
 def basic_case_risks(
-    source: GaussianTask, target: GaussianTask
+    source: GaussianJoint, target: GaussianJoint
 ) -> tuple[RiskDecomposition, RiskDecomposition]:
     """Output risks of reusing the source predictor on the target task.
 
@@ -155,47 +136,26 @@ def basic_case_risks(
     (sqrt(var_ST) - sqrt(var_T))^2 plus bias^2, where var_ST and var_T are
     the prediction variances of the source and target models on the target
     inputs and bias is the prediction-mean gap.
-
-    Raises:
-        ValueError: when either prediction variance vanishes; the KL split
-            is undefined there and no clamped value is returned.
     """
     _, _, _, var_st, var_t, bias = _scalar_setup(source, target)
-    if var_st <= 0.0 or var_t <= 0.0:
-        raise ValueError(
-            "degenerate prediction law: a predictor has zero variance on the target inputs"
-        )
     kl = RiskDecomposition(_h(var_t / var_st), bias**2 / (2.0 * var_st))
     w = RiskDecomposition((np.sqrt(var_st) - np.sqrt(var_t)) ** 2, bias**2)
     return kl, w
 
 
-def regret(source: GaussianTask, target: GaussianTask) -> float:
-    """Excess squared loss of the source predictor over the target optimum.
-
-    Equals ||cov_TX^(1/2) (w_T - w_S)||^2 + bias^2: the loss gap
-    E[(Y - f_S(X))^2] - E[(Y - f_T(X))^2] on the target task.
-    """
-    w_s, w_t, cov_tx, _, _, bias = _scalar_setup(source, target)
-    root = psd_sqrt(cov_tx)
-    diff = root @ (w_t - w_s)
-    return float(diff @ diff + bias**2)
-
-
 def risk_regret_residual(
-    source: GaussianTask, target: GaussianTask
+    source: GaussianJoint, target: GaussianJoint
 ) -> tuple[float, float, float]:
     """W-risk, regret, and their gap, each from its own formula.
 
-    The residual 2 (||a|| ||b|| - <a, b>) with a = cov_TX^(1/2) w_T and
-    b = cov_TX^(1/2) w_S is nonnegative by Cauchy-Schwarz, which is exactly
-    why the squared-W2 risk never exceeds the regret.
+    The regret ||cov_TX^(1/2) (w_T - w_S)||^2 + bias^2 is the excess squared
+    loss E[(Y - f_S(X))^2] - E[(Y - f_T(X))^2] of the source predictor on
+    the target task.  The residual 2 (||a|| ||b|| - <a, b>) with
+    a = cov_TX^(1/2) w_T and b = cov_TX^(1/2) w_S is nonnegative by
+    Cauchy-Schwarz, which is exactly why the squared-W2 risk never exceeds
+    the regret.
     """
     w_s, w_t, cov_tx, var_st, var_t, bias = _scalar_setup(source, target)
-    if var_st <= 0.0 or var_t <= 0.0:
-        raise ValueError(
-            "degenerate prediction law: a predictor has zero variance on the target inputs"
-        )
     root = psd_sqrt(cov_tx)
     a, b = root @ w_t, root @ w_s
     risk = (np.sqrt(var_st) - np.sqrt(var_t)) ** 2 + bias**2
@@ -210,7 +170,7 @@ def _check_embedding(actual: np.ndarray, expected: np.ndarray, label: str) -> No
 
 
 def feature_augmentation_risks(
-    source: GaussianTask, target: GaussianTask
+    source: GaussianJoint, target: GaussianJoint
 ) -> tuple[RiskDecomposition, RiskDecomposition]:
     """Output risks when the target task adds feature coordinates.
 
@@ -232,18 +192,17 @@ def feature_augmentation_risks(
         raise ValueError(
             f"target must add feature coordinates: source dim {d}, target dim {target.dim_x}"
         )
-    sj, tj = source.joint, target.joint
-    _check_embedding(tj.mean_x[:d], sj.mean_x, "input mean")
-    _check_embedding(tj.cov_xx[:d, :d], sj.cov_xx, "input covariance")
-    _check_embedding(tj.mean_y, sj.mean_y, "output mean")
-    _check_embedding(tj.cov_xy[:d, :], sj.cov_xy, "input-output covariance")
-    _check_embedding(tj.cov_yy, sj.cov_yy, "output variance")
+    _check_embedding(target.mean_x[:d], source.mean_x, "input mean")
+    _check_embedding(target.cov_xx[:d, :d], source.cov_xx, "input covariance")
+    _check_embedding(target.mean_y, source.mean_y, "output mean")
+    _check_embedding(target.cov_xy[:d, :], source.cov_xy, "input-output covariance")
+    _check_embedding(target.cov_yy, source.cov_yy, "output variance")
 
     def explained_variance(joint: GaussianJoint) -> float:
         return float(joint.cov_xy[:, 0] @ np.linalg.solve(joint.cov_xx, joint.cov_xy[:, 0]))
 
-    var_s = explained_variance(sj)
-    var_t = explained_variance(tj)
+    var_s = explained_variance(source)
+    var_t = explained_variance(target)
     if var_s <= 0.0 or var_t <= 0.0:
         raise ValueError("degenerate prediction law: explained variance vanishes")
     kl = RiskDecomposition(_h(var_t / var_s), 0.0)
@@ -251,7 +210,7 @@ def feature_augmentation_risks(
     return kl, w
 
 
-def _split_output_blocks(source: GaussianTask, target: GaussianTask):
+def _split_output_blocks(source: GaussianJoint, target: GaussianJoint):
     """Validate the output-augmentation embedding and return (d, l, k)."""
     d, l = source.dim_x, source.dim_y
     if target.dim_x != d:
@@ -260,17 +219,16 @@ def _split_output_blocks(source: GaussianTask, target: GaussianTask):
         raise ValueError(
             f"target must add output coordinates: source dim {l}, target dim {target.dim_y}"
         )
-    sj, tj = source.joint, target.joint
-    _check_embedding(tj.mean_x, sj.mean_x, "input mean")
-    _check_embedding(tj.cov_xx, sj.cov_xx, "input covariance")
-    _check_embedding(tj.mean_y[:l], sj.mean_y, "output mean")
-    _check_embedding(tj.cov_xy[:, :l], sj.cov_xy, "input-output covariance")
-    _check_embedding(tj.cov_yy[:l, :l], sj.cov_yy, "output covariance")
+    _check_embedding(target.mean_x, source.mean_x, "input mean")
+    _check_embedding(target.cov_xx, source.cov_xx, "input covariance")
+    _check_embedding(target.mean_y[:l], source.mean_y, "output mean")
+    _check_embedding(target.cov_xy[:, :l], source.cov_xy, "input-output covariance")
+    _check_embedding(target.cov_yy[:l, :l], source.cov_yy, "output covariance")
     return d, l, target.dim_y - l
 
 
 def output_augmentation_laws(
-    source: GaussianTask, target: GaussianTask, initializer: AffineModel
+    source: GaussianJoint, target: GaussianJoint, initializer: AffineModel
 ) -> tuple[GaussianND, GaussianND]:
     """Prediction laws (P_ST, P_T) when the target adds output coordinates.
 
@@ -290,7 +248,7 @@ def output_augmentation_laws(
         np.vstack([source_model.weights, initializer.weights]),
         np.concatenate([source_model.bias, initializer.bias]),
     )
-    x_law = target.joint.x_marginal()
+    x_law = target.x_marginal()
     return (
         _gaussian_pushforward(x_law, stacked),
         _gaussian_pushforward(x_law, optimal_linear_model(target)),
@@ -298,7 +256,7 @@ def output_augmentation_laws(
 
 
 def output_augmentation_risks(
-    source: GaussianTask, target: GaussianTask, initializer: AffineModel
+    source: GaussianJoint, target: GaussianJoint, initializer: AffineModel
 ) -> tuple[float, float, RiskDecomposition]:
     """Risks of the stacked predictor when the target adds output coordinates.
 
@@ -329,7 +287,7 @@ def output_augmentation_risks(
     return kl, w, RiskDecomposition(variance, bias)
 
 
-def optimal_output_initializer(source: GaussianTask, target: GaussianTask) -> AffineModel:
+def optimal_output_initializer(source: GaussianJoint, target: GaussianJoint) -> AffineModel:
     """Initializer matching the optimal predictor of the new output block.
 
     With weights cov_SX^-1 cov_X,new and the mean-matching bias the stacked
@@ -337,19 +295,18 @@ def optimal_output_initializer(source: GaussianTask, target: GaussianTask) -> Af
     augmentation risks vanish.
     """
     d, l, _ = _split_output_blocks(source, target)
-    cov_x_new = target.joint.cov_xy[:, l:]
-    w = np.linalg.solve(source.joint.cov_xx, cov_x_new)
-    bias = target.joint.mean_y[l:] - w.T @ source.joint.mean_x
+    w = np.linalg.solve(source.cov_xx, target.cov_xy[:, l:])
+    bias = target.mean_y[l:] - w.T @ source.mean_x
     return AffineModel(w.T, bias)
 
 
 def augment_features(
-    source: GaussianTask,
+    source: GaussianJoint,
     mean_new: np.ndarray,
     cov_new: np.ndarray,
     cov_cross: np.ndarray,
     cov_new_y: np.ndarray,
-) -> GaussianTask:
+) -> GaussianJoint:
     """Extend a scalar-output task with new feature coordinates.
 
     Args:
@@ -362,28 +319,26 @@ def augment_features(
     """
     if source.dim_y != 1:
         raise ValueError("feature augmentation needs a scalar output")
-    sj = source.joint
     mean_new = np.asarray(mean_new, dtype=float).reshape(-1)
     k = mean_new.shape[0]
     cov_new = np.asarray(cov_new, dtype=float).reshape(k, k)
-    cov_cross = np.asarray(cov_cross, dtype=float).reshape(sj.dim_x, k)
+    cov_cross = np.asarray(cov_cross, dtype=float).reshape(source.dim_x, k)
     cov_new_y = np.asarray(cov_new_y, dtype=float).reshape(k, 1)
-    joint = GaussianJoint(
-        mean_x=np.concatenate([sj.mean_x, mean_new]),
-        mean_y=sj.mean_y,
-        cov_xx=np.block([[sj.cov_xx, cov_cross], [cov_cross.T, cov_new]]),
-        cov_xy=np.vstack([sj.cov_xy, cov_new_y]),
-        cov_yy=sj.cov_yy,
+    return GaussianJoint(
+        mean_x=np.concatenate([source.mean_x, mean_new]),
+        mean_y=source.mean_y,
+        cov_xx=np.block([[source.cov_xx, cov_cross], [cov_cross.T, cov_new]]),
+        cov_xy=np.vstack([source.cov_xy, cov_new_y]),
+        cov_yy=source.cov_yy,
     )
-    return GaussianTask(joint)
 
 
 def conditionally_independent_augmentation(
-    source: GaussianTask,
+    source: GaussianJoint,
     mean_new: np.ndarray,
     cov_new: np.ndarray,
     cov_cross: np.ndarray,
-) -> GaussianTask:
+) -> GaussianJoint:
     """Feature augmentation whose new coordinates add no predictive value.
 
     Choosing cov_new_y = cov_cross^T cov_XX^-1 cov_XY makes the output
@@ -392,38 +347,34 @@ def conditionally_independent_augmentation(
     risks vanish.
     """
     cov_cross = np.asarray(cov_cross, dtype=float).reshape(source.dim_x, -1)
-    cov_new_y = cov_cross.T @ np.linalg.solve(source.joint.cov_xx, source.joint.cov_xy)
+    cov_new_y = cov_cross.T @ np.linalg.solve(source.cov_xx, source.cov_xy)
     return augment_features(source, mean_new, cov_new, cov_cross, cov_new_y)
 
 
-def restrict_inputs(task: GaussianTask, keep: int) -> GaussianTask:
+def restrict_inputs(task: GaussianJoint, keep: int) -> GaussianJoint:
     """Sub-task over the first `keep` input coordinates."""
     if not 1 <= keep <= task.dim_x:
         raise ValueError(f"keep must be in [1, {task.dim_x}], got {keep}")
-    j = task.joint
-    joint = GaussianJoint(
-        mean_x=j.mean_x[:keep],
-        mean_y=j.mean_y,
-        cov_xx=j.cov_xx[:keep, :keep],
-        cov_xy=j.cov_xy[:keep, :],
-        cov_yy=j.cov_yy,
+    return GaussianJoint(
+        mean_x=task.mean_x[:keep],
+        mean_y=task.mean_y,
+        cov_xx=task.cov_xx[:keep, :keep],
+        cov_xy=task.cov_xy[:keep, :],
+        cov_yy=task.cov_yy,
     )
-    return GaussianTask(joint)
 
 
-def restrict_outputs(task: GaussianTask, keep: int) -> GaussianTask:
+def restrict_outputs(task: GaussianJoint, keep: int) -> GaussianJoint:
     """Sub-task over the first `keep` output coordinates."""
     if not 1 <= keep <= task.dim_y:
         raise ValueError(f"keep must be in [1, {task.dim_y}], got {keep}")
-    j = task.joint
-    joint = GaussianJoint(
-        mean_x=j.mean_x,
-        mean_y=j.mean_y[:keep],
-        cov_xx=j.cov_xx,
-        cov_xy=j.cov_xy[:, :keep],
-        cov_yy=j.cov_yy[:keep, :keep],
+    return GaussianJoint(
+        mean_x=task.mean_x,
+        mean_y=task.mean_y[:keep],
+        cov_xx=task.cov_xx,
+        cov_xy=task.cov_xy[:, :keep],
+        cov_yy=task.cov_yy[:keep, :keep],
     )
-    return GaussianTask(joint)
 
 
 def random_task(
@@ -432,7 +383,7 @@ def random_task(
     seed: int,
     eig_range: tuple[float, float] = (0.5, 2.0),
     mean_scale: float = 0.5,
-) -> GaussianTask:
+) -> GaussianJoint:
     """Random nondegenerate task with controlled spectrum and mean scale.
 
     The full (X, Y) covariance is drawn with eigenvalues uniform in
@@ -448,14 +399,13 @@ def random_task(
     eigs = rng.uniform(lo, hi, size=n)
     full = (basis * eigs) @ basis.T
     mean = rng.normal(scale=mean_scale, size=n)
-    joint = GaussianJoint(
+    return GaussianJoint(
         mean_x=mean[:dim_x],
         mean_y=mean[dim_x:],
         cov_xx=full[:dim_x, :dim_x],
         cov_xy=full[:dim_x, dim_x:],
         cov_yy=full[dim_x:, dim_x:],
     )
-    return GaussianTask(joint)
 
 
 def _regression_joint(
@@ -475,7 +425,7 @@ def random_basic_pair(
     seed: int,
     eig_range: tuple[float, float] = (0.5, 2.0),
     drift: float = 0.25,
-) -> tuple[GaussianTask, GaussianTask]:
+) -> tuple[GaussianJoint, GaussianJoint]:
     """Random scalar-output source task plus a drifted target task.
 
     Both joints come from a linear model Y = w . X + b + noise.  The target
@@ -500,12 +450,12 @@ def random_basic_pair(
     direction = rng.normal(size=dim)
     w_s = direction / np.linalg.norm(direction) * rng.uniform(0.7, 1.1)
     b_s = rng.uniform(-0.5, 0.5)
-    source = GaussianTask(_regression_joint(mean_sx, cov_sx, w_s, b_s, rng.uniform(0.4, 1.0)))
+    source = _regression_joint(mean_sx, cov_sx, w_s, b_s, rng.uniform(0.4, 1.0))
 
     # Convex blending keeps the input spectrum inside eig_range.
     cov_tx = 0.8 * cov_sx + 0.2 * input_cov()
     mean_tx = mean_sx + rng.uniform(-drift, drift, size=dim)
     w_t = w_s + rng.uniform(-drift, drift, size=dim)
     b_t = b_s + rng.uniform(-drift, drift)
-    target = GaussianTask(_regression_joint(mean_tx, cov_tx, w_t, b_t, rng.uniform(0.4, 1.0)))
+    target = _regression_joint(mean_tx, cov_tx, w_t, b_t, rng.uniform(0.4, 1.0))
     return source, target

@@ -19,7 +19,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -353,9 +353,10 @@ def _open_text(path: str | Path, newline: str | None = None):
 
 def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, np.ndarray]:
     with _open_text(path, newline="") as handle:
-        reader = _csv_rows(path, csv.reader(handle))
+        reader = csv.reader(handle)
+        lines = _csv_rows(path, reader)
         try:
-            header = next(reader)
+            header = next(lines)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [name.strip() for name in header]
@@ -365,7 +366,8 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
             raise ValueError(f"{path}: no feature columns besides {label_column!r}")
         label_idx = header.index(label_column)
         rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in lines:
+            line_no = reader.line_num
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
@@ -379,9 +381,9 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
 
 
 def _csv_rows(path: Path, reader):
-    """The rows of a csv reader; a line it cannot split fails with file and line."""
+    """The nonblank rows of a csv reader; a line it cannot split fails with file and line."""
     try:
-        yield from reader
+        yield from filter(None, reader)  # a blank line is an empty row
     except csv.Error as err:  # e.g. a cell over the csv module's field size limit
         raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
 
@@ -427,8 +429,6 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
         if header is None or not set(needed) <= set(header):
             raise ValueError(f"{path}: risk table needs columns {sorted(needed)}")
         for cells in lines:
-            if not cells:  # a blank line
-                continue
             # A short row leaves its last columns None; extra cells go to key None.
             record = dict(itertools.zip_longest(header, cells))
             line_no = reader.line_num
@@ -547,20 +547,7 @@ def _pair_rows_from_domains(domains: list[SyntheticDomain], cfg: PipelineConfig)
     results = evaluate_risk_accuracy_pairs(
         domains, cfg.combiner, cfg.risk_train, cfg.train, cfg.input_risk_rescale, cfg.ot
     )
-    rows = []
-    for res in results:
-        source, target = res.pair.split("->")
-        rows.append(
-            {
-                "source": source,
-                "target": target,
-                "accuracy": res.accuracy,
-                "input_risk": res.input_risk,
-                "output_risk": res.output_risk,
-                "transfer_risk": res.combined,
-            }
-        )
-    return rows
+    return [asdict(res) for res in results]
 
 
 def _run_empirical(cfg: PipelineConfig, override_risks: str | Path | None) -> list[dict]:
@@ -569,6 +556,14 @@ def _run_empirical(cfg: PipelineConfig, override_risks: str | Path | None) -> li
     paths = cfg.mode_params["datasets"]
     if len(paths) < 2:
         raise ValueError("empirical mode needs at least 2 datasets (or an override table)")
+    seen = {}
+    for path in paths:  # a file's stem names its domain in the pair rows
+        stem = Path(path).stem
+        if stem in seen:
+            raise ValueError(
+                f"empirical.datasets {seen[stem]!r} and {path!r} share the file stem {stem!r}"
+            )
+        seen[stem] = path
     datasets = [_ingest_labeled(p, cfg) for p in paths]
     classes = max(int(labels.max()) for _, labels in datasets) + 1
     if classes < 2:
@@ -616,8 +611,8 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
         kl, w = basic_case_risks(source, target)
         risk, regret_value, residual = risk_regret_residual(source, target)
         e_in = cfg.input_risk_rescale * input_risk(
-            target.joint.x_marginal(),
-            source.joint.x_marginal(),
+            target.x_marginal(),
+            source.x_marginal(),
             metric=cfg.divergence_kind,
             cfg=cfg.ot,
         )
@@ -689,20 +684,13 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.dot(*units), -1.0, 1.0))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_outputs(report: dict, rows: list[dict], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in _CSV_COLUMNS))
-    (out_dir / "pairs.csv").write_text("\n".join(lines) + "\n")
+    # csv quotes a name holding a comma, quote or newline; None is an empty cell.
+    with open(out_dir / "pairs.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows([row[c] for c in _CSV_COLUMNS] for row in rows)
     with open(out_dir / "report.json", "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

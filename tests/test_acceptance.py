@@ -30,7 +30,6 @@ from trk.finetune import (
     transport_objective,
 )
 from trk.gaussian_lab import (
-    GaussianTask,
     basic_case_risks,
     conditionally_independent_augmentation,
     feature_augmentation_risks,
@@ -195,7 +194,7 @@ def test_criterion_02_closed_forms_cross_validated():
             p_st, p_t = predictive_laws(source, target)
 
             kl_core = gaussian_kl(p_t, p_st)
-            w_core = output_risk_w(optimal_linear_model(source), target.joint.x_marginal(), p_t)
+            w_core = output_risk_w(optimal_linear_model(source), target.x_marginal(), p_t)
             if abs(kl.total - kl_core) > 1e-9:
                 failures.append(
                     f"instance {i}: kl closed form off by {abs(kl.total - kl_core):.2e}"
@@ -347,7 +346,7 @@ def test_criterion_07_feature_augmentation_no_harm():
         for i in range(200):
             full = random_task(3, 1, seed=91_000 + i)
             reduced = restrict_inputs(full, 2)
-            cloud = sample(full.joint, n_mc, seed=92_000 + i)
+            cloud = sample(full, n_mc, seed=92_000 + i)
             x, y = cloud.points[:, :3], cloud.points[:, 3]
             f_full = optimal_linear_model(full)
             f_reduced = optimal_linear_model(reduced)
@@ -406,7 +405,7 @@ def test_criterion_09_synthetic_domain_study():
         if len(results) != 6:
             failures.append(f"expected 6 ordered pairs, got {len(results)}")
         accuracy = [r.accuracy for r in results]
-        combined = [r.combined for r in results]
+        combined = [r.transfer_risk for r in results]
         spearman = float(stats.spearmanr(accuracy, combined).statistic)
         if not spearman <= -0.5:
             failures.append(f"Spearman {spearman:.3f} is not <= -0.5")
@@ -465,8 +464,8 @@ def test_criterion_11_continuity_probes():
 
         def combined_risk(source, target):
             e_in = input_risk(
-                target.joint.x_marginal(),
-                source.joint.x_marginal(),
+                target.x_marginal(),
+                source.x_marginal(),
                 metric="wasserstein",
                 cfg=ot_cfg,
             )
@@ -491,15 +490,12 @@ def test_criterion_11_continuity_probes():
         deviations = []
         for level in range(7):
             delta = 0.5 / 2.0**level
-            sj = source.joint
-            shifted = GaussianTask(
-                GaussianJoint(
-                    mean_x=sj.mean_x + delta * direction,
-                    mean_y=sj.mean_y,
-                    cov_xx=sj.cov_xx,
-                    cov_xy=sj.cov_xy,
-                    cov_yy=sj.cov_yy,
-                )
+            shifted = GaussianJoint(
+                mean_x=source.mean_x + delta * direction,
+                mean_y=source.mean_y,
+                cov_xx=source.cov_xx,
+                cov_xy=source.cov_xy,
+                cov_yy=source.cov_yy,
             )
             deviations.append(abs(combined_risk(shifted, target) - base))
         check_decay(deviations, "source-mean shift")
@@ -509,11 +505,11 @@ def test_criterion_11_continuity_probes():
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         model = optimal_linear_model(source)
-        x_marginal = target.joint.x_marginal()
+        x_marginal = target.x_marginal()
         _, p_t = predictive_laws(source, target)
         e_in = input_risk(
             x_marginal,
-            source.joint.x_marginal(),
+            source.x_marginal(),
             metric="wasserstein",
             cfg=ot_cfg,
         )

@@ -1,5 +1,6 @@
 """Tests for config parsing, dataset ingestion, pipeline runs, and the CLI."""
 
+import csv
 import itertools
 import json
 import os
@@ -117,6 +118,23 @@ class TestIngestCsv:
         path = tmp_path / "gap.csv"
         path.write_text("x,label\n1.0,0\n,1\n")
         with pytest.raises(ValueError, match=r"line 3, column 'x'"):
+            ingest_dataset(path)
+
+    @pytest.mark.parametrize(
+        "body", ["x,label\n1.0,0\n\n2.0,1\n", "x,label\n1.0,0\n2.0,1\n\n"],
+        ids=["blank_middle_line", "trailing_empty_line"],
+    )
+    def test_blank_lines_skipped(self, tmp_path, body):
+        path = tmp_path / "blank.csv"
+        path.write_text(body)
+        dist, labels = ingest_dataset(path)
+        np.testing.assert_array_equal(dist.points[:, 0], [1.0, 2.0])
+        np.testing.assert_array_equal(labels, [0.0, 1.0])
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,label\n1.0,0\n\noops,1\n")
+        with pytest.raises(ValueError, match=r"line 4, column 'x'"):
             ingest_dataset(path)
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -672,6 +690,27 @@ class TestEmpiricalOverride:
         with pytest.raises(ValueError, match="line 3, column 'input_risk': could not parse 'oops'"):
             run(self.make_config(tmp_path), override_risks=table)
 
+    def test_pair_table_quotes_names(self, tmp_path):
+        names = [("a,b", 'say "hi"'), ("c->d", "e")]
+        table = tmp_path / "table.csv"
+        with open(table, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["source", "target", "input_risk", "output_risk"])
+            writer.writerows([source, target, 0.1, 0.2] for source, target in names)
+        cfg = self.make_config(tmp_path)
+        report = run(cfg, override_risks=table)
+        with open(cfg.out_dir / "pairs.csv", newline="") as handle:
+            lines = list(csv.reader(handle))
+        assert lines[0] == ["source", "target", "accuracy", "input_risk", "output_risk",
+                            "transfer_risk"]
+        assert len(lines) == 3
+        for line, row, (source, target) in zip(lines[1:], report["rows"], names):
+            assert line[:3] == [source, target, ""]
+            assert (row["source"], row["target"]) == (source, target)
+            assert [float(cell) for cell in line[3:]] == [
+                row["input_risk"], row["output_risk"], row["transfer_risk"]
+            ]
+
     def test_empty_table_rejected(self, tmp_path):
         table = tmp_path / "empty.csv"
         table.write_text("source,target,input_risk,output_risk,accuracy\n")
@@ -761,6 +800,15 @@ class TestEmpiricalDatasets:
         alpha = write_blob_csv(tmp_path / "alpha.csv", offset=0.0, seed=0)
         with pytest.raises(ValueError, match="at least 2 datasets"):
             run(self.make_config(tmp_path, [alpha]))
+
+    def test_duplicate_file_stems_rejected(self, tmp_path):
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d2").mkdir()
+        first = write_blob_csv(tmp_path / "d1" / "x.csv", offset=0.0, seed=0)
+        second = write_blob_csv(tmp_path / "d2" / "x.csv", offset=1.2, seed=1)
+        with pytest.raises(ValueError, match="share the file stem 'x'") as caught:
+            run(self.make_config(tmp_path, [first, second]))
+        assert str(first) in str(caught.value) and str(second) in str(caught.value)
 
     def test_fractional_labels_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"

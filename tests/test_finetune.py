@@ -10,10 +10,8 @@ from trk import finetune
 from trk.distributions import EmpiricalDistribution, Gaussian1D, gaussian_w2
 from trk.finetune import (
     AffineMapFamily,
-    PairResult,
     SoftmaxHeadFamily,
     TrainConfig,
-    TrainTrace,
     TrainingDivergedError,
     cross_entropy_objective,
     evaluate_risk_accuracy_pairs,
@@ -65,12 +63,6 @@ class TestTrainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
-
-
-class TestTrainTrace:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="epochs_run"):
-            TrainTrace((1.0, 2.0), np.zeros(2), 3)
 
 
 class TestFamilies:
@@ -557,19 +549,19 @@ def transfer_table():
 class TestEvaluatePairs:
     def test_six_ordered_rows(self, transfer_table):
         rows, _ = transfer_table
-        assert [r.pair for r in rows] == [
-            "domain_a->domain_b",
-            "domain_a->domain_c",
-            "domain_b->domain_a",
-            "domain_b->domain_c",
-            "domain_c->domain_a",
-            "domain_c->domain_b",
+        assert [(r.source, r.target) for r in rows] == [
+            ("domain_a", "domain_b"),
+            ("domain_a", "domain_c"),
+            ("domain_b", "domain_a"),
+            ("domain_b", "domain_c"),
+            ("domain_c", "domain_a"),
+            ("domain_c", "domain_b"),
         ]
 
     def test_rows_internally_consistent(self, transfer_table):
         rows, combiner = transfer_table
         for row in rows:
-            assert row.combined == pytest.approx(
+            assert row.transfer_risk == pytest.approx(
                 combine(combiner, row.input_risk, row.output_risk), abs=1e-12
             )
             assert 0.0 <= row.accuracy <= 1.0
@@ -579,20 +571,19 @@ class TestEvaluatePairs:
     def test_risk_anticorrelates_with_accuracy(self, transfer_table):
         rows, _ = transfer_table
         rho = rank_correlation(
-            [r.accuracy for r in rows], [r.combined for r in rows]
+            [r.accuracy for r in rows], [r.transfer_risk for r in rows]
         )
         assert rho <= -0.5
 
     def test_identical_domains_have_zero_input_risk_and_top_accuracy(self):
         domains = make_synthetic_domains(2, samples_per_domain=160)
-        twin = PairResult  # noqa: F841  (name reuse guard)
         from dataclasses import replace as dc_replace
 
         clone = dc_replace(domains[0], name="domain_a_clone")
         table = evaluate_risk_accuracy_pairs(
             [domains[0], clone, domains[2]], PolynomialCombiner(0.31, 0.92, 2)
         )
-        twins = [r for r in table if {"domain_a", "domain_a_clone"} == set(r.pair.split("->"))]
+        twins = [r for r in table if {"domain_a", "domain_a_clone"} == {r.source, r.target}]
         others = [r for r in table if r not in twins]
         assert all(r.input_risk <= 1e-9 for r in twins)
         assert max(r.accuracy for r in twins) == max(r.accuracy for r in table)
@@ -616,7 +607,7 @@ class TestWassersteinHeuristicBound:
             source, target = random_basic_pair(int(seed % 3) + 1, seed=1500 + seed)
             p_st, p_t = predictive_laws(source, target)
             law_y = Gaussian1D(
-                float(target.joint.mean_y[0]), float(target.joint.cov_yy[0, 0])
+                float(target.mean_y[0]), float(target.cov_yy[0, 0])
             )
             lhs = 2.0 ** (p - 1.0) * (
                 gaussian_w2(p_st, law_y) + gaussian_w2(p_t, law_y)

@@ -5,7 +5,6 @@ import pytest
 
 from trk.distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2, sample
 from trk.gaussian_lab import (
-    GaussianTask,
     RiskDecomposition,
     augment_features,
     basic_case_risks,
@@ -18,7 +17,6 @@ from trk.gaussian_lab import (
     predictive_laws,
     random_basic_pair,
     random_task,
-    regret,
     restrict_inputs,
     restrict_outputs,
     risk_regret_residual,
@@ -27,15 +25,14 @@ from trk.transfer_core import AffineModel, output_risk_w
 
 
 def scalar_task(var_x, cov_xy, var_y, mean_x=0.0, mean_y=0.0):
-    joint = GaussianJoint(
+    return GaussianJoint(
         mean_x=[mean_x], mean_y=[mean_y], cov_xx=[[var_x]], cov_xy=[[cov_xy]], cov_yy=[[var_y]]
     )
-    return GaussianTask(joint)
 
 
 def mc_loss_gap(source, target, n=200_000, seed=0):
     """Monte-Carlo estimate of the excess squared loss on the target task."""
-    cloud = sample(target.joint, n, seed)
+    cloud = sample(target, n, seed)
     d = target.dim_x
     x, y = cloud.points[:, :d], cloud.points[:, d]
     f_s = optimal_linear_model(source)
@@ -50,10 +47,6 @@ class TestRiskDecomposition:
         dec = RiskDecomposition(0.25, 0.5)
         assert dec.total == pytest.approx(0.75)
 
-    def test_inconsistent_total_rejected(self):
-        with pytest.raises(ValueError, match="total"):
-            RiskDecomposition(0.25, 0.5, total=1.0)
-
     def test_negative_term_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             RiskDecomposition(-0.1, 0.0)
@@ -65,7 +58,7 @@ class TestOptimalLinearModel:
             mean_x=[0.0, 0.0], mean_y=[0.0], cov_xx=np.eye(2), cov_xy=[[0.5], [0.0]],
             cov_yy=[[1.0]],
         )
-        model = optimal_linear_model(GaussianTask(joint))
+        model = optimal_linear_model(joint)
         np.testing.assert_allclose(model.weights, [[0.5, 0.0]], atol=1e-12)
         np.testing.assert_allclose(model.bias, [0.0], atol=1e-12)
 
@@ -77,7 +70,7 @@ class TestOptimalLinearModel:
 
     def test_matches_least_squares_on_samples(self):
         task = random_task(3, 1, seed=51)
-        cloud = sample(task.joint, 100_000, seed=52)
+        cloud = sample(task, 100_000, seed=52)
         x, y = cloud.points[:, :3], cloud.points[:, 3]
         design = np.concatenate([x, np.ones((len(y), 1))], axis=1)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -91,7 +84,7 @@ class TestOptimalLinearModel:
             cov_xy=[[0.1], [0.1]], cov_yy=[[1.0]],
         )
         with pytest.raises(ValueError, match="singular"):
-            optimal_linear_model(GaussianTask(joint))
+            optimal_linear_model(joint)
 
 
 class TestPredictiveLaws:
@@ -109,7 +102,7 @@ class TestPredictiveLaws:
 class TestBasicCaseRisks:
     def test_identical_tasks_zero(self):
         source, _ = random_basic_pair(2, seed=53)
-        target = GaussianTask(source.joint)
+        target = source
         kl, w = basic_case_risks(source, target)
         assert kl.total == pytest.approx(0.0, abs=1e-12)
         assert w.total == pytest.approx(0.0, abs=1e-12)
@@ -174,20 +167,20 @@ class TestBasicCaseRisks:
 class TestRegret:
     def test_identical_tasks_zero(self):
         source, _ = random_basic_pair(3, seed=59)
-        target = GaussianTask(source.joint)
-        assert regret(source, target) == pytest.approx(0.0, abs=1e-12)
+        target = source
+        assert risk_regret_residual(source, target)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_doubled_weights_instance(self):
         # w_s = 1 = 2 w_t with zero means: regret is ||cov^1/2 w_t||^2 = 1/4.
         source = scalar_task(1.0, 1.0, 1.5)
         target = scalar_task(1.0, 0.5, 1.0)
-        assert regret(source, target) == pytest.approx(0.25, abs=1e-12)
+        assert risk_regret_residual(source, target)[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_monte_carlo_loss_gap(self):
         for seed in range(5):
             source, target = random_basic_pair(2, seed=200 + seed)
             gap = mc_loss_gap(source, target, n=400_000, seed=300 + seed)
-            assert regret(source, target) == pytest.approx(gap, abs=1e-2)
+            assert risk_regret_residual(source, target)[1] == pytest.approx(gap, abs=1e-2)
 
 
 class TestRiskRegretResidual:
@@ -262,10 +255,9 @@ class TestFeatureAugmentation:
             full = random_task(4, 1, seed=700 + seed)
             source = restrict_inputs(full, 2)
             kl, w = feature_augmentation_risks(source, full)
-            sj, tj = source.joint, full.joint
-            var_s = float(sj.cov_xy[:, 0] @ np.linalg.solve(sj.cov_xx, sj.cov_xy[:, 0]))
-            var_t = float(tj.cov_xy[:, 0] @ np.linalg.solve(tj.cov_xx, tj.cov_xy[:, 0]))
-            mu = float(tj.mean_y[0])
+            var_s = float(source.cov_xy[:, 0] @ np.linalg.solve(source.cov_xx, source.cov_xy[:, 0]))
+            var_t = float(full.cov_xy[:, 0] @ np.linalg.solve(full.cov_xx, full.cov_xy[:, 0]))
+            mu = float(full.mean_y[0])
             p_st, p_t = Gaussian1D(mu, var_s), Gaussian1D(mu, var_t)
             assert kl.total == pytest.approx(gaussian_kl(p_t, p_st), abs=1e-9)
             assert w.total == pytest.approx(gaussian_w2(p_t, p_st), abs=1e-9)
@@ -275,9 +267,8 @@ class TestFeatureAugmentation:
         for seed in range(50):
             full = random_task(3, 1, seed=800 + seed)
             source = restrict_inputs(full, 2)
-            sj, tj = source.joint, full.joint
-            var_s = float(sj.cov_xy[:, 0] @ np.linalg.solve(sj.cov_xx, sj.cov_xy[:, 0]))
-            var_t = float(tj.cov_xy[:, 0] @ np.linalg.solve(tj.cov_xx, tj.cov_xy[:, 0]))
+            var_s = float(source.cov_xy[:, 0] @ np.linalg.solve(source.cov_xx, source.cov_xy[:, 0]))
+            var_t = float(full.cov_xy[:, 0] @ np.linalg.solve(full.cov_xx, full.cov_xy[:, 0]))
             assert var_t >= var_s - 1e-10
 
     def test_embedding_violation_rejected(self):
@@ -289,7 +280,7 @@ class TestFeatureAugmentation:
     def test_needs_added_coordinates(self):
         source = self.base_source()
         with pytest.raises(ValueError, match="add feature coordinates"):
-            feature_augmentation_risks(source, GaussianTask(source.joint))
+            feature_augmentation_risks(source, source)
 
 
 class TestOutputAugmentation:
@@ -343,7 +334,7 @@ class TestOutputAugmentation:
             np.concatenate([source_model.bias, init.bias]),
         )
         _, p_t = output_augmentation_laws(source, target, init)
-        route = output_risk_w(stacked, target.joint.x_marginal(), p_t)
+        route = output_risk_w(stacked, target.x_marginal(), p_t)
         assert w == pytest.approx(route, abs=1e-12)
 
     def test_singular_intermediate_covariance_rejected(self):
@@ -369,18 +360,18 @@ class TestGenerators:
     def test_random_task_deterministic(self):
         a = random_task(2, 1, seed=71)
         b = random_task(2, 1, seed=71)
-        np.testing.assert_array_equal(a.joint.cov_xx, b.joint.cov_xx)
-        np.testing.assert_array_equal(a.joint.mean_y, b.joint.mean_y)
+        np.testing.assert_array_equal(a.cov_xx, b.cov_xx)
+        np.testing.assert_array_equal(a.mean_y, b.mean_y)
 
     def test_random_task_spectrum_bounds(self):
         task = random_task(3, 2, seed=72, eig_range=(0.5, 2.0))
-        eigs = np.linalg.eigvalsh(task.joint.full().cov)
+        eigs = np.linalg.eigvalsh(task.full().cov)
         assert eigs.min() >= 0.5 - 1e-9
         assert eigs.max() <= 2.0 + 1e-9
 
     def test_restrictions_are_consistent(self):
         task = random_task(3, 2, seed=73)
         sub = restrict_inputs(task, 2)
-        np.testing.assert_array_equal(sub.joint.cov_xx, task.joint.cov_xx[:2, :2])
+        np.testing.assert_array_equal(sub.cov_xx, task.cov_xx[:2, :2])
         sub_out = restrict_outputs(task, 1)
-        np.testing.assert_array_equal(sub_out.joint.cov_yy, task.joint.cov_yy[:1, :1])
+        np.testing.assert_array_equal(sub_out.cov_yy, task.cov_yy[:1, :1])
