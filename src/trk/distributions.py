@@ -29,6 +29,7 @@ __all__ = [
 PSD_EIG_TOL = 1e-8
 
 _WEIGHT_SUM_TOL = 1e-9
+_SYMMETRY_TOL = 1e-8
 
 
 def _freeze(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
@@ -36,6 +37,23 @@ def _freeze(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _is_symmetric(mat: np.ndarray) -> bool:
+    """np.allclose(mat, mat.T, atol=1e-8, rtol=0.0) on finite input, without its overhead."""
+    return bool(np.abs(mat - mat.T).max(initial=0.0) <= _SYMMETRY_TOL)
+
+
+def _joint_cov(cov_xx: np.ndarray, cov_xy: np.ndarray, cov_yy: np.ndarray) -> np.ndarray:
+    """The (d + k, d + k) covariance [[cov_xx, cov_xy], [cov_xy^T, cov_yy]]."""
+    d = cov_xx.shape[0]
+    n = d + cov_yy.shape[0]
+    full = np.empty((n, n))
+    full[:d, :d] = cov_xx
+    full[:d, d:] = cov_xy
+    full[d:, :d] = cov_xy.T
+    full[d:, d:] = cov_yy
+    return full
 
 
 def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
@@ -55,7 +73,9 @@ def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=1e-8, rtol=0.0):
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries")
+    if not _is_symmetric(mat):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
     if vals.min(initial=0.0) < -eig_tol:
@@ -163,7 +183,7 @@ class GaussianND:
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValueError("mean and cov must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-8, rtol=0.0):
+        if not _is_symmetric(cov):
             raise ValueError("cov must be symmetric")
         cov = (cov + cov.T) / 2.0
         min_eig = np.linalg.eigvalsh(cov).min()
@@ -175,6 +195,14 @@ class GaussianND:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @classmethod
+    def _checked_by_joint(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianND":
+        """Wrap read-only moments of a validated `GaussianJoint` without re-checking."""
+        law = object.__new__(cls)
+        object.__setattr__(law, "mean", mean)
+        object.__setattr__(law, "cov", cov)
+        return law
 
 
 @dataclass(frozen=True)
@@ -205,12 +233,12 @@ class GaussianJoint:
             raise ValueError(f"cov_xx must have shape ({d}, {d}), got {cov_xx.shape}")
         if cov_yy.shape != (k, k):
             raise ValueError(f"cov_yy must have shape ({k}, {k}), got {cov_yy.shape}")
-        full = np.block([[cov_xx, cov_xy], [cov_xy.T, cov_yy]])
+        full = _joint_cov(cov_xx, cov_xy, cov_yy)
         if not np.all(np.isfinite(full)) or not np.all(np.isfinite(mean_x)) or not np.all(
             np.isfinite(mean_y)
         ):
             raise ValueError("moments must be finite")
-        if not np.allclose(full, full.T, atol=1e-8, rtol=0.0):
+        if not _is_symmetric(full):
             raise ValueError("joint covariance must be symmetric")
         min_eig = np.linalg.eigvalsh((full + full.T) / 2.0).min()
         if min_eig < -PSD_EIG_TOL:
@@ -229,16 +257,21 @@ class GaussianJoint:
     def dim_y(self) -> int:
         return self.mean_y.shape[0]
 
+    # The laws below are not re-checked. Their moments are frozen, exactly
+    # symmetric and finite, and __post_init__ ran eigvalsh on the very matrix
+    # that full() assembles. A principal block of it (a marginal) has, by
+    # Cauchy interlacing, a smallest eigenvalue no lower than the joint's, so
+    # it passes the -PSD_EIG_TOL check too.
     def x_marginal(self) -> GaussianND:
-        return GaussianND(self.mean_x, self.cov_xx)
+        return GaussianND._checked_by_joint(self.mean_x, self.cov_xx)
 
     def y_marginal(self) -> GaussianND:
-        return GaussianND(self.mean_y, self.cov_yy)
+        return GaussianND._checked_by_joint(self.mean_y, self.cov_yy)
 
     def full(self) -> GaussianND:
         mean = np.concatenate([self.mean_x, self.mean_y])
-        cov = np.block([[self.cov_xx, self.cov_xy], [self.cov_xy.T, self.cov_yy]])
-        return GaussianND(mean, cov)
+        cov = _joint_cov(self.cov_xx, self.cov_xy, self.cov_yy)
+        return GaussianND._checked_by_joint(_freeze(mean), _freeze(cov))
 
 
 GaussianLike = Gaussian1D | GaussianND

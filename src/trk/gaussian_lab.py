@@ -16,6 +16,7 @@ means.  KL risks are in nats; Wasserstein risks are squared distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +83,18 @@ def optimal_linear_model(joint: GaussianJoint) -> AffineModel:
     return AffineModel(w.T, bias)
 
 
-def _scalar_setup(source: GaussianJoint, target: GaussianJoint):
+class _PairMoments(NamedTuple):
+    """Predictor weights, target input covariance, prediction variances and mean gap."""
+
+    w_s: np.ndarray
+    w_t: np.ndarray
+    cov_tx: np.ndarray
+    var_st: float
+    var_t: float
+    bias: float
+
+
+def _scalar_setup(source: GaussianJoint, target: GaussianJoint) -> _PairMoments:
     """Shared moments for the scalar-output source/target formulas.
 
     Raises:
@@ -108,7 +120,7 @@ def _scalar_setup(source: GaussianJoint, target: GaussianJoint):
             "degenerate prediction law: a predictor has zero variance on the target inputs"
         )
     bias = float(target.mean_y[0] - source.mean_y[0] - w_s @ (target.mean_x - source.mean_x))
-    return w_s, w_t, cov_tx, var_st, var_t, bias
+    return _PairMoments(w_s, w_t, cov_tx, var_st, var_t, bias)
 
 
 def predictive_laws(
@@ -121,9 +133,9 @@ def predictive_laws(
     are the closed-form counterparts of pushing the target input law through
     the respective affine models.
     """
-    _, _, _, var_st, var_t, bias = _scalar_setup(source, target)
+    m = _scalar_setup(source, target)
     mean_t = float(target.mean_y[0])
-    return Gaussian1D(mean_t - bias, var_st), Gaussian1D(mean_t, var_t)
+    return Gaussian1D(mean_t - m.bias, m.var_st), Gaussian1D(mean_t, m.var_t)
 
 
 def basic_case_risks(
@@ -137,9 +149,13 @@ def basic_case_risks(
     the prediction variances of the source and target models on the target
     inputs and bias is the prediction-mean gap.
     """
-    _, _, _, var_st, var_t, bias = _scalar_setup(source, target)
-    kl = RiskDecomposition(_h(var_t / var_st), bias**2 / (2.0 * var_st))
-    w = RiskDecomposition((np.sqrt(var_st) - np.sqrt(var_t)) ** 2, bias**2)
+    return _basic_case_split(_scalar_setup(source, target))
+
+
+def _basic_case_split(m: _PairMoments) -> tuple[RiskDecomposition, RiskDecomposition]:
+    """`basic_case_risks` on moments from `_scalar_setup`."""
+    kl = RiskDecomposition(_h(m.var_t / m.var_st), m.bias**2 / (2.0 * m.var_st))
+    w = RiskDecomposition((np.sqrt(m.var_st) - np.sqrt(m.var_t)) ** 2, m.bias**2)
     return kl, w
 
 
@@ -155,11 +171,15 @@ def risk_regret_residual(
     Cauchy-Schwarz, which is exactly why the squared-W2 risk never exceeds
     the regret.
     """
-    w_s, w_t, cov_tx, var_st, var_t, bias = _scalar_setup(source, target)
-    root = psd_sqrt(cov_tx)
-    a, b = root @ w_t, root @ w_s
-    risk = (np.sqrt(var_st) - np.sqrt(var_t)) ** 2 + bias**2
-    regret_value = float((a - b) @ (a - b) + bias**2)
+    return _regret_split(_scalar_setup(source, target))
+
+
+def _regret_split(m: _PairMoments) -> tuple[float, float, float]:
+    """`risk_regret_residual` on moments from `_scalar_setup`."""
+    root = psd_sqrt(m.cov_tx)
+    a, b = root @ m.w_t, root @ m.w_s
+    risk = (np.sqrt(m.var_st) - np.sqrt(m.var_t)) ** 2 + m.bias**2
+    regret_value = float((a - b) @ (a - b) + m.bias**2)
     residual = 2.0 * (np.linalg.norm(a) * np.linalg.norm(b) - a @ b)
     return float(risk), regret_value, float(residual)
 

@@ -33,10 +33,11 @@ from .finetune import (
     make_synthetic_domains,
 )
 from .gaussian_lab import (
-    basic_case_risks,
+    _basic_case_split,
+    _regret_split,
+    _scalar_setup,
     random_basic_pair,
     random_task,
-    risk_regret_residual,
 )
 from .optimal_transport import OtConfig
 from .transfer_core import (
@@ -608,8 +609,9 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
             source, target = random_basic_pair(
                 params["dim"], seed=cfg.seed + i, drift=params["drift"]
             )
-        kl, w = basic_case_risks(source, target)
-        risk, regret_value, residual = risk_regret_residual(source, target)
+        moments = _scalar_setup(source, target)
+        kl, w = _basic_case_split(moments)
+        risk, regret_value, residual = _regret_split(moments)
         e_in = cfg.input_risk_rescale * input_risk(
             target.x_marginal(),
             source.x_marginal(),

@@ -642,6 +642,44 @@ class TestGaussianLabMode:
         again = run(cfg)
         assert again["rows"] == random_report["rows"]
 
+    def test_each_pair_checks_two_joints_and_solves_two_models(self, tmp_path, monkeypatch):
+        # Each pair builds two joints, and each joint gets one PSD check
+        # (eigvalsh) and one optimal-model solve; their marginals are not
+        # re-validated.
+        from trk import distributions, gaussian_lab
+
+        calls = {"eigvalsh": 0, "GaussianND": 0, "optimal_linear_model": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(
+            distributions.GaussianND,
+            "__post_init__",
+            counted("GaussianND", distributions.GaussianND.__post_init__),
+        )
+        monkeypatch.setattr(
+            gaussian_lab,
+            "optimal_linear_model",
+            counted("optimal_linear_model", gaussian_lab.optimal_linear_model),
+        )
+        n_pairs = 5
+        cfg = PipelineConfig.from_dict(
+            {
+                "mode": "gaussian_lab",
+                "seed": 0,
+                "out_dir": str(tmp_path),
+                "gaussian_lab": {"dim": 3, "n_pairs": n_pairs},
+            }
+        )
+        run(cfg)
+        assert calls == {"eigvalsh": 2 * n_pairs, "GaussianND": 0, "optimal_linear_model": 2 * n_pairs}
+
 
 class TestEmpiricalOverride:
     def make_config(self, tmp_path, **extra):

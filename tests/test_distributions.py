@@ -11,6 +11,7 @@ from trk.distributions import (
     Gaussian1D,
     GaussianJoint,
     GaussianND,
+    _is_symmetric,
     gaussian_kl,
     gaussian_w2,
     psd_sqrt,
@@ -132,6 +133,70 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
             psd_sqrt(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # An infinite diagonal used to come back as an all-NaN root, and NaN
+        # was reported as an asymmetry.
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            psd_sqrt(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+# Asymmetries straddling the 1e-8 tolerance, plus a spread of larger and
+# smaller ones.
+_ASYMMETRY = st.one_of(
+    st.sampled_from(
+        [0.0, 1e-8, np.nextafter(1e-8, 0.0), np.nextafter(1e-8, 1.0), 0.5e-8, 2e-8]
+    ),
+    st.floats(0.0, 1e-7),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 5),
+    entries=st.lists(
+        st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=10, max_size=10
+    ),
+    slot=st.integers(0, 9),
+    delta=_ASYMMETRY,
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_symmetry_check_matches_allclose(dim, entries, slot, delta, sign):
+    # A diagonally dominant symmetric matrix, then one off-diagonal entry moved.
+    upper = np.triu_indices(dim, 1)
+    mat = np.zeros((dim, dim))
+    mat[upper] = entries[: len(upper[0])]
+    mat = mat + mat.T + np.eye(dim) * 100.0
+    i, j = upper[0][slot % len(upper[0])], upper[1][slot % len(upper[0])]
+    mat[i, j] = mat[j, i] + sign * delta
+    symmetric = np.allclose(mat, mat.T, atol=1e-8, rtol=0.0)
+    assert _is_symmetric(mat) == symmetric
+    constructors = [
+        lambda: psd_sqrt(mat),
+        lambda: GaussianND(np.zeros(dim), mat),
+        lambda: GaussianJoint(np.zeros(dim), [0.0], mat, np.zeros((dim, 1)), [[1.0]]),
+    ]
+    for build in constructors:
+        if symmetric:
+            build()
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                build()
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0)])
+def test_nan_entry_rejected_by_every_constructor(where):
+    mat = np.eye(2)
+    mat[where] = np.nan
+    constructors = [
+        lambda: psd_sqrt(mat),
+        lambda: GaussianND(np.zeros(2), mat),
+        lambda: GaussianJoint(np.zeros(2), [0.0], mat, np.zeros((2, 1)), [[1.0]]),
+    ]
+    for build in constructors:
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestGaussianKl:

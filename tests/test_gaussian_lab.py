@@ -369,6 +369,27 @@ class TestGenerators:
         assert eigs.min() >= 0.5 - 1e-9
         assert eigs.max() <= 2.0 + 1e-9
 
+    def test_marginals_and_full_match_validated_laws(self):
+        # The joint's laws skip re-validation; they must still be bit-equal to
+        # a freshly validated GaussianND and read-only.
+        joints = [random_task(3, 2, seed=s) for s in range(10)]
+        joints += [joint for s in range(10) for joint in random_basic_pair(4, seed=s)]
+        for joint in joints:
+            expected = {
+                "x": GaussianND(joint.mean_x, joint.cov_xx),
+                "y": GaussianND(joint.mean_y, joint.cov_yy),
+                "full": GaussianND(
+                    np.concatenate([joint.mean_x, joint.mean_y]),
+                    np.block([[joint.cov_xx, joint.cov_xy], [joint.cov_xy.T, joint.cov_yy]]),
+                ),
+            }
+            actual = {"x": joint.x_marginal(), "y": joint.y_marginal(), "full": joint.full()}
+            for key, law in actual.items():
+                for got, want in ((law.mean, expected[key].mean), (law.cov, expected[key].cov)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), key
+                    assert not got.flags.writeable, key
+
     def test_restrictions_are_consistent(self):
         task = random_task(3, 2, seed=73)
         sub = restrict_inputs(task, 2)
