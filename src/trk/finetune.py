@@ -235,14 +235,15 @@ def cross_entropy_objective(
     the residual.  Bit-equal to the axis-1 expressions for 2-7 classes and
     within an ulp of the normalizer from 8 (see `_row_sum`).
     """
-    rows = np.arange(len(labels))
     log_probs = family.apply(params, points)
+    # Each row's label entry as one index into the flattened (n, classes) array.
+    flat = np.arange(len(labels)) * family.classes + labels
     log_probs -= _row_max(log_probs)[:, None]
     residual = np.exp(log_probs)
     log_probs -= np.log(_row_sum(residual))[:, None]
-    value = float(-np.sum(weights * log_probs[rows, labels]))
+    value = float(-np.sum(weights * log_probs.reshape(-1)[flat]))
     np.exp(log_probs, out=residual)
-    residual[rows, labels] -= 1.0
+    residual.reshape(-1)[flat] -= 1.0
     residual *= weights[:, None]
     grad_weights = residual.T @ points
     grad_bias = residual.sum(axis=0)
@@ -445,6 +446,14 @@ class PairResult:
     transfer_risk: float
 
 
+def _named(what: str, fit, *args):
+    """Run one fit; a divergence error is prefixed with `what` and keeps its trace."""
+    try:
+        return fit(*args)
+    except TrainingDivergedError as err:
+        raise TrainingDivergedError(f"{what}: {err}", err.trace) from err
+
+
 def evaluate_risk_accuracy_pairs(
     domains: list[SyntheticDomain],
     combiner,
@@ -455,17 +464,20 @@ def evaluate_risk_accuracy_pairs(
 ) -> list[PairResult]:
     """Transfer table over all ordered domain pairs.
 
-    For each pair the source head is trained on the source domain, target
-    points are re-expressed as source class probabilities, and three
-    quantities come out: the input risk W_p^p between the raw feature clouds
-    (order and solver from `ot`, optionally rescaled), the
-    trained-and-budgeted output risk against the target label law, and the
-    fine-tuned head's held-out accuracy.  Per-pair seeds are derived as
-    seed + pair index so pairs are independent but reproducible.
+    One source head is trained per domain and transferred to every other
+    domain: target points are re-expressed as that head's class
+    probabilities, and three quantities come out per pair: the input risk
+    W_p^p between the raw feature clouds (order and solver from `ot`,
+    optionally rescaled), the trained-and-budgeted output risk against the
+    target label law, and the held-out accuracy of a target head fine-tuned
+    on the representation.  The source head of domain k is seeded with
+    train_cfg.seed + k; the output-map descent and the target head of the
+    i-th ordered pair with seed + i, so runs are reproducible.
 
     Raises:
-        TrainingDivergedError: if a source head's representation of the
-            target points is not finite.
+        TrainingDivergedError: if a fit diverges, or a source head's
+            representation of the target points is not finite; the message
+            names the head or map.
     """
     if len(domains) < 2:
         raise ValueError(f"need at least 2 domains, got {len(domains)}")
@@ -477,20 +489,22 @@ def evaluate_risk_accuracy_pairs(
 
     results = []
     pair_index = 0
-    for source in domains:
+    for source_index, source in enumerate(domains):
+        # Trained here rather than up front, so failures surface in pair order.
+        _, source_model, source_trace = _named(
+            f"source head of {source.name}",
+            train_classifier,
+            SoftmaxHeadFamily(source.train.dim, classes),
+            source.train,
+            source.train_labels,
+            source.held_out,
+            source.held_out_labels,
+            replace(train_cfg, seed=train_cfg.seed + source_index),
+        )
         for target in domains:
             if source is target:
                 continue
-            pair_risk_cfg = replace(risk_cfg, seed=risk_cfg.seed + pair_index)
-            pair_train_cfg = replace(train_cfg, seed=train_cfg.seed + pair_index)
-            _, source_model, source_trace = train_classifier(
-                SoftmaxHeadFamily(source.train.dim, classes),
-                source.train,
-                source.train_labels,
-                source.held_out,
-                source.held_out_labels,
-                pair_train_cfg,
-            )
+            pair = f"{source.name}->{target.name}"
 
             # The transferred representation is the frozen source head's
             # class probabilities.  Saturation far from the source decision
@@ -502,7 +516,7 @@ def evaluate_risk_accuracy_pairs(
                 features = _softmax(source_model(points))
                 if not np.all(np.isfinite(features)):
                     raise TrainingDivergedError(
-                        f"source head of {source.name}->{target.name} diverged: non-finite "
+                        f"source head of {pair} diverged: non-finite "
                         "representation of the target points",
                         source_trace,
                     )
@@ -510,23 +524,24 @@ def evaluate_risk_accuracy_pairs(
 
             e_in = input_rescale * input_risk(target.train, source.train, "wasserstein", ot)
             features = represent(target.train.points)
-            proxy = EmpiricalDistribution.from_points(
-                target.train_labels.astype(float)[:, None]
-            )
-            e_out, _, _ = minimize_output_risk(
+            e_out, _, _ = _named(
+                f"output map of {pair}",
+                minimize_output_risk,
                 AffineMapFamily(classes, 1),
                 EmpiricalDistribution(features, target.train.weights),
-                proxy,
-                p=1.0,
-                cfg=pair_risk_cfg,
+                EmpiricalDistribution.from_points(target.train_labels.astype(float)[:, None]),
+                1.0,
+                replace(risk_cfg, seed=risk_cfg.seed + pair_index),
             )
-            accuracy, _, _ = train_classifier(
+            accuracy, _, _ = _named(
+                f"target head of {pair}",
+                train_classifier,
                 SoftmaxHeadFamily(classes, classes),
                 EmpiricalDistribution.from_points(features),
                 target.train_labels,
                 EmpiricalDistribution.from_points(represent(target.held_out.points)),
                 target.held_out_labels,
-                pair_train_cfg,
+                replace(train_cfg, seed=train_cfg.seed + pair_index),
             )
             results.append(
                 PairResult(

@@ -703,7 +703,11 @@ def run(cfg: PipelineConfig, override_risks: str | Path | None = None) -> dict:
 
     Returns the report document.  The pair table is a deterministic function
     of the config and seed; wall-clock timings live only in the report.
+    `override_risks` names a precomputed risk table to combine instead of
+    training; only empirical mode takes one.
     """
+    if override_risks is not None and cfg.mode != "empirical":
+        raise ValueError(f"--override-risks applies only to empirical mode, got {cfg.mode}")
     timings: dict[str, float] = {}
     start = time.perf_counter()
     if cfg.mode == "empirical":

@@ -1122,6 +1122,20 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [row["transfer_risk"] for row in report["rows"]] == STUDY_COMBINED
 
+    @pytest.mark.parametrize("mode", ["gaussian_lab", "synthetic_office"])
+    def test_override_risks_outside_empirical_rejected(self, tmp_path, capsys, mode):
+        config = self.run_config(tmp_path, mode=mode)
+        argv = ["run", "--config", str(config), "--override-risks", str(tmp_path / "none.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == (
+            f"--override-risks applies only to empirical mode, got {mode}"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_fit_combiner_prints_fit(self, tmp_path, capsys):
         table = write_study_table(tmp_path / "rows.csv")
         assert main(["fit-combiner", "--rows", str(table), "--form", "polynomial2"]) == 0
@@ -1234,6 +1248,29 @@ class TestCli:
             assert json.loads(lines[0])["error"] == (
                 f"source head of {pair} diverged: non-finite representation of the target points"
             )
+
+    # Cases found by running seeds 0-11 with each learning rate at 1e308.
+    @pytest.mark.parametrize("section,settings,seed,error", [
+        ("train", {}, 3, "source head of domain_a: loss became nan at epoch 1"),
+        ("train", {}, 6, "target head of domain_a->domain_b: loss became inf at epoch 7"),
+        ("risk_train", {"epochs": 3}, 1,
+         "output map of domain_a->domain_c: objective became inf at epoch 1"),
+    ])
+    def test_divergence_names_the_head(self, tmp_path, capsys, section, settings, seed, error):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "synthetic_office",
+            "out_dir": str(tmp_path / "out"),
+            section: {"learning_rate": 1e308, **settings},
+            "synthetic_office": {"samples_per_domain": 24},
+        }))
+        assert main(["run", "--config", str(config), "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "out").exists()
 
     def test_dense_budget_refusal_is_one_json_line(self, tmp_path, capsys):
         # Two 20 000-point training halves: the Sinkhorn route refuses them.

@@ -598,6 +598,78 @@ class TestEvaluatePairs:
             evaluate_risk_accuracy_pairs(domains, combiner, input_rescale=0.0)
 
 
+class TestPairFits:
+    """Which heads `evaluate_risk_accuracy_pairs` trains, with which seeds."""
+
+    @pytest.mark.parametrize("n_domains", [3, 4])
+    def test_one_source_head_per_domain(self, monkeypatch, n_domains):
+        domains = make_synthetic_domains(1, n_domains=n_domains, samples_per_domain=48)
+        sources = {id(d.train): d.name for d in domains}
+        fits, map_seeds, used = [], [], {}
+
+        class Recorded:
+            """A fitted source model that logs each read under its source's name."""
+
+            def __init__(self, model, name):
+                self.model, self.name = model, name
+
+            def __call__(self, points):
+                used.setdefault(self.name, []).append(self)
+                return self.model(points)
+
+        def fit(family, features, *args):
+            accuracy, model, trace = train_classifier(family, features, *args)
+            cfg = args[-1]
+            if id(features) in sources:
+                fits.append(("source", cfg.seed))
+                return accuracy, Recorded(model, sources[id(features)]), trace
+            fits.append(("target", cfg.seed))
+            return accuracy, model, trace
+
+        def descend(family, law_zt, proxy, p, cfg):
+            map_seeds.append(cfg.seed)
+            return minimize_output_risk(family, law_zt, proxy, p, cfg)
+
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        monkeypatch.setattr(finetune, "minimize_output_risk", descend)
+        rows = evaluate_risk_accuracy_pairs(
+            domains,
+            PolynomialCombiner(0.31, 0.92, 2),
+            TrainConfig(epochs=2, seed=20),
+            TrainConfig(epochs=5, seed=10),
+        )
+        n_pairs = n_domains * (n_domains - 1)
+        assert len(rows) == n_pairs
+        assert len(fits) == n_domains + n_pairs
+        expected, pair = [], 0
+        for k in range(n_domains):
+            expected.append(("source", 10 + k))
+            for _ in range(n_domains - 1):
+                expected.append(("target", 10 + pair))
+                pair += 1
+        assert fits == expected
+        assert map_seeds == [20 + i for i in range(n_pairs)]
+        # Each source's model is the one fit, read by every pair of that source.
+        assert sorted(used) == sorted(sources.values())
+        assert all(len({id(m) for m in models}) == 1 for models in used.values())
+
+    def test_divergence_names_the_head_and_keeps_the_trace(self):
+        domains = make_synthetic_domains(3, samples_per_domain=24)
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            pytest.raises(TrainingDivergedError) as caught,
+        ):
+            evaluate_risk_accuracy_pairs(
+                domains,
+                PolynomialCombiner(0.31, 0.92, 2),
+                TrainConfig(learning_rate=0.5, seed=3),
+                TrainConfig(epochs=100, learning_rate=1e308, seed=3),
+            )
+        assert str(caught.value) == "source head of domain_a: loss became nan at epoch 1"
+        assert caught.value.trace.epochs_run == 1
+        assert isinstance(caught.value.__cause__, TrainingDivergedError)
+
+
 class TestWassersteinHeuristicBound:
     def test_triangle_style_bound_on_closed_forms(self):
         # The proxy objective is sound because matching the label law also
