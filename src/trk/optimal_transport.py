@@ -4,11 +4,13 @@ Four routes compute the p-Wasserstein distance W_p under the Euclidean
 ground metric: an exact quantile sweep for one-dimensional clouds, an exact
 linear assignment for uniformly weighted clouds of equal size, an exact
 linear program (HiGHS) for other small supports, and a log-domain Sinkhorn
-iteration for everything larger.  The assignment route is exact because the
-transport polytope between two uniform clouds of equal size has a
-permutation matrix among its optimal vertices.  The entropic route
-over-approximates the exact cost by an epsilon-dependent amount; it is
-cross-checked against the LP in the test suite rather than bounded here.
+iteration for everything larger.  The 'auto' method picks the route from
+the input alone; 'sinkhorn' forces the entropic route.  The assignment
+route is exact because the transport polytope between two uniform clouds of
+equal size has a permutation matrix among its optimal vertices.  The
+entropic route over-approximates the exact cost by an epsilon-dependent
+amount; it is cross-checked against the LP in the test suite rather than
+bounded here.
 The three dense routes refuse, before building the cost matrix, an instance
 whose n x m working set would exceed DENSE_BUDGET_BYTES.
 Each route imports its scipy solver inside the function that runs it, so a
@@ -24,16 +26,15 @@ import numpy as np
 from .distributions import EmpiricalDistribution
 
 __all__ = [
-    "Coupling",
     "OtConfig",
     "SinkhornConvergenceError",
     "wasserstein",
     "wasserstein_1d_exact",
 ]
 
-_METHODS = ("auto", "exact_1d", "exact_lp", "sinkhorn")
+_METHODS = ("auto", "sinkhorn")
 
-# Plans from either solver must reproduce the prescribed marginals this well.
+# Plans from every solver must reproduce the prescribed marginals this well.
 MARGINAL_TOL = 1e-7
 
 _SINKHORN_TOL = 1e-6
@@ -43,7 +44,7 @@ _SINKHORN_CHECK_EVERY = 10
 DENSE_BUDGET_BYTES = 1 << 30
 # Peak traced memory of each dense route, counted in n x m float64 matrices
 # (tracemalloc at a few hundred points per side; HiGHS's own heap excluded).
-_DENSE_MATRICES = {"assignment": 3, "exact_lp": 41, "sinkhorn": 10}
+_DENSE_MATRICES = {"assignment": 3, "lp": 41, "sinkhorn": 10}
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -70,15 +71,16 @@ class OtConfig:
 
     Attributes:
         p: order of the distance, >= 1; ground cost is ||x - y||^p.
-        method: one of 'auto', 'exact_1d', 'exact_lp', 'sinkhorn'.  'auto'
-            picks the quantile sweep in one dimension; when both supports
-            fit under lp_max_support, a linear assignment for uniformly
-            weighted clouds of equal size and the HiGHS LP for any other
-            pair; Sinkhorn otherwise.  'exact_lp' always runs HiGHS.
+        method: 'auto' or 'sinkhorn'.  'auto' picks the quantile sweep in
+            one dimension; when both supports fit under lp_max_support, a
+            linear assignment for uniformly weighted clouds of equal size
+            and the HiGHS LP for any other pair; Sinkhorn otherwise.
+            'sinkhorn' always runs the entropic route.
         sinkhorn_epsilon: entropic regularization; None means 0.01 times the
             mean pairwise cost of the instance.
         sinkhorn_max_iter: iteration cap before SinkhornConvergenceError.
-        lp_max_support: largest support size the LP route accepts.
+        lp_max_support: largest support size 'auto' sends to an exact
+            dense route (assignment or LP).
     """
 
     p: float = 1.0
@@ -100,29 +102,11 @@ class OtConfig:
             raise ValueError("lp_max_support must be >= 1")
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Transport plan together with its cost <plan, C> = W_p^p."""
-
-    plan: np.ndarray
-    cost: float
-
-    def __post_init__(self) -> None:
-        plan = np.asarray(self.plan, dtype=np.float64)
-        if plan.ndim != 2:
-            raise ValueError(f"plan must be a matrix, got shape {plan.shape}")
-        if plan.min() < -1e-12:
-            raise ValueError(f"plan has negative entries, min {plan.min():.3e}")
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "cost", float(self.cost))
-
-    def marginal_violation(
-        self, source_weights: np.ndarray, target_weights: np.ndarray
-    ) -> float:
-        """Max deviation of the plan's marginals from the prescribed weights."""
-        row = np.abs(self.plan.sum(axis=1) - source_weights).max()
-        col = np.abs(self.plan.sum(axis=0) - target_weights).max()
-        return float(max(row, col))
+def _marginal_violation(plan: np.ndarray, aw: np.ndarray, bw: np.ndarray) -> float:
+    """Max deviation of the plan's row and column sums from the weights."""
+    row = np.abs(plan.sum(axis=1) - aw).max()
+    col = np.abs(plan.sum(axis=0) - bw).max()
+    return float(max(row, col))
 
 
 def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -> np.ndarray:
@@ -266,83 +250,64 @@ def _solve_sinkhorn(
             plan = np.exp(
                 scaled + f[:, None] / epsilon + g[None, :] / epsilon + la[:, None] + lb[None, :]
             )
-            violation = max(
-                np.abs(plan.sum(axis=1) - aw).max(), np.abs(plan.sum(axis=0) - bw).max()
-            )
+            violation = _marginal_violation(plan, aw, bw)
             if violation < _SINKHORN_TOL:
                 # Convergence is judged on the raw iterate; the returned plan
                 # is then rounded onto the polytope so marginal invariants
                 # hold to machine precision downstream.
                 return _round_to_marginals(plan, aw, bw)
-    raise SinkhornConvergenceError(float(violation), max_iter)
+    raise SinkhornConvergenceError(violation, max_iter)
 
 
 def wasserstein(
     a: EmpiricalDistribution, b: EmpiricalDistribution, cfg: OtConfig = OtConfig()
-) -> tuple[float, Coupling | None]:
-    """p-Wasserstein distance between two clouds, with the plan when built.
+) -> float:
+    """p-Wasserstein distance between two clouds.
 
     The 'auto' method takes the quantile sweep for one-dimensional clouds.
     Otherwise, when both supports fit under lp_max_support, it solves a
     linear assignment for uniformly weighted clouds of equal size and the
-    HiGHS LP for every other pair; larger instances go to Sinkhorn.  The
-    assignment and the LP both return an optimal plan, so they agree on W_p.
-
-    Returns:
-        (distance, coupling).  The coupling carries cost = distance**p; the
-        quantile route returns None since it never materializes a plan.
+    HiGHS LP for every other pair; larger instances go to Sinkhorn, as does
+    every instance under 'sinkhorn'.  The assignment and the LP both find an
+    optimal plan, so they agree on W_p.
 
     Raises:
-        ValueError: on dimension mismatch, when an explicitly requested
-            method cannot handle the instance (wrong dimension for
-            'exact_1d', support above lp_max_support for 'exact_lp'), or
-            when a dense route would exceed DENSE_BUDGET_BYTES.  Size
-            checks run before the cost matrix is built.
+        ValueError: on dimension mismatch, or when a dense route would
+            exceed DENSE_BUDGET_BYTES; the size check runs before the cost
+            matrix is built.
+        RuntimeError: when a solver returns a plan with a negative entry or
+            marginals off by more than MARGINAL_TOL.
         SinkhornConvergenceError: when the entropic route misses tolerance.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    method = cfg.method
-    if method == "auto":
-        if a.dim == 1:
-            method = "exact_1d"
-        elif max(a.size, b.size) <= cfg.lp_max_support:
-            # An internal route, not a selectable method: explicit 'exact_lp'
-            # keeps HiGHS so the LP stays testable against an assignment oracle.
-            method = "assignment" if _is_uniform_pair(a, b) else "exact_lp"
-        else:
-            method = "sinkhorn"
+    if cfg.method == "auto" and a.dim == 1:
+        return wasserstein_1d_exact(a, b, cfg.p)
+    if cfg.method == "auto" and max(a.size, b.size) <= cfg.lp_max_support:
+        route = "assignment" if _is_uniform_pair(a, b) else "lp"
+    else:
+        route = "sinkhorn"
 
-    if method == "exact_1d":
-        return wasserstein_1d_exact(a, b, cfg.p), None
-
-    if method == "exact_lp" and max(a.size, b.size) > cfg.lp_max_support:
-        raise ValueError(
-            f"support {max(a.size, b.size)} exceeds lp_max_support={cfg.lp_max_support}; "
-            "use sinkhorn for instances this large"
-        )
-    _check_dense_budget(method, a.size, b.size)
+    _check_dense_budget(route, a.size, b.size)
     cost = _cost_matrix(a, b, cfg.p)
-    if method == "assignment":
+    if route == "assignment":
         plan = _solve_assignment(a.weights, cost)
-    elif method == "exact_lp":
+    elif route == "lp":
         plan = _solve_lp(a.weights, b.weights, cost)
-    elif method == "sinkhorn":
-        if cost.max() == 0.0:
-            # All mass is already in place; the product plan is optimal.
-            plan = np.outer(a.weights, b.weights)
-        else:
-            epsilon = cfg.sinkhorn_epsilon
-            if epsilon is None:
-                epsilon = 0.01 * float(cost.mean())
-            plan = _solve_sinkhorn(a.weights, b.weights, cost, epsilon, cfg.sinkhorn_max_iter)
-    else:  # pragma: no cover - exhausted by OtConfig validation
-        raise ValueError(f"unknown method {method!r}")
+    elif cost.max() == 0.0:
+        # All mass is already in place; the product plan is optimal.
+        plan = np.outer(a.weights, b.weights)
+    else:
+        epsilon = cfg.sinkhorn_epsilon
+        if epsilon is None:
+            epsilon = 0.01 * float(cost.mean())
+        plan = _solve_sinkhorn(a.weights, b.weights, cost, epsilon, cfg.sinkhorn_max_iter)
 
-    coupling = Coupling(plan, float((plan * cost).sum()))
-    violation = coupling.marginal_violation(a.weights, b.weights)
+    if plan.min() < -1e-12:
+        raise RuntimeError(f"solver returned a plan with negative entries, min {plan.min():.3e}")
+    violation = _marginal_violation(plan, a.weights, b.weights)
     if violation > MARGINAL_TOL:
         raise RuntimeError(
             f"solver returned an infeasible plan: marginal violation {violation:.3e}"
         )
-    return coupling.cost ** (1.0 / cfg.p), coupling
+    return float((plan * cost).sum()) ** (1.0 / cfg.p)

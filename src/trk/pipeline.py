@@ -81,11 +81,11 @@ _COMBINER = {"form": (tuple(_FORMS), "polynomial2")}
 # p None is the mode's own order: W_2 for gaussian_lab's closed forms, W_1
 # between sampled clouds.
 _DIVERGENCE = {"kind": (("wasserstein", "kl"), "wasserstein"), "p": (float, None)}
-# Only the sampled modes run a transport solver, and each method reads only
-# its own keys: the LP's support cap and Sinkhorn's regularization and budget.
-_LP = {"lp_max_support": (int, 400)}
+# Only the sampled modes run a transport solver.  Both methods read
+# Sinkhorn's regularization and budget; only 'auto' reads the support cap of
+# its exact routes.
 _SINKHORN = {"sinkhorn_epsilon": (float, None), "sinkhorn_max_iter": (int, 2000)}
-_SOLVERS = {"auto": {**_LP, **_SINKHORN}, "exact_1d": {}, "exact_lp": _LP, "sinkhorn": _SINKHORN}
+_SOLVERS = {"auto": {"lp_max_support": (int, 400), **_SINKHORN}, "sinkhorn": _SINKHORN}
 _SOLVER = {"method": (tuple(_SOLVERS), "auto")}
 # Only the sampled modes train.  The output-risk descent always spends its
 # whole epoch budget, so risk_train has no plateau_patience.
@@ -529,16 +529,23 @@ def _dataset_to_domain(
     perm = rng.permutation(dist.size)
     half = dist.size // 2
     first, second = perm[:half], perm[half:]
+    if len(np.unique(labels[first])) < 2:
+        raise ValueError(
+            f"{path}: the training half drawn at seed {seed} holds fewer than 2 classes"
+        )
 
-    def part(idx):
+    def part(idx, name):
         weights = dist.weights[idx]
-        return EmpiricalDistribution(dist.points[idx], weights / weights.sum())
+        total = weights.sum()
+        if total == 0.0:  # ingestion admits zero weights, never negative ones
+            raise ValueError(f"{path}: the {name} half drawn at seed {seed} has total weight 0")
+        return EmpiricalDistribution(dist.points[idx], weights / total)
 
     return SyntheticDomain(
         name=Path(path).stem,
-        train=part(first),
+        train=part(first, "training"),
         train_labels=labels[first],
-        held_out=part(second),
+        held_out=part(second, "held-out"),
         held_out_labels=labels[second],
         classes=classes,
     )
@@ -756,8 +763,11 @@ def fit_combiner(
     accuracy = np.array([r[2] for r in rows], dtype=float)
     if np.all(accuracy == accuracy[0]):
         raise ValueError("accuracy values are all equal; correlation is undefined")
-    if grid_size < 2 or grid_max <= 0.0:
-        raise ValueError("grid_size must be >= 2 and grid_max positive")
+    if grid_size < 2 or not 0.0 < grid_max < math.inf:
+        raise ValueError(
+            "grid_size must be >= 2 and grid_max positive and finite, "
+            f"got {grid_size} and {grid_max!r}"
+        )
 
     if form == "linear":
         candidates = [LinearCombiner(w) for w in np.linspace(0.0, grid_max, grid_size**2)]

@@ -156,8 +156,7 @@ def input_risk(
     if isinstance(law_xt, EmpiricalDistribution) and isinstance(law_xs, EmpiricalDistribution):
         if metric == "kl":
             raise ValueError("kl input risk is not defined for sampled carriers")
-        distance, _ = wasserstein(law_xt, law_xs, cfg)
-        return float(distance**cfg.p)
+        return wasserstein(law_xt, law_xs, cfg) ** cfg.p
     if isinstance(law_xt, GaussianLike) and isinstance(law_xs, GaussianLike):
         if metric == "kl":
             return gaussian_kl(law_xt, law_xs)

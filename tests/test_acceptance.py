@@ -44,7 +44,13 @@ from trk.gaussian_lab import (
     restrict_outputs,
     risk_regret_residual,
 )
-from trk.optimal_transport import OtConfig, wasserstein
+from trk.optimal_transport import (
+    OtConfig,
+    _cost_matrix,
+    _solve_lp,
+    wasserstein,
+    wasserstein_1d_exact,
+)
 from trk.transfer_core import (
     AffineModel,
     PolynomialCombiner,
@@ -285,6 +291,10 @@ def test_criterion_05_cross_entropy_sandwich():
 
 
 def test_criterion_06_transport_solver_agreement():
+    def lp_distance(a, b, p):
+        cost = _cost_matrix(a, b, p)
+        return float((_solve_lp(a.weights, b.weights, cost) * cost).sum()) ** (1.0 / p)
+
     def body(failures):
         for i in range(100):
             rng = np.random.default_rng(70_000 + i)
@@ -294,8 +304,8 @@ def test_criterion_06_transport_solver_agreement():
                 rng.normal(loc=0.5, size=(m, 1)), rng.dirichlet(np.ones(m))
             )
             p = 1.0 if i % 2 == 0 else 2.0
-            quantile, _ = wasserstein(a, b, OtConfig(p=p, method="exact_1d"))
-            lp, _ = wasserstein(a, b, OtConfig(p=p, method="exact_lp"))
+            quantile = wasserstein_1d_exact(a, b, p)
+            lp = lp_distance(a, b, p)
             if abs(quantile - lp) > 1e-7:
                 failures.append(f"1-D instance {i}: quantile {quantile:.9f} vs lp {lp:.9f}")
             if len(failures) > 5:
@@ -305,8 +315,8 @@ def test_criterion_06_transport_solver_agreement():
             n, m = int(rng.integers(30, 101)), int(rng.integers(30, 101))
             a = EmpiricalDistribution.from_points(rng.normal(size=(n, 2)))
             b = EmpiricalDistribution.from_points(0.5 + 0.8 * rng.normal(size=(m, 2)))
-            lp, _ = wasserstein(a, b, OtConfig(p=1.0, method="exact_lp"))
-            approx, _ = wasserstein(
+            lp = lp_distance(a, b, 1.0)
+            approx = wasserstein(
                 a, b, OtConfig(p=1.0, method="sinkhorn", sinkhorn_max_iter=100_000)
             )
             if abs(approx - lp) > 0.05 * lp:

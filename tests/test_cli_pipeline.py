@@ -18,6 +18,7 @@ from scipy import stats
 import oracles
 import trk
 from trk import __version__, pipeline
+from trk import optimal_transport as ot_module
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
 from trk.optimal_transport import SinkhornConvergenceError
@@ -319,7 +320,8 @@ CONFIG_PATHS = [
 ]
 
 
-# Configs that set a key their run would never read, and the one error each gets.
+# Configs that set a key their run would never read, or a solver method the
+# library does not have, and the one error each gets.
 UNREAD_KEYS = [
     ({"mode": "synthetic_office", "gaussian_lab": {"dimm": "x"}},
      "gaussian_lab does not apply to synthetic_office"),
@@ -332,19 +334,22 @@ UNREAD_KEYS = [
      "unknown config key 'risk_train.plateau_patience'"),
     ({"mode": "empirical", "risk_train": {"plateau_patience": 1000}},
      "unknown config key 'risk_train.plateau_patience'"),
-    ({"mode": "synthetic_office",
-      "divergence": {"method": "exact_lp", "sinkhorn_epsilon": 5.0, "sinkhorn_max_iter": 1}},
-     "divergence.sinkhorn_epsilon does not apply to exact_lp"),
-    ({"mode": "empirical", "divergence": {"method": "exact_1d", "lp_max_support": 10}},
-     "divergence.lp_max_support does not apply to exact_1d"),
-    ({"mode": "empirical", "divergence": {"method": "exact_1d", "sinkhorn_max_iter": 10}},
-     "divergence.sinkhorn_max_iter does not apply to exact_1d"),
+    ({"mode": "gaussian_lab", "divergence": {"sinkhorn_epsilon": 5.0, "sinkhorn_max_iter": 1}},
+     "divergence.sinkhorn_epsilon does not apply to gaussian_lab"),
+    ({"mode": "gaussian_lab", "divergence": {"lp_max_support": 10}},
+     "divergence.lp_max_support does not apply to gaussian_lab"),
+    ({"mode": "gaussian_lab", "divergence": {"sinkhorn_max_iter": 10}},
+     "divergence.sinkhorn_max_iter does not apply to gaussian_lab"),
     ({"mode": "synthetic_office", "divergence": {"method": "sinkhorn", "lp_max_support": 10}},
      "divergence.lp_max_support does not apply to sinkhorn"),
     ({"mode": "gaussian_lab", "combiner": {"form": "polynomial2", "weight": 1.0}},
      "combiner.weight does not apply to polynomial2"),
     ({"mode": "gaussian_lab", "gaussian_lab": {"identical_tasks": True, "drift": 0.9}},
      "gaussian_lab.drift does not apply to identical_tasks"),
+    ({"mode": "synthetic_office", "divergence": {"method": "exact_lp"}},
+     "divergence.method must be one of ('auto', 'sinkhorn'), got 'exact_lp'"),
+    ({"mode": "empirical", "divergence": {"method": "exact_1d"}},
+     "divergence.method must be one of ('auto', 'sinkhorn'), got 'exact_1d'"),
 ]
 
 
@@ -522,6 +527,9 @@ class TestPipelineConfig:
     def test_non_object_section_rejected(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be a JSON object$"):
             PipelineConfig.from_dict({"mode": "synthetic_office", key: []})
+
+    def test_solver_tables_are_the_library_methods(self):
+        assert set(pipeline._SOLVERS) == set(ot_module._METHODS)
 
     def test_linear_combiner_rejects_polynomial_keys(self):
         raw = {"mode": "gaussian_lab", "combiner": {"form": "linear", "input_coeff": 1.0}}
@@ -1014,8 +1022,9 @@ class TestFitCombiner:
         rows = [(0.1, 0.2, 0.3), (0.2, 0.3, 0.4), (0.3, 0.4, 0.5)]
         with pytest.raises(ValueError, match="grid_size"):
             fit_combiner(rows, "linear", grid_size=1)
-        with pytest.raises(ValueError, match="grid_size"):
-            fit_combiner(rows, "linear", grid_max=0.0)
+        for grid_max in (0.0, NAN, INF):
+            with pytest.raises(ValueError, match="grid_size must be >= 2 and grid_max"):
+                fit_combiner(rows, "linear", grid_max=grid_max)
 
 
 # Each file holds one bad value that ingest-check must reject naming its place.
@@ -1270,6 +1279,76 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "out").exists()
+
+    # A 6-row set whose last three rows weigh nothing, split at each seed.
+    @pytest.mark.parametrize("seed,error", [
+        (1, "the training half drawn at seed 1 holds fewer than 2 classes"),
+        (4, "the held-out half drawn at seed 4 has total weight 0"),
+        (72, "the training half drawn at seed 72 has total weight 0"),
+    ])
+    def test_empirical_split_names_the_dataset(self, tmp_path, capsys, seed, error):
+        light = tmp_path / "w.json"
+        light.write_text(json.dumps({
+            "features": [[0], [1], [2], [3], [4], [5]], "labels": [0, 1, 0, 1, 0, 1],
+            "weights": [1, 1, 1, 0, 0, 0],
+        }))
+        other = tmp_path / "v.json"
+        other.write_text(json.dumps({"features": [[0], [1], [2], [3]], "labels": [0, 1, 0, 1]}))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "empirical",
+            "seed": seed,
+            "out_dir": str(tmp_path / "out"),
+            "empirical": {"datasets": [str(light), str(other)]},
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": f"{light}: {error}"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flaw,error", [
+        ("negative", "solver returned a plan with negative entries, min -1.000e-09"),
+        ("marginal", "solver returned an infeasible plan: marginal violation 1.000e-06"),
+    ])
+    def test_infeasible_plan_is_one_json_line(self, tmp_path, capsys, monkeypatch, flaw, error):
+        solve_lp = ot_module._solve_lp
+
+        def flawed(aw, bw, cost):
+            plan = solve_lp(aw, bw, cost)
+            if flaw == "negative":  # an entry the optimum leaves at 0
+                plan[np.unravel_index(np.argmin(plan), plan.shape)] = -1e-9
+            else:  # row 0 now sums to its weight plus 1e-6
+                plan[0] *= 1.0 + 1e-6 / plan[0].sum()
+            return plan
+
+        monkeypatch.setattr(ot_module, "_solve_lp", flawed)
+        # Two 2-D sets of unequal size, so their input risk takes the LP route.
+        rng = np.random.default_rng(8)
+        paths = []
+        for name, rows in (("a", 16), ("b", 12)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "features": rng.normal(size=(rows, 2)).tolist(), "labels": [0, 1] * (rows // 2),
+            }))
+            paths.append(str(path))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "empirical",
+            "out_dir": str(tmp_path / "out"),
+            "empirical": {"datasets": paths},
+            "train": {"epochs": 2},
+            "risk_train": {"epochs": 1},
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": error}
         assert not (tmp_path / "out").exists()
 
     def test_dense_budget_refusal_is_one_json_line(self, tmp_path, capsys):

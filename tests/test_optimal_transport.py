@@ -12,7 +12,6 @@ import oracles
 import trk.optimal_transport as ot_module
 from trk.distributions import EmpiricalDistribution, Gaussian1D, gaussian_w2, sample
 from trk.optimal_transport import (
-    Coupling,
     OtConfig,
     SinkhornConvergenceError,
     wasserstein,
@@ -35,6 +34,25 @@ def random_cloud(rng, n, dim, weighted=False):
         return EmpiricalDistribution.from_points(pts)
     w = rng.uniform(0.1, 1.0, size=n)
     return EmpiricalDistribution(pts, w / w.sum())
+
+
+def lp_solve(a, b, p=1.0):
+    """The HiGHS route run directly, whatever route 'auto' would pick: (W_p, plan)."""
+    cost = ot_module._cost_matrix(a, b, p)
+    plan = ot_module._solve_lp(a.weights, b.weights, cost)
+    return float((plan * cost).sum()) ** (1.0 / p), plan
+
+
+def patch_lp_plan(monkeypatch, corrupt):
+    """Make the LP route hand back its optimal plan after `corrupt(plan)` edits it."""
+    solve_lp = ot_module._solve_lp
+
+    def corrupted(aw, bw, cost):
+        plan = solve_lp(aw, bw, cost)
+        corrupt(plan)
+        return plan
+
+    monkeypatch.setattr(ot_module, "_solve_lp", corrupted)
 
 
 class TestOtConfig:
@@ -60,15 +78,35 @@ class TestOtConfig:
 
 
 class TestCoupling:
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="negative"):
-            Coupling(np.array([[0.5, -0.1], [0.3, 0.3]]), 0.0)
+    """`wasserstein` refuses a solver plan that is not a coupling of the two clouds."""
+
+    def test_rejects_negative_entries(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        a, b = random_cloud(rng, 6, 2, weighted=True), random_cloud(rng, 5, 2)
+
+        def dent(plan):  # the optimum leaves this entry at 0, so the marginals move by 1e-9
+            plan[np.unravel_index(np.argmin(plan), plan.shape)] = -1e-9
+
+        patch_lp_plan(monkeypatch, dent)
+        with pytest.raises(RuntimeError, match="negative entries, min -1.000e-09"):
+            wasserstein(a, b)
+
+    def test_rejects_marginals_off_by_more_than_the_tolerance(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        a, b = random_cloud(rng, 6, 2, weighted=True), random_cloud(rng, 5, 2)
+
+        def skew(plan):  # row 0 now sums to its weight plus 1e-6
+            plan[0] *= 1.0 + 1e-6 / plan[0].sum()
+
+        patch_lp_plan(monkeypatch, skew)
+        with pytest.raises(RuntimeError, match="infeasible plan: marginal violation 1.000e-06"):
+            wasserstein(a, b)
 
     def test_marginal_violation(self):
         plan = np.array([[0.25, 0.25], [0.0, 0.5]])
-        c = Coupling(plan, 1.0)
-        assert c.marginal_violation(np.array([0.5, 0.5]), np.array([0.25, 0.75])) == 0.0
-        assert c.marginal_violation(np.array([0.6, 0.4]), np.array([0.25, 0.75])) == pytest.approx(
+        violation = ot_module._marginal_violation
+        assert violation(plan, np.array([0.5, 0.5]), np.array([0.25, 0.75])) == 0.0
+        assert violation(plan, np.array([0.6, 0.4]), np.array([0.25, 0.75])) == pytest.approx(
             0.1
         )
 
@@ -117,27 +155,13 @@ class TestWasserstein1dExact:
 class TestWassersteinDispatch:
     def test_identical_clouds_cost_zero(self):
         a = cloud(np.arange(5.0))
-        dist, coupling = wasserstein(a, a)
-        assert dist == pytest.approx(0.0, abs=1e-12)
-        assert coupling is None  # 1-d auto route is the quantile sweep
+        assert wasserstein(a, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         a = EmpiricalDistribution.from_points(np.zeros((2, 1)))
         b = EmpiricalDistribution.from_points(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="mismatch"):
             wasserstein(a, b)
-
-    def test_exact_1d_requested_on_2d_rejected(self):
-        a = EmpiricalDistribution.from_points(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="dim 1"):
-            wasserstein(a, a, OtConfig(method="exact_1d"))
-
-    def test_lp_support_cap_enforced(self):
-        rng = np.random.default_rng(22)
-        a = random_cloud(rng, 5, 2)
-        b = random_cloud(rng, 5, 2)
-        with pytest.raises(ValueError, match="lp_max_support"):
-            wasserstein(a, b, OtConfig(method="exact_lp", lp_max_support=4))
 
     def test_lp_translation_in_2d(self):
         # Every point moves by the same vector, so W1 equals its length.
@@ -146,10 +170,9 @@ class TestWassersteinDispatch:
         shift = np.array([3.0, 4.0])
         a = EmpiricalDistribution.from_points(pts)
         b = EmpiricalDistribution.from_points(pts + shift)
-        dist, coupling = wasserstein(a, b, OtConfig(method="exact_lp"))
+        dist, plan = lp_solve(a, b)
         assert dist == pytest.approx(5.0, rel=1e-9)
-        assert coupling is not None
-        assert coupling.marginal_violation(a.weights, b.weights) < 1e-7
+        assert ot_module._marginal_violation(plan, a.weights, b.weights) < 1e-7
 
     def test_lp_matches_assignment_oracle(self):
         rng = np.random.default_rng(24)
@@ -157,7 +180,7 @@ class TestWassersteinDispatch:
             for _ in range(10):
                 a = random_cloud(rng, 15, 2)
                 b = random_cloud(rng, 15, 2)
-                dist, _ = wasserstein(a, b, OtConfig(p=p, method="exact_lp"))
+                dist, _ = lp_solve(a, b, p)
                 expected = oracles.assignment_ot_cost(a.points, b.points, p=p)
                 assert dist**p == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
@@ -169,36 +192,34 @@ class TestWassersteinDispatch:
             a = random_cloud(rng, int(rng.integers(2, 25)), 1, weighted=True)
             b = random_cloud(rng, int(rng.integers(2, 25)), 1, weighted=True)
             d1 = wasserstein_1d_exact(a, b, p=p)
-            d2, _ = wasserstein(a, b, OtConfig(p=p, method="exact_lp"))
+            d2, _ = lp_solve(a, b, p)
             assert d1 == pytest.approx(d2, rel=1e-8, abs=1e-8)
 
     def test_cost_matches_distance_power(self):
+        # Unequal sizes take the LP route, whose plan costs <plan, C> = W_p^p.
         rng = np.random.default_rng(26)
         a = random_cloud(rng, 12, 3)
         b = random_cloud(rng, 9, 3)
-        cfg = OtConfig(p=2.0, method="exact_lp")
-        dist, coupling = wasserstein(a, b, cfg)
-        assert coupling.cost == pytest.approx(dist**2, rel=1e-12)
+        cost = ot_module._cost_matrix(a, b, 2.0)
+        plan = ot_module._solve_lp(a.weights, b.weights, cost)
+        dist = wasserstein(a, b, OtConfig(p=2.0))
+        assert float((plan * cost).sum()) == pytest.approx(dist**2, rel=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(27)
         a = random_cloud(rng, 10, 2)
         b = random_cloud(rng, 14, 2)
-        cfg = OtConfig(method="exact_lp")
-        dab, _ = wasserstein(a, b, cfg)
-        dba, _ = wasserstein(b, a, cfg)
-        assert dab == pytest.approx(dba, rel=1e-10)
+        assert wasserstein(a, b) == pytest.approx(wasserstein(b, a), rel=1e-10)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(28)
-        cfg = OtConfig(p=2.0, method="exact_lp")
         for _ in range(10):
             a = random_cloud(rng, 8, 2)
             b = random_cloud(rng, 8, 2)
             c = random_cloud(rng, 8, 2)
-            dab, _ = wasserstein(a, b, cfg)
-            dbc, _ = wasserstein(b, c, cfg)
-            dac, _ = wasserstein(a, c, cfg)
+            dab, _ = lp_solve(a, b, 2.0)
+            dbc, _ = lp_solve(b, c, 2.0)
+            dac, _ = lp_solve(a, c, 2.0)
             assert dac <= dab + dbc + 1e-9
 
     def test_gaussian_sample_sanity(self):
@@ -206,7 +227,7 @@ class TestWassersteinDispatch:
         # should sit within 5e-2 of the closed-form distance 1.
         a = sample(Gaussian1D(0.0, 1.0), 10_000, seed=31)
         b = sample(Gaussian1D(1.0, 1.0), 10_000, seed=32)
-        dist, _ = wasserstein(a, b, OtConfig(p=2.0))
+        dist = wasserstein(a, b, OtConfig(p=2.0))
         closed = np.sqrt(gaussian_w2(Gaussian1D(0.0, 1.0), Gaussian1D(1.0, 1.0)))
         assert dist == pytest.approx(closed, abs=5e-2)
 
@@ -230,9 +251,9 @@ class TestAssignmentRoute:
         for _ in range(5):
             a = random_cloud(rng, 30, 2)
             b = random_cloud(rng, 30, 2)
-            auto, _ = wasserstein(a, b, OtConfig(p=p))
+            auto = wasserstein(a, b, OtConfig(p=p))
             assert not lp_calls  # uniform and equal-size: assignment, not HiGHS
-            lp, _ = wasserstein(a, b, OtConfig(p=p, method="exact_lp"))
+            lp, _ = lp_solve(a, b, p)
             assert auto == pytest.approx(lp, rel=1e-8)
             expected = oracles.assignment_ot_cost(a.points, b.points, p=p)
             assert auto**p == pytest.approx(expected, rel=1e-8)
@@ -243,11 +264,11 @@ class TestAssignmentRoute:
         n = 25
         a = random_cloud(rng, n, 3)
         b = random_cloud(rng, n, 3)
-        _, coupling = wasserstein(a, b)
-        nonzero = coupling.plan[coupling.plan != 0.0]
+        plan = ot_module._solve_assignment(a.weights, ot_module._cost_matrix(a, b, 1.0))
+        nonzero = plan[plan != 0.0]
         assert nonzero.size == n
         assert np.all(nonzero == 1.0 / n)
-        assert coupling.marginal_violation(a.weights, b.weights) <= 1e-15
+        assert ot_module._marginal_violation(plan, a.weights, b.weights) <= 1e-15
 
     @pytest.mark.parametrize(
         "sizes,weighted", [((12, 12), True), ((12, 9), False)], ids=["weighted", "unequal"]
@@ -259,20 +280,6 @@ class TestAssignmentRoute:
         wasserstein(a, b)
         assert len(lp_calls) == 1
 
-    def test_explicit_lp_never_solves_an_assignment(self, monkeypatch):
-        def forbidden(cost):
-            raise AssertionError("exact_lp must run HiGHS")
-
-        # The route imports its solver when it runs, so patch the name it imports.
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", forbidden)
-        rng = np.random.default_rng(44)
-        a = random_cloud(rng, 15, 2)
-        b = random_cloud(rng, 15, 2)
-        dist, _ = wasserstein(a, b, OtConfig(method="exact_lp"))
-        assert dist == pytest.approx(
-            oracles.assignment_ot_cost(a.points, b.points), rel=1e-8
-        )
-
 
 class TestSinkhorn:
     def test_within_ten_percent_of_lp_at_moderate_epsilon(self):
@@ -280,14 +287,14 @@ class TestSinkhorn:
         for _ in range(5):
             a = random_cloud(rng, 40, 2)
             b = EmpiricalDistribution.from_points(rng.normal(size=(40, 2)) + 0.5)
-            exact, _ = wasserstein(a, b, OtConfig(method="exact_lp"))
+            exact, _ = lp_solve(a, b)
             # Epsilon at 5% of the mean pairwise cost.
-            diff = a.points[:, None, :] - b.points[None, :, :]
-            eps = 0.05 * float(np.linalg.norm(diff, axis=2).mean())
-            entropic, coupling = wasserstein(
-                a, b, OtConfig(method="sinkhorn", sinkhorn_epsilon=eps)
-            )
-            assert coupling.marginal_violation(a.weights, b.weights) < 1e-6
+            cost = ot_module._cost_matrix(a, b, 1.0)
+            eps = 0.05 * float(cost.mean())
+            plan = ot_module._solve_sinkhorn(a.weights, b.weights, cost, eps, 2000)
+            assert ot_module._marginal_violation(plan, a.weights, b.weights) < 1e-6
+            entropic = float((plan * cost).sum())
+            assert entropic == wasserstein(a, b, OtConfig(method="sinkhorn", sinkhorn_epsilon=eps))
             assert entropic >= exact - 1e-9  # entropic plan cannot beat the optimum
             assert entropic <= exact * 1.10
 
@@ -301,24 +308,33 @@ class TestSinkhorn:
         assert exc.value.violation > 0.0
         assert exc.value.iterations == 3
 
-    def test_coincident_clouds_short_circuit(self):
-        a = cloud([[1.0, 2.0]])
-        dist, coupling = wasserstein(a, a, OtConfig(method="sinkhorn"))
-        assert dist == 0.0
-        assert coupling.plan == pytest.approx(np.array([[1.0]]))
+    def test_coincident_clouds_short_circuit(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("all mass is in place; there is nothing to iterate")
 
-    def test_auto_dispatch_prefers_sinkhorn_above_cap(self):
+        # The default epsilon would be 0 here, so the iteration must not run.
+        monkeypatch.setattr(ot_module, "_solve_sinkhorn", forbidden)
+        a = cloud([[1.0, 2.0]])
+        assert wasserstein(a, a, OtConfig(method="sinkhorn")) == 0.0
+
+    def test_auto_dispatch_prefers_sinkhorn_above_cap(self, monkeypatch):
+        calls = []
+        solve_sinkhorn = ot_module._solve_sinkhorn
+
+        def counting(*args):
+            calls.append(args)
+            return solve_sinkhorn(*args)
+
+        monkeypatch.setattr(ot_module, "_solve_sinkhorn", counting)
         rng = np.random.default_rng(35)
         a = random_cloud(rng, 30, 2)
         b = random_cloud(rng, 30, 2)
         cfg = OtConfig(lp_max_support=10, sinkhorn_epsilon=0.5, sinkhorn_max_iter=5000)
-        dist, coupling = wasserstein(a, b, cfg)
-        assert coupling is not None
         # At this blur level the entropic cost may sit well above exact;
         # the point here is only that the auto route picked Sinkhorn and
-        # produced a feasible plan.
-        assert coupling.marginal_violation(a.weights, b.weights) < 1e-6
-        assert dist > 0.0
+        # `wasserstein` accepted its plan as feasible.
+        assert wasserstein(a, b, cfg) > 0.0
+        assert len(calls) == 1
 
 
 class TestDenseBudget:
@@ -354,8 +370,7 @@ class TestDenseBudget:
     def test_one_dimensional_clouds_need_no_budget(self):
         rng = np.random.default_rng(37)
         a, b = random_cloud(rng, 20_000, 1), random_cloud(rng, 20_000, 1)
-        dist, coupling = wasserstein(a, b)
-        assert coupling is None
+        dist = wasserstein(a, b)
         assert dist == pytest.approx(scipy_w1(a.points[:, 0], b.points[:, 0]), rel=1e-9)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from trk.distributions import EmpiricalDistribution, Gaussian1D, GaussianND, gaussian_kl, gaussian_w2
-from trk.optimal_transport import OtConfig
+from trk.optimal_transport import OtConfig, _cost_matrix, _solve_lp
 from trk.transfer_core import (
     AffineModel,
     LinearCombiner,
@@ -59,12 +59,14 @@ class TestInputRisk:
         rng = np.random.default_rng(42)
         target = rng.normal(size=(20, 2))
         source = rng.normal(size=(20, 2)) + 1.0
-        value = input_risk(
-            empirical(target / 2.0), empirical(source), cfg=OtConfig(method="exact_lp")
-        )
+        law_xt, law_xs = empirical(target / 2.0), empirical(source)
+        value = input_risk(law_xt, law_xs)
         assert value == pytest.approx(
             oracles.assignment_ot_cost(target / 2.0, source, p=1.0), rel=1e-8
         )
+        cost = _cost_matrix(law_xt, law_xs, 1.0)
+        lp = float((_solve_lp(law_xt.weights, law_xs.weights, cost) * cost).sum())
+        assert value == pytest.approx(lp, rel=1e-8)
 
     def test_kl_on_samples_rejected(self):
         cloud = empirical([[0.0], [1.0]])
