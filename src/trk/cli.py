@@ -1,11 +1,11 @@
 """Command-line front end for pipeline runs, combiner fitting, and ingestion.
 
-Bad input, I/O errors and solver or training failures surface as one
-structured JSON line on stderr with exit code 1 so callers can script
-against failures; TRK_LOG sets the logging level (its only configuration
-channel).  Floating-point errors numpy meets during a command (overflow,
-invalid values, division by zero) are logged at DEBUG instead of printed
-as warnings, so stderr stays machine-readable.
+Bad input, I/O errors, solver or training failures and failed allocations
+(`MemoryError`) surface as one structured JSON line on stderr with exit
+code 1 so callers can script against failures; TRK_LOG sets the logging
+level (its only configuration channel).  Floating-point errors numpy meets
+during a command (overflow, invalid values, division by zero) are logged at
+DEBUG instead of printed as warnings, so stderr stays machine-readable.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .pipeline import (
+    _FORMS,
     PipelineConfig,
+    _combiner_section,
     _read_risk_table,
     fit_combiner,
     ingest_dataset,
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument(
         "--rows", required=True, help="CSV with input_risk, output_risk, accuracy columns"
     )
-    fit_p.add_argument("--form", required=True, choices=["linear", "polynomial2"])
+    fit_p.add_argument("--form", required=True, choices=tuple(_FORMS))
     fit_p.add_argument("--grid-size", type=int, default=50)
     fit_p.add_argument("--grid-max", type=float, default=2.0)
 
@@ -91,7 +92,7 @@ def _cmd_fit_combiner(args: argparse.Namespace) -> int:
     table = _read_risk_table(args.rows, ("input_risk", "output_risk", "accuracy"))
     rows = [(e_in, e_out, accuracy) for _, e_in, e_out, accuracy in table if accuracy is not None]
     combiner, corr = fit_combiner(rows, args.form, args.grid_size, args.grid_max)
-    fitted = {"form": args.form, **asdict(combiner)}
+    fitted = _combiner_section(args.form, combiner)
     print(json.dumps({"combiner": fitted, "correlation": corr}, sort_keys=True))
     return 0
 
@@ -115,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(divide="call", over="call", invalid="call", call=_log_fp_error):
             return handlers[args.command](args)
-    except (ValueError, OSError, RuntimeError) as err:
+    except (ValueError, OSError, RuntimeError, MemoryError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
 

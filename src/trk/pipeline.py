@@ -40,13 +40,7 @@ from .gaussian_lab import (
     random_task,
 )
 from .optimal_transport import OtConfig
-from .transfer_core import (
-    LinearCombiner,
-    PolynomialCombiner,
-    RiskCombiner,
-    combine,
-    input_risk,
-)
+from .transfer_core import PolynomialCombiner, combine, input_risk
 
 __all__ = [
     "PipelineConfig",
@@ -218,6 +212,23 @@ def _build(cls, path: str, **fields):
         raise ValueError(f"{path}.{err}") from None
 
 
+def _combiner(section: dict) -> PolynomialCombiner:
+    """The combiner of a parsed `combiner` section; `linear` with weight w is (w, 1, 1)."""
+    fields = {key: value for key, value in section.items() if key != "form"}
+    if section["form"] == "linear":
+        weight = fields["weight"]
+        _require(weight >= 0.0, "combiner.weight", "a finite nonnegative real", weight)
+        return PolynomialCombiner(weight, 1.0, 1.0)
+    return _build(PolynomialCombiner, "combiner", **fields)
+
+
+def _combiner_section(form: str, combiner: PolynomialCombiner) -> dict:
+    """The `combiner` section of `form` that `_combiner` reads back as `combiner`."""
+    if form == "linear":
+        return {"form": form, "weight": combiner.input_coeff}
+    return {"form": form, **asdict(combiner)}
+
+
 def _check_mode_params(mode: str, params: dict, given: dict) -> None:
     """Ranges the mode's generators would otherwise reject at run time.
 
@@ -252,7 +263,7 @@ class PipelineConfig:
     mode: str
     seed: int
     out_dir: Path
-    combiner: RiskCombiner
+    combiner: PolynomialCombiner
     divergence_kind: str
     ot: OtConfig
     train: TrainConfig | None  # None in gaussian_lab, which trains nothing
@@ -282,10 +293,7 @@ class PipelineConfig:
                 "use 'wasserstein'"
             )
         ot = _build(OtConfig, "divergence", **{k: v for k, v in divergence.items() if k != "kind"})
-        params = dict(config["combiner"])
-        form = params.pop("form")
-        combiner_type = LinearCombiner if form == "linear" else PolynomialCombiner
-        combiner = _build(combiner_type, "combiner", **params)
+        combiner = _combiner(config["combiner"])
         train = risk_train = None
         if mode != "gaussian_lab":
             train = _build(TrainConfig, "train", seed=seed, **config["train"])
@@ -515,7 +523,9 @@ def _ingest_labeled(path: str, cfg: PipelineConfig) -> tuple[EmpiricalDistributi
         path, cfg.mode_params["format"], cfg.mode_params["label_column"]
     )
     labels = np.rint(raw_labels).astype(int)
-    if not np.allclose(raw_labels, labels) or labels.min() < 0:
+    # Exact equality: a label near an integer (3.00002) is not one, and a
+    # value past the int64 range casts to a different number.
+    if np.any(labels != raw_labels) or labels.min() < 0:
         raise ValueError(f"{path}: labels must be nonnegative integers for transfer runs")
     if dist.size < 4:
         raise ValueError(f"{path}: need at least 4 rows to split")
@@ -745,7 +755,7 @@ def fit_combiner(
     form: str,
     grid_size: int = 50,
     grid_max: float = 2.0,
-) -> tuple[RiskCombiner, float]:
+) -> tuple[PolynomialCombiner, float]:
     """Pick combiner coefficients maximizing |Pearson(combined, accuracy)|.
 
     Searches a deterministic coefficient grid (linear: grid_size^2 weights on
@@ -758,8 +768,7 @@ def fit_combiner(
     """
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows, got {len(rows)}")
-    e_in = np.array([r[0] for r in rows], dtype=float)
-    e_out = np.array([r[1] for r in rows], dtype=float)
+    risks = [(float(r[0]), float(r[1])) for r in rows]
     accuracy = np.array([r[2] for r in rows], dtype=float)
     if np.all(accuracy == accuracy[0]):
         raise ValueError("accuracy values are all equal; correlation is undefined")
@@ -769,21 +778,22 @@ def fit_combiner(
             f"got {grid_size} and {grid_max!r}"
         )
 
+    if form not in _FORMS:
+        raise ValueError(f"form must be one of {tuple(_FORMS)}, got {form!r}")
     if form == "linear":
-        candidates = [LinearCombiner(w) for w in np.linspace(0.0, grid_max, grid_size**2)]
-    elif form == "polynomial2":
-        axis = np.linspace(0.0, grid_max, grid_size)
-        candidates = [
-            PolynomialCombiner(ci, co, 2.0) for ci in axis for co in axis
-        ]
+        grid = [{"weight": w} for w in np.linspace(0.0, grid_max, grid_size**2)]
     else:
-        raise ValueError(f"form must be 'linear' or 'polynomial2', got {form!r}")
+        axis = np.linspace(0.0, grid_max, grid_size)
+        grid = [
+            {"input_coeff": ci, "output_coeff": co, "power": 2.0} for ci in axis for co in axis
+        ]
 
-    best: tuple[RiskCombiner, float] | None = None
+    best: tuple[PolynomialCombiner, float] | None = None
     accuracy_centered = accuracy - accuracy.mean()
     accuracy_norm = float(np.sqrt(np.sum(accuracy_centered**2)))
-    for candidate in candidates:
-        combined = np.array([candidate.combine(i, o) for i, o in zip(e_in, e_out)])
+    for fields in grid:
+        candidate = _combiner({"form": form, **fields})
+        combined = np.array([combine(candidate, i, o) for i, o in risks])
         centered = combined - combined.mean()
         norm = float(np.sqrt(np.sum(centered**2)))
         # A constant combined vector centers to rounding noise, not exact

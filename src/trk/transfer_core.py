@@ -9,7 +9,9 @@ carriers.  The output risk measures how far the prediction law of an
 `AffineModel` stays from the target output law; here it is the closed form
 on Gaussian carriers, while sampled output risks are estimated by
 `finetune.minimize_output_risk`, which trains an affine output map on the
-source outputs.  A combiner folds the two numbers into a single score.
+source outputs.  `combine` folds the two numbers into a single score through
+a `PolynomialCombiner`, the one combiner type; the config's `linear` form
+with weight w is the combiner (w, 1, 1).
 
 Wasserstein-flavored risks are reported in cost units, i.e. W_p^p, matching
 the closed forms in `gaussian_lab`.
@@ -17,6 +19,7 @@ the closed forms in `gaussian_lab`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +36,6 @@ from .optimal_transport import OtConfig, wasserstein
 
 __all__ = [
     "AffineModel",
-    "RiskCombiner",
-    "LinearCombiner",
     "PolynomialCombiner",
     "input_risk",
     "output_risk_w",
@@ -81,35 +82,15 @@ class AffineModel:
         return points @ self.weights.T + self.bias
 
 
-class RiskCombiner:
-    """Folds (input risk, output risk) into one score.
+@dataclass(frozen=True)
+class PolynomialCombiner:
+    """The transfer risk C(e_i, e_o) = input_coeff * e_i + output_coeff * e_o ** power.
 
-    Subclasses must vanish at (0, 0), be monotone in each argument, and be
-    Lipschitz on bounded domains; the shipped combiners satisfy all three by
-    construction.
+    `combine` evaluates it.  C vanishes at (0, 0), is monotone in each risk
+    and, for power >= 1, is Lipschitz on bounded domains.  It is the only
+    combiner: the config's `linear` form with weight w, C = e_o + w * e_i,
+    is (w, 1, 1).
     """
-
-    def combine(self, input_risk_value: float, output_risk_value: float) -> float:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class LinearCombiner(RiskCombiner):
-    """C(e_i, e_o) = e_o + weight * e_i."""
-
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight < 0.0 or not np.isfinite(self.weight):
-            raise ValueError(f"weight must be a finite nonnegative real, got {self.weight}")
-
-    def combine(self, input_risk_value: float, output_risk_value: float) -> float:
-        return float(output_risk_value + self.weight * input_risk_value)
-
-
-@dataclass(frozen=True)
-class PolynomialCombiner(RiskCombiner):
-    """C(e_i, e_o) = input_coeff * e_i + output_coeff * e_o ** power."""
 
     input_coeff: float
     output_coeff: float
@@ -124,12 +105,6 @@ class PolynomialCombiner(RiskCombiner):
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.power < 1.0:
             raise ValueError(f"power must be >= 1 for Lipschitz behavior, got {self.power}")
-
-    def combine(self, input_risk_value: float, output_risk_value: float) -> float:
-        return float(
-            self.input_coeff * input_risk_value
-            + self.output_coeff * output_risk_value**self.power
-        )
 
 
 def _gaussian_pushforward(dist: GaussianLike, model: AffineModel) -> GaussianND:
@@ -186,13 +161,22 @@ def output_risk_w(model: AffineModel, law_xt: GaussianLike, target_out: Gaussian
         )
     return gaussian_w2(_gaussian_pushforward(law_xt, model), target_out)
 
-def combine(combiner: RiskCombiner, input_risk_value: float, output_risk_value: float) -> float:
-    """Apply a combiner to nonnegative risk values."""
+def combine(
+    combiner: PolynomialCombiner, input_risk_value: float, output_risk_value: float
+) -> float:
+    """C(e_i, e_o) of nonnegative risks, the one place C is computed; an overflow is refused."""
     if input_risk_value < 0.0 or output_risk_value < 0.0:
         raise ValueError(
             f"risks must be nonnegative, got ({input_risk_value}, {output_risk_value})"
         )
-    return combiner.combine(float(input_risk_value), float(output_risk_value))
+    e_in, e_out = float(input_risk_value), float(output_risk_value)
+    try:
+        combined = combiner.input_coeff * e_in + combiner.output_coeff * e_out**combiner.power
+    except OverflowError:  # float ** raises where * and + round to inf
+        combined = math.inf
+    if not math.isfinite(combined):
+        raise ValueError(f"combined risk of ({e_in!r}, {e_out!r}) is not finite")
+    return float(combined)
 
 
 def cross_entropy_sandwich(

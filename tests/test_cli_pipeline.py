@@ -23,7 +23,7 @@ from trk.cli import main
 from trk.finetune import make_synthetic_domains
 from trk.optimal_transport import SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
-from trk.transfer_core import LinearCombiner, PolynomialCombiner, combine
+from trk.transfer_core import PolynomialCombiner, combine
 
 # Six source->target rows of a published transfer study on three photo
 # domains (A, W, D): measured input risk, fine-tuned output risk, accuracy.
@@ -411,6 +411,22 @@ class TestPipelineConfig:
         sampled = PipelineConfig.from_dict({"mode": "synthetic_office"})
         assert sampled.train.epochs == 100
         assert sampled.risk_train.learning_rate == 0.5
+
+    @pytest.mark.parametrize(
+        "section,combiner",
+        [
+            ({"form": "linear", "weight": 0.7}, PolynomialCombiner(0.7, 1.0, 1.0)),
+            ({"form": "polynomial2", "input_coeff": 0.31, "output_coeff": 0.92, "power": 2.5},
+             PolynomialCombiner(0.31, 0.92, 2.5)),
+        ],
+    )
+    def test_combiner_section_round_trip(self, section, combiner):
+        # The linear form with weight w is the combiner (w, 1, 1); the echo
+        # and the fit-combiner output keep the form's own keys.
+        cfg = PipelineConfig.from_dict({"mode": "gaussian_lab", "combiner": section})
+        assert cfg.combiner == combiner
+        assert cfg.echo["combiner"] == section
+        assert pipeline._combiner_section(section["form"], combiner) == section
 
     def test_train_configs_inherit_run_seed(self):
         cfg = PipelineConfig.from_dict({"mode": "synthetic_office", "seed": 11})
@@ -857,11 +873,15 @@ class TestEmpiricalDatasets:
         assert str(first) in str(caught.value) and str(second) in str(caught.value)
 
     def test_fractional_labels_rejected(self, tmp_path):
-        path = tmp_path / "frac.csv"
-        path.write_text("x,label\n" + "".join(f"{v},0.5\n" for v in range(6)))
+        # Integrality is exact: 3.00002 and 100000.4 are within np.allclose's
+        # rtol of an integer, and the second would size 100 001 classes.
         other = write_blob_csv(tmp_path / "beta.csv", offset=0.0, seed=1)
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            run(self.make_config(tmp_path, [path, other]))
+        for label in ("0.5", "3.00002", "100000.4"):
+            path = tmp_path / "frac.csv"
+            rows = "".join(f"{v},{v % 2}\n" for v in range(5))
+            path.write_text(f"x,label\n{rows}5,{label}\n")
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                run(self.make_config(tmp_path, [path, other]))
 
     def test_single_class_corpus_rejected(self, tmp_path):
         flat_a = tmp_path / "fa.csv"
@@ -976,8 +996,8 @@ class TestFitCombiner:
         e_out = np.full(12, 0.3)
         rows = [(i, o, 1.0 - i) for i, o in zip(e_in, e_out)]
         combiner, corr = fit_combiner(rows, "linear")
-        assert isinstance(combiner, LinearCombiner)
-        assert combiner.weight > 0.0
+        assert (combiner.output_coeff, combiner.power) == (1.0, 1.0)  # the linear form
+        assert combiner.input_coeff > 0.0
         assert corr >= 0.999
 
     def test_beats_hand_tuned_coefficients_on_study_rows(self):
@@ -1151,6 +1171,26 @@ class TestCli:
         fitted = json.loads(capsys.readouterr().out)
         assert fitted["combiner"]["form"] == "polynomial2"
         assert fitted["correlation"] >= abs(STUDY_PEARSON)
+
+    def test_fit_combiner_linear_prints_form_and_weight(self, tmp_path, capsys):
+        table = write_study_table(tmp_path / "rows.csv")
+        assert main(["fit-combiner", "--rows", str(table), "--form", "linear"]) == 0
+        fitted = json.loads(capsys.readouterr().out)["combiner"]
+        assert sorted(fitted) == ["form", "weight"]
+        assert fitted["form"] == "linear"
+
+    def test_memory_error_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        # Simulated: a real allocation this large could succeed on a big host.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr("trk.cli.run", out_of_memory)
+        assert main(["run", "--config", str(self.run_config(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "Unable to allocate 8.00 GiB for an array"}
 
     def test_fit_combiner_skips_blank_accuracy_rows(self, tmp_path, capsys):
         table = write_study_table(tmp_path / "rows.csv", with_accuracy=False)

@@ -1,5 +1,8 @@
 """Tests for affine models, risk operations, and combiners."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from trk.distributions import EmpiricalDistribution, Gaussian1D, GaussianND, gau
 from trk.optimal_transport import OtConfig, _cost_matrix, _solve_lp
 from trk.transfer_core import (
     AffineModel,
-    LinearCombiner,
     PolynomialCombiner,
     combine,
     cross_entropy_sandwich,
@@ -112,26 +114,53 @@ class TestCombine:
         assert combine(combiner, 0.148, 0.084) == pytest.approx(0.052, abs=1e-3)
 
     def test_linear_combiner(self):
-        assert combine(LinearCombiner(0.5), 2.0, 1.0) == pytest.approx(2.0)
+        # The config's linear form with weight w is the combiner (w, 1, 1).
+        assert combine(PolynomialCombiner(0.5, 1.0, 1.0), 2.0, 1.0) == pytest.approx(2.0)
+
+    def test_linear_form_matches_its_formula_bit_for_bit(self):
+        # o + w * i and w * i + 1.0 * o ** 1.0 round identically: pow(x, 1.0)
+        # and 1.0 * x are x, and IEEE addition commutes.
+        rng = np.random.default_rng(15)
+        magnitudes = [0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e300]
+        triples = [
+            tuple(float(rng.uniform(0.0, 2.0) * rng.choice(magnitudes)) for _ in range(3))
+            for _ in range(3000)
+        ]
+        triples += itertools.product((0.0, 5e-324, 0.7), repeat=3)
+        finite = 0
+        for w, i, o in triples:
+            combiner = PolynomialCombiner(w, 1.0, 1.0)
+            if math.isfinite(o + w * i):
+                assert combine(combiner, i, o).hex() == (o + w * i).hex()
+                finite += 1
+            else:  # w * i overflowed
+                with pytest.raises(ValueError, match="is not finite"):
+                    combine(combiner, i, o)
+        assert finite > 2500
 
     def test_zero_risks_combine_to_zero(self):
-        assert combine(LinearCombiner(3.0), 0.0, 0.0) == 0.0
+        assert combine(PolynomialCombiner(3.0, 1.0, 1.0), 0.0, 0.0) == 0.0
         assert combine(PolynomialCombiner(1.0, 1.0, 2.0), 0.0, 0.0) == 0.0
 
     def test_negative_risk_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            combine(LinearCombiner(1.0), -0.1, 0.0)
+            combine(PolynomialCombiner(1.0, 1.0, 1.0), -0.1, 0.0)
+
+    def test_overflowing_combination_rejected(self):
+        # Python's float ** raises OverflowError where * rounds to inf; both are refused.
+        for combiner, e_in, e_out in (
+            (PolynomialCombiner(1.0, 1.0, 2.0), 0.0, 1e200),
+            (PolynomialCombiner(2.0, 1.0, 1.0), 1e308, 0.0),
+        ):
+            with pytest.raises(ValueError, match="is not finite"):
+                combine(combiner, e_in, e_out)
 
     def test_combiner_validation(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            LinearCombiner(-1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             PolynomialCombiner(-0.1, 1.0)
         with pytest.raises(ValueError, match="power"):
             PolynomialCombiner(1.0, 1.0, 0.5)
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                LinearCombiner(bad)
             with pytest.raises(ValueError, match="finite"):
                 PolynomialCombiner(bad, 1.0)
             with pytest.raises(ValueError, match="finite"):
@@ -139,12 +168,12 @@ class TestCombine:
 
     def test_monotone_in_each_argument(self):
         rng = np.random.default_rng(44)
-        for combiner in (LinearCombiner(0.7), PolynomialCombiner(0.31, 0.92, 2.0)):
+        for combiner in (PolynomialCombiner(0.7, 1.0, 1.0), PolynomialCombiner(0.31, 0.92, 2.0)):
             for _ in range(50):
                 e_i, e_o = rng.uniform(0, 2, size=2)
                 step = rng.uniform(0.01, 0.5)
-                assert combiner.combine(e_i + step, e_o) >= combiner.combine(e_i, e_o)
-                assert combiner.combine(e_i, e_o + step) >= combiner.combine(e_i, e_o)
+                assert combine(combiner, e_i + step, e_o) >= combine(combiner, e_i, e_o)
+                assert combine(combiner, e_i, e_o + step) >= combine(combiner, e_i, e_o)
 
 
 class TestCrossEntropySandwich:
@@ -185,7 +214,7 @@ class TestContinuityProbe:
         # Perturb the target input law along a fixed direction and watch the
         # combined risk of a fixed model return to its base value.
         model = scalar_affine(1.0, 0.0)
-        combiner = LinearCombiner(0.5)
+        combiner = PolynomialCombiner(0.5, 1.0, 1.0)
         law_xs = Gaussian1D(0.0, 1.0)
         target = Gaussian1D(0.0, 1.0)
         cfg = OtConfig(p=2.0)
