@@ -108,14 +108,6 @@ class AffineMapFamily:
         split = self.out_dim * self.in_dim
         return params[:split].reshape(self.out_dim, self.in_dim), params[split:]
 
-    def pack(self, model: AffineModel) -> np.ndarray:
-        if (model.in_dim, model.out_dim) != (self.in_dim, self.out_dim):
-            raise ValueError(
-                f"model shape ({model.in_dim}, {model.out_dim}) does not match "
-                f"family shape ({self.in_dim}, {self.out_dim})"
-            )
-        return np.concatenate([model.weights.ravel(), model.bias])
-
     def apply(self, params: np.ndarray, points: np.ndarray) -> np.ndarray:
         weights, bias = self.unpack(params)
         return points @ weights.T + bias

@@ -13,12 +13,21 @@ amount; it is cross-checked against the LP in the test suite rather than
 bounded here.
 The three dense routes refuse, before building the cost matrix, an instance
 whose n x m working set would exceed DENSE_BUDGET_BYTES.
-Each route imports its scipy solver inside the function that runs it, so a
-one-dimensional run never loads scipy.
+The cost matrix is built in numpy, and the assignment route loads scipy's
+compiled `_lsap` extension by itself, so a one-dimensional run and an
+assignment run import no scipy package.  The assignment falls back to
+`scipy.optimize` if that private module cannot be loaded; the LP route
+imports `scipy.optimize` and Sinkhorn `scipy.special` when they run.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import logging
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +119,22 @@ def _marginal_violation(plan: np.ndarray, aw: np.ndarray, bw: np.ndarray) -> flo
 
 
 def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -> np.ndarray:
-    from scipy.spatial.distance import cdist
+    """||x - y||^p for every pair, bit-equal to scipy's `cdist(x, y) ** p`.
 
-    return cdist(a.points, b.points) ** p
+    Squared differences are summed one coordinate at a time, the order of
+    cdist's loop, so the bits match in any dimension.  Everything runs in
+    place, so the peak is the result plus one scratch matrix.
+    """
+    x, y = a.points, b.points
+    cost = np.zeros((len(x), len(y)))
+    scratch = np.empty_like(cost)
+    for k in range(x.shape[1]):
+        np.subtract(x[:, k, None], y[None, :, k], out=scratch)
+        scratch *= scratch
+        cost += scratch
+    np.sqrt(cost, out=cost)
+    cost **= p
+    return cost
 
 
 def _check_dense_budget(method: str, n: int, m: int) -> None:
@@ -203,11 +225,60 @@ def _is_uniform_pair(a: EmpiricalDistribution, b: EmpiricalDistribution) -> bool
     )
 
 
-def _solve_assignment(weights: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Optimal permutation plan carrying mass weights[i] along each matched pair."""
+def _load_lsap_extension():
+    """scipy's compiled `linear_sum_assignment`, loaded without `scipy.optimize`.
+
+    Importing `scipy.optimize` takes most of a small run, and the solver
+    lives in one extension module.  Its file is found by this platform's
+    extension suffixes and executed in place; it is not entered in
+    `sys.modules`, so a later `import scipy.optimize` is unaffected.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    name = "scipy.optimize._lsap"
+    for root in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                # A single-phase extension enters itself in sys.modules on
+                # creation, so put back whatever was there before.
+                previous = sys.modules.get(name)
+                try:
+                    module = importlib.util.module_from_spec(
+                        importlib.util.spec_from_file_location(name, path, loader=loader)
+                    )
+                    loader.exec_module(module)
+                finally:
+                    if previous is None:
+                        sys.modules.pop(name, None)
+                    else:
+                        sys.modules[name] = previous
+                return module.linear_sum_assignment
+    raise ImportError(f"no {name} extension under {spec.submodule_search_locations}")
+
+
+@functools.cache
+def _linear_sum_assignment():
+    """The assignment solver, resolved once per process.
+
+    `scipy.optimize.linear_sum_assignment` is the `_lsap` function itself, so
+    both paths run the same code and return the same plan.
+    """
+    if "scipy.optimize" not in sys.modules:
+        try:
+            return _load_lsap_extension()
+        except Exception as exc:  # the module is private: any failure falls back
+            logging.getLogger("trk").debug("loading scipy's _lsap failed (%s)", exc)
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost)
+    return linear_sum_assignment
+
+
+def _solve_assignment(weights: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Optimal permutation plan carrying mass weights[i] along each matched pair."""
+    rows, cols = _linear_sum_assignment()(cost)
     plan = np.zeros_like(cost)
     plan[rows, cols] = weights[rows]
     return plan

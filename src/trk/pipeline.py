@@ -789,20 +789,16 @@ def fit_combiner(
         ]
 
     best: tuple[PolynomialCombiner, float] | None = None
-    accuracy_centered = accuracy - accuracy.mean()
-    accuracy_norm = float(np.sqrt(np.sum(accuracy_centered**2)))
     for fields in grid:
         candidate = _combiner({"form": form, **fields})
         combined = np.array([combine(candidate, i, o) for i, o in risks])
-        centered = combined - combined.mean()
-        norm = float(np.sqrt(np.sum(centered**2)))
         # A constant combined vector centers to rounding noise, not exact
-        # zeros, so constancy is judged relative to the values' magnitude;
-        # the same scale separates real correlation gains from noise ties.
+        # zeros, so constancy is judged relative to the values' magnitude.
         scale = max(1.0, float(np.abs(combined).max()))
-        if norm <= _FIT_NOISE_TOL * scale:
+        if np.abs(combined - combined.mean()).max() <= _FIT_NOISE_TOL * scale:
             continue
-        corr = abs(float(np.sum(centered * accuracy_centered)) / (norm * accuracy_norm))
+        corr = abs(_pearson(combined, accuracy))
+        # Gains within the noise tolerance are ties; the first point wins.
         if best is None or corr > best[1] + _FIT_NOISE_TOL:
             best = (candidate, corr)
     if best is None:

@@ -21,7 +21,7 @@ from trk.finetune import (
     transport_objective,
 )
 from trk.gaussian_lab import predictive_laws, random_basic_pair
-from trk.transfer_core import AffineModel, PolynomialCombiner, combine
+from trk.transfer_core import PolynomialCombiner, combine
 
 
 def uniform_weights(n):
@@ -74,26 +74,15 @@ class TestFamilies:
         assert np.all(np.abs(weights) <= 0.1)
         np.testing.assert_array_equal(bias, np.zeros(2))
 
-    def test_pack_unpack_round_trip(self):
-        family = AffineMapFamily(2, 2)
-        model = AffineModel([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
-        weights, bias = family.unpack(family.pack(model))
-        np.testing.assert_array_equal(weights, model.weights)
-        np.testing.assert_array_equal(bias, model.bias)
-
-    def test_pack_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            AffineMapFamily(2, 1).pack(AffineModel([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0]))
-
     def test_build_applies_affinely(self):
         family = AffineMapFamily(2, 1)
-        params = family.pack(AffineModel([[2.0, -1.0]], [0.5]))
+        params = np.array([2.0, -1.0, 0.5])  # row-major weights, then bias
         built = family.build(params)
         np.testing.assert_allclose(built(np.array([[1.0, 1.0]])), [[1.5]])
 
     def test_softmax_head_predicts_argmax(self):
         family = SoftmaxHeadFamily(2, 3)
-        params = family.pack(AffineModel([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.0, 0.0, 0.0]))
+        params = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         points = np.array([[3.0, 0.0], [0.0, 3.0], [-1.0, -1.0]])
         np.testing.assert_array_equal(family.predict(params, points), [0, 1, 2])
 
@@ -151,7 +140,7 @@ class TestTransportObjective:
 class TestCrossEntropyObjective:
     def test_value_on_tiny_instance(self):
         family = SoftmaxHeadFamily(1, 2)
-        params = family.pack(AffineModel([[1.0], [-1.0]], [0.0, 0.0]))
+        params = np.array([1.0, -1.0, 0.0, 0.0])
         points = np.array([[2.0]])
         # logits (2, -2): p(class 0) = 1 / (1 + e^-4).
         expected = float(np.log(1.0 + np.exp(-4.0)))

@@ -1,11 +1,18 @@
 """Tests for the discrete optimal transport solvers."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_lsa
+from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance as scipy_w1
 
 import oracles
@@ -279,6 +286,112 @@ class TestAssignmentRoute:
         b = random_cloud(rng, sizes[1], 2)
         wasserstein(a, b)
         assert len(lp_calls) == 1
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 20])
+    def test_bit_equal_to_cdist(self, dim):
+        # cdist sums squared differences one coordinate at a time; a numpy
+        # .sum(-1) would match only below 8 dimensions.
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.normal(size=(17, dim))
+            y = scale * rng.normal(size=(23, dim))
+            for p in (1.0, 1.5, 2.0, 3.0):
+                cost = ot_module._cost_matrix(cloud(x), cloud(y), p)
+                assert np.array_equal(cost, cdist(x, y) ** p), (scale, p)
+
+    def test_assignment_route_peaks_at_three_matrices(self):
+        # Keeps _DENSE_MATRICES["assignment"] truthful: the cost matrix is
+        # built in place, so the plan, the cost and <plan, cost> are the peak.
+        rng = np.random.default_rng(44)
+        n = 300
+        a, b = random_cloud(rng, n, 2), random_cloud(rng, n, 2)
+        wasserstein(a, b)  # resolve the solver outside the traced call
+        tracemalloc.start()
+        try:
+            wasserstein(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ot_module._DENSE_MATRICES["assignment"] == 3
+        assert peak <= (3 + 0.05) * n * n * 8
+
+
+class TestAssignmentSolver:
+    """The `_lsap` extension loaded directly against `scipy.optimize`'s solver."""
+
+    @staticmethod
+    def square_costs():
+        rng = np.random.default_rng(45)
+        for n in (1, 2, 5, 30, 200):
+            yield rng.normal(size=(n, n))
+            yield rng.integers(0, 3, size=(n, n)).astype(float)  # many ties
+            yield np.zeros((n, n))
+
+    def test_fast_path_returns_scipy_plan(self):
+        direct = ot_module._load_lsap_extension()
+        for cost in self.square_costs():
+            rows, cols = direct(cost)
+            expected_rows, expected_cols = scipy_lsa(cost)
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(cols, expected_cols)
+
+    @pytest.mark.parametrize("imported", [True, False], ids=["imported", "absent"])
+    def test_direct_load_leaves_sys_modules_alone(self, monkeypatch, imported):
+        if not imported:
+            monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        before = sys.modules.get("scipy.optimize._lsap")
+        ot_module._load_lsap_extension()
+        assert sys.modules.get("scipy.optimize._lsap") is before
+
+    # One +inf entry only forbids that match; a row of them is infeasible.
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 2, np.nan), (1, 2, -np.inf), (1, slice(None), np.inf)],
+        ids=["nan", "minus_inf", "inf_row"],
+    )
+    def test_nonfinite_cost_raises_like_scipy(self, bad):
+        cost = np.ones((4, 4))
+        cost[bad[:2]] = bad[2]
+        with pytest.raises(ValueError) as expected:
+            scipy_lsa(cost)
+        with pytest.raises(ValueError) as got:
+            ot_module._load_lsap_extension()(cost)
+        assert str(got.value) == str(expected.value)
+
+    def test_fallback_when_the_extension_does_not_load(self):
+        # A fresh interpreter, so scipy.optimize is not loaded yet and the
+        # solver is resolved for the first time after the loader breaks.
+        child = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import trk.optimal_transport as ot\n"
+            "from trk.distributions import EmpiricalDistribution\n"
+            "def broken():\n"
+            "    raise ImportError('no _lsap here')\n"
+            "ot._load_lsap_extension = broken\n"
+            "rng = np.random.default_rng(46)\n"
+            "a = EmpiricalDistribution.from_points(rng.normal(size=(40, 2)))\n"
+            "b = EmpiricalDistribution.from_points(rng.normal(size=(40, 2)))\n"
+            "solver = ot._linear_sum_assignment()\n"
+            "rows, cols = solver(ot._cost_matrix(a, b, 1.0))\n"
+            "print(json.dumps([solver.__module__, 'scipy.optimize' in sys.modules,\n"
+            "                  cols.tolist(), ot.wasserstein(a, b).hex()]))\n"
+        )
+        src = str(Path(ot_module.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        module, optimize_loaded, cols, dist = json.loads(done.stdout.splitlines()[-1])
+        assert optimize_loaded
+        rng = np.random.default_rng(46)
+        a, b = random_cloud(rng, 40, 2), random_cloud(rng, 40, 2)
+        _, expected_cols = scipy_lsa(ot_module._cost_matrix(a, b, 1.0))
+        assert cols == expected_cols.tolist()
+        assert float.fromhex(dist) == wasserstein(a, b)
 
 
 class TestSinkhorn:
