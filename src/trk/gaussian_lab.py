@@ -3,10 +3,11 @@
 A task is a `GaussianJoint` law of inputs X and outputs Y; its optimal linear
 predictor and the induced prediction laws have explicit moments, so every
 risk in `transfer_core` collapses to a formula here.  The module covers the
-basic source/target case with scalar outputs, the regret of reusing the
-source predictor, and the two structured extensions: augmenting the feature
-space (target inputs extend source inputs) and augmenting the output space
-(target outputs extend source outputs).
+basic source/target case with scalar outputs, whose KL risk, W-risk, regret
+and risk/regret residual all come from one `basic_case_risks` record, and the
+two structured extensions: augmenting the feature space (target inputs extend
+source inputs) and augmenting the output space (target outputs extend source
+outputs).
 
 All decompositions split a risk into a variance term, driven by mismatch of
 the prediction spreads, and a bias term, driven by mismatch of the prediction
@@ -20,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2, psd_sqrt
+from .distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2
 from .transfer_core import AffineModel, _gaussian_pushforward
 
 __all__ = [
     "RiskDecomposition",
+    "BasicCase",
     "optimal_linear_model",
     "predictive_laws",
     "basic_case_risks",
-    "risk_regret_residual",
     "feature_augmentation_risks",
     "output_augmentation_risks",
     "output_augmentation_laws",
@@ -94,7 +95,7 @@ class _PairMoments(NamedTuple):
     bias: float
 
 
-def _scalar_setup(source: GaussianJoint, target: GaussianJoint) -> _PairMoments:
+def _pair_moments(source: GaussianJoint, target: GaussianJoint) -> _PairMoments:
     """Shared moments for the scalar-output source/target formulas.
 
     Raises:
@@ -133,55 +134,44 @@ def predictive_laws(
     are the closed-form counterparts of pushing the target input law through
     the respective affine models.
     """
-    m = _scalar_setup(source, target)
+    m = _pair_moments(source, target)
     mean_t = float(target.mean_y[0])
     return Gaussian1D(mean_t - m.bias, m.var_st), Gaussian1D(mean_t, m.var_t)
 
 
-def basic_case_risks(
-    source: GaussianJoint, target: GaussianJoint
-) -> tuple[RiskDecomposition, RiskDecomposition]:
-    """Output risks of reusing the source predictor on the target task.
+class BasicCase(NamedTuple):
+    """Closed-form risks of reusing the source predictor on the target task."""
 
-    Returns (kl, w): the KL risk KL(P_T || P_ST) splits into
-    h(var_T / var_ST) plus bias^2 / (2 var_ST), and the squared-W2 risk into
-    (sqrt(var_ST) - sqrt(var_T))^2 plus bias^2, where var_ST and var_T are
-    the prediction variances of the source and target models on the target
-    inputs and bias is the prediction-mean gap.
+    kl: RiskDecomposition
+    w: RiskDecomposition
+    regret: float
+    residual: float
+
+
+def basic_case_risks(source: GaussianJoint, target: GaussianJoint) -> BasicCase:
+    """Output risks, regret and residual of reusing the source predictor.
+
+    With var_ST = w_S^T cov_TX w_S and var_T = w_T^T cov_TX w_T the
+    prediction variances of the source and target models on the target
+    inputs, and bias the prediction-mean gap:
+
+    - kl: KL(P_T || P_ST) splits into h(var_T / var_ST) plus bias^2 / (2 var_ST);
+    - w: the squared-W2 risk splits into (sqrt(var_ST) - sqrt(var_T))^2 plus bias^2;
+    - regret: (w_T - w_S)^T cov_TX (w_T - w_S) + bias^2, the excess squared
+      loss E[(Y - f_S(X))^2] - E[(Y - f_T(X))^2] of the source predictor on
+      the target task;
+    - residual: 2 (sqrt(var_T var_ST) - w_T^T cov_TX w_S) = regret - w.total,
+      nonnegative by Cauchy-Schwarz in the cov_TX inner product, which is
+      exactly why the squared-W2 risk never exceeds the regret.  Identical
+      tasks give exactly 0.0.
     """
-    return _basic_case_split(_scalar_setup(source, target))
-
-
-def _basic_case_split(m: _PairMoments) -> tuple[RiskDecomposition, RiskDecomposition]:
-    """`basic_case_risks` on moments from `_scalar_setup`."""
+    m = _pair_moments(source, target)
     kl = RiskDecomposition(_h(m.var_t / m.var_st), m.bias**2 / (2.0 * m.var_st))
     w = RiskDecomposition((np.sqrt(m.var_st) - np.sqrt(m.var_t)) ** 2, m.bias**2)
-    return kl, w
-
-
-def risk_regret_residual(
-    source: GaussianJoint, target: GaussianJoint
-) -> tuple[float, float, float]:
-    """W-risk, regret, and their gap, each from its own formula.
-
-    The regret ||cov_TX^(1/2) (w_T - w_S)||^2 + bias^2 is the excess squared
-    loss E[(Y - f_S(X))^2] - E[(Y - f_T(X))^2] of the source predictor on
-    the target task.  The residual 2 (||a|| ||b|| - <a, b>) with
-    a = cov_TX^(1/2) w_T and b = cov_TX^(1/2) w_S is nonnegative by
-    Cauchy-Schwarz, which is exactly why the squared-W2 risk never exceeds
-    the regret.
-    """
-    return _regret_split(_scalar_setup(source, target))
-
-
-def _regret_split(m: _PairMoments) -> tuple[float, float, float]:
-    """`risk_regret_residual` on moments from `_scalar_setup`."""
-    root = psd_sqrt(m.cov_tx)
-    a, b = root @ m.w_t, root @ m.w_s
-    risk = (np.sqrt(m.var_st) - np.sqrt(m.var_t)) ** 2 + m.bias**2
-    regret_value = float((a - b) @ (a - b) + m.bias**2)
-    residual = 2.0 * (np.linalg.norm(a) * np.linalg.norm(b) - a @ b)
-    return float(risk), regret_value, float(residual)
+    gap = m.w_t - m.w_s
+    regret = float(gap @ m.cov_tx @ gap + m.bias**2)
+    residual = float(2.0 * (np.sqrt(m.var_t * m.var_st) - m.w_t @ m.cov_tx @ m.w_s))
+    return BasicCase(kl, w, regret, residual)
 
 
 def _check_embedding(actual: np.ndarray, expected: np.ndarray, label: str) -> None:

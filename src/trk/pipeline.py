@@ -32,13 +32,7 @@ from .finetune import (
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
-from .gaussian_lab import (
-    _basic_case_split,
-    _regret_split,
-    _scalar_setup,
-    random_basic_pair,
-    random_task,
-)
+from .gaussian_lab import basic_case_risks, random_basic_pair, random_task
 from .optimal_transport import OtConfig
 from .transfer_core import PolynomialCombiner, combine, input_risk
 
@@ -626,16 +620,14 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
             source, target = random_basic_pair(
                 params["dim"], seed=cfg.seed + i, drift=params["drift"]
             )
-        moments = _scalar_setup(source, target)
-        kl, w = _basic_case_split(moments)
-        risk, regret_value, residual = _regret_split(moments)
+        case = basic_case_risks(source, target)
         e_in = cfg.input_risk_rescale * input_risk(
             target.x_marginal(),
             source.x_marginal(),
             metric=cfg.divergence_kind,
             cfg=cfg.ot,
         )
-        e_out = kl.total if cfg.divergence_kind == "kl" else w.total
+        e_out = case.kl.total if cfg.divergence_kind == "kl" else case.w.total
         rows.append(
             {
                 "source": f"task_{i}_source",
@@ -644,13 +636,12 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
                 "input_risk": e_in,
                 "output_risk": e_out,
                 "transfer_risk": combine(cfg.combiner, e_in, e_out),
-                "kl_variance": kl.variance_term,
-                "kl_bias": kl.bias_term,
-                "w_variance": w.variance_term,
-                "w_bias": w.bias_term,
-                "regret": regret_value,
-                "residual": residual,
-                "risk_w": risk,
+                "kl_variance": case.kl.variance_term,
+                "kl_bias": case.kl.bias_term,
+                "w_variance": case.w.variance_term,
+                "w_bias": case.w.bias_term,
+                "regret": case.regret,
+                "residual": case.residual,
             }
         )
     return rows
@@ -760,7 +751,7 @@ def fit_combiner(
 
     Searches a deterministic coefficient grid (linear: grid_size^2 weights on
     [0, grid_max]; polynomial2: grid_size x grid_size over [0, grid_max]^2),
-    skipping degenerate combos whose combined risk is constant across rows.
+    skipping combos whose combined risk overflows or is constant across rows.
     Ties resolve to the first grid point scanned.
 
     Returns:
@@ -769,6 +760,11 @@ def fit_combiner(
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows, got {len(rows)}")
     risks = [(float(r[0]), float(r[1])) for r in rows]
+    for index, (e_in, e_out) in enumerate(risks):
+        if not (0.0 <= e_in < math.inf and 0.0 <= e_out < math.inf):
+            raise ValueError(
+                f"row {index}: risks must be finite and nonnegative, got ({e_in!r}, {e_out!r})"
+            )
     accuracy = np.array([r[2] for r in rows], dtype=float)
     if np.all(accuracy == accuracy[0]):
         raise ValueError("accuracy values are all equal; correlation is undefined")
@@ -791,7 +787,10 @@ def fit_combiner(
     best: tuple[PolynomialCombiner, float] | None = None
     for fields in grid:
         candidate = _combiner({"form": form, **fields})
-        combined = np.array([combine(candidate, i, o) for i, o in risks])
+        try:
+            combined = np.array([combine(candidate, i, o) for i, o in risks])
+        except ValueError:  # the risks are valid, so the combined risk overflowed
+            continue
         # A constant combined vector centers to rounding noise, not exact
         # zeros, so constancy is judged relative to the values' magnitude.
         scale = max(1.0, float(np.abs(combined).max()))
@@ -802,5 +801,5 @@ def fit_combiner(
         if best is None or corr > best[1] + _FIT_NOISE_TOL:
             best = (candidate, corr)
     if best is None:
-        raise ValueError("every grid combiner was constant on these rows")
+        raise ValueError("no grid combiner gave finite, non-constant combined risks")
     return best

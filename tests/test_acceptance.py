@@ -42,7 +42,6 @@ from trk.gaussian_lab import (
     random_task,
     restrict_inputs,
     restrict_outputs,
-    risk_regret_residual,
 )
 from trk.optimal_transport import (
     OtConfig,
@@ -196,7 +195,7 @@ def test_criterion_02_closed_forms_cross_validated():
         for i in range(200):
             dim = i % 3 + 1
             source, target = random_basic_pair(dim, seed=10_000 + i)
-            kl, w = basic_case_risks(source, target)
+            kl, w, _, _ = basic_case_risks(source, target)
             p_st, p_t = predictive_laws(source, target)
 
             kl_core = gaussian_kl(p_t, p_st)
@@ -241,7 +240,8 @@ def test_criterion_03_risk_below_regret():
     def body(failures):
         for i in range(500):
             source, target = random_basic_pair(i % 3 + 1, seed=40_000 + i)
-            risk, regret_value, residual = risk_regret_residual(source, target)
+            case = basic_case_risks(source, target)
+            risk, regret_value, residual = case.w.total, case.regret, case.residual
             if risk > regret_value + 1e-12:
                 failures.append(
                     f"instance {i}: risk {risk:.6f} exceeds regret {regret_value:.6f}"
@@ -479,8 +479,7 @@ def test_criterion_11_continuity_probes():
                 metric="wasserstein",
                 cfg=ot_cfg,
             )
-            _, w = basic_case_risks(source, target)
-            return combine(STUDY_COMBINER, e_in, w.total)
+            return combine(STUDY_COMBINER, e_in, basic_case_risks(source, target).w.total)
 
         def check_decay(deviations, label):
             tail = deviations[-3:]

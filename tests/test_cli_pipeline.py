@@ -21,6 +21,7 @@ from trk import __version__, pipeline
 from trk import optimal_transport as ot_module
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
+from trk.gaussian_lab import basic_case_risks, random_basic_pair
 from trk.optimal_transport import SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
 from trk.transfer_core import PolynomialCombiner, combine
@@ -618,9 +619,10 @@ class TestGaussianLabMode:
                 assert row["accuracy"] is None
                 for field in (
                     "input_risk", "output_risk", "transfer_risk", "kl_variance", "kl_bias",
-                    "w_variance", "w_bias", "regret", "residual", "risk_w",
+                    "w_variance", "w_bias", "regret", "residual",
                 ):
                     assert abs(row[field]) < 1e-9, (kind, field, row[field])
+                assert (row["regret"], row["residual"]) == (0.0, 0.0), kind
             assert report["correlations"] is None
 
     def test_rows_are_internally_consistent(self, random_report):
@@ -629,12 +631,36 @@ class TestGaussianLabMode:
             assert row["transfer_risk"] == combine(
                 combiner, row["input_risk"], row["output_risk"]
             )
-            assert row["risk_w"] == pytest.approx(row["w_variance"] + row["w_bias"], abs=1e-12)
-            assert row["regret"] == pytest.approx(row["risk_w"] + row["residual"], abs=1e-9)
+            assert row["regret"] == pytest.approx(
+                row["w_variance"] + row["w_bias"] + row["residual"], abs=1e-9
+            )
             assert row["residual"] >= -1e-12
             assert row["input_risk"] > 0.0
             assert row["kl_variance"] >= 0.0
             assert row["kl_bias"] >= 0.0
+
+    @pytest.mark.parametrize("kind", ["wasserstein", "kl"])
+    def test_rows_are_the_library_closed_forms(self, tmp_path, kind):
+        dim, seed, drift = 3, 11, 0.4
+        cfg = PipelineConfig.from_dict(
+            {
+                "mode": "gaussian_lab",
+                "seed": seed,
+                "out_dir": str(tmp_path / kind),
+                "divergence": {"kind": kind},
+                "gaussian_lab": {"dim": dim, "n_pairs": 5, "drift": drift},
+            }
+        )
+        for i, row in enumerate(run(cfg)["rows"]):
+            case = basic_case_risks(*random_basic_pair(dim, seed + i, drift=drift))
+            risk = case.kl if kind == "kl" else case.w
+            assert (
+                row["kl_variance"], row["kl_bias"], row["w_variance"], row["w_bias"],
+                row["regret"], row["residual"], row["output_risk"],
+            ) == (
+                case.kl.variance_term, case.kl.bias_term, case.w.variance_term,
+                case.w.bias_term, case.regret, case.residual, risk.total,
+            ), i
 
     def test_output_risk_follows_divergence_kind(self, random_report, tmp_path):
         for row in random_report["rows"]:
@@ -1032,8 +1058,14 @@ class TestFitCombiner:
 
     def test_skips_constant_combiners(self):
         rows = [(0.4, 0.2, 0.1), (0.4, 0.2, 0.5), (0.4, 0.2, 0.9)]
-        with pytest.raises(ValueError, match="every grid combiner was constant"):
+        with pytest.raises(ValueError, match="no grid combiner gave finite, non-constant"):
             fit_combiner(rows, "polynomial2")
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -0.1])
+    def test_bad_risks_name_their_row(self, bad):
+        rows = [(0.1, 0.2, 0.5), (0.2, bad, 0.6), (0.3, 0.4, 0.7)]
+        with pytest.raises(ValueError, match=r"^row 1: risks must be finite and nonnegative"):
+            fit_combiner(rows, "linear")
 
     @pytest.mark.parametrize(
         "rows,form,message",
@@ -1187,6 +1219,33 @@ class TestCli:
         fitted = json.loads(capsys.readouterr().out)["combiner"]
         assert sorted(fitted) == ["form", "weight"]
         assert fitted["form"] == "linear"
+
+    def test_fit_combiner_skips_overflowing_candidates(self, tmp_path, capsys):
+        # (1e154)^2 is finite, so candidates with output_coeff below ~1.79
+        # score; the overflowing rest are skipped instead of aborting the fit.
+        table = tmp_path / "rows.csv"
+        table.write_text(
+            "input_risk,output_risk,accuracy\n0.1,1e154,0.5\n0.2,0.3,0.6\n0.3,0.1,0.7\n"
+        )
+        assert main(["fit-combiner", "--rows", str(table), "--form", "polynomial2"]) == 0
+        fitted = json.loads(capsys.readouterr().out)
+        assert fitted["combiner"]["form"] == "polynomial2"
+        assert fitted["correlation"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_fit_combiner_with_every_candidate_overflowing_fails(self, tmp_path, capsys):
+        # (1e160)^2 overflows before any coefficient applies.
+        table = tmp_path / "rows.csv"
+        table.write_text(
+            "input_risk,output_risk,accuracy\n0.1,1e160,0.5\n0.2,0.3,0.6\n0.3,0.1,0.7\n"
+        )
+        assert main(["fit-combiner", "--rows", str(table), "--form", "polynomial2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "no grid combiner gave finite, non-constant combined risks"
+        }
 
     def test_memory_error_is_one_json_line(self, tmp_path, capsys, monkeypatch):
         # Simulated: a real allocation this large could succeed on a big host.

@@ -19,7 +19,6 @@ from trk.gaussian_lab import (
     random_task,
     restrict_inputs,
     restrict_outputs,
-    risk_regret_residual,
 )
 from trk.transfer_core import AffineModel, output_risk_w
 
@@ -103,7 +102,7 @@ class TestBasicCaseRisks:
     def test_identical_tasks_zero(self):
         source, _ = random_basic_pair(2, seed=53)
         target = source
-        kl, w = basic_case_risks(source, target)
+        kl, w, _, _ = basic_case_risks(source, target)
         assert kl.total == pytest.approx(0.0, abs=1e-12)
         assert w.total == pytest.approx(0.0, abs=1e-12)
 
@@ -111,7 +110,7 @@ class TestBasicCaseRisks:
         # Same covariances, shifted output mean: only the bias terms move.
         source = scalar_task(1.0, 0.5, 1.0)
         target = scalar_task(1.0, 0.5, 1.0, mean_y=0.7)
-        kl, w = basic_case_risks(source, target)
+        kl, w, _, _ = basic_case_risks(source, target)
         var_st = 0.25  # w = 1/2, var = w^2 * 1
         assert kl.variance_term == pytest.approx(0.0, abs=1e-14)
         assert kl.bias_term == pytest.approx(0.7**2 / (2 * var_st), abs=1e-12)
@@ -122,21 +121,21 @@ class TestBasicCaseRisks:
         # Different joints, same regression slope: variance terms vanish.
         source = scalar_task(2.0, 1.0, 1.0)
         target = scalar_task(1.0, 0.5, 1.0)
-        kl, w = basic_case_risks(source, target)
+        kl, w, _, _ = basic_case_risks(source, target)
         assert kl.variance_term == pytest.approx(0.0, abs=1e-14)
         assert w.variance_term == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_transfer_core_closed_forms(self):
         for seed in range(20):
             source, target = random_basic_pair(int(seed % 3) + 1, seed=100 + seed)
-            kl, w = basic_case_risks(source, target)
+            kl, w, _, _ = basic_case_risks(source, target)
             p_st, p_t = predictive_laws(source, target)
             assert kl.total == pytest.approx(gaussian_kl(p_t, p_st), abs=1e-9)
             assert w.total == pytest.approx(gaussian_w2(p_t, p_st), abs=1e-9)
 
     def test_matches_monte_carlo(self):
         source, target = random_basic_pair(2, seed=54)
-        kl, w = basic_case_risks(source, target)
+        kl, w, _, _ = basic_case_risks(source, target)
         p_st, p_t = predictive_laws(source, target)
         # Sample the target prediction law and average the log density ratio.
         draws = sample(p_t, 300_000, seed=55).points[:, 0]
@@ -166,45 +165,40 @@ class TestBasicCaseRisks:
 
 class TestRegret:
     def test_identical_tasks_zero(self):
-        source, _ = random_basic_pair(3, seed=59)
-        target = source
-        assert risk_regret_residual(source, target)[1] == pytest.approx(0.0, abs=1e-12)
+        for seed in range(59, 69):
+            source, _ = random_basic_pair(seed % 3 + 1, seed=seed)
+            case = basic_case_risks(source, source)
+            assert (case.regret, case.residual) == (0.0, 0.0), seed
 
     def test_doubled_weights_instance(self):
         # w_s = 1 = 2 w_t with zero means: regret is ||cov^1/2 w_t||^2 = 1/4.
         source = scalar_task(1.0, 1.0, 1.5)
         target = scalar_task(1.0, 0.5, 1.0)
-        assert risk_regret_residual(source, target)[1] == pytest.approx(0.25, abs=1e-12)
+        assert basic_case_risks(source, target).regret == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_monte_carlo_loss_gap(self):
         for seed in range(5):
             source, target = random_basic_pair(2, seed=200 + seed)
             gap = mc_loss_gap(source, target, n=400_000, seed=300 + seed)
-            assert risk_regret_residual(source, target)[1] == pytest.approx(gap, abs=1e-2)
+            assert basic_case_risks(source, target).regret == pytest.approx(gap, abs=1e-2)
 
 
 class TestRiskRegretResidual:
     def test_identity_and_sign(self):
         for seed in range(50):
             source, target = random_basic_pair(int(seed % 3) + 1, seed=400 + seed)
-            risk, reg, residual = risk_regret_residual(source, target)
-            assert reg == pytest.approx(risk + residual, abs=1e-9)
+            _, w, reg, residual = basic_case_risks(source, target)
+            assert reg == pytest.approx(w.total + residual, abs=1e-9)
             assert residual >= -1e-12
-            assert risk <= reg + 1e-12
+            assert w.total <= reg + 1e-12
 
     def test_parallel_weights_close_the_gap(self):
         # Same-direction weights make Cauchy-Schwarz tight: risk == regret.
         source = scalar_task(1.0, 1.0, 1.5)
         target = scalar_task(1.0, 0.5, 1.0)
-        risk, reg, residual = risk_regret_residual(source, target)
+        _, w, reg, residual = basic_case_risks(source, target)
         assert residual == pytest.approx(0.0, abs=1e-12)
-        assert risk == pytest.approx(reg, abs=1e-12)
-
-    def test_risk_value_matches_decomposition(self):
-        source, target = random_basic_pair(2, seed=60)
-        risk, _, _ = risk_regret_residual(source, target)
-        _, w = basic_case_risks(source, target)
-        assert risk == pytest.approx(w.total, abs=1e-12)
+        assert w.total == pytest.approx(reg, abs=1e-12)
 
 
 class TestFeatureAugmentation:
