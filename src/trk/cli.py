@@ -81,8 +81,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    cfg = PipelineConfig.from_json(args.config, overrides)
-    report = run(cfg, override_risks=args.override_risks)
+    cfg = PipelineConfig.from_json(args.config, overrides, args.override_risks)
+    report = run(cfg)
     logger.info("wrote %s rows to %s", len(report["rows"]), cfg.out_dir)
     print(json.dumps({"out_dir": str(cfg.out_dir), "rows": len(report["rows"])}))
     return 0

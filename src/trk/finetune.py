@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze
 from .optimal_transport import OtConfig, _quantile_coupling
-from .transfer_core import AffineModel, combine, input_risk
+from .transfer_core import AffineModel, input_risk
 
 __all__ = [
     "TrainConfig",
@@ -428,14 +428,18 @@ def make_synthetic_domains(
 
 @dataclass(frozen=True)
 class PairResult:
-    """One row of the transfer table for an ordered source -> target pair."""
+    """The measured accuracy and risks of an ordered source -> target pair.
+
+    `input_risk` is the raw W_p^p between the feature clouds; rescaling it
+    and combining it with `output_risk` into a transfer risk is the
+    pipeline's work.
+    """
 
     source: str
     target: str
     accuracy: float
     input_risk: float
     output_risk: float
-    transfer_risk: float
 
 
 def _named(what: str, fit, *args):
@@ -448,23 +452,23 @@ def _named(what: str, fit, *args):
 
 def evaluate_risk_accuracy_pairs(
     domains: list[SyntheticDomain],
-    combiner,
     risk_cfg: TrainConfig = TrainConfig(learning_rate=0.5),
     train_cfg: TrainConfig = TrainConfig(epochs=100),
-    input_rescale: float = 1.0,
     ot: OtConfig = OtConfig(),
 ) -> list[PairResult]:
-    """Transfer table over all ordered domain pairs.
+    """Measured accuracy and risks over all ordered domain pairs.
 
     One source head is trained per domain and transferred to every other
     domain: target points are re-expressed as that head's class
-    probabilities, and three quantities come out per pair: the input risk
-    W_p^p between the raw feature clouds (order and solver from `ot`,
-    optionally rescaled), the trained-and-budgeted output risk against the
-    target label law, and the held-out accuracy of a target head fine-tuned
-    on the representation.  The source head of domain k is seeded with
-    train_cfg.seed + k; the output-map descent and the target head of the
-    i-th ordered pair with seed + i, so runs are reproducible.
+    probabilities, and three quantities are measured per pair: the input
+    risk W_p^p between the raw feature clouds (order and solver from `ot`),
+    the trained-and-budgeted output risk against the target label law, and
+    the held-out accuracy of a target head fine-tuned on the
+    representation.  Nothing is rescaled or combined here: the pipeline
+    turns these measurements into transfer risks.  The source head of
+    domain k is seeded with train_cfg.seed + k; the output-map descent and
+    the target head of the i-th ordered pair with seed + i, so runs are
+    reproducible.
 
     Raises:
         TrainingDivergedError: if a fit diverges, or a source head's
@@ -473,8 +477,6 @@ def evaluate_risk_accuracy_pairs(
     """
     if len(domains) < 2:
         raise ValueError(f"need at least 2 domains, got {len(domains)}")
-    if input_rescale <= 0.0:
-        raise ValueError(f"input_rescale must be positive, got {input_rescale}")
     classes = domains[0].classes
     if any(d.classes != classes for d in domains):
         raise ValueError("all domains must share the class count")
@@ -514,7 +516,7 @@ def evaluate_risk_accuracy_pairs(
                     )
                 return features
 
-            e_in = input_rescale * input_risk(target.train, source.train, "wasserstein", ot)
+            e_in = input_risk(target.train, source.train, "wasserstein", ot)
             features = represent(target.train.points)
             e_out, _, _ = _named(
                 f"output map of {pair}",
@@ -535,15 +537,6 @@ def evaluate_risk_accuracy_pairs(
                 target.held_out_labels,
                 replace(train_cfg, seed=train_cfg.seed + pair_index),
             )
-            results.append(
-                PairResult(
-                    source=source.name,
-                    target=target.name,
-                    accuracy=accuracy,
-                    input_risk=e_in,
-                    output_risk=e_out,
-                    transfer_risk=combine(combiner, e_in, e_out),
-                )
-            )
+            results.append(PairResult(source.name, target.name, accuracy, e_in, e_out))
             pair_index += 1
     return results

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _MODES = ("empirical", "gaussian_lab", "synthetic_office")
+_OVERRIDE_UNREAD = {"divergence", "train", "risk_train", "empirical"}
 _FIT_NOISE_TOL = 1e-12
 _CSV_COLUMNS = ("source", "target", "accuracy", "input_risk", "output_risk", "transfer_risk")
 
@@ -177,9 +178,14 @@ def _read(spec: dict, path: str, table: dict, context: str) -> dict:
     return {key: _value(spec, key, kind, default, path) for key, (kind, default) in table.items()}
 
 
-def _parse(raw: dict) -> dict:
+def _parse(raw: dict, override_risks: str | Path | None) -> dict:
     """`raw` read against the tables its run selects: the root, sections nested."""
     mode = _value(raw, "mode", *_ROOT["mode"])
+    if override_risks is not None:
+        if mode != "empirical":
+            raise ValueError(f"--override-risks applies only to empirical mode, got {mode}")
+        # The table replaces the datasets, the training and the transport solves.
+        _reject_unknown(raw, raw.keys() - _OVERRIDE_UNREAD, "", "--override-risks")
     combiner = _value(raw, "combiner", *_ROOT["combiner"])
     form = _value(combiner, "form", *_COMBINER["form"], "combiner")
     divergence = _value(raw, "divergence", *_ROOT["divergence"])
@@ -265,10 +271,16 @@ class PipelineConfig:
     input_risk_rescale: float
     mode_params: dict
     echo: dict
+    override_risks: str | Path | None  # a risk table that replaces empirical's datasets
 
     @staticmethod
-    def from_dict(raw: dict) -> "PipelineConfig":
-        config = _parse(raw)
+    def from_dict(raw: dict, override_risks: str | Path | None = None) -> "PipelineConfig":
+        """`raw` parsed and validated.
+
+        `override_risks` names a risk table that an empirical run combines
+        instead of training; the sections such a run would not read are refused.
+        """
+        config = _parse(raw, override_risks)
         mode, seed, rescale = config["mode"], config["seed"], config["input_risk_rescale"]
         _require(seed >= 0, "seed", ">= 0", seed)
         _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
@@ -304,16 +316,19 @@ class PipelineConfig:
             input_risk_rescale=rescale,
             mode_params=config[mode],
             echo=config,
+            override_risks=override_risks,
         )
 
     @staticmethod
-    def from_json(path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
+    def from_json(
+        path: str | Path, overrides: dict | None = None, override_risks: str | Path | None = None
+    ) -> "PipelineConfig":
         with open(path) as handle:
             raw = json.load(handle)
         if not isinstance(raw, dict):
             raise ValueError("config root must be a JSON object")
         raw.update(overrides or {})
-        return PipelineConfig.from_dict(raw)
+        return PipelineConfig.from_dict(raw, override_risks)
 
 
 def ingest_dataset(
@@ -555,16 +570,26 @@ def _dataset_to_domain(
     )
 
 
+def _row(
+    cfg: PipelineConfig, source: str, target: str, accuracy: float | None,
+    measured_input: float, e_out: float, **extra,
+) -> dict:
+    """One pair row; the only place a measured input risk is rescaled and combined."""
+    e_in = cfg.input_risk_rescale * measured_input
+    return {
+        "source": source, "target": target, "accuracy": accuracy, "input_risk": e_in,
+        "output_risk": e_out, "transfer_risk": combine(cfg.combiner, e_in, e_out), **extra,
+    }
+
+
 def _pair_rows_from_domains(domains: list[SyntheticDomain], cfg: PipelineConfig) -> list[dict]:
-    results = evaluate_risk_accuracy_pairs(
-        domains, cfg.combiner, cfg.risk_train, cfg.train, cfg.input_risk_rescale, cfg.ot
-    )
-    return [asdict(res) for res in results]
+    results = evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.train, cfg.ot)
+    return [_row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk) for r in results]
 
 
-def _run_empirical(cfg: PipelineConfig, override_risks: str | Path | None) -> list[dict]:
-    if override_risks is not None:
-        return _rows_from_override(override_risks, cfg)
+def _run_empirical(cfg: PipelineConfig) -> list[dict]:
+    if cfg.override_risks is not None:
+        return _rows_from_override(cfg)
     paths = cfg.mode_params["datasets"]
     if len(paths) < 2:
         raise ValueError("empirical mode needs at least 2 datasets (or an override table)")
@@ -588,22 +613,14 @@ def _run_empirical(cfg: PipelineConfig, override_risks: str | Path | None) -> li
     return _pair_rows_from_domains(domains, cfg)
 
 
-def _rows_from_override(path: str | Path, cfg: PipelineConfig) -> list[dict]:
+def _rows_from_override(cfg: PipelineConfig) -> list[dict]:
     """Combine externally supplied risk rows; no training happens here."""
-    rows = []
+    path = cfg.override_risks
     needed = ("source", "target", "input_risk", "output_risk")
-    for record, e_in, e_out, accuracy in _read_risk_table(path, needed):
-        e_in *= cfg.input_risk_rescale
-        rows.append(
-            {
-                "source": record["source"],
-                "target": record["target"],
-                "accuracy": accuracy,
-                "input_risk": e_in,
-                "output_risk": e_out,
-                "transfer_risk": combine(cfg.combiner, e_in, e_out),
-            }
-        )
+    rows = [
+        _row(cfg, record["source"], record["target"], accuracy, e_in, e_out)
+        for record, e_in, e_out, accuracy in _read_risk_table(path, needed)
+    ]
     if not rows:
         raise ValueError(f"{path}: override table has no rows")
     return rows
@@ -621,28 +638,20 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
                 params["dim"], seed=cfg.seed + i, drift=params["drift"]
             )
         case = basic_case_risks(source, target)
-        e_in = cfg.input_risk_rescale * input_risk(
-            target.x_marginal(),
-            source.x_marginal(),
-            metric=cfg.divergence_kind,
-            cfg=cfg.ot,
+        measured = input_risk(
+            target.x_marginal(), source.x_marginal(), metric=cfg.divergence_kind, cfg=cfg.ot
         )
         e_out = case.kl.total if cfg.divergence_kind == "kl" else case.w.total
         rows.append(
-            {
-                "source": f"task_{i}_source",
-                "target": f"task_{i}_target",
-                "accuracy": None,
-                "input_risk": e_in,
-                "output_risk": e_out,
-                "transfer_risk": combine(cfg.combiner, e_in, e_out),
-                "kl_variance": case.kl.variance_term,
-                "kl_bias": case.kl.bias_term,
-                "w_variance": case.w.variance_term,
-                "w_bias": case.w.bias_term,
-                "regret": case.regret,
-                "residual": case.residual,
-            }
+            _row(
+                cfg, f"task_{i}_source", f"task_{i}_target", None, measured, e_out,
+                kl_variance=case.kl.variance_term,
+                kl_bias=case.kl.bias_term,
+                w_variance=case.w.variance_term,
+                w_bias=case.w.bias_term,
+                regret=case.regret,
+                residual=case.residual,
+            )
         )
     return rows
 
@@ -706,20 +715,16 @@ def _write_outputs(report: dict, rows: list[dict], out_dir: Path) -> None:
         handle.write("\n")
 
 
-def run(cfg: PipelineConfig, override_risks: str | Path | None = None) -> dict:
+def run(cfg: PipelineConfig) -> dict:
     """Execute the configured experiment and write report.json and pairs.csv.
 
     Returns the report document.  The pair table is a deterministic function
     of the config and seed; wall-clock timings live only in the report.
-    `override_risks` names a precomputed risk table to combine instead of
-    training; only empirical mode takes one.
     """
-    if override_risks is not None and cfg.mode != "empirical":
-        raise ValueError(f"--override-risks applies only to empirical mode, got {cfg.mode}")
     timings: dict[str, float] = {}
     start = time.perf_counter()
     if cfg.mode == "empirical":
-        rows = _run_empirical(cfg, override_risks)
+        rows = _run_empirical(cfg)
     elif cfg.mode == "gaussian_lab":
         rows = _run_gaussian_lab(cfg)
     else:
@@ -731,10 +736,6 @@ def run(cfg: PipelineConfig, override_risks: str | Path | None = None) -> dict:
         "config": cfg.echo,
         "rows": rows,
         "correlations": _correlations(rows),
-        "plot_data": {
-            "transfer_risk": [r["transfer_risk"] for r in rows],
-            "accuracy": [r["accuracy"] for r in rows],
-        },
         "timings": timings,
     }
     _write_outputs(report, rows, cfg.out_dir)

@@ -411,11 +411,11 @@ def test_criterion_08_output_augmentation_formulas():
 def test_criterion_09_synthetic_domain_study():
     def body(failures):
         domains = make_synthetic_domains(seed=0)
-        results = evaluate_risk_accuracy_pairs(domains, STUDY_COMBINER)
+        results = evaluate_risk_accuracy_pairs(domains)
         if len(results) != 6:
             failures.append(f"expected 6 ordered pairs, got {len(results)}")
         accuracy = [r.accuracy for r in results]
-        combined = [r.transfer_risk for r in results]
+        combined = [combine(STUDY_COMBINER, r.input_risk, r.output_risk) for r in results]
         spearman = float(stats.spearmanr(accuracy, combined).statistic)
         if not spearman <= -0.5:
             failures.append(f"Spearman {spearman:.3f} is not <= -0.5")

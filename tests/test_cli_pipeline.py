@@ -24,7 +24,7 @@ from trk.finetune import make_synthetic_domains
 from trk.gaussian_lab import basic_case_risks, random_basic_pair
 from trk.optimal_transport import SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
-from trk.transfer_core import PolynomialCombiner, combine
+from trk.transfer_core import PolynomialCombiner, combine, input_risk
 
 # Six source->target rows of a published transfer study on three photo
 # domains (A, W, D): measured input risk, fine-tuned output risk, accuracy.
@@ -732,35 +732,71 @@ class TestGaussianLabMode:
 
 
 class TestEmpiricalOverride:
-    def make_config(self, tmp_path, **extra):
+    def make_config(self, tmp_path, table):
         raw = {
             "mode": "empirical",
             "seed": 0,
             "out_dir": str(tmp_path / "out"),
             "combiner": STUDY_COMBINER,
         }
-        raw.update(extra)
-        return PipelineConfig.from_dict(raw)
+        return PipelineConfig.from_dict(raw, override_risks=table)
 
     def test_reproduces_study_transfer_risks(self, tmp_path):
         table = write_study_table(tmp_path / "table.csv")
-        report = run(self.make_config(tmp_path), override_risks=table)
+        report = run(self.make_config(tmp_path, table))
         got = [row["transfer_risk"] for row in report["rows"]]
         assert got == STUDY_COMBINED
         assert report["correlations"]["spearman"] == -1.0
         assert report["correlations"]["pearson"] == pytest.approx(STUDY_PEARSON, abs=1e-12)
 
-    def test_rescale_scales_input_risk_before_combining(self, tmp_path):
-        table = write_study_table(tmp_path / "table.csv")
-        report = run(self.make_config(tmp_path, input_risk_rescale=2.0), override_risks=table)
-        combiner = PolynomialCombiner(0.31, 0.92, 2.0)
-        for row, (_, _, e_in, e_out, _) in zip(report["rows"], STUDY_ROWS):
-            assert row["input_risk"] == 2.0 * e_in
-            assert row["transfer_risk"] == combine(combiner, 2.0 * e_in, e_out)
+    @pytest.mark.parametrize("source", ["synthetic_office", "empirical", "gaussian_lab", "table"])
+    def test_rescale_scales_input_risk_before_combining(self, tmp_path, monkeypatch, source):
+        # Every mode forms its rows one way: the measured input risk times
+        # input_risk_rescale, combined with the output risk.
+        measured = []
+        evaluate = pipeline.evaluate_risk_accuracy_pairs
+
+        def recorded(*args):
+            results = evaluate(*args)
+            measured.extend(r.input_risk for r in results)
+            return results
+
+        monkeypatch.setattr(pipeline, "evaluate_risk_accuracy_pairs", recorded)
+        raw = {
+            "mode": source, "seed": 3, "out_dir": str(tmp_path / "out"),
+            "combiner": STUDY_COMBINER, "input_risk_rescale": 0.37,
+        }
+        table = None
+        if source == "synthetic_office":
+            raw["synthetic_office"] = {"samples_per_domain": 24}
+        elif source == "empirical":
+            datasets = [write_blob_csv(tmp_path / f"d{k}.csv", 0.6 * k, k) for k in range(3)]
+            raw["empirical"] = {"datasets": [str(path) for path in datasets]}
+            raw["train"] = {"epochs": 5}
+        elif source == "gaussian_lab":
+            raw["gaussian_lab"] = {"dim": 3, "n_pairs": 4}
+        else:
+            raw["mode"] = "empirical"
+            table = write_study_table(tmp_path / "table.csv")
+            measured = [e_in for _, _, e_in, _, _ in STUDY_ROWS]
+        cfg = PipelineConfig.from_dict(raw, override_risks=table)
+        if source == "gaussian_lab":
+            for i in range(4):
+                task_s, task_t = random_basic_pair(3, seed=3 + i, drift=0.25)
+                measured.append(
+                    input_risk(task_t.x_marginal(), task_s.x_marginal(), cfg=cfg.ot)
+                )
+        rows = run(cfg)["rows"]
+        assert len(rows) == len(measured) >= 4
+        for row, e_in in zip(rows, measured):
+            assert row["input_risk"] == 0.37 * e_in
+            assert row["transfer_risk"] == combine(
+                cfg.combiner, row["input_risk"], row["output_risk"]
+            )
 
     def test_without_accuracy_column_values(self, tmp_path):
         table = write_study_table(tmp_path / "table.csv", with_accuracy=False)
-        report = run(self.make_config(tmp_path), override_risks=table)
+        report = run(self.make_config(tmp_path, table))
         assert all(row["accuracy"] is None for row in report["rows"])
         assert report["correlations"] is None
 
@@ -768,7 +804,7 @@ class TestEmpiricalOverride:
         table = tmp_path / "short.csv"
         table.write_text("source,target,input_risk\nA,B,0.1\n")
         with pytest.raises(ValueError, match="needs columns"):
-            run(self.make_config(tmp_path), override_risks=table)
+            run(self.make_config(tmp_path, table))
 
     def test_non_numeric_risk_names_line(self, tmp_path):
         table = tmp_path / "bad.csv"
@@ -776,7 +812,7 @@ class TestEmpiricalOverride:
             "source,target,input_risk,output_risk\nA,B,0.1,0.2\nB,A,oops,0.2\n"
         )
         with pytest.raises(ValueError, match="line 3, column 'input_risk': could not parse 'oops'"):
-            run(self.make_config(tmp_path), override_risks=table)
+            run(self.make_config(tmp_path, table))
 
     def test_pair_table_quotes_names(self, tmp_path):
         names = [("a,b", 'say "hi"'), ("c->d", "e")]
@@ -785,8 +821,8 @@ class TestEmpiricalOverride:
             writer = csv.writer(handle)
             writer.writerow(["source", "target", "input_risk", "output_risk"])
             writer.writerows([source, target, 0.1, 0.2] for source, target in names)
-        cfg = self.make_config(tmp_path)
-        report = run(cfg, override_risks=table)
+        cfg = self.make_config(tmp_path, table)
+        report = run(cfg)
         with open(cfg.out_dir / "pairs.csv", newline="") as handle:
             lines = list(csv.reader(handle))
         assert lines[0] == ["source", "target", "accuracy", "input_risk", "output_risk",
@@ -803,7 +839,7 @@ class TestEmpiricalOverride:
         table = tmp_path / "empty.csv"
         table.write_text("source,target,input_risk,output_risk,accuracy\n")
         with pytest.raises(ValueError, match="no rows"):
-            run(self.make_config(tmp_path), override_risks=table)
+            run(self.make_config(tmp_path, table))
 
 
 # Small integers give ties; the floats span magnitudes.
@@ -986,13 +1022,6 @@ class TestSyntheticOfficeMode:
             assert row["transfer_risk"] == combine(
                 combiner, row["input_risk"], row["output_risk"]
             )
-
-    def test_plot_data_mirrors_rows(self, office_report):
-        report, _ = office_report
-        assert report["plot_data"]["accuracy"] == [r["accuracy"] for r in report["rows"]]
-        assert report["plot_data"]["transfer_risk"] == [
-            r["transfer_risk"] for r in report["rows"]
-        ]
 
     def test_report_file_round_trips(self, office_report):
         report, cfg = office_report
@@ -1204,6 +1233,26 @@ class TestCli:
         assert json.loads(lines[0])["error"] == (
             f"--override-risks applies only to empirical mode, got {mode}"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [
+            ("divergence", {"method": "sinkhorn"}),
+            ("train", {"epochs": 3}),
+            ("risk_train", {"learning_rate": 9}),
+            ("empirical", {"datasets": ["a.csv", "b.csv"]}),
+        ],
+    )
+    def test_override_risks_refuses_unread_sections(self, tmp_path, capsys, section, value):
+        config = self.run_config(tmp_path, mode="empirical", **{section: value})
+        argv = ["run", "--config", str(config), "--override-risks", str(tmp_path / "none.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": f"{section} does not apply to --override-risks"}
         assert not (tmp_path / "out").exists()
 
     def test_fit_combiner_prints_fit(self, tmp_path, capsys):

@@ -530,15 +530,12 @@ class TestSyntheticDomains:
 
 @pytest.fixture(scope="module")
 def transfer_table():
-    combiner = PolynomialCombiner(0.31, 0.92, 2)
-    rows = evaluate_risk_accuracy_pairs(make_synthetic_domains(0), combiner)
-    return rows, combiner
+    return evaluate_risk_accuracy_pairs(make_synthetic_domains(0))
 
 
 class TestEvaluatePairs:
     def test_six_ordered_rows(self, transfer_table):
-        rows, _ = transfer_table
-        assert [(r.source, r.target) for r in rows] == [
+        assert [(r.source, r.target) for r in transfer_table] == [
             ("domain_a", "domain_b"),
             ("domain_a", "domain_c"),
             ("domain_b", "domain_a"),
@@ -548,19 +545,16 @@ class TestEvaluatePairs:
         ]
 
     def test_rows_internally_consistent(self, transfer_table):
-        rows, combiner = transfer_table
-        for row in rows:
-            assert row.transfer_risk == pytest.approx(
-                combine(combiner, row.input_risk, row.output_risk), abs=1e-12
-            )
+        for row in transfer_table:
             assert 0.0 <= row.accuracy <= 1.0
             assert row.input_risk >= 0.0
             assert row.output_risk >= 0.0
 
     def test_risk_anticorrelates_with_accuracy(self, transfer_table):
-        rows, _ = transfer_table
+        combiner = PolynomialCombiner(0.31, 0.92, 2)
         rho = rank_correlation(
-            [r.accuracy for r in rows], [r.transfer_risk for r in rows]
+            [r.accuracy for r in transfer_table],
+            [combine(combiner, r.input_risk, r.output_risk) for r in transfer_table],
         )
         assert rho <= -0.5
 
@@ -569,9 +563,7 @@ class TestEvaluatePairs:
         from dataclasses import replace as dc_replace
 
         clone = dc_replace(domains[0], name="domain_a_clone")
-        table = evaluate_risk_accuracy_pairs(
-            [domains[0], clone, domains[2]], PolynomialCombiner(0.31, 0.92, 2)
-        )
+        table = evaluate_risk_accuracy_pairs([domains[0], clone, domains[2]])
         twins = [r for r in table if {"domain_a", "domain_a_clone"} == {r.source, r.target}]
         others = [r for r in table if r not in twins]
         assert all(r.input_risk <= 1e-9 for r in twins)
@@ -579,12 +571,9 @@ class TestEvaluatePairs:
         assert min(r.accuracy for r in twins) >= max(r.accuracy for r in others) - 0.02
 
     def test_validation(self):
-        combiner = PolynomialCombiner(0.31, 0.92, 2)
         domains = make_synthetic_domains(3, samples_per_domain=60)
         with pytest.raises(ValueError, match="domains"):
-            evaluate_risk_accuracy_pairs(domains[:1], combiner)
-        with pytest.raises(ValueError, match="input_rescale"):
-            evaluate_risk_accuracy_pairs(domains, combiner, input_rescale=0.0)
+            evaluate_risk_accuracy_pairs(domains[:1])
 
 
 class TestPairFits:
@@ -623,7 +612,6 @@ class TestPairFits:
         monkeypatch.setattr(finetune, "minimize_output_risk", descend)
         rows = evaluate_risk_accuracy_pairs(
             domains,
-            PolynomialCombiner(0.31, 0.92, 2),
             TrainConfig(epochs=2, seed=20),
             TrainConfig(epochs=5, seed=10),
         )
@@ -650,7 +638,6 @@ class TestPairFits:
         ):
             evaluate_risk_accuracy_pairs(
                 domains,
-                PolynomialCombiner(0.31, 0.92, 2),
                 TrainConfig(learning_rate=0.5, seed=3),
                 TrainConfig(epochs=100, learning_rate=1e308, seed=3),
             )
