@@ -517,13 +517,14 @@ def evaluate_risk_accuracy_pairs(
                 return features
 
             e_in = input_risk(target.train, source.train, "wasserstein", ot)
-            features = represent(target.train.points)
+            weights = target.train.weights  # every target law keeps the target's weights
+            features = EmpiricalDistribution(represent(target.train.points), weights)
             e_out, _, _ = _named(
                 f"output map of {pair}",
                 minimize_output_risk,
                 AffineMapFamily(classes, 1),
-                EmpiricalDistribution(features, target.train.weights),
-                EmpiricalDistribution.from_points(target.train_labels.astype(float)[:, None]),
+                features,
+                EmpiricalDistribution(target.train_labels.astype(float)[:, None], weights),
                 1.0,
                 replace(risk_cfg, seed=risk_cfg.seed + pair_index),
             )
@@ -531,9 +532,9 @@ def evaluate_risk_accuracy_pairs(
                 f"target head of {pair}",
                 train_classifier,
                 SoftmaxHeadFamily(classes, classes),
-                EmpiricalDistribution.from_points(features),
+                features,
                 target.train_labels,
-                EmpiricalDistribution.from_points(represent(target.held_out.points)),
+                EmpiricalDistribution(represent(target.held_out.points), target.held_out.weights),
                 target.held_out_labels,
                 replace(train_cfg, seed=train_cfg.seed + pair_index),
             )

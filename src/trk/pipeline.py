@@ -44,21 +44,20 @@ __all__ = [
 ]
 
 _MODES = ("empirical", "gaussian_lab", "synthetic_office")
-_OVERRIDE_UNREAD = {"divergence", "train", "risk_train", "empirical"}
 _FIT_NOISE_TOL = 1e-12
 _CSV_COLUMNS = ("source", "target", "accuracy", "input_risk", "output_risk", "transfer_risk")
+# gaussian_lab's wasserstein input risk: the closed-form W_2 between Gaussians.
+_GAUSSIAN_W2 = OtConfig(p=2.0)
 
 # The config schema: one table per section, key -> (type, default).  A tuple
 # type lists the legal values; a dict type is a nested section.  A run reads
-# the tables its mode, combiner form and solver method select (`_tables`),
-# rejects every other key by its path, and echoes what it parsed.
+# the tables its mode and choices select (`_tables`), rejects every other key
+# by its path, and echoes what it parsed.
 _ROOT = {
     "mode": (_MODES, None),
     "seed": (int, 0),
     "out_dir": (str, "trk_run"),
     "input_risk_rescale": (float, 1.0),
-    "combiner": (dict, {}),
-    "divergence": (dict, {}),
 }
 _FORMS = {
     "linear": {"weight": (float, 1.0)},
@@ -67,18 +66,16 @@ _FORMS = {
     },
 }
 _COMBINER = {"form": (tuple(_FORMS), "polynomial2")}
-# p None is the mode's own order: W_2 for gaussian_lab's closed forms, W_1
-# between sampled clouds.
-_DIVERGENCE = {"kind": (("wasserstein", "kl"), "wasserstein"), "p": (float, None)}
-# Only the sampled modes run a transport solver.  Both methods read
+# gaussian_lab's closed forms measure both risks by W_2 or by KL.
+_KIND = {"kind": (("wasserstein", "kl"), "wasserstein")}
+# The sampled modes solve W_p between clouds, and train.  Both methods read
 # Sinkhorn's regularization and budget; only 'auto' reads the support cap of
 # its exact routes.
 _SINKHORN = {"sinkhorn_epsilon": (float, None), "sinkhorn_max_iter": (int, 2000)}
 _SOLVERS = {"auto": {"lp_max_support": (int, 400), **_SINKHORN}, "sinkhorn": _SINKHORN}
-_SOLVER = {"method": (tuple(_SOLVERS), "auto")}
-# Only the sampled modes train.  The output-risk descent always spends its
-# whole epoch budget, so risk_train has no plateau_patience.
-_TRAINING = {"train": (dict, {}), "risk_train": (dict, {})}
+_SOLVER = {"p": (float, 1.0), "method": (tuple(_SOLVERS), "auto")}
+# The output-risk descent always spends its whole epoch budget, so
+# risk_train has no plateau_patience.
 _TRAIN = {"epochs": (int, 100), "learning_rate": (float, 0.05), "plateau_patience": (int, 10)}
 _RISK_TRAIN = {"epochs": (int, 10), "learning_rate": (float, 0.5)}
 _MODE_TABLES = {
@@ -87,51 +84,63 @@ _MODE_TABLES = {
         "format": (("csv", "json", None), None),
         "label_column": (str, "label"),
     },
-    "gaussian_lab": {
-        "dim": (int, 2), "n_pairs": (int, 6), "drift": (float, 0.25),
-        "identical_tasks": (bool, False),
-    },
+    "gaussian_lab": {"dim": (int, 2), "n_pairs": (int, 6), "identical_tasks": (bool, False)},
     "synthetic_office": {
         "n_domains": (int, 3), "classes": (int, 3), "samples_per_domain": (int, 400),
         "rotation": (float, 0.15), "shift": (float, 1.4), "spread": (float, 0.0),
     },
 }
+_DRIFT = {"drift": (float, 0.25)}  # an identical task pair has no drift
 
-
-def _tables(mode: str, form: str, method: str) -> dict[str, dict]:
-    """Section path ("" for the root) -> table, for one run's choices."""
-    root = {**_ROOT, mode: (dict, {})}
-    tables = {
-        "combiner": {**_COMBINER, **_FORMS[form]},
-        "divergence": _DIVERGENCE,
-        mode: _MODE_TABLES[mode],
-    }
-    if mode != "gaussian_lab":
-        root |= _TRAINING
-        tables |= {
-            "divergence": {**_DIVERGENCE, **_SOLVER, **_SOLVERS[method]},
-            "train": _TRAIN,
-            "risk_train": _RISK_TRAIN,
-        }
-    return {"": root, **tables}
-
-
-# Every key path some run reads.
-_KNOWN = {
-    f"{path}.{key}" if path else key
-    for choices in itertools.product(_MODES, _FORMS, _SOLVERS)
-    for path, table in _tables(*choices).items()
-    for key in table
+# Besides the mode, what selects a run's tables, with the values it takes.
+# Each is read before the tables.  A refusal names a flag by itself and any
+# other choice by its value.
+_CHOICES = {
+    "--override-risks": (False, True),
+    "combiner.form": tuple(_FORMS),
+    "divergence.method": tuple(_SOLVERS),
+    "identical_tasks": (False, True),
 }
 
 
-def _reject_unknown(mapping: dict, allowed, path: str, context: str | None = None) -> None:
-    """Reject keys outside `allowed`; one some other run reads does not apply to `context`."""
+def _tables(mode: str, override: bool, form: str, method: str, identical: bool) -> dict[str, dict]:
+    """Section path ("" for the root) -> table, for one run's choices."""
+    sections = {"combiner": {**_COMBINER, **_FORMS[form]}}
+    if mode == "gaussian_lab":
+        sections |= {"divergence": _KIND, mode: _MODE_TABLES[mode] | ({} if identical else _DRIFT)}
+    elif not override:  # the risk table replaces the datasets, the training and the solves
+        sections |= {
+            "divergence": {**_SOLVER, **_SOLVERS[method]},
+            "train": _TRAIN, "risk_train": _RISK_TRAIN, mode: _MODE_TABLES[mode],
+        }
+    return {"": {**_ROOT, **dict.fromkeys(sections, (dict, {}))}, **sections}
+
+
+def _key_paths(tables: dict[str, dict]) -> set[str]:
+    return {f"{path}.{key}" if path else key for path, table in tables.items() for key in table}
+
+
+# Every key path some run reads.
+_KNOWN = set().union(
+    *(_key_paths(_tables(*choices)) for choices in itertools.product(_MODES, *_CHOICES.values()))
+)
+
+
+def _unread_by(full: str, choices: dict) -> str:
+    """What leaves `full` unread: the first choice whose other value reads it, else the mode."""
+    for name, values in _CHOICES.items():
+        if any(full in _key_paths(_tables(*{**choices, name: v}.values())) for v in values):
+            return name if isinstance(choices[name], bool) else choices[name]
+    return choices["mode"]
+
+
+def _reject_unknown(mapping: dict, allowed, path: str, choices: dict | None = None) -> None:
+    """Reject keys outside `allowed`; one some other run reads names what leaves it unread."""
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         full = f"{path}.{unknown[0]}" if path else unknown[0]
-        if context is not None and full in _KNOWN:
-            raise ValueError(f"{full} does not apply to {context}")
+        if choices is not None and full in _KNOWN:
+            raise ValueError(f"{full} does not apply to {_unread_by(full, choices)}")
         raise ValueError(f"unknown config key {full!r}")
 
 
@@ -173,29 +182,30 @@ def _value(spec: dict, key: str, kind, default, path: str = ""):
     return list(value) if kind is list else value  # never hand out the table's default
 
 
-def _read(spec: dict, path: str, table: dict, context: str) -> dict:
-    _reject_unknown(spec, table, path, context)
+def _read(spec: dict, path: str, table: dict, choices: dict) -> dict:
+    _reject_unknown(spec, table, path, choices)
     return {key: _value(spec, key, kind, default, path) for key, (kind, default) in table.items()}
 
 
 def _parse(raw: dict, override_risks: str | Path | None) -> dict:
-    """`raw` read against the tables its run selects: the root, sections nested."""
+    """`raw` read against the tables its run's choices select: the root, sections nested."""
     mode = _value(raw, "mode", *_ROOT["mode"])
-    if override_risks is not None:
-        if mode != "empirical":
-            raise ValueError(f"--override-risks applies only to empirical mode, got {mode}")
-        # The table replaces the datasets, the training and the transport solves.
-        _reject_unknown(raw, raw.keys() - _OVERRIDE_UNREAD, "", "--override-risks")
-    combiner = _value(raw, "combiner", *_ROOT["combiner"])
-    form = _value(combiner, "form", *_COMBINER["form"], "combiner")
-    divergence = _value(raw, "divergence", *_ROOT["divergence"])
-    method = _value(divergence, "method", *_SOLVER["method"], "divergence")
-    # A rejected key names the choice that leaves it unread.
-    contexts = {"combiner": form, "divergence": method if mode != "gaussian_lab" else mode}
-    tables = _tables(mode, form, method)
-    config = _read(raw, "", tables.pop(""), mode)
+    override = override_risks is not None
+    if override and mode != "empirical":
+        raise ValueError(f"--override-risks applies only to empirical mode, got {mode}")
+    form = _value(_value(raw, "combiner", dict, {}), "form", *_COMBINER["form"], "combiner")
+    method, identical = "auto", False  # a run without a solver reads no method
+    if mode == "gaussian_lab":
+        section = _value(raw, mode, dict, {})
+        identical = _value(section, "identical_tasks", *_MODE_TABLES[mode]["identical_tasks"], mode)
+    elif not override:
+        divergence = _value(raw, "divergence", dict, {})
+        method = _value(divergence, "method", *_SOLVER["method"], "divergence")
+    choices = dict(zip(("mode", *_CHOICES), (mode, override, form, method, identical)))
+    tables = _tables(*choices.values())
+    config = _read(raw, "", tables.pop(""), choices)
     for path, table in tables.items():
-        config[path] = _read(config[path], path, table, contexts.get(path, mode))
+        config[path] = _read(config[path], path, table, choices)
     return config
 
 
@@ -229,17 +239,13 @@ def _combiner_section(form: str, combiner: PolynomialCombiner) -> dict:
     return {"form": form, **asdict(combiner)}
 
 
-def _check_mode_params(mode: str, params: dict, given: dict) -> None:
-    """Ranges the mode's generators would otherwise reject at run time.
-
-    `given` is the section as written, before defaults were filled in.
-    """
+def _check_mode_params(mode: str, params: dict) -> None:
+    """Ranges the mode's generators would otherwise reject at run time."""
     if mode == "gaussian_lab":
         for key in ("dim", "n_pairs"):
             _require(params[key] >= 1, f"gaussian_lab.{key}", ">= 1", params[key])
-        _require(params["drift"] >= 0.0, "gaussian_lab.drift", ">= 0", params["drift"])
-        if params["identical_tasks"] and "drift" in given:  # an identical pair has no drift
-            raise ValueError("gaussian_lab.drift does not apply to identical_tasks")
+        if "drift" in params:  # identical tasks read none
+            _require(params["drift"] >= 0.0, "gaussian_lab.drift", ">= 0", params["drift"])
     elif mode == "synthetic_office":
         for key in ("n_domains", "classes"):
             _require(params[key] >= 2, f"synthetic_office.{key}", ">= 2", params[key])
@@ -264,9 +270,10 @@ class PipelineConfig:
     seed: int
     out_dir: Path
     combiner: PolynomialCombiner
-    divergence_kind: str
-    ot: OtConfig
-    train: TrainConfig | None  # None in gaussian_lab, which trains nothing
+    divergence_kind: str | None  # gaussian_lab's closed-form metric; None elsewhere
+    # None in gaussian_lab and under override_risks, which solve and train nothing.
+    ot: OtConfig | None
+    train: TrainConfig | None
     risk_train: TrainConfig | None
     input_risk_rescale: float
     mode_params: dict
@@ -284,37 +291,26 @@ class PipelineConfig:
         mode, seed, rescale = config["mode"], config["seed"], config["input_risk_rescale"]
         _require(seed >= 0, "seed", ">= 0", seed)
         _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
-        _check_mode_params(mode, config[mode], raw.get(mode, {}))
-        divergence = config["divergence"]
-        kind = divergence["kind"]
-        if divergence["p"] is None:
-            divergence["p"] = 2.0 if mode == "gaussian_lab" else 1.0
-        if mode == "gaussian_lab" and divergence["p"] != 2.0:
-            raise ValueError(
-                f"divergence.p must be 2 in gaussian_lab (closed-form W_2), got {divergence['p']}"
-            )
-        if mode != "gaussian_lab" and kind == "kl":
-            raise ValueError(
-                f"divergence.kind 'kl' is not defined for the sampled clouds of {mode}; "
-                "use 'wasserstein'"
-            )
-        ot = _build(OtConfig, "divergence", **{k: v for k, v in divergence.items() if k != "kind"})
-        combiner = _combiner(config["combiner"])
-        train = risk_train = None
-        if mode != "gaussian_lab":
+        params = config.get(mode, {})  # an override run reads no mode section
+        _check_mode_params(mode, params)
+        kind = ot = train = risk_train = None
+        if mode == "gaussian_lab":
+            kind = config["divergence"]["kind"]
+        elif override_risks is None:
+            ot = _build(OtConfig, "divergence", **config["divergence"])
             train = _build(TrainConfig, "train", seed=seed, **config["train"])
             risk_train = _build(TrainConfig, "risk_train", seed=seed, **config["risk_train"])
         return PipelineConfig(
             mode=mode,
             seed=seed,
             out_dir=Path(config["out_dir"]),
-            combiner=combiner,
+            combiner=_combiner(config["combiner"]),
             divergence_kind=kind,
             ot=ot,
             train=train,
             risk_train=risk_train,
             input_risk_rescale=rescale,
-            mode_params=config[mode],
+            mode_params=params,
             echo=config,
             override_risks=override_risks,
         )
@@ -639,7 +635,7 @@ def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
             )
         case = basic_case_risks(source, target)
         measured = input_risk(
-            target.x_marginal(), source.x_marginal(), metric=cfg.divergence_kind, cfg=cfg.ot
+            target.x_marginal(), source.x_marginal(), metric=cfg.divergence_kind, cfg=_GAUSSIAN_W2
         )
         e_out = case.kl.total if cfg.divergence_kind == "kl" else case.w.total
         rows.append(

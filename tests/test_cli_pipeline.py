@@ -22,7 +22,7 @@ from trk import optimal_transport as ot_module
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
 from trk.gaussian_lab import basic_case_risks, random_basic_pair
-from trk.optimal_transport import SinkhornConvergenceError
+from trk.optimal_transport import OtConfig, SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
 from trk.transfer_core import PolynomialCombiner, combine, input_risk
 
@@ -351,6 +351,15 @@ UNREAD_KEYS = [
      "divergence.method must be one of ('auto', 'sinkhorn'), got 'exact_lp'"),
     ({"mode": "empirical", "divergence": {"method": "exact_1d"}},
      "divergence.method must be one of ('auto', 'sinkhorn'), got 'exact_1d'"),
+    # A sampled mode always measures W_p, and gaussian_lab's closed forms
+    # have one order and no solver, so these keys are read by no such run.
+    ({"mode": "synthetic_office", "divergence": {"kind": "wasserstein"}},
+     "divergence.kind does not apply to synthetic_office"),
+    ({"mode": "empirical", "divergence": {"kind": "wasserstein"}},
+     "divergence.kind does not apply to empirical"),
+    ({"mode": "gaussian_lab", "divergence": {"p": 2}}, "divergence.p does not apply to gaussian_lab"),
+    ({"mode": "gaussian_lab", "divergence": {"method": "bogus"}},
+     "divergence.method does not apply to gaussian_lab"),
 ]
 
 
@@ -405,11 +414,14 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_dict({"mode": "gaussian_lab"})
         assert cfg.seed == 0
         assert cfg.divergence_kind == "wasserstein"
-        assert cfg.ot.p == 2.0
+        # The closed forms solve and train nothing.
+        assert (cfg.ot, cfg.train, cfg.risk_train) == (None, None, None)
         assert cfg.input_risk_rescale == 1.0
         assert isinstance(cfg.combiner, PolynomialCombiner)
         assert cfg.mode_params["n_pairs"] == 6
         sampled = PipelineConfig.from_dict({"mode": "synthetic_office"})
+        assert sampled.divergence_kind is None
+        assert sampled.ot == OtConfig(p=1.0)
         assert sampled.train.epochs == 100
         assert sampled.risk_train.learning_rate == 0.5
 
@@ -464,9 +476,10 @@ class TestPipelineConfig:
             ({"mode": "gaussian_lab", "input_risk_rescale": -2.0}, "must be positive"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"dim": 0}}, "must be >= 1"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"n_pairs": 0}}, "must be >= 1"),
-            ({"mode": "gaussian_lab", "divergence": {"p": 3}}, "divergence.p must be 2"),
+            ({"mode": "gaussian_lab", "divergence": {"p": 3}},
+             "divergence.p does not apply to gaussian_lab"),
             ({"mode": "gaussian_lab", "divergence": {"kind": "kl", "p": 1}},
-             "divergence.p must be 2"),
+             "divergence.p does not apply to gaussian_lab"),
             ({"mode": "gaussian_lab", "divergence": {"method": "sinkhorn"}},
              "divergence.method does not apply"),
             ({"mode": "gaussian_lab", "divergence": {"sinkhorn_epsilon": 0.1}},
@@ -476,9 +489,9 @@ class TestPipelineConfig:
             ({"mode": "gaussian_lab", "divergence": {"lp_max_support": 10}},
              "divergence.lp_max_support does not apply"),
             ({"mode": "synthetic_office", "divergence": {"kind": "kl"}},
-             "divergence.kind 'kl' is not defined"),
+             "divergence.kind does not apply to synthetic_office"),
             ({"mode": "empirical", "divergence": {"kind": "kl"}},
-             "divergence.kind 'kl' is not defined"),
+             "divergence.kind does not apply to empirical"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"identical_tasks": "no"}},
              "gaussian_lab.identical_tasks must be true or false, got 'no'"),
             ({"mode": "empirical", "empirical": {"datasets": "ab.csv"}},
@@ -497,7 +510,7 @@ class TestPipelineConfig:
             ({"mode": "gaussian_lab", "seed": INF}, "seed has a non-finite value inf"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"n_pairs": INF}},
              "gaussian_lab.n_pairs has a non-finite value inf"),
-            ({"mode": "gaussian_lab", "divergence": {"p": "two"}},
+            ({"mode": "synthetic_office", "divergence": {"p": "two"}},
              "divergence.p has a non-numeric value 'two'"),
             ({"mode": "gaussian_lab", "seed": "x"}, "seed has a non-numeric value 'x'"),
             ({"mode": "gaussian_lab", "seed": -1}, "seed must be >= 0, got -1"),
@@ -568,7 +581,7 @@ class TestPipelineConfig:
         assert echo["combiner"] == {
             "form": "polynomial2", "input_coeff": 0.31, "output_coeff": 0.92, "power": 2.0,
         }
-        assert echo["divergence"]["p"] == 2.0
+        assert echo["divergence"] == {"kind": "wasserstein"}
         assert "train" not in echo and "risk_train" not in echo
         assert echo["gaussian_lab"]["identical_tasks"] is False
         sampled = PipelineConfig.from_dict({"mode": "synthetic_office"}).echo
@@ -576,10 +589,16 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("mode", ["gaussian_lab", "synthetic_office", "empirical"])
     def test_echoed_divergence_keys_per_mode(self, mode):
-        # gaussian_lab rejects the solver keys, so its echo must not show them.
-        solver = {"method", "sinkhorn_epsilon", "sinkhorn_max_iter", "lp_max_support"}
-        expected = {"kind", "p"} | (set() if mode == "gaussian_lab" else solver)
+        # Each mode's echo holds the divergence keys it reads: gaussian_lab
+        # only the metric of its closed forms, a sampled mode only its solver.
+        solver = {"p", "method", "sinkhorn_epsilon", "sinkhorn_max_iter", "lp_max_support"}
+        expected = {"kind"} if mode == "gaussian_lab" else solver
         assert set(PipelineConfig.from_dict({"mode": mode}).echo["divergence"]) == expected
+
+    def test_identical_tasks_echo_no_drift(self):
+        raw = {"mode": "gaussian_lab", "gaussian_lab": {"identical_tasks": True}}
+        section = PipelineConfig.from_dict(raw).echo["gaussian_lab"]
+        assert section == {"dim": 2, "n_pairs": 6, "identical_tasks": True}
 
     @pytest.mark.parametrize("mode", ["synthetic_office", "empirical"])
     def test_sampled_modes_default_to_w1(self, mode):
@@ -784,7 +803,7 @@ class TestEmpiricalOverride:
             for i in range(4):
                 task_s, task_t = random_basic_pair(3, seed=3 + i, drift=0.25)
                 measured.append(
-                    input_risk(task_t.x_marginal(), task_s.x_marginal(), cfg=cfg.ot)
+                    input_risk(task_t.x_marginal(), task_s.x_marginal(), cfg=OtConfig(p=2.0))
                 )
         rows = run(cfg)["rows"]
         assert len(rows) == len(measured) >= 4
@@ -793,6 +812,14 @@ class TestEmpiricalOverride:
             assert row["transfer_risk"] == combine(
                 cfg.combiner, row["input_risk"], row["output_risk"]
             )
+
+    def test_config_holds_only_what_the_run_reads(self, tmp_path):
+        # The table replaces the datasets, the solves and the training.
+        table = write_study_table(tmp_path / "table.csv")
+        cfg = self.make_config(tmp_path, table)
+        assert (cfg.ot, cfg.train, cfg.risk_train, cfg.mode_params) == (None, None, None, {})
+        assert set(cfg.echo) == {"combiner", "input_risk_rescale", "mode", "out_dir", "seed"}
+        assert set(run(cfg)["config"]) == set(cfg.echo)
 
     def test_without_accuracy_column_values(self, tmp_path):
         table = write_study_table(tmp_path / "table.csv", with_accuracy=False)
@@ -1633,15 +1660,42 @@ class TestCli:
 
 
 def accepted_key_paths(mode):
-    """Every leaf key path the config tables accept in `mode`, over all forms and methods."""
+    """Every leaf key path the config tables accept in `mode`, over all its other choices."""
     paths = set()
-    for form, method in itertools.product(pipeline._FORMS, pipeline._SOLVERS):
-        for section, table in pipeline._tables(mode, form, method).items():
+    for choices in itertools.product(*pipeline._CHOICES.values()):
+        for section, table in pipeline._tables(mode, *choices).items():
             paths |= {
                 f"{section}.{key}" if section else key
                 for key, (kind, _) in table.items() if kind is not dict
             }
     return sorted(paths)
+
+
+def readme_key_paths():
+    """Mode -> the key paths README.md's "### Config keys" tables list for it.
+
+    A table applies to the modes its heading line names, or to every mode.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    paths = {mode: set() for mode in pipeline._MODES}
+    heading, modes = "", ()
+    for line in section.splitlines():
+        if line.startswith("| key path"):
+            modes = [mode for mode in pipeline._MODES if f"`{mode}`" in heading]
+            assert modes or "every mode" in heading, heading
+            modes = modes or pipeline._MODES
+        elif line.startswith("| `"):
+            for mode in modes:
+                paths[mode].add(line.split("`")[1])
+        elif line.strip() and not line.startswith("|"):
+            heading = line
+    return paths
+
+
+@pytest.mark.parametrize("mode", pipeline._MODES)
+def test_readme_config_tables_match_the_schema(mode):
+    assert sorted(readme_key_paths()[mode]) == accepted_key_paths(mode)
 
 
 # Tiny runs of each mode; a case's settings are merged into its mode's base.
@@ -1685,12 +1739,10 @@ KNOB_CASES = {
     "gaussian_lab.drift": (0.5, {}),
     "gaussian_lab.identical_tasks": (True, {}),
 }
-# mode has no default (it selects the tables), out_dir moves the outputs,
-# and these divergence keys have one legal value in their mode.
+# mode has no default (it selects the tables), and out_dir moves the outputs.
 KNOB_EXEMPT = {
     ("synthetic_office", "mode"), ("gaussian_lab", "mode"),
     ("synthetic_office", "out_dir"), ("gaussian_lab", "out_dir"),
-    ("synthetic_office", "divergence.kind"), ("gaussian_lab", "divergence.p"),
 }
 KNOBS = [
     (mode, path) for mode in KNOB_BASE for path in accepted_key_paths(mode)

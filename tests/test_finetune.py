@@ -12,6 +12,7 @@ from trk.finetune import (
     AffineMapFamily,
     SoftmaxHeadFamily,
     TrainConfig,
+    SyntheticDomain,
     TrainingDivergedError,
     cross_entropy_objective,
     evaluate_risk_accuracy_pairs,
@@ -574,6 +575,44 @@ class TestEvaluatePairs:
         domains = make_synthetic_domains(3, samples_per_domain=60)
         with pytest.raises(ValueError, match="domains"):
             evaluate_risk_accuracy_pairs(domains[:1])
+
+    @staticmethod
+    def blob_domain(name, center, rng, padded=False):
+        """A 1-D two-class domain of 200 points, halved into train and held-out.
+
+        `padded` appends to each half a zero-weight copy of its rows with the
+        labels flipped, as a weighted dataset may hold.
+        """
+        halves = []
+        for _ in range(2):
+            labels = rng.integers(0, 2, 100)
+            points = (center + 1.5 * labels + 0.6 * rng.normal(size=100))[:, None]
+            weights = uniform_weights(100)
+            if padded:
+                points = np.concatenate([points, points])
+                labels = np.concatenate([labels, 1 - labels])
+                weights = np.concatenate([weights, np.zeros(100)])
+            halves.append((EmpiricalDistribution(points, weights), labels))
+        (train, train_labels), (held_out, held_out_labels) = halves
+        return SyntheticDomain(name, train, train_labels, held_out, held_out_labels, classes=2)
+
+    def test_zero_weight_target_rows_change_nothing(self):
+        # Every law of the target, not only its input cloud, carries the
+        # target's weights: rows of weight 0 train and score nothing.
+        source = self.blob_domain("a", 0.0, np.random.default_rng(0))
+        plain, padded = (
+            self.blob_domain("b", 0.4, np.random.default_rng(1), padded=flag)
+            for flag in (False, True)
+        )
+        rows = evaluate_risk_accuracy_pairs([source, plain])
+        padded_rows = evaluate_risk_accuracy_pairs([source, padded])
+        assert len(rows) == len(padded_rows) == 2
+        for row, padded_row in zip(rows, padded_rows):
+            assert (row.source, row.target) == (padded_row.source, padded_row.target)
+            for field in ("accuracy", "input_risk", "output_risk"):
+                assert getattr(padded_row, field) == pytest.approx(
+                    getattr(row, field), rel=1e-12, abs=0.0
+                ), (row.source, row.target, field)
 
 
 class TestPairFits:
