@@ -39,51 +39,104 @@ def _freeze(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     return out
 
 
-def _is_symmetric(mat: np.ndarray) -> bool:
-    """np.allclose(mat, mat.T, atol=1e-8, rtol=0.0) on finite input, without its overhead."""
-    return bool(np.abs(mat - mat.T).max(initial=0.0) <= _SYMMETRY_TOL)
+def _transposed(mats: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack (..., n, m) transposed, as a view."""
+    return np.swapaxes(mats, -1, -2)
+
+
+def _symmetric_part(mats: np.ndarray) -> np.ndarray:
+    return (mats + _transposed(mats)) / 2.0
+
+
+def _is_symmetric(mats: np.ndarray) -> bool:
+    """np.allclose(m, m.T, atol=1e-8, rtol=0.0) for each finite m of a stack, minus its overhead."""
+    return bool(np.abs(mats - _transposed(mats)).max(initial=0.0) <= _SYMMETRY_TOL)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over stacks of vectors (..., d), by the BLAS dot that 1-D `a @ b` calls."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _trace(mats: np.ndarray) -> np.ndarray:
+    return np.trace(mats, axis1=-2, axis2=-1)
 
 
 def _joint_cov(cov_xx: np.ndarray, cov_xy: np.ndarray, cov_yy: np.ndarray) -> np.ndarray:
-    """The (d + k, d + k) covariance [[cov_xx, cov_xy], [cov_xy^T, cov_yy]]."""
-    d = cov_xx.shape[0]
-    n = d + cov_yy.shape[0]
-    full = np.empty((n, n))
-    full[:d, :d] = cov_xx
-    full[:d, d:] = cov_xy
-    full[d:, :d] = cov_xy.T
-    full[d:, d:] = cov_yy
+    """The (..., d + k, d + k) covariances [[cov_xx, cov_xy], [cov_xy^T, cov_yy]] of a stack."""
+    d = cov_xx.shape[-1]
+    n = d + cov_yy.shape[-1]
+    full = np.empty(cov_xx.shape[:-2] + (n, n))
+    full[..., :d, :d] = cov_xx
+    full[..., :d, d:] = cov_xy
+    full[..., d:, :d] = _transposed(cov_xy)
+    full[..., d:, d:] = cov_yy
     return full
 
 
+def _check_carriers(covs: np.ndarray, *means: np.ndarray, moments: str, cov: str) -> np.ndarray:
+    """The symmetric parts of a stack of covariances (..., d, d) that pass the carrier checks.
+
+    `covs` and `means` must be finite, each covariance symmetric within
+    1e-8, and the smallest eigenvalue of its symmetric part at least
+    -PSD_EIG_TOL.  Errors name the moments and the covariance as given.
+    """
+    if not (np.isfinite(covs).all() and all(np.isfinite(mean).all() for mean in means)):
+        raise ValueError(f"{moments} must be finite")
+    if not _is_symmetric(covs):
+        raise ValueError(f"{cov} must be symmetric")
+    symmetric = _symmetric_part(covs)
+    min_eig = np.linalg.eigvalsh(symmetric).min()
+    if min_eig < -PSD_EIG_TOL:
+        raise ValueError(f"{cov} is not PSD: min eigenvalue {min_eig:.3e}")
+    return symmetric
+
+
+def _checked_joint(
+    mean_x: np.ndarray, mean_y: np.ndarray, cov_xx: np.ndarray, cov_xy: np.ndarray,
+    cov_yy: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric parts of cov_xx and cov_yy of a stack of joints that pass the carrier checks.
+
+    Each argument has the same leading axes as the others; `GaussianJoint`
+    passes none.
+    """
+    _check_carriers(
+        _joint_cov(cov_xx, cov_xy, cov_yy), mean_x, mean_y,
+        moments="moments", cov="joint covariance",
+    )
+    return _symmetric_part(cov_xx), _symmetric_part(cov_yy)
+
+
 def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
-    """Symmetric square root of a PSD matrix via eigendecomposition.
+    """Symmetric square root of a PSD matrix, or of each of a stack, via eigendecomposition.
 
     Eigenvalues in [-eig_tol, 0] are clamped to zero; anything below
     -eig_tol raises, because that is an indefinite input rather than
     round-off.
 
     Args:
-        mat: symmetric PSD matrix, shape (d, d).
+        mat: symmetric PSD matrix, shape (d, d), or a stack of them, shape
+            (..., d, d).
         eig_tol: tolerance for negative eigenvalues attributed to round-off.
 
     Returns:
-        Symmetric matrix S with S @ S == mat (up to round-off).
+        Symmetric S of the shape of `mat` with S @ S == mat (up to round-off).
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     if not _is_symmetric(mat):
         raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    vals, vecs = np.linalg.eigh(_symmetric_part(mat))
     if vals.min(initial=0.0) < -eig_tol:
         raise ValueError(
             f"matrix is not positive semi-definite: min eigenvalue {vals.min():.3e}"
         )
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ _transposed(vecs)
 
 
 @dataclass(frozen=True)
@@ -181,14 +234,7 @@ class GaussianND:
             raise ValueError("mean must have at least one component")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("mean and cov must be finite")
-        if not _is_symmetric(cov):
-            raise ValueError("cov must be symmetric")
-        cov = (cov + cov.T) / 2.0
-        min_eig = np.linalg.eigvalsh(cov).min()
-        if min_eig < -PSD_EIG_TOL:
-            raise ValueError(f"cov is not PSD: min eigenvalue {min_eig:.3e}")
+        cov = _check_carriers(cov, mean, moments="mean and cov", cov="cov")
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "cov", _freeze(cov))
 
@@ -233,21 +279,12 @@ class GaussianJoint:
             raise ValueError(f"cov_xx must have shape ({d}, {d}), got {cov_xx.shape}")
         if cov_yy.shape != (k, k):
             raise ValueError(f"cov_yy must have shape ({k}, {k}), got {cov_yy.shape}")
-        full = _joint_cov(cov_xx, cov_xy, cov_yy)
-        if not np.all(np.isfinite(full)) or not np.all(np.isfinite(mean_x)) or not np.all(
-            np.isfinite(mean_y)
-        ):
-            raise ValueError("moments must be finite")
-        if not _is_symmetric(full):
-            raise ValueError("joint covariance must be symmetric")
-        min_eig = np.linalg.eigvalsh((full + full.T) / 2.0).min()
-        if min_eig < -PSD_EIG_TOL:
-            raise ValueError(f"joint covariance is not PSD: min eigenvalue {min_eig:.3e}")
+        cov_xx, cov_yy = _checked_joint(mean_x, mean_y, cov_xx, cov_xy, cov_yy)
         object.__setattr__(self, "mean_x", _freeze(mean_x))
         object.__setattr__(self, "mean_y", _freeze(mean_y))
-        object.__setattr__(self, "cov_xx", _freeze((cov_xx + cov_xx.T) / 2.0))
+        object.__setattr__(self, "cov_xx", _freeze(cov_xx))
         object.__setattr__(self, "cov_xy", _freeze(cov_xy))
-        object.__setattr__(self, "cov_yy", _freeze((cov_yy + cov_yy.T) / 2.0))
+        object.__setattr__(self, "cov_yy", _freeze(cov_yy))
 
     @property
     def dim_x(self) -> int:
@@ -285,6 +322,13 @@ def _as_nd(dist: GaussianLike) -> GaussianND:
     raise TypeError(f"expected Gaussian1D or GaussianND, got {type(dist).__name__}")
 
 
+def _matched(p: GaussianLike, q: GaussianLike) -> tuple[GaussianND, GaussianND]:
+    p_nd, q_nd = _as_nd(p), _as_nd(q)
+    if p_nd.dim != q_nd.dim:
+        raise ValueError(f"dimension mismatch: {p_nd.dim} vs {q_nd.dim}")
+    return p_nd, q_nd
+
+
 def gaussian_kl(p: GaussianLike, q: GaussianLike) -> float:
     """KL divergence KL(p || q) between Gaussians, in nats.
 
@@ -299,20 +343,26 @@ def gaussian_kl(p: GaussianLike, q: GaussianLike) -> float:
     Returns:
         0.5 * [tr(Sq^-1 Sp) - log det(Sp)/det(Sq) - d + (mp-mq)^T Sq^-1 (mp-mq)].
     """
-    p_nd, q_nd = _as_nd(p), _as_nd(q)
-    if p_nd.dim != q_nd.dim:
-        raise ValueError(f"dimension mismatch: {p_nd.dim} vs {q_nd.dim}")
-    d = p_nd.dim
-    sign_p, logdet_p = np.linalg.slogdet(p_nd.cov)
-    sign_q, logdet_q = np.linalg.slogdet(q_nd.cov)
-    if sign_p <= 0 or not np.isfinite(logdet_p):
+    p_nd, q_nd = _matched(p, q)
+    return float(_kl_moments(p_nd.mean, p_nd.cov, q_nd.mean, q_nd.cov))
+
+
+def _kl_moments(
+    mean_p: np.ndarray, cov_p: np.ndarray, mean_q: np.ndarray, cov_q: np.ndarray
+) -> np.ndarray:
+    """`gaussian_kl` over stacks of moments, (..., d) and (..., d, d); one value per law pair."""
+    sign_p, logdet_p = np.linalg.slogdet(cov_p)
+    sign_q, logdet_q = np.linalg.slogdet(cov_q)
+    if np.any(sign_p <= 0) or not np.all(np.isfinite(logdet_p)):
         raise ValueError("first covariance is singular; KL is undefined here")
-    if sign_q <= 0 or not np.isfinite(logdet_q):
+    if np.any(sign_q <= 0) or not np.all(np.isfinite(logdet_q)):
         raise ValueError("second covariance is singular; KL is undefined here")
-    q_inv_p = np.linalg.solve(q_nd.cov, p_nd.cov)
-    diff = p_nd.mean - q_nd.mean
-    quad = diff @ np.linalg.solve(q_nd.cov, diff)
-    return float(0.5 * (np.trace(q_inv_p) - d + logdet_q - logdet_p + quad))
+    q_inv_p = np.linalg.solve(cov_q, cov_p)
+    diff = mean_p - mean_q
+    quad = _dot(diff, np.linalg.solve(cov_q, diff[..., None])[..., 0])
+    value = 0.5 * (_trace(q_inv_p) - cov_p.shape[-1] + logdet_q - logdet_p + quad)
+    # Round-off can undershoot zero on identical laws, as the W2 Bures term does.
+    return np.maximum(value, 0.0)
 
 
 def gaussian_w2(p: GaussianLike, q: GaussianLike) -> float:
@@ -324,15 +374,20 @@ def gaussian_w2(p: GaussianLike, q: GaussianLike) -> float:
     Returns:
         ||mp - mq||^2 + tr(Sp) + tr(Sq) - 2 tr((Sp^1/2 Sq Sp^1/2)^1/2).
     """
-    p_nd, q_nd = _as_nd(p), _as_nd(q)
-    if p_nd.dim != q_nd.dim:
-        raise ValueError(f"dimension mismatch: {p_nd.dim} vs {q_nd.dim}")
-    root_p = psd_sqrt(p_nd.cov)
-    cross = psd_sqrt(root_p @ q_nd.cov @ root_p)
-    diff = p_nd.mean - q_nd.mean
-    value = diff @ diff + np.trace(p_nd.cov) + np.trace(q_nd.cov) - 2.0 * np.trace(cross)
+    p_nd, q_nd = _matched(p, q)
+    return float(_w2_moments(p_nd.mean, p_nd.cov, q_nd.mean, q_nd.cov))
+
+
+def _w2_moments(
+    mean_p: np.ndarray, cov_p: np.ndarray, mean_q: np.ndarray, cov_q: np.ndarray
+) -> np.ndarray:
+    """`gaussian_w2` over stacks of moments, (..., d) and (..., d, d); one value per law pair."""
+    root_p = psd_sqrt(cov_p)
+    cross = psd_sqrt(root_p @ cov_q @ root_p)
+    diff = mean_p - mean_q
+    value = _dot(diff, diff) + _trace(cov_p) + _trace(cov_q) - 2.0 * _trace(cross)
     # The Bures term can undershoot zero by round-off on near-identical inputs.
-    return float(max(value, 0.0))
+    return np.maximum(value, 0.0)
 
 
 def sample(

@@ -9,6 +9,10 @@ two structured extensions: augmenting the feature space (target inputs extend
 source inputs) and augmenting the output space (target outputs extend source
 outputs).
 
+The basic case and the random draws are stacked kernels: arrays with leading
+stack axes hold many pairs, which the pipeline runs in blocks, and the public
+functions here are the one-pair case of the same kernels.
+
 All decompositions split a risk into a variance term, driven by mismatch of
 the prediction spreads, and a bias term, driven by mismatch of the prediction
 means.  KL risks are in nats; Wasserstein risks are squared distances.
@@ -21,7 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2
+from .distributions import (
+    Gaussian1D,
+    GaussianJoint,
+    GaussianND,
+    _checked_joint,
+    _dot,
+    gaussian_kl,
+    gaussian_w2,
+)
 from .transfer_core import AffineModel, _gaussian_pushforward
 
 __all__ = [
@@ -65,9 +77,44 @@ class RiskDecomposition:
         return self.variance_term + self.bias_term
 
 
-def _h(ratio: float) -> float:
-    """The scalar KL kernel h(x) = (x - log x - 1) / 2, nonnegative on x > 0."""
+def _h(ratio: np.ndarray) -> np.ndarray:
+    """The scalar KL kernel h(x) = (x - log x - 1) / 2, nonnegative on x > 0; elementwise."""
     return 0.5 * (ratio - np.log(ratio) - 1.0)
+
+
+class _Joints(NamedTuple):
+    """Moments of a stack of joints, each array with the same leading axes.
+
+    A `GaussianJoint` has these fields with no leading axes, so every
+    stacked kernel here also takes a single law.
+    """
+
+    mean_x: np.ndarray  # (..., d)
+    mean_y: np.ndarray  # (..., k)
+    cov_xx: np.ndarray  # (..., d, d)
+    cov_xy: np.ndarray  # (..., d, k)
+    cov_yy: np.ndarray  # (..., k, k)
+
+    def at(self, index) -> "_Joints":
+        """The stack indexed by `index` on its leading axes."""
+        return _Joints(*(moment[index] for moment in self))
+
+    def law(self, index) -> GaussianJoint:
+        """The joint at `index` of the leading axes, checked as it is built."""
+        return GaussianJoint(*self.at(index))
+
+    def checked(self) -> "_Joints":
+        """The stack after the `GaussianJoint` checks, covariance blocks symmetrised."""
+        cov_xx, cov_yy = _checked_joint(*self)
+        return self._replace(cov_xx=cov_xx, cov_yy=cov_yy)
+
+
+def _regression_weights(cov_xx: np.ndarray, cov_xy: np.ndarray) -> np.ndarray:
+    """cov_xx^-1 cov_xy, (..., d, k), over a stack; a singular input covariance is refused."""
+    sign, logdet = np.linalg.slogdet(cov_xx)
+    if np.any(sign <= 0) or not np.all(np.isfinite(logdet)):
+        raise ValueError("input covariance is singular; the optimal model is not unique")
+    return np.linalg.solve(cov_xx, cov_xy)
 
 
 def optimal_linear_model(joint: GaussianJoint) -> AffineModel:
@@ -76,33 +123,70 @@ def optimal_linear_model(joint: GaussianJoint) -> AffineModel:
     weights = (cov_xx^-1 cov_xy)^T and bias = mean_y - weights @ mean_x;
     requires a nonsingular input covariance.
     """
-    sign, logdet = np.linalg.slogdet(joint.cov_xx)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise ValueError("input covariance is singular; the optimal model is not unique")
-    w = np.linalg.solve(joint.cov_xx, joint.cov_xy)  # (d, k)
+    w = _regression_weights(joint.cov_xx, joint.cov_xy)  # (d, k)
     bias = joint.mean_y - w.T @ joint.mean_x
     return AffineModel(w.T, bias)
 
 
-class _PairMoments(NamedTuple):
-    """Predictor weights, target input covariance, prediction variances and mean gap."""
-
-    w_s: np.ndarray
-    w_t: np.ndarray
-    cov_tx: np.ndarray
-    var_st: float
-    var_t: float
-    bias: float
+def _quad(a: np.ndarray, mats: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T M b over stacks, evaluated as the 1-D `a @ M @ b` is."""
+    return ((a[..., None, :] @ mats) @ b[..., :, None])[..., 0, 0]
 
 
-def _pair_moments(source: GaussianJoint, target: GaussianJoint) -> _PairMoments:
-    """Shared moments for the scalar-output source/target formulas.
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 rounded as a Python or numpy scalar's ** 2 is (libm pow, not x * x)."""
+    return np.float_power(x, 2.0)
+
+
+class _BasicCases(NamedTuple):
+    """The basic-case closed forms of a stack of pairs, one array per quantity."""
+
+    var_st: np.ndarray
+    var_t: np.ndarray
+    bias: np.ndarray
+    kl_variance: np.ndarray
+    kl_bias: np.ndarray
+    w_variance: np.ndarray
+    w_bias: np.ndarray
+    regret: np.ndarray
+    residual: np.ndarray
+
+
+def _basic_cases(source: _Joints | GaussianJoint, target: _Joints | GaussianJoint) -> _BasicCases:
+    """The closed forms of `basic_case_risks` for stacks of scalar-output pairs.
 
     Raises:
-        ValueError: when either prediction variance on the target inputs
+        ValueError: when a prediction variance on the target inputs
             vanishes; the prediction laws and the KL split are undefined
             there and no clamped value is returned.
     """
+    w_s = _regression_weights(source.cov_xx, source.cov_xy)[..., 0]
+    w_t = _regression_weights(target.cov_xx, target.cov_xy)[..., 0]
+    cov_tx = target.cov_xx
+    var_st = _quad(w_s, cov_tx, w_s)
+    var_t = _quad(w_t, cov_tx, w_t)
+    if np.any(var_st <= 0.0) or np.any(var_t <= 0.0):
+        raise ValueError(
+            "degenerate prediction law: a predictor has zero variance on the target inputs"
+        )
+    bias = target.mean_y[..., 0] - source.mean_y[..., 0] - _dot(w_s, target.mean_x - source.mean_x)
+    bias_sq = _square(bias)
+    gap = w_t - w_s
+    return _BasicCases(
+        var_st=var_st,
+        var_t=var_t,
+        bias=bias,
+        kl_variance=_h(var_t / var_st),
+        kl_bias=bias_sq / (2.0 * var_st),
+        w_variance=_square(np.sqrt(var_st) - np.sqrt(var_t)),
+        w_bias=bias_sq,
+        regret=_quad(gap, cov_tx, gap) + bias_sq,
+        residual=2.0 * (np.sqrt(var_t * var_st) - _quad(w_t, cov_tx, w_s)),
+    )
+
+
+def _scalar_pair(source: GaussianJoint, target: GaussianJoint) -> _BasicCases:
+    """`_basic_cases` of one pair, after checking that it is a basic case."""
     if source.dim_y != 1 or target.dim_y != 1:
         raise ValueError(
             f"basic case needs scalar outputs, got dims {source.dim_y} and {target.dim_y}"
@@ -111,17 +195,7 @@ def _pair_moments(source: GaussianJoint, target: GaussianJoint) -> _PairMoments:
         raise ValueError(
             f"input dimension mismatch: source {source.dim_x}, target {target.dim_x}"
         )
-    w_s = optimal_linear_model(source).weights[0]
-    w_t = optimal_linear_model(target).weights[0]
-    cov_tx = target.cov_xx
-    var_st = float(w_s @ cov_tx @ w_s)
-    var_t = float(w_t @ cov_tx @ w_t)
-    if var_st <= 0.0 or var_t <= 0.0:
-        raise ValueError(
-            "degenerate prediction law: a predictor has zero variance on the target inputs"
-        )
-    bias = float(target.mean_y[0] - source.mean_y[0] - w_s @ (target.mean_x - source.mean_x))
-    return _PairMoments(w_s, w_t, cov_tx, var_st, var_t, bias)
+    return _basic_cases(source, target)
 
 
 def predictive_laws(
@@ -134,9 +208,9 @@ def predictive_laws(
     are the closed-form counterparts of pushing the target input law through
     the respective affine models.
     """
-    m = _pair_moments(source, target)
+    case = _scalar_pair(source, target)
     mean_t = float(target.mean_y[0])
-    return Gaussian1D(mean_t - m.bias, m.var_st), Gaussian1D(mean_t, m.var_t)
+    return Gaussian1D(mean_t - float(case.bias), case.var_st), Gaussian1D(mean_t, case.var_t)
 
 
 class BasicCase(NamedTuple):
@@ -165,13 +239,13 @@ def basic_case_risks(source: GaussianJoint, target: GaussianJoint) -> BasicCase:
       exactly why the squared-W2 risk never exceeds the regret.  Identical
       tasks give exactly 0.0.
     """
-    m = _pair_moments(source, target)
-    kl = RiskDecomposition(_h(m.var_t / m.var_st), m.bias**2 / (2.0 * m.var_st))
-    w = RiskDecomposition((np.sqrt(m.var_st) - np.sqrt(m.var_t)) ** 2, m.bias**2)
-    gap = m.w_t - m.w_s
-    regret = float(gap @ m.cov_tx @ gap + m.bias**2)
-    residual = float(2.0 * (np.sqrt(m.var_t * m.var_st) - m.w_t @ m.cov_tx @ m.w_s))
-    return BasicCase(kl, w, regret, residual)
+    case = _scalar_pair(source, target)
+    return BasicCase(
+        RiskDecomposition(case.kl_variance, case.kl_bias),
+        RiskDecomposition(case.w_variance, case.w_bias),
+        float(case.regret),
+        float(case.residual),
+    )
 
 
 def _check_embedding(actual: np.ndarray, expected: np.ndarray, label: str) -> None:
@@ -387,6 +461,44 @@ def restrict_outputs(task: GaussianJoint, keep: int) -> GaussianJoint:
     )
 
 
+def _spectrum(eig_range: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = eig_range
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
+    return lo, hi
+
+
+def _rotated(normal: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """(Q * eigs) @ Q^T for the Q factor of each matrix of a stack of normal draws."""
+    basis, _ = np.linalg.qr(normal)
+    return (basis * eigs[..., None, :]) @ np.swapaxes(basis, -1, -2)
+
+
+def _random_tasks(
+    dim_x: int, dim_y: int, seeds, eig_range: tuple[float, float] = (0.5, 2.0),
+    mean_scale: float = 0.5,
+) -> _Joints:
+    """Unchecked moments of `random_task` at each of `seeds`, stacked on one leading axis.
+
+    Task i draws every number from its own default_rng(seeds[i]).
+    """
+    lo, hi = _spectrum(eig_range)
+    n = dim_x + dim_y
+    normal = np.empty((len(seeds), n, n))
+    eigs = np.empty((len(seeds), n))
+    mean = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        normal[i] = rng.normal(size=(n, n))
+        eigs[i] = rng.uniform(lo, hi, size=n)
+        mean[i] = rng.normal(scale=mean_scale, size=n)
+    full = _rotated(normal, eigs)  # QR draws nothing, so it runs after every draw
+    return _Joints(
+        mean[:, :dim_x], mean[:, dim_x:],
+        full[:, :dim_x, :dim_x], full[:, :dim_x, dim_x:], full[:, dim_x:, dim_x:],
+    )
+
+
 def random_task(
     dim_x: int,
     dim_y: int,
@@ -400,34 +512,66 @@ def random_task(
     eig_range under a Haar-random basis, which keeps every conditional
     covariance nonsingular and the risk magnitudes O(1).
     """
-    lo, hi = eig_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
-    rng = np.random.default_rng(seed)
-    n = dim_x + dim_y
-    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    eigs = rng.uniform(lo, hi, size=n)
-    full = (basis * eigs) @ basis.T
-    mean = rng.normal(scale=mean_scale, size=n)
-    return GaussianJoint(
-        mean_x=mean[:dim_x],
-        mean_y=mean[dim_x:],
-        cov_xx=full[:dim_x, :dim_x],
-        cov_xy=full[:dim_x, dim_x:],
-        cov_yy=full[dim_x:, dim_x:],
-    )
+    return _random_tasks(dim_x, dim_y, [seed], eig_range, mean_scale).law(0)
 
 
-def _regression_joint(
-    mean_x: np.ndarray, cov_xx: np.ndarray, w: np.ndarray, b: float, noise_var: float
-) -> GaussianJoint:
-    return GaussianJoint(
+def _regression_joints(
+    mean_x: np.ndarray, cov_xx: np.ndarray, w: np.ndarray, b: np.ndarray, noise_var: np.ndarray
+) -> _Joints:
+    """Joints of Y = w . X + b + noise over stacks of input laws and weights."""
+    return _Joints(
         mean_x=mean_x,
-        mean_y=[float(w @ mean_x) + b],
+        mean_y=(_dot(w, mean_x) + b)[..., None],
         cov_xx=cov_xx,
-        cov_xy=(cov_xx @ w)[:, None],
-        cov_yy=[[float(w @ cov_xx @ w) + noise_var]],
+        cov_xy=cov_xx @ w[..., None],
+        cov_yy=(_quad(w, cov_xx, w) + noise_var)[..., None, None],
     )
+
+
+def _random_pairs(
+    dim: int, seeds, eig_range: tuple[float, float] = (0.5, 2.0), drift: float = 0.25
+) -> _Joints:
+    """Unchecked moments of `random_basic_pair` at each of `seeds`.
+
+    The leading axes are (2, len(seeds)): [0] holds the sources and [1] the
+    targets.  Pair i draws every number from its own default_rng(seeds[i]),
+    in the order below, so its moments do not depend on the stack it is in.
+    """
+    lo, hi = _spectrum(eig_range)
+    if drift < 0.0:
+        raise ValueError(f"drift must be nonnegative, got {drift}")
+    count = len(seeds)
+    normal = np.empty((2, count, dim, dim))
+    eigs = np.empty((2, count, dim))
+    mean_x = np.empty((2, count, dim))
+    w = np.empty((2, count, dim))
+    b = np.empty((2, count))
+    noise = np.empty((2, count))
+    scale = np.empty(count)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        normal[0, i] = rng.normal(size=(dim, dim))
+        eigs[0, i] = rng.uniform(lo, hi, size=dim)
+        mean_x[0, i] = rng.uniform(-0.5, 0.5, size=dim)
+        w[0, i] = rng.normal(size=dim)  # the direction of the source weights
+        scale[i] = rng.uniform(0.7, 1.1)
+        b[0, i] = rng.uniform(-0.5, 0.5)
+        noise[0, i] = rng.uniform(0.4, 1.0)
+        normal[1, i] = rng.normal(size=(dim, dim))
+        eigs[1, i] = rng.uniform(lo, hi, size=dim)
+        # The target's drifts from the source.
+        mean_x[1, i] = rng.uniform(-drift, drift, size=dim)
+        w[1, i] = rng.uniform(-drift, drift, size=dim)
+        b[1, i] = rng.uniform(-drift, drift)
+        noise[1, i] = rng.uniform(0.4, 1.0)
+    cov_xx = _rotated(normal, eigs)  # QR draws nothing, so it runs after every draw
+    # Convex blending keeps the target input spectrum inside eig_range.
+    cov_xx[1] = 0.8 * cov_xx[0] + 0.2 * cov_xx[1]
+    # |w| as np.linalg.norm takes it for one vector: sqrt(w . w).
+    w[0] = w[0] / np.sqrt(_dot(w[0], w[0]))[:, None] * scale[:, None]
+    for drifted in (mean_x, w, b):
+        drifted[1] += drifted[0]
+    return _regression_joints(mean_x, cov_xx, w, b, noise)
 
 
 def random_basic_pair(
@@ -444,28 +588,5 @@ def random_basic_pair(
     spread of their naive Monte-Carlo estimators O(1), so sampled
     cross-checks can use absolute tolerances.
     """
-    lo, hi = eig_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
-    if drift < 0.0:
-        raise ValueError(f"drift must be nonnegative, got {drift}")
-    rng = np.random.default_rng(seed)
-
-    def input_cov() -> np.ndarray:
-        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        return (basis * rng.uniform(lo, hi, size=dim)) @ basis.T
-
-    cov_sx = input_cov()
-    mean_sx = rng.uniform(-0.5, 0.5, size=dim)
-    direction = rng.normal(size=dim)
-    w_s = direction / np.linalg.norm(direction) * rng.uniform(0.7, 1.1)
-    b_s = rng.uniform(-0.5, 0.5)
-    source = _regression_joint(mean_sx, cov_sx, w_s, b_s, rng.uniform(0.4, 1.0))
-
-    # Convex blending keeps the input spectrum inside eig_range.
-    cov_tx = 0.8 * cov_sx + 0.2 * input_cov()
-    mean_tx = mean_sx + rng.uniform(-drift, drift, size=dim)
-    w_t = w_s + rng.uniform(-drift, drift, size=dim)
-    b_t = b_s + rng.uniform(-drift, drift)
-    target = _regression_joint(mean_tx, cov_tx, w_t, b_t, rng.uniform(0.4, 1.0))
-    return source, target
+    pair = _random_pairs(dim, [seed], eig_range, drift)
+    return pair.law((0, 0)), pair.law((1, 0))

@@ -25,16 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, _kl_moments, _w2_moments
 from .finetune import (
     SyntheticDomain,
     TrainConfig,
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
-from .gaussian_lab import basic_case_risks, random_basic_pair, random_task
+from .gaussian_lab import _basic_cases, _random_pairs, _random_tasks
 from .optimal_transport import OtConfig
-from .transfer_core import PolynomialCombiner, combine, input_risk
+from .transfer_core import PolynomialCombiner, combine
 
 __all__ = [
     "PipelineConfig",
@@ -46,8 +46,14 @@ __all__ = [
 _MODES = ("empirical", "gaussian_lab", "synthetic_office")
 _FIT_NOISE_TOL = 1e-12
 _CSV_COLUMNS = ("source", "target", "accuracy", "input_risk", "output_risk", "transfer_risk")
-# gaussian_lab's wasserstein input risk: the closed-form W_2 between Gaussians.
-_GAUSSIAN_W2 = OtConfig(p=2.0)
+# gaussian_lab runs its pairs in blocks whose arrays stay within this many
+# bytes; a block holds at least one pair, however large `dim` is.
+_BLOCK_BYTES = 2 * 2**20
+# Float (dim + 1)^2 matrices a pair keeps alive at the peak of a block
+# (9.9 under tracemalloc at dim 64 and at dim 150).
+_PAIR_MATRICES = 10
+# The closed forms of a gaussian_lab row besides its risks.
+_GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
 
 # The config schema: one table per section, key -> (type, default).  A tuple
 # type lists the legal values; a dict type is a nested section.  A run reads
@@ -55,10 +61,10 @@ _GAUSSIAN_W2 = OtConfig(p=2.0)
 # by its path, and echoes what it parsed.
 _ROOT = {
     "mode": (_MODES, None),
-    "seed": (int, 0),
     "out_dir": (str, "trk_run"),
     "input_risk_rescale": (float, 1.0),
 }
+_SEED = {"seed": (int, 0)}  # a risk table (--override-risks) draws nothing
 _FORMS = {
     "linear": {"weight": (float, 1.0)},
     "polynomial2": {
@@ -113,7 +119,8 @@ def _tables(mode: str, override: bool, form: str, method: str, identical: bool) 
             "divergence": {**_SOLVER, **_SOLVERS[method]},
             "train": _TRAIN, "risk_train": _RISK_TRAIN, mode: _MODE_TABLES[mode],
         }
-    return {"": {**_ROOT, **dict.fromkeys(sections, (dict, {}))}, **sections}
+    root = _ROOT | ({} if override else _SEED)
+    return {"": {**root, **dict.fromkeys(sections, (dict, {}))}, **sections}
 
 
 def _key_paths(tables: dict[str, dict]) -> set[str]:
@@ -267,7 +274,7 @@ class PipelineConfig:
     """Parsed and validated run configuration."""
 
     mode: str
-    seed: int
+    seed: int | None  # None under override_risks
     out_dir: Path
     combiner: PolynomialCombiner
     divergence_kind: str | None  # gaussian_lab's closed-form metric; None elsewhere
@@ -288,8 +295,9 @@ class PipelineConfig:
         instead of training; the sections such a run would not read are refused.
         """
         config = _parse(raw, override_risks)
-        mode, seed, rescale = config["mode"], config["seed"], config["input_risk_rescale"]
-        _require(seed >= 0, "seed", ">= 0", seed)
+        mode, seed, rescale = config["mode"], config.get("seed"), config["input_risk_rescale"]
+        if seed is not None:  # None under --override-risks
+            _require(seed >= 0, "seed", ">= 0", seed)
         _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
         params = config.get(mode, {})  # an override run reads no mode section
         _check_mode_params(mode, params)
@@ -622,34 +630,49 @@ def _rows_from_override(cfg: PipelineConfig) -> list[dict]:
     return rows
 
 
+def _block_pairs(dim: int) -> int:
+    """Pairs per gaussian_lab block: as many as _BLOCK_BYTES holds, and at least one."""
+    return max(1, _BLOCK_BYTES // (_PAIR_MATRICES * 8 * (dim + 1) ** 2))
+
+
 def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
-    params = cfg.mode_params
+    n_pairs, size = cfg.mode_params["n_pairs"], _block_pairs(cfg.mode_params["dim"])
     rows = []
-    for i in range(params["n_pairs"]):
-        if params["identical_tasks"]:
-            source = random_task(params["dim"], 1, seed=cfg.seed + i)
-            target = source
-        else:
-            source, target = random_basic_pair(
-                params["dim"], seed=cfg.seed + i, drift=params["drift"]
-            )
-        case = basic_case_risks(source, target)
-        measured = input_risk(
-            target.x_marginal(), source.x_marginal(), metric=cfg.divergence_kind, cfg=_GAUSSIAN_W2
-        )
-        e_out = case.kl.total if cfg.divergence_kind == "kl" else case.w.total
-        rows.append(
-            _row(
-                cfg, f"task_{i}_source", f"task_{i}_target", None, measured, e_out,
-                kl_variance=case.kl.variance_term,
-                kl_bias=case.kl.bias_term,
-                w_variance=case.w.variance_term,
-                w_bias=case.w.bias_term,
-                regret=case.regret,
-                residual=case.residual,
-            )
-        )
+    for start in range(0, n_pairs, size):
+        stop = min(start + size, n_pairs)
+        try:
+            rows += _gaussian_rows(cfg, start, stop)
+        except ValueError:
+            # Name the first pair that fails on its own, with its own message.
+            for i in range(start, stop):
+                try:
+                    _gaussian_rows(cfg, i, i + 1)
+                except ValueError as err:
+                    raise ValueError(f"task_{i}: {err}") from None
+            raise
     return rows
+
+
+def _gaussian_rows(cfg: PipelineConfig, start: int, stop: int) -> list[dict]:
+    """The rows of pairs start..stop-1, pair i drawn at seed + i, computed as one stack."""
+    params = cfg.mode_params
+    seeds = range(cfg.seed + start, cfg.seed + stop)
+    if params["identical_tasks"]:
+        source = target = _random_tasks(params["dim"], 1, seeds).checked()
+    else:
+        pairs = _random_pairs(params["dim"], seeds, drift=params["drift"]).checked()
+        source, target = pairs.at(0), pairs.at(1)
+    case = _basic_cases(source, target)
+    kl = cfg.divergence_kind == "kl"
+    divergence = _kl_moments if kl else _w2_moments
+    measured = divergence(target.mean_x, target.cov_xx, source.mean_x, source.cov_xx)
+    e_out = case.kl_variance + case.kl_bias if kl else case.w_variance + case.w_bias
+    columns = (measured, e_out, *(getattr(case, name) for name in _GAUSSIAN_TERMS))
+    return [
+        _row(cfg, f"task_{i}_source", f"task_{i}_target", None, e_in, out,
+             **dict(zip(_GAUSSIAN_TERMS, terms)))
+        for i, (e_in, out, *terms) in zip(range(start, stop), zip(*(c.tolist() for c in columns)))
+    ]
 
 
 def _run_synthetic_office(cfg: PipelineConfig) -> list[dict]:

@@ -8,6 +8,9 @@ behind the same bug in its oracle.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -229,3 +232,57 @@ def softmax_cross_entropy(
     unnormalized = np.exp(shifted)
     probs = unnormalized / unnormalized.sum(axis=1, keepdims=True)
     return value, grad_logits, probs
+
+
+def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """mat^-1 rhs by Gauss-Jordan elimination on fractions (mat nonsingular)."""
+    n = len(rhs)
+    rows = [list(row) + [value] for row, value in zip(mat, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
+
+
+def basic_case_exact(source, target) -> dict[str, float]:
+    """Basic-case closed forms of two scalar-output joints, exact on their float moments.
+
+    The regression weights w = cov_xx^-1 cov_xy come from a rational solve, so
+    var_st = w_s' C w_s, var_t = w_t' C w_t and w_t' C w_s (C the target input
+    covariance), the mean gap and the regret are exact fractions.  Square
+    roots and the logarithm are then taken in floating point on rounded exact
+    values, with the differences that cancel (var_st - var_t, var_t / var_st
+    - 1) formed exactly first.
+    """
+    def exact(arr):
+        return [Fraction(float(x)) for x in np.asarray(arr).reshape(-1)]
+
+    d = len(source.mean_x)
+    cov_s = [exact(row) for row in source.cov_xx]
+    cov_t = [exact(row) for row in target.cov_xx]
+    w_s = _solve_exact(cov_s, exact(source.cov_xy))
+    w_t = _solve_exact(cov_t, exact(target.cov_xy))
+
+    def form(a, b):
+        return sum(a[i] * cov_t[i][j] * b[j] for i in range(d) for j in range(d))
+
+    var_st, var_t, cross = form(w_s, w_s), form(w_t, w_t), form(w_t, w_s)
+    shift = [t - s for t, s in zip(exact(target.mean_x), exact(source.mean_x))]
+    bias = exact(target.mean_y)[0] - exact(source.mean_y)[0] - sum(
+        w * m for w, m in zip(w_s, shift)
+    )
+    gap = [t - s for t, s in zip(w_t, w_s)]
+    excess = float(var_t / var_st - 1)
+    root_st, root_t = math.sqrt(float(var_st)), math.sqrt(float(var_t))
+    return {
+        "kl_variance": 0.5 * (excess - math.log1p(excess)),
+        "kl_bias": float(bias**2 / (2 * var_st)),
+        "w_variance": (float(var_st - var_t) / (root_st + root_t)) ** 2,
+        "w_bias": float(bias**2),
+        "regret": float(form(gap, gap) + bias**2),
+        "residual": 2.0 * (math.sqrt(float(var_t * var_st)) - float(cross)),
+    }

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from trk import __version__, pipeline
 from trk import optimal_transport as ot_module
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
-from trk.gaussian_lab import basic_case_risks, random_basic_pair
+from trk.distributions import gaussian_kl, gaussian_w2
+from trk.gaussian_lab import basic_case_risks, random_basic_pair, random_task
 from trk.optimal_transport import OtConfig, SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
 from trk.transfer_core import PolynomialCombiner, combine, input_risk
@@ -360,7 +362,19 @@ UNREAD_KEYS = [
     ({"mode": "gaussian_lab", "divergence": {"p": 2}}, "divergence.p does not apply to gaussian_lab"),
     ({"mode": "gaussian_lab", "divergence": {"method": "bogus"}},
      "divergence.method does not apply to gaussian_lab"),
+    # A risk table draws nothing, so an override run reads no seed, from the
+    # config or from `trk run --seed`.
+    ({"mode": "empirical", "seed": 5, "--override-risks": "risks.csv"},
+     "seed does not apply to --override-risks"),
+    ({"mode": "empirical", "--seed": 3, "--override-risks": "risks.csv"},
+     "seed does not apply to --override-risks"),
 ]
+
+
+def split_flags(raw):
+    """An UNREAD_KEYS case as (config, command-line flags): a key opening with -- is a flag."""
+    flags = {key: value for key, value in raw.items() if key.startswith("--")}
+    return {key: value for key, value in raw.items() if key not in flags}, flags
 
 
 class TestIngestFuzz:
@@ -547,8 +561,11 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("raw,message", UNREAD_KEYS)
     def test_keys_the_run_never_reads_rejected(self, raw, message):
+        config, flags = split_flags(raw)
+        if "--seed" in flags:  # what `trk run --seed` writes into the config
+            config["seed"] = flags["--seed"]
         with pytest.raises(ValueError) as caught:
-            PipelineConfig.from_dict(raw)
+            PipelineConfig.from_dict(config, flags.get("--override-risks"))
         assert str(caught.value) == message
 
     @pytest.mark.parametrize(
@@ -620,9 +637,40 @@ def random_report(tmp_path_factory):
     return run(cfg)
 
 
+GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
+
+
+def gaussian_lab_config(out_dir, **sections):
+    raw = {"mode": "gaussian_lab", "seed": 0, "out_dir": str(out_dir), **sections}
+    return PipelineConfig.from_dict(raw)
+
+
+def plant_source(monkeypatch, plants):
+    """Make the source of the pair drawn at each seed of `plants` degenerate.
+
+    `zero_variance` zeroes its input-output covariance (so its predictor is
+    0), `singular` its input covariance, and `indefinite` sets that to -I.
+    """
+    draw = pipeline._random_pairs
+
+    def planted(dim, seeds, **kwargs):
+        pairs = draw(dim, seeds, **kwargs)
+        for seed, plant in plants.items():
+            if seed in seeds:
+                i = seeds.index(seed)
+                if plant == "zero_variance":
+                    pairs.cov_xy[0, i] = 0.0
+                else:
+                    pairs.cov_xx[0, i] = 0.0 if plant == "singular" else -np.eye(dim)
+                    pairs.cov_xy[0, i] = 0.0
+        return pairs
+
+    monkeypatch.setattr(pipeline, "_random_pairs", planted)
+
+
 class TestGaussianLabMode:
     def test_identical_tasks_have_zero_risk_everywhere(self, tmp_path):
-        for kind in ("wasserstein", "kl"):
+        for kind, closed_form in (("wasserstein", gaussian_w2), ("kl", gaussian_kl)):
             cfg = PipelineConfig.from_dict(
                 {
                     "mode": "gaussian_lab",
@@ -634,14 +682,15 @@ class TestGaussianLabMode:
             )
             report = run(cfg)
             assert len(report["rows"]) == 3
-            for row in report["rows"]:
+            for i, row in enumerate(report["rows"]):
                 assert row["accuracy"] is None
-                for field in (
-                    "input_risk", "output_risk", "transfer_risk", "kl_variance", "kl_bias",
-                    "w_variance", "w_bias", "regret", "residual",
-                ):
-                    assert abs(row[field]) < 1e-9, (kind, field, row[field])
-                assert (row["regret"], row["residual"]) == (0.0, 0.0), kind
+                law = random_task(2, 1, seed=3 + i).x_marginal()
+                assert row["input_risk"] == closed_form(law, law), kind
+                for field in ("input_risk", "transfer_risk"):
+                    assert 0.0 <= row[field] < 1e-9, (kind, field, row[field])
+                # The closed forms of a pair with itself are exact zeros.
+                for field in ("output_risk", *GAUSSIAN_TERMS):
+                    assert row[field] == 0.0, (kind, field, row[field])
             assert report["correlations"] is None
 
     def test_rows_are_internally_consistent(self, random_report):
@@ -660,26 +709,103 @@ class TestGaussianLabMode:
 
     @pytest.mark.parametrize("kind", ["wasserstein", "kl"])
     def test_rows_are_the_library_closed_forms(self, tmp_path, kind):
-        dim, seed, drift = 3, 11, 0.4
-        cfg = PipelineConfig.from_dict(
-            {
-                "mode": "gaussian_lab",
-                "seed": seed,
-                "out_dir": str(tmp_path / kind),
-                "divergence": {"kind": kind},
-                "gaussian_lab": {"dim": dim, "n_pairs": 5, "drift": drift},
-            }
+        # Row i is the library's closed forms of pair i, bit for bit, on both
+        # sides of a block boundary; the input risk is gaussian_w2 or
+        # gaussian_kl of the pair's input laws.
+        dim, seed, drift = 40, 11, 0.4
+        n_pairs = pipeline._block_pairs(dim) + 3
+        cfg = gaussian_lab_config(
+            tmp_path, seed=seed, divergence={"kind": kind},
+            gaussian_lab={"dim": dim, "n_pairs": n_pairs, "drift": drift},
         )
-        for i, row in enumerate(run(cfg)["rows"]):
-            case = basic_case_risks(*random_basic_pair(dim, seed + i, drift=drift))
+        rows = run(cfg)["rows"]
+        assert len(rows) == n_pairs
+        closed_form = gaussian_kl if kind == "kl" else gaussian_w2
+        for i, row in enumerate(rows):
+            source, target = random_basic_pair(dim, seed + i, drift=drift)
+            case = basic_case_risks(source, target)
             risk = case.kl if kind == "kl" else case.w
             assert (
                 row["kl_variance"], row["kl_bias"], row["w_variance"], row["w_bias"],
-                row["regret"], row["residual"], row["output_risk"],
+                row["regret"], row["residual"], row["output_risk"], row["input_risk"],
             ) == (
                 case.kl.variance_term, case.kl.bias_term, case.w.variance_term,
                 case.w.bias_term, case.regret, case.residual, risk.total,
+                closed_form(target.x_marginal(), source.x_marginal()),
             ), i
+
+    def test_rows_are_stable_under_a_growing_prefix(self, tmp_path):
+        dim = 40
+        block = pipeline._block_pairs(dim)
+        reports = [
+            run(gaussian_lab_config(tmp_path / str(n), gaussian_lab={"dim": dim, "n_pairs": n}))
+            for n in (3, block + 2, 2 * block + 1)
+        ]
+        longest = reports[-1]["rows"]
+        for report in reports[:-1]:
+            assert report["rows"] == longest[: len(report["rows"])]
+
+    @pytest.mark.parametrize(
+        "plant,message",
+        [
+            ("zero_variance",
+             "degenerate prediction law: a predictor has zero variance on the target inputs"),
+            ("singular", "input covariance is singular; the optimal model is not unique"),
+            ("indefinite", "joint covariance is not PSD: min eigenvalue -1.000e+00"),
+        ],
+    )
+    def test_degenerate_pair_is_named(self, tmp_path, monkeypatch, plant, message):
+        # A degenerate source planted mid-block fails the block; the error
+        # names that pair with the message it gives on its own.
+        dim, seed, bad = 3, 50, 6
+        plant_source(monkeypatch, {seed + bad: plant})
+        cfg = gaussian_lab_config(tmp_path, seed=seed, gaussian_lab={"dim": dim, "n_pairs": 10})
+        assert pipeline._block_pairs(dim) > 10
+        with pytest.raises(ValueError) as caught:
+            run(cfg)
+        assert str(caught.value) == f"task_{bad}: {message}"
+
+    def test_first_failing_pair_is_named_through_the_cli(self, tmp_path, capsys, monkeypatch):
+        # Pair 7 fails the carrier check, which runs first on the block, but
+        # pair 4, failing later in the closed forms, comes first.
+        plant_source(monkeypatch, {4: "zero_variance", 7: "indefinite"})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mode": "gaussian_lab", "seed": 0, "out_dir": str(tmp_path / "out"),
+            "gaussian_lab": {"dim": 2, "n_pairs": 9},
+        }))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{
+            "error": "task_4: degenerate prediction law: a predictor has zero variance on "
+            "the target inputs"
+        }]
+        assert not (tmp_path / "out").exists()
+
+    def test_block_working_set_stays_within_budget(self, tmp_path):
+        # 64-D pairs: the arrays of one block stay within the byte budget
+        # (the rows, a few KiB, ride on top).
+        dim = 64
+        block = pipeline._block_pairs(dim)
+        assert 1 < block < 20
+        cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": dim, "n_pairs": 2 * block + 1})
+        pipeline._run_gaussian_lab(cfg)  # warm numpy's caches before measuring
+        tracemalloc.start()
+        try:
+            rows = pipeline._run_gaussian_lab(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2 * block + 1
+        assert peak <= pipeline._BLOCK_BYTES + 64 * 2**10
+
+    def test_pair_over_budget_runs_as_a_block_of_one(self, tmp_path, monkeypatch):
+        cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": 8, "n_pairs": 4})
+        expected = pipeline._run_gaussian_lab(cfg)
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 1024)
+        assert pipeline._block_pairs(8) == 1
+        assert pipeline._run_gaussian_lab(cfg) == expected
 
     def test_output_risk_follows_divergence_kind(self, random_report, tmp_path):
         for row in random_report["rows"]:
@@ -712,52 +838,39 @@ class TestGaussianLabMode:
         assert again["rows"] == random_report["rows"]
 
     def test_each_pair_checks_two_joints_and_solves_two_models(self, tmp_path, monkeypatch):
-        # Each pair builds two joints, and each joint gets one PSD check
-        # (eigvalsh) and one optimal-model solve; their marginals are not
-        # re-validated.
+        # A block checks the 2 * n joints of its n pairs in one stacked PSD
+        # check (eigvalsh) and solves their 2 * n optimal models in two
+        # stacked solves; it builds no law, so no carrier is validated again.
         from trk import distributions, gaussian_lab
 
-        calls = {"eigvalsh": 0, "GaussianND": 0, "optimal_linear_model": 0}
+        checked, solved, laws = [], [], []
+        eigvalsh, weights = np.linalg.eigvalsh, gaussian_lab._regression_weights
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
+        def counted_eigvalsh(mats):
+            checked.append(mats.shape[:-2])
+            return eigvalsh(mats)
 
-            return wrapper
+        def counted_weights(cov_xx, cov_xy):
+            solved.append(cov_xx.shape[:-2])
+            return weights(cov_xx, cov_xy)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(
-            distributions.GaussianND,
-            "__post_init__",
-            counted("GaussianND", distributions.GaussianND.__post_init__),
-        )
-        monkeypatch.setattr(
-            gaussian_lab,
-            "optimal_linear_model",
-            counted("optimal_linear_model", gaussian_lab.optimal_linear_model),
-        )
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(gaussian_lab, "_regression_weights", counted_weights)
+        for carrier in (distributions.GaussianND, distributions.GaussianJoint):
+            init = carrier.__post_init__
+            monkeypatch.setattr(
+                carrier, "__post_init__", lambda law, init=init: laws.append(law) or init(law)
+            )
         n_pairs = 5
-        cfg = PipelineConfig.from_dict(
-            {
-                "mode": "gaussian_lab",
-                "seed": 0,
-                "out_dir": str(tmp_path),
-                "gaussian_lab": {"dim": 3, "n_pairs": n_pairs},
-            }
-        )
-        run(cfg)
-        assert calls == {"eigvalsh": 2 * n_pairs, "GaussianND": 0, "optimal_linear_model": 2 * n_pairs}
+        run(gaussian_lab_config(tmp_path, gaussian_lab={"dim": 3, "n_pairs": n_pairs}))
+        assert checked == [(2, n_pairs)]
+        assert solved == [(n_pairs,), (n_pairs,)]
+        assert laws == []
 
 
 class TestEmpiricalOverride:
     def make_config(self, tmp_path, table):
-        raw = {
-            "mode": "empirical",
-            "seed": 0,
-            "out_dir": str(tmp_path / "out"),
-            "combiner": STUDY_COMBINER,
-        }
+        raw = {"mode": "empirical", "out_dir": str(tmp_path / "out"), "combiner": STUDY_COMBINER}
         return PipelineConfig.from_dict(raw, override_risks=table)
 
     def test_reproduces_study_transfer_risks(self, tmp_path):
@@ -796,6 +909,7 @@ class TestEmpiricalOverride:
             raw["gaussian_lab"] = {"dim": 3, "n_pairs": 4}
         else:
             raw["mode"] = "empirical"
+            del raw["seed"]  # a risk table draws nothing
             table = write_study_table(tmp_path / "table.csv")
             measured = [e_in for _, _, e_in, _, _ in STUDY_ROWS]
         cfg = PipelineConfig.from_dict(raw, override_risks=table)
@@ -817,8 +931,9 @@ class TestEmpiricalOverride:
         # The table replaces the datasets, the solves and the training.
         table = write_study_table(tmp_path / "table.csv")
         cfg = self.make_config(tmp_path, table)
-        assert (cfg.ot, cfg.train, cfg.risk_train, cfg.mode_params) == (None, None, None, {})
-        assert set(cfg.echo) == {"combiner", "input_risk_rescale", "mode", "out_dir", "seed"}
+        assert (cfg.seed, cfg.ot, cfg.train, cfg.risk_train) == (None, None, None, None)
+        assert cfg.mode_params == {}
+        assert set(cfg.echo) == {"combiner", "input_risk_rescale", "mode", "out_dir"}
         assert set(run(cfg)["config"]) == set(cfg.echo)
 
     def test_without_accuracy_column_values(self, tmp_path):
@@ -1214,9 +1329,9 @@ BAD_NUMBER_TABLES = [
 
 class TestCli:
     def run_config(self, tmp_path, **extra):
-        raw = {"mode": "gaussian_lab", "seed": 2, "out_dir": str(tmp_path / "out"), **extra}
-        if raw["mode"] == "gaussian_lab":
-            raw["gaussian_lab"] = {"dim": 2, "n_pairs": 2}
+        raw = {"mode": "gaussian_lab", "out_dir": str(tmp_path / "out"), **extra}
+        if raw["mode"] == "gaussian_lab":  # an empirical config here is for --override-risks
+            raw |= {"seed": 2, "gaussian_lab": {"dim": 2, "n_pairs": 2}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         return path
@@ -1641,9 +1756,11 @@ class TestCli:
 
     @pytest.mark.parametrize("raw,message", UNREAD_KEYS)
     def test_unread_key_exits_with_one_json_line(self, tmp_path, capsys, raw, message):
+        config, flags = split_flags(raw)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "out")}))
-        assert main(["run", "--config", str(path)]) == 1
+        path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+        argv = ["run", "--config", str(path)]
+        assert main(argv + [str(item) for flag in flags.items() for item in flag]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

@@ -12,11 +12,14 @@ from trk.distributions import (
     GaussianJoint,
     GaussianND,
     _is_symmetric,
+    _kl_moments,
+    _w2_moments,
     gaussian_kl,
     gaussian_w2,
     psd_sqrt,
     sample,
 )
+from trk.gaussian_lab import random_task
 
 
 def random_psd(rng, dim, eig_lo=0.3, eig_hi=3.0):
@@ -140,6 +143,44 @@ class TestPsdSqrt:
         # was reported as an asymmetry.
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             psd_sqrt(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+class TestStacks:
+    """psd_sqrt and the KL and W2 closed forms take a leading stack axis."""
+
+    def laws(self, count=6, dim=3):
+        rng = np.random.default_rng(21)
+        return [random_gaussian_nd(rng, dim) for _ in range(2 * count)]
+
+    def test_psd_sqrt_is_per_matrix(self):
+        covs = np.stack([law.cov for law in self.laws()])
+        roots = psd_sqrt(covs)
+        for cov, root in zip(covs, roots):
+            assert root.tobytes() == psd_sqrt(cov).tobytes()
+
+    def test_psd_sqrt_refuses_an_indefinite_member(self):
+        covs = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            psd_sqrt(covs)
+
+    @pytest.mark.parametrize(
+        "kernel,closed_form", [(_kl_moments, gaussian_kl), (_w2_moments, gaussian_w2)]
+    )
+    def test_divergences_are_per_pair(self, kernel, closed_form):
+        laws = self.laws()
+        p, q = laws[::2], laws[1::2]
+        stacks = [np.stack([getattr(law, m) for law in side]) for side in (p, q)
+                  for m in ("mean", "cov")]
+        assert kernel(*stacks).tolist() == [closed_form(a, b) for a, b in zip(p, q)]
+
+    def test_kl_of_identical_laws_is_never_negative(self):
+        # Round-off once gave -4.4e-16 here, which the pipeline refused as a
+        # negative risk: identical tasks drawn at seed 183 in 5-D.
+        task = random_task(5, 1, seed=183)
+        assert gaussian_kl(task.x_marginal(), task.x_marginal()) == 0.0
+        for seed in range(100):
+            law = random_task(4, 1, seed=seed).x_marginal()
+            assert 0.0 <= gaussian_kl(law, law) <= 1e-14
 
 
 # Asymmetries straddling the 1e-8 tolerance, plus a spread of larger and

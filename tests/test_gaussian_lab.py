@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from trk.distributions import Gaussian1D, GaussianJoint, GaussianND, gaussian_kl, gaussian_w2, sample
 from trk.gaussian_lab import (
     RiskDecomposition,
+    _basic_cases,
+    _random_pairs,
+    _random_tasks,
     augment_features,
     basic_case_risks,
     conditionally_independent_augmentation,
@@ -199,6 +203,52 @@ class TestRiskRegretResidual:
         _, w, reg, residual = basic_case_risks(source, target)
         assert residual == pytest.approx(0.0, abs=1e-12)
         assert w.total == pytest.approx(reg, abs=1e-12)
+
+
+TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
+
+
+def moments(joint):
+    return (joint.mean_x, joint.mean_y, joint.cov_xx, joint.cov_xy, joint.cov_yy)
+
+
+def case_terms(case):
+    """The six closed forms of a `BasicCase`, named as the stacked kernel names them."""
+    kl, w, regret, residual = case
+    values = (kl.variance_term, kl.bias_term, w.variance_term, w.bias_term, regret, residual)
+    return dict(zip(TERMS, values))
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_stack_is_one_pair_at_a_time(self, dim):
+        seeds = range(20, 32)
+        pairs = _random_pairs(dim, seeds, drift=0.4).checked()
+        stacked = _basic_cases(pairs.at(0), pairs.at(1))
+        for i, seed in enumerate(seeds):
+            source, target = random_basic_pair(dim, seed, drift=0.4)
+            for law, role in ((source, 0), (target, 1)):
+                for got, want in zip(moments(law), pairs.at((role, i))):
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (seed, role)
+            expected = case_terms(basic_case_risks(source, target))
+            assert {t: float(getattr(stacked, t)[i]) for t in TERMS} == expected, seed
+
+    def test_task_stack_is_one_task_at_a_time(self):
+        tasks = _random_tasks(3, 2, range(5, 9)).checked()
+        for i, seed in enumerate(range(5, 9)):
+            for got, want in zip(moments(random_task(3, 2, seed)), tasks.at(i)):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), seed
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_matches_exact_oracle(self, dim):
+        seeds = range(500, 512)
+        pairs = _random_pairs(dim, seeds).checked()
+        stacked = _basic_cases(pairs.at(0), pairs.at(1))
+        for i, seed in enumerate(seeds):
+            expected = oracles.basic_case_exact(pairs.law((0, i)), pairs.law((1, i)))
+            for term in TERMS:
+                got = float(getattr(stacked, term)[i])
+                assert got == pytest.approx(expected[term], rel=1e-12, abs=1e-15), (seed, term)
 
 
 class TestFeatureAugmentation:
