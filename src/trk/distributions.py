@@ -9,6 +9,7 @@ that the transport solvers are checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,13 @@ def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ _transposed(vecs)
 
 
+def _quantile_side(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One side of the monotone 1-D coupling: the stable sort order of `values`
+    and the cumulative weights taken in that order."""
+    order = np.argsort(values, kind="stable")
+    return order, np.cumsum(weights[order])
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Weighted point cloud on R^d.
@@ -189,6 +197,20 @@ class EmpiricalDistribution:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @functools.cached_property
+    def _side(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_quantile_side` of a 1-D cloud, sorted on first use and kept.
+
+        The points and weights are read-only, so the side never goes stale;
+        every quantile sweep against this cloud reuses the one sort.
+        """
+        if self.dim != 1:
+            raise ValueError(f"a quantile side needs a 1-d cloud, got dim {self.dim}")
+        side = _quantile_side(self.points[:, 0], self.weights)
+        for arr in side:
+            arr.flags.writeable = False
+        return side
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.points

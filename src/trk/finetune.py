@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution, _freeze
+from .distributions import EmpiricalDistribution, _freeze, _quantile_side
 from .optimal_transport import OtConfig, _quantile_coupling
 from .transfer_core import AffineModel, input_risk
 
@@ -130,10 +130,11 @@ class SoftmaxHeadFamily(AffineMapFamily):
 
 
 def _row_max(values: np.ndarray) -> np.ndarray:
-    """Row maxima as a chained maximum over the columns; exact.
+    """Row maxima of an (n, classes) array as a chained maximum over the columns; exact.
 
-    Over a few classes this is many times faster than numpy's axis-1
-    reduction, which pays per-row overhead.
+    `_softmax` reads a head's (n, classes) logits through it.  Over a few
+    classes this is many times faster than numpy's axis-1 reduction, which
+    pays per-row overhead.
     """
     out = values[:, 0].copy()
     for j in range(1, values.shape[1]):
@@ -142,11 +143,12 @@ def _row_max(values: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(values: np.ndarray) -> np.ndarray:
-    """Row sums, adding the columns left to right.
+    """Row sums of an (n, classes) array, adding the columns left to right.
 
-    numpy's axis-1 sum adds fewer than 8 terms in this same order, so for
-    2-7 classes the sums are bit-equal to it.  From 8 terms numpy sums in
-    blocks of 8, and the two may differ in the last ulp.
+    `_softmax` normalizes through it.  numpy's axis-1 sum adds fewer than 8
+    terms in this same order, so for 2-7 classes the sums are bit-equal to
+    it.  From 8 terms numpy sums in blocks of 8, and the two may differ in
+    the last ulp.
     """
     out = values[:, 0].copy()
     for j in range(1, values.shape[1]):
@@ -168,11 +170,11 @@ def _quantile_cost_and_grad(
 
     Walks the merged quantile segments once; each segment couples one atom
     of either side, so the subgradient accumulates per-segment terms with
-    sign(0) = 0 at ties.
+    sign(0) = 0 at ties.  Only `values` is sorted here: the proxy keeps its
+    own sorted side across calls.
     """
-    v = proxy.points[:, 0]
-    iu, iv, gaps = _quantile_coupling(values, weights, v, proxy.weights)
-    diff = values[iu] - v[iv]
+    iu, iv, gaps = _quantile_coupling(_quantile_side(values, weights), proxy._side)
+    diff = values[iu] - proxy.points[iv, 0]
     # Overflow to inf on a runaway iterate is fine: the trainer reads any
     # non-finite objective as divergence.
     with np.errstate(over="ignore"):
@@ -222,23 +224,35 @@ def cross_entropy_objective(
 ) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy and its parameter gradient.
 
-    Works in two (n, classes) arrays: the logits become the log
-    probabilities in place, and one buffer holds their exponential, then
-    the residual.  Bit-equal to the axis-1 expressions for 2-7 classes and
-    within an ulp of the normalizer from 8 (see `_row_sum`).
+    Works in two (classes, n) arrays, one row per class: the logits
+    `W @ points.T + b` become the log probabilities in place, and one buffer
+    holds their exponential, then the residual.  Each point's maximum and
+    normalizer reduce over the class axis, adding the classes left to right
+    as `_row_sum` does, so the value is bit-equal to the axis-1 expression
+    for 2-7 classes and within an ulp of the normalizer from 8.  The
+    gradient is `residual @ points` and the residual's class sums; it sums
+    over the points in another order than the (n, classes) products, and
+    agrees with them to about 1e-15 of its largest entry.
     """
-    log_probs = family.apply(params, points)
-    # Each row's label entry as one index into the flattened (n, classes) array.
-    flat = np.arange(len(labels)) * family.classes + labels
-    log_probs -= _row_max(log_probs)[:, None]
-    residual = np.exp(log_probs)
-    log_probs -= np.log(_row_sum(residual))[:, None]
+    weights_matrix, bias = family.unpack(params)
+    n = len(labels)
+    # Both arrays in one block: glibc's malloc keeps a block of this size on
+    # its heap between calls, where two separate ones went back to the OS at
+    # each return and were faulted in again at the next call.
+    log_probs, residual = np.empty((2, family.classes, n))
+    np.matmul(weights_matrix, points.T, out=log_probs)
+    log_probs += bias[:, None]
+    # Each point's label entry as one index into the flattened (classes, n) array.
+    flat = labels * n + np.arange(n)
+    log_probs -= np.maximum.reduce(log_probs, axis=0)
+    np.exp(log_probs, out=residual)
+    log_probs -= np.log(np.add.reduce(residual, axis=0))
     value = float(-np.sum(weights * log_probs.reshape(-1)[flat]))
     np.exp(log_probs, out=residual)
     residual.reshape(-1)[flat] -= 1.0
-    residual *= weights[:, None]
-    grad_weights = residual.T @ points
-    grad_bias = residual.sum(axis=0)
+    residual *= weights
+    grad_weights = residual @ points
+    grad_bias = residual.sum(axis=1)
     return value, np.concatenate([grad_weights.ravel(), grad_bias])
 
 
@@ -464,8 +478,10 @@ def evaluate_risk_accuracy_pairs(
     risk W_p^p between the raw feature clouds (order and solver from `ot`),
     the trained-and-budgeted output risk against the target label law, and
     the held-out accuracy of a target head fine-tuned on the
-    representation.  Nothing is rescaled or combined here: the pipeline
-    turns these measurements into transfer risks.  The source head of
+    representation.  The input risk is solved once per unordered pair, at
+    its first ordered pair, and reused for the reverse pair.  Nothing is
+    rescaled or combined here: the pipeline turns these measurements into
+    transfer risks.  The source head of
     domain k is seeded with train_cfg.seed + k; the output-map descent and
     the target head of the i-th ordered pair with seed + i, so runs are
     reproducible.
@@ -481,6 +497,16 @@ def evaluate_risk_accuracy_pairs(
     if any(d.classes != classes for d in domains):
         raise ValueError("all domains must share the class count")
 
+    # W_p does not depend on the direction, so each unordered pair is solved
+    # once, at its first ordered pair, and a solver failure surfaces there.
+    input_risks: dict[frozenset[int], float] = {}
+    # Each target's label law stands in for its output law, with the
+    # target's weights as every target law has them; built once, so its
+    # sort serves every output-map descent onto that target.
+    label_laws = [
+        EmpiricalDistribution(d.train_labels.astype(float)[:, None], d.train.weights)
+        for d in domains
+    ]
     results = []
     pair_index = 0
     for source_index, source in enumerate(domains):
@@ -495,7 +521,7 @@ def evaluate_risk_accuracy_pairs(
             source.held_out_labels,
             replace(train_cfg, seed=train_cfg.seed + source_index),
         )
-        for target in domains:
+        for target_index, target in enumerate(domains):
             if source is target:
                 continue
             pair = f"{source.name}->{target.name}"
@@ -516,15 +542,17 @@ def evaluate_risk_accuracy_pairs(
                     )
                 return features
 
-            e_in = input_risk(target.train, source.train, "wasserstein", ot)
-            weights = target.train.weights  # every target law keeps the target's weights
-            features = EmpiricalDistribution(represent(target.train.points), weights)
+            key = frozenset((source_index, target_index))
+            if key not in input_risks:
+                input_risks[key] = input_risk(target.train, source.train, "wasserstein", ot)
+            e_in = input_risks[key]
+            features = EmpiricalDistribution(represent(target.train.points), target.train.weights)
             e_out, _, _ = _named(
                 f"output map of {pair}",
                 minimize_output_risk,
                 AffineMapFamily(classes, 1),
                 features,
-                EmpiricalDistribution(target.train_labels.astype(float)[:, None], weights),
+                label_laws[target_index],
                 1.0,
                 replace(risk_cfg, seed=risk_cfg.seed + pair_index),
             )

@@ -149,29 +149,29 @@ def _check_dense_budget(method: str, n: int, m: int) -> None:
 
 
 def _quantile_coupling(
-    u: np.ndarray, uw: np.ndarray, v: np.ndarray, vw: np.ndarray
+    side_u: tuple[np.ndarray, np.ndarray], side_v: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monotone coupling of two weighted 1-D samples by a merged sweep.
 
-    Splits the unit interval at the cumulative-weight breakpoints of both
-    samples; on each segment the two quantile functions are constant.
+    Each side is the `(order, cumulative weights)` of one sample, as
+    `_quantile_side` makes it; a cloud keeps its own side, so it is sorted
+    once however many sweeps it enters.  Splits the unit interval at the
+    cumulative-weight breakpoints of both samples; on each segment the two
+    quantile functions are constant.
 
     Returns:
-        (iu, iv, lengths): per segment, the index into `u` and into `v` of
-        the atoms coupled there, and the segment's length (its mass).
+        (iu, iv, lengths): per segment, the index of the atom of each
+        sample coupled there, and the segment's length (its mass).
     """
-    order_u = np.argsort(u, kind="stable")
-    order_v = np.argsort(v, kind="stable")
-    cu = np.cumsum(uw[order_u])
-    cv = np.cumsum(vw[order_v])
+    (order_u, cu), (order_v, cv) = side_u, side_v
     # Breakpoints where either quantile function can jump.
     ts = np.union1d(cu[:-1], cv[:-1])
     ts = ts[(ts > 0.0) & (ts < 1.0)]
     edges = np.concatenate([[0.0], ts, [1.0]])
     mids = (edges[:-1] + edges[1:]) / 2.0
     # Round-off can leave the last cumulative weight a hair under 1, so clip.
-    iu = np.minimum(np.searchsorted(cu, mids, side="left"), len(u) - 1)
-    iv = np.minimum(np.searchsorted(cv, mids, side="left"), len(v) - 1)
+    iu = np.minimum(np.searchsorted(cu, mids, side="left"), len(cu) - 1)
+    iv = np.minimum(np.searchsorted(cv, mids, side="left"), len(cv) - 1)
     return order_u[iu], order_v[iv], np.diff(edges)
 
 
@@ -183,15 +183,15 @@ def wasserstein_1d_exact(
     Runs a merged sweep over the cumulative-weight breakpoints of both
     clouds; each segment of the unit interval is matched between the two
     quantile functions.  O((n+m) log(n+m)) and exact, so it doubles as the
-    reference for the LP route in one dimension.
+    reference for the LP route in one dimension.  Each cloud's sort is kept
+    on the cloud and reused by later calls.
     """
     if a.dim != 1 or b.dim != 1:
         raise ValueError(f"exact 1-d route needs dim 1, got {a.dim} and {b.dim}")
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
-    u, v = a.points[:, 0], b.points[:, 0]
-    iu, iv, lengths = _quantile_coupling(u, a.weights, v, b.weights)
-    cost = float(np.sum(lengths * np.abs(u[iu] - v[iv]) ** p))
+    iu, iv, lengths = _quantile_coupling(a._side, b._side)
+    cost = float(np.sum(lengths * np.abs(a.points[iu, 0] - b.points[iv, 0]) ** p))
     return cost ** (1.0 / p)
 
 

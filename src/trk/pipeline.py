@@ -52,6 +52,9 @@ _BLOCK_BYTES = 2 * 2**20
 # Float (dim + 1)^2 matrices a pair keeps alive at the peak of a block
 # (9.9 under tracemalloc at dim 64 and at dim 150).
 _PAIR_MATRICES = 10
+# Bytes a classifier head may take while it trains: the softmax kernel's
+# 4 * n * classes float64 arrays plus its classes * (classes + 1) parameters.
+_HEAD_BUDGET_BYTES = 1 << 30
 # The closed forms of a gaussian_lab row besides its risks.
 _GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
 
@@ -591,6 +594,24 @@ def _pair_rows_from_domains(domains: list[SyntheticDomain], cfg: PipelineConfig)
     return [_row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk) for r in results]
 
 
+def _check_head_budget(
+    paths: list[str], datasets: list[tuple[EmpiricalDistribution, np.ndarray]], classes: int
+) -> None:
+    """Refuse, before any fit, a class count whose heads would not fit the budget.
+
+    A head trains on a dataset's training half, size // 2 of its points.
+    """
+    n = max(dist.size // 2 for dist, _ in datasets)
+    needed = 8 * (4 * n * classes + classes * (classes + 1))
+    if needed > _HEAD_BUDGET_BYTES:
+        path = next(p for p, (_, labels) in zip(paths, datasets) if labels.max() == classes - 1)
+        raise ValueError(
+            f"{path}: its largest label {classes - 1} makes {classes} classes, and training "
+            f"a head on {n} points would need about {needed / 2**30:.3g} GiB, above the "
+            f"{_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
+        )
+
+
 def _run_empirical(cfg: PipelineConfig) -> list[dict]:
     if cfg.override_risks is not None:
         return _rows_from_override(cfg)
@@ -609,6 +630,7 @@ def _run_empirical(cfg: PipelineConfig) -> list[dict]:
     classes = max(int(labels.max()) for _, labels in datasets) + 1
     if classes < 2:
         raise ValueError("datasets contain fewer than 2 classes")
+    _check_head_budget(paths, datasets, classes)
     domains = [
         _dataset_to_domain(p, dist, labels, classes, cfg.seed)
         for p, (dist, labels) in zip(paths, datasets)

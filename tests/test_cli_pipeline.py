@@ -1668,6 +1668,55 @@ class TestCli:
         assert "supports of 20000 and 20000 points" in json.loads(lines[0])["error"]
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_class_count_is_refused_before_training(self, tmp_path, capsys):
+        # One label of 10^6 would make every head hold 10^6 logits per point
+        # and the target head 10^6 x (10^6 + 1) parameters.
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        small.write_text("x,label\n0.1,0\n0.2,1\n0.3,1\n0.4,0\n")
+        large.write_text("x,label\n0.1,0\n0.2,1\n0.3,1000000\n0.4,0\n0.5,1\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "empirical",
+            "out_dir": str(tmp_path / "out"),
+            "empirical": {"datasets": [str(small), str(large)]},
+        }))
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", str(config)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 2**20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error.startswith(f"{large}: its largest label 1000000 makes 1000001 classes")
+        assert "above the 1 GiB head budget" in error
+        assert not (tmp_path / "out").exists()
+
+    def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
+        # Two 8-row datasets: heads train on 4 points; labels up to 9 make
+        # 10 classes, a working set of 8 * (4 * 4 * 10 + 10 * 11) bytes.
+        paths = []
+        for name, top in (("a", 1), ("b", 9)):
+            path = tmp_path / f"{name}.csv"
+            labels = [0, 1] * 3 + [top, 0]
+            path.write_text("x,label\n" + "".join(f"{i / 10},{y}\n" for i, y in enumerate(labels)))
+            paths.append(str(path))
+        config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
+                  "empirical": {"datasets": paths}, "train": {"epochs": 1},
+                  "risk_train": {"epochs": 1}}
+        needed = 8 * (4 * 4 * 10 + 10 * 11)
+        monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed)
+        run(PipelineConfig.from_dict(config))
+        monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed - 1)
+        with pytest.raises(ValueError) as caught:
+            run(PipelineConfig.from_dict(config))
+        assert str(caught.value).startswith(f"{paths[1]}: its largest label 9 makes 10 classes")
+
     @pytest.mark.parametrize("log_level", ["WARNING", "DEBUG"])
     def test_runtime_failure_stderr_is_one_json_line(self, tmp_path, log_level):
         # numpy warnings bypass capsys, so run the CLI in a child process.

@@ -20,6 +20,7 @@ from trk.distributions import (
     sample,
 )
 from trk.gaussian_lab import random_task
+from trk.optimal_transport import wasserstein
 
 
 def random_psd(rng, dim, eig_lo=0.3, eig_hi=3.0):
@@ -69,6 +70,28 @@ class TestEmpiricalDistribution:
         dist = EmpiricalDistribution.from_points(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             dist.points[0, 0] = 1.0
+
+    def test_one_dimensional_side_is_sorted_once_and_read_only(self):
+        points = np.array([[0.5], [-1.0], [0.5], [2.0], [-1.0]])
+        dist = EmpiricalDistribution(points, np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        assert "_side" not in vars(dist)  # nothing is sorted until a sweep asks
+        order, cumulative = dist._side
+        assert dist._side[0] is order
+        np.testing.assert_array_equal(order, np.argsort(points[:, 0], kind="stable"))
+        np.testing.assert_array_equal(cumulative, np.cumsum(dist.weights[order]))
+        for arr in (order, cumulative):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_two_dimensional_cloud_never_computes_a_side(self):
+        # Through the assignment route and the LP route.
+        rng = np.random.default_rng(3)
+        a, b, c = (EmpiricalDistribution.from_points(rng.normal(size=(n, 2))) for n in (6, 6, 5))
+        wasserstein(a, b)
+        wasserstein(a, c)
+        assert not any("_side" in vars(cloud) for cloud in (a, b, c))
+        with pytest.raises(ValueError, match="1-d cloud, got dim 2"):
+            a._side
 
 
 class TestGaussianContainers:

@@ -22,7 +22,7 @@ from trk.finetune import (
     transport_objective,
 )
 from trk.gaussian_lab import predictive_laws, random_basic_pair
-from trk.transfer_core import PolynomialCombiner, combine
+from trk.transfer_core import PolynomialCombiner, combine, input_risk
 
 
 def uniform_weights(n):
@@ -125,6 +125,24 @@ class TestTransportObjective:
                 ) / (2 * step)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_kept_proxy_side_is_bit_equal_to_a_fresh_sort(self, p):
+        # A label proxy is all ties, so the stable order decides the coupling.
+        rng = np.random.default_rng(3)
+        family = AffineMapFamily(3, 1)
+        inputs = rng.random(size=(60, 3))
+        weights = rng.random(60)
+        weights /= weights.sum()
+        labels = rng.integers(0, 4, size=60).astype(float)[:, None]
+        proxy = EmpiricalDistribution(labels, weights)
+        for _ in range(3):
+            params = rng.normal(size=4)
+            value, grad = transport_objective(family, params, inputs, weights, proxy, p)
+            fresh = EmpiricalDistribution(labels, weights)
+            ref_value, ref_grad = transport_objective(family, params, inputs, weights, fresh, p)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
     def test_multidim_output_rejected(self):
         rng = np.random.default_rng(2)
         family = AffineMapFamily(2, 2)
@@ -209,6 +227,10 @@ class TestSoftmaxKernel:
 
     @pytest.mark.parametrize("classes", range(2, 8))
     def test_bit_equal_below_eight_classes(self, classes):
+        # The value and the probabilities are bit-equal.  The kernel's
+        # gradient sums over the points in (classes, n) layout, an order the
+        # oracle's (n, classes) products do not keep, so it is held to the
+        # bound the tests from eight classes use.
         for family, params, points, labels, weights in softmax_instances(classes, classes):
             value, grad = cross_entropy_objective(family, params, points, labels, weights)
             probs = finetune._softmax(family.apply(params, points))
@@ -216,7 +238,7 @@ class TestSoftmaxKernel:
                 family, params, points, labels, weights
             )
             assert value == ref_value
-            np.testing.assert_array_equal(grad, ref_grad)
+            assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
             np.testing.assert_array_equal(probs, ref_probs)
 
     @pytest.mark.parametrize("classes", range(8, 17))
@@ -234,6 +256,22 @@ class TestSoftmaxKernel:
             assert value == pytest.approx(ref_value, rel=1e-14)
             assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
             np.testing.assert_allclose(probs, ref_probs, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("in_dim", [1, 4])
+    def test_benchmark_shapes_within_the_bound(self, in_dim):
+        # The empirical benchmark's heads: 1-D source features and 4-class
+        # target representations, 10 000 training points, 4 classes.
+        n, classes = 10_000, 4
+        rng = np.random.default_rng(10 + in_dim)
+        family = SoftmaxHeadFamily(in_dim, classes)
+        params = rng.normal(size=family.parameter_count())
+        points = rng.normal(size=(n, in_dim))
+        labels = rng.integers(0, classes, size=n)
+        weights = uniform_weights(n)
+        value, grad = cross_entropy_objective(family, params, points, labels, weights)
+        ref_value, ref_grad, _ = oracle_objective(family, params, points, labels, weights)
+        assert value == ref_value
+        assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
 
     @pytest.mark.parametrize("in_dim", [1, 4])
     def test_peak_memory_is_few_class_arrays(self, in_dim):
@@ -668,6 +706,60 @@ class TestPairFits:
         # Each source's model is the one fit, read by every pair of that source.
         assert sorted(used) == sorted(sources.values())
         assert all(len({id(m) for m in models}) == 1 for models in used.values())
+
+    @pytest.mark.parametrize("n_domains", [3, 4])
+    def test_one_input_risk_per_unordered_pair(self, monkeypatch, n_domains):
+        domains = make_synthetic_domains(1, n_domains=n_domains, samples_per_domain=48)
+        names = {id(d.train): d.name for d in domains}
+        solves = []
+
+        def solve(law_xt, law_xs, metric, cfg):
+            solves.append((names[id(law_xt)], names[id(law_xs)]))
+            return input_risk(law_xt, law_xs, metric, cfg)
+
+        monkeypatch.setattr(finetune, "input_risk", solve)
+        rows = evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=2), TrainConfig(epochs=3))
+        # Each unordered pair is solved at its first ordered pair, in pair order.
+        firsts, seen = [], set()
+        for row in rows:
+            if frozenset((row.source, row.target)) not in seen:
+                seen.add(frozenset((row.source, row.target)))
+                firsts.append((row.target, row.source))
+        assert solves == firsts
+        assert len(solves) == n_domains * (n_domains - 1) // 2
+        by_pair = {(r.source, r.target): r.input_risk for r in rows}
+        assert all(by_pair[s, t] == by_pair[t, s] for s, t in by_pair)
+
+    def test_reused_reverse_risk_is_within_ulps_of_its_own_solve(self):
+        # The assignment route may land a different optimal plan in each
+        # direction, so a direct reverse solve can differ in its last bits.
+        domains = make_synthetic_domains(0, samples_per_domain=80)
+        rows = evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
+        by_name = {d.name: d for d in domains}
+        for row in rows:
+            direct = input_risk(by_name[row.target].train, by_name[row.source].train)
+            assert row.input_risk == pytest.approx(direct, rel=1e-14, abs=0.0)
+
+    def test_solver_failure_surfaces_at_the_first_pair(self, monkeypatch):
+        domains = make_synthetic_domains(1, samples_per_domain=48)
+        names = {id(d.train): d.name for d in domains}
+        pairs = []
+
+        def fit(family, features, labels, *args):
+            pairs.append(family.in_dim)
+            return train_classifier(family, features, labels, *args)
+
+        def fail_on_b_c(law_xt, law_xs, metric, cfg):
+            if {names[id(law_xt)], names[id(law_xs)]} == {"domain_b", "domain_c"}:
+                raise RuntimeError("solver failed")
+            return input_risk(law_xt, law_xs, metric, cfg)
+
+        monkeypatch.setattr(finetune, "input_risk", fail_on_b_c)
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
+        # Heads of a->b, a->c and b->a trained; b->c failed before its target head.
+        assert pairs == [2, 3, 3, 2, 3]
 
     def test_divergence_names_the_head_and_keeps_the_trace(self):
         domains = make_synthetic_domains(3, samples_per_domain=24)

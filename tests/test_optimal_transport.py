@@ -158,6 +158,34 @@ class TestWasserstein1dExact:
         with pytest.raises(ValueError, match="dim 1"):
             wasserstein_1d_exact(a, a)
 
+    @staticmethod
+    def from_scratch(a, b, p):
+        """The merged quantile sweep with both clouds sorted afresh."""
+        u, v = a.points[:, 0], b.points[:, 0]
+        order_u, order_v = np.argsort(u, kind="stable"), np.argsort(v, kind="stable")
+        cu, cv = np.cumsum(a.weights[order_u]), np.cumsum(b.weights[order_v])
+        ts = np.union1d(cu[:-1], cv[:-1])
+        edges = np.concatenate([[0.0], ts[(ts > 0.0) & (ts < 1.0)], [1.0]])
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        iu = order_u[np.minimum(np.searchsorted(cu, mids), len(u) - 1)]
+        iv = order_v[np.minimum(np.searchsorted(cv, mids), len(v) - 1)]
+        return float(np.sum(np.diff(edges) * np.abs(u[iu] - v[iv]) ** p)) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_kept_sides_are_bit_equal_to_a_fresh_sort(self, p):
+        # Ties (rounded points) make the stable order matter.  Each cloud
+        # meets several partners, so all but its first sweep reuse its sort.
+        rng = np.random.default_rng(22)
+        clouds = [
+            cloud(np.round(rng.normal(size=n), 1), weights / weights.sum())
+            for n, weights in ((40, rng.random(40)), (25, rng.random(25)), (40, np.ones(40)))
+        ]
+        for _ in range(2):
+            for a in clouds:
+                for b in clouds:
+                    assert wasserstein_1d_exact(a, b, p) == self.from_scratch(a, b, p)
+        assert all("_side" in vars(c) for c in clouds)
+
 
 class TestWassersteinDispatch:
     def test_identical_clouds_cost_zero(self):
