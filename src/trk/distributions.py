@@ -31,6 +31,9 @@ PSD_EIG_TOL = 1e-8
 
 _WEIGHT_SUM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-8
+# Below about a thousand values numpy's stable argsort alone is faster than
+# its default one plus the tie check (timeit, numpy 2.4, 2-core x86-64 VM).
+_CHECKED_SORT_MIN = 1024
 
 
 def _freeze(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
@@ -142,7 +145,18 @@ def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
 
 def _quantile_side(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One side of the monotone 1-D coupling: the stable sort order of `values`
-    and the cumulative weights taken in that order."""
+    and the cumulative weights taken in that order.
+
+    From `_CHECKED_SORT_MIN` values on, numpy's default sort runs first: it
+    is several times faster than the stable one, and where the sorted values
+    strictly increase the order is unique, so it is the stable order.  Any
+    tie, signed zero or NaN sorts again stably.
+    """
+    if len(values) >= _CHECKED_SORT_MIN:
+        order = np.argsort(values)
+        ordered = values[order]
+        if np.all(ordered[1:] > ordered[:-1]):
+            return order, np.cumsum(weights[order])
     order = np.argsort(values, kind="stable")
     return order, np.cumsum(weights[order])
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze, _quantile_side
 from .optimal_transport import OtConfig, _quantile_coupling
-from .transfer_core import AffineModel, input_risk
+from .transfer_core import AffineModel, _affine, input_risk
 
 __all__ = [
     "TrainConfig",
@@ -110,7 +110,7 @@ class AffineMapFamily:
 
     def apply(self, params: np.ndarray, points: np.ndarray) -> np.ndarray:
         weights, bias = self.unpack(params)
-        return points @ weights.T + bias
+        return _affine(points, weights, bias)
 
     def build(self, params: np.ndarray) -> AffineModel:
         return AffineModel(*self.unpack(params))
@@ -154,6 +154,16 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
     for j in range(1, values.shape[1]):
         out += values[:, j]
     return out
+
+
+def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What `cross_entropy_objective` reads of a fit's fixed points and labels.
+
+    The points as a contiguous (in_dim, n) array, and each point's label
+    entry as one index into the flattened (classes, n) array.
+    """
+    n = len(labels)
+    return np.ascontiguousarray(points.T), labels * n + np.arange(n)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -221,29 +231,35 @@ def cross_entropy_objective(
     points: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
+    *,
+    _operands: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy and its parameter gradient.
 
     Works in two (classes, n) arrays, one row per class: the logits
-    `W @ points.T + b` become the log probabilities in place, and one buffer
-    holds their exponential, then the residual.  Each point's maximum and
+    `W @ points.T + b` (at in_dim 1 the broadcast product, bit-equal to it)
+    become the log probabilities in place, and one buffer holds their
+    exponential, then the residual.  Each point's maximum and
     normalizer reduce over the class axis, adding the classes left to right
     as `_row_sum` does, so the value is bit-equal to the axis-1 expression
     for 2-7 classes and within an ulp of the normalizer from 8.  The
     gradient is `residual @ points` and the residual's class sums; it sums
     over the points in another order than the (n, classes) products, and
-    agrees with them to about 1e-15 of its largest entry.
+    agrees with them to about 1e-15 of its largest entry.  `_operands` is
+    `_head_operands(points, labels)`, which a fit builds once for all its
+    epochs.
     """
+    points_t, flat = _head_operands(points, labels) if _operands is None else _operands
     weights_matrix, bias = family.unpack(params)
-    n = len(labels)
     # Both arrays in one block: glibc's malloc keeps a block of this size on
     # its heap between calls, where two separate ones went back to the OS at
     # each return and were faulted in again at the next call.
-    log_probs, residual = np.empty((2, family.classes, n))
-    np.matmul(weights_matrix, points.T, out=log_probs)
+    log_probs, residual = np.empty((2, family.classes, len(labels)))
+    if family.in_dim == 1:
+        np.multiply(weights_matrix, points_t, out=log_probs)
+    else:
+        np.matmul(weights_matrix, points_t, out=log_probs)
     log_probs += bias[:, None]
-    # Each point's label entry as one index into the flattened (classes, n) array.
-    flat = labels * n + np.arange(n)
     log_probs -= np.maximum.reduce(log_probs, axis=0)
     np.exp(log_probs, out=residual)
     log_probs -= np.log(np.add.reduce(residual, axis=0))
@@ -350,10 +366,13 @@ def train_classifier(
         raise ValueError(f"features dimension {features.dim} != family input {family.in_dim}")
 
     params = family.init_parameters(np.random.default_rng(cfg.seed))
+    operands = _head_operands(features.points, labels)
     losses: list[float] = []
     best_params, best_loss, stall = params.copy(), np.inf, 0
     for _ in range(cfg.epochs):
-        value, grad = cross_entropy_objective(family, params, features.points, labels, features.weights)
+        value, grad = cross_entropy_objective(
+            family, params, features.points, labels, features.weights, _operands=operands
+        )
         if not np.isfinite(value):
             trace = TrainTrace(tuple(losses), best_params)
             raise TrainingDivergedError(f"loss became {value} at epoch {len(losses)}", trace)

@@ -363,7 +363,7 @@ def ingest_dataset(
         return _ingest_csv(path, label_column)
     if format == "json":
         return _ingest_json(path)
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    raise ValueError(f"{path}: format must be 'csv' or 'json', got {format!r}")
 
 
 @contextmanager
@@ -377,6 +377,62 @@ def _open_text(path: str | Path, newline: str | None = None):
 
 
 def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, np.ndarray]:
+    table = _plain_csv_table(path, label_column)
+    if table is None:
+        table = _csv_module_table(path, label_column)
+    points, labels = table
+    return EmpiricalDistribution.from_points(points), labels
+
+
+def _plain_csv_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(points, labels) of a plain numeric CSV, or None for any other file.
+
+    A plain file is UTF-8 and holds no quote, carriage return or NUL (which
+    `csv.reader` refuses before Python 3.11), no underscore below the
+    header, no blank or whitespace-only line, no ragged row, no line longer
+    than the csv field size limit and no cell that is not a finite number.
+    Such a file splits on newlines and commas into the cells `csv.reader`
+    gives, and each cell goes through `float()` as `_csv_number` reads it,
+    so the values are bit-equal to `_csv_module_table`'s.  Any other file is
+    left to that reader, which reports what is wrong with it.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in '"\r\0'):
+        return None
+    head, _, body = text.partition("\n")
+    del text  # one copy of the text, not two, stays alive under the cell list below
+    header = [name.strip() for name in head.split(",")]
+    width = len(header)
+    if label_column not in header or width < 2 or "_" in body:
+        return None
+    if body.endswith("\n"):
+        body = body[:-1]
+    lines = body.split("\n")
+    limit = csv.field_size_limit()
+    # A blank or whitespace-only line has no comma, since width >= 2.
+    if (
+        max(len(head), max(map(len, lines))) > limit
+        or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
+    ):
+        return None
+    del lines
+    cells = body.replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    values = values.reshape(-1, width)
+    label_idx = header.index(label_column)
+    return np.delete(values, label_idx, axis=1), values[:, label_idx].copy()
+
+
+def _csv_module_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
+    """(points, labels) of a dataset CSV read by `csv.reader`; any fault fails naming its line."""
     with _open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         lines = _csv_rows(path, reader)
@@ -402,7 +458,7 @@ def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, n
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return EmpiricalDistribution.from_points(np.asarray(rows)), np.asarray(labels)
+    return np.asarray(rows), np.asarray(labels)
 
 
 def _csv_rows(path: Path, reader):

@@ -22,7 +22,7 @@ from trk import __version__, pipeline
 from trk import optimal_transport as ot_module
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
-from trk.distributions import gaussian_kl, gaussian_w2
+from trk.distributions import EmpiricalDistribution, gaussian_kl, gaussian_w2
 from trk.gaussian_lab import basic_case_risks, random_basic_pair, random_task
 from trk.optimal_transport import OtConfig, SinkhornConvergenceError
 from trk.pipeline import PipelineConfig, fit_combiner, ingest_dataset, run
@@ -398,6 +398,65 @@ class TestIngestFuzz:
     @example(text="x,label\n\udcff,0\n")  # not UTF-8
     def test_csv(self, tmp_path_factory, text):
         self.ingest_or_refuse(tmp_path_factory.getbasetemp() / "fuzz.csv", text)
+
+    @staticmethod
+    def outcome(read):
+        """A reader's (points, labels, weights) bytes, or its ValueError message."""
+        try:
+            dist, labels = read()
+        except ValueError as err:
+            return str(err)
+        return dist.points.shape, dist.points.tobytes(), labels.tobytes(), dist.weights.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=CSV_TEXTS)
+    @example(text='x,label\n"1.5",0\n2.0,1\n')  # a quoted cell
+    @example(text="x,label\n1_0,0\n2.0,1\n")
+    @example(text="x_0,label\n1.0,0\n2.0,1\n")  # an underscore in the header only
+    @example(text="x,label\r\n1.0,0\r\n2.0,1\r\n")
+    @example(text="x,label\n1.0,0\n\n2.0,1\n")  # a blank line
+    @example(text="x,label\n1.0,0\n \n2.0,1\n")  # a whitespace-only line
+    @example(text="x,label\n1.0,0\n2.0,1\n\n")
+    @example(text="\nx,label\n1.0,0\n")
+    @example(text="x,label\n1.0\n2.0,1\n")  # a short row
+    @example(text="x,label\n1.0,0,3\n2.0,1\n")  # a long row
+    @example(text="x,label\nnan,0\n")
+    @example(text="x,label\n1.0,-inf\n")
+    @example(text="x,label\n1e400,0\n")
+    @example(text="\ufeffx,label\n1.0,0\n")  # a UTF-8 byte-order mark
+    @example(text="\ufefflabel,x\n0,1.0\n")
+    @example(text="x,label\n\udcff,0\n")  # not UTF-8
+    @example(text="x,label\n0." + "0" * 200_000 + ",0\n")  # over the field limit, finite
+    @example(text="x" * 200_000 + ",label\n1.0,0\n")
+    @example(text="x\0,label\n1.0,0\n")
+    @example(text="x,label\n 1.5 ,0\n-2.25e-3,1\n")
+    @example(text="x,y,label\n1,2,0\n3,4,1")  # no final newline
+    @example(text="x,label\n")
+    @example(text="")
+    def test_csv_fast_path_matches_the_csv_reader(self, tmp_path_factory, text):
+        # The plain-file fast path declines, or gives the csv-module
+        # reader's values bit for bit; a dataset read either way gives the
+        # reader's result or its error message.
+        path = tmp_path_factory.getbasetemp() / "diff.csv"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+
+        def by_csv_module():
+            points, labels = pipeline._csv_module_table(path, "label")
+            return EmpiricalDistribution.from_points(points), labels
+
+        expected = self.outcome(by_csv_module)
+        fast = pipeline._plain_csv_table(path, "label")
+        if fast is not None:
+            assert not isinstance(expected, str), expected
+            assert (fast[0].shape, fast[0].tobytes(), fast[1].tobytes()) == expected[:3]
+        assert self.outcome(lambda: ingest_dataset(path)) == expected
+
+    def test_plain_csv_takes_the_fast_path(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("x0,x1,label\n1.5,-2.25e-3,0\n 4 ,1e-310,3\n0.1,-0.0,1\n")
+        points, labels = pipeline._plain_csv_table(path, "label")
+        np.testing.assert_array_equal(points, [[1.5, -2.25e-3], [4.0, 1e-310], [0.1, -0.0]])
+        np.testing.assert_array_equal(labels, [0.0, 3.0, 1.0])
 
     @settings(max_examples=300, deadline=None)
     @given(text=JSON_DOCUMENTS)
@@ -1483,6 +1542,23 @@ class TestCli:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert "line 3, column 'x'" in err["error"]
+
+    @pytest.mark.parametrize("name", ["data.tsv", "data"])
+    def test_unknown_dataset_format_names_the_file(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name == "data":
+            path.mkdir()
+        else:
+            path.write_text("x\tlabel\n1.0\t0\n")
+        assert main(["ingest-check", "--path", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        suffix = path.suffix.lstrip(".")
+        assert json.loads(lines[0]) == {
+            "error": f"{path}: format must be 'csv' or 'json', got {suffix!r}"
+        }
 
     @pytest.mark.parametrize("name,body,where", BAD_DATASETS, ids=[c[0] for c in BAD_DATASETS])
     def test_ingest_check_rejects_bad_values(self, tmp_path, capsys, name, body, where):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 import oracles
 from trk.distributions import (
+    _CHECKED_SORT_MIN,
     EmpiricalDistribution,
     Gaussian1D,
     GaussianJoint,
     GaussianND,
     _is_symmetric,
     _kl_moments,
+    _quantile_side,
     _w2_moments,
     gaussian_kl,
     gaussian_w2,
@@ -82,6 +84,32 @@ class TestEmpiricalDistribution:
         for arr in (order, cumulative):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+            max_size=40,
+        ),
+        distinct=st.booleans(),
+        long=st.booleans(),
+    )
+    def test_side_order_is_the_stable_sort(self, values, distinct, long):
+        # From _CHECKED_SORT_MIN values the default sort is kept only where
+        # the sorted values strictly increase; ties, signed zeros and NaN
+        # take the stable sort.
+        values = np.array(values, dtype=np.float64)
+        if long:  # shuffled filler takes the array past the size rule
+            filler = np.random.default_rng(len(values)).permutation(_CHECKED_SORT_MIN) - 0.5
+            values = np.concatenate([values, filler])
+        if distinct:  # the tie-free case, which keeps the default sort
+            values = np.unique(values[np.isfinite(values)])[::-1].copy()
+        weights = np.linspace(0.5, 1.5, len(values))
+        order, cumulative = _quantile_side(values, weights)
+        expected = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(order, expected)
+        assert cumulative.tobytes() == np.cumsum(weights[expected]).tobytes()
 
     def test_two_dimensional_cloud_never_computes_a_side(self):
         # Through the assignment route and the LP route.

@@ -273,6 +273,31 @@ class TestSoftmaxKernel:
         assert value == ref_value
         assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
 
+    def test_in_dim_one_products_are_the_matmul_products(self, monkeypatch):
+        # At in_dim 1 the softmax kernel, `AffineMapFamily.apply` and
+        # `AffineModel.__call__` form each product alone; a k = 1 matrix
+        # product rounds each entry once as well, so all three are bit-equal
+        # to the matmul route, zeros and saturated logits included.
+        rng = np.random.default_rng(5)
+        n, classes = 1000, 4
+        points = rng.normal(size=(n, 1))
+        points[::7] = 0.0
+        family = SoftmaxHeadFamily(1, classes)
+        params = 300.0 * rng.normal(size=family.parameter_count())
+        weights, bias = family.unpack(params)
+        expected = points @ weights.T + bias
+        assert family.apply(params, points).tobytes() == expected.tobytes()
+        assert family.build(params)(points).tobytes() == expected.tobytes()
+        labels = rng.integers(0, classes, size=n)
+        args = (family, params, points, labels, uniform_weights(n))
+        value, grad = cross_entropy_objective(*args)
+        # The kernel's one np.multiply forms the logits; routed through
+        # np.matmul it is the k = 1 matrix product.
+        monkeypatch.setattr(np, "multiply", lambda a, b, out: np.matmul(a, b, out=out))
+        ref_value, ref_grad = cross_entropy_objective(*args)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
+
     @pytest.mark.parametrize("in_dim", [1, 4])
     def test_peak_memory_is_few_class_arrays(self, in_dim):
         # Each (n, classes) temporary costs n * classes * 8 bytes; the kernel

@@ -186,6 +186,19 @@ class TestWasserstein1dExact:
                     assert wasserstein_1d_exact(a, b, p) == self.from_scratch(a, b, p)
         assert all("_side" in vars(c) for c in clouds)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_tie_free_sides_are_bit_equal_to_a_fresh_sort(self, p):
+        # Unrounded points have no ties, so sides of 1024 points or more
+        # keep the default sort.
+        rng = np.random.default_rng(23)
+        clouds = []
+        for n in (1500, 1100, 40, 1):
+            weights = rng.random(n)
+            clouds.append(cloud(rng.normal(size=n), weights / weights.sum()))
+        for a in clouds:
+            for b in clouds:
+                assert wasserstein_1d_exact(a, b, p) == self.from_scratch(a, b, p)
+
 
 class TestWassersteinDispatch:
     def test_identical_clouds_cost_zero(self):
