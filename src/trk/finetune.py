@@ -17,7 +17,12 @@ and seeded, so runs are bitwise reproducible.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +48,22 @@ __all__ = [
 
 _INIT_SCALE = 0.1
 _PLATEAU_TOL = 1e-9
+# Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
+# more than one thread.  numpy holds the GIL between its kernels, and on
+# smaller fits the hand-offs cost more than a second core gives back: four
+# 1-D 4-class domains on two threads ran at 0.5x serial speed at 1 000-2 000
+# training points, 0.9-1.0x at 4 000-5 000, 1.1x at 6 000-7 000 and 1.2-1.3x
+# at 8 000-10 000.
+_CONCURRENT_MIN_POINTS = 6000
+# Most fits `evaluate_risk_accuracy_pairs` runs at once: the two threads the
+# crossover above was measured with.  More threads only add GIL hand-offs
+# until a host with more cores shows a gain.
+_MAX_FIT_WORKERS = 2
+# Bytes the classifier heads of one run may take while they train
+# (`_head_bytes` each).  The pipeline refuses a run whose single head is
+# above it; below it, the heads that train at once are capped at as many as
+# it holds.
+_HEAD_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -483,6 +504,111 @@ def _named(what: str, fit, *args):
         raise TrainingDivergedError(f"{what}: {err}", err.trace) from err
 
 
+def _head_bytes(n: int, classes: int) -> int:
+    """Bytes a classifier head takes while it trains on n points.
+
+    The softmax kernel's 4 * n * classes float64 arrays plus its
+    classes * (classes + 1) parameters.
+    """
+    return 8 * (4 * n * classes + classes * (classes + 1))
+
+
+def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
+    """How many fits `evaluate_risk_accuracy_pairs` runs at once over `domains`.
+
+    One per CPU in the process's affinity mask, at most `_MAX_FIT_WORKERS`,
+    and no more heads on the largest training half than `_HEAD_BUDGET_BYTES`
+    holds.  1 while every training half is below `_CONCURRENT_MIN_POINTS`
+    points, and 1 unless every domain is 1-D and `ot` takes the quantile
+    sweep there: any other input risk builds a dense matrix that
+    `DENSE_BUDGET_BYTES` bounds only one solve at a time.
+    """
+    n = max(d.train.size for d in domains)
+    if n < _CONCURRENT_MIN_POINTS or ot.method != "auto" or any(d.train.dim != 1 for d in domains):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    heads = _HEAD_BUDGET_BYTES // _head_bytes(n, domains[0].classes)
+    return max(1, min(cpus, _MAX_FIT_WORKERS, heads))
+
+
+def _run_in_order(tasks: list[tuple[Callable, tuple[int, ...]]], workers: int) -> list:
+    """Run `tasks` on `workers` threads, the caller's among them; their results in order.
+
+    `tasks` lists (fn, needs) in serial order, `needs` the indices of
+    earlier tasks whose results `fn` takes as its arguments.  A result that
+    tasks take is dropped, and given back as None, once the last of them
+    has finished.  A free worker takes the first unstarted task whose needs
+    have finished, so one worker runs them in list order and starts no
+    thread.  After a failure no later task starts; once every thread is
+    joined, the failure earliest in the list is raised.  Each thread runs
+    in a copy of the caller's context, so numpy's error state is the
+    caller's.
+    """
+    results: list = [None] * len(tasks)
+    started, finished = [False] * len(tasks), [False] * len(tasks)
+    readers = [0] * len(tasks)  # unfinished tasks that take each result
+    for _, needs in tasks:
+        for j in needs:
+            readers[j] += 1
+    errors: dict[int, BaseException] = {}
+    cond = threading.Condition()
+    first = 0  # every task before this index has started
+    stop = len(tasks)  # no task from this index on may start
+
+    def take() -> int | None:
+        nonlocal first
+        with cond:
+            while True:
+                while first < stop and started[first]:
+                    first += 1
+                if first >= stop:
+                    return None
+                for i in range(first, stop):
+                    if not started[i] and all(finished[j] for j in tasks[i][1]):
+                        started[i] = True
+                        return i
+                cond.wait()
+
+    def work() -> None:
+        nonlocal stop
+        while (i := take()) is not None:
+            fn, needs = tasks[i]
+            try:
+                value = fn(*(results[j] for j in needs))
+            except BaseException as err:
+                with cond:
+                    errors[i], stop = err, min(stop, i)
+                    cond.notify_all()
+            else:
+                with cond:
+                    results[i], finished[i] = value, True
+                    for j in needs:
+                        readers[j] -= 1
+                        if not readers[j]:
+                            results[j] = None
+                    cond.notify_all()
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        with cond:  # a caller that raised stops the others at their next task
+            stop = 0
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def evaluate_risk_accuracy_pairs(
     domains: list[SyntheticDomain],
     risk_cfg: TrainConfig = TrainConfig(learning_rate=0.5),
@@ -505,6 +631,16 @@ def evaluate_risk_accuracy_pairs(
     the target head of the i-th ordered pair with seed + i, so runs are
     reproducible.
 
+    The fits run on `_fit_workers(domains, ot)` threads, the calling thread
+    among them: up to two on the CPUs of the process's affinity mask for
+    1-D domains whose training halves reach `_CONCURRENT_MIN_POINTS`
+    points, and otherwise one, which starts no thread.  A free thread takes
+    the first fit, in the pair order above, whose inputs are ready, so a
+    pair's output-map descent and target head run side by side once its
+    source head has finished.  Every fit is a pure function of its inputs
+    and seed, so the rows, and the first error in pair order, are those of
+    one thread.
+
     Raises:
         TrainingDivergedError: if a fit diverges, or a source head's
             representation of the target points is not finite; the message
@@ -516,9 +652,38 @@ def evaluate_risk_accuracy_pairs(
     if any(d.classes != classes for d in domains):
         raise ValueError("all domains must share the class count")
 
-    # W_p does not depend on the direction, so each unordered pair is solved
-    # once, at its first ordered pair, and a solver failure surfaces there.
-    input_risks: dict[frozenset[int], float] = {}
+    def represent(pair: str, cloud: EmpiricalDistribution, head) -> EmpiricalDistribution:
+        # The transferred representation is the frozen source head's class
+        # probabilities.  Saturation far from the source decision
+        # boundaries loses information, so domain shift actually hurts; raw
+        # logits would let the fine-tuned head undo any shift.
+        _, source_model, source_trace = head
+        # A head can keep a finite loss with weights so large that its
+        # logits overflow on points far from the source domain.
+        features = _softmax(source_model(cloud.points))
+        if not np.all(np.isfinite(features)):
+            raise TrainingDivergedError(
+                f"source head of {pair} diverged: non-finite representation of the target points",
+                source_trace,
+            )
+        return EmpiricalDistribution(features, cloud.weights)
+
+    def descend(pair: str, label_law: EmpiricalDistribution, seed: int, features):
+        return _named(f"output map of {pair}", minimize_output_risk, AffineMapFamily(classes, 1),
+                      features, label_law, 1.0, replace(risk_cfg, seed=seed))
+
+    def fine_tune(pair: str, target: SyntheticDomain, seed: int, head, features):
+        return _named(
+            f"target head of {pair}",
+            train_classifier,
+            SoftmaxHeadFamily(classes, classes),
+            features,
+            target.train_labels,
+            represent(pair, target.held_out, head),
+            target.held_out_labels,
+            replace(train_cfg, seed=seed),
+        )
+
     # Each target's label law stands in for its output law, with the
     # target's weights as every target law has them; built once, so its
     # sort serves every output-map descent onto that target.
@@ -526,65 +691,42 @@ def evaluate_risk_accuracy_pairs(
         EmpiricalDistribution(d.train_labels.astype(float)[:, None], d.train.weights)
         for d in domains
     ]
-    results = []
-    pair_index = 0
+    # The fits in pair order: each source head, then per ordered pair its
+    # input risk (solved at the first of the two directions, so a solver
+    # failure surfaces there), the target points' representation, the
+    # output-map descent and the target head.
+    tasks: list[tuple[Callable, tuple[int, ...]]] = []
+
+    def add(fn: Callable, *needs: int) -> int:
+        tasks.append((fn, needs))
+        return len(tasks) - 1
+
+    input_tasks: dict[frozenset[int], int] = {}
+    pairs = []
     for source_index, source in enumerate(domains):
-        # Trained here rather than up front, so failures surface in pair order.
-        _, source_model, source_trace = _named(
-            f"source head of {source.name}",
-            train_classifier,
-            SoftmaxHeadFamily(source.train.dim, classes),
-            source.train,
-            source.train_labels,
-            source.held_out,
-            source.held_out_labels,
+        head = add(partial(
+            _named, f"source head of {source.name}", train_classifier,
+            SoftmaxHeadFamily(source.train.dim, classes), source.train, source.train_labels,
+            source.held_out, source.held_out_labels,
             replace(train_cfg, seed=train_cfg.seed + source_index),
-        )
+        ))
         for target_index, target in enumerate(domains):
             if source is target:
                 continue
-            pair = f"{source.name}->{target.name}"
-
-            # The transferred representation is the frozen source head's
-            # class probabilities.  Saturation far from the source decision
-            # boundaries loses information, so domain shift actually hurts;
-            # raw logits would let the fine-tuned head undo any shift.
-            def represent(points: np.ndarray) -> np.ndarray:
-                # A head can keep a finite loss with weights so large that
-                # its logits overflow on points far from the source domain.
-                features = _softmax(source_model(points))
-                if not np.all(np.isfinite(features)):
-                    raise TrainingDivergedError(
-                        f"source head of {pair} diverged: non-finite "
-                        "representation of the target points",
-                        source_trace,
-                    )
-                return features
-
+            pair, pair_index = f"{source.name}->{target.name}", len(pairs)
             key = frozenset((source_index, target_index))
-            if key not in input_risks:
-                input_risks[key] = input_risk(target.train, source.train, "wasserstein", ot)
-            e_in = input_risks[key]
-            features = EmpiricalDistribution(represent(target.train.points), target.train.weights)
-            e_out, _, _ = _named(
-                f"output map of {pair}",
-                minimize_output_risk,
-                AffineMapFamily(classes, 1),
-                features,
-                label_laws[target_index],
-                1.0,
-                replace(risk_cfg, seed=risk_cfg.seed + pair_index),
-            )
-            accuracy, _, _ = _named(
-                f"target head of {pair}",
-                train_classifier,
-                SoftmaxHeadFamily(classes, classes),
-                features,
-                target.train_labels,
-                EmpiricalDistribution(represent(target.held_out.points), target.held_out.weights),
-                target.held_out_labels,
-                replace(train_cfg, seed=train_cfg.seed + pair_index),
-            )
-            results.append(PairResult(source.name, target.name, accuracy, e_in, e_out))
-            pair_index += 1
-    return results
+            if key not in input_tasks:
+                input_tasks[key] = add(
+                    partial(input_risk, target.train, source.train, "wasserstein", ot)
+                )
+            features = add(partial(represent, pair, target.train), head)
+            descent = add(partial(descend, pair, label_laws[target_index],
+                                  risk_cfg.seed + pair_index), features)
+            fit = add(partial(fine_tune, pair, target, train_cfg.seed + pair_index),
+                      head, features)
+            pairs.append((source.name, target.name, input_tasks[key], descent, fit))
+    results = _run_in_order(tasks, _fit_workers(domains, ot))
+    return [
+        PairResult(source, target, results[fit][0], results[e_in], results[descent][0])
+        for source, target, e_in, descent, fit in pairs
+    ]

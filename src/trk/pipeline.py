@@ -27,8 +27,11 @@ import numpy as np
 from . import __version__
 from .distributions import EmpiricalDistribution, _kl_moments, _w2_moments
 from .finetune import (
+    _HEAD_BUDGET_BYTES,
     SyntheticDomain,
     TrainConfig,
+    _fit_workers,
+    _head_bytes,
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
@@ -52,9 +55,6 @@ _BLOCK_BYTES = 2 * 2**20
 # Float (dim + 1)^2 matrices a pair keeps alive at the peak of a block
 # (9.9 under tracemalloc at dim 64 and at dim 150).
 _PAIR_MATRICES = 10
-# Bytes a classifier head may take while it trains: the softmax kernel's
-# 4 * n * classes float64 arrays plus its classes * (classes + 1) parameters.
-_HEAD_BUDGET_BYTES = 1 << 30
 # The closed forms of a gaussian_lab row besides its risks.
 _GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
 
@@ -645,20 +645,27 @@ def _row(
     }
 
 
-def _pair_rows_from_domains(domains: list[SyntheticDomain], cfg: PipelineConfig) -> list[dict]:
+def _pair_rows_from_domains(
+    domains: list[SyntheticDomain], cfg: PipelineConfig
+) -> tuple[list[dict], int]:
+    """The pair rows and how many fits ran at once."""
     results = evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.train, cfg.ot)
-    return [_row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk) for r in results]
+    rows = [_row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk) for r in results]
+    return rows, _fit_workers(domains, cfg.ot)
 
 
 def _check_head_budget(
     paths: list[str], datasets: list[tuple[EmpiricalDistribution, np.ndarray]], classes: int
 ) -> None:
-    """Refuse, before any fit, a class count whose heads would not fit the budget.
+    """Refuse, before any fit, a class count whose head would not fit the budget.
 
     A head trains on a dataset's training half, size // 2 of its points.
+    The budget is `finetune._HEAD_BUDGET_BYTES`.  Only a single head above
+    it refuses a run, on any machine: `finetune._fit_workers` holds the W
+    heads that train at once under it by capping W.
     """
     n = max(dist.size // 2 for dist, _ in datasets)
-    needed = 8 * (4 * n * classes + classes * (classes + 1))
+    needed = _head_bytes(n, classes)
     if needed > _HEAD_BUDGET_BYTES:
         path = next(p for p, (_, labels) in zip(paths, datasets) if labels.max() == classes - 1)
         raise ValueError(
@@ -668,9 +675,9 @@ def _check_head_budget(
         )
 
 
-def _run_empirical(cfg: PipelineConfig) -> list[dict]:
+def _run_empirical(cfg: PipelineConfig) -> tuple[list[dict], int | None]:
     if cfg.override_risks is not None:
-        return _rows_from_override(cfg)
+        return _rows_from_override(cfg), None
     paths = cfg.mode_params["datasets"]
     if len(paths) < 2:
         raise ValueError("empirical mode needs at least 2 datasets (or an override table)")
@@ -753,7 +760,7 @@ def _gaussian_rows(cfg: PipelineConfig, start: int, stop: int) -> list[dict]:
     ]
 
 
-def _run_synthetic_office(cfg: PipelineConfig) -> list[dict]:
+def _run_synthetic_office(cfg: PipelineConfig) -> tuple[list[dict], int]:
     domains = make_synthetic_domains(cfg.seed, **cfg.mode_params)
     return _pair_rows_from_domains(domains, cfg)
 
@@ -816,16 +823,17 @@ def run(cfg: PipelineConfig) -> dict:
     """Execute the configured experiment and write report.json and pairs.csv.
 
     Returns the report document.  The pair table is a deterministic function
-    of the config and seed; wall-clock timings live only in the report.
+    of the config and seed; wall-clock timings and `workers`, how many fits
+    ran at once (None when the run fits nothing), live only in the report.
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
     if cfg.mode == "empirical":
-        rows = _run_empirical(cfg)
+        rows, workers = _run_empirical(cfg)
     elif cfg.mode == "gaussian_lab":
-        rows = _run_gaussian_lab(cfg)
+        rows, workers = _run_gaussian_lab(cfg), None
     else:
-        rows = _run_synthetic_office(cfg)
+        rows, workers = _run_synthetic_office(cfg)
     timings["pairs"] = time.perf_counter() - start
 
     report = {
@@ -834,6 +842,7 @@ def run(cfg: PipelineConfig) -> dict:
         "rows": rows,
         "correlations": _correlations(rows),
         "timings": timings,
+        "workers": workers,
     }
     _write_outputs(report, rows, cfg.out_dir)
     return report

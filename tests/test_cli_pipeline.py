@@ -18,7 +18,7 @@ from scipy import stats
 
 import oracles
 import trk
-from trk import __version__, pipeline
+from trk import __version__, finetune, pipeline
 from trk import optimal_transport as ot_module
 from trk.cli import main
 from trk.finetune import make_synthetic_domains
@@ -1792,6 +1792,72 @@ class TestCli:
         with pytest.raises(ValueError) as caught:
             run(PipelineConfig.from_dict(config))
         assert str(caught.value).startswith(f"{paths[1]}: its largest label 9 makes 10 classes")
+
+    @staticmethod
+    def two_cpus_and_no_crossover(monkeypatch):
+        """Make every 1-D fit large enough for threads on a two-CPU affinity mask."""
+        monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def line_csvs(tmp_path):
+        """Three 60-row 1-D datasets of two classes."""
+        paths = []
+        for k in range(3):
+            rng = np.random.default_rng(k)
+            labels = rng.integers(0, 2, 60)
+            points = 0.5 * k + 2.0 * labels + 0.4 * rng.standard_normal(60)
+            path = tmp_path / f"d{k}.csv"
+            path.write_text("x,label\n" + "".join(f"{float(x)!r},{y}\n" for x, y in zip(points, labels)))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("mode", ["synthetic_office", "empirical"])
+    def test_concurrent_run_writes_the_serial_pairs(self, tmp_path, monkeypatch, capsys, mode):
+        config = {"mode": mode, "seed": 4, "train": {"epochs": 30}}
+        if mode == "empirical":
+            config["empirical"] = {"datasets": self.line_csvs(tmp_path)}
+        else:
+            config["synthetic_office"] = {"samples_per_domain": 60, "n_domains": 4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        outputs = {}
+        for workers in (1, 2):
+            if workers == 2 and mode == "empirical":
+                self.two_cpus_and_no_crossover(monkeypatch)
+            elif workers == 2:  # 2-D domains keep one worker unless forced
+                for module in (finetune, pipeline):
+                    monkeypatch.setattr(module, "_fit_workers", lambda domains, ot: 2)
+            out_dir = tmp_path / f"out{workers}"
+            assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+            report = json.loads((out_dir / "report.json").read_text())
+            assert report["workers"] == workers
+            outputs[workers] = (out_dir / "pairs.csv").read_bytes()
+        assert outputs[2] == outputs[1]
+        assert capsys.readouterr().err == ""
+
+    def test_head_budget_caps_the_workers_rather_than_refusing(self, tmp_path, monkeypatch):
+        # Heads train on 30 points of 2 classes.  The pipeline holds the
+        # budget under the name it imports from finetune.
+        config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
+                  "empirical": {"datasets": self.line_csvs(tmp_path)},
+                  "train": {"epochs": 3}, "risk_train": {"epochs": 1}}
+        self.two_cpus_and_no_crossover(monkeypatch)
+        head = finetune._head_bytes(30, 2)
+        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
+            for module in (finetune, pipeline):
+                monkeypatch.setattr(module, "_HEAD_BUDGET_BYTES", budget)
+            assert run(PipelineConfig.from_dict(config))["workers"] == workers
+
+    def test_report_records_the_fit_workers(self, tmp_path, office_report, random_report):
+        assert office_report[0]["workers"] == 1  # 200-point fits stay below the crossover
+        assert random_report["workers"] is None  # gaussian_lab fits nothing
+        table = write_study_table(tmp_path / "table.csv")
+        cfg = PipelineConfig.from_dict({"mode": "empirical", "out_dir": str(tmp_path / "out")},
+                                       override_risks=table)
+        assert run(cfg)["workers"] is None
+        on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert on_disk["workers"] is None
 
     @pytest.mark.parametrize("log_level", ["WARNING", "DEBUG"])
     def test_runtime_failure_stderr_is_one_json_line(self, tmp_path, log_level):

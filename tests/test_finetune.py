@@ -1,6 +1,11 @@
 """Tests for gradient-descent risk minimization and classifier training."""
 
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from trk.finetune import (
     transport_objective,
 )
 from trk.gaussian_lab import predictive_laws, random_basic_pair
+from trk.optimal_transport import OtConfig
 from trk.transfer_core import PolynomialCombiner, combine, input_risk
 
 
@@ -800,6 +806,225 @@ class TestPairFits:
         assert str(caught.value) == "source head of domain_a: loss became nan at epoch 1"
         assert caught.value.trace.epochs_run == 1
         assert isinstance(caught.value.__cause__, TrainingDivergedError)
+
+
+def force_workers(monkeypatch, workers):
+    """Run `evaluate_risk_accuracy_pairs` on `workers` threads, whatever its domains."""
+    monkeypatch.setattr(finetune, "_fit_workers", lambda domains, ot: workers)
+
+
+def line_domains(n, classes=4, names="abc"):
+    """1-D domains of n training and n held-out points, `classes` labels each."""
+    rng = np.random.default_rng(n)
+
+    def half():
+        labels = rng.integers(0, classes, n)
+        points = (labels + 0.5 * rng.normal(size=n))[:, None]
+        return EmpiricalDistribution(points, uniform_weights(n)), labels
+
+    return [SyntheticDomain(name, *half(), *half(), classes=classes) for name in names]
+
+
+class TestConcurrentFits:
+    """`evaluate_risk_accuracy_pairs` on several threads is its one-thread run."""
+
+    @pytest.mark.parametrize("n_domains", [2, 3, 4])
+    def test_two_workers_give_the_one_worker_rows(self, monkeypatch, n_domains):
+        domains = make_synthetic_domains(5, n_domains=n_domains, samples_per_domain=120)
+        cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=30))
+        threads = threading.active_count()
+        rows = {}
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            rows[workers] = evaluate_risk_accuracy_pairs(domains, *cfgs)
+        assert rows[2] == rows[3] == rows[1]
+        assert threading.active_count() == threads  # every worker was joined
+
+    def test_the_crossover_gives_the_one_worker_rows(self, monkeypatch):
+        # Unforced: 1-D domains on a two-CPU mask run on two threads once
+        # the crossover is met.
+        domains = line_domains(60)
+        cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=20))
+        serial = evaluate_risk_accuracy_pairs(domains, *cfgs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 60)
+        assert finetune._fit_workers(domains, OtConfig()) == 2
+        assert evaluate_risk_accuracy_pairs(domains, *cfgs) == serial
+
+    def test_source_heads_train_side_by_side(self, monkeypatch):
+        # The first source head waits for the second to start, which only a
+        # second thread can do while the first head is still training.
+        domains = make_synthetic_domains(1, samples_per_domain=48)
+        second_started = threading.Event()
+        waited = []
+
+        def fit(family, features, *args):
+            if features is domains[1].train:
+                second_started.set()
+            elif features is domains[0].train:
+                waited.append(second_started.wait(timeout=30))
+            return train_classifier(family, features, *args)
+
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        force_workers(monkeypatch, 2)
+        cfgs = (TrainConfig(epochs=1), TrainConfig(epochs=2))
+        rows = evaluate_risk_accuracy_pairs(domains, *cfgs)
+        assert waited == [True]
+        monkeypatch.undo()
+        assert rows == evaluate_risk_accuracy_pairs(domains, *cfgs)
+
+    def test_the_first_failure_in_pair_order_wins(self, monkeypatch):
+        # a->b's output map fails only after a->b's target head, later in
+        # pair order, has failed on the other thread.
+        domains = make_synthetic_domains(1, samples_per_domain=48)
+        target_head_failed = threading.Event()
+        waited = []
+
+        def descend(family, law_zt, proxy, p, cfg):
+            if cfg.seed == 0:  # the first ordered pair
+                waited.append(target_head_failed.wait(timeout=30))
+                raise ValueError("output map of a->b failed")
+            return minimize_output_risk(family, law_zt, proxy, p, cfg)
+
+        def fit(family, features, labels, *args):
+            if family.in_dim == family.classes and args[-1].seed == 0:  # a->b's target head
+                target_head_failed.set()
+                raise ValueError("target head of a->b failed")
+            return train_classifier(family, features, labels, *args)
+
+        monkeypatch.setattr(finetune, "minimize_output_risk", descend)
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        force_workers(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="output map of a->b failed"):
+            evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
+        assert waited == [True]
+        assert threading.active_count() == threads
+
+    def test_divergence_on_two_workers_is_the_one_worker_error(self, monkeypatch):
+        # Every source head diverges; the first one's error is raised, with
+        # its trace, and numpy's overflow stays silent on the worker threads
+        # too (a warning would fail this test under the suite's filter).
+        domains = make_synthetic_domains(3, samples_per_domain=24)
+        cfgs = (TrainConfig(learning_rate=0.5, seed=3),
+                TrainConfig(epochs=100, learning_rate=1e308, seed=3))
+        errors = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with (
+                np.errstate(over="ignore", invalid="ignore"),
+                pytest.raises(TrainingDivergedError) as caught,
+            ):
+                evaluate_risk_accuracy_pairs(domains, *cfgs)
+            errors.append(caught.value)
+        serial, concurrent = errors
+        assert str(concurrent) == str(serial) == (
+            "source head of domain_a: loss became nan at epoch 1"
+        )
+        assert concurrent.trace.objectives == serial.trace.objectives
+        assert np.array_equal(concurrent.trace.parameters, serial.trace.parameters)
+
+    def test_workers_follow_the_cpus_the_crossover_and_the_budget(self, monkeypatch):
+        domains, ot = line_domains(20, classes=3), OtConfig()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert finetune._fit_workers(domains, ot) == 1  # below the crossover
+        monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 20)
+        assert finetune._fit_workers(domains, ot) == 2  # the measured cap, not 3 CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert finetune._fit_workers(domains, ot) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert finetune._fit_workers(domains, ot) == 2
+        head = finetune._head_bytes(20, 3)
+        assert head == 8 * (4 * 20 * 3 + 3 * 4)
+        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1), (head - 1, 1)):
+            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
+            assert finetune._fit_workers(domains, ot) == workers  # the pipeline refuses head - 1
+
+    def test_only_one_dimensional_quantile_sweeps_run_at_once(self, monkeypatch):
+        # Any other input risk builds a dense matrix that DENSE_BUDGET_BYTES
+        # bounds one solve at a time, so those runs keep one worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
+        line, plane = line_domains(20), make_synthetic_domains(0, samples_per_domain=40)
+        assert finetune._fit_workers(line, OtConfig()) == 2
+        assert finetune._fit_workers(line, OtConfig(method="sinkhorn")) == 1
+        assert finetune._fit_workers(plane, OtConfig()) == 1
+        assert finetune._fit_workers(line[:2] + plane[:1], OtConfig()) == 1
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        rows = evaluate_risk_accuracy_pairs(
+            make_synthetic_domains(0, samples_per_domain=40),
+            TrainConfig(epochs=1), TrainConfig(epochs=1),
+        )
+        assert len(rows) == 6
+        assert started == []
+
+
+class TestRunInOrder:
+    """The task runner under `evaluate_risk_accuracy_pairs`."""
+
+    def test_results_come_back_in_task_order(self):
+        # Results that later tasks take are dropped once those have run.
+        tasks = [(lambda: 1, ()), (lambda: 2, ()), (lambda a, b: a + b, (0, 1)),
+                 (lambda c: 10 * c, (2,)), (lambda a: -a, (0,))]
+        for workers in (1, 2, 8):
+            assert finetune._run_in_order(tasks, workers) == [None, None, None, 30, -1]
+
+    def test_every_task_runs_once_under_fast_thread_switches(self):
+        # More workers than cores and a short switch interval: a task taken
+        # twice, or started before what it needs, breaks the counts.
+        def task(i, *needed):
+            ran.append(i)
+            return i + sum(needed)
+
+        tasks = [(partial(task, i), (i - 1,) if i % 4 else ()) for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                ran = []
+                results = finetune._run_in_order(tasks, workers)
+                assert sorted(ran) == list(range(400))
+                assert results == [None if i % 4 < 3 else 4 * i - 6 for i in range(400)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_thread_that_cannot_start_fails_the_run_after_a_join(self, monkeypatch):
+        start, starts = threading.Thread.start, []
+
+        def second_start_fails(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+        threads = threading.active_count()
+        tasks = [(partial(time.sleep, 0.01), ()) for _ in range(6)]
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            finetune._run_in_order(tasks, 3)
+        assert not starts[0].is_alive()
+        assert threading.active_count() == threads
+
+    def test_no_task_after_a_failure_starts(self):
+        # Task 1 fails while task 0 still runs; task 0 then fails too, and
+        # as the earlier task its error is the one raised.  Task 2 never runs.
+        failed, ran = threading.Event(), []
+
+        def first():
+            ran.append(failed.wait(timeout=30))
+            raise KeyError("first")
+
+        def second():
+            failed.set()
+            raise ValueError("second")
+
+        tasks = [(first, ()), (second, ()), (lambda: ran.append("third"), ())]
+        with pytest.raises(KeyError, match="first"):
+            finetune._run_in_order(tasks, 2)
+        assert ran == [True]
 
 
 class TestWassersteinHeuristicBound:
