@@ -143,9 +143,8 @@ def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ _transposed(vecs)
 
 
-def _quantile_side(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One side of the monotone 1-D coupling: the stable sort order of `values`
-    and the cumulative weights taken in that order.
+def _sort_order(values: np.ndarray) -> np.ndarray:
+    """The stable sort order of `values`.
 
     From `_CHECKED_SORT_MIN` values on, numpy's default sort runs first: it
     is several times faster than the stable one, and where the sorted values
@@ -156,8 +155,14 @@ def _quantile_side(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
         order = np.argsort(values)
         ordered = values[order]
         if np.all(ordered[1:] > ordered[:-1]):
-            return order, np.cumsum(weights[order])
-    order = np.argsort(values, kind="stable")
+            return order
+    return np.argsort(values, kind="stable")
+
+
+def _quantile_side(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One side of the monotone 1-D coupling: `_sort_order(values)` and the
+    cumulative weights taken in that order."""
+    order = _sort_order(values)
     return order, np.cumsum(weights[order])
 
 

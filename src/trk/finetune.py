@@ -17,17 +17,21 @@ and seeded, so runs are bitwise reproducible.
 
 from __future__ import annotations
 
-import contextvars
+import itertools
 import os
+import pickle
+import signal
+import sys
 import threading
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution, _freeze, _quantile_side
-from .optimal_transport import OtConfig, _quantile_coupling
+from .distributions import EmpiricalDistribution, _freeze, _quantile_side, _sort_order
+from .optimal_transport import OtConfig, _merged_positions, _quantile_coupling
 from .transfer_core import AffineModel, _affine, input_risk
 
 __all__ = [
@@ -49,15 +53,16 @@ __all__ = [
 _INIT_SCALE = 0.1
 _PLATEAU_TOL = 1e-9
 # Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
-# more than one thread.  numpy holds the GIL between its kernels, and on
-# smaller fits the hand-offs cost more than a second core gives back: four
-# 1-D 4-class domains on two threads ran at 0.5x serial speed at 1 000-2 000
-# training points, 0.9-1.0x at 4 000-5 000, 1.1x at 6 000-7 000 and 1.2-1.3x
-# at 8 000-10 000.
-_CONCURRENT_MIN_POINTS = 6000
-# Most fits `evaluate_risk_accuracy_pairs` runs at once: the two threads the
-# crossover above was measured with.  More threads only add GIL hand-offs
-# until a host with more cores shows a gain.
+# more than one process.  Each process holds its own GIL, and a fork, pipe
+# and reap cost about 3 ms: four 1-D 4-class domains on two processes ran at
+# a median 1.15-1.5x serial speed at 25-1 000 training points, 1.5-1.7x at
+# 2 000-6 000 and 1.8-1.85x at 8 000-10 000 (2-CPU host, 7-21 alternating
+# pairs per size).  No size measured lost, so the gate sits at the smallest
+# size measured twice.
+_CONCURRENT_MIN_POINTS = 50
+# Most fits `evaluate_risk_accuracy_pairs` runs at once: the two processes
+# the crossover above was measured with.  More are not measured until a
+# host with more cores shows a gain.
 _MAX_FIT_WORKERS = 2
 # Bytes the classifier heads of one run may take while they train
 # (`_head_bytes` each).  The pipeline refuses a run whose single head is
@@ -107,6 +112,11 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, trace: TrainTrace):
         super().__init__(message)
         self.trace = trace
+
+    def __reduce__(self):
+        # The default rebuilds an exception from its args alone, which here
+        # lack the trace; a fit process sends its error through a pickle.
+        return type(self), (self.args[0], self.trace)
 
 
 class AffineMapFamily:
@@ -177,14 +187,24 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _head_operands(
+    points: np.ndarray, labels: np.ndarray, classes: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """What `cross_entropy_objective` reads of a fit's fixed points and labels.
 
-    The points as a contiguous (in_dim, n) array, and each point's label
-    entry as one index into the flattened (classes, n) array.
+    The points as a contiguous (in_dim, n) array, each point's label entry
+    as one index into the flattened (classes, n) array, and, given
+    `classes`, the labels' (classes, n) one-hot (else None).  Subtracting
+    the one-hot from the residual is bit-equal to scattering -1 into it,
+    since x - 0.0 is x, and faster once a fit has built it.
     """
     n = len(labels)
-    return np.ascontiguousarray(points.T), labels * n + np.arange(n)
+    flat = labels * n + np.arange(n)
+    if classes is None:
+        return np.ascontiguousarray(points.T), flat, None
+    onehot = np.zeros((classes, n))
+    onehot.reshape(-1)[flat] = 1.0
+    return np.ascontiguousarray(points.T), flat, onehot
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -194,18 +214,47 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _equal_weight_coupling(
+    weights: np.ndarray, proxy: EmpiricalDistribution
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The merged sweep of a moving law with all-equal `weights` onto `proxy`.
+
+    Equal weights give the same cumulative weights, bit for bit, in any
+    order, so the segments, their lengths and the proxy atom coupled on each
+    stay fixed while the moving values change; only which value sits at
+    each sorted position moves.  Returns (positions, targets, gaps): per
+    segment, the sorted position of the moving atom, the proxy value and
+    the length.  None where the weights differ.
+    """
+    if not np.all(weights == weights[0]):
+        return None
+    order_v, cv = proxy._side
+    positions, pv, gaps = _merged_positions(np.cumsum(weights), cv)
+    return positions, proxy.points[order_v[pv], 0], gaps
+
+
 def _quantile_cost_and_grad(
-    values: np.ndarray, weights: np.ndarray, proxy: EmpiricalDistribution, p: float
+    values: np.ndarray,
+    weights: np.ndarray,
+    proxy: EmpiricalDistribution,
+    p: float,
+    coupling: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Exact 1-D W_p^p against the proxy and its subgradient in `values`.
 
     Walks the merged quantile segments once; each segment couples one atom
     of either side, so the subgradient accumulates per-segment terms with
     sign(0) = 0 at ties.  Only `values` is sorted here: the proxy keeps its
-    own sorted side across calls.
+    own sorted side across calls, and `coupling`, where given, is
+    `_equal_weight_coupling(weights, proxy)`, which leaves only the sort.
     """
-    iu, iv, gaps = _quantile_coupling(_quantile_side(values, weights), proxy._side)
-    diff = values[iu] - proxy.points[iv, 0]
+    if coupling is None:
+        iu, iv, gaps = _quantile_coupling(_quantile_side(values, weights), proxy._side)
+        targets = proxy.points[iv, 0]
+    else:
+        positions, targets, gaps = coupling
+        iu = _sort_order(values)[positions]
+    diff = values[iu] - targets
     # Overflow to inf on a runaway iterate is fine: the trainer reads any
     # non-finite objective as divergence.
     with np.errstate(over="ignore"):
@@ -226,12 +275,16 @@ def transport_objective(
     weights: np.ndarray,
     proxy: EmpiricalDistribution,
     p: float = 1.0,
+    *,
+    _coupling: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Training objective W_p^p(pushforward, proxy) and its parameter gradient.
 
     The family must map to scalars; the objective is then the exact quantile
     cost, and the gradient chains its per-output subgradient through the
-    affine parameterization.
+    affine parameterization.  `_coupling` is
+    `_equal_weight_coupling(weights, proxy)`, which a descent builds once
+    for all its epochs; it gives the same bits as the per-call sweep.
 
     Raises:
         ValueError: if the family's output dimension is not 1.
@@ -239,7 +292,7 @@ def transport_objective(
     if family.out_dim != 1:
         raise ValueError(f"output maps must be scalar, got output dimension {family.out_dim}")
     outputs = family.apply(params, inputs)
-    cost, grad_out = _quantile_cost_and_grad(outputs[:, 0], weights, proxy, p)
+    cost, grad_out = _quantile_cost_and_grad(outputs[:, 0], weights, proxy, p, _coupling)
     grad_out = grad_out[:, None]
     grad_weights = grad_out.T @ inputs
     grad_bias = grad_out.sum(axis=0)
@@ -253,7 +306,7 @@ def cross_entropy_objective(
     labels: np.ndarray,
     weights: np.ndarray,
     *,
-    _operands: tuple[np.ndarray, np.ndarray] | None = None,
+    _operands: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy and its parameter gradient.
 
@@ -267,10 +320,11 @@ def cross_entropy_objective(
     gradient is `residual @ points` and the residual's class sums; it sums
     over the points in another order than the (n, classes) products, and
     agrees with them to about 1e-15 of its largest entry.  `_operands` is
-    `_head_operands(points, labels)`, which a fit builds once for all its
-    epochs.
+    `_head_operands(points, labels, family.classes)`, which a fit builds
+    once for all its epochs; without it the labels are scattered into the
+    residual rather than a one-hot built per call.
     """
-    points_t, flat = _head_operands(points, labels) if _operands is None else _operands
+    points_t, flat, onehot = _head_operands(points, labels) if _operands is None else _operands
     weights_matrix, bias = family.unpack(params)
     # Both arrays in one block: glibc's malloc keeps a block of this size on
     # its heap between calls, where two separate ones went back to the OS at
@@ -286,7 +340,10 @@ def cross_entropy_objective(
     log_probs -= np.log(np.add.reduce(residual, axis=0))
     value = float(-np.sum(weights * log_probs.reshape(-1)[flat]))
     np.exp(log_probs, out=residual)
-    residual.reshape(-1)[flat] -= 1.0
+    if onehot is None:
+        residual.reshape(-1)[flat] -= 1.0
+    else:
+        residual -= onehot
     residual *= weights
     grad_weights = residual @ points
     grad_bias = residual.sum(axis=1)
@@ -328,12 +385,19 @@ def minimize_output_risk(
         raise ValueError(
             f"proxy dimension {law_yt_proxy.dim} != family output dimension {family.out_dim}"
         )
+    # transport_objective refuses a family whose output is not scalar, and
+    # only a scalar output has a proxy side to merge against.
+    coupling = (
+        _equal_weight_coupling(law_zt.weights, law_yt_proxy) if family.out_dim == 1 else None
+    )
     params = family.init_parameters(np.random.default_rng(cfg.seed))
 
     objectives: list[float] = []
     best_params, best_value = params.copy(), np.inf
     for _ in range(cfg.epochs):
-        value, grad = transport_objective(family, params, inputs, law_zt.weights, law_yt_proxy, p)
+        value, grad = transport_objective(
+            family, params, inputs, law_zt.weights, law_yt_proxy, p, _coupling=coupling
+        )
         if not np.isfinite(value):
             trace = TrainTrace(tuple(objectives), best_params)
             raise TrainingDivergedError(
@@ -343,7 +407,9 @@ def minimize_output_risk(
         if value < best_value:
             best_params, best_value = params.copy(), value
         params = params - cfg.learning_rate * grad
-    final_value, _ = transport_objective(family, params, inputs, law_zt.weights, law_yt_proxy, p)
+    final_value, _ = transport_objective(
+        family, params, inputs, law_zt.weights, law_yt_proxy, p, _coupling=coupling
+    )
     if np.isfinite(final_value) and final_value < best_value:
         best_params, best_value = params.copy(), final_value
     trace = TrainTrace(tuple(objectives), best_params)
@@ -387,7 +453,7 @@ def train_classifier(
         raise ValueError(f"features dimension {features.dim} != family input {family.in_dim}")
 
     params = family.init_parameters(np.random.default_rng(cfg.seed))
-    operands = _head_operands(features.points, labels)
+    operands = _head_operands(features.points, labels, family.classes)
     losses: list[float] = []
     best_params, best_loss, stall = params.copy(), np.inf, 0
     for _ in range(cfg.epochs):
@@ -507,106 +573,123 @@ def _named(what: str, fit, *args):
 def _head_bytes(n: int, classes: int) -> int:
     """Bytes a classifier head takes while it trains on n points.
 
-    The softmax kernel's 4 * n * classes float64 arrays plus its
-    classes * (classes + 1) parameters.
+    5 * n * classes float64 arrays plus its classes * (classes + 1)
+    parameters: the fit's one-hot labels and the softmax kernel's working
+    set.  A target head, whose inputs have `classes` dimensions, peaked at
+    4.2-4.8 * n * classes under tracemalloc for 4-32 classes.
     """
-    return 8 * (4 * n * classes + classes * (classes + 1))
+    return 8 * (5 * n * classes + classes * (classes + 1))
 
 
 def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
-    """How many fits `evaluate_risk_accuracy_pairs` runs at once over `domains`.
+    """How many processes `evaluate_risk_accuracy_pairs` runs its fits on over `domains`.
 
     One per CPU in the process's affinity mask, at most `_MAX_FIT_WORKERS`,
     and no more heads on the largest training half than `_HEAD_BUDGET_BYTES`
     holds.  1 while every training half is below `_CONCURRENT_MIN_POINTS`
     points, and 1 unless every domain is 1-D and `ot` takes the quantile
     sweep there: any other input risk builds a dense matrix that
-    `DENSE_BUDGET_BYTES` bounds only one solve at a time.
+    `DENSE_BUDGET_BYTES` bounds only one solve at a time.  1 too off Linux,
+    where `os.fork` is missing or not the measured route, and while another
+    Python thread runs, whose locks a forked child could inherit held.
     """
     n = max(d.train.size for d in domains)
     if n < _CONCURRENT_MIN_POINTS or ot.method != "auto" or any(d.train.dim != 1 for d in domains):
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     heads = _HEAD_BUDGET_BYTES // _head_bytes(n, domains[0].classes)
-    return max(1, min(cpus, _MAX_FIT_WORKERS, heads))
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS, heads))
 
 
-def _run_in_order(tasks: list[tuple[Callable, tuple[int, ...]]], workers: int) -> list:
-    """Run `tasks` on `workers` threads, the caller's among them; their results in order.
+def _send_from_child(run: Callable[[list[int]], list], block: list[int], pipe_fd: int) -> NoReturn:
+    """In a forked child: `run(block)`, its result or its error pickled into `pipe_fd`.
 
-    `tasks` lists (fn, needs) in serial order, `needs` the indices of
-    earlier tasks whose results `fn` takes as its arguments.  A result that
-    tasks take is dropped, and given back as None, once the last of them
-    has finished.  A free worker takes the first unstarted task whose needs
-    have finished, so one worker runs them in list order and starts no
-    thread.  After a failure no later task starts; once every thread is
-    joined, the failure earliest in the list is raised.  Each thread runs
-    in a copy of the caller's context, so numpy's error state is the
-    caller's.
+    Never returns: the child ends with `os._exit`, so it runs none of the
+    parent's cleanup, exit handlers or buffered writes.  An error goes to
+    the parent whatever its kind, an interrupt included, for the parent to
+    raise; one that would not come back out of its pickle goes as a
+    RuntimeError holding its type and message.
     """
-    results: list = [None] * len(tasks)
-    started, finished = [False] * len(tasks), [False] * len(tasks)
-    readers = [0] * len(tasks)  # unfinished tasks that take each result
-    for _, needs in tasks:
-        for j in needs:
-            readers[j] += 1
-    errors: dict[int, BaseException] = {}
-    cond = threading.Condition()
-    first = 0  # every task before this index has started
-    stop = len(tasks)  # no task from this index on may start
-
-    def take() -> int | None:
-        nonlocal first
-        with cond:
-            while True:
-                while first < stop and started[first]:
-                    first += 1
-                if first >= stop:
-                    return None
-                for i in range(first, stop):
-                    if not started[i] and all(finished[j] for j in tasks[i][1]):
-                        started[i] = True
-                        return i
-                cond.wait()
-
-    def work() -> None:
-        nonlocal stop
-        while (i := take()) is not None:
-            fn, needs = tasks[i]
-            try:
-                value = fn(*(results[j] for j in needs))
-            except BaseException as err:
-                with cond:
-                    errors[i], stop = err, min(stop, i)
-                    cond.notify_all()
-            else:
-                with cond:
-                    results[i], finished[i] = value, True
-                    for j in needs:
-                        readers[j] -= 1
-                        if not readers[j]:
-                            results[j] = None
-                    cond.notify_all()
-
-    threads = []
+    status = 1
     try:
-        for _ in range(min(workers, len(tasks)) - 1):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-            thread.start()
-            threads.append(thread)
-        work()
+        try:
+            payload = pickle.dumps((True, run(block)))
+        except BaseException as err:  # handed to the parent, which raises it
+            try:
+                payload = pickle.dumps((False, err))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
     finally:
-        with cond:  # a caller that raised stops the others at their next task
-            stop = 0
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+        os._exit(status)
+
+
+def _run_forked(
+    run: Callable[[list[int]], list], blocks: list[list[int]], names: list[str]
+) -> list:
+    """`run` over each of `blocks`, their results joined in block order.
+
+    The first block runs in this process and each later one in a child
+    forked for it, which sends back its results, or its first error,
+    pickled through a pipe.  The first block's error is raised as it
+    happens; otherwise the first child error in block order is, and a child
+    that ends without sending anything raises a RuntimeError naming
+    `names` of its block.  Children still running when this raises are
+    killed.  Every child is reaped before this returns or raises, on an
+    interrupt too.
+    """
+    children: list[tuple[int, BinaryIO, str]] = []  # (pid, read end, name), unreaped
+    try:
+        for block, name in zip(blocks[1:], names[1:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork while the process has
+                    # more than one OS thread, and numpy's OpenBLAS starts
+                    # its pool at import.  OpenBLAS's pthread_atfork handler
+                    # shuts that pool down before the fork, so the child
+                    # inherits none of its locks; `_fit_workers` admits no
+                    # other Python thread.
+                    warnings.filterwarnings(
+                        "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+                    )
+                    pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _send_from_child(run, block, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), name))
+        results = run(blocks[0])
+        while children:
+            pid, pipe, name = children[0]
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            pipe.close()
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(
+                    f"the fit process for source domains {name} ended without a result ({how})"
+                )
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def evaluate_risk_accuracy_pairs(
@@ -631,20 +714,22 @@ def evaluate_risk_accuracy_pairs(
     the target head of the i-th ordered pair with seed + i, so runs are
     reproducible.
 
-    The fits run on `_fit_workers(domains, ot)` threads, the calling thread
-    among them: up to two on the CPUs of the process's affinity mask for
-    1-D domains whose training halves reach `_CONCURRENT_MIN_POINTS`
-    points, and otherwise one, which starts no thread.  A free thread takes
-    the first fit, in the pair order above, whose inputs are ready, so a
-    pair's output-map descent and target head run side by side once its
-    source head has finished.  Every fit is a pure function of its inputs
-    and seed, so the rows, and the first error in pair order, are those of
-    one thread.
+    The fits run on `_fit_workers(domains, ot)` processes: up to two, on
+    Linux, for 1-D domains whose training halves reach
+    `_CONCURRENT_MIN_POINTS` points, and otherwise one, which forks
+    nothing.  The source domains are split into that many contiguous
+    blocks.  This process runs the first and a forked child each later
+    one, in pair order within the block; a child solves again, in the
+    direction of its first ordered pair, the input risk of a pair whose
+    first ordered pair lies in an earlier block.  Every fit is a pure
+    function of its inputs and seed, so the rows, and the first error in
+    pair order, are those of one process.
 
     Raises:
         TrainingDivergedError: if a fit diverges, or a source head's
             representation of the target points is not finite; the message
             names the head or map.
+        RuntimeError: if a fit process ends without sending its rows.
     """
     if len(domains) < 2:
         raise ValueError(f"need at least 2 domains, got {len(domains)}")
@@ -668,22 +753,6 @@ def evaluate_risk_accuracy_pairs(
             )
         return EmpiricalDistribution(features, cloud.weights)
 
-    def descend(pair: str, label_law: EmpiricalDistribution, seed: int, features):
-        return _named(f"output map of {pair}", minimize_output_risk, AffineMapFamily(classes, 1),
-                      features, label_law, 1.0, replace(risk_cfg, seed=seed))
-
-    def fine_tune(pair: str, target: SyntheticDomain, seed: int, head, features):
-        return _named(
-            f"target head of {pair}",
-            train_classifier,
-            SoftmaxHeadFamily(classes, classes),
-            features,
-            target.train_labels,
-            represent(pair, target.held_out, head),
-            target.held_out_labels,
-            replace(train_cfg, seed=seed),
-        )
-
     # Each target's label law stands in for its output law, with the
     # target's weights as every target law has them; built once, so its
     # sort serves every output-map descent onto that target.
@@ -691,42 +760,60 @@ def evaluate_risk_accuracy_pairs(
         EmpiricalDistribution(d.train_labels.astype(float)[:, None], d.train.weights)
         for d in domains
     ]
-    # The fits in pair order: each source head, then per ordered pair its
-    # input risk (solved at the first of the two directions, so a solver
-    # failure surfaces there), the target points' representation, the
-    # output-map descent and the target head.
-    tasks: list[tuple[Callable, tuple[int, ...]]] = []
-
-    def add(fn: Callable, *needs: int) -> int:
-        tasks.append((fn, needs))
-        return len(tasks) - 1
-
-    input_tasks: dict[frozenset[int], int] = {}
-    pairs = []
-    for source_index, source in enumerate(domains):
-        head = add(partial(
-            _named, f"source head of {source.name}", train_classifier,
-            SoftmaxHeadFamily(source.train.dim, classes), source.train, source.train_labels,
-            source.held_out, source.held_out_labels,
-            replace(train_cfg, seed=train_cfg.seed + source_index),
-        ))
-        for target_index, target in enumerate(domains):
-            if source is target:
-                continue
-            pair, pair_index = f"{source.name}->{target.name}", len(pairs)
-            key = frozenset((source_index, target_index))
-            if key not in input_tasks:
-                input_tasks[key] = add(
-                    partial(input_risk, target.train, source.train, "wasserstein", ot)
-                )
-            features = add(partial(represent, pair, target.train), head)
-            descent = add(partial(descend, pair, label_laws[target_index],
-                                  risk_cfg.seed + pair_index), features)
-            fit = add(partial(fine_tune, pair, target, train_cfg.seed + pair_index),
-                      head, features)
-            pairs.append((source.name, target.name, input_tasks[key], descent, fit))
-    results = _run_in_order(tasks, _fit_workers(domains, ot))
-    return [
-        PairResult(source, target, results[fit][0], results[e_in], results[descent][0])
-        for source, target, e_in, descent, fit in pairs
+    # Per source, its ordered pairs in pair order: (pair index, target index).
+    counter = itertools.count()
+    pairs = [
+        [(next(counter), t) for t, target in enumerate(domains) if target is not source]
+        for source in domains
     ]
+
+    def run_block(sources: list[int]) -> list[PairResult]:
+        # Each source head, then per ordered pair its input risk, the target
+        # points' representation, the output-map descent and the target head.
+        rows: list[PairResult] = []
+        solved: dict[frozenset[int], float] = {}
+        for source_index in sources:
+            source = domains[source_index]
+            head = _named(
+                f"source head of {source.name}", train_classifier,
+                SoftmaxHeadFamily(source.train.dim, classes), source.train, source.train_labels,
+                source.held_out, source.held_out_labels,
+                replace(train_cfg, seed=train_cfg.seed + source_index),
+            )
+            for pair_index, target_index in pairs[source_index]:
+                target = domains[target_index]
+                pair = f"{source.name}->{target.name}"
+                key = frozenset((source_index, target_index))
+                if key not in solved:
+                    # Solved as at the unordered pair's first ordered pair,
+                    # lower -> higher index, so every block gets its bits.
+                    lower, higher = sorted(key)
+                    solved[key] = input_risk(
+                        domains[higher].train, domains[lower].train, "wasserstein", ot
+                    )
+                features = represent(pair, target.train, head)
+                output_risk, _, _ = _named(
+                    f"output map of {pair}", minimize_output_risk, AffineMapFamily(classes, 1),
+                    features, label_laws[target_index], 1.0,
+                    replace(risk_cfg, seed=risk_cfg.seed + pair_index),
+                )
+                accuracy, _, _ = _named(
+                    f"target head of {pair}", train_classifier,
+                    SoftmaxHeadFamily(classes, classes), features, target.train_labels,
+                    represent(pair, target.held_out, head), target.held_out_labels,
+                    replace(train_cfg, seed=train_cfg.seed + pair_index),
+                )
+                rows.append(
+                    PairResult(source.name, target.name, accuracy, solved[key], output_risk)
+                )
+        return rows
+
+    blocks = [
+        block.tolist()
+        for block in np.array_split(np.arange(len(domains)), _fit_workers(domains, ot))
+        if block.size
+    ]
+    if len(blocks) == 1:
+        return run_block(blocks[0])
+    names = [", ".join(domains[i].name for i in block) for block in blocks]
+    return _run_forked(run_block, blocks, names)

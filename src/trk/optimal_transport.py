@@ -148,6 +148,29 @@ def _check_dense_budget(method: str, n: int, m: int) -> None:
         )
 
 
+def _merged_positions(
+    cu: np.ndarray, cv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segments of a merged sweep over two cumulative-weight arrays.
+
+    Splits the unit interval at the breakpoints of both; on each segment the
+    two quantile functions are constant.
+
+    Returns:
+        (pu, pv, lengths): per segment, the sorted position of the atom of
+        each sample coupled there, and the segment's length (its mass).
+    """
+    # Breakpoints where either quantile function can jump.
+    ts = np.union1d(cu[:-1], cv[:-1])
+    ts = ts[(ts > 0.0) & (ts < 1.0)]
+    edges = np.concatenate([[0.0], ts, [1.0]])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    # Round-off can leave the last cumulative weight a hair under 1, so clip.
+    pu = np.minimum(np.searchsorted(cu, mids, side="left"), len(cu) - 1)
+    pv = np.minimum(np.searchsorted(cv, mids, side="left"), len(cv) - 1)
+    return pu, pv, np.diff(edges)
+
+
 def _quantile_coupling(
     side_u: tuple[np.ndarray, np.ndarray], side_v: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,24 +178,16 @@ def _quantile_coupling(
 
     Each side is the `(order, cumulative weights)` of one sample, as
     `_quantile_side` makes it; a cloud keeps its own side, so it is sorted
-    once however many sweeps it enters.  Splits the unit interval at the
-    cumulative-weight breakpoints of both samples; on each segment the two
-    quantile functions are constant.
+    once however many sweeps it enters.  The segments are
+    `_merged_positions` of the two cumulative weights.
 
     Returns:
         (iu, iv, lengths): per segment, the index of the atom of each
         sample coupled there, and the segment's length (its mass).
     """
     (order_u, cu), (order_v, cv) = side_u, side_v
-    # Breakpoints where either quantile function can jump.
-    ts = np.union1d(cu[:-1], cv[:-1])
-    ts = ts[(ts > 0.0) & (ts < 1.0)]
-    edges = np.concatenate([[0.0], ts, [1.0]])
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    # Round-off can leave the last cumulative weight a hair under 1, so clip.
-    iu = np.minimum(np.searchsorted(cu, mids, side="left"), len(cu) - 1)
-    iv = np.minimum(np.searchsorted(cv, mids, side="left"), len(cv) - 1)
-    return order_u[iu], order_v[iv], np.diff(edges)
+    pu, pv, lengths = _merged_positions(cu, cv)
+    return order_u[pu], order_v[pv], lengths
 
 
 def wasserstein_1d_exact(

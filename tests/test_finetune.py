@@ -1,11 +1,12 @@
 """Tests for gradient-descent risk minimization and classifier training."""
 
 import os
+import pickle
 import sys
 import threading
 import time
 import tracemalloc
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from trk.finetune import (
     transport_objective,
 )
 from trk.gaussian_lab import predictive_laws, random_basic_pair
-from trk.optimal_transport import OtConfig
+from trk.optimal_transport import OtConfig, SinkhornConvergenceError
 from trk.transfer_core import PolynomialCombiner, combine, input_risk
 
 
@@ -160,6 +161,30 @@ class TestTransportObjective:
                 uniform_weights(10),
                 EmpiricalDistribution.from_points(rng.normal(size=(10, 2))),
             )
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_equal_weight_coupling_is_the_per_call_sweep(self, p):
+        # Tied outputs against a weighted label proxy of ties: the kept
+        # merge and the per-call sweep give the same bits.
+        rng = np.random.default_rng(6)
+        family = AffineMapFamily(2, 1)
+        inputs = rng.integers(0, 3, size=(90, 2)).astype(float)
+        weights = uniform_weights(90)
+        proxy_weights = rng.random(60)
+        proxy = EmpiricalDistribution(
+            rng.integers(0, 4, size=60).astype(float)[:, None], proxy_weights / proxy_weights.sum()
+        )
+        coupling = finetune._equal_weight_coupling(weights, proxy)
+        for _ in range(5):
+            params = rng.normal(size=3)
+            value, grad = transport_objective(
+                family, params, inputs, weights, proxy, p, _coupling=coupling
+            )
+            ref_value, ref_grad = transport_objective(family, params, inputs, weights, proxy, p)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+        unequal = np.concatenate([np.full(45, 0.5 / 45), np.full(45, 0.5 / 45 + 1e-12)])
+        assert finetune._equal_weight_coupling(unequal / unequal.sum(), proxy) is None
 
 
 class TestCrossEntropyObjective:
@@ -324,6 +349,20 @@ class TestSoftmaxKernel:
             tracemalloc.stop()
         assert peak <= 4 * n * classes * 8
 
+    @pytest.mark.parametrize("classes", [2, 4, 9])
+    def test_one_hot_residual_is_the_scattered_residual(self, classes):
+        # A fit's operands subtract the labels' one-hot where a bare call
+        # scatters -1 into the residual; x - 0.0 is x, so the two agree bit
+        # for bit, saturated probabilities and zero weights included.
+        for family, params, points, labels, weights in softmax_instances(classes, classes):
+            operands = finetune._head_operands(points, labels, classes)
+            value, grad = cross_entropy_objective(
+                family, params, points, labels, weights, _operands=operands
+            )
+            ref_value, ref_grad = cross_entropy_objective(family, params, points, labels, weights)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
 
 class TestMinimizeOutputRisk:
     def setup_instance(self, seed=4, n=80):
@@ -399,6 +438,37 @@ class TestMinimizeOutputRisk:
         trace = info.value.trace
         assert trace.epochs_run < 200
         assert all(np.isfinite(v) for v in trace.objectives)
+
+    def test_divergence_error_survives_a_pickle(self):
+        # A fit process sends its error to the parent through a pickle.
+        law_zt, proxy = self.setup_instance()
+        with pytest.raises(TrainingDivergedError) as info:
+            minimize_output_risk(
+                AffineMapFamily(1, 1), law_zt, proxy, p=2.0,
+                cfg=TrainConfig(epochs=200, learning_rate=1e6),
+            )
+        error = info.value
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is TrainingDivergedError
+        assert str(copy) == str(error)
+        assert copy.trace.objectives == error.trace.objectives
+        assert copy.trace.parameters.tobytes() == error.trace.parameters.tobytes()
+
+    def test_kept_merge_gives_the_per_epoch_merge_bits(self, monkeypatch):
+        # Equal weights: the descent merges its coupling once.  Tied outputs
+        # and a label proxy of ties; n above the checked-sort threshold.
+        rng = np.random.default_rng(8)
+        n = 2000
+        law_zt = EmpiricalDistribution.from_points(rng.integers(0, 5, size=(n, 3)) / 4.0)
+        labels = rng.integers(0, 3, size=n).astype(float)[:, None]
+        proxy = EmpiricalDistribution(labels, uniform_weights(n))
+        args = (AffineMapFamily(3, 1), law_zt, proxy, 1.0, TrainConfig(epochs=15, learning_rate=0.5))
+        risk, model, trace = minimize_output_risk(*args)
+        monkeypatch.setattr(finetune, "_equal_weight_coupling", lambda weights, proxy: None)
+        ref_risk, ref_model, ref_trace = minimize_output_risk(*args)
+        assert risk == ref_risk
+        assert trace.objectives == ref_trace.objectives
+        assert trace.parameters.tobytes() == ref_trace.parameters.tobytes()
 
     def test_deterministic(self):
         law_zt, proxy = self.setup_instance()
@@ -809,8 +879,13 @@ class TestPairFits:
 
 
 def force_workers(monkeypatch, workers):
-    """Run `evaluate_risk_accuracy_pairs` on `workers` threads, whatever its domains."""
+    """Run `evaluate_risk_accuracy_pairs` on `workers` processes, whatever its domains."""
     monkeypatch.setattr(finetune, "_fit_workers", lambda domains, ot: workers)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def line_domains(n, classes=4, names="abc"):
@@ -826,22 +901,21 @@ def line_domains(n, classes=4, names="abc"):
 
 
 class TestConcurrentFits:
-    """`evaluate_risk_accuracy_pairs` on several threads is its one-thread run."""
+    """`evaluate_risk_accuracy_pairs` on several processes is its one-process run."""
 
-    @pytest.mark.parametrize("n_domains", [2, 3, 4])
+    @pytest.mark.parametrize("n_domains", [2, 3, 4, 5])
     def test_two_workers_give_the_one_worker_rows(self, monkeypatch, n_domains):
         domains = make_synthetic_domains(5, n_domains=n_domains, samples_per_domain=120)
         cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=30))
-        threads = threading.active_count()
         rows = {}
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
             rows[workers] = evaluate_risk_accuracy_pairs(domains, *cfgs)
         assert rows[2] == rows[3] == rows[1]
-        assert threading.active_count() == threads  # every worker was joined
+        assert_no_child_left()
 
     def test_the_crossover_gives_the_one_worker_rows(self, monkeypatch):
-        # Unforced: 1-D domains on a two-CPU mask run on two threads once
+        # Unforced: 1-D domains on a two-CPU mask run on two processes once
         # the crossover is met.
         domains = line_domains(60)
         cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=20))
@@ -851,60 +925,87 @@ class TestConcurrentFits:
         assert finetune._fit_workers(domains, OtConfig()) == 2
         assert evaluate_risk_accuracy_pairs(domains, *cfgs) == serial
 
-    def test_source_heads_train_side_by_side(self, monkeypatch):
-        # The first source head waits for the second to start, which only a
-        # second thread can do while the first head is still training.
-        domains = make_synthetic_domains(1, samples_per_domain=48)
-        second_started = threading.Event()
-        waited = []
+    def test_source_heads_train_side_by_side(self, monkeypatch, tmp_path):
+        # Each source head logs the process it trains in: the first block's
+        # in this one, the second block's in one child.
+        domains = make_synthetic_domains(1, n_domains=4, samples_per_domain=48)
+        sources = {id(d.train): d.name for d in domains}
+        log = tmp_path / "heads"
 
         def fit(family, features, *args):
-            if features is domains[1].train:
-                second_started.set()
-            elif features is domains[0].train:
-                waited.append(second_started.wait(timeout=30))
+            if id(features) in sources:
+                with open(log, "a") as out:
+                    out.write(f"{sources[id(features)]} {os.getpid()}\n")
             return train_classifier(family, features, *args)
 
         monkeypatch.setattr(finetune, "train_classifier", fit)
         force_workers(monkeypatch, 2)
         cfgs = (TrainConfig(epochs=1), TrainConfig(epochs=2))
         rows = evaluate_risk_accuracy_pairs(domains, *cfgs)
-        assert waited == [True]
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        assert sorted(pids) == ["domain_a", "domain_b", "domain_c", "domain_d"]
+        assert pids["domain_a"] == pids["domain_b"] == str(os.getpid())
+        assert pids["domain_c"] == pids["domain_d"] != str(os.getpid())
         monkeypatch.undo()
         assert rows == evaluate_risk_accuracy_pairs(domains, *cfgs)
+        assert_no_child_left()
 
-    def test_the_first_failure_in_pair_order_wins(self, monkeypatch):
-        # a->b's output map fails only after a->b's target head, later in
-        # pair order, has failed on the other thread.
+    def test_the_first_failure_in_pair_order_wins(self, monkeypatch, tmp_path):
+        # a->b's target head, in this process's block, fails only after
+        # domain_c's source head, later in pair order, has failed in the child.
         domains = make_synthetic_domains(1, samples_per_domain=48)
-        target_head_failed = threading.Event()
+        child_failed = tmp_path / "child_failed"
         waited = []
 
-        def descend(family, law_zt, proxy, p, cfg):
-            if cfg.seed == 0:  # the first ordered pair
-                waited.append(target_head_failed.wait(timeout=30))
-                raise ValueError("output map of a->b failed")
-            return minimize_output_risk(family, law_zt, proxy, p, cfg)
-
         def fit(family, features, labels, *args):
+            if features is domains[2].train:
+                child_failed.touch()
+                raise ValueError("source head of domain_c failed")
             if family.in_dim == family.classes and args[-1].seed == 0:  # a->b's target head
-                target_head_failed.set()
+                deadline = time.monotonic() + 30
+                while not child_failed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                waited.append(child_failed.exists())
                 raise ValueError("target head of a->b failed")
             return train_classifier(family, features, labels, *args)
 
-        monkeypatch.setattr(finetune, "minimize_output_risk", descend)
         monkeypatch.setattr(finetune, "train_classifier", fit)
         force_workers(monkeypatch, 2)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="output map of a->b failed"):
+        with pytest.raises(ValueError, match="target head of a->b failed"):
             evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
         assert waited == [True]
-        assert threading.active_count() == threads
+        assert_no_child_left()
+
+    def test_a_child_block_divergence_comes_back_with_its_trace(self, monkeypatch):
+        # Only domain_c's source head diverges, in the child's block; its
+        # error crosses the pipe with the message and trace of one process.
+        domains = make_synthetic_domains(3, samples_per_domain=24)
+
+        def fit(family, features, labels, eval_features, eval_labels, cfg):
+            if features is domains[2].train:
+                cfg = replace(cfg, learning_rate=1e308)
+            return train_classifier(family, features, labels, eval_features, eval_labels, cfg)
+
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        errors = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with (
+                np.errstate(over="ignore", invalid="ignore"),
+                pytest.raises(TrainingDivergedError) as caught,
+            ):
+                evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=2), TrainConfig(epochs=5))
+            errors.append(caught.value)
+        serial, forked = errors
+        assert str(forked) == str(serial) == "source head of domain_c: loss became nan at epoch 1"
+        assert forked.trace.objectives == serial.trace.objectives
+        assert np.array_equal(forked.trace.parameters, serial.trace.parameters)
+        assert_no_child_left()
 
     def test_divergence_on_two_workers_is_the_one_worker_error(self, monkeypatch):
         # Every source head diverges; the first one's error is raised, with
-        # its trace, and numpy's overflow stays silent on the worker threads
-        # too (a warning would fail this test under the suite's filter).
+        # its trace, and numpy's overflow stays silent in the child too (a
+        # warning would fail this test under the suite's filter).
         domains = make_synthetic_domains(3, samples_per_domain=24)
         cfgs = (TrainConfig(learning_rate=0.5, seed=3),
                 TrainConfig(epochs=100, learning_rate=1e308, seed=3))
@@ -923,6 +1024,65 @@ class TestConcurrentFits:
         )
         assert concurrent.trace.objectives == serial.trace.objectives
         assert np.array_equal(concurrent.trace.parameters, serial.trace.parameters)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_failure_here_kills_the_child(self, monkeypatch, error):
+        # The child's block would run for a minute; this process's first
+        # head fails at once, and the run ends with the child reaped.
+        domains = make_synthetic_domains(1, samples_per_domain=48)
+        parent = os.getpid()
+
+        def fit(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise error("source head of domain_a failed")
+
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        force_workers(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(error, match="domain_a failed"):
+            evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_a_child_that_ends_without_a_result_is_named(self, monkeypatch):
+        domains = make_synthetic_domains(1, n_domains=4, samples_per_domain=48)
+        parent = os.getpid()
+
+        def fit(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train_classifier(*args)
+
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as caught:
+            evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
+        assert str(caught.value) == (
+            "the fit process for source domains domain_c, domain_d ended without a result "
+            "(exit code 3)"
+        )
+        assert_no_child_left()
+
+    def test_an_error_that_does_not_unpickle_comes_back_by_name(self, monkeypatch):
+        # SinkhornConvergenceError rebuilds from its message alone and fails
+        # to; the child sends a RuntimeError with its type and message.
+        domains = make_synthetic_domains(1, n_domains=4, samples_per_domain=48)
+        parent = os.getpid()
+
+        def solve(*args):
+            if os.getpid() != parent:
+                raise SinkhornConvergenceError(1e-3, 7)
+            return input_risk(*args)
+
+        monkeypatch.setattr(finetune, "input_risk", solve)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as caught:
+            evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == f"SinkhornConvergenceError: {SinkhornConvergenceError(1e-3, 7)}"
+        assert_no_child_left()
 
     def test_workers_follow_the_cpus_the_crossover_and_the_budget(self, monkeypatch):
         domains, ot = line_domains(20, classes=3), OtConfig()
@@ -935,7 +1095,7 @@ class TestConcurrentFits:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert finetune._fit_workers(domains, ot) == 2
         head = finetune._head_bytes(20, 3)
-        assert head == 8 * (4 * 20 * 3 + 3 * 4)
+        assert head == 8 * (5 * 20 * 3 + 3 * 4)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1), (head - 1, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert finetune._fit_workers(domains, ot) == workers  # the pipeline refuses head - 1
@@ -951,80 +1111,44 @@ class TestConcurrentFits:
         assert finetune._fit_workers(plane, OtConfig()) == 1
         assert finetune._fit_workers(line[:2] + plane[:1], OtConfig()) == 1
 
+    def test_only_a_one_thread_linux_process_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
+        domains = line_domains(20)
+        assert finetune._fit_workers(domains, OtConfig()) == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "platform", "darwin")
+            assert finetune._fit_workers(domains, OtConfig()) == 1
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert finetune._fit_workers(domains, OtConfig()) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert finetune._fit_workers(domains, OtConfig()) == 1
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert finetune._fit_workers(domains, OtConfig()) == 2
+
     def test_one_worker_starts_no_thread(self, monkeypatch):
+        # One worker runs the serial schedule in the calling thread: it
+        # neither starts a thread nor forks.
         started = []
+
+        def no_fork():
+            raise AssertionError("forked")
+
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        monkeypatch.setattr(os, "fork", no_fork)
         rows = evaluate_risk_accuracy_pairs(
             make_synthetic_domains(0, samples_per_domain=40),
             TrainConfig(epochs=1), TrainConfig(epochs=1),
         )
         assert len(rows) == 6
         assert started == []
-
-
-class TestRunInOrder:
-    """The task runner under `evaluate_risk_accuracy_pairs`."""
-
-    def test_results_come_back_in_task_order(self):
-        # Results that later tasks take are dropped once those have run.
-        tasks = [(lambda: 1, ()), (lambda: 2, ()), (lambda a, b: a + b, (0, 1)),
-                 (lambda c: 10 * c, (2,)), (lambda a: -a, (0,))]
-        for workers in (1, 2, 8):
-            assert finetune._run_in_order(tasks, workers) == [None, None, None, 30, -1]
-
-    def test_every_task_runs_once_under_fast_thread_switches(self):
-        # More workers than cores and a short switch interval: a task taken
-        # twice, or started before what it needs, breaks the counts.
-        def task(i, *needed):
-            ran.append(i)
-            return i + sum(needed)
-
-        tasks = [(partial(task, i), (i - 1,) if i % 4 else ()) for i in range(400)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 8):
-                ran = []
-                results = finetune._run_in_order(tasks, workers)
-                assert sorted(ran) == list(range(400))
-                assert results == [None if i % 4 < 3 else 4 * i - 6 for i in range(400)]
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_a_thread_that_cannot_start_fails_the_run_after_a_join(self, monkeypatch):
-        start, starts = threading.Thread.start, []
-
-        def second_start_fails(thread):
-            starts.append(thread)
-            if len(starts) == 2:
-                raise RuntimeError("can't start new thread")
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
-        threads = threading.active_count()
-        tasks = [(partial(time.sleep, 0.01), ()) for _ in range(6)]
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            finetune._run_in_order(tasks, 3)
-        assert not starts[0].is_alive()
-        assert threading.active_count() == threads
-
-    def test_no_task_after_a_failure_starts(self):
-        # Task 1 fails while task 0 still runs; task 0 then fails too, and
-        # as the earlier task its error is the one raised.  Task 2 never runs.
-        failed, ran = threading.Event(), []
-
-        def first():
-            ran.append(failed.wait(timeout=30))
-            raise KeyError("first")
-
-        def second():
-            failed.set()
-            raise ValueError("second")
-
-        tasks = [(first, ()), (second, ()), (lambda: ran.append("third"), ())]
-        with pytest.raises(KeyError, match="first"):
-            finetune._run_in_order(tasks, 2)
-        assert ran == [True]
 
 
 class TestWassersteinHeuristicBound:
