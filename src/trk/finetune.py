@@ -17,6 +17,8 @@ and seeded, so runs are bitwise reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import os
 import pickle
@@ -26,7 +28,7 @@ import threading
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import BinaryIO, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -53,13 +55,14 @@ __all__ = [
 _INIT_SCALE = 0.1
 _PLATEAU_TOL = 1e-9
 # Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
-# more than one process.  Each process holds its own GIL, and a fork, pipe
-# and reap cost about 3 ms: four 1-D 4-class domains on two processes ran at
-# a median 1.15-1.5x serial speed at 25-1 000 training points, 1.5-1.7x at
-# 2 000-6 000 and 1.8-1.85x at 8 000-10 000 (2-CPU host, 7-21 alternating
-# pairs per size).  No size measured lost, so the gate sits at the smallest
-# size measured twice.
-_CONCURRENT_MIN_POINTS = 50
+# two processes.  Each process holds its own GIL, and a fork, pipe and reap
+# cost about 3 ms, which weighs most where a block holds least work: one
+# source and one pair at 2 domains.  On 1-D 4-class domains (2-CPU host,
+# 11-31 alternating pairs per size) two processes ran at a median 1.17-1.66x
+# serial speed at 2 domains, 1.16-1.28x at 3 and 1.43-1.66x at 4 from 600 to
+# 3 000 points; below 600, 2- and 3-domain runs read 1.03-1.37x, too close
+# to the host's noise to count as a gain.
+_CONCURRENT_MIN_POINTS = 600
 # Most fits `evaluate_risk_accuracy_pairs` runs at once: the two processes
 # the crossover above was measured with.  More are not measured until a
 # host with more cores shows a gain.
@@ -69,6 +72,8 @@ _MAX_FIT_WORKERS = 2
 # above it; below it, the heads that train at once are capped at as many as
 # it holds.
 _HEAD_BUDGET_BYTES = 1 << 30
+# prctl(2) option that has the kernel signal a process when its parent dies.
+_PR_SET_PDEATHSIG = 1
 
 
 @dataclass(frozen=True)
@@ -187,24 +192,14 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_operands(
-    points: np.ndarray, labels: np.ndarray, classes: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What `cross_entropy_objective` reads of a fit's fixed points and labels.
 
-    The points as a contiguous (in_dim, n) array, each point's label entry
-    as one index into the flattened (classes, n) array, and, given
-    `classes`, the labels' (classes, n) one-hot (else None).  Subtracting
-    the one-hot from the residual is bit-equal to scattering -1 into it,
-    since x - 0.0 is x, and faster once a fit has built it.
+    The points as a contiguous (in_dim, n) array, and each point's label
+    entry as one index into the flattened (classes, n) array.
     """
     n = len(labels)
-    flat = labels * n + np.arange(n)
-    if classes is None:
-        return np.ascontiguousarray(points.T), flat, None
-    onehot = np.zeros((classes, n))
-    onehot.reshape(-1)[flat] = 1.0
-    return np.ascontiguousarray(points.T), flat, onehot
+    return np.ascontiguousarray(points.T), labels * n + np.arange(n)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -306,7 +301,7 @@ def cross_entropy_objective(
     labels: np.ndarray,
     weights: np.ndarray,
     *,
-    _operands: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
+    _operands: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy and its parameter gradient.
 
@@ -320,11 +315,10 @@ def cross_entropy_objective(
     gradient is `residual @ points` and the residual's class sums; it sums
     over the points in another order than the (n, classes) products, and
     agrees with them to about 1e-15 of its largest entry.  `_operands` is
-    `_head_operands(points, labels, family.classes)`, which a fit builds
-    once for all its epochs; without it the labels are scattered into the
-    residual rather than a one-hot built per call.
+    `_head_operands(points, labels)`, which a fit builds once for all its
+    epochs.
     """
-    points_t, flat, onehot = _head_operands(points, labels) if _operands is None else _operands
+    points_t, flat = _head_operands(points, labels) if _operands is None else _operands
     weights_matrix, bias = family.unpack(params)
     # Both arrays in one block: glibc's malloc keeps a block of this size on
     # its heap between calls, where two separate ones went back to the OS at
@@ -340,10 +334,7 @@ def cross_entropy_objective(
     log_probs -= np.log(np.add.reduce(residual, axis=0))
     value = float(-np.sum(weights * log_probs.reshape(-1)[flat]))
     np.exp(log_probs, out=residual)
-    if onehot is None:
-        residual.reshape(-1)[flat] -= 1.0
-    else:
-        residual -= onehot
+    residual.reshape(-1)[flat] -= 1.0
     residual *= weights
     grad_weights = residual @ points
     grad_bias = residual.sum(axis=1)
@@ -453,7 +444,7 @@ def train_classifier(
         raise ValueError(f"features dimension {features.dim} != family input {family.in_dim}")
 
     params = family.init_parameters(np.random.default_rng(cfg.seed))
-    operands = _head_operands(features.points, labels, family.classes)
+    operands = _head_operands(features.points, labels)
     losses: list[float] = []
     best_params, best_loss, stall = params.copy(), np.inf, 0
     for _ in range(cfg.epochs):
@@ -573,12 +564,10 @@ def _named(what: str, fit, *args):
 def _head_bytes(n: int, classes: int) -> int:
     """Bytes a classifier head takes while it trains on n points.
 
-    5 * n * classes float64 arrays plus its classes * (classes + 1)
-    parameters: the fit's one-hot labels and the softmax kernel's working
-    set.  A target head, whose inputs have `classes` dimensions, peaked at
-    4.2-4.8 * n * classes under tracemalloc for 4-32 classes.
+    The softmax kernel's 4 * n * classes float64 arrays plus its
+    classes * (classes + 1) parameters.
     """
-    return 8 * (5 * n * classes + classes * (classes + 1))
+    return 8 * (4 * n * classes + classes * (classes + 1))
 
 
 def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
@@ -602,17 +591,23 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS, heads))
 
 
-def _send_from_child(run: Callable[[list[int]], list], block: list[int], pipe_fd: int) -> NoReturn:
-    """In a forked child: `run(block)`, its result or its error pickled into `pipe_fd`.
+def _send_from_child(
+    run: Callable[[list[int]], list], block: list[int], pipe_fd: int, parent: int
+) -> NoReturn:
+    """In a child forked by `parent`: `run(block)`, its result or its error pickled into `pipe_fd`.
 
     Never returns: the child ends with `os._exit`, so it runs none of the
-    parent's cleanup, exit handlers or buffered writes.  An error goes to
-    the parent whatever its kind, an interrupt included, for the parent to
-    raise; one that would not come back out of its pickle goes as a
-    RuntimeError holding its type and message.
+    parent's cleanup, exit handlers or buffered writes.  It is killed when
+    the parent dies, which a parent killed outright cannot do itself.  An
+    error goes to the parent whatever its kind, an interrupt included, for
+    the parent to raise; one that would not come back out of its pickle
+    goes as a RuntimeError holding its type and message.
     """
     status = 1
     try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # it died before the prctl took hold
+            os._exit(status)
         try:
             payload = pickle.dumps((True, run(block)))
         except BaseException as err:  # handed to the parent, which raises it
@@ -629,67 +624,61 @@ def _send_from_child(run: Callable[[list[int]], list], block: list[int], pipe_fd
 
 
 def _run_forked(
-    run: Callable[[list[int]], list], blocks: list[list[int]], names: list[str]
+    run: Callable[[list[int]], list], first: list[int], second: list[int], second_names: str
 ) -> list:
-    """`run` over each of `blocks`, their results joined in block order.
+    """`run(first)` in this process and `run(second)` in a forked child, joined in that order.
 
-    The first block runs in this process and each later one in a child
-    forked for it, which sends back its results, or its first error,
-    pickled through a pipe.  The first block's error is raised as it
-    happens; otherwise the first child error in block order is, and a child
-    that ends without sending anything raises a RuntimeError naming
-    `names` of its block.  Children still running when this raises are
-    killed.  Every child is reaped before this returns or raises, on an
-    interrupt too.
+    The child sends back its results, or its first error, pickled through
+    a pipe.  This process's own error is raised as it happens, and the
+    child is then killed; otherwise the child's error is raised, and a
+    child that ends without sending anything raises a RuntimeError naming
+    `second_names`.  The child is reaped before this returns or raises, on
+    an interrupt too.
     """
-    children: list[tuple[int, BinaryIO, str]] = []  # (pid, read end, name), unreaped
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
     try:
-        for block, name in zip(blocks[1:], names[1:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns on a fork while the process has
-                    # more than one OS thread, and numpy's OpenBLAS starts
-                    # its pool at import.  OpenBLAS's pthread_atfork handler
-                    # shuts that pool down before the fork, so the child
-                    # inherits none of its locks; `_fit_workers` admits no
-                    # other Python thread.
-                    warnings.filterwarnings(
-                        "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
-                    )
-                    pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _send_from_child(run, block, write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), name))
-        results = run(blocks[0])
-        while children:
-            pid, pipe, name = children[0]
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while the process has more than
+            # one OS thread, and numpy's OpenBLAS starts its pool at import.
+            # OpenBLAS's pthread_atfork handler shuts that pool down before
+            # the fork, so the child inherits none of its locks;
+            # `_fit_workers` admits no other Python thread.
+            warnings.filterwarnings(
+                "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+            )
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _send_from_child(run, second, write_fd, parent)
+    status = None  # the child's wait status once it is reaped
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            results = run(first)
             payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[0]
-            pipe.close()
-            if not payload:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise RuntimeError(
-                    f"the fit process for source domains {name} ended without a result ({how})"
-                )
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results += value
-        return results
+        status = os.waitpid(pid, 0)[1]
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if status is None:
+            # Already gone only if an interrupt came between its reap and
+            # the assignment above.
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if not payload:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(
+            f"the fit process for source domains {second_names} ended without a result ({how})"
+        )
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return results + value
 
 
 def evaluate_risk_accuracy_pairs(
@@ -714,14 +703,14 @@ def evaluate_risk_accuracy_pairs(
     the target head of the i-th ordered pair with seed + i, so runs are
     reproducible.
 
-    The fits run on `_fit_workers(domains, ot)` processes: up to two, on
-    Linux, for 1-D domains whose training halves reach
-    `_CONCURRENT_MIN_POINTS` points, and otherwise one, which forks
-    nothing.  The source domains are split into that many contiguous
-    blocks.  This process runs the first and a forked child each later
-    one, in pair order within the block; a child solves again, in the
-    direction of its first ordered pair, the input risk of a pair whose
-    first ordered pair lies in an earlier block.  Every fit is a pure
+    The fits run on `_fit_workers(domains, ot)` processes: two, on Linux,
+    for 1-D domains whose training halves reach `_CONCURRENT_MIN_POINTS`
+    points, and otherwise one, which forks nothing.  On two, the source
+    domains are split into two contiguous blocks, the first no smaller.
+    This process runs the first and a forked child the second, each in
+    pair order; the child solves again, in the direction of its first
+    ordered pair, the input risk of a pair whose first ordered pair lies in
+    the first block.  Every fit is a pure
     function of its inputs and seed, so the rows, and the first error in
     pair order, are those of one process.
 
@@ -808,12 +797,8 @@ def evaluate_risk_accuracy_pairs(
                 )
         return rows
 
-    blocks = [
-        block.tolist()
-        for block in np.array_split(np.arange(len(domains)), _fit_workers(domains, ot))
-        if block.size
-    ]
-    if len(blocks) == 1:
-        return run_block(blocks[0])
-    names = [", ".join(domains[i].name for i in block) for block in blocks]
-    return _run_forked(run_block, blocks, names)
+    sources = list(range(len(domains)))
+    if _fit_workers(domains, ot) == 1:
+        return run_block(sources)
+    first, second = sources[: (len(sources) + 1) // 2], sources[(len(sources) + 1) // 2 :]
+    return _run_forked(run_block, first, second, ", ".join(domains[i].name for i in second))

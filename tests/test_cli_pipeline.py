@@ -1775,7 +1775,7 @@ class TestCli:
 
     def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
         # Two 8-row datasets: heads train on 4 points; labels up to 9 make
-        # 10 classes, a working set of 8 * (5 * 4 * 10 + 10 * 11) bytes.
+        # 10 classes, a working set of 8 * (4 * 4 * 10 + 10 * 11) bytes.
         paths = []
         for name, top in (("a", 1), ("b", 9)):
             path = tmp_path / f"{name}.csv"
@@ -1785,7 +1785,7 @@ class TestCli:
         config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
                   "empirical": {"datasets": paths}, "train": {"epochs": 1},
                   "risk_train": {"epochs": 1}}
-        needed = 8 * (5 * 4 * 10 + 10 * 11)
+        needed = 8 * (4 * 4 * 10 + 10 * 11)
         monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed)
         run(PipelineConfig.from_dict(config))
         monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed - 1)

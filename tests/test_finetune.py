@@ -2,11 +2,14 @@
 
 import os
 import pickle
+import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,20 +352,6 @@ class TestSoftmaxKernel:
             tracemalloc.stop()
         assert peak <= 4 * n * classes * 8
 
-    @pytest.mark.parametrize("classes", [2, 4, 9])
-    def test_one_hot_residual_is_the_scattered_residual(self, classes):
-        # A fit's operands subtract the labels' one-hot where a bare call
-        # scatters -1 into the residual; x - 0.0 is x, so the two agree bit
-        # for bit, saturated probabilities and zero weights included.
-        for family, params, points, labels, weights in softmax_instances(classes, classes):
-            operands = finetune._head_operands(points, labels, classes)
-            value, grad = cross_entropy_objective(
-                family, params, points, labels, weights, _operands=operands
-            )
-            ref_value, ref_grad = cross_entropy_objective(family, params, points, labels, weights)
-            assert value == ref_value
-            assert grad.tobytes() == ref_grad.tobytes()
-
 
 class TestMinimizeOutputRisk:
     def setup_instance(self, seed=4, n=80):
@@ -462,7 +451,8 @@ class TestMinimizeOutputRisk:
         law_zt = EmpiricalDistribution.from_points(rng.integers(0, 5, size=(n, 3)) / 4.0)
         labels = rng.integers(0, 3, size=n).astype(float)[:, None]
         proxy = EmpiricalDistribution(labels, uniform_weights(n))
-        args = (AffineMapFamily(3, 1), law_zt, proxy, 1.0, TrainConfig(epochs=15, learning_rate=0.5))
+        cfg = TrainConfig(epochs=15, learning_rate=0.5)
+        args = (AffineMapFamily(3, 1), law_zt, proxy, 1.0, cfg)
         risk, model, trace = minimize_output_risk(*args)
         monkeypatch.setattr(finetune, "_equal_weight_coupling", lambda weights, proxy: None)
         ref_risk, ref_model, ref_trace = minimize_output_risk(*args)
@@ -908,10 +898,10 @@ class TestConcurrentFits:
         domains = make_synthetic_domains(5, n_domains=n_domains, samples_per_domain=120)
         cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=30))
         rows = {}
-        for workers in (1, 2, 3):
+        for workers in (1, 2):
             force_workers(monkeypatch, workers)
             rows[workers] = evaluate_risk_accuracy_pairs(domains, *cfgs)
-        assert rows[2] == rows[3] == rows[1]
+        assert rows[2] == rows[1]
         assert_no_child_left()
 
     def test_the_crossover_gives_the_one_worker_rows(self, monkeypatch):
@@ -919,7 +909,9 @@ class TestConcurrentFits:
         # the crossover is met.
         domains = line_domains(60)
         cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=20))
-        serial = evaluate_risk_accuracy_pairs(domains, *cfgs)
+        with monkeypatch.context() as patch:
+            force_workers(patch, 1)
+            serial = evaluate_risk_accuracy_pairs(domains, *cfgs)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 60)
         assert finetune._fit_workers(domains, OtConfig()) == 2
@@ -1046,6 +1038,50 @@ class TestConcurrentFits:
         assert time.monotonic() - start < 30
         assert_no_child_left()
 
+    def test_a_killed_parent_takes_its_child_with_it(self, tmp_path):
+        # A parent killed outright reaps nothing; the kernel kills its fit
+        # process, which would otherwise sleep on for a minute.
+        child_pid = tmp_path / "child_pid"
+        script = (
+            "import os, sys, time\n"
+            "from trk import finetune\n"
+            "parent = os.getpid()\n"
+            "def fit(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        with open(sys.argv[1] + '.tmp', 'w') as out:\n"
+            "            out.write(str(os.getpid()))\n"
+            "        os.rename(sys.argv[1] + '.tmp', sys.argv[1])\n"
+            "    time.sleep(60)\n"
+            "finetune.train_classifier = fit\n"
+            "finetune._fit_workers = lambda domains, ot: 2\n"
+            "finetune.evaluate_risk_accuracy_pairs(\n"
+            "    finetune.make_synthetic_domains(1, samples_per_domain=48))\n"
+        )
+        src = str(Path(finetune.__file__).resolve().parents[1])
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, str(child_pid)], env=dict(os.environ, PYTHONPATH=src)
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not child_pid.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert child_pid.exists()
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=30)
+        stat = Path(f"/proc/{child_pid.read_text()}/stat")
+        deadline = time.monotonic() + 10
+        # Gone, or a zombie its new parent has not reaped yet.
+        while stat.exists() and time.monotonic() < deadline:
+            try:
+                if stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                    break
+            except FileNotFoundError:
+                break
+            time.sleep(0.01)
+        else:
+            assert not stat.exists()
+
     def test_a_child_that_ends_without_a_result_is_named(self, monkeypatch):
         domains = make_synthetic_domains(1, n_domains=4, samples_per_domain=48)
         parent = os.getpid()
@@ -1095,7 +1131,7 @@ class TestConcurrentFits:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert finetune._fit_workers(domains, ot) == 2
         head = finetune._head_bytes(20, 3)
-        assert head == 8 * (5 * 20 * 3 + 3 * 4)
+        assert head == 8 * (4 * 20 * 3 + 3 * 4)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1), (head - 1, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert finetune._fit_workers(domains, ot) == workers  # the pipeline refuses head - 1
