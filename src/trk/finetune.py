@@ -6,7 +6,10 @@ fit an affine map on top of them so the pushforward matches the target
 output law, and report the achieved Wasserstein risk under a fixed epoch
 budget.
 The second is a plain softmax classifier head used to measure transfer
-accuracy on held-out data.
+accuracy on held-out data.  Both run one epoch loop, `_descend`; they differ
+in its stop rule (the exact budget against a plateau), its improvement test
+(strict against `_PLATEAU_TOL`) and what follows it (one more evaluation of
+the output map against scoring the head on the held-out split).
 
 Output maps are scalar.  The risk objective is the exact quantile-coupling
 Wasserstein cost W_p^p, which is piecewise smooth in the parameters;
@@ -341,6 +344,37 @@ def cross_entropy_objective(
     return value, np.concatenate([grad_weights.ravel(), grad_bias])
 
 
+def _descend(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]], family: AffineMapFamily,
+    cfg: TrainConfig, what: str, patience: int | None = None,
+) -> tuple[float, TrainTrace, np.ndarray]:
+    """The one epoch loop: full-batch descent on `objective` from `family`'s seeded start.
+
+    patience None runs exactly cfg.epochs and keeps any strictly lower
+    value; otherwise only a value `_PLATEAU_TOL` below the best counts, and
+    `patience` epochs in a row without one stop the loop.  Returns the best
+    value, the trace keeping its iterate, and the iterate after the last step.
+    """
+    params = family.init_parameters(np.random.default_rng(cfg.seed))
+    tolerance = 0.0 if patience is None else _PLATEAU_TOL
+    objectives: list[float] = []
+    best_params, best_value, stall = params.copy(), np.inf, 0
+    for _ in range(cfg.epochs):
+        value, grad = objective(params)
+        if not np.isfinite(value):
+            trace = TrainTrace(tuple(objectives), best_params)
+            raise TrainingDivergedError(f"{what} became {value} at epoch {len(objectives)}", trace)
+        objectives.append(value)
+        if value < best_value - tolerance:
+            best_params, best_value, stall = params.copy(), value, 0
+        elif patience is not None:
+            stall += 1
+            if stall >= patience:
+                break
+        params = params - cfg.learning_rate * grad
+    return best_value, TrainTrace(tuple(objectives), best_params), params
+
+
 def minimize_output_risk(
     family: AffineMapFamily,
     law_zt: EmpiricalDistribution,
@@ -367,7 +401,6 @@ def minimize_output_risk(
         ValueError: on a family whose output is not scalar, and on
             dimension mismatches between the family and the laws.
     """
-    inputs = law_zt.points
     if law_zt.dim != family.in_dim:
         raise ValueError(
             f"source outputs have dimension {law_zt.dim}, family expects {family.in_dim}"
@@ -381,30 +414,17 @@ def minimize_output_risk(
     coupling = (
         _equal_weight_coupling(law_zt.weights, law_yt_proxy) if family.out_dim == 1 else None
     )
-    params = family.init_parameters(np.random.default_rng(cfg.seed))
 
-    objectives: list[float] = []
-    best_params, best_value = params.copy(), np.inf
-    for _ in range(cfg.epochs):
-        value, grad = transport_objective(
-            family, params, inputs, law_zt.weights, law_yt_proxy, p, _coupling=coupling
+    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
+        return transport_objective(
+            family, params, law_zt.points, law_zt.weights, law_yt_proxy, p, _coupling=coupling
         )
-        if not np.isfinite(value):
-            trace = TrainTrace(tuple(objectives), best_params)
-            raise TrainingDivergedError(
-                f"objective became {value} at epoch {len(objectives)}", trace
-            )
-        objectives.append(value)
-        if value < best_value:
-            best_params, best_value = params.copy(), value
-        params = params - cfg.learning_rate * grad
-    final_value, _ = transport_objective(
-        family, params, inputs, law_zt.weights, law_yt_proxy, p, _coupling=coupling
-    )
-    if np.isfinite(final_value) and final_value < best_value:
-        best_params, best_value = params.copy(), final_value
-    trace = TrainTrace(tuple(objectives), best_params)
-    return best_value, family.build(best_params), trace
+
+    risk, trace, last = _descend(objective, family, cfg, "objective")
+    final_value, _ = objective(last)
+    if np.isfinite(final_value) and final_value < risk:
+        risk, trace = final_value, replace(trace, parameters=last)
+    return risk, family.build(trace.parameters), trace
 
 
 def train_classifier(
@@ -426,8 +446,8 @@ def train_classifier(
         distribution's weights.
 
     Raises:
-        ValueError: on labels outside {0..classes-1} or a single-class
-            training set.
+        ValueError: on labels of a non-integer dtype or outside
+            {0..classes-1}, or a single-class training set.
         TrainingDivergedError: if the loss leaves the reals.
     """
     labels = np.asarray(labels)
@@ -435,6 +455,8 @@ def train_classifier(
     for name, arr, dist in (("labels", labels, features), ("eval_labels", eval_labels, eval_features)):
         if arr.shape != (dist.size,):
             raise ValueError(f"{name} must have shape ({dist.size},), got {arr.shape}")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
         if arr.min() < 0 or arr.max() >= family.classes:
             raise ValueError(f"{name} must lie in [0, {family.classes}), got range "
                              f"[{arr.min()}, {arr.max()}]")
@@ -443,29 +465,17 @@ def train_classifier(
     if features.dim != family.in_dim:
         raise ValueError(f"features dimension {features.dim} != family input {family.in_dim}")
 
-    params = family.init_parameters(np.random.default_rng(cfg.seed))
     operands = _head_operands(features.points, labels)
-    losses: list[float] = []
-    best_params, best_loss, stall = params.copy(), np.inf, 0
-    for _ in range(cfg.epochs):
-        value, grad = cross_entropy_objective(
+
+    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
+        return cross_entropy_objective(
             family, params, features.points, labels, features.weights, _operands=operands
         )
-        if not np.isfinite(value):
-            trace = TrainTrace(tuple(losses), best_params)
-            raise TrainingDivergedError(f"loss became {value} at epoch {len(losses)}", trace)
-        losses.append(value)
-        if value < best_loss - _PLATEAU_TOL:
-            best_params, best_loss, stall = params.copy(), value, 0
-        else:
-            stall += 1
-            if stall >= cfg.plateau_patience:
-                break
-        params = params - cfg.learning_rate * grad
-    trace = TrainTrace(tuple(losses), best_params)
-    predicted = family.predict(best_params, eval_features.points)
+
+    _, trace, _ = _descend(objective, family, cfg, "loss", cfg.plateau_patience)
+    predicted = family.predict(trace.parameters, eval_features.points)
     accuracy = float(np.sum(eval_features.weights * (predicted == eval_labels)))
-    return accuracy, family.build(best_params), trace
+    return accuracy, family.build(trace.parameters), trace
 
 
 @dataclass(frozen=True)
@@ -561,13 +571,17 @@ def _named(what: str, fit, *args):
         raise TrainingDivergedError(f"{what}: {err}", err.trace) from err
 
 
-def _head_bytes(n: int, classes: int) -> int:
-    """Bytes a classifier head takes while it trains on n points.
+def _head_bytes(n: int, classes: int, in_dim: int) -> int:
+    """Bytes a classifier head on `in_dim` inputs takes while it trains on n points.
 
-    The softmax kernel's 4 * n * classes float64 arrays plus its
-    classes * (classes + 1) parameters.
+    The softmax kernel's 4 * n * classes float64 arrays, the (in_dim, n)
+    contiguous copy of the points, three length-n vectors (the flat label
+    index, and the gathered log probabilities and their weighted terms) and
+    classes * (classes + 1) parameters.  A run's largest head is on
+    max(dim, classes) inputs: a source head reads the dim-D points, a
+    target head the class probabilities.
     """
-    return 8 * (4 * n * classes + classes * (classes + 1))
+    return 8 * ((4 * classes + in_dim + 3) * n + classes * (classes + 1))
 
 
 def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
@@ -587,7 +601,8 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
         return 1
     if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    heads = _HEAD_BUDGET_BYTES // _head_bytes(n, domains[0].classes)
+    classes = domains[0].classes  # on 1-D domains a target head has the most inputs
+    heads = _HEAD_BUDGET_BYTES // _head_bytes(n, classes, classes)
     return max(1, min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS, heads))
 
 

@@ -665,7 +665,8 @@ def _check_head_budget(
     heads that train at once under it by capping W.
     """
     n = max(dist.size // 2 for dist, _ in datasets)
-    needed = _head_bytes(n, classes)
+    dim = max(dist.dim for dist, _ in datasets)
+    needed = _head_bytes(n, classes, max(dim, classes))
     if needed > _HEAD_BUDGET_BYTES:
         path = next(p for p, (_, labels) in zip(paths, datasets) if labels.max() == classes - 1)
         raise ValueError(

@@ -1774,24 +1774,36 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
-        # Two 8-row datasets: heads train on 4 points; labels up to 9 make
-        # 10 classes, a working set of 8 * (4 * 4 * 10 + 10 * 11) bytes.
-        paths = []
-        for name, top in (("a", 1), ("b", 9)):
-            path = tmp_path / f"{name}.csv"
-            labels = [0, 1] * 3 + [top, 0]
-            path.write_text("x,label\n" + "".join(f"{i / 10},{y}\n" for i, y in enumerate(labels)))
-            paths.append(str(path))
-        config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
-                  "empirical": {"datasets": paths}, "train": {"epochs": 1},
-                  "risk_train": {"epochs": 1}}
-        needed = 8 * (4 * 4 * 10 + 10 * 11)
-        monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed)
-        run(PipelineConfig.from_dict(config))
-        monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed - 1)
-        with pytest.raises(ValueError) as caught:
+        # Two 8-row datasets: heads train on 4 points.  1-D with labels up to
+        # 9 makes 10 classes, and the largest head a target head on 10
+        # inputs; 12-D with labels up to 1, the source head on 12 inputs.
+        # The refusal names the first dataset holding the largest label.
+        for columns, top, named, needed in (
+            (1, 9, 1, 8 * ((4 * 10 + 10 + 3) * 4 + 10 * 11)),
+            (12, 1, 0, 8 * ((4 * 2 + 12 + 3) * 4 + 2 * 3)),
+        ):
+            paths = []
+            header = ",".join(f"x{j}" for j in range(columns))
+            for name, last in (("a", 1), ("b", top)):
+                path = tmp_path / f"{name}{columns}.csv"
+                labels = [0, 1] * 3 + [last, 0]
+                rows = "".join(
+                    ",".join(f"{(i + j) / 10}" for j in range(columns)) + f",{y}\n"
+                    for i, y in enumerate(labels)
+                )
+                path.write_text(f"{header},label\n{rows}")
+                paths.append(str(path))
+            config = {"mode": "empirical", "out_dir": str(tmp_path / f"out{columns}"),
+                      "empirical": {"datasets": paths}, "train": {"epochs": 1},
+                      "risk_train": {"epochs": 1}}
+            monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed)
             run(PipelineConfig.from_dict(config))
-        assert str(caught.value).startswith(f"{paths[1]}: its largest label 9 makes 10 classes")
+            monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed - 1)
+            with pytest.raises(ValueError) as caught:
+                run(PipelineConfig.from_dict(config))
+            assert str(caught.value).startswith(
+                f"{paths[named]}: its largest label {top} makes {top + 1} classes"
+            )
 
     @staticmethod
     def two_cpus_and_no_crossover(monkeypatch):
@@ -1843,7 +1855,7 @@ class TestCli:
                   "empirical": {"datasets": self.line_csvs(tmp_path)},
                   "train": {"epochs": 3}, "risk_train": {"epochs": 1}}
         self.two_cpus_and_no_crossover(monkeypatch)
-        head = finetune._head_bytes(30, 2)
+        head = finetune._head_bytes(30, 2, 2)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             for module in (finetune, pipeline):
                 monkeypatch.setattr(module, "_HEAD_BUDGET_BYTES", budget)

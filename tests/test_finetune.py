@@ -1,5 +1,6 @@
 """Tests for gradient-descent risk minimization and classifier training."""
 
+import itertools
 import os
 import pickle
 import signal
@@ -352,6 +353,25 @@ class TestSoftmaxKernel:
             tracemalloc.stop()
         assert peak <= 4 * n * classes * 8
 
+    def test_a_fit_stays_within_its_head_bytes(self):
+        # The whole fit: operands, every epoch's kernel and the held-out
+        # prediction, on as many held-out points as training points.
+        n = 10_000
+        for classes, in_dim in itertools.product((2, 3, 4, 8, 16), (1, 2, 4, 16)):
+            rng = np.random.default_rng(classes * in_dim)
+            family = SoftmaxHeadFamily(in_dim, classes)
+            labels = np.arange(n) % classes
+            clouds = [EmpiricalDistribution.from_points(rng.normal(size=(n, in_dim))) for _ in "ab"]
+            args = (family, clouds[0], labels, clouds[1], labels, TrainConfig(epochs=5))
+            train_classifier(*args)
+            tracemalloc.start()
+            try:
+                train_classifier(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= finetune._head_bytes(n, classes, in_dim), (classes, in_dim)
+
 
 class TestMinimizeOutputRisk:
     def setup_instance(self, seed=4, n=80):
@@ -413,6 +433,42 @@ class TestMinimizeOutputRisk:
         )
         assert trace.epochs_run == 7
         assert len(trace.objectives) == 7
+
+    def test_keeps_the_iterate_after_the_last_step(self):
+        # One epoch evaluates only the start; the map returned is the one
+        # after the step, which only the evaluation after the loop sees.
+        law_zt, proxy = self.setup_instance()
+        family, cfg = AffineMapFamily(1, 1), TrainConfig(epochs=1, learning_rate=0.3)
+        risk, _, trace = minimize_output_risk(family, law_zt, proxy, cfg=cfg)
+        assert len(trace.objectives) == 1
+        assert risk < trace.objectives[0]
+        start = family.init_parameters(np.random.default_rng(cfg.seed))
+        _, grad = transport_objective(family, start, law_zt.points, law_zt.weights, proxy)
+        assert trace.parameters.tobytes() == (start - cfg.learning_rate * grad).tobytes()
+
+    def test_every_strict_improvement_counts_and_the_budget_is_run(self, monkeypatch):
+        # Each step improves by about 6e-13, far below the classifier's
+        # plateau tolerance: the descent still runs its whole budget, and
+        # its loop keeps the last epoch's iterate, which shows once the
+        # evaluation after the loop reads NaN.
+        law_zt, proxy = self.setup_instance()
+        cfg = TrainConfig(epochs=20, learning_rate=1e-12)
+        args = (AffineMapFamily(1, 1), law_zt, proxy, 1.0, cfg)
+        risk, _, trace = minimize_output_risk(*args)
+        assert trace.epochs_run == 20
+        assert risk < trace.objectives[-1] < trace.objectives[0]
+        assert trace.objectives[0] - trace.objectives[1] < finetune._PLATEAU_TOL
+        calls = []
+
+        def nan_after_the_loop(*call, **kwargs):
+            calls.append(None)
+            value, grad = transport_objective(*call, **kwargs)
+            return (np.nan if len(calls) > 20 else value), grad
+
+        monkeypatch.setattr(finetune, "transport_objective", nan_after_the_loop)
+        risk, _, trace = minimize_output_risk(*args)
+        assert len(calls) == 21
+        assert risk == trace.objectives[-1] < trace.objectives[0]
 
     def test_divergence_carries_trace(self):
         law_zt, proxy = self.setup_instance()
@@ -589,6 +645,15 @@ class TestTrainClassifier:
         bad = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
         with pytest.raises(ValueError, match="labels"):
             train_classifier(SoftmaxHeadFamily(2, 2), dist, bad, dist, bad)
+        # Labels of another dtype are refused by name before any indexing;
+        # float ones once surfaced as a raw IndexError, and 1.5 lies inside
+        # the class range.
+        good = np.array([0, 1] * 5)
+        for bad in ([0.0, 1.0] * 5, [0, 1.5] * 5, [True, False] * 5):
+            with pytest.raises(ValueError, match=r"^labels must be integers, got dtype"):
+                train_classifier(SoftmaxHeadFamily(2, 2), dist, np.array(bad), dist, good)
+            with pytest.raises(ValueError, match=r"^eval_labels must be integers, got dtype"):
+                train_classifier(SoftmaxHeadFamily(2, 2), dist, good, dist, np.array(bad))
 
     def test_plateau_stops_early(self):
         points, labels = separable_blobs(14, n=60)
@@ -1130,8 +1195,9 @@ class TestConcurrentFits:
         assert finetune._fit_workers(domains, ot) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert finetune._fit_workers(domains, ot) == 2
-        head = finetune._head_bytes(20, 3)
-        assert head == 8 * (4 * 20 * 3 + 3 * 4)
+        # Three classes on 1-D domains: the target head, on 3 inputs, is the largest.
+        head = finetune._head_bytes(20, 3, 3)
+        assert head == 8 * ((4 * 3 + 3 + 3) * 20 + 3 * 4)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1), (head - 1, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert finetune._fit_workers(domains, ot) == workers  # the pipeline refuses head - 1
