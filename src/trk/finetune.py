@@ -71,9 +71,9 @@ _CONCURRENT_MIN_POINTS = 600
 # host with more cores shows a gain.
 _MAX_FIT_WORKERS = 2
 # Bytes the classifier heads of one run may take while they train
-# (`_head_bytes` each).  The pipeline refuses a run whose single head is
-# above it; below it, the heads that train at once are capped at as many as
-# it holds.
+# (`_head_bytes` each).  `_fit_workers` refuses a run whose single largest
+# head is above it; below it, the heads that train at once are capped at as
+# many as it holds.
 _HEAD_BUDGET_BYTES = 1 << 30
 # prctl(2) option that has the kernel signal a process when its parent dies.
 _PR_SET_PDEATHSIG = 1
@@ -577,9 +577,9 @@ def _head_bytes(n: int, classes: int, in_dim: int) -> int:
     The softmax kernel's 4 * n * classes float64 arrays, the (in_dim, n)
     contiguous copy of the points, three length-n vectors (the flat label
     index, and the gathered log probabilities and their weighted terms) and
-    classes * (classes + 1) parameters.  A run's largest head is on
-    max(dim, classes) inputs: a source head reads the dim-D points, a
-    target head the class probabilities.
+    classes * (classes + 1) parameters.  A run's largest head trains on its
+    longest training half, on max(dim, classes) inputs: a source head reads
+    the dim-D points, a target head the class probabilities.
     """
     return 8 * ((4 * classes + in_dim + 3) * n + classes * (classes + 1))
 
@@ -588,22 +588,40 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
     """How many processes `evaluate_risk_accuracy_pairs` runs its fits on over `domains`.
 
     One per CPU in the process's affinity mask, at most `_MAX_FIT_WORKERS`,
-    and no more heads on the largest training half than `_HEAD_BUDGET_BYTES`
+    and no more heads of the run's largest size than `_HEAD_BUDGET_BYTES`
     holds.  1 while every training half is below `_CONCURRENT_MIN_POINTS`
     points, and 1 unless every domain is 1-D and `ot` takes the quantile
     sweep there: any other input risk builds a dense matrix that
     `DENSE_BUDGET_BYTES` bounds only one solve at a time.  1 too off Linux,
     where `os.fork` is missing or not the measured route, and while another
     Python thread runs, whose locks a forked child could inherit held.
+
+    Raises:
+        ValueError: if not even one head fits the budget, naming what makes
+            the largest head that large: the domain holding the largest label
+            and its class count, or the longest domain and its feature count.
     """
-    n = max(d.train.size for d in domains)
+    longest = max(domains, key=lambda d: d.train.size)
+    n, dim, classes = longest.train.size, longest.train.dim, longest.classes
+    needed = _head_bytes(n, classes, max(dim, classes))
+    heads = _HEAD_BUDGET_BYTES // needed
+    if heads == 0:
+        top = classes - 1
+        holders = [d.name for d in domains if top in d.train_labels or top in d.held_out_labels]
+        cause = (
+            f"{longest.name}: its points have {dim} features" if dim > classes
+            else f"{holders[0]}: its largest label {top} makes {classes} classes" if holders
+            else f"the domains declare {classes} classes"
+        )
+        raise ValueError(
+            f"{cause}, and training a head on {n} points would need about "
+            f"{needed / 2**30:.3g} GiB, above the {_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
+        )
     if n < _CONCURRENT_MIN_POINTS or ot.method != "auto" or any(d.train.dim != 1 for d in domains):
         return 1
     if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    classes = domains[0].classes  # on 1-D domains a target head has the most inputs
-    heads = _HEAD_BUDGET_BYTES // _head_bytes(n, classes, classes)
-    return max(1, min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS, heads))
+    return min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS, heads)
 
 
 def _send_from_child(
@@ -730,6 +748,8 @@ def evaluate_risk_accuracy_pairs(
     pair order, are those of one process.
 
     Raises:
+        ValueError: before any fit, if the domains differ in class or feature
+            count, or a head would exceed `_HEAD_BUDGET_BYTES` (`_fit_workers`).
         TrainingDivergedError: if a fit diverges, or a source head's
             representation of the target points is not finite; the message
             names the head or map.
@@ -740,6 +760,10 @@ def evaluate_risk_accuracy_pairs(
     classes = domains[0].classes
     if any(d.classes != classes for d in domains):
         raise ValueError("all domains must share the class count")
+    if any(d.train.dim != domains[0].train.dim for d in domains):
+        counts = ", ".join(f"{d.name} has {d.train.dim}" for d in domains)
+        raise ValueError(f"all domains must share the feature count: {counts}")
+    workers = _fit_workers(domains, ot)
 
     def represent(pair: str, cloud: EmpiricalDistribution, head) -> EmpiricalDistribution:
         # The transferred representation is the frozen source head's class
@@ -813,7 +837,7 @@ def evaluate_risk_accuracy_pairs(
         return rows
 
     sources = list(range(len(domains)))
-    if _fit_workers(domains, ot) == 1:
+    if workers == 1:
         return run_block(sources)
     first, second = sources[: (len(sources) + 1) // 2], sources[(len(sources) + 1) // 2 :]
     return _run_forked(run_block, first, second, ", ".join(domains[i].name for i in second))

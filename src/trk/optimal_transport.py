@@ -17,7 +17,8 @@ The cost matrix is built in numpy, and the assignment route loads scipy's
 compiled `_lsap` extension by itself, so a one-dimensional run and an
 assignment run import no scipy package.  The assignment falls back to
 `scipy.optimize` if that private module cannot be loaded; the LP route
-imports `scipy.optimize` and Sinkhorn `scipy.special` when they run.
+imports `scipy.optimize` when it runs.  Sinkhorn's log-sum-exp is numpy's
+too, so a Sinkhorn run imports no scipy package either.
 """
 
 from __future__ import annotations
@@ -318,11 +319,20 @@ def _round_to_marginals(plan: np.ndarray, aw: np.ndarray, bw: np.ndarray) -> np.
     return plan
 
 
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(values))) along `axis`, computed in place in `values`.
+
+    Each line is shifted by its max, so no exp overflows (Peyre & Cuturi 2019, ch. 4).
+    """
+    top = values.max(axis=axis, keepdims=True)
+    values -= top
+    np.exp(values, out=values)
+    return np.log(values.sum(axis=axis)) + top.squeeze(axis)
+
+
 def _solve_sinkhorn(
     aw: np.ndarray, bw: np.ndarray, cost: np.ndarray, epsilon: float, max_iter: int
 ) -> np.ndarray:
-    from scipy.special import logsumexp
-
     with np.errstate(divide="ignore"):  # zero weights drop out as -inf
         la, lb = np.log(aw), np.log(bw)
     scaled = -cost / epsilon
@@ -330,8 +340,8 @@ def _solve_sinkhorn(
     g = np.zeros(len(bw))
     violation = np.inf
     for it in range(1, max_iter + 1):
-        f = -epsilon * logsumexp(scaled + g[None, :] / epsilon + lb[None, :], axis=1)
-        g = -epsilon * logsumexp(scaled + f[:, None] / epsilon + la[:, None], axis=0)
+        f = -epsilon * _logsumexp(scaled + (g / epsilon + lb)[None, :], axis=1)
+        g = -epsilon * _logsumexp(scaled + (f / epsilon + la)[:, None], axis=0)
         if it % _SINKHORN_CHECK_EVERY == 0 or it == max_iter:
             plan = np.exp(
                 scaled + f[:, None] / epsilon + g[None, :] / epsilon + la[:, None] + lb[None, :]

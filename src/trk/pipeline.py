@@ -27,11 +27,9 @@ import numpy as np
 from . import __version__
 from .distributions import EmpiricalDistribution, _kl_moments, _w2_moments
 from .finetune import (
-    _HEAD_BUDGET_BYTES,
     SyntheticDomain,
     TrainConfig,
     _fit_workers,
-    _head_bytes,
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
@@ -645,40 +643,8 @@ def _row(
     }
 
 
-def _pair_rows_from_domains(
-    domains: list[SyntheticDomain], cfg: PipelineConfig
-) -> tuple[list[dict], int]:
-    """The pair rows and how many fits ran at once."""
-    results = evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.train, cfg.ot)
-    rows = [_row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk) for r in results]
-    return rows, _fit_workers(domains, cfg.ot)
-
-
-def _check_head_budget(
-    paths: list[str], datasets: list[tuple[EmpiricalDistribution, np.ndarray]], classes: int
-) -> None:
-    """Refuse, before any fit, a class count whose head would not fit the budget.
-
-    A head trains on a dataset's training half, size // 2 of its points.
-    The budget is `finetune._HEAD_BUDGET_BYTES`.  Only a single head above
-    it refuses a run, on any machine: `finetune._fit_workers` holds the W
-    heads that train at once under it by capping W.
-    """
-    n = max(dist.size // 2 for dist, _ in datasets)
-    dim = max(dist.dim for dist, _ in datasets)
-    needed = _head_bytes(n, classes, max(dim, classes))
-    if needed > _HEAD_BUDGET_BYTES:
-        path = next(p for p, (_, labels) in zip(paths, datasets) if labels.max() == classes - 1)
-        raise ValueError(
-            f"{path}: its largest label {classes - 1} makes {classes} classes, and training "
-            f"a head on {n} points would need about {needed / 2**30:.3g} GiB, above the "
-            f"{_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
-        )
-
-
-def _run_empirical(cfg: PipelineConfig) -> tuple[list[dict], int | None]:
-    if cfg.override_risks is not None:
-        return _rows_from_override(cfg), None
+def _empirical_domains(cfg: PipelineConfig) -> list[SyntheticDomain]:
+    """The datasets as domains, named by file stem; only the domains' copies outlive this call."""
     paths = cfg.mode_params["datasets"]
     if len(paths) < 2:
         raise ValueError("empirical mode needs at least 2 datasets (or an override table)")
@@ -691,16 +657,12 @@ def _run_empirical(cfg: PipelineConfig) -> tuple[list[dict], int | None]:
             )
         seen[stem] = path
     datasets = [_ingest_labeled(p, cfg) for p in paths]
+    # Labels of 0 alone make one class, which every training half refuses.
     classes = max(int(labels.max()) for _, labels in datasets) + 1
-    if classes < 2:
-        raise ValueError("datasets contain fewer than 2 classes")
-    _check_head_budget(paths, datasets, classes)
-    domains = [
+    return [
         _dataset_to_domain(p, dist, labels, classes, cfg.seed)
         for p, (dist, labels) in zip(paths, datasets)
     ]
-    del datasets  # the domains hold copies; keep only those alive while training
-    return _pair_rows_from_domains(domains, cfg)
 
 
 def _rows_from_override(cfg: PipelineConfig) -> list[dict]:
@@ -759,11 +721,6 @@ def _gaussian_rows(cfg: PipelineConfig, start: int, stop: int) -> list[dict]:
              **dict(zip(_GAUSSIAN_TERMS, terms)))
         for i, (e_in, out, *terms) in zip(range(start, stop), zip(*(c.tolist() for c in columns)))
     ]
-
-
-def _run_synthetic_office(cfg: PipelineConfig) -> tuple[list[dict], int]:
-    domains = make_synthetic_domains(cfg.seed, **cfg.mode_params)
-    return _pair_rows_from_domains(domains, cfg)
 
 
 def _correlations(rows: list[dict]) -> dict | None:
@@ -829,12 +786,20 @@ def run(cfg: PipelineConfig) -> dict:
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    if cfg.mode == "empirical":
-        rows, workers = _run_empirical(cfg)
-    elif cfg.mode == "gaussian_lab":
+    if cfg.mode == "gaussian_lab":
         rows, workers = _run_gaussian_lab(cfg), None
+    elif cfg.override_risks is not None:
+        rows, workers = _rows_from_override(cfg), None
     else:
-        rows, workers = _run_synthetic_office(cfg)
+        if cfg.mode == "empirical":
+            domains = _empirical_domains(cfg)
+        else:
+            domains = make_synthetic_domains(cfg.seed, **cfg.mode_params)
+        rows = [
+            _row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk)
+            for r in evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.train, cfg.ot)
+        ]
+        workers = _fit_workers(domains, cfg.ot)
     timings["pairs"] = time.perf_counter() - start
 
     report = {

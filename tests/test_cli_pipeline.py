@@ -1769,18 +1769,41 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
-        assert error.startswith(f"{large}: its largest label 1000000 makes 1000001 classes")
+        assert error.startswith("large: its largest label 1000000 makes 1000001 classes")
         assert "above the 1 GiB head budget" in error
+        assert not (tmp_path / "out").exists()
+
+    def test_mixed_feature_counts_are_refused_by_file(self, tmp_path, capsys):
+        line, plane = tmp_path / "line.csv", tmp_path / "plane.csv"
+        line.write_text("x,label\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(8)))
+        plane.write_text("x,y,label\n" + "".join(f"{i / 10},{i / 5},{i % 2}\n" for i in range(8)))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "mode": "empirical",
+            "out_dir": str(tmp_path / "out"),
+            "empirical": {"datasets": [str(line), str(plane)]},
+        }))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "all domains must share the feature count: line has 1, plane has 2"
+        }
         assert not (tmp_path / "out").exists()
 
     def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
         # Two 8-row datasets: heads train on 4 points.  1-D with labels up to
         # 9 makes 10 classes, and the largest head a target head on 10
         # inputs; 12-D with labels up to 1, the source head on 12 inputs.
-        # The refusal names the first dataset holding the largest label.
-        for columns, top, named, needed in (
-            (1, 9, 1, 8 * ((4 * 10 + 10 + 3) * 4 + 10 * 11)),
-            (12, 1, 0, 8 * ((4 * 2 + 12 + 3) * 4 + 2 * 3)),
+        # The refusal names the dataset holding the largest label, or the
+        # longest (the first of equals) and its feature count.  finetune
+        # alone holds the budget.
+        assert "_HEAD_BUDGET_BYTES" not in vars(pipeline)
+        for columns, top, cause, needed in (
+            (1, 9, "b1: its largest label 9 makes 10 classes", 8 * ((4 * 10 + 10 + 3) * 4 + 10 * 11)),
+            (12, 1, "a12: its points have 12 features", 8 * ((4 * 2 + 12 + 3) * 4 + 2 * 3)),
         ):
             paths = []
             header = ",".join(f"x{j}" for j in range(columns))
@@ -1796,14 +1819,12 @@ class TestCli:
             config = {"mode": "empirical", "out_dir": str(tmp_path / f"out{columns}"),
                       "empirical": {"datasets": paths}, "train": {"epochs": 1},
                       "risk_train": {"epochs": 1}}
-            monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed)
+            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed)
             run(PipelineConfig.from_dict(config))
-            monkeypatch.setattr(pipeline, "_HEAD_BUDGET_BYTES", needed - 1)
+            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed - 1)
             with pytest.raises(ValueError) as caught:
                 run(PipelineConfig.from_dict(config))
-            assert str(caught.value).startswith(
-                f"{paths[named]}: its largest label {top} makes {top + 1} classes"
-            )
+            assert str(caught.value).startswith(f"{cause}, and training a head on 4 points")
 
     @staticmethod
     def two_cpus_and_no_crossover(monkeypatch):
@@ -1849,16 +1870,14 @@ class TestCli:
         assert capsys.readouterr().err == ""
 
     def test_head_budget_caps_the_workers_rather_than_refusing(self, tmp_path, monkeypatch):
-        # Heads train on 30 points of 2 classes.  The pipeline holds the
-        # budget under the name it imports from finetune.
+        # Heads train on 30 points of 2 classes.
         config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
                   "empirical": {"datasets": self.line_csvs(tmp_path)},
                   "train": {"epochs": 3}, "risk_train": {"epochs": 1}}
         self.two_cpus_and_no_crossover(monkeypatch)
         head = finetune._head_bytes(30, 2, 2)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
-            for module in (finetune, pipeline):
-                monkeypatch.setattr(module, "_HEAD_BUDGET_BYTES", budget)
+            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert run(PipelineConfig.from_dict(config))["workers"] == workers
 
     def test_report_records_the_fit_workers(self, tmp_path, office_report, random_report):
@@ -1904,6 +1923,7 @@ class TestCli:
             ("ingest_check", "scipy"),
             ("fit_combiner", "scipy"),
             ("synthetic_office", "scipy.stats scipy.optimize scipy.spatial scipy.sparse"),
+            ("sinkhorn", "scipy"),
         ],
         ids=lambda value: value.split()[0],  # the first forbidden package names the case
     )
@@ -1926,6 +1946,10 @@ class TestCli:
                 "train": {"epochs": 5},
                 "risk_train": {"epochs": 2},
             },
+        }
+        configs["sinkhorn"] = {
+            **configs["synthetic_office"],
+            "divergence": {"method": "sinkhorn", "sinkhorn_epsilon": 0.2},
         }
         if command == "version":
             argv = ["--version"]

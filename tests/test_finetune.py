@@ -771,6 +771,40 @@ class TestEvaluatePairs:
             evaluate_risk_accuracy_pairs(domains[:1])
 
     @staticmethod
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    def test_mixed_feature_counts_are_refused_before_any_fit(self, monkeypatch):
+        plane = make_synthetic_domains(3, samples_per_domain=60)
+        monkeypatch.setattr(finetune, "train_classifier", self.no_fit)
+        with pytest.raises(ValueError) as caught:
+            evaluate_risk_accuracy_pairs(plane[:2] + line_domains(30, classes=3, names="x"))
+        assert str(caught.value) == (
+            "all domains must share the feature count: domain_a has 2, domain_b has 2, x has 1"
+        )
+
+    def test_a_head_above_the_budget_is_refused_before_any_fit(self, monkeypatch):
+        # 2-D 3-class domains of 30 training points: the largest head is a
+        # target head on 3 inputs, so the classes name the cause.
+        domains = make_synthetic_domains(3, samples_per_domain=60)
+        needed = finetune._head_bytes(30, 3, 3)
+        monkeypatch.setattr(finetune, "train_classifier", self.no_fit)
+        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed)
+        with pytest.raises(AssertionError, match="a fit ran"):
+            evaluate_risk_accuracy_pairs(domains)
+        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed - 1)
+        with pytest.raises(ValueError) as caught:
+            evaluate_risk_accuracy_pairs(domains)
+        assert str(caught.value).startswith(
+            "domain_a: its largest label 2 makes 3 classes, and training a head on 30 points "
+            f"would need about {needed / 2**30:.3g} GiB, above the "
+        )
+        # A class count that no label reaches is named as declared.
+        declared = [replace(d, classes=4) for d in domains]
+        with pytest.raises(ValueError, match="^the domains declare 4 classes, and training"):
+            evaluate_risk_accuracy_pairs(declared)
+
+    @staticmethod
     def blob_domain(name, center, rng, padded=False):
         """A 1-D two-class domain of 200 points, halved into train and held-out.
 
@@ -1198,9 +1232,15 @@ class TestConcurrentFits:
         # Three classes on 1-D domains: the target head, on 3 inputs, is the largest.
         head = finetune._head_bytes(20, 3, 3)
         assert head == 8 * ((4 * 3 + 3 + 3) * 20 + 3 * 4)
-        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1), (head - 1, 1)):
+        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
-            assert finetune._fit_workers(domains, ot) == workers  # the pipeline refuses head - 1
+            assert finetune._fit_workers(domains, ot) == workers
+        # Not even one head fits: refused ahead of every other gate.
+        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", head - 1)
+        for min_points in (20, 600):
+            monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", min_points)
+            with pytest.raises(ValueError, match="makes 3 classes, and training a head on 20 points"):
+                finetune._fit_workers(domains, ot)
 
     def test_only_one_dimensional_quantile_sweeps_run_at_once(self, monkeypatch):
         # Any other input risk builds a dense matrix that DENSE_BUDGET_BYTES
