@@ -29,7 +29,7 @@ import signal
 import sys
 import threading
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
@@ -66,9 +66,9 @@ _PLATEAU_TOL = 1e-9
 # 3 000 points; below 600, 2- and 3-domain runs read 1.03-1.37x, too close
 # to the host's noise to count as a gain.
 _CONCURRENT_MIN_POINTS = 600
-# Most fits `evaluate_risk_accuracy_pairs` runs at once: the two processes
-# the crossover above was measured with.  More are not measured until a
-# host with more cores shows a gain.
+# Most processes a run splits its work over (`_fork_workers`): the two the
+# crossovers of the fits and of `gaussian_lab` were measured with.  More are
+# not measured until a host with more cores shows a gain.
 _MAX_FIT_WORKERS = 2
 # Bytes the classifier heads of one run may take while they train
 # (`_head_bytes` each).  `_fit_workers` refuses a run whose single largest
@@ -584,17 +584,27 @@ def _head_bytes(n: int, classes: int, in_dim: int) -> int:
     return 8 * ((4 * classes + in_dim + 3) * n + classes * (classes + 1))
 
 
+def _fork_workers() -> int:
+    """How many processes a run may split its work over through `_run_forked`.
+
+    One per CPU in the process's affinity mask, at most `_MAX_FIT_WORKERS`.
+    1 off Linux, where `os.fork` is missing or not the measured route, and
+    while another Python thread runs, whose locks a forked child could
+    inherit held.
+    """
+    if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS)
+
+
 def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
     """How many processes `evaluate_risk_accuracy_pairs` runs its fits on over `domains`.
 
-    One per CPU in the process's affinity mask, at most `_MAX_FIT_WORKERS`,
-    and no more heads of the run's largest size than `_HEAD_BUDGET_BYTES`
-    holds.  1 while every training half is below `_CONCURRENT_MIN_POINTS`
-    points, and 1 unless every domain is 1-D and `ot` takes the quantile
-    sweep there: any other input risk builds a dense matrix that
-    `DENSE_BUDGET_BYTES` bounds only one solve at a time.  1 too off Linux,
-    where `os.fork` is missing or not the measured route, and while another
-    Python thread runs, whose locks a forked child could inherit held.
+    `_fork_workers()`, and no more heads of the run's largest size than
+    `_HEAD_BUDGET_BYTES` holds.  1 while every training half is below
+    `_CONCURRENT_MIN_POINTS` points, and 1 unless every domain is 1-D and
+    `ot` takes the quantile sweep there: any other input risk builds a
+    dense matrix that `DENSE_BUDGET_BYTES` bounds only one solve at a time.
 
     Raises:
         ValueError: if not even one head fits the budget, naming what makes
@@ -619,13 +629,11 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
         )
     if n < _CONCURRENT_MIN_POINTS or ot.method != "auto" or any(d.train.dim != 1 for d in domains):
         return 1
-    if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS, heads)
+    return min(_fork_workers(), heads)
 
 
 def _send_from_child(
-    run: Callable[[list[int]], list], block: list[int], pipe_fd: int, parent: int
+    run: Callable[[Sequence[int]], list], block: Sequence[int], pipe_fd: int, parent: int
 ) -> NoReturn:
     """In a child forked by `parent`: `run(block)`, its result or its error pickled into `pipe_fd`.
 
@@ -657,16 +665,17 @@ def _send_from_child(
 
 
 def _run_forked(
-    run: Callable[[list[int]], list], first: list[int], second: list[int], second_names: str
+    run: Callable[[Sequence[int]], list], first: Sequence[int], second: Sequence[int],
+    child: str,
 ) -> list:
     """`run(first)` in this process and `run(second)` in a forked child, joined in that order.
 
     The child sends back its results, or its first error, pickled through
     a pipe.  This process's own error is raised as it happens, and the
     child is then killed; otherwise the child's error is raised, and a
-    child that ends without sending anything raises a RuntimeError naming
-    `second_names`.  The child is reaped before this returns or raises, on
-    an interrupt too.
+    child that ends without sending anything raises a RuntimeError that
+    opens with `child`, what the child ran ("the process for ...").  The
+    child is reaped before this returns or raises, on an interrupt too.
     """
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
@@ -676,7 +685,7 @@ def _run_forked(
             # one OS thread, and numpy's OpenBLAS starts its pool at import.
             # OpenBLAS's pthread_atfork handler shuts that pool down before
             # the fork, so the child inherits none of its locks;
-            # `_fit_workers` admits no other Python thread.
+            # `_fork_workers` admits no other Python thread.
             warnings.filterwarnings(
                 "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
             )
@@ -705,9 +714,7 @@ def _run_forked(
     if not payload:
         code = os.waitstatus_to_exitcode(status)
         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise RuntimeError(
-            f"the fit process for source domains {second_names} ended without a result ({how})"
-        )
+        raise RuntimeError(f"{child} ended without a result ({how})")
     ok, value = pickle.loads(payload)
     if not ok:
         raise value
@@ -840,4 +847,5 @@ def evaluate_risk_accuracy_pairs(
     if workers == 1:
         return run_block(sources)
     first, second = sources[: (len(sources) + 1) // 2], sources[(len(sources) + 1) // 2 :]
-    return _run_forked(run_block, first, second, ", ".join(domains[i].name for i in second))
+    names = ", ".join(domains[i].name for i in second)
+    return _run_forked(run_block, first, second, f"the fit process for source domains {names}")

@@ -30,6 +30,8 @@ from .finetune import (
     SyntheticDomain,
     TrainConfig,
     _fit_workers,
+    _fork_workers,
+    _run_forked,
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
@@ -53,6 +55,21 @@ _BLOCK_BYTES = 2 * 2**20
 # Float (dim + 1)^2 matrices a pair keeps alive at the peak of a block
 # (9.9 under tracemalloc at dim 64 and at dim 150).
 _PAIR_MATRICES = 10
+# Pairs from which a gaussian_lab run computes its rows on two processes
+# (`_gaussian_workers`).  A fork, pipe and reap of an empty child cost about
+# 5 ms here, and one of half the rows about 8 ms.  Run in-process on a 2-CPU
+# host, 15-21 alternating pairs per size, two processes ran at a median
+# 1.12-1.19x serial speed at dims 1-2 from 500 pairs (lower quartile
+# 1.02-1.09x) but 1.06-1.10x at 400, and at 1.31x at dim 8 from 300 pairs
+# and 1.5-1.6x from 500.
+_CONCURRENT_MIN_PAIRS = 500
+# Largest `dim` a gaussian_lab run computes on two processes.  From 26 on,
+# OpenBLAS runs the stacked `eigh` of `psd_sqrt` on a thread per CPU in
+# each process, and the two pools contend for the cores: at 200 pairs two
+# processes ran at a median 0.11-0.55x serial speed at dims 26-64, against
+# 1.47-1.69x at dims 12-25, and 1.6-1.9x at dim 32 under
+# OPENBLAS_NUM_THREADS=1.
+_CONCURRENT_MAX_DIM = 25
 # The closed forms of a gaussian_lab row besides its risks.
 _GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
 
@@ -683,11 +700,41 @@ def _block_pairs(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (_PAIR_MATRICES * 8 * (dim + 1) ** 2))
 
 
-def _run_gaussian_lab(cfg: PipelineConfig) -> list[dict]:
-    n_pairs, size = cfg.mode_params["n_pairs"], _block_pairs(cfg.mode_params["dim"])
+def _gaussian_workers(params: dict) -> int:
+    """How many processes compute the rows of a gaussian_lab run of `params`.
+
+    `_fork_workers()` from `_CONCURRENT_MIN_PAIRS` pairs and up to
+    `_CONCURRENT_MAX_DIM` dimensions; 1 otherwise, which forks nothing.
+    """
+    if params["n_pairs"] < _CONCURRENT_MIN_PAIRS or params["dim"] > _CONCURRENT_MAX_DIM:
+        return 1
+    return _fork_workers()
+
+
+def _run_gaussian_lab(cfg: PipelineConfig, workers: int = 1) -> list[dict]:
+    """The rows of every pair, on `workers` processes: one, or two through `_run_forked`.
+
+    On two, the pairs split into two contiguous halves, the first no
+    smaller; this process computes the first and a forked child the second.
+    Row i is a function of seed + i alone, so the rows, and the first
+    failing pair named, are those of one process.
+    """
+    n_pairs = cfg.mode_params["n_pairs"]
+    if workers == 1:
+        return _gaussian_half(cfg, range(n_pairs))
+    half = (n_pairs + 1) // 2
+    return _run_forked(
+        lambda pairs: _gaussian_half(cfg, pairs), range(half), range(half, n_pairs),
+        f"the process for pairs task_{half}..task_{n_pairs - 1}",
+    )
+
+
+def _gaussian_half(cfg: PipelineConfig, pairs: range) -> list[dict]:
+    """The rows of `pairs`, in blocks of `_block_pairs`; a failing block names its first bad pair."""
+    size = _block_pairs(cfg.mode_params["dim"])
     rows = []
-    for start in range(0, n_pairs, size):
-        stop = min(start + size, n_pairs)
+    for start in range(pairs.start, pairs.stop, size):
+        stop = min(start + size, pairs.stop)
         try:
             rows += _gaussian_rows(cfg, start, stop)
         except ValueError:
@@ -765,6 +812,23 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.dot(*units), -1.0, 1.0))
 
 
+def _report_text(report: dict) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)`, its flat rows encoded by json's C encoder.
+
+    With an indent json always runs its pure-Python encoder; without one it
+    runs the C encoder, which the row separator below makes lay out each
+    row's keys as the indent would.  The rows are spliced in at the report's
+    one top-level `"rows": []` line: nested keys sit deeper, and a string
+    holds no raw newline.
+    """
+    text = json.dumps({**report, "rows": []}, indent=2, sort_keys=True)
+    if not report["rows"]:
+        return text
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+    rows = ",\n    ".join(f"{{\n      {encode(row)[1:-1]}\n    }}" for row in report["rows"])
+    return text.replace('\n  "rows": [],\n', f'\n  "rows": [\n    {rows}\n  ],\n', 1)
+
+
 def _write_outputs(report: dict, rows: list[dict], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     # csv quotes a name holding a comma, quote or newline; None is an empty cell.
@@ -773,21 +837,22 @@ def _write_outputs(report: dict, rows: list[dict], out_dir: Path) -> None:
         writer.writerow(_CSV_COLUMNS)
         writer.writerows([row[c] for c in _CSV_COLUMNS] for row in rows)
     with open(out_dir / "report.json", "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_report_text(report) + "\n")
 
 
 def run(cfg: PipelineConfig) -> dict:
     """Execute the configured experiment and write report.json and pairs.csv.
 
     Returns the report document.  The pair table is a deterministic function
-    of the config and seed; wall-clock timings and `workers`, how many fits
-    ran at once (None when the run fits nothing), live only in the report.
+    of the config and seed; wall-clock timings and `workers`, how many
+    processes computed the rows (None for a risk table, which computes
+    none), live only in the report.
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
     if cfg.mode == "gaussian_lab":
-        rows, workers = _run_gaussian_lab(cfg), None
+        workers = _gaussian_workers(cfg.mode_params)
+        rows = _run_gaussian_lab(cfg, workers)
     elif cfg.override_risks is not None:
         rows, workers = _rows_from_override(cfg), None
     else:

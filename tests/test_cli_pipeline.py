@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,6 +19,7 @@ from scipy import stats
 
 import oracles
 import trk
+from test_finetune import assert_no_child_left
 from trk import __version__, finetune, pipeline
 from trk import optimal_transport as ot_module
 from trk.cli import main
@@ -927,6 +929,125 @@ class TestGaussianLabMode:
         assert laws == []
 
 
+def force_gaussian_workers(monkeypatch, workers):
+    """Compute every gaussian_lab run's rows on `workers` processes, whatever its size."""
+    monkeypatch.setattr(pipeline, "_gaussian_workers", lambda params: workers)
+
+
+class TestGaussianLabProcesses:
+    """A gaussian_lab run on two processes is its one-process run."""
+
+    @pytest.mark.parametrize("kind", ["kl", "wasserstein"])
+    @pytest.mark.parametrize("identical", [False, True])
+    def test_two_processes_give_the_one_process_outputs(
+        self, tmp_path, monkeypatch, kind, identical
+    ):
+        # Blocks of 4 pairs: the second half starts at pair 7, mid-block.
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 4 * 10 * 8 * 5**2)
+        assert pipeline._block_pairs(4) == 4
+        outputs = {}
+        for workers in (1, 2):
+            force_gaussian_workers(monkeypatch, workers)
+            cfg = gaussian_lab_config(
+                tmp_path / str(workers), seed=7, divergence={"kind": kind},
+                gaussian_lab={"dim": 4, "n_pairs": 13, "identical_tasks": identical},
+            )
+            report = run(cfg)
+            assert report["workers"] == workers
+            outputs[workers] = (report["rows"], (cfg.out_dir / "pairs.csv").read_bytes())
+        assert outputs[2] == outputs[1]
+        assert len(outputs[1][0]) == 13
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "plants,named",
+        [
+            ({9: "zero_variance"}, 9),  # in the child's half, mid-block
+            ({11: "indefinite"}, 11),
+            ({5: "singular", 9: "indefinite"}, 5),  # one in each half: the parent's
+        ],
+    )
+    def test_a_failing_pair_is_named_as_on_one_process(
+        self, tmp_path, monkeypatch, plants, named
+    ):
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 4 * 10 * 8 * 4**2)
+        seed = 30
+        plant_source(monkeypatch, {seed + i: plant for i, plant in plants.items()})
+        errors = {}
+        for workers in (1, 2):
+            force_gaussian_workers(monkeypatch, workers)
+            cfg = gaussian_lab_config(
+                tmp_path, seed=seed, gaussian_lab={"dim": 3, "n_pairs": 14}
+            )
+            with pytest.raises(ValueError) as caught:
+                run(cfg)
+            errors[workers] = str(caught.value)
+        assert errors[2] == errors[1]
+        assert errors[1].startswith(f"task_{named}: ")
+        assert not (tmp_path / "report.json").exists()
+        assert_no_child_left()
+
+    def test_a_child_that_ends_without_a_result_names_its_pairs(self, tmp_path, monkeypatch):
+        rows, parent = pipeline._gaussian_rows, os.getpid()
+
+        def die_in_the_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rows(*args)
+
+        monkeypatch.setattr(pipeline, "_gaussian_rows", die_in_the_child)
+        force_gaussian_workers(monkeypatch, 2)
+        cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": 2, "n_pairs": 13})
+        with pytest.raises(RuntimeError) as caught:
+            run(cfg)
+        assert str(caught.value) == (
+            "the process for pairs task_7..task_12 ended without a result (exit code 3)"
+        )
+        assert_no_child_left()
+
+    def test_workers_follow_the_crossover_the_dim_and_the_fork_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        least, widest = pipeline._CONCURRENT_MIN_PAIRS, pipeline._CONCURRENT_MAX_DIM
+        assert pipeline._gaussian_workers({"n_pairs": least, "dim": widest}) == 2
+        assert pipeline._gaussian_workers({"n_pairs": least - 1, "dim": 2}) == 1
+        assert pipeline._gaussian_workers({"n_pairs": least, "dim": widest + 1}) == 1
+        # The fit schedule's rule: one CPU, or another Python thread, forks nothing.
+        params = {"n_pairs": least, "dim": 8}
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert pipeline._gaussian_workers(params) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert pipeline._gaussian_workers(params) == 1
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert pipeline._gaussian_workers(params) == 2
+
+    def test_the_crossover_gives_the_one_cpu_pairs(self, tmp_path, monkeypatch):
+        # Unforced, at the crossover: one CPU (`taskset -c 0`) forks nothing,
+        # and two run the pairs on two processes.
+        def no_fork():
+            raise AssertionError("forked")
+
+        n_pairs = pipeline._CONCURRENT_MIN_PAIRS
+        tables = {}
+        for cpus in ({0}, {0, 1}):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                if len(cpus) == 1:
+                    patch.setattr(os, "fork", no_fork)
+                out = tmp_path / str(len(cpus))
+                report = run(gaussian_lab_config(out, gaussian_lab={"dim": 2, "n_pairs": n_pairs}))
+            assert report["workers"] == len(cpus)
+            tables[len(cpus)] = (out / "pairs.csv").read_bytes()
+        assert tables[2] == tables[1]
+        assert_no_child_left()
+
+
 class TestEmpiricalOverride:
     def make_config(self, tmp_path, table):
         raw = {"mode": "empirical", "out_dir": str(tmp_path / "out"), "combiner": STUDY_COMBINER}
@@ -1243,6 +1364,50 @@ class TestSyntheticOfficeMode:
             assert float(e_in) == row["input_risk"]
             assert float(e_out) == row["output_risk"]
             assert float(risk) == row["transfer_risk"]
+
+
+class TestReportWriter:
+    """report.json holds the bytes of `json.dumps(report, indent=2, sort_keys=True)` + newline."""
+
+    @staticmethod
+    def assert_indented_json(out_dir):
+        text = (out_dir / "report.json").read_text(encoding="ascii")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        return json.loads(text)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gaussian_lab(self, tmp_path, monkeypatch, workers):
+        force_gaussian_workers(monkeypatch, workers)
+        cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": 3, "n_pairs": 9})
+        report = run(cfg)
+        assert self.assert_indented_json(tmp_path)["rows"] == report["rows"]
+
+    def test_synthetic_office(self, office_report):
+        report, cfg = office_report
+        assert self.assert_indented_json(cfg.out_dir)["rows"] == report["rows"]
+
+    def test_empirical_with_a_stem_that_looks_like_json(self, tmp_path):
+        # The stem holds a comma, a double quote, a non-ASCII letter and the
+        # text of the line the rows are spliced in at.
+        odd = write_blob_csv(tmp_path / 'x,"rows": [],é.csv', 0.0, 1)
+        plain = write_blob_csv(tmp_path / "plain.csv", 0.6, 2)
+        cfg = PipelineConfig.from_dict({
+            "mode": "empirical", "out_dir": str(tmp_path / "out"),
+            "empirical": {"datasets": [str(odd), str(plain)]},
+            "train": {"epochs": 2}, "risk_train": {"epochs": 1},
+        })
+        report = run(cfg)
+        on_disk = self.assert_indented_json(cfg.out_dir)
+        assert on_disk["rows"] == report["rows"]
+        assert [row["source"] for row in on_disk["rows"]] == ['x,"rows": [],é', "plain"]
+
+    def test_override_risks(self, tmp_path):
+        table = write_study_table(tmp_path / "table.csv")
+        cfg = PipelineConfig.from_dict(
+            {"mode": "empirical", "out_dir": str(tmp_path / "out")}, override_risks=table
+        )
+        report = run(cfg)
+        assert self.assert_indented_json(cfg.out_dir)["rows"] == report["rows"]
 
 
 class TestFitCombiner:
@@ -1882,7 +2047,7 @@ class TestCli:
 
     def test_report_records_the_fit_workers(self, tmp_path, office_report, random_report):
         assert office_report[0]["workers"] == 1  # 200-point fits stay below the crossover
-        assert random_report["workers"] is None  # gaussian_lab fits nothing
+        assert random_report["workers"] == 1  # 8 pairs stay below the crossover
         table = write_study_table(tmp_path / "table.csv")
         cfg = PipelineConfig.from_dict({"mode": "empirical", "out_dir": str(tmp_path / "out")},
                                        override_risks=table)
