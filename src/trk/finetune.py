@@ -10,6 +10,8 @@ accuracy on held-out data.  Both run one epoch loop, `_descend`; they differ
 in its stop rule (the exact budget against a plateau), its improvement test
 (strict against `_PLATEAU_TOL`) and what follows it (one more evaluation of
 the output map against scoring the head on the held-out split).
+The module also holds the process split, `_run_forked`, that these fits and
+the pipeline's `gaussian_lab` rows run on.
 
 Output maps are scalar.  The risk objective is the exact quantile-coupling
 Wasserstein cost W_p^p, which is piecewise smooth in the parameters;
@@ -665,18 +667,25 @@ def _send_from_child(
 
 
 def _run_forked(
-    run: Callable[[Sequence[int]], list], first: Sequence[int], second: Sequence[int],
-    child: str,
+    run: Callable[[Sequence[int]], list], items: Sequence[int], workers: int,
+    child: Callable[[Sequence[int]], str],
 ) -> list:
-    """`run(first)` in this process and `run(second)` in a forked child, joined in that order.
+    """`run(items)` on `workers` processes, one or two, joined in item order.
 
-    The child sends back its results, or its first error, pickled through
-    a pipe.  This process's own error is raised as it happens, and the
-    child is then killed; otherwise the child's error is raised, and a
+    On one, `run(items)` in this process, which forks nothing.  On two, the
+    items split into two contiguous halves, the first no smaller: `run` of
+    the first runs in this process and `run` of the second in a forked
+    child, which sends back its results, or its first error, pickled
+    through a pipe.  This process's own error is raised as it happens, and
+    the child is then killed; otherwise the child's error is raised, and a
     child that ends without sending anything raises a RuntimeError that
-    opens with `child`, what the child ran ("the process for ...").  The
-    child is reaped before this returns or raises, on an interrupt too.
+    opens with `child(second)`, what the child ran ("the process for ...").
+    The child is reaped before this returns or raises, on an interrupt too.
     """
+    if workers == 1:
+        return run(items)
+    half = (len(items) + 1) // 2
+    first, second = items[:half], items[half:]
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
@@ -714,7 +723,7 @@ def _run_forked(
     if not payload:
         code = os.waitstatus_to_exitcode(status)
         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise RuntimeError(f"{child} ended without a result ({how})")
+        raise RuntimeError(f"{child(second)} ended without a result ({how})")
     ok, value = pickle.loads(payload)
     if not ok:
         raise value
@@ -745,12 +754,10 @@ def evaluate_risk_accuracy_pairs(
 
     The fits run on `_fit_workers(domains, ot)` processes: two, on Linux,
     for 1-D domains whose training halves reach `_CONCURRENT_MIN_POINTS`
-    points, and otherwise one, which forks nothing.  On two, the source
-    domains are split into two contiguous blocks, the first no smaller.
-    This process runs the first and a forked child the second, each in
-    pair order; the child solves again, in the direction of its first
-    ordered pair, the input risk of a pair whose first ordered pair lies in
-    the first block.  Every fit is a pure
+    points, and otherwise one.  `_run_forked` splits the source domains
+    between them, each half in pair order; the second half solves again,
+    in the direction of its first ordered pair, the input risk of a pair
+    whose first ordered pair lies in the first.  Every fit is a pure
     function of its inputs and seed, so the rows, and the first error in
     pair order, are those of one process.
 
@@ -802,7 +809,7 @@ def evaluate_risk_accuracy_pairs(
         for source in domains
     ]
 
-    def run_block(sources: list[int]) -> list[PairResult]:
+    def run_block(sources: Sequence[int]) -> list[PairResult]:
         # Each source head, then per ordered pair its input risk, the target
         # points' representation, the output-map descent and the target head.
         rows: list[PairResult] = []
@@ -843,9 +850,8 @@ def evaluate_risk_accuracy_pairs(
                 )
         return rows
 
-    sources = list(range(len(domains)))
-    if workers == 1:
-        return run_block(sources)
-    first, second = sources[: (len(sources) + 1) // 2], sources[(len(sources) + 1) // 2 :]
-    names = ", ".join(domains[i].name for i in second)
-    return _run_forked(run_block, first, second, f"the fit process for source domains {names}")
+    return _run_forked(
+        run_block, range(len(domains)), workers,
+        lambda second: "the fit process for source domains "
+        + ", ".join(domains[i].name for i in second),
+    )

@@ -345,8 +345,7 @@ class PipelineConfig:
     def from_json(
         path: str | Path, overrides: dict | None = None, override_risks: str | Path | None = None
     ) -> "PipelineConfig":
-        with open(path) as handle:
-            raw = json.load(handle)
+        raw = _load_json(path)
         if not isinstance(raw, dict):
             raise ValueError("config root must be a JSON object")
         raw.update(overrides or {})
@@ -389,6 +388,17 @@ def _open_text(path: str | Path, newline: str | None = None):
             yield handle
         except UnicodeDecodeError:
             raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def _load_json(path: str | Path):
+    """The JSON document in `path`; text that is not UTF-8 or not JSON fails naming the file."""
+    with _open_text(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: invalid JSON at line {err.lineno}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _ingest_csv(path: Path, label_column: str) -> tuple[EmpiricalDistribution, np.ndarray]:
@@ -543,13 +553,7 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
 
 
 def _ingest_json(path: Path) -> tuple[EmpiricalDistribution, np.ndarray]:
-    with _open_text(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON at line {err.lineno}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    payload = _load_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: top level must be an object")
     _reject_unknown(payload, {"features", "labels", "weights"}, str(path))
@@ -701,32 +705,16 @@ def _block_pairs(dim: int) -> int:
 
 
 def _gaussian_workers(params: dict) -> int:
-    """How many processes compute the rows of a gaussian_lab run of `params`.
+    """How many processes `_run_forked` splits a gaussian_lab run of `params` over.
 
     `_fork_workers()` from `_CONCURRENT_MIN_PAIRS` pairs and up to
-    `_CONCURRENT_MAX_DIM` dimensions; 1 otherwise, which forks nothing.
+    `_CONCURRENT_MAX_DIM` dimensions; 1 otherwise.  Row i is a function of
+    seed + i alone, so the rows, and the first failing pair named, are
+    those of one process.
     """
     if params["n_pairs"] < _CONCURRENT_MIN_PAIRS or params["dim"] > _CONCURRENT_MAX_DIM:
         return 1
     return _fork_workers()
-
-
-def _run_gaussian_lab(cfg: PipelineConfig, workers: int = 1) -> list[dict]:
-    """The rows of every pair, on `workers` processes: one, or two through `_run_forked`.
-
-    On two, the pairs split into two contiguous halves, the first no
-    smaller; this process computes the first and a forked child the second.
-    Row i is a function of seed + i alone, so the rows, and the first
-    failing pair named, are those of one process.
-    """
-    n_pairs = cfg.mode_params["n_pairs"]
-    if workers == 1:
-        return _gaussian_half(cfg, range(n_pairs))
-    half = (n_pairs + 1) // 2
-    return _run_forked(
-        lambda pairs: _gaussian_half(cfg, pairs), range(half), range(half, n_pairs),
-        f"the process for pairs task_{half}..task_{n_pairs - 1}",
-    )
 
 
 def _gaussian_half(cfg: PipelineConfig, pairs: range) -> list[dict]:
@@ -852,7 +840,10 @@ def run(cfg: PipelineConfig) -> dict:
     start = time.perf_counter()
     if cfg.mode == "gaussian_lab":
         workers = _gaussian_workers(cfg.mode_params)
-        rows = _run_gaussian_lab(cfg, workers)
+        rows = _run_forked(
+            lambda pairs: _gaussian_half(cfg, pairs), range(cfg.mode_params["n_pairs"]), workers,
+            lambda pairs: f"the process for pairs task_{pairs[0]}..task_{pairs[-1]}",
+        )
     elif cfg.override_risks is not None:
         rows, workers = _rows_from_override(cfg), None
     else:

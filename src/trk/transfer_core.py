@@ -173,6 +173,7 @@ def output_risk_w(model: AffineModel, law_xt: GaussianLike, target_out: Gaussian
         )
     return gaussian_w2(_gaussian_pushforward(law_xt, model), target_out)
 
+
 def combine(
     combiner: PolynomialCombiner, input_risk_value: float, output_risk_value: float
 ) -> float:

@@ -850,23 +850,24 @@ class TestGaussianLabMode:
         dim = 64
         block = pipeline._block_pairs(dim)
         assert 1 < block < 20
-        cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": dim, "n_pairs": 2 * block + 1})
-        pipeline._run_gaussian_lab(cfg)  # warm numpy's caches before measuring
+        n_pairs = 2 * block + 1
+        cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": dim, "n_pairs": n_pairs})
+        pipeline._gaussian_half(cfg, range(n_pairs))  # warm numpy's caches before measuring
         tracemalloc.start()
         try:
-            rows = pipeline._run_gaussian_lab(cfg)
+            rows = pipeline._gaussian_half(cfg, range(n_pairs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rows) == 2 * block + 1
+        assert len(rows) == n_pairs
         assert peak <= pipeline._BLOCK_BYTES + 64 * 2**10
 
     def test_pair_over_budget_runs_as_a_block_of_one(self, tmp_path, monkeypatch):
         cfg = gaussian_lab_config(tmp_path, gaussian_lab={"dim": 8, "n_pairs": 4})
-        expected = pipeline._run_gaussian_lab(cfg)
+        expected = pipeline._gaussian_half(cfg, range(4))
         monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 1024)
         assert pipeline._block_pairs(8) == 1
-        assert pipeline._run_gaussian_lab(cfg) == expected
+        assert pipeline._gaussian_half(cfg, range(4)) == expected
 
     def test_output_risk_follows_divergence_kind(self, random_report, tmp_path):
         for row in random_report["rows"]:
@@ -1551,6 +1552,14 @@ BAD_NUMBER_TABLES = [
 ]
 
 
+# Config files `trk run --config` must refuse naming the file, as bytes.
+BAD_CONFIG_FILES = [
+    ("truncated", b'{"mode": "gaussian_lab", "se', "invalid JSON at line 1"),
+    ("not_utf8", b'\xff{"mode": "gaussian_lab"}', "not UTF-8 text"),
+    ("too_deep", b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+]
+
+
 class TestCli:
     def run_config(self, tmp_path, **extra):
         raw = {"mode": "gaussian_lab", "out_dir": str(tmp_path / "out"), **extra}
@@ -1772,6 +1781,19 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == f"{table}: {where}"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name,body,where", BAD_CONFIG_FILES, ids=[c[0] for c in BAD_CONFIG_FILES]
+    )
+    def test_bad_config_file_is_named(self, tmp_path, capsys, name, body, where):
+        config = tmp_path / f"{name}.json"
+        config.write_bytes(body)
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": f"{config}: {where}"}
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1

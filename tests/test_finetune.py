@@ -1,5 +1,6 @@
 """Tests for gradient-descent risk minimization and classifier training."""
 
+import ast
 import itertools
 import os
 import pickle
@@ -1291,6 +1292,38 @@ class TestConcurrentFits:
         )
         assert len(rows) == 6
         assert started == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_two_workers_split_contiguous_halves_the_first_no_smaller(self, n):
+        parent = os.getpid()
+        blocks = finetune._run_forked(
+            lambda items: [(os.getpid() == parent, list(items))], range(n), 2, str
+        )
+        half = (n + 1) // 2
+        assert blocks == [(True, list(range(half))), (False, list(range(half, n)))]
+        assert finetune._run_forked(lambda items: list(items), range(n), 1, str) == list(range(n))
+        assert_no_child_left()
+
+    def test_the_only_fork_is_in_run_forked(self):
+        # One split rule: a new fork site goes through `_run_forked`.
+        forks = []
+
+        def visit(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, module, child.name)
+                    continue
+                if (
+                    isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name)
+                    and (child.func.value.id, child.func.attr) == ("os", "fork")
+                ):
+                    forks.append((module, function))
+                visit(child, module, function)
+
+        for path in sorted(Path(finetune.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        assert forks == [("finetune", "_run_forked")]
 
 
 class TestWassersteinHeuristicBound:
