@@ -112,17 +112,16 @@ def _checked_joint(
     return _symmetric_part(cov_xx), _symmetric_part(cov_yy)
 
 
-def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix, or of each of a stack, via eigendecomposition.
 
-    Eigenvalues in [-eig_tol, 0] are clamped to zero; anything below
-    -eig_tol raises, because that is an indefinite input rather than
+    Eigenvalues in [-PSD_EIG_TOL, 0] are clamped to zero; anything below
+    -PSD_EIG_TOL raises, because that is an indefinite input rather than
     round-off.
 
     Args:
         mat: symmetric PSD matrix, shape (d, d), or a stack of them, shape
             (..., d, d).
-        eig_tol: tolerance for negative eigenvalues attributed to round-off.
 
     Returns:
         Symmetric S of the shape of `mat` with S @ S == mat (up to round-off).
@@ -135,7 +134,7 @@ def psd_sqrt(mat: np.ndarray, *, eig_tol: float = PSD_EIG_TOL) -> np.ndarray:
     if not _is_symmetric(mat):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(_symmetric_part(mat))
-    if vals.min(initial=0.0) < -eig_tol:
+    if vals.min(initial=0.0) < -PSD_EIG_TOL:
         raise ValueError(
             f"matrix is not positive semi-definite: min eigenvalue {vals.min():.3e}"
         )
@@ -206,8 +205,8 @@ class EmpiricalDistribution:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
             points = points[:, None]
-        n = points.shape[0]
-        return cls(points, np.full(n, 1.0 / n))
+        # An array division: no points give no weights, which the class refuses.
+        return cls(points, np.ones(len(points)) / len(points))
 
     @property
     def size(self) -> int:
@@ -231,13 +230,6 @@ class EmpiricalDistribution:
             arr.flags.writeable = False
         return side
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    def cov(self) -> np.ndarray:
-        centered = self.points - self.mean()
-        return (centered * self.weights[:, None]).T @ centered
-
 
 @dataclass(frozen=True)
 class Gaussian1D:
@@ -255,9 +247,6 @@ class Gaussian1D:
             raise ValueError(f"variance must be positive, got {variance!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", variance)
-
-    def as_nd(self) -> "GaussianND":
-        return GaussianND(np.array([self.mean]), np.array([[self.variance]]))
 
 
 @dataclass(frozen=True)
@@ -343,9 +332,6 @@ class GaussianJoint:
     def x_marginal(self) -> GaussianND:
         return GaussianND._checked_by_joint(self.mean_x, self.cov_xx)
 
-    def y_marginal(self) -> GaussianND:
-        return GaussianND._checked_by_joint(self.mean_y, self.cov_yy)
-
     def full(self) -> GaussianND:
         mean = np.concatenate([self.mean_x, self.mean_y])
         cov = _joint_cov(self.cov_xx, self.cov_xy, self.cov_yy)
@@ -357,7 +343,7 @@ GaussianLike = Gaussian1D | GaussianND
 
 def _as_nd(dist: GaussianLike) -> GaussianND:
     if isinstance(dist, Gaussian1D):
-        return dist.as_nd()
+        return GaussianND(np.array([dist.mean]), np.array([[dist.variance]]))
     if isinstance(dist, GaussianND):
         return dist
     raise TypeError(f"expected Gaussian1D or GaussianND, got {type(dist).__name__}")
@@ -432,15 +418,12 @@ def _w2_moments(
 
 
 def sample(
-    dist: Gaussian1D | GaussianND | GaussianJoint | EmpiricalDistribution,
-    n: int,
-    seed: int,
+    dist: Gaussian1D | GaussianND | GaussianJoint, n: int, seed: int
 ) -> EmpiricalDistribution:
     """Draw n points from `dist` as a uniformly weighted cloud.
 
     Sampling is deterministic in `seed`.  A GaussianJoint is sampled over
-    the concatenated (x, y) space; an EmpiricalDistribution is resampled
-    with replacement according to its weights.
+    the concatenated (x, y) space.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -454,9 +437,6 @@ def sample(
         full = dist.full()
         z = rng.standard_normal((n, full.dim))
         pts = full.mean + z @ psd_sqrt(full.cov)
-    elif isinstance(dist, EmpiricalDistribution):
-        idx = rng.choice(dist.size, size=n, p=dist.weights)
-        pts = dist.points[idx]
     else:
         raise TypeError(f"cannot sample from {type(dist).__name__}")
     return EmpiricalDistribution.from_points(pts)

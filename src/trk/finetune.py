@@ -39,7 +39,7 @@ import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze, _quantile_side, _sort_order
 from .optimal_transport import OtConfig, _merged_positions, _quantile_coupling
-from .transfer_core import AffineModel, _affine, input_risk
+from .transfer_core import AffineModel, input_risk
 
 __all__ = [
     "TrainConfig",
@@ -151,7 +151,7 @@ class AffineMapFamily:
 
     def apply(self, params: np.ndarray, points: np.ndarray) -> np.ndarray:
         weights, bias = self.unpack(params)
-        return _affine(points, weights, bias)
+        return points @ weights.T + bias
 
     def build(self, params: np.ndarray) -> AffineModel:
         return AffineModel(*self.unpack(params))
@@ -167,34 +167,39 @@ class SoftmaxHeadFamily(AffineMapFamily):
         self.classes = classes
 
     def predict(self, params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return np.argmax(self.apply(params, points), axis=1)
+        return np.argmax(_class_logits(*self.unpack(params), points.T), axis=0)
 
 
-def _row_max(values: np.ndarray) -> np.ndarray:
-    """Row maxima of an (n, classes) array as a chained maximum over the columns; exact.
+def _class_logits(
+    weights: np.ndarray, bias: np.ndarray, points_t: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """A head's (classes, n) logits `weights @ points_t + bias[:, None]`, into `out` if given.
 
-    `_softmax` reads a head's (n, classes) logits through it.  Over a few
-    classes this is many times faster than numpy's axis-1 reduction, which
-    pays per-row overhead.
+    Every read of a head forms its logits here.  `points_t` is the (in_dim,
+    n) points, a transposed view or a contiguous copy.  At in_dim 1 each
+    logit is the broadcast product: one rounded product, as a k = 1 matrix
+    product gives at several times its cost.
     """
-    out = values[:, 0].copy()
-    for j in range(1, values.shape[1]):
-        np.maximum(out, values[:, j], out=out)
+    if weights.shape[1] == 1:
+        out = np.multiply(weights, points_t, out=out)
+    else:
+        out = np.matmul(weights, points_t, out=out)
+    out += bias[:, None]
     return out
 
 
-def _row_sum(values: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, classes) array, adding the columns left to right.
+def _class_probabilities(model: AffineModel, points: np.ndarray) -> np.ndarray:
+    """A head's softmax class probabilities of `points`, as a C-ordered (n, classes) array.
 
-    `_softmax` normalizes through it.  numpy's axis-1 sum adds fewer than 8
-    terms in this same order, so for 2-7 classes the sums are bit-equal to
-    it.  From 8 terms numpy sums in blocks of 8, and the two may differ in
-    the last ulp.
+    Formed class-major from `_class_logits`: each point's logits less their
+    maximum, exponentiated and divided by their sum, which adds the classes
+    in order.
     """
-    out = values[:, 0].copy()
-    for j in range(1, values.shape[1]):
-        out += values[:, j]
-    return out
+    probs = _class_logits(model.weights, model.bias, points.T)
+    probs -= np.maximum.reduce(probs, axis=0)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=0)
+    return np.ascontiguousarray(probs.T)
 
 
 def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,13 +210,6 @@ def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     """
     n = len(labels)
     return np.ascontiguousarray(points.T), labels * n + np.arange(n)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    probs = logits - _row_max(logits)[:, None]
-    np.exp(probs, out=probs)
-    probs /= _row_sum(probs)[:, None]
-    return probs
 
 
 def _equal_weight_coupling(
@@ -310,30 +308,24 @@ def cross_entropy_objective(
 ) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy and its parameter gradient.
 
-    Works in two (classes, n) arrays, one row per class: the logits
-    `W @ points.T + b` (at in_dim 1 the broadcast product, bit-equal to it)
-    become the log probabilities in place, and one buffer holds their
-    exponential, then the residual.  Each point's maximum and
-    normalizer reduce over the class axis, adding the classes left to right
-    as `_row_sum` does, so the value is bit-equal to the axis-1 expression
-    for 2-7 classes and within an ulp of the normalizer from 8.  The
-    gradient is `residual @ points` and the residual's class sums; it sums
-    over the points in another order than the (n, classes) products, and
-    agrees with them to about 1e-15 of its largest entry.  `_operands` is
+    Works in two (classes, n) arrays, one row per class: the logits of
+    `_class_logits` become the log probabilities in place, and one buffer
+    holds their exponential, then the residual.  Each point's maximum and
+    normalizer reduce over the class axis, adding the classes left to right,
+    so the value is bit-equal to the axis-1 expression for 2-7 classes and
+    within an ulp of the normalizer from 8.  The gradient is
+    `residual @ points` and the residual's class sums; it sums over the
+    points in another order than the (n, classes) products, and agrees with
+    them to about 1e-15 of its largest entry.  `_operands` is
     `_head_operands(points, labels)`, which a fit builds once for all its
     epochs.
     """
     points_t, flat = _head_operands(points, labels) if _operands is None else _operands
-    weights_matrix, bias = family.unpack(params)
     # Both arrays in one block: glibc's malloc keeps a block of this size on
     # its heap between calls, where two separate ones went back to the OS at
     # each return and were faulted in again at the next call.
     log_probs, residual = np.empty((2, family.classes, len(labels)))
-    if family.in_dim == 1:
-        np.multiply(weights_matrix, points_t, out=log_probs)
-    else:
-        np.matmul(weights_matrix, points_t, out=log_probs)
-    log_probs += bias[:, None]
+    _class_logits(*family.unpack(params), points_t, out=log_probs)
     log_probs -= np.maximum.reduce(log_probs, axis=0)
     np.exp(log_probs, out=residual)
     log_probs -= np.log(np.add.reduce(residual, axis=0))
@@ -403,19 +395,15 @@ def minimize_output_risk(
         ValueError: on a family whose output is not scalar, and on
             dimension mismatches between the family and the laws.
     """
+    if family.out_dim != 1:
+        raise ValueError(f"output maps must be scalar, got output dimension {family.out_dim}")
     if law_zt.dim != family.in_dim:
         raise ValueError(
             f"source outputs have dimension {law_zt.dim}, family expects {family.in_dim}"
         )
-    if law_yt_proxy.dim != family.out_dim:
-        raise ValueError(
-            f"proxy dimension {law_yt_proxy.dim} != family output dimension {family.out_dim}"
-        )
-    # transport_objective refuses a family whose output is not scalar, and
-    # only a scalar output has a proxy side to merge against.
-    coupling = (
-        _equal_weight_coupling(law_zt.weights, law_yt_proxy) if family.out_dim == 1 else None
-    )
+    if law_yt_proxy.dim != 1:
+        raise ValueError(f"proxy dimension {law_yt_proxy.dim} != family output dimension 1")
+    coupling = _equal_weight_coupling(law_zt.weights, law_yt_proxy)
 
     def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
         return transport_objective(
@@ -787,7 +775,7 @@ def evaluate_risk_accuracy_pairs(
         _, source_model, source_trace = head
         # A head can keep a finite loss with weights so large that its
         # logits overflow on points far from the source domain.
-        features = _softmax(source_model(cloud.points))
+        features = _class_probabilities(source_model, cloud.points)
         if not np.all(np.isfinite(features)):
             raise TrainingDivergedError(
                 f"source head of {pair} diverged: non-finite representation of the target points",

@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 _EMBED_TOL = 1e-9
+# The range the eigenvalues of a random task's covariances are drawn from,
+# and the spread of a random task's mean.
+_EIG_RANGE = (0.5, 2.0)
+_MEAN_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -461,28 +465,17 @@ def restrict_outputs(task: GaussianJoint, keep: int) -> GaussianJoint:
     )
 
 
-def _spectrum(eig_range: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = eig_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
-    return lo, hi
-
-
 def _rotated(normal: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     """(Q * eigs) @ Q^T for the Q factor of each matrix of a stack of normal draws."""
     basis, _ = np.linalg.qr(normal)
     return (basis * eigs[..., None, :]) @ np.swapaxes(basis, -1, -2)
 
 
-def _random_tasks(
-    dim_x: int, dim_y: int, seeds, eig_range: tuple[float, float] = (0.5, 2.0),
-    mean_scale: float = 0.5,
-) -> _Joints:
+def _random_tasks(dim_x: int, dim_y: int, seeds) -> _Joints:
     """Unchecked moments of `random_task` at each of `seeds`, stacked on one leading axis.
 
     Task i draws every number from its own default_rng(seeds[i]).
     """
-    lo, hi = _spectrum(eig_range)
     n = dim_x + dim_y
     normal = np.empty((len(seeds), n, n))
     eigs = np.empty((len(seeds), n))
@@ -490,8 +483,8 @@ def _random_tasks(
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         normal[i] = rng.normal(size=(n, n))
-        eigs[i] = rng.uniform(lo, hi, size=n)
-        mean[i] = rng.normal(scale=mean_scale, size=n)
+        eigs[i] = rng.uniform(*_EIG_RANGE, size=n)
+        mean[i] = rng.normal(scale=_MEAN_SCALE, size=n)
     full = _rotated(normal, eigs)  # QR draws nothing, so it runs after every draw
     return _Joints(
         mean[:, :dim_x], mean[:, dim_x:],
@@ -499,20 +492,15 @@ def _random_tasks(
     )
 
 
-def random_task(
-    dim_x: int,
-    dim_y: int,
-    seed: int,
-    eig_range: tuple[float, float] = (0.5, 2.0),
-    mean_scale: float = 0.5,
-) -> GaussianJoint:
+def random_task(dim_x: int, dim_y: int, seed: int) -> GaussianJoint:
     """Random nondegenerate task with controlled spectrum and mean scale.
 
     The full (X, Y) covariance is drawn with eigenvalues uniform in
-    eig_range under a Haar-random basis, which keeps every conditional
-    covariance nonsingular and the risk magnitudes O(1).
+    `_EIG_RANGE` under a Haar-random basis, which keeps every conditional
+    covariance nonsingular and the risk magnitudes O(1); the mean is normal
+    with scale `_MEAN_SCALE`.
     """
-    return _random_tasks(dim_x, dim_y, [seed], eig_range, mean_scale).law(0)
+    return _random_tasks(dim_x, dim_y, [seed]).law(0)
 
 
 def _regression_joints(
@@ -528,16 +516,13 @@ def _regression_joints(
     )
 
 
-def _random_pairs(
-    dim: int, seeds, eig_range: tuple[float, float] = (0.5, 2.0), drift: float = 0.25
-) -> _Joints:
+def _random_pairs(dim: int, seeds, drift: float = 0.25) -> _Joints:
     """Unchecked moments of `random_basic_pair` at each of `seeds`.
 
     The leading axes are (2, len(seeds)): [0] holds the sources and [1] the
     targets.  Pair i draws every number from its own default_rng(seeds[i]),
     in the order below, so its moments do not depend on the stack it is in.
     """
-    lo, hi = _spectrum(eig_range)
     if drift < 0.0:
         raise ValueError(f"drift must be nonnegative, got {drift}")
     count = len(seeds)
@@ -551,21 +536,21 @@ def _random_pairs(
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         normal[0, i] = rng.normal(size=(dim, dim))
-        eigs[0, i] = rng.uniform(lo, hi, size=dim)
+        eigs[0, i] = rng.uniform(*_EIG_RANGE, size=dim)
         mean_x[0, i] = rng.uniform(-0.5, 0.5, size=dim)
         w[0, i] = rng.normal(size=dim)  # the direction of the source weights
         scale[i] = rng.uniform(0.7, 1.1)
         b[0, i] = rng.uniform(-0.5, 0.5)
         noise[0, i] = rng.uniform(0.4, 1.0)
         normal[1, i] = rng.normal(size=(dim, dim))
-        eigs[1, i] = rng.uniform(lo, hi, size=dim)
+        eigs[1, i] = rng.uniform(*_EIG_RANGE, size=dim)
         # The target's drifts from the source.
         mean_x[1, i] = rng.uniform(-drift, drift, size=dim)
         w[1, i] = rng.uniform(-drift, drift, size=dim)
         b[1, i] = rng.uniform(-drift, drift)
         noise[1, i] = rng.uniform(0.4, 1.0)
     cov_xx = _rotated(normal, eigs)  # QR draws nothing, so it runs after every draw
-    # Convex blending keeps the target input spectrum inside eig_range.
+    # Convex blending keeps the target input spectrum inside `_EIG_RANGE`.
     cov_xx[1] = 0.8 * cov_xx[0] + 0.2 * cov_xx[1]
     # |w| as np.linalg.norm takes it for one vector: sqrt(w . w).
     w[0] = w[0] / np.sqrt(_dot(w[0], w[0]))[:, None] * scale[:, None]
@@ -575,10 +560,7 @@ def _random_pairs(
 
 
 def random_basic_pair(
-    dim: int,
-    seed: int,
-    eig_range: tuple[float, float] = (0.5, 2.0),
-    drift: float = 0.25,
+    dim: int, seed: int, drift: float = 0.25
 ) -> tuple[GaussianJoint, GaussianJoint]:
     """Random scalar-output source task plus a drifted target task.
 
@@ -588,5 +570,5 @@ def random_basic_pair(
     spread of their naive Monte-Carlo estimators O(1), so sampled
     cross-checks can use absolute tolerances.
     """
-    pair = _random_pairs(dim, [seed], eig_range, drift)
+    pair = _random_pairs(dim, [seed], drift)
     return pair.law((0, 0)), pair.law((1, 0))

@@ -345,11 +345,17 @@ class PipelineConfig:
     def from_json(
         path: str | Path, overrides: dict | None = None, override_risks: str | Path | None = None
     ) -> "PipelineConfig":
+        """The config in the JSON file `path`, with `overrides` over its top-level keys.
+
+        Every refusal opens with `path`.
+        """
         raw = _load_json(path)
-        if not isinstance(raw, dict):
-            raise ValueError("config root must be a JSON object")
-        raw.update(overrides or {})
-        return PipelineConfig.from_dict(raw, override_risks)
+        try:
+            if not isinstance(raw, dict):
+                raise ValueError("config root must be a JSON object")
+            return PipelineConfig.from_dict(raw | (overrides or {}), override_risks)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def ingest_dataset(

@@ -44,17 +44,6 @@ __all__ = [
 ]
 
 
-def _affine(points: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """`points @ weights.T + bias`; at in_dim 1 as the broadcast product.
-
-    With one input each entry is a single rounded product, the same as a
-    k = 1 BLAS matrix product gives at several times its cost.
-    """
-    if weights.shape[1] == 1:
-        return points * weights.T + bias
-    return points @ weights.T + bias
-
-
 @dataclass(frozen=True)
 class AffineModel:
     """Affine predictor x -> weights @ x + bias.
@@ -91,7 +80,7 @@ class AffineModel:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.in_dim:
             raise ValueError(f"expected points of dim {self.in_dim}, got {points.shape[1]}")
-        return _affine(points, self.weights, self.bias)
+        return points @ self.weights.T + self.bias
 
 
 @dataclass(frozen=True)

@@ -1557,6 +1557,8 @@ BAD_CONFIG_FILES = [
     ("truncated", b'{"mode": "gaussian_lab", "se', "invalid JSON at line 1"),
     ("not_utf8", b'\xff{"mode": "gaussian_lab"}', "not UTF-8 text"),
     ("too_deep", b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ("not_an_object", b"[1]", "config root must be a JSON object"),
+    ("unknown_key", b'{"mode": "gaussian_lab", "bogus": 1}', "unknown config key 'bogus'"),
 ]
 
 
@@ -1606,7 +1608,7 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == (
-            f"--override-risks applies only to empirical mode, got {mode}"
+            f"{config}: --override-risks applies only to empirical mode, got {mode}"
         )
         assert not (tmp_path / "out").exists()
 
@@ -1627,7 +1629,9 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": f"{section} does not apply to --override-risks"}
+        assert json.loads(lines[0]) == {
+            "error": f"{config}: {section} does not apply to --override-risks"
+        }
         assert not (tmp_path / "out").exists()
 
     def test_fit_combiner_prints_fit(self, tmp_path, capsys):
@@ -2179,7 +2183,7 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": message}
+        assert json.loads(lines[0]) == {"error": f"{path}: {message}"}
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):

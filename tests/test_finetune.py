@@ -259,7 +259,7 @@ def softmax_instances(classes, seed):
 
 
 class TestSoftmaxKernel:
-    """`cross_entropy_objective` and `_softmax` against the axis-1 oracle."""
+    """`cross_entropy_objective` and `_class_probabilities` against the axis-1 oracle."""
 
     @pytest.mark.parametrize("classes", range(2, 8))
     def test_bit_equal_below_eight_classes(self, classes):
@@ -269,7 +269,7 @@ class TestSoftmaxKernel:
         # bound the tests from eight classes use.
         for family, params, points, labels, weights in softmax_instances(classes, classes):
             value, grad = cross_entropy_objective(family, params, points, labels, weights)
-            probs = finetune._softmax(family.apply(params, points))
+            probs = finetune._class_probabilities(family.build(params), points)
             ref_value, ref_grad, ref_probs = oracle_objective(
                 family, params, points, labels, weights
             )
@@ -283,14 +283,21 @@ class TestSoftmaxKernel:
         # column, so the normalizer may differ in its last ulp.  That is an
         # absolute error in the loss: a loss near zero would see it as a
         # large relative one, but random labels keep these losses of order 1.
+        # From 12 classes BLAS may round a class-major logit in another order
+        # than the (n, classes) product, a last-ulp difference that a
+        # probability carries as a relative error of the logit's size; so the
+        # logits are held to 1e-14 of their largest entry, and the
+        # probabilities to the oracle's softmax of the same logits.
         for family, params, points, labels, weights in softmax_instances(classes, classes):
             value, grad = cross_entropy_objective(family, params, points, labels, weights)
-            probs = finetune._softmax(family.apply(params, points))
-            ref_value, ref_grad, ref_probs = oracle_objective(
-                family, params, points, labels, weights
-            )
+            probs = finetune._class_probabilities(family.build(params), points)
+            logits = finetune._class_logits(*family.unpack(params), points.T).T
+            ref_value, ref_grad, _ = oracle_objective(family, params, points, labels, weights)
+            ref_logits = family.apply(params, points)
+            _, _, ref_probs = softmax_cross_entropy(logits, labels, weights)
             assert value == pytest.approx(ref_value, rel=1e-14)
             assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+            assert np.abs(logits - ref_logits).max() <= 1e-14 * np.abs(ref_logits).max()
             np.testing.assert_allclose(probs, ref_probs, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("in_dim", [1, 4])
@@ -310,10 +317,10 @@ class TestSoftmaxKernel:
         assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
 
     def test_in_dim_one_products_are_the_matmul_products(self, monkeypatch):
-        # At in_dim 1 the softmax kernel, `AffineMapFamily.apply` and
-        # `AffineModel.__call__` form each product alone; a k = 1 matrix
-        # product rounds each entry once as well, so all three are bit-equal
-        # to the matmul route, zeros and saturated logits included.
+        # At in_dim 1 `_class_logits` forms each product alone; a k = 1
+        # matrix product rounds each entry once as well, so every read of a
+        # head is bit-equal to the matmul route, zeros and saturated logits
+        # included.
         rng = np.random.default_rng(5)
         n, classes = 1000, 4
         points = rng.normal(size=(n, 1))
@@ -326,13 +333,20 @@ class TestSoftmaxKernel:
         assert family.build(params)(points).tobytes() == expected.tobytes()
         labels = rng.integers(0, classes, size=n)
         args = (family, params, points, labels, uniform_weights(n))
-        value, grad = cross_entropy_objective(*args)
-        # The kernel's one np.multiply forms the logits; routed through
+        reads = [
+            lambda: cross_entropy_objective(*args),
+            lambda: finetune._class_probabilities(family.build(params), points),
+            lambda: family.predict(params, points),
+        ]
+        (value, grad), probs, predicted = [read() for read in reads]
+        # `_class_logits`'s one np.multiply forms the logits; routed through
         # np.matmul it is the k = 1 matrix product.
         monkeypatch.setattr(np, "multiply", lambda a, b, out: np.matmul(a, b, out=out))
-        ref_value, ref_grad = cross_entropy_objective(*args)
+        (ref_value, ref_grad), ref_probs, ref_predicted = [read() for read in reads]
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert predicted.tobytes() == ref_predicted.tobytes()
 
     @pytest.mark.parametrize("in_dim", [1, 4])
     def test_peak_memory_is_few_class_arrays(self, in_dim):
@@ -548,11 +562,13 @@ class TestMinimizeOutputRisk:
         law_zt, proxy = self.setup_instance()
         with pytest.raises(ValueError, match="family expects"):
             minimize_output_risk(AffineMapFamily(2, 1), law_zt, proxy)
-        with pytest.raises(ValueError, match="proxy dimension"):
-            minimize_output_risk(AffineMapFamily(1, 2), law_zt, proxy)
         plane = EmpiricalDistribution.from_points(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="scalar, got output dimension 2"):
-            minimize_output_risk(AffineMapFamily(2, 2), plane, plane)
+        with pytest.raises(ValueError, match="proxy dimension 2 != family output dimension 1"):
+            minimize_output_risk(AffineMapFamily(1, 1), law_zt, plane)
+        # A map that is not scalar is refused before the laws are read.
+        for zt, yt_proxy in ((law_zt, proxy), (plane, plane)):
+            with pytest.raises(ValueError, match="scalar, got output dimension 2"):
+                minimize_output_risk(AffineMapFamily(zt.dim, 2), zt, yt_proxy)
 
 
 def separable_blobs(seed, n=200, gap=4.0):
@@ -859,9 +875,12 @@ class TestPairFits:
             def __init__(self, model, name):
                 self.model, self.name = model, name
 
-            def __call__(self, points):
+            def read(self, attr):
                 used.setdefault(self.name, []).append(self)
-                return self.model(points)
+                return getattr(self.model, attr)
+
+            weights = property(lambda self: self.read("weights"))
+            bias = property(lambda self: self.read("bias"))
 
         def fit(family, features, *args):
             accuracy, model, trace = train_classifier(family, features, *args)
