@@ -176,9 +176,10 @@ def _class_logits(
     """A head's (classes, n) logits `weights @ points_t + bias[:, None]`, into `out` if given.
 
     Every read of a head forms its logits here.  `points_t` is the (in_dim,
-    n) points, a transposed view or a contiguous copy.  At in_dim 1 each
-    logit is the broadcast product: one rounded product, as a k = 1 matrix
-    product gives at several times its cost.
+    n) points, a transposed view or a contiguous copy; BLAS may round the
+    two differently in the last ulp.  At in_dim 1 each logit is the
+    broadcast product: one rounded product, as a k = 1 matrix product gives
+    at several times its cost.
     """
     if weights.shape[1] == 1:
         out = np.multiply(weights, points_t, out=out)
@@ -191,11 +192,14 @@ def _class_logits(
 def _class_probabilities(model: AffineModel, points: np.ndarray) -> np.ndarray:
     """A head's softmax class probabilities of `points`, as a C-ordered (n, classes) array.
 
-    Formed class-major from `_class_logits`: each point's logits less their
+    Formed class-major from `_class_logits` on a contiguous copy of the
+    points, as the loss kernel reads them: each point's logits less their
     maximum, exponentiated and divided by their sum, which adds the classes
-    in order.
+    in order.  OpenBLAS may round some logits otherwise than the (n,
+    classes) product: of a transposed view from 12 classes, of the copy from
+    in_dim 15.
     """
-    probs = _class_logits(model.weights, model.bias, points.T)
+    probs = _class_logits(model.weights, model.bias, np.ascontiguousarray(points.T))
     probs -= np.maximum.reduce(probs, axis=0)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=0)

@@ -347,15 +347,17 @@ class PipelineConfig:
     ) -> "PipelineConfig":
         """The config in the JSON file `path`, with `overrides` over its top-level keys.
 
-        Every refusal opens with `path`.
+        A refusal of the file alone opens with `path`; one that only the
+        overrides cause (`trk run --seed -1`) does not.
         """
         raw = _load_json(path)
         try:
             if not isinstance(raw, dict):
                 raise ValueError("config root must be a JSON object")
-            return PipelineConfig.from_dict(raw | (overrides or {}), override_risks)
+            config = PipelineConfig.from_dict(raw, override_risks)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
+        return PipelineConfig.from_dict(raw | overrides, override_risks) if overrides else config
 
 
 def ingest_dataset(

@@ -1799,6 +1799,16 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": f"{config}: {where}"}
 
+    def test_bad_seed_flag_does_not_name_the_file(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert main(["run", "--config", str(config), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "seed must be >= 0, got -1"}
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
@@ -2183,7 +2193,9 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": f"{path}: {message}"}
+        # The file is named when it is refused alone, not when `--seed` is.
+        expected = message if "--seed" in flags else f"{path}: {message}"
+        assert json.loads(lines[0]) == {"error": expected}
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):

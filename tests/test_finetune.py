@@ -283,21 +283,14 @@ class TestSoftmaxKernel:
         # column, so the normalizer may differ in its last ulp.  That is an
         # absolute error in the loss: a loss near zero would see it as a
         # large relative one, but random labels keep these losses of order 1.
-        # From 12 classes BLAS may round a class-major logit in another order
-        # than the (n, classes) product, a last-ulp difference that a
-        # probability carries as a relative error of the logit's size; so the
-        # logits are held to 1e-14 of their largest entry, and the
-        # probabilities to the oracle's softmax of the same logits.
         for family, params, points, labels, weights in softmax_instances(classes, classes):
             value, grad = cross_entropy_objective(family, params, points, labels, weights)
             probs = finetune._class_probabilities(family.build(params), points)
-            logits = finetune._class_logits(*family.unpack(params), points.T).T
-            ref_value, ref_grad, _ = oracle_objective(family, params, points, labels, weights)
-            ref_logits = family.apply(params, points)
-            _, _, ref_probs = softmax_cross_entropy(logits, labels, weights)
+            ref_value, ref_grad, ref_probs = oracle_objective(
+                family, params, points, labels, weights
+            )
             assert value == pytest.approx(ref_value, rel=1e-14)
             assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
-            assert np.abs(logits - ref_logits).max() <= 1e-14 * np.abs(ref_logits).max()
             np.testing.assert_allclose(probs, ref_probs, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("in_dim", [1, 4])
