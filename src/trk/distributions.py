@@ -205,8 +205,10 @@ class EmpiricalDistribution:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
             points = points[:, None]
-        # An array division: no points give no weights, which the class refuses.
-        return cls(points, np.ones(len(points)) / len(points))
+        # No points give no weights and a 0-d array one 0-d weight, so the
+        # class refuses either by its own checks.
+        weights = np.ones(points.shape[:1])
+        return cls(points, weights / weights.size)
 
     @property
     def size(self) -> int:

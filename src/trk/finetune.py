@@ -38,7 +38,7 @@ from typing import NoReturn
 import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze, _quantile_side, _sort_order
-from .optimal_transport import OtConfig, _merged_positions, _quantile_coupling
+from .optimal_transport import OtConfig, _quantile_coupling, _quantile_cost, _route
 from .transfer_core import AffineModel, input_risk
 
 __all__ = [
@@ -219,20 +219,17 @@ def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
 def _equal_weight_coupling(
     weights: np.ndarray, proxy: EmpiricalDistribution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The merged sweep of a moving law with all-equal `weights` onto `proxy`.
+    """The quantile coupling of a moving law with all-equal `weights` onto `proxy`.
 
     Equal weights give the same cumulative weights, bit for bit, in any
     order, so the segments, their lengths and the proxy atom coupled on each
     stay fixed while the moving values change; only which value sits at
-    each sorted position moves.  Returns (positions, targets, gaps): per
-    segment, the sorted position of the moving atom, the proxy value and
-    the length.  None where the weights differ.
+    each sorted position moves.  `_quantile_coupling`'s (positions, targets,
+    gaps), or None where the weights differ.
     """
     if not np.all(weights == weights[0]):
         return None
-    order_v, cv = proxy._side
-    positions, pv, gaps = _merged_positions(np.cumsum(weights), cv)
-    return positions, proxy.points[order_v[pv], 0], gaps
+    return _quantile_coupling(np.cumsum(weights), proxy)
 
 
 def _quantile_cost_and_grad(
@@ -244,23 +241,24 @@ def _quantile_cost_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Exact 1-D W_p^p against the proxy and its subgradient in `values`.
 
-    Walks the merged quantile segments once; each segment couples one atom
-    of either side, so the subgradient accumulates per-segment terms with
-    sign(0) = 0 at ties.  Only `values` is sorted here: the proxy keeps its
-    own sorted side across calls, and `coupling`, where given, is
+    Walks the `_quantile_coupling` segments once; each segment couples one
+    atom of either side, so the subgradient accumulates per-segment terms
+    with sign(0) = 0 at ties.  Only `values` is sorted here: the proxy keeps
+    its own sorted side across calls, and `coupling`, where given, is
     `_equal_weight_coupling(weights, proxy)`, which leaves only the sort.
     """
     if coupling is None:
-        iu, iv, gaps = _quantile_coupling(_quantile_side(values, weights), proxy._side)
-        targets = proxy.points[iv, 0]
+        order, cumulative = _quantile_side(values, weights)
+        coupling = _quantile_coupling(cumulative, proxy)
     else:
-        positions, targets, gaps = coupling
-        iu = _sort_order(values)[positions]
+        order = _sort_order(values)
+    positions, targets, gaps = coupling
+    iu = order[positions]
     diff = values[iu] - targets
     # Overflow to inf on a runaway iterate is fine: the trainer reads any
     # non-finite objective as divergence.
     with np.errstate(over="ignore"):
-        cost = float(np.sum(np.abs(diff) ** p * gaps))
+        cost = _quantile_cost(diff, gaps, p)
         if p == 1.0:
             seg = np.sign(diff) * gaps
         else:
@@ -596,9 +594,10 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
 
     `_fork_workers()`, and no more heads of the run's largest size than
     `_HEAD_BUDGET_BYTES` holds.  1 while every training half is below
-    `_CONCURRENT_MIN_POINTS` points, and 1 unless every domain is 1-D and
-    `ot` takes the quantile sweep there: any other input risk builds a
-    dense matrix that `DENSE_BUDGET_BYTES` bounds only one solve at a time.
+    `_CONCURRENT_MIN_POINTS` points, and 1 unless `_route` takes the
+    quantile sweep on every domain's training cloud: any other input risk
+    builds a dense matrix that `DENSE_BUDGET_BYTES` bounds only one solve at
+    a time.
 
     Raises:
         ValueError: if not even one head fits the budget, naming what makes
@@ -621,7 +620,7 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
             f"{cause}, and training a head on {n} points would need about "
             f"{needed / 2**30:.3g} GiB, above the {_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
         )
-    if n < _CONCURRENT_MIN_POINTS or ot.method != "auto" or any(d.train.dim != 1 for d in domains):
+    if n < _CONCURRENT_MIN_POINTS or any(_route(d.train, d.train, ot) != "1d" for d in domains):
         return 1
     return min(_fork_workers(), heads)
 

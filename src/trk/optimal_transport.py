@@ -149,46 +149,35 @@ def _check_dense_budget(method: str, n: int, m: int) -> None:
         )
 
 
-def _merged_positions(
-    cu: np.ndarray, cv: np.ndarray
+def _quantile_coupling(
+    cumulative: np.ndarray, target: EmpiricalDistribution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The segments of a merged sweep over two cumulative-weight arrays.
+    """Monotone coupling of a moving 1-D law onto the 1-D cloud `target`.
 
-    Splits the unit interval at the breakpoints of both; on each segment the
-    two quantile functions are constant.
+    `cumulative` is the moving law's cumulative weights in its sorted order;
+    the target keeps its own `_side`, so it is sorted once however many
+    sweeps it enters.  The unit interval splits at the breakpoints of both,
+    where either quantile function can jump.
 
     Returns:
-        (pu, pv, lengths): per segment, the sorted position of the atom of
-        each sample coupled there, and the segment's length (its mass).
+        (positions, values, lengths): per segment, the sorted position of
+        the moving atom coupled there, the target atom's value, and the
+        segment's length (its mass).
     """
-    # Breakpoints where either quantile function can jump.
-    ts = np.union1d(cu[:-1], cv[:-1])
+    order_v, cv = target._side
+    ts = np.union1d(cumulative[:-1], cv[:-1])
     ts = ts[(ts > 0.0) & (ts < 1.0)]
     edges = np.concatenate([[0.0], ts, [1.0]])
     mids = (edges[:-1] + edges[1:]) / 2.0
     # Round-off can leave the last cumulative weight a hair under 1, so clip.
-    pu = np.minimum(np.searchsorted(cu, mids, side="left"), len(cu) - 1)
+    pu = np.minimum(np.searchsorted(cumulative, mids, side="left"), len(cumulative) - 1)
     pv = np.minimum(np.searchsorted(cv, mids, side="left"), len(cv) - 1)
-    return pu, pv, np.diff(edges)
+    return pu, target.points[order_v[pv], 0], np.diff(edges)
 
 
-def _quantile_coupling(
-    side_u: tuple[np.ndarray, np.ndarray], side_v: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monotone coupling of two weighted 1-D samples by a merged sweep.
-
-    Each side is the `(order, cumulative weights)` of one sample, as
-    `_quantile_side` makes it; a cloud keeps its own side, so it is sorted
-    once however many sweeps it enters.  The segments are
-    `_merged_positions` of the two cumulative weights.
-
-    Returns:
-        (iu, iv, lengths): per segment, the index of the atom of each
-        sample coupled there, and the segment's length (its mass).
-    """
-    (order_u, cu), (order_v, cv) = side_u, side_v
-    pu, pv, lengths = _merged_positions(cu, cv)
-    return order_u[pu], order_v[pv], lengths
+def _quantile_cost(diff: np.ndarray, lengths: np.ndarray, p: float) -> float:
+    """W_p^p of a quantile coupling from its per-segment gaps and lengths."""
+    return float(np.sum(np.abs(diff) ** p * lengths))
 
 
 def wasserstein_1d_exact(
@@ -196,19 +185,18 @@ def wasserstein_1d_exact(
 ) -> float:
     """Exact W_p between one-dimensional clouds via the quantile coupling.
 
-    Runs a merged sweep over the cumulative-weight breakpoints of both
-    clouds; each segment of the unit interval is matched between the two
-    quantile functions.  O((n+m) log(n+m)) and exact, so it doubles as the
-    reference for the LP route in one dimension.  Each cloud's sort is kept
-    on the cloud and reused by later calls.
+    `_quantile_coupling` matches each segment of the unit interval between
+    the two quantile functions.  O((n+m) log(n+m)) and exact, so it doubles
+    as the reference for the LP route in one dimension.  Each cloud's sort
+    is kept on the cloud and reused by later calls.
     """
     if a.dim != 1 or b.dim != 1:
         raise ValueError(f"exact 1-d route needs dim 1, got {a.dim} and {b.dim}")
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
-    iu, iv, lengths = _quantile_coupling(a._side, b._side)
-    cost = float(np.sum(lengths * np.abs(a.points[iu, 0] - b.points[iv, 0]) ** p))
-    return cost ** (1.0 / p)
+    order, cumulative = a._side
+    positions, values, lengths = _quantile_coupling(cumulative, b)
+    return _quantile_cost(a.points[order[positions], 0] - values, lengths, p) ** (1.0 / p)
 
 
 def _solve_lp(aw: np.ndarray, bw: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -355,16 +343,27 @@ def _solve_sinkhorn(
     raise SinkhornConvergenceError(violation, max_iter)
 
 
+def _route(a: EmpiricalDistribution, b: EmpiricalDistribution, cfg: OtConfig) -> str:
+    """The route `wasserstein` takes: '1d', 'assignment', 'lp' or 'sinkhorn'.
+
+    The one place that reads `cfg.method` and lp_max_support to pick a
+    solver, by the rule `OtConfig.method` states.
+    """
+    if cfg.method != "auto":
+        return "sinkhorn"
+    if a.dim == 1:
+        return "1d"
+    if max(a.size, b.size) <= cfg.lp_max_support:
+        return "assignment" if _is_uniform_pair(a, b) else "lp"
+    return "sinkhorn"
+
+
 def wasserstein(
     a: EmpiricalDistribution, b: EmpiricalDistribution, cfg: OtConfig = OtConfig()
 ) -> float:
     """p-Wasserstein distance between two clouds.
 
-    The 'auto' method takes the quantile sweep for one-dimensional clouds.
-    Otherwise, when both supports fit under lp_max_support, it solves a
-    linear assignment for uniformly weighted clouds of equal size and the
-    HiGHS LP for every other pair; larger instances go to Sinkhorn, as does
-    every instance under 'sinkhorn'.  The assignment and the LP both find an
+    `_route` picks the solver.  The assignment and the LP both find an
     optimal plan, so they agree on W_p.
 
     Raises:
@@ -377,13 +376,9 @@ def wasserstein(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if cfg.method == "auto" and a.dim == 1:
+    route = _route(a, b, cfg)
+    if route == "1d":
         return wasserstein_1d_exact(a, b, cfg.p)
-    if cfg.method == "auto" and max(a.size, b.size) <= cfg.lp_max_support:
-        route = "assignment" if _is_uniform_pair(a, b) else "lp"
-    else:
-        route = "sinkhorn"
-
     _check_dense_budget(route, a.size, b.size)
     cost = _cost_matrix(a, b, cfg.p)
     if route == "assignment":

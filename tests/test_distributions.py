@@ -52,6 +52,11 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError, match="need at least one point"):
             EmpiricalDistribution.from_points(np.empty(shape))
 
+    @pytest.mark.parametrize("points", [np.float64(1.0), np.zeros((2, 3, 1))], ids=["0-d", "3-d"])
+    def test_from_points_refuses_other_shapes(self, points):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, d\), got"):
+            EmpiricalDistribution.from_points(points)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             EmpiricalDistribution(np.zeros((2, 1)), np.array([1.5, -0.5]))

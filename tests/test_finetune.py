@@ -293,6 +293,41 @@ class TestSoftmaxKernel:
             assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
             np.testing.assert_allclose(probs, ref_probs, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("in_dim", range(15, 21))
+    def test_representation_within_the_logit_rounding_bound_from_in_dim_15(self, in_dim):
+        # From in_dim 15 OpenBLAS may round the (classes, n) product of the
+        # contiguous points otherwise than the oracle's (n, classes) one, so
+        # the probabilities are held to a bound derived from the rounding,
+        # with u = eps / 2 and, per point, S = max_c (|W| @ |x| + |b|)_c:
+        # - a logit is an inner product of in_dim terms plus the bias, so in
+        #   any summation order each route is within (in_dim + 1) u S of the
+        #   exact one to first order (Higham 2002, sec. 3.1), and the two
+        #   routes' logits are within delta = 2 (in_dim + 1) u S;
+        # - the softmax moves p_c by at most p_c * 2 delta for logits moved
+        #   by delta, since dp_c = p_c (dz_c - sum_j p_j dz_j);
+        # - each route then rounds its shifted logits (u |z - max z| <= 2 u S,
+        #   on the numerator and on the normalizer's terms), its exp (at most
+        #   4 u on each, 2 ulps), its normalizer's classes - 1 additions and
+        #   the division: p_c (4 u S + 8 u + classes u) per route.
+        # In all, p_ref * eps * ((2 in_dim + 6) S + classes + 8).  Below
+        # the smallest normal number exp keeps no relative precision, so
+        # the bound adds that number as an absolute term.
+        rng = np.random.default_rng(in_dim)
+        n = 64
+        for classes, scale in itertools.product((2, 5, 12, 32), (1.0, 300.0)):
+            family = SoftmaxHeadFamily(in_dim, classes)
+            params = scale * rng.normal(size=family.parameter_count())
+            points = rng.normal(size=(n, in_dim))
+            probs = finetune._class_probabilities(family.build(params), points)
+            _, _, ref_probs = oracle_objective(
+                family, params, points, np.zeros(n, dtype=int), uniform_weights(n)
+            )
+            weights, bias = family.unpack(params)
+            scales = (np.abs(points) @ np.abs(weights).T + np.abs(bias)).max(axis=1, keepdims=True)
+            eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+            bound = ref_probs * eps * ((2 * in_dim + 6) * scales + classes + 8) + tiny
+            assert np.all(np.abs(probs - ref_probs) <= bound)
+
     @pytest.mark.parametrize("in_dim", [1, 4])
     def test_benchmark_shapes_within_the_bound(self, in_dim):
         # The empirical benchmark's heads: 1-D source features and 4-class

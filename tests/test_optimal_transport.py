@@ -1,5 +1,6 @@
 """Tests for the discrete optimal transport solvers."""
 
+import ast
 import json
 import os
 import subprocess
@@ -210,6 +211,30 @@ class TestWassersteinDispatch:
         b = EmpiricalDistribution.from_points(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="mismatch"):
             wasserstein(a, b)
+
+    @pytest.mark.parametrize("method", ["auto", "sinkhorn"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("sizes", [(5, 5), (6, 5), (5, 6)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_route_table(self, method, dim, sizes, weighted):
+        # lp_max_support 5: (5, 5) fits under it, and a sixth point on
+        # either side does not.  'sinkhorn' takes the entropic route on
+        # every row; 'auto' by (dim, fits, weighted):
+        auto = {
+            (1, True, False): "1d",
+            (1, True, True): "1d",
+            (1, False, False): "1d",
+            (1, False, True): "1d",
+            (2, True, False): "assignment",
+            (2, True, True): "lp",
+            (2, False, False): "sinkhorn",
+            (2, False, True): "sinkhorn",
+        }
+        rng = np.random.default_rng(dim)
+        a, b = (random_cloud(rng, n, dim, weighted) for n in sizes)
+        fits = max(sizes) <= 5
+        expected = auto[dim, fits, weighted] if method == "auto" else "sinkhorn"
+        assert ot_module._route(a, b, OtConfig(method=method, lp_max_support=5)) == expected
 
     def test_lp_translation_in_2d(self):
         # Every point moves by the same vector, so W1 equals its length.
@@ -542,3 +567,28 @@ def test_translation_invariance_property(shift, x0, x1):
     d1 = wasserstein_1d_exact(a, b, p=1.0)
     d2 = wasserstein_1d_exact(a2, b2, p=1.0)
     assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-9)
+
+
+def test_the_only_quantile_sweep_is_quantile_coupling():
+    # One sweep: a new search for quantile breakpoints goes through
+    # `_quantile_coupling`.
+    calls = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("searchsorted", "union1d")
+            ):
+                calls.append((module, function, child.func.attr))
+            visit(child, module, function)
+
+    for path in sorted(Path(ot_module.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert sorted(set(calls)) == [
+        ("optimal_transport", "_quantile_coupling", "searchsorted"),
+        ("optimal_transport", "_quantile_coupling", "union1d"),
+    ]
