@@ -6,10 +6,10 @@ fit an affine map on top of them so the pushforward matches the target
 output law, and report the achieved Wasserstein risk under a fixed epoch
 budget.
 The second is a plain softmax classifier head used to measure transfer
-accuracy on held-out data.  Both run one epoch loop, `_descend`; they differ
-in its stop rule (the exact budget against a plateau), its improvement test
-(strict against `_PLATEAU_TOL`) and what follows it (one more evaluation of
-the output map against scoring the head on the held-out split).
+accuracy on held-out data.  Both run one epoch loop, `_descend`, with one
+stop rule: exactly the epoch budget, keeping the strictly lowest objective.
+They differ only in what follows it: one more evaluation of the output map,
+against scoring the head on the held-out split.
 The module also holds the process split, `_run_forked`, that these fits and
 the pipeline's `gaussian_lab` rows run on.
 
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.1
-_PLATEAU_TOL = 1e-9
 # Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
 # two processes.  Each process holds its own GIL, and a fork, pipe and reap
 # cost about 3 ms, which weighs most where a block holds least work: one
@@ -85,23 +84,18 @@ _PR_SET_PDEATHSIG = 1
 class TrainConfig:
     """Knobs for full-batch gradient descent.
 
-    epochs is an exact budget when minimizing the output risk and an upper
-    bound when training a classifier, where plateau_patience epochs without
-    improvement stop the run early.
+    epochs is the exact budget of every fit: each runs all of its epochs.
     """
 
     epochs: int = 10
     learning_rate: float = 0.05
     seed: int = 0
-    plateau_patience: int = 10
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.plateau_patience < 1:
-            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
 
 
 @dataclass(frozen=True)
@@ -342,31 +336,25 @@ def cross_entropy_objective(
 
 def _descend(
     objective: Callable[[np.ndarray], tuple[float, np.ndarray]], family: AffineMapFamily,
-    cfg: TrainConfig, what: str, patience: int | None = None,
+    cfg: TrainConfig, what: str,
 ) -> tuple[float, TrainTrace, np.ndarray]:
     """The one epoch loop: full-batch descent on `objective` from `family`'s seeded start.
 
-    patience None runs exactly cfg.epochs and keeps any strictly lower
-    value; otherwise only a value `_PLATEAU_TOL` below the best counts, and
-    `patience` epochs in a row without one stop the loop.  Returns the best
-    value, the trace keeping its iterate, and the iterate after the last step.
+    Runs exactly cfg.epochs and keeps the iterate of the strictly lowest
+    value.  Returns that value, the trace keeping its iterate, and the
+    iterate after the last step.
     """
     params = family.init_parameters(np.random.default_rng(cfg.seed))
-    tolerance = 0.0 if patience is None else _PLATEAU_TOL
     objectives: list[float] = []
-    best_params, best_value, stall = params.copy(), np.inf, 0
+    best_params, best_value = params.copy(), np.inf
     for _ in range(cfg.epochs):
         value, grad = objective(params)
         if not np.isfinite(value):
             trace = TrainTrace(tuple(objectives), best_params)
             raise TrainingDivergedError(f"{what} became {value} at epoch {len(objectives)}", trace)
         objectives.append(value)
-        if value < best_value - tolerance:
-            best_params, best_value, stall = params.copy(), value, 0
-        elif patience is not None:
-            stall += 1
-            if stall >= patience:
-                break
+        if value < best_value:
+            best_params, best_value = params.copy(), value
         params = params - cfg.learning_rate * grad
     return best_value, TrainTrace(tuple(objectives), best_params), params
 
@@ -429,9 +417,8 @@ def train_classifier(
 ) -> tuple[float, AffineModel, TrainTrace]:
     """Fit the softmax head by full-batch descent; score on the held-out split.
 
-    Runs at most cfg.epochs epochs and stops once the cross-entropy has not
-    improved for cfg.plateau_patience consecutive epochs.  The returned model
-    is the lowest-loss iterate.
+    Runs exactly cfg.epochs epochs; the returned model is the lowest-loss
+    iterate.
 
     Returns:
         (accuracy, model, trace) with accuracy weighted by the held-out
@@ -464,7 +451,7 @@ def train_classifier(
             family, params, features.points, labels, features.weights, _operands=operands
         )
 
-    _, trace, _ = _descend(objective, family, cfg, "loss", cfg.plateau_patience)
+    _, trace, _ = _descend(objective, family, cfg, "loss")
     predicted = family.predict(trace.parameters, eval_features.points)
     accuracy = float(np.sum(eval_features.weights * (predicted == eval_labels)))
     return accuracy, family.build(trace.parameters), trace

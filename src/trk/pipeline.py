@@ -98,9 +98,7 @@ _KIND = {"kind": (("wasserstein", "kl"), "wasserstein")}
 _SINKHORN = {"sinkhorn_epsilon": (float, None), "sinkhorn_max_iter": (int, 2000)}
 _SOLVERS = {"auto": {"lp_max_support": (int, 400), **_SINKHORN}, "sinkhorn": _SINKHORN}
 _SOLVER = {"p": (float, 1.0), "method": (tuple(_SOLVERS), "auto")}
-# The output-risk descent always spends its whole epoch budget, so
-# risk_train has no plateau_patience.
-_TRAIN = {"epochs": (int, 100), "learning_rate": (float, 0.05), "plateau_patience": (int, 10)}
+_TRAIN = {"epochs": (int, 100), "learning_rate": (float, 0.05)}
 _RISK_TRAIN = {"epochs": (int, 10), "learning_rate": (float, 0.5)}
 _MODE_TABLES = {
     "empirical": {
@@ -421,9 +419,10 @@ def _plain_csv_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndar
     """(points, labels) of a plain numeric CSV, or None for any other file.
 
     A plain file is UTF-8 and holds no quote, carriage return or NUL (which
-    `csv.reader` refuses before Python 3.11), no underscore below the
-    header, no blank or whitespace-only line, no ragged row, no line longer
-    than the csv field size limit and no cell that is not a finite number.
+    `csv.reader` refuses before Python 3.11), a header naming the label
+    column once, no underscore below the header, no blank or whitespace-only
+    line, no ragged row, no line longer than the csv field size limit and no
+    cell that is not a finite number.
     Such a file splits on newlines and commas into the cells `csv.reader`
     gives, and each cell goes through `float()` as `_csv_number` reads it,
     so the values are bit-equal to `_csv_module_table`'s.  Any other file is
@@ -439,7 +438,7 @@ def _plain_csv_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndar
     del text  # one copy of the text, not two, stays alive under the cell list below
     header = [name.strip() for name in head.split(",")]
     width = len(header)
-    if label_column not in header or width < 2 or "_" in body:
+    if header.count(label_column) != 1 or width < 2 or "_" in body:
         return None
     if body.endswith("\n"):
         body = body[:-1]
@@ -476,6 +475,8 @@ def _csv_module_table(path: Path, label_column: str) -> tuple[np.ndarray, np.nda
         header = [name.strip() for name in header]
         if label_column not in header:
             raise ValueError(f"{path}: no {label_column!r} column in header {header}")
+        if header.count(label_column) > 1:
+            raise ValueError(f"{path}: header repeats column {label_column!r}")
         if len(header) < 2:
             raise ValueError(f"{path}: no feature columns besides {label_column!r}")
         label_idx = header.index(label_column)
@@ -531,9 +532,12 @@ def _csv_number(cell: str | None, path: str | Path, line_no: int, column: str) -
 def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
     """A risk table's rows as (record, input risk, output risk, accuracy or None).
 
-    `needed` names the columns the caller reads.  Risks must be finite and
-    nonnegative, as every combiner requires, and a nonblank accuracy finite;
-    a bad cell fails with its file, line and column.
+    `needed` names the columns the caller requires; accuracy is read where
+    present.  A header that repeats a column read here fails naming it.  A
+    short row leaves its last columns blank, and a row longer than the
+    header fails with its line.  Risks must be finite and nonnegative, as
+    every combiner requires, and a nonblank accuracy finite; a bad cell
+    fails with its file, line and column.
     """
     rows = []
     with _open_text(path, newline="") as handle:
@@ -542,10 +546,16 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
         header = next(lines, None)
         if header is None or not set(needed) <= set(header):
             raise ValueError(f"{path}: risk table needs columns {sorted(needed)}")
+        for column in (*needed, "accuracy"):
+            if header.count(column) > 1:
+                raise ValueError(f"{path}: header repeats column {column!r}")
         for cells in lines:
-            # A short row leaves its last columns None; extra cells go to key None.
-            record = dict(itertools.zip_longest(header, cells))
             line_no = reader.line_num
+            if len(cells) > len(header):
+                raise ValueError(
+                    f"{path}: line {line_no} has {len(cells)} cells, expected at most {len(header)}"
+                )
+            record = dict(itertools.zip_longest(header, cells))  # a short row's tail is None
             risks = []
             for column in ("input_risk", "output_risk"):
                 risks.append(_csv_number(record[column], path, line_no, column))

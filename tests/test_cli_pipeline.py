@@ -370,6 +370,9 @@ UNREAD_KEYS = [
      "seed does not apply to --override-risks"),
     ({"mode": "empirical", "--seed": 3, "--override-risks": "risks.csv"},
      "seed does not apply to --override-risks"),
+    # Every fit runs its whole epoch budget, so no run reads a patience.
+    ({"mode": "synthetic_office", "train": {"plateau_patience": 10}},
+     "unknown config key 'train.plateau_patience'"),
 ]
 
 
@@ -422,6 +425,7 @@ class TestIngestFuzz:
     @example(text="\nx,label\n1.0,0\n")
     @example(text="x,label\n1.0\n2.0,1\n")  # a short row
     @example(text="x,label\n1.0,0,3\n2.0,1\n")  # a long row
+    @example(text="x,label,label\n1.0,0,0\n2.0,1,1\n")  # the label column twice
     @example(text="x,label\nnan,0\n")
     @example(text="x,label\n1.0,-inf\n")
     @example(text="x,label\n1e400,0\n")
@@ -1491,6 +1495,8 @@ BAD_DATASETS = [
     ("inf_label.csv", "x,label\n1.0,0\n2.0,inf\n",
      "line 3, column 'label': non-finite value 'inf'"),
     ("label_only.csv", "label\n0\n1\n", "no feature columns besides 'label'"),
+    ("repeated_label.csv", "x,label,label\n1.0,0,0\n2.0,1,1\n",
+     "header repeats column 'label'"),
     ("underscore_feature.csv", "x,label\n1_0,0\n2.0,1\n",
      "line 2, column 'x': could not parse '1_0'"),
     ("bool_feature.json", '{"features": [[1.0], [true]], "labels": [0, 1]}',
@@ -1522,6 +1528,12 @@ BAD_NUMBER_TABLES = [
      "line 2, column 'accuracy': could not parse 'abc'"),
     ("override_short_row", "run", "source,target,input_risk,output_risk\nA,B,0.1\n",
      "line 2, column 'output_risk': missing value"),
+    ("override_long_row", "run",
+     "source,target,input_risk,output_risk,accuracy\nA,B,0.1,0.2,0.5,99\n",
+     "line 2 has 6 cells, expected at most 5"),
+    ("override_repeated_column", "run",
+     "source,target,input_risk,output_risk,input_risk\nA,B,0.1,0.2,0.3\n",
+     "header repeats column 'input_risk'"),
     ("override_negative", "run", "source,target,input_risk,output_risk\nA,B,-0.1,0.2\n",
      "line 2, column 'input_risk': negative risk -0.1"),
     ("override_underscore", "run", "source,target,input_risk,output_risk\nA,B,1_0,0.2\n",
@@ -1543,6 +1555,9 @@ BAD_NUMBER_TABLES = [
     ("fit_missing", "fit-combiner",
      "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,,0.6\n0.3,0.4,0.7\n",
      "line 3, column 'output_risk': missing value"),
+    ("fit_long_row", "fit-combiner",
+     "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n0.2,0.3,0.6,99\n0.3,0.4,0.7\n",
+     "line 3 has 4 cells, expected at most 3"),
     ("fit_over_field_limit", "fit-combiner",
      "input_risk,output_risk,accuracy\n0.1,0.2,0.5\n" + "1" * 200_000 + ",0.3,0.6\n0.3,0.4,0.7\n",
      "line 3: field larger than field limit (131072)"),
@@ -2271,8 +2286,6 @@ KNOB_CASES = {
     ),
     "train.epochs": (5, {}),
     "train.learning_rate": (0.5, {}),
-    # At the default rate the descent improves every epoch and never stalls.
-    "train.plateau_patience": (1, {"train": {"learning_rate": 2.0}}),
     "risk_train.epochs": (3, {}),
     "risk_train.learning_rate": (0.05, {}),
     "synthetic_office.n_domains": (2, {}),
