@@ -38,7 +38,7 @@ from typing import NoReturn
 import numpy as np
 
 from .distributions import EmpiricalDistribution, _freeze, _quantile_side, _sort_order
-from .optimal_transport import OtConfig, _quantile_coupling, _quantile_cost, _route
+from .optimal_transport import OtConfig, _quantile_coupling, _quantile_cost
 from .transfer_core import AffineModel, input_risk
 
 __all__ = [
@@ -576,15 +576,13 @@ def _fork_workers() -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_FIT_WORKERS)
 
 
-def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
+def _fit_workers(domains: list[SyntheticDomain]) -> int:
     """How many processes `evaluate_risk_accuracy_pairs` runs its fits on over `domains`.
 
     `_fork_workers()`, and no more heads of the run's largest size than
     `_HEAD_BUDGET_BYTES` holds.  1 while every training half is below
-    `_CONCURRENT_MIN_POINTS` points, and 1 unless `_route` takes the
-    quantile sweep on every domain's training cloud: any other input risk
-    builds a dense matrix that `DENSE_BUDGET_BYTES` bounds only one solve at
-    a time.
+    `_CONCURRENT_MIN_POINTS` points.  A fit process only trains: every
+    input risk, dense route or not, is solved before the split.
 
     Raises:
         ValueError: if not even one head fits the budget, naming what makes
@@ -607,7 +605,7 @@ def _fit_workers(domains: list[SyntheticDomain], ot: OtConfig) -> int:
             f"{cause}, and training a head on {n} points would need about "
             f"{needed / 2**30:.3g} GiB, above the {_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
         )
-    if n < _CONCURRENT_MIN_POINTS or any(_route(d.train, d.train, ot) != "1d" for d in domains):
+    if n < _CONCURRENT_MIN_POINTS:
         return 1
     return min(_fork_workers(), heads)
 
@@ -722,26 +720,29 @@ def evaluate_risk_accuracy_pairs(
     risk W_p^p between the raw feature clouds (order and solver from `ot`),
     the trained-and-budgeted output risk against the target label law, and
     the held-out accuracy of a target head fine-tuned on the
-    representation.  The input risk is solved once per unordered pair, at
-    its first ordered pair, and reused for the reverse pair.  Nothing is
-    rescaled or combined here: the pipeline turns these measurements into
-    transfer risks.  The source head of
+    representation.  The input risk depends on the two input laws alone,
+    so it is solved once per unordered pair, in this process before any
+    head trains, as `input_risk(higher.train, lower.train)` by domain
+    index, and both ordered pairs read that value.  Nothing is rescaled or
+    combined here: the pipeline turns these measurements into transfer
+    risks.  The source head of
     domain k is seeded with train_cfg.seed + k; the output-map descent and
     the target head of the i-th ordered pair with seed + i, so runs are
     reproducible.
 
-    The fits run on `_fit_workers(domains, ot)` processes: two, on Linux,
-    for 1-D domains whose training halves reach `_CONCURRENT_MIN_POINTS`
-    points, and otherwise one.  `_run_forked` splits the source domains
-    between them, each half in pair order; the second half solves again,
-    in the direction of its first ordered pair, the input risk of a pair
-    whose first ordered pair lies in the first.  Every fit is a pure
-    function of its inputs and seed, so the rows, and the first error in
-    pair order, are those of one process.
+    The fits run on `_fit_workers(domains)` processes: two, on Linux, for
+    domains whose training halves reach `_CONCURRENT_MIN_POINTS` points,
+    and otherwise one.  `_run_forked` splits the source domains between
+    them, each half in pair order.  Every fit is a pure function of its
+    inputs and seed, so the rows, and the first error in pair order, are
+    those of one process.
 
     Raises:
         ValueError: before any fit, if the domains differ in class or feature
             count, or a head would exceed `_HEAD_BUDGET_BYTES` (`_fit_workers`).
+        ValueError, RuntimeError: before any fit, from the first failing
+            input-risk solve (`wasserstein`'s dense-budget refusal, an
+            infeasible plan, a SinkhornConvergenceError).
         TrainingDivergedError: if a fit diverges, or a source head's
             representation of the target points is not finite; the message
             names the head or map.
@@ -755,7 +756,12 @@ def evaluate_risk_accuracy_pairs(
     if any(d.train.dim != domains[0].train.dim for d in domains):
         counts = ", ".join(f"{d.name} has {d.train.dim}" for d in domains)
         raise ValueError(f"all domains must share the feature count: {counts}")
-    workers = _fit_workers(domains, ot)
+    workers = _fit_workers(domains)
+    risks: dict[tuple[int, int], float] = {}
+    for lower, higher in itertools.combinations(range(len(domains)), 2):
+        risks[lower, higher] = risks[higher, lower] = input_risk(
+            domains[higher].train, domains[lower].train, "wasserstein", ot
+        )
 
     def represent(pair: str, cloud: EmpiricalDistribution, head) -> EmpiricalDistribution:
         # The transferred representation is the frozen source head's class
@@ -788,10 +794,9 @@ def evaluate_risk_accuracy_pairs(
     ]
 
     def run_block(sources: Sequence[int]) -> list[PairResult]:
-        # Each source head, then per ordered pair its input risk, the target
-        # points' representation, the output-map descent and the target head.
+        # Each source head, then per ordered pair the target points'
+        # representation, the output-map descent and the target head.
         rows: list[PairResult] = []
-        solved: dict[frozenset[int], float] = {}
         for source_index in sources:
             source = domains[source_index]
             head = _named(
@@ -803,14 +808,6 @@ def evaluate_risk_accuracy_pairs(
             for pair_index, target_index in pairs[source_index]:
                 target = domains[target_index]
                 pair = f"{source.name}->{target.name}"
-                key = frozenset((source_index, target_index))
-                if key not in solved:
-                    # Solved as at the unordered pair's first ordered pair,
-                    # lower -> higher index, so every block gets its bits.
-                    lower, higher = sorted(key)
-                    solved[key] = input_risk(
-                        domains[higher].train, domains[lower].train, "wasserstein", ot
-                    )
                 features = represent(pair, target.train, head)
                 output_risk, _, _ = _named(
                     f"output map of {pair}", minimize_output_risk, AffineMapFamily(classes, 1),
@@ -823,9 +820,10 @@ def evaluate_risk_accuracy_pairs(
                     represent(pair, target.held_out, head), target.held_out_labels,
                     replace(train_cfg, seed=train_cfg.seed + pair_index),
                 )
-                rows.append(
-                    PairResult(source.name, target.name, accuracy, solved[key], output_risk)
-                )
+                rows.append(PairResult(
+                    source.name, target.name, accuracy, risks[source_index, target_index],
+                    output_risk,
+                ))
         return rows
 
     return _run_forked(

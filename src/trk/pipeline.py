@@ -397,10 +397,23 @@ def _open_text(path: str | Path, newline: str | None = None):
 
 
 def _load_json(path: str | Path):
-    """The JSON document in `path`; text that is not UTF-8 or not JSON fails naming the file."""
+    """The JSON document in `path`; text that is not UTF-8 or not JSON fails naming the file.
+
+    An object that repeats a key is refused, where `json.load` alone would
+    keep its last value.
+    """
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        document: dict = {}
+        for key, value in pairs:
+            if key in document:
+                raise ValueError(f"{path}: JSON object repeats key {key!r}")
+            document[key] = value
+        return document
+
     with _open_text(path) as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: invalid JSON at line {err.lineno}") from None
         except RecursionError:
@@ -533,7 +546,9 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
     """A risk table's rows as (record, input risk, output risk, accuracy or None).
 
     `needed` names the columns the caller requires; accuracy is read where
-    present.  A header that repeats a column read here fails naming it.  A
+    present.  Header cells are stripped of surrounding whitespace, as the
+    dataset readers strip them.  A header that repeats a column read here
+    fails naming it.  A
     short row leaves its last columns blank, and a row longer than the
     header fails with its line.  Risks must be finite and nonnegative, as
     every combiner requires, and a nonblank accuracy finite; a bad cell
@@ -543,8 +558,8 @@ def _read_risk_table(path: str | Path, needed: tuple[str, ...]) -> list[tuple]:
     with _open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         lines = _csv_rows(path, reader)
-        header = next(lines, None)
-        if header is None or not set(needed) <= set(header):
+        header = [name.strip() for name in next(lines, [])]
+        if not set(needed) <= set(header):
             raise ValueError(f"{path}: risk table needs columns {sorted(needed)}")
         for column in (*needed, "accuracy"):
             if header.count(column) > 1:
@@ -873,7 +888,7 @@ def run(cfg: PipelineConfig) -> dict:
             _row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk)
             for r in evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.train, cfg.ot)
         ]
-        workers = _fit_workers(domains, cfg.ot)
+        workers = _fit_workers(domains)
     timings["pairs"] = time.perf_counter() - start
 
     report = {

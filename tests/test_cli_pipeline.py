@@ -1512,6 +1512,9 @@ BAD_DATASETS = [
      "features row 0 must be a non-empty array of numbers"),
     ("object_labels.json", '{"features": [[1.0]], "labels": {"a": 0}}',
      "'labels' must be a JSON array"),
+    ("repeated_features.json",
+     '{"features": [[1.0], [2.0]], "labels": [0, 1], "features": [[5.0, 6.0], [7.0, 8.0]]}',
+     "JSON object repeats key 'features'"),
 ]
 
 
@@ -1574,6 +1577,8 @@ BAD_CONFIG_FILES = [
     ("too_deep", b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
     ("not_an_object", b"[1]", "config root must be a JSON object"),
     ("unknown_key", b'{"mode": "gaussian_lab", "bogus": 1}', "unknown config key 'bogus'"),
+    ("repeated_key", b'{"mode": "gaussian_lab", "seed": 1, "seed": 2}',
+     "JSON object repeats key 'seed'"),
 ]
 
 
@@ -1648,6 +1653,24 @@ class TestCli:
             "error": f"{config}: {section} does not apply to --override-risks"
         }
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "fit-combiner"])
+    def test_a_spaced_risk_table_header_reads_as_the_plain_one(self, tmp_path, capsys, command):
+        outputs = []
+        for name, separator in (("plain", ","), ("spaced", " , ")):
+            (tmp_path / name).mkdir()
+            table = write_study_table(tmp_path / name / "table.csv")
+            head, body = table.read_text().split("\n", 1)
+            table.write_text(separator.join(head.split(",")) + "\n" + body)
+            if command == "run":
+                config = self.run_config(tmp_path / name, mode="empirical", combiner=STUDY_COMBINER)
+                assert main(["run", "--config", str(config), "--override-risks", str(table)]) == 0
+                capsys.readouterr()
+                outputs.append((tmp_path / name / "out" / "pairs.csv").read_bytes())
+            else:
+                assert main(["fit-combiner", "--rows", str(table), "--form", "polynomial2"]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_fit_combiner_prints_fit(self, tmp_path, capsys):
         table = write_study_table(tmp_path / "rows.csv")
@@ -2044,7 +2067,7 @@ class TestCli:
 
     @staticmethod
     def two_cpus_and_no_crossover(monkeypatch):
-        """Make every 1-D fit large enough for threads on a two-CPU affinity mask."""
+        """Make every fit large enough for two processes on a two-CPU affinity mask."""
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
@@ -2072,11 +2095,8 @@ class TestCli:
         path.write_text(json.dumps(config))
         outputs = {}
         for workers in (1, 2):
-            if workers == 2 and mode == "empirical":
+            if workers == 2:  # 2-D office domains fork as 1-D ones do
                 self.two_cpus_and_no_crossover(monkeypatch)
-            elif workers == 2:  # 2-D domains keep one worker unless forced
-                for module in (finetune, pipeline):
-                    monkeypatch.setattr(module, "_fit_workers", lambda domains, ot: 2)
             out_dir = tmp_path / f"out{workers}"
             assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
             report = json.loads((out_dir / "report.json").read_text())

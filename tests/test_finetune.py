@@ -949,27 +949,50 @@ class TestPairFits:
         assert all(len({id(m) for m in models}) == 1 for models in used.values())
 
     @pytest.mark.parametrize("n_domains", [3, 4])
-    def test_one_input_risk_per_unordered_pair(self, monkeypatch, n_domains):
+    def test_one_input_risk_per_unordered_pair(self, monkeypatch, tmp_path, n_domains):
+        # Each process appends its solves and head fits to one log, so the
+        # child's show up too.
         domains = make_synthetic_domains(1, n_domains=n_domains, samples_per_domain=48)
         names = {id(d.train): d.name for d in domains}
-        solves = []
+        log = tmp_path / "events"
+
+        def record(event):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {event}\n")
 
         def solve(law_xt, law_xs, metric, cfg):
-            solves.append((names[id(law_xt)], names[id(law_xs)]))
+            record(f"solve {names[id(law_xt)]} {names[id(law_xs)]}")
             return input_risk(law_xt, law_xs, metric, cfg)
 
+        def fit(*args):
+            record("fit -")
+            return train_classifier(*args)
+
         monkeypatch.setattr(finetune, "input_risk", solve)
-        rows = evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=2), TrainConfig(epochs=3))
-        # Each unordered pair is solved at its first ordered pair, in pair order.
-        firsts, seen = [], set()
-        for row in rows:
-            if frozenset((row.source, row.target)) not in seen:
-                seen.add(frozenset((row.source, row.target)))
-                firsts.append((row.target, row.source))
-        assert solves == firsts
-        assert len(solves) == n_domains * (n_domains - 1) // 2
-        by_pair = {(r.source, r.target): r.input_risk for r in rows}
+        monkeypatch.setattr(finetune, "train_classifier", fit)
+        n_solves = n_domains * (n_domains - 1) // 2
+        rows = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            log.write_text("")
+            rows[workers] = evaluate_risk_accuracy_pairs(
+                domains, TrainConfig(epochs=2), TrainConfig(epochs=3)
+            )
+            # Every solve runs in this process before the first head trains,
+            # each unordered pair as at its first ordered pair, in pair order.
+            firsts, seen = [], set()
+            for row in rows[workers]:
+                if frozenset((row.source, row.target)) not in seen:
+                    seen.add(frozenset((row.source, row.target)))
+                    firsts.append((row.target, row.source))
+            events = [line.split() for line in log.read_text().splitlines()]
+            here = str(os.getpid())
+            assert events[:n_solves] == [[here, "solve", t, s] for t, s in firsts]
+            assert [kind for _, kind, _ in events[n_solves:]] == ["fit"] * n_domains**2
+        assert rows[2] == rows[1]
+        by_pair = {(r.source, r.target): r.input_risk for r in rows[1]}
         assert all(by_pair[s, t] == by_pair[t, s] for s, t in by_pair)
+        assert_no_child_left()
 
     def test_reused_reverse_risk_is_within_ulps_of_its_own_solve(self):
         # The assignment route may land a different optimal plan in each
@@ -981,7 +1004,7 @@ class TestPairFits:
             direct = input_risk(by_name[row.target].train, by_name[row.source].train)
             assert row.input_risk == pytest.approx(direct, rel=1e-14, abs=0.0)
 
-    def test_solver_failure_surfaces_at_the_first_pair(self, monkeypatch):
+    def test_no_head_trains_before_a_failing_solve(self, monkeypatch):
         domains = make_synthetic_domains(1, samples_per_domain=48)
         names = {id(d.train): d.name for d in domains}
         pairs = []
@@ -999,8 +1022,8 @@ class TestPairFits:
         monkeypatch.setattr(finetune, "train_classifier", fit)
         with pytest.raises(RuntimeError, match="solver failed"):
             evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
-        # Heads of a->b, a->c and b->a trained; b->c failed before its target head.
-        assert pairs == [2, 3, 3, 2, 3]
+        # b-c, the last unordered pair, fails before domain_a's source head.
+        assert pairs == []
 
     def test_divergence_names_the_head_and_keeps_the_trace(self):
         domains = make_synthetic_domains(3, samples_per_domain=24)
@@ -1020,7 +1043,7 @@ class TestPairFits:
 
 def force_workers(monkeypatch, workers):
     """Run `evaluate_risk_accuracy_pairs` on `workers` processes, whatever its domains."""
-    monkeypatch.setattr(finetune, "_fit_workers", lambda domains, ot: workers)
+    monkeypatch.setattr(finetune, "_fit_workers", lambda domains: workers)
 
 
 def assert_no_child_left():
@@ -1054,17 +1077,18 @@ class TestConcurrentFits:
         assert rows[2] == rows[1]
         assert_no_child_left()
 
-    def test_the_crossover_gives_the_one_worker_rows(self, monkeypatch):
-        # Unforced: 1-D domains on a two-CPU mask run on two processes once
-        # the crossover is met.
-        domains = line_domains(60)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_the_crossover_gives_the_one_worker_rows(self, monkeypatch, dim):
+        # Unforced: 1-D and 2-D domains on a two-CPU mask run on two
+        # processes once the crossover is met.
+        domains = line_domains(60) if dim == 1 else make_synthetic_domains(2, samples_per_domain=120)
         cfgs = (TrainConfig(epochs=4, learning_rate=0.5), TrainConfig(epochs=20))
         with monkeypatch.context() as patch:
             force_workers(patch, 1)
             serial = evaluate_risk_accuracy_pairs(domains, *cfgs)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 60)
-        assert finetune._fit_workers(domains, OtConfig()) == 2
+        assert finetune._fit_workers(domains) == 2
         assert evaluate_risk_accuracy_pairs(domains, *cfgs) == serial
 
     def test_source_heads_train_side_by_side(self, monkeypatch, tmp_path):
@@ -1203,7 +1227,7 @@ class TestConcurrentFits:
             "        os.rename(sys.argv[1] + '.tmp', sys.argv[1])\n"
             "    time.sleep(60)\n"
             "finetune.train_classifier = fit\n"
-            "finetune._fit_workers = lambda domains, ot: 2\n"
+            "finetune._fit_workers = lambda domains: 2\n"
             "finetune.evaluate_risk_accuracy_pairs(\n"
             "    finetune.make_synthetic_domains(1, samples_per_domain=48))\n"
         )
@@ -1257,12 +1281,12 @@ class TestConcurrentFits:
         domains = make_synthetic_domains(1, n_domains=4, samples_per_domain=48)
         parent = os.getpid()
 
-        def solve(*args):
+        def fit(*args):
             if os.getpid() != parent:
                 raise SinkhornConvergenceError(1e-3, 7)
-            return input_risk(*args)
+            return train_classifier(*args)
 
-        monkeypatch.setattr(finetune, "input_risk", solve)
+        monkeypatch.setattr(finetune, "train_classifier", fit)
         force_workers(monkeypatch, 2)
         with pytest.raises(RuntimeError) as caught:
             evaluate_risk_accuracy_pairs(domains, TrainConfig(epochs=1), TrainConfig(epochs=1))
@@ -1271,60 +1295,92 @@ class TestConcurrentFits:
         assert_no_child_left()
 
     def test_workers_follow_the_cpus_the_crossover_and_the_budget(self, monkeypatch):
-        domains, ot = line_domains(20, classes=3), OtConfig()
+        domains = line_domains(20, classes=3)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert finetune._fit_workers(domains, ot) == 1  # below the crossover
+        assert finetune._fit_workers(domains) == 1  # below the crossover
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 20)
-        assert finetune._fit_workers(domains, ot) == 2  # the measured cap, not 3 CPUs
+        assert finetune._fit_workers(domains) == 2  # the measured cap, not 3 CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert finetune._fit_workers(domains, ot) == 1
+        assert finetune._fit_workers(domains) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert finetune._fit_workers(domains, ot) == 2
+        assert finetune._fit_workers(domains) == 2
         # Three classes on 1-D domains: the target head, on 3 inputs, is the largest.
         head = finetune._head_bytes(20, 3, 3)
         assert head == 8 * ((4 * 3 + 3 + 3) * 20 + 3 * 4)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
-            assert finetune._fit_workers(domains, ot) == workers
+            assert finetune._fit_workers(domains) == workers
         # Not even one head fits: refused ahead of every other gate.
         monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", head - 1)
         for min_points in (20, 600):
             monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", min_points)
             with pytest.raises(ValueError, match="makes 3 classes, and training a head on 20 points"):
-                finetune._fit_workers(domains, ot)
+                finetune._fit_workers(domains)
 
-    def test_only_one_dimensional_quantile_sweeps_run_at_once(self, monkeypatch):
-        # Any other input risk builds a dense matrix that DENSE_BUDGET_BYTES
-        # bounds one solve at a time, so those runs keep one worker.
+    def test_every_route_forks_above_the_crossover(self, monkeypatch):
+        # A fit process solves no transport problem, so the input risks'
+        # route does not gate the count: dense routes fork too.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
         line, plane = line_domains(20), make_synthetic_domains(0, samples_per_domain=40)
-        assert finetune._fit_workers(line, OtConfig()) == 2
-        assert finetune._fit_workers(line, OtConfig(method="sinkhorn")) == 1
-        assert finetune._fit_workers(plane, OtConfig()) == 1
-        assert finetune._fit_workers(line[:2] + plane[:1], OtConfig()) == 1
+        for domains in (line, plane, line[:2] + plane[:1]):
+            assert finetune._fit_workers(domains) == 2
+        split, run_forked = [], finetune._run_forked
+
+        def recorded(run, items, workers, child):
+            split.append(workers)
+            return run_forked(run, items, workers, child)
+
+        monkeypatch.setattr(finetune, "_run_forked", recorded)
+        cfgs = (
+            TrainConfig(epochs=1), TrainConfig(epochs=2),
+            OtConfig(method="sinkhorn", sinkhorn_epsilon=0.5),
+        )
+        rows = evaluate_risk_accuracy_pairs(line, *cfgs)
+        assert split == [2]
+        force_workers(monkeypatch, 1)
+        assert rows == evaluate_risk_accuracy_pairs(line, *cfgs)
+        assert_no_child_left()
+
+    def test_no_fit_process_solves_an_input_risk(self, monkeypatch):
+        domains = make_synthetic_domains(1, n_domains=4, samples_per_domain=48)
+        parent = os.getpid()
+
+        def solve(*args):
+            if os.getpid() != parent:
+                raise AssertionError("a fit process solved an input risk")
+            return input_risk(*args)
+
+        monkeypatch.setattr(finetune, "input_risk", solve)
+        cfgs = (TrainConfig(epochs=1), TrainConfig(epochs=2))
+        rows = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            rows[workers] = evaluate_risk_accuracy_pairs(domains, *cfgs)
+        assert rows[2] == rows[1]
+        assert_no_child_left()
 
     def test_only_a_one_thread_linux_process_forks(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
         domains = line_domains(20)
-        assert finetune._fit_workers(domains, OtConfig()) == 2
+        assert finetune._fit_workers(domains) == 2
         with monkeypatch.context() as patch:
             patch.setattr(sys, "platform", "darwin")
-            assert finetune._fit_workers(domains, OtConfig()) == 1
+            assert finetune._fit_workers(domains) == 1
         with monkeypatch.context() as patch:
             patch.delattr(os, "fork")
-            assert finetune._fit_workers(domains, OtConfig()) == 1
+            assert finetune._fit_workers(domains) == 1
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(30,))
         thread.start()
         try:
-            assert finetune._fit_workers(domains, OtConfig()) == 1
+            assert finetune._fit_workers(domains) == 1
         finally:
             release.set()
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert finetune._fit_workers(domains, OtConfig()) == 2
+        assert finetune._fit_workers(domains) == 2
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         # One worker runs the serial schedule in the calling thread: it
