@@ -304,32 +304,35 @@ def cross_entropy_objective(
 ) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy and its parameter gradient.
 
-    Works in two (classes, n) arrays, one row per class: the logits of
-    `_class_logits` become the log probabilities in place, and one buffer
-    holds their exponential, then the residual.  Each point's maximum and
-    normalizer reduce over the class axis, adding the classes left to right,
-    so the value is bit-equal to the axis-1 expression for 2-7 classes and
-    within an ulp of the normalizer from 8.  The gradient is
-    `residual @ points` and the residual's class sums; it sums over the
+    Works in one (classes, n) array, one row per class: the logits of
+    `_class_logits` less each point's maximum, exponentiated in place once,
+    then scaled by `weights / normalizer` and less each point's weight at
+    its label, which leaves the residual w (p - e_label).  The value is
+    -sum(weights * (shifted[label] - log normalizer)), the oracle's own
+    operations.  Each point's maximum and normalizer reduce over the class
+    axis, adding the classes left to right, so the value is bit-equal to
+    the axis-1 expression for 2-7 classes and within an ulp of the
+    normalizer from 8.  The gradient is `(points_t @ residual.T).T`, which
+    ran as fast as `residual @ points` at in_dim 1 and 3x faster at 4 (n =
+    10 000, 4 classes), and the residual's class sums.  It rounds each
+    probability otherwise than the oracle's exp(log p) and sums over the
     points in another order than the (n, classes) products, and agrees with
     them to about 1e-15 of its largest entry.  `_operands` is
     `_head_operands(points, labels)`, which a fit builds once for all its
     epochs.
     """
     points_t, flat = _head_operands(points, labels) if _operands is None else _operands
-    # Both arrays in one block: glibc's malloc keeps a block of this size on
-    # its heap between calls, where two separate ones went back to the OS at
-    # each return and were faulted in again at the next call.
-    log_probs, residual = np.empty((2, family.classes, len(labels)))
-    _class_logits(*family.unpack(params), points_t, out=log_probs)
-    log_probs -= np.maximum.reduce(log_probs, axis=0)
-    np.exp(log_probs, out=residual)
-    log_probs -= np.log(np.add.reduce(residual, axis=0))
-    value = float(-np.sum(weights * log_probs.reshape(-1)[flat]))
-    np.exp(log_probs, out=residual)
-    residual.reshape(-1)[flat] -= 1.0
-    residual *= weights
-    grad_weights = residual @ points
+    residual = _class_logits(*family.unpack(params), points_t)
+    residual -= np.maximum.reduce(residual, axis=0)
+    picked = residual.reshape(-1)[flat]
+    np.exp(residual, out=residual)
+    normalizer = np.add.reduce(residual, axis=0)
+    picked -= np.log(normalizer)
+    picked *= weights
+    value = float(-np.sum(picked))
+    residual *= np.divide(weights, normalizer, out=normalizer)
+    residual.reshape(-1)[flat] -= weights
+    grad_weights = (points_t @ residual.T).T
     grad_bias = residual.sum(axis=1)
     return value, np.concatenate([grad_weights.ravel(), grad_bias])
 
@@ -439,7 +442,7 @@ def train_classifier(
         if arr.min() < 0 or arr.max() >= family.classes:
             raise ValueError(f"{name} must lie in [0, {family.classes}), got range "
                              f"[{arr.min()}, {arr.max()}]")
-    if len(np.unique(labels)) < 2:
+    if labels.min() == labels.max():
         raise ValueError("training labels contain a single class")
     if features.dim != family.in_dim:
         raise ValueError(f"features dimension {features.dim} != family input {family.in_dim}")
@@ -553,12 +556,16 @@ def _named(what: str, fit, *args):
 def _head_bytes(n: int, classes: int, in_dim: int) -> int:
     """Bytes a classifier head on `in_dim` inputs takes while it trains on n points.
 
-    The softmax kernel's 4 * n * classes float64 arrays, the (in_dim, n)
-    contiguous copy of the points, three length-n vectors (the flat label
-    index, and the gathered log probabilities and their weighted terms) and
-    classes * (classes + 1) parameters.  A run's largest head trains on its
-    longest training half, on max(dim, classes) inputs: a source head reads
-    the dim-D points, a target head the class probabilities.
+    4 * n * classes float64 entries for its (classes, n) arrays, the
+    (in_dim, n) contiguous copy of the points, three length-n vectors and
+    classes * (classes + 1) parameters.  The loss kernel holds one (classes,
+    n) array and three length-n vectors (the flat label index, the label
+    entries and the normalizers); scoring the held-out split holds its
+    logits and the copy numpy's class-axis argmax makes of them.  At most
+    two class arrays are alive at once; the other two are headroom.  A run's
+    largest head trains on its longest training half, on
+    max(dim, classes) inputs: a source head reads the dim-D points, a target
+    head the class probabilities.
     """
     return 8 * ((4 * classes + in_dim + 3) * n + classes * (classes + 1))
 

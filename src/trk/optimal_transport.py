@@ -165,9 +165,14 @@ def _quantile_coupling(
         segment's length (its mass).
     """
     order_v, cv = target._side
-    ts = np.union1d(cumulative[:-1], cv[:-1])
-    ts = ts[(ts > 0.0) & (ts < 1.0)]
-    edges = np.concatenate([[0.0], ts, [1.0]])
+    # The breakpoints inside (0, 1), sorted, each kept once: `np.union1d`'s
+    # sort and first-of-equal-neighbours rule, without the `numpy.ma` import
+    # that numpy's `unique` makes.
+    ts = np.concatenate([cumulative[:-1], cv[:-1]])
+    ts.sort()
+    keep = (ts > 0.0) & (ts < 1.0)
+    keep[1:] &= ts[1:] != ts[:-1]
+    edges = np.concatenate([[0.0], ts[keep], [1.0]])
     mids = (edges[:-1] + edges[1:]) / 2.0
     # Round-off can leave the last cumulative weight a hair under 1, so clip.
     pu = np.minimum(np.searchsorted(cumulative, mids, side="left"), len(cumulative) - 1)

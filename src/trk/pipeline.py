@@ -663,7 +663,8 @@ def _dataset_to_domain(
     perm = rng.permutation(dist.size)
     half = dist.size // 2
     first, second = perm[:half], perm[half:]
-    if len(np.unique(labels[first])) < 2:
+    train_labels = labels[first]
+    if train_labels.min() == train_labels.max():
         raise ValueError(
             f"{path}: the training half drawn at seed {seed} holds fewer than 2 classes"
         )
@@ -678,7 +679,7 @@ def _dataset_to_domain(
     return SyntheticDomain(
         name=Path(path).stem,
         train=part(first, "training"),
-        train_labels=labels[first],
+        train_labels=train_labels,
         held_out=part(second, "held-out"),
         held_out_labels=labels[second],
         classes=classes,

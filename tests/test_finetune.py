@@ -375,9 +375,31 @@ class TestSoftmaxKernel:
         assert predicted.tobytes() == ref_predicted.tobytes()
 
     @pytest.mark.parametrize("in_dim", [1, 4])
+    def test_one_exponential_per_call(self, monkeypatch, in_dim):
+        # The value and the gradient read one exponential of the shifted
+        # logits; the oracle's second one, of the log probabilities, is
+        # not taken.
+        n, classes = 1000, 4
+        rng = np.random.default_rng(20 + in_dim)
+        family = SoftmaxHeadFamily(in_dim, classes)
+        params = rng.normal(size=family.parameter_count())
+        points = rng.normal(size=(n, in_dim))
+        labels = rng.integers(0, classes, size=n)
+        calls = []
+        exp = np.exp
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        cross_entropy_objective(family, params, points, labels, uniform_weights(n))
+        assert calls == [(classes, n)]
+
+    @pytest.mark.parametrize("in_dim", [1, 4])
     def test_peak_memory_is_few_class_arrays(self, in_dim):
         # Each (n, classes) temporary costs n * classes * 8 bytes; the kernel
-        # keeps the logits and one buffer alive plus a few length-n vectors.
+        # keeps one such array alive plus a few length-n vectors.
         n, classes = 10_000, 4
         rng = np.random.default_rng(in_dim)
         family = SoftmaxHeadFamily(in_dim, classes)

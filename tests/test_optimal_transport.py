@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_lsa
 from scipy.spatial.distance import cdist
@@ -569,6 +569,41 @@ def test_translation_invariance_property(shift, x0, x1):
     assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-9)
 
 
+def union_coupling(cumulative, target):
+    """`_quantile_coupling` with its breakpoints merged by `np.union1d`."""
+    order_v, cv = target._side
+    ts = np.union1d(cumulative[:-1], cv[:-1])
+    edges = np.concatenate([[0.0], ts[(ts > 0.0) & (ts < 1.0)], [1.0]])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    pu = np.minimum(np.searchsorted(cumulative, mids), len(cumulative) - 1)
+    pv = np.minimum(np.searchsorted(cv, mids), len(cv) - 1)
+    return pu, target.points[order_v[pv], 0], np.diff(edges)
+
+
+# Small integer weights: equal cumulative weights within a side and across
+# the two, zero weights (repeated breakpoints, and breakpoints at 0 or 1),
+# one-atom sides and sides left with no breakpoint inside (0, 1).
+side_weights = st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moving=side_weights, target=side_weights, seed=st.integers(0, 2**16))
+@example(moving=[1], target=[1], seed=0)
+@example(moving=[1], target=[1, 1, 2], seed=0)
+@example(moving=[0, 0, 2], target=[2, 0, 0], seed=0)
+@example(moving=[1, 1, 2], target=[2, 2], seed=0)
+def test_breakpoint_merge_is_union1d(moving, target, seed):
+    rng = np.random.default_rng(seed)
+    weights = np.array(moving, dtype=float) / sum(moving)
+    cumulative = np.cumsum(weights)
+    points = np.round(rng.normal(size=len(target)), 1)
+    b = cloud(points, np.array(target, dtype=float) / sum(target))
+    got = ot_module._quantile_coupling(cumulative, b)
+    expected = union_coupling(cumulative, b)
+    for ours, ref in zip(got, expected, strict=True):
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+
 def test_the_only_quantile_sweep_is_quantile_coupling():
     # One sweep: a new search for quantile breakpoints goes through
     # `_quantile_coupling`.
@@ -581,14 +616,13 @@ def test_the_only_quantile_sweep_is_quantile_coupling():
                 continue
             if (
                 isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr in ("searchsorted", "union1d")
+                and child.func.attr in ("searchsorted", "union1d", "unique")
             ):
                 calls.append((module, function, child.func.attr))
             visit(child, module, function)
 
     for path in sorted(Path(ot_module.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    assert sorted(set(calls)) == [
-        ("optimal_transport", "_quantile_coupling", "searchsorted"),
-        ("optimal_transport", "_quantile_coupling", "union1d"),
-    ]
+    # No set routine: numpy's `unique`, which `union1d` calls, imports
+    # `numpy.ma`, and `_quantile_coupling` merges its breakpoints by a sort.
+    assert sorted(set(calls)) == [("optimal_transport", "_quantile_coupling", "searchsorted")]
