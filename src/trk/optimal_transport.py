@@ -80,14 +80,14 @@ class OtConfig:
     """Solver configuration.
 
     Attributes:
-        p: order of the distance, >= 1; ground cost is ||x - y||^p.
+        p: order of the distance, finite and >= 1; ground cost is ||x - y||^p.
         method: 'auto' or 'sinkhorn'.  'auto' picks the quantile sweep in
             one dimension; when both supports fit under lp_max_support, a
             linear assignment for uniformly weighted clouds of equal size
             and the HiGHS LP for any other pair; Sinkhorn otherwise.
             'sinkhorn' always runs the entropic route.
-        sinkhorn_epsilon: entropic regularization; None means 0.01 times the
-            mean pairwise cost of the instance.
+        sinkhorn_epsilon: entropic regularization, finite and positive; None
+            means 0.01 times the mean pairwise cost of the instance.
         sinkhorn_max_iter: iteration cap before SinkhornConvergenceError.
         lp_max_support: largest support size 'auto' sends to an exact
             dense route (assignment or LP).
@@ -100,11 +100,12 @@ class OtConfig:
     lp_max_support: int = 400
 
     def __post_init__(self) -> None:
-        if self.p < 1.0:
+        # Each range is checked as one chained comparison, which NaN fails.
+        if not 1.0 <= self.p < np.inf:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
-        if self.sinkhorn_epsilon is not None and self.sinkhorn_epsilon <= 0.0:
+        if self.sinkhorn_epsilon is not None and not 0.0 < self.sinkhorn_epsilon < np.inf:
             raise ValueError("sinkhorn_epsilon must be positive")
         if self.sinkhorn_max_iter < 1:
             raise ValueError("sinkhorn_max_iter must be >= 1")

@@ -98,7 +98,8 @@ _KIND = {"kind": (("wasserstein", "kl"), "wasserstein")}
 _SINKHORN = {"sinkhorn_epsilon": (float, None), "sinkhorn_max_iter": (int, 2000)}
 _SOLVERS = {"auto": {"lp_max_support": (int, 400), **_SINKHORN}, "sinkhorn": _SINKHORN}
 _SOLVER = {"p": (float, 1.0), "method": (tuple(_SOLVERS), "auto")}
-_TRAIN = {"epochs": (int, 100), "learning_rate": (float, 0.05)}
+# The output map's descent.  The classifier heads have no knob: each is its
+# regularized loss's unique minimizer.
 _RISK_TRAIN = {"epochs": (int, 10), "learning_rate": (float, 0.5)}
 _MODE_TABLES = {
     "empirical": {
@@ -133,7 +134,7 @@ def _tables(mode: str, override: bool, form: str, method: str, identical: bool) 
     elif not override:  # the risk table replaces the datasets, the training and the solves
         sections |= {
             "divergence": {**_SOLVER, **_SOLVERS[method]},
-            "train": _TRAIN, "risk_train": _RISK_TRAIN, mode: _MODE_TABLES[mode],
+            "risk_train": _RISK_TRAIN, mode: _MODE_TABLES[mode],
         }
     root = _ROOT | ({} if override else _SEED)
     return {"": {**root, **dict.fromkeys(sections, (dict, {}))}, **sections}
@@ -296,7 +297,6 @@ class PipelineConfig:
     divergence_kind: str | None  # gaussian_lab's closed-form metric; None elsewhere
     # None in gaussian_lab and under override_risks, which solve and train nothing.
     ot: OtConfig | None
-    train: TrainConfig | None
     risk_train: TrainConfig | None
     input_risk_rescale: float
     mode_params: dict
@@ -317,12 +317,11 @@ class PipelineConfig:
         _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
         params = config.get(mode, {})  # an override run reads no mode section
         _check_mode_params(mode, params)
-        kind = ot = train = risk_train = None
+        kind = ot = risk_train = None
         if mode == "gaussian_lab":
             kind = config["divergence"]["kind"]
         elif override_risks is None:
             ot = _build(OtConfig, "divergence", **config["divergence"])
-            train = _build(TrainConfig, "train", seed=seed, **config["train"])
             risk_train = _build(TrainConfig, "risk_train", seed=seed, **config["risk_train"])
         return PipelineConfig(
             mode=mode,
@@ -331,7 +330,6 @@ class PipelineConfig:
             combiner=_combiner(config["combiner"]),
             divergence_kind=kind,
             ot=ot,
-            train=train,
             risk_train=risk_train,
             input_risk_rescale=rescale,
             mode_params=params,
@@ -887,7 +885,7 @@ def run(cfg: PipelineConfig) -> dict:
             domains = make_synthetic_domains(cfg.seed, **cfg.mode_params)
         rows = [
             _row(cfg, r.source, r.target, r.accuracy, r.input_risk, r.output_risk)
-            for r in evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.train, cfg.ot)
+            for r in evaluate_risk_accuracy_pairs(domains, cfg.risk_train, cfg.ot)
         ]
         workers = _fit_workers(domains)
     timings["pairs"] = time.perf_counter() - start

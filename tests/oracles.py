@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize
 
 
 def normal_pdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
@@ -286,3 +286,51 @@ def basic_case_exact(source, target) -> dict[str, float]:
         "regret": float(form(gap, gap) + bias**2),
         "residual": 2.0 * (math.sqrt(float(var_t * var_st)) - float(cross)),
     }
+
+
+def regularized_softmax_loss(
+    params: np.ndarray, features: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+    n_classes: int, l2: float,
+) -> tuple[float, np.ndarray]:
+    """Weighted softmax cross-entropy plus l2 / 2 * ||params||^2, and its gradient.
+
+    `params` is the (k, d + 1) matrix of each class's weights then its
+    bias, flattened.  The value is
+    -sum_i w_i log p_i[y_i] + l2 / 2 * ||params||^2 with log p from the
+    axis-1 log-sum-exp, and the gradient sum_i w_i (p_i - e_{y_i}) x~_i^T
+    + l2 * params, x~ the features with a 1 appended.
+    """
+    n = len(labels)
+    x1 = np.concatenate([features, np.ones((n, 1))], axis=1)
+    theta = params.reshape(n_classes, -1)
+    logits = x1 @ theta.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    value = -np.sum(weights * log_probs[np.arange(n), labels]) + l2 / 2.0 * params @ params
+    residual = (np.exp(log_probs) - np.eye(n_classes)[labels]) * weights[:, None]
+    return float(value), (residual.T @ x1).ravel() + l2 * params
+
+
+def fit_regularized_softmax_head(
+    features: np.ndarray, labels: np.ndarray, weights: np.ndarray, n_classes: int,
+    l2: float, gtol: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The minimizer of `regularized_softmax_loss`, by scipy's L-BFGS from zero.
+
+    A quasi-Newton method that never forms a Hessian, run until every
+    gradient entry is below `gtol`.  Returns (weights of shape (k, d), bias
+    of shape (k,)).
+
+    Raises:
+        AssertionError: if the solver stops before the gradient is that small.
+    """
+    d = features.shape[1]
+    result = minimize(
+        regularized_softmax_loss, np.zeros(n_classes * (d + 1)), jac=True, method="L-BFGS-B",
+        args=(features, labels, weights, n_classes, l2),
+        options={"gtol": gtol, "ftol": 0.0, "maxiter": 100_000, "maxcor": 30},
+    )
+    _, grad = regularized_softmax_loss(result.x, features, labels, weights, n_classes, l2)
+    assert np.abs(grad).max() <= gtol, result.message
+    theta = result.x.reshape(n_classes, d + 1)
+    return theta[:, :d], theta[:, d]

@@ -84,6 +84,22 @@ class TestOtConfig:
         with pytest.raises(ValueError, match="epsilon"):
             OtConfig(sinkhorn_epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # A single comparison once let these through: p = nan made
+            # every distance nan, and p = inf read 1.0.
+            ({"p": np.nan}, "p must be >= 1, got nan"),
+            ({"p": np.inf}, "p must be >= 1, got inf"),
+            ({"sinkhorn_epsilon": np.nan}, "sinkhorn_epsilon must be positive"),
+            ({"sinkhorn_epsilon": np.inf}, "sinkhorn_epsilon must be positive"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, kwargs, message):
+        with pytest.raises(ValueError) as caught:
+            OtConfig(**kwargs)
+        assert str(caught.value) == message
+
 
 class TestCoupling:
     """`wasserstein` refuses a solver plan that is not a coupling of the two clouds."""
