@@ -9,9 +9,12 @@ the strictly lowest objective.
 The second is a softmax classifier head used to measure transfer accuracy
 on held-out data.  A head is the unique minimizer of its weighted
 cross-entropy plus `_HEAD_L2 / 2 * ||params||^2`, a strongly convex loss,
-found by damped Newton-CG from zero (`_newton`) on Hessian products, with
-no Hessian formed: it depends on its data alone, not on a budget, a step
-size, a seed or a start.
+found by damped Newton from zero (`_newton`): it depends on its data alone,
+not on a budget, a step size, a seed or a start.  A head of at most
+`_DENSE_STEP_MAX_PARAMS` parameters solves each step with its exact
+Hessian, one Cholesky factorization over its class pairs; a larger one
+solves it by conjugate gradients on Hessian products, with no Hessian
+formed, so its memory stays linear in its points.
 The module also holds the process split, `_run_forked`, that these fits and
 the pipeline's `gaussian_lab` rows run on.
 
@@ -77,17 +80,38 @@ _NEWTON_MAX_HALVINGS = 60
 # Armijo's sufficient-decrease fraction of the line search (Nocedal &
 # Wright 2006, sec. 3.1).
 _ARMIJO = 1e-4
+# Largest head, in parameters classes * (in_dim + 1), whose Newton steps
+# solve its exact Hessian (`_exact_newton_steps`); larger heads take
+# Newton-CG (`_head_curvature`, `_conjugate_gradient`).  An exact step
+# costs a (pairs, n) @ (n, feature pairs) product, so it grows with the
+# square of the classes or of the inputs, where Newton-CG's ten or so
+# Hessian products per step grow with their product.  Whole fits, one core
+# of a 2-CPU host, median of 3 x 3 runs per side: below 30 parameters
+# the exact steps took 0.26-0.82x Newton-CG's time on every shape timed
+# at n = 400, 2 000 and 10 000 (the benchmark's 8- and 20-parameter heads
+# 0.35-0.48x from 2 000 points); at 30, 0.29-0.41x from 6 to 15 classes
+# and 0.61-0.95x at 2 and 3, whose 55-120 feature pairs cost most; at 2
+# classes on 16 inputs, 34 parameters, 0.85-1.19x, and at 2 on 19, 1.16x.
+# Above the cap the exact step's per-point memory, (classes + feature
+# pairs + class pairs) vectors against Newton-CG's 2 * (classes + in_dim),
+# would also grow past the 3.5-4x it reaches at 30.
+_DENSE_STEP_MAX_PARAMS = 30
 # Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
 # two processes.  Each process holds its own GIL, and a fork, pipe and reap
 # cost about 3 ms, which weighs most where a block holds least work: one
-# source and one pair at 2 domains.  The Newton-CG heads fit a 1-D 4-class
-# head on 10 000 points in about 8 ms and a 4-D one in about 20 ms.  On 1-D
-# 4-class domains (2-CPU host, 11 alternating pairs per size) two processes
-# ran at a median 1.39x serial speed at 2 domains at 600 points, 1.13-1.58x
-# from 800 to 10 000, 1.17-1.42x at 3 and 1.35-1.74x at 4 from 600 up; at
-# 2 domains they read 0.98x at 200 and 1.08x at 400, too close to the
-# host's noise to count as a gain.
-_CONCURRENT_MIN_POINTS = 600
+# source and one pair at 2 domains.  The exact-step heads fit a 1-D 4-class
+# head on 10 000 points in about 5 ms and a 4-D one in about 10 ms, under
+# half Newton-CG's time, so the fork weighs more.  On 1-D 4-class domains
+# (2-CPU host, median per-pair speed of 21 alternating serial/two-process
+# pairs per size) two processes ran at 2 domains at 0.65-0.88x serial speed
+# from 400 to 1 000 points, 0.77-1.04x at 1 500 and 2 000, 1.07x at 2 500,
+# then 1.25x at 3 000, 1.24x at 4 000 and 1.27x at 5 000 (1.46x at 10 000,
+# 11 pairs); at 3 domains 1.03-1.09x from 400 to 800, 1.14-1.18x from 1 000
+# to 2 000 and 1.25-1.28x at 3 000 and 5 000; at 4 domains (11 pairs)
+# 1.15-1.35x from 200 to 2 000 and 1.40-1.69x from 5 000.  2 domains lose
+# below 2 500, so the crossover is the first size past it that gains at
+# every domain count.
+_CONCURRENT_MIN_POINTS = 3000
 # Most processes a run splits its work over (`_fork_workers`): the two the
 # crossovers of the fits and of `gaussian_lab` were measured with.  More are
 # not measured until a host with more cores shows a gain.
@@ -185,7 +209,23 @@ class SoftmaxHeadFamily(AffineMapFamily):
         self.classes = classes
 
     def predict(self, params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return np.argmax(_class_logits(*self.unpack(params), points.T), axis=0)
+        return _class_argmax(_class_logits(*self.unpack(params), points.T))
+
+
+def _class_argmax(values: np.ndarray) -> np.ndarray:
+    """`np.argmax(values, axis=0)` of a class-major (classes, n) array, a block of columns at a time.
+
+    numpy's argmax over the leading axis of a C-ordered array copies it,
+    transposed; blocks of at most 8192 entries bound that copy to the size
+    of numpy's own ufunc buffer, where a whole (classes, n) copy would
+    double the array it reads.
+    """
+    classes, n = values.shape
+    index = np.empty(n, dtype=np.intp)
+    width = max(1, 8192 // classes)
+    for start in range(0, n, width):
+        np.argmax(values[:, start:start + width], axis=0, out=index[start:start + width])
+    return index
 
 
 def _class_logits(
@@ -368,8 +408,9 @@ def _head_curvature(
     """The Hessian of a head's weighted cross-entropy plus `_HEAD_L2 / 2 * ||params||^2`.
 
     Given as its product v -> H v and its diagonal, in `unpack`'s parameter
-    order; the matrix itself is never formed, so a head's memory stays
-    linear in its points.  `points_t` is the contiguous (in_dim, n) points.
+    order, for heads above `_DENSE_STEP_MAX_PARAMS`: the matrix itself is
+    never formed, so a head's memory stays linear in its points and its
+    classes.  `points_t` is the contiguous (in_dim, n) points.
     A direction moves each point's logits by u = `_class_logits` of the
     direction, and its residual w (p - e_label) by w p (u - p . u); H v
     contracts that derivative as the gradient contracts the residual, plus
@@ -384,7 +425,7 @@ def _head_curvature(
     """
     probs = _class_probabilities(family.build(params), points_t)
     n = points_t.shape[1]
-    top = np.argmax(probs, axis=0) * n + np.arange(n)
+    top = _class_argmax(probs) * n + np.arange(n)
     spread = 1.0 - probs
     spread *= probs
     spread *= weights
@@ -447,26 +488,154 @@ def _conjugate_gradient(
     return step if np.all(np.isfinite(step)) else None
 
 
+def _sum_zero_basis(classes: int) -> np.ndarray:
+    """An orthonormal basis, as (classes, classes - 1) columns, of the vectors whose entries sum to 0.
+
+    Helmert's: column k - 1 holds 1 on the first k classes and -k on class
+    k, scaled to unit length.  Two classes below k share their entries
+    bit for bit, so their difference is exactly 0 there.
+    """
+    row = np.arange(classes)[:, None]
+    k = np.arange(1, classes)
+    return np.where(row < k, 1.0, np.where(row == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
+
+
+def _pair_operands(
+    points_t: np.ndarray, classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What a head's exact Hessians (`_head_hessian`) read of its fixed points, built once per fit.
+
+    With x~ = (x, 1) a point's features and its bias: the (feature pairs,
+    n) products x~_j x~_k of each pair j <= k in row-major order, the
+    index that spreads such a row onto the full (in_dim + 1)^2 block, the
+    (pairs, classes - 1) differences u_ab = T_a - T_b of the rows of the
+    sum-zero basis T for each class pair a < b, in the order of
+    `np.triu_indices`, and T itself.  A product that overflows stays
+    infinite (numpy reports it as the squared points of `_head_curvature`
+    do), and every Hessian that reads it is the step's failure.
+    """
+    in_dim, n = points_t.shape
+    width = in_dim + 1
+    products = np.empty((width * (width + 1) // 2, n))
+    row = 0
+    for j in range(in_dim):
+        np.multiply(points_t[j:], points_t[j], out=products[row:row + in_dim - j])
+        products[row + in_dim - j] = points_t[j]
+        row += width - j
+    products[row] = 1.0
+    upper = np.zeros((width, width), dtype=np.intp)
+    upper[np.triu_indices(width)] = np.arange(len(products))
+    spread = np.maximum(upper, upper.T).ravel()
+    basis = _sum_zero_basis(classes)
+    first, second = np.triu_indices(classes, 1)
+    return products, spread, basis[first] - basis[second], basis
+
+
+def _head_hessian(
+    family: SoftmaxHeadFamily, params: np.ndarray, points_t: np.ndarray, weights: np.ndarray,
+    operands: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """A head's loss Hessian, `_HEAD_L2` included, on the sum-zero class subspace.
+
+    In coordinates (k, j) of the parameters T[:, k] (x) e_j, for T the
+    sum-zero basis and j over the features then the bias, as
+    `_pair_operands` gives them.  Over the class pairs a < b, the data
+    Hessian is sum (e_a - e_b)(e_a - e_b)^T (x) C_ab with C_ab the
+    contraction of the pair weights w p_a p_b with x~ x~^T (Boehning 1992),
+    so restricted it is sum u_ab u_ab^T (x) C_ab: one (pairs, n) @ (n,
+    feature pairs) product gives every C_ab.  Each term carries its own
+    weight, at least 0, so a saturated head keeps its small curvature:
+    nothing subtracts it from a probability that rounds to 1.  The dropped
+    directions shift every class alike; the loss is flat along them, and
+    neither the gradient nor the iterates from zero leave the subspace.
+    Holds the (classes, n) probabilities and the (pairs, n) pair weights.
+    """
+    products, spread, differences, _ = operands
+    probs = _class_probabilities(family.build(params), points_t)
+    classes, n = probs.shape
+    pair_weights = np.empty((len(differences), n))
+    row = 0
+    for a in range(classes - 1):
+        np.multiply(probs[a + 1:], probs[a], out=pair_weights[row:row + classes - 1 - a])
+        row += classes - 1 - a
+    pair_weights *= weights
+    blocks = (pair_weights @ products.T)[:, spread]
+    width, rank = family.in_dim + 1, classes - 1
+    terms = differences[:, :, None] @ blocks[:, None, :]
+    hessian = (differences.T @ terms.reshape(len(differences), -1)).reshape(rank, rank, width, width)
+    hessian = hessian.transpose(0, 2, 1, 3).reshape(rank * width, rank * width)
+    hessian.reshape(-1)[:: rank * width + 1] += _HEAD_L2
+    return hessian
+
+
+def _cholesky_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """An exact Newton step H^-1 grad, by Cholesky of H scaled to a unit diagonal.
+
+    The scaling (Jacobi's) makes the factorization independent of each
+    parameter's scale, as it does the conjugate gradients'.  None where H
+    or the step is not finite, or H is not positive definite to working
+    precision: the Hessian is then non-finite or singular.
+    """
+    diagonal = np.diagonal(hessian)
+    if not (np.all(np.isfinite(hessian)) and np.all(diagonal > 0.0)):
+        return None
+    scale = 1.0 / np.sqrt(diagonal)
+    try:
+        lower = np.linalg.cholesky(hessian * scale[:, None] * scale)
+        solved = np.linalg.solve(lower.T, np.linalg.solve(lower, scale * grad))
+    except np.linalg.LinAlgError:
+        return None
+    step = scale * solved
+    return step if np.all(np.isfinite(step)) else None
+
+
+def _exact_newton_steps(
+    family: SoftmaxHeadFamily, points_t: np.ndarray, weights: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray | None]:
+    """A head's Newton step (params, grad) -> H^-1 grad, from its exact Hessian.
+
+    Builds `_pair_operands` once; each step forms `_head_hessian` and
+    solves it by `_cholesky_step` on the sum-zero subspace, where the
+    gradient lies: its class sums are zero, the data's and, for iterates
+    from zero, the L2 term's.  Overflow in the Hessian or the step is read
+    as the step's failure, not warned of.
+    """
+    operands = _pair_operands(points_t, family.classes)
+    basis = operands[-1]
+
+    def step(params: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+        grid = np.column_stack(family.unpack(grad))
+        with np.errstate(over="ignore", invalid="ignore"):
+            hessian = _head_hessian(family, params, points_t, weights, operands)
+            solved = _cholesky_step(hessian, (basis.T @ grid).ravel())
+        if solved is None:
+            return None
+        grid = basis @ solved.reshape(-1, family.in_dim + 1)
+        return np.concatenate([grid[:, :-1].ravel(), grid[:, -1]])
+
+    return step
+
+
 def _newton(
     objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    curvature: Callable[[np.ndarray], tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]],
+    newton_step: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
     size: int,
 ) -> TrainTrace:
-    """Damped Newton-CG from zero on a strongly convex `objective`, to its minimizer.
+    """Damped Newton from zero on a strongly convex `objective`, to its minimizer.
 
-    `curvature(params)` gives the Hessian there as its product v -> H v and
-    its diagonal; no Hessian is formed.  Each step takes its direction from
-    `_conjugate_gradient`, stops once half the decrement grad . step is
-    below `_NEWTON_TOL`, and otherwise halves the step until the objective
-    falls by at least `_ARMIJO` times the decrement's share of it (Armijo
-    backtracking; Nocedal & Wright 2006, ch. 3 and sec. 7.1; Boyd &
-    Vandenberghe 2004, sec. 9.5).  A non-finite trial value counts as no
-    decrease.  Returns the trace of the value at each step's start, its
-    last entry the returned minimizer's.
+    `newton_step(params, grad)` gives the step H^-1 grad there, exact or
+    inexact, or None where the Hessian is non-finite or singular to
+    working precision.  Each step stops once half the decrement grad .
+    step is below `_NEWTON_TOL`, and otherwise halves the step until the
+    objective falls by at least `_ARMIJO` times the decrement's share of
+    it (Armijo backtracking; Nocedal & Wright 2006, ch. 3 and sec. 7.1;
+    Boyd & Vandenberghe 2004, sec. 9.5).  A non-finite trial value counts
+    as no decrease.  Returns the trace of the value at each step's start,
+    its last entry the returned minimizer's.
 
     Raises:
         TrainingDivergedError: if the value or the gradient is not
-            finite, `_conjugate_gradient` finds the Hessian non-finite or
+            finite, `newton_step` finds the Hessian non-finite or
             singular, or a cap is hit: more than `_NEWTON_MAX_STEPS` steps
             or `_NEWTON_MAX_HALVINGS` halvings of one step.  The trace keeps
             the last iterate reached.
@@ -485,7 +654,7 @@ def _newton(
         if not np.all(np.isfinite(grad)):
             fail(f"loss gradient became non-finite {at}")
         objectives.append(value)
-        step = _conjugate_gradient(*curvature(params), grad)
+        step = newton_step(params, grad)
         if step is None:
             fail(f"loss Hessian became non-finite or singular {at}")
         decrement = float(grad @ step)
@@ -590,9 +759,12 @@ def train_classifier(
     plus `_HEAD_L2 / 2 * ||params||^2` over all its parameters, biases
     included.  That loss is strongly convex, so its minimizer is unique:
     the head depends on the training rows and their weights alone, not on
-    their order.  `_newton` finds it from zero, with the Hessian products
-    of `_head_curvature`; no Hessian is formed, so the fit's memory is
-    linear in the points.
+    their order.  `_newton` finds it from zero.  Up to
+    `_DENSE_STEP_MAX_PARAMS` parameters each step solves the exact Hessian
+    (`_exact_newton_steps`); above, conjugate gradients solve it on the
+    Hessian products of `_head_curvature`, with no Hessian formed, so a
+    large head's memory stays linear in its points.  Both routes stop by
+    the same rule and fail with the same errors.
 
     Returns:
         (accuracy, model, trace) with accuracy weighted by the held-out
@@ -628,10 +800,15 @@ def train_classifier(
         )
         return value + _HEAD_L2 / 2.0 * float(params @ params), grad + _HEAD_L2 * params
 
-    def curvature(params: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-        return _head_curvature(family, params, operands[0], features.weights)
+    if family.parameter_count() <= _DENSE_STEP_MAX_PARAMS:
+        newton_step = _exact_newton_steps(family, operands[0], features.weights)
+    else:
+        def newton_step(params: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+            return _conjugate_gradient(
+                *_head_curvature(family, params, operands[0], features.weights), grad
+            )
 
-    trace = _newton(objective, curvature, family.parameter_count())
+    trace = _newton(objective, newton_step, family.parameter_count())
     predicted = family.predict(trace.parameters, eval_features.points)
     accuracy = float(np.sum(eval_features.weights * (predicted == eval_labels)))
     return accuracy, family.build(trace.parameters), trace
@@ -735,25 +912,42 @@ def _head_bytes(n: int, classes: int, in_dim: int) -> int:
 
     Through the fit, its contiguous (in_dim, n) points, a copy from in_dim
     2 (at in_dim 1 the transpose is already contiguous), and its flat label
-    index stay alive.  The largest working set above them is a Hessian
-    diagonal's (`_head_curvature`): the (classes, n) probabilities, the
-    (classes, n) spread w p (1 - p), the squared points and the most
-    probable classes' index, for 2 * classes + in_dim + 1 vectors of n.
-    A Hessian product (two class arrays and three vectors), a loss
-    evaluation (one class array and three vectors) and the held-out scoring
-    (its logits and the copy numpy's class-axis argmax makes of them) fit
-    under it.  Conjugate gradients hold about twelve vectors of the classes
-    * (in_dim + 1) parameters, and numpy's 8192-element ufunc buffer covers
-    the small arrays.  Under tracemalloc this is 1.01-1.11x the measured
-    peak for 2-32 classes and in_dim 1-32 at n = 10 000, and 1.01-1.12x for
-    heads of 100 classes on 200 points and of 300 inputs on 400.  A run's
-    largest head trains on its longest training half, on max(dim, classes)
-    inputs: a source head reads the dim-D points, a target head the class
-    probabilities.
+    index stay alive.  A loss evaluation (one class array and three
+    vectors) and the held-out scoring (its logits and their argmax) fit
+    under either route's working set, and numpy's 8192-element ufunc
+    buffer covers the small arrays and `_class_argmax`'s blocks.
+
+    Up to `_DENSE_STEP_MAX_PARAMS` parameters, the exact steps: the
+    (in_dim + 1)(in_dim + 2) / 2 feature products stay alive, and a
+    Hessian (`_head_hessian`) holds the (classes, n) probabilities and the
+    (pairs, n) pair weights, at least three vectors' worth, beside its
+    (pairs, classes - 1, (in_dim + 1)^2) class-pair terms, its pair
+    blocks and two of its ((classes - 1)(in_dim + 1))^2 matrices; the
+    Cholesky solve holds less.  Above, Newton-CG: the largest working set
+    is a Hessian diagonal's (`_head_curvature`), the (classes, n)
+    probabilities, the (classes, n) spread w p (1 - p), the squared points
+    and the most probable classes' index, for 2 * classes + in_dim + 1
+    vectors of n; a Hessian product (two class arrays and three vectors)
+    fits under it, and conjugate gradients hold about twelve vectors of
+    the parameters.
+
+    Under tracemalloc this is 1.02-1.09x the measured peak for 2-16
+    classes and in_dim 1-16 at n = 10 000, on both routes, 1.04-1.05x for
+    the two 30-parameter heads with most class pairs (15 classes, in_dim
+    1) and most feature pairs (2, in_dim 14) at n = 1 000, and 1.01-1.12x
+    for heads of 100 classes on 200 points and of 300 inputs on 400.  A
+    run sizes both heads on its longest training half
+    (`_fit_workers`): a source head reads the dim-D points, a target
+    head the class probabilities.
     """
     copy = in_dim if in_dim > 1 else 0
-    vectors = 2 * classes + in_dim + copy + 2
-    return 8 * (vectors * n + 12 * classes * (in_dim + 1) + 8192)
+    if classes * (in_dim + 1) > _DENSE_STEP_MAX_PARAMS:
+        vectors = 2 * classes + in_dim + copy + 2
+        return 8 * (vectors * n + 12 * classes * (in_dim + 1) + 8192)
+    width, pairs, rank = in_dim + 1, classes * (classes - 1) // 2, classes - 1
+    vectors = copy + 1 + width * (width + 1) // 2 + classes + max(pairs, 3)
+    small = pairs * (rank + 2) * width**2 + 2 * (rank * width) ** 2
+    return 8 * (vectors * n + small + 8192)
 
 
 def _fork_workers() -> int:
@@ -773,7 +967,9 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
     """How many processes `evaluate_risk_accuracy_pairs` runs its fits on over `domains`.
 
     `_fork_workers()`, and no more heads of the run's largest size than
-    `_HEAD_BUDGET_BYTES` holds.  1 while every training half is below
+    `_HEAD_BUDGET_BYTES` holds: the larger `_head_bytes` of a source head
+    on dim inputs and a target head on classes inputs, on the longest
+    training half.  1 while every training half is below
     `_CONCURRENT_MIN_POINTS` points.  A fit process only trains: every
     input risk, dense route or not, is solved before the split.
 
@@ -784,7 +980,7 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
     """
     longest = max(domains, key=lambda d: d.train.size)
     n, dim, classes = longest.train.size, longest.train.dim, longest.classes
-    needed = _head_bytes(n, classes, max(dim, classes))
+    needed = max(_head_bytes(n, classes, dim), _head_bytes(n, classes, classes))
     heads = _HEAD_BUDGET_BYTES // needed
     if heads == 0:
         top = classes - 1

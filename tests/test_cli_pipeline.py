@@ -2039,17 +2039,19 @@ class TestCli:
 
     def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
         # Two 8-row datasets: heads train on 4 points.  1-D with labels up to
-        # 9 makes 10 classes, and the largest head a target head on 10
-        # inputs; 12-D with labels up to 1, the source head on 12 inputs.
-        # The refusal names the dataset holding the largest label, or the
-        # longest (the first of equals) and its feature count.  finetune
-        # alone holds the budget.
+        # 9 makes 10 classes, and the largest head the source head on 1
+        # input: its 20 parameters take exact steps over 45 class pairs,
+        # where the target head on 10 inputs takes Newton-CG.  12-D with
+        # labels up to 1, the source head on 12 inputs, whose 26 parameters
+        # take exact steps over 91 feature pairs.  The refusal names the
+        # dataset holding the largest label, or the longest (the first of
+        # equals) and its feature count.  finetune alone holds the budget.
         assert "_HEAD_BUDGET_BYTES" not in vars(pipeline)
         for columns, top, cause, needed in (
             (1, 9, "b1: its largest label 9 makes 10 classes",
-             8 * ((2 * 10 + 2 * 10 + 2) * 4 + 12 * 10 * 11 + 8192)),
+             8 * ((1 + 3 + 10 + 45) * 4 + 45 * 11 * 2**2 + 2 * (9 * 2) ** 2 + 8192)),
             (12, 1, "a12: its points have 12 features",
-             8 * ((2 * 2 + 2 * 12 + 2) * 4 + 12 * 2 * 13 + 8192)),
+             8 * ((12 + 1 + 91 + 2 + 3) * 4 + 1 * 3 * 13**2 + 2 * 13**2 + 8192)),
         ):
             paths = []
             header = ",".join(f"x{j}" for j in range(columns))

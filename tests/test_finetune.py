@@ -68,6 +68,20 @@ def rank_correlation(a, b):
     return float(np.sum(ra * rb) / np.sqrt(np.sum(ra**2) * np.sum(rb**2)))
 
 
+HEAD_ROUTES = {"exact": sys.maxsize, "newton_cg": 0}
+
+
+@pytest.fixture(params=list(HEAD_ROUTES))
+def head_route(request):
+    """Every head of the test on one Newton route, by the exact steps' parameter cap.
+
+    Patched apart from the test's own `monkeypatch`, whose `undo` keeps it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finetune, "_DENSE_STEP_MAX_PARAMS", HEAD_ROUTES[request.param])
+        yield request.param
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -437,16 +451,23 @@ class TestSoftmaxKernel:
         assert peak <= 4 * n * classes * 8
 
     def test_a_fit_stays_within_its_head_bytes(self):
-        # The whole fit: operands, every Newton step's kernel, Hessian
-        # products and conjugate gradients, and the held-out prediction, on
-        # as many held-out points as training points.  The count is a bound
-        # and no more: at most a quarter above the measured peak.  The
-        # last two heads hold more parameters than points: 100 classes on
-        # 200 points and 300 inputs on 400.
+        # The whole fit: operands, every Newton step's kernel, exact
+        # Hessians and their solves or Hessian products and conjugate
+        # gradients, and the held-out prediction, on as many held-out
+        # points as training points.  The count is a bound and no more: at
+        # most a quarter above the measured peak.  The grid holds heads on
+        # both sides of the exact steps' parameter cap, up to 8 classes on
+        # 2 inputs below it and from 16 classes on 1 input above; the next
+        # two heads sit at the cap with most class pairs and most feature
+        # pairs.  The last two hold more parameters than points: 100
+        # classes on 200 points and 300 inputs on 400.
         shapes = [(10_000, classes, in_dim) for classes, in_dim in itertools.product(
             (2, 3, 4, 8, 16), (1, 2, 4, 16)
         )]
-        for n, classes, in_dim in shapes + [(200, 100, 100), (400, 10, 300)]:
+        cap = finetune._DENSE_STEP_MAX_PARAMS
+        at_cap = [(1000, 15, 1), (1000, 2, 14)]
+        assert all(classes * (in_dim + 1) == cap for _, classes, in_dim in at_cap)
+        for n, classes, in_dim in shapes + at_cap + [(200, 100, 100), (400, 10, 300)]:
             rng = np.random.default_rng(classes * in_dim)
             family = SoftmaxHeadFamily(in_dim, classes)
             labels = np.arange(n) % classes
@@ -465,6 +486,37 @@ class TestSoftmaxKernel:
                 tracemalloc.stop()
             counted = finetune._head_bytes(n, classes, in_dim)
             assert peak <= counted <= 1.25 * peak, (n, classes, in_dim)
+
+    def test_a_prediction_holds_one_class_array(self):
+        # The held-out logits are the one (classes, n) array, beside an
+        # 8192-element block, numpy's ufunc buffer (their bias is added by
+        # broadcast) or the argmax's copy of a block of columns, and a few
+        # vectors of n: 1.4 class arrays here, where the class-axis
+        # argmax's copy of the whole array peaked at 2.0.
+        n, classes = 200, 100
+        rng = np.random.default_rng(41)
+        family = SoftmaxHeadFamily(classes, classes)
+        params = rng.normal(size=family.parameter_count())
+        points = rng.normal(size=(n, classes))
+        weights, bias = family.unpack(params)
+        expected = np.argmax(points @ weights.T + bias, axis=1)
+        family.predict(params, points)
+        tracemalloc.start()
+        try:
+            predicted = family.predict(params, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * classes + 8192 + 4 * n)
+        np.testing.assert_array_equal(predicted, expected)
+
+    @pytest.mark.parametrize("classes, n", [(3, 5), (7, 5000), (100, 200), (9000, 3)])
+    def test_class_argmax_is_numpys_over_any_blocks(self, classes, n):
+        # Ties and NaN as numpy has them: the first largest, or the first NaN.
+        rng = np.random.default_rng(classes)
+        values = rng.integers(0, 3, size=(classes, n)).astype(float)
+        values[rng.integers(0, classes, size=n // 2), rng.integers(0, n, size=n // 2)] = np.nan
+        np.testing.assert_array_equal(finetune._class_argmax(values), np.argmax(values, axis=0))
 
 
 class TestMinimizeOutputRisk:
@@ -825,6 +877,97 @@ class TestTrainClassifier:
             np.testing.assert_allclose(products, columns, rtol=0.0, atol=1e-8)
             np.testing.assert_allclose(diagonal, np.diag(columns), rtol=0.0, atol=1e-8)
 
+    def test_the_exact_hessian_is_the_gradient_derivative_on_the_sum_zero_subspace(self):
+        # Central differences of the regularized gradient give the full
+        # Hessian in `unpack`'s order; restricted to the parameters
+        # T[:, k] (x) e_j, for T the sum-zero basis and j over the
+        # features then the bias, it is `_head_hessian`.
+        l2, step = finetune._HEAD_L2, 1e-6
+        rng = np.random.default_rng(43)
+        for in_dim, classes in ((1, 2), (1, 4), (3, 3), (4, 4), (2, 6)):
+            family = SoftmaxHeadFamily(in_dim, classes)
+            points = rng.normal(size=(50, in_dim))
+            labels = rng.integers(0, classes, size=50)
+            weights = rng.random(50)
+            weights /= weights.sum()
+            params = rng.normal(size=family.parameter_count())
+            points_t, _ = finetune._head_operands(points, labels)
+            operands = finetune._pair_operands(points_t, classes)
+            hessian = finetune._head_hessian(family, params, points_t, weights, operands)
+
+            def gradient(at):
+                return cross_entropy_objective(family, at, points, labels, weights)[1] + l2 * at
+
+            units = np.eye(params.size)
+            full = np.array([
+                (gradient(params + step * unit) - gradient(params - step * unit)) / (2 * step)
+                for unit in units
+            ]).T
+            basis = finetune._sum_zero_basis(classes)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(classes - 1), atol=1e-15)
+            np.testing.assert_allclose(basis.sum(axis=0), 0.0, atol=1e-15)
+            embed = np.zeros((params.size, (classes - 1) * (in_dim + 1)))
+            for k, j in itertools.product(range(classes - 1), range(in_dim + 1)):
+                column = np.zeros((classes, in_dim + 1))
+                column[:, j] = basis[:, k]
+                embed[:, k * (in_dim + 1) + j] = np.concatenate(
+                    [column[:, :in_dim].ravel(), column[:, in_dim]]
+                )
+            np.testing.assert_allclose(hessian, embed.T @ full @ embed, rtol=0.0, atol=1e-8)
+
+    def test_the_two_routes_reach_one_minimizer(self):
+        # Exact steps and Newton-CG on the same heads, below, at and above
+        # the exact steps' parameter cap: both stop within sqrt(2 tol / l2)
+        # of the minimizer, since the loss curves by at least l2, so they
+        # agree to twice that.  They agreed to 1e-6 when measured.
+        tol, l2 = finetune._NEWTON_TOL, finetune._HEAD_L2
+        heads = list(self.head_instances())
+        for n, in_dim, classes in ((2000, 1, 15), (2000, 1, 16), (2000, 14, 2), (2000, 15, 2)):
+            rng = np.random.default_rng(n + in_dim + classes)
+            labels = np.arange(n) % classes
+            points = 1.5 * rng.normal(size=(classes, in_dim))[labels] + rng.normal(size=(n, in_dim))
+            heads.append((SoftmaxHeadFamily(in_dim, classes), EmpiricalDistribution.from_points(points),
+                          labels))
+        cap = finetune._DENSE_STEP_MAX_PARAMS
+        sizes = {family.parameter_count() for family, _, _ in heads}
+        assert {cap, cap + 2} <= sizes and min(sizes) < cap < max(sizes)
+        for family, cloud, labels in heads:
+            fits = {}
+            for route, route_cap in HEAD_ROUTES.items():
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(finetune, "_DENSE_STEP_MAX_PARAMS", route_cap)
+                    fits[route] = self.flat(train_classifier(family, cloud, labels, cloud, labels)[1])
+            gap = np.linalg.norm(fits["exact"] - fits["newton_cg"])
+            assert gap <= 2.0 * np.sqrt(2.0 * tol / l2), family.parameter_count()
+
+    @pytest.mark.parametrize("classes, in_dim", [(2, 14), (15, 1), (2, 15), (16, 1), (100, 100)])
+    def test_the_cap_picks_the_route(self, monkeypatch, classes, in_dim):
+        # Heads up to the cap take exact steps and no Hessian product;
+        # above it, Newton-CG and no exact Hessian.  A 100-class head on 100
+        # inputs, 10 100 parameters, stays on the Hessian products.
+        routes = []
+        hessian, curvature = finetune._head_hessian, finetune._head_curvature
+
+        def exact(*args):
+            routes.append("exact")
+            return hessian(*args)
+
+        def products(*args):
+            routes.append("newton_cg")
+            return curvature(*args)
+
+        monkeypatch.setattr(finetune, "_head_hessian", exact)
+        monkeypatch.setattr(finetune, "_head_curvature", products)
+        n = 200
+        rng = np.random.default_rng(classes * in_dim)
+        labels = np.arange(n) % classes
+        points = 2.0 * rng.normal(size=(classes, in_dim))[labels] + rng.normal(size=(n, in_dim))
+        cloud = EmpiricalDistribution.from_points(points)
+        family = SoftmaxHeadFamily(in_dim, classes)
+        train_classifier(family, cloud, labels, cloud, labels)
+        expected = "exact" if family.parameter_count() <= finetune._DENSE_STEP_MAX_PARAMS else "newton_cg"
+        assert routes and set(routes) == {expected}
+
     def test_the_row_order_does_not_matter(self):
         # The minimizer depends on the weighted rows alone; a permutation
         # only reorders the sums, so the heads agree to rounding.
@@ -837,11 +980,13 @@ class TestTrainClassifier:
             )
             np.testing.assert_allclose(self.flat(moved), self.flat(model), rtol=0.0, atol=1e-9)
 
-    def test_each_solve_failure_is_a_divergence(self, monkeypatch):
+    def test_each_solve_failure_is_a_divergence(self, monkeypatch, head_route):
         # Features of 1e200 overflow the squared points of the Hessian's
-        # diagonal; a Hessian product that finds no curvature, as rounding
-        # could make one, is refused too.  Either ends at Newton step 0,
-        # after the loss at zero is recorded.
+        # diagonal, or its feature products; a Hessian that finds no
+        # curvature, as rounding could make one, is refused too: a Hessian
+        # product of zero, or an exact Hessian that is zero, indefinite
+        # (its Cholesky fails) or holds a non-finite entry.  Each ends at
+        # Newton step 0, after the loss at zero is recorded.
         points, labels = separable_blobs(18, n=40)
         family = SoftmaxHeadFamily(2, 2)
         message = "loss Hessian became non-finite or singular at Newton step 0"
@@ -852,16 +997,33 @@ class TestTrainClassifier:
         assert caught.value.trace.objectives == (np.log(2.0),)
         assert caught.value.trace.parameters.tobytes() == np.zeros(6).tobytes()
         dist = EmpiricalDistribution.from_points(points)
-        curvature = finetune._head_curvature
+        curvature, hessian = finetune._head_curvature, finetune._head_hessian
 
         def flat(*args):
             product, diagonal = curvature(*args)
             return (lambda direction: 0.0 * product(direction)), diagonal
 
-        monkeypatch.setattr(finetune, "_head_curvature", flat)
-        with pytest.raises(TrainingDivergedError, match=f"^{message}$"):
-            train_classifier(family, dist, labels, dist, labels)
-        monkeypatch.undo()
+        def indefinite(*args):
+            matrix = hessian(*args)
+            matrix[0, 1] = matrix[1, 0] = 2.0 * np.sqrt(matrix[0, 0] * matrix[1, 1])
+            return matrix
+
+        def non_finite(*args):
+            matrix = hessian(*args)
+            matrix[0, -1] = matrix[-1, 0] = np.inf
+            return matrix
+
+        broken = (
+            [("_head_curvature", flat)] if head_route == "newton_cg"
+            else [("_head_hessian", lambda *args: 0.0 * hessian(*args)),
+                  ("_head_hessian", indefinite), ("_head_hessian", non_finite)]
+        )
+        for name, replacement in broken:
+            monkeypatch.setattr(finetune, name, replacement)
+            with pytest.raises(TrainingDivergedError, match=f"^{message}$") as caught:
+                train_classifier(family, dist, labels, dist, labels)
+            assert caught.value.trace.objectives == (np.log(2.0),)
+            monkeypatch.undo()
         # Each cap ends the solve with the iterate it reached.
         dist = EmpiricalDistribution.from_points(points)
         monkeypatch.setattr(finetune, "_NEWTON_MAX_STEPS", 2)
@@ -884,11 +1046,12 @@ class TestTrainClassifier:
         assert caught.value.trace.objectives == (np.log(2.0),)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e7, 1e150])
-    def test_features_far_from_unit_size_are_solved(self, scale):
+    def test_features_far_from_unit_size_are_solved(self, scale, head_route):
         # Scaling the features by s scales the Hessian's weight block by
-        # s^2, and its diagonal preconditions that away: the head is
-        # returned, and its gradient in unit-size coordinates (each
-        # weight's entry divided by s) keeps the stop rule's bound
+        # s^2, and its diagonal scales that away, as the conjugate
+        # gradients' preconditioner or before the Cholesky factorization:
+        # the head is returned, and its gradient in unit-size coordinates
+        # (each weight's entry divided by s) keeps the stop rule's bound
         # |g|^2 <= 2 tol lambda_max.  A fixed L2 weight against unscaled
         # curvature once refused such heads from a scale of a few million.
         tol = finetune._NEWTON_TOL
@@ -1191,7 +1354,7 @@ class TestPairFits:
         # b-c, the last unordered pair, fails before domain_a's source head.
         assert pairs == []
 
-    def test_divergence_names_the_head_and_keeps_the_trace(self):
+    def test_divergence_names_the_head_and_keeps_the_trace(self, head_route):
         # Features of 1e200 overflow the first source head's Hessian
         # diagonal, after the loss at its start is recorded.
         domains = [scaled(d, 1e200) for d in line_domains(20, classes=3)]
@@ -1346,7 +1509,7 @@ class TestConcurrentFits:
         assert np.array_equal(forked.trace.parameters, serial.trace.parameters)
         assert_no_child_left()
 
-    def test_divergence_on_two_workers_is_the_one_worker_error(self, monkeypatch):
+    def test_divergence_on_two_workers_is_the_one_worker_error(self, monkeypatch, head_route):
         # Every source head diverges on features of 1e200; the first one's
         # error is raised, with its trace, and numpy's overflow stays silent
         # in the child too (a warning would fail this test under the suite's
@@ -1481,9 +1644,13 @@ class TestConcurrentFits:
         assert finetune._fit_workers(domains) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert finetune._fit_workers(domains) == 2
-        # Three classes on 1-D domains: the target head, on 3 inputs, is the largest.
+        # Three classes on 1-D domains: the target head, on 3 inputs, is the
+        # largest.  Its 12 parameters take exact steps: per point the copy
+        # of its 3 inputs, the label index, 10 feature products, 3 class
+        # rows and 3 class-pair rows, then its pair terms and Hessians.
         head = finetune._head_bytes(20, 3, 3)
-        assert head == 8 * ((2 * 3 + 2 * 3 + 2) * 20 + 12 * 3 * 4 + 8192)
+        assert head > finetune._head_bytes(20, 3, 1)
+        assert head == 8 * ((3 + 1 + 10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 8192)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert finetune._fit_workers(domains) == workers
