@@ -11,10 +11,11 @@ on held-out data.  A head is the unique minimizer of its weighted
 cross-entropy plus `_HEAD_L2 / 2 * ||params||^2`, a strongly convex loss,
 found by damped Newton from zero (`_newton`): it depends on its data alone,
 not on a budget, a step size, a seed or a start.  A head of at most
-`_DENSE_STEP_MAX_PARAMS` parameters solves each step with its exact
-Hessian, one Cholesky factorization over its class pairs; a larger one
-solves it by conjugate gradients on Hessian products, with no Hessian
-formed, so its memory stays linear in its points.
+`_DENSE_STEP_MAX_PARAMS` parameters, on points few enough for its memory
+(`_takes_exact_steps`), solves each step with its exact Hessian, one
+Cholesky factorization over its class pairs; any other solves it by
+conjugate gradients on Hessian products, with no Hessian formed, so its
+memory stays linear in its points and its parameters.
 The module also holds the process split, `_run_forked`, that these fits and
 the pipeline's `gaussian_lab` rows run on.
 
@@ -94,24 +95,38 @@ _ARMIJO = 1e-4
 # classes on 16 inputs, 34 parameters, 0.85-1.19x, and at 2 on 19, 1.16x.
 # Above the cap the exact step's per-point memory, (classes + feature
 # pairs + class pairs) vectors against Newton-CG's 2 * (classes + in_dim),
-# would also grow past the 3.5-4x it reaches at 30.
+# would also grow past the 3.5-4x it reaches at 30; below it, a head on
+# too many points for that memory takes Newton-CG too (`_takes_exact_steps`).
 _DENSE_STEP_MAX_PARAMS = 30
 # Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
-# two processes.  Each process holds its own GIL, and a fork, pipe and reap
-# cost about 3 ms, which weighs most where a block holds least work: one
-# source and one pair at 2 domains.  The exact-step heads fit a 1-D 4-class
-# head on 10 000 points in about 5 ms and a 4-D one in about 10 ms, under
-# half Newton-CG's time, so the fork weighs more.  On 1-D 4-class domains
-# (2-CPU host, median per-pair speed of 21 alternating serial/two-process
-# pairs per size) two processes ran at 2 domains at 0.65-0.88x serial speed
-# from 400 to 1 000 points, 0.77-1.04x at 1 500 and 2 000, 1.07x at 2 500,
-# then 1.25x at 3 000, 1.24x at 4 000 and 1.27x at 5 000 (1.46x at 10 000,
-# 11 pairs); at 3 domains 1.03-1.09x from 400 to 800, 1.14-1.18x from 1 000
-# to 2 000 and 1.25-1.28x at 3 000 and 5 000; at 4 domains (11 pairs)
-# 1.15-1.35x from 200 to 2 000 and 1.40-1.69x from 5 000.  2 domains lose
-# below 2 500, so the crossover is the first size past it that gains at
-# every domain count.
+# two processes, while its target heads, the heads each pair fits, take
+# exact steps (`_fit_workers`).  Each process holds its own GIL, and a fork,
+# pipe and reap cost about 3 ms, which weighs most where a block holds least
+# work: one source and one pair at 2 domains.  The exact-step heads fit a
+# 1-D 4-class head on 10 000 points in about 5 ms and a 4-D one in about
+# 10 ms, under half Newton-CG's time, so the fork weighs more.  On 1-D
+# 4-class domains (2-CPU host, median per-pair speed of 21 alternating
+# serial/two-process pairs per size) two processes ran at 2 domains at
+# 0.65-0.88x serial speed from 400 to 1 000 points, 0.77-1.04x at 1 500 and
+# 2 000, 1.07x at 2 500, then 1.25x at 3 000, 1.24x at 4 000 and 1.27x at
+# 5 000 (1.46x at 10 000, 11 pairs); at 3 domains 1.03-1.09x from 400 to
+# 800, 1.14-1.18x from 1 000 to 2 000 and 1.25-1.28x at 3 000 and 5 000; at
+# 4 domains (11 pairs) 1.15-1.35x from 200 to 2 000 and 1.40-1.69x from
+# 5 000.  2 domains lose below 2 500, so the crossover is the first size
+# past it that gains at every domain count.  Where only the source heads
+# take Newton-CG, 2 classes on 16-D domains (11 pairs, input risks left out
+# of the timing), 2 domains read 0.88-1.40x from 400 to 2 000 points with
+# no clear gain, 0.97x and 1.15x at 3 000 in two series, and 1.19x and
+# 1.48x at 5 000 and 10 000; 3 domains 1.05-1.27x.  So it holds there.
 _CONCURRENT_MIN_POINTS = 3000
+# The same crossover where the target heads take Newton-CG, above the exact
+# steps' cap: each fit costs more, so the fork weighs less.  On 8-class
+# domains, 2-D and 4-D (11 pairs per size, input risks left out of the
+# timing), two processes ran at 2 domains at 1.21-1.28x serial speed at 200
+# points, 1.03-1.27x at 400 and 1.18-1.56x from 600 to 3 000; at 3 domains
+# 1.23-1.44x from 200.  With Newton-CG heads on 1-D 4-class domains they
+# read 0.98x at 200, 1.08x at 400 and 1.13-1.58x from 600 at 2 domains.
+_NEWTON_CG_CONCURRENT_MIN_POINTS = 600
 # Most processes a run splits its work over (`_fork_workers`): the two the
 # crossovers of the fits and of `gaussian_lab` were measured with.  More are
 # not measured until a host with more cores shows a gain.
@@ -119,7 +134,8 @@ _MAX_FIT_WORKERS = 2
 # Bytes the classifier heads of one run may take while they train
 # (`_head_bytes` each).  `_fit_workers` refuses a run whose single largest
 # head is above it; below it, the heads that train at once are capped at as
-# many as it holds.
+# many as it holds.  A head takes exact steps only while `_MAX_FIT_WORKERS`
+# of them fit it (`_takes_exact_steps`).
 _HEAD_BUDGET_BYTES = 1 << 30
 # prctl(2) option that has the kernel signal a process when its parent dies.
 _PR_SET_PDEATHSIG = 1
@@ -408,9 +424,10 @@ def _head_curvature(
     """The Hessian of a head's weighted cross-entropy plus `_HEAD_L2 / 2 * ||params||^2`.
 
     Given as its product v -> H v and its diagonal, in `unpack`'s parameter
-    order, for heads above `_DENSE_STEP_MAX_PARAMS`: the matrix itself is
-    never formed, so a head's memory stays linear in its points and its
-    classes.  `points_t` is the contiguous (in_dim, n) points.
+    order, for heads that do not take exact steps (`_takes_exact_steps`):
+    the matrix itself is never formed, so a head's memory stays linear in
+    its points and its classes.  `points_t` is the contiguous (in_dim, n)
+    points.
     A direction moves each point's logits by u = `_class_logits` of the
     direction, and its residual w (p - e_label) by w p (u - p . u); H v
     contracts that derivative as the gradient contracts the residual, plus
@@ -759,9 +776,10 @@ def train_classifier(
     plus `_HEAD_L2 / 2 * ||params||^2` over all its parameters, biases
     included.  That loss is strongly convex, so its minimizer is unique:
     the head depends on the training rows and their weights alone, not on
-    their order.  `_newton` finds it from zero.  Up to
-    `_DENSE_STEP_MAX_PARAMS` parameters each step solves the exact Hessian
-    (`_exact_newton_steps`); above, conjugate gradients solve it on the
+    their order.  `_newton` finds it from zero.  Where
+    `_takes_exact_steps` holds, up to `_DENSE_STEP_MAX_PARAMS` parameters
+    and while the memory allows, each step solves the exact Hessian
+    (`_exact_newton_steps`); otherwise conjugate gradients solve it on the
     Hessian products of `_head_curvature`, with no Hessian formed, so a
     large head's memory stays linear in its points.  Both routes stop by
     the same rule and fail with the same errors.
@@ -800,7 +818,7 @@ def train_classifier(
         )
         return value + _HEAD_L2 / 2.0 * float(params @ params), grad + _HEAD_L2 * params
 
-    if family.parameter_count() <= _DENSE_STEP_MAX_PARAMS:
+    if _takes_exact_steps(features.size, family.classes, family.in_dim):
         newton_step = _exact_newton_steps(family, operands[0], features.weights)
     else:
         def newton_step(params: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
@@ -907,47 +925,78 @@ def _named(what: str, fit, *args):
         raise TrainingDivergedError(f"{what}: {err}", err.trace) from err
 
 
-def _head_bytes(n: int, classes: int, in_dim: int) -> int:
-    """Bytes a classifier head on `in_dim` inputs takes while it trains on n points.
+def _exact_step_bytes(n: int, classes: int, in_dim: int) -> int:
+    """Bytes a classifier head takes while it trains on n points by exact Newton steps.
 
     Through the fit, its contiguous (in_dim, n) points, a copy from in_dim
-    2 (at in_dim 1 the transpose is already contiguous), and its flat label
-    index stay alive.  A loss evaluation (one class array and three
+    2 (at in_dim 1 the transpose is already contiguous), its flat label
+    index and its (in_dim + 1)(in_dim + 2) / 2 feature products stay alive.
+    A Hessian (`_head_hessian`) holds the (classes, n) probabilities and
+    the (pairs, n) pair weights, at least three vectors' worth, beside its
+    (pairs, classes - 1, (in_dim + 1)^2) class-pair terms, its pair blocks
+    and two of its ((classes - 1)(in_dim + 1))^2 matrices; the Cholesky
+    solve holds less.  A loss evaluation (one class array and three
     vectors) and the held-out scoring (its logits and their argmax) fit
-    under either route's working set, and numpy's 8192-element ufunc
-    buffer covers the small arrays and `_class_argmax`'s blocks.
-
-    Up to `_DENSE_STEP_MAX_PARAMS` parameters, the exact steps: the
-    (in_dim + 1)(in_dim + 2) / 2 feature products stay alive, and a
-    Hessian (`_head_hessian`) holds the (classes, n) probabilities and the
-    (pairs, n) pair weights, at least three vectors' worth, beside its
-    (pairs, classes - 1, (in_dim + 1)^2) class-pair terms, its pair
-    blocks and two of its ((classes - 1)(in_dim + 1))^2 matrices; the
-    Cholesky solve holds less.  Above, Newton-CG: the largest working set
-    is a Hessian diagonal's (`_head_curvature`), the (classes, n)
-    probabilities, the (classes, n) spread w p (1 - p), the squared points
-    and the most probable classes' index, for 2 * classes + in_dim + 1
-    vectors of n; a Hessian product (two class arrays and three vectors)
-    fits under it, and conjugate gradients hold about twelve vectors of
-    the parameters.
-
-    Under tracemalloc this is 1.02-1.09x the measured peak for 2-16
-    classes and in_dim 1-16 at n = 10 000, on both routes, 1.04-1.05x for
-    the two 30-parameter heads with most class pairs (15 classes, in_dim
-    1) and most feature pairs (2, in_dim 14) at n = 1 000, and 1.01-1.12x
-    for heads of 100 classes on 200 points and of 300 inputs on 400.  A
-    run sizes both heads on its longest training half
-    (`_fit_workers`): a source head reads the dim-D points, a target
-    head the class probabilities.
+    under that, and numpy's 8192-element ufunc buffer covers the small
+    arrays and `_class_argmax`'s blocks.
     """
     copy = in_dim if in_dim > 1 else 0
-    if classes * (in_dim + 1) > _DENSE_STEP_MAX_PARAMS:
-        vectors = 2 * classes + in_dim + copy + 2
-        return 8 * (vectors * n + 12 * classes * (in_dim + 1) + 8192)
     width, pairs, rank = in_dim + 1, classes * (classes - 1) // 2, classes - 1
     vectors = copy + 1 + width * (width + 1) // 2 + classes + max(pairs, 3)
     small = pairs * (rank + 2) * width**2 + 2 * (rank * width) ** 2
     return 8 * (vectors * n + small + 8192)
+
+
+def _newton_cg_bytes(n: int, classes: int, in_dim: int) -> int:
+    """Bytes a classifier head takes while it trains on n points by Newton-CG.
+
+    Its points, their copy and its label index stay alive, as on the exact
+    route.  The largest working set above them is a Hessian diagonal's
+    (`_head_curvature`): the (classes, n) probabilities, the (classes, n)
+    spread w p (1 - p), the squared points and the most probable classes'
+    index, for 2 * classes + in_dim + 1 vectors of n.  A Hessian product
+    (two class arrays and three vectors), a loss evaluation and the
+    held-out scoring fit under it, and conjugate gradients hold about
+    twelve vectors of the parameters.
+    """
+    copy = in_dim if in_dim > 1 else 0
+    vectors = 2 * classes + in_dim + copy + 2
+    return 8 * (vectors * n + 12 * classes * (in_dim + 1) + 8192)
+
+
+def _takes_exact_steps(n: int, classes: int, in_dim: int) -> bool:
+    """Whether a classifier head on `in_dim` inputs solves its Newton steps exactly on n points.
+
+    Up to `_DENSE_STEP_MAX_PARAMS` parameters, where exact steps are the
+    faster route, and while `_MAX_FIT_WORKERS` heads of theirs fit
+    `_HEAD_BUDGET_BYTES`: exact steps hold up to about four times
+    Newton-CG's memory per point, and a head that takes them never leaves
+    a run fewer heads at once than the run's processes, nor refuses one
+    that Newton-CG holds.  `train_classifier` takes the route and
+    `_head_bytes` counts it.
+    """
+    return (
+        classes * (in_dim + 1) <= _DENSE_STEP_MAX_PARAMS
+        and _MAX_FIT_WORKERS * _exact_step_bytes(n, classes, in_dim) <= _HEAD_BUDGET_BYTES
+    )
+
+
+def _head_bytes(n: int, classes: int, in_dim: int) -> int:
+    """Bytes a classifier head on `in_dim` inputs takes while it trains on n points.
+
+    `_exact_step_bytes` or `_newton_cg_bytes`, by the route
+    `_takes_exact_steps` picks.  Under tracemalloc this is 1.02-1.09x the
+    measured peak for 2-16 classes and in_dim 1-16 at n = 10 000, on both
+    routes, 1.04-1.05x for the two 30-parameter heads with most class
+    pairs (15 classes, in_dim 1) and most feature pairs (2, in_dim 14) at
+    n = 1 000, and 1.01-1.12x for heads of 100 classes on 200 points and
+    of 300 inputs on 400.  A run sizes both heads on its longest training
+    half (`_fit_workers`): a source head reads the dim-D points, a target
+    head the class probabilities.
+    """
+    if _takes_exact_steps(n, classes, in_dim):
+        return _exact_step_bytes(n, classes, in_dim)
+    return _newton_cg_bytes(n, classes, in_dim)
 
 
 def _fork_workers() -> int:
@@ -969,9 +1018,13 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
     `_fork_workers()`, and no more heads of the run's largest size than
     `_HEAD_BUDGET_BYTES` holds: the larger `_head_bytes` of a source head
     on dim inputs and a target head on classes inputs, on the longest
-    training half.  1 while every training half is below
-    `_CONCURRENT_MIN_POINTS` points.  A fit process only trains: every
-    input risk, dense route or not, is solved before the split.
+    training half, each on the route `_takes_exact_steps` picks.  A head
+    takes exact steps only where two of them fit, so a refused head is
+    on Newton-CG.  1 while every training half is below the crossover of
+    the target heads' route: `_CONCURRENT_MIN_POINTS` points for exact
+    steps, `_NEWTON_CG_CONCURRENT_MIN_POINTS` for Newton-CG.  A fit process
+    only trains: every input risk, dense route or not, is solved before
+    the split.
 
     Raises:
         ValueError: if not even one head fits the budget, naming what makes
@@ -994,7 +1047,8 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
             f"{cause}, and training a head on {n} points would need about "
             f"{needed / 2**30:.3g} GiB, above the {_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
         )
-    if n < _CONCURRENT_MIN_POINTS:
+    exact_targets = _takes_exact_steps(n, classes, classes)
+    if n < (_CONCURRENT_MIN_POINTS if exact_targets else _NEWTON_CG_CONCURRENT_MIN_POINTS):
         return 1
     return min(_fork_workers(), heads)
 
@@ -1119,8 +1173,8 @@ def evaluate_risk_accuracy_pairs(
     risk_cfg.seed + i, so runs are reproducible.
 
     The fits run on `_fit_workers(domains)` processes: two, on Linux, for
-    domains whose training halves reach `_CONCURRENT_MIN_POINTS` points,
-    and otherwise one.  `_run_forked` splits the source domains between
+    domains whose training halves reach the crossover of the target heads'
+    route, and otherwise one.  `_run_forked` splits the source domains between
     them, each half in pair order.  Every fit is a pure function of its
     inputs (and a descent's seed), so the rows, and the first error in pair order, are
     those of one process.

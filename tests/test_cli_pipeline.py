@@ -2039,19 +2039,19 @@ class TestCli:
 
     def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
         # Two 8-row datasets: heads train on 4 points.  1-D with labels up to
-        # 9 makes 10 classes, and the largest head the source head on 1
-        # input: its 20 parameters take exact steps over 45 class pairs,
-        # where the target head on 10 inputs takes Newton-CG.  12-D with
-        # labels up to 1, the source head on 12 inputs, whose 26 parameters
-        # take exact steps over 91 feature pairs.  The refusal names the
-        # dataset holding the largest label, or the longest (the first of
-        # equals) and its feature count.  finetune alone holds the budget.
+        # 9 makes 10 classes, and the largest head a target head on 10
+        # inputs; 12-D with labels up to 1, the source head on 12 inputs.
+        # At budgets this small no head takes exact steps, which need two
+        # of their heads to fit, so each is counted on Newton-CG.  The
+        # refusal names the dataset holding the largest label, or the
+        # longest (the first of equals) and its feature count.  finetune
+        # alone holds the budget.
         assert "_HEAD_BUDGET_BYTES" not in vars(pipeline)
         for columns, top, cause, needed in (
             (1, 9, "b1: its largest label 9 makes 10 classes",
-             8 * ((1 + 3 + 10 + 45) * 4 + 45 * 11 * 2**2 + 2 * (9 * 2) ** 2 + 8192)),
+             8 * ((2 * 10 + 2 * 10 + 2) * 4 + 12 * 10 * 11 + 8192)),
             (12, 1, "a12: its points have 12 features",
-             8 * ((12 + 1 + 91 + 2 + 3) * 4 + 1 * 3 * 13**2 + 2 * 13**2 + 8192)),
+             8 * ((2 * 2 + 2 * 12 + 2) * 4 + 12 * 2 * 13 + 8192)),
         ):
             paths = []
             header = ",".join(f"x{j}" for j in range(columns))
@@ -2094,6 +2094,7 @@ class TestCli:
     def two_cpus_and_no_crossover(monkeypatch):
         """Make every fit large enough for two processes on a two-CPU affinity mask."""
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 0)
+        monkeypatch.setattr(finetune, "_NEWTON_CG_CONCURRENT_MIN_POINTS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @staticmethod
@@ -2131,12 +2132,15 @@ class TestCli:
         assert capsys.readouterr().err == ""
 
     def test_head_budget_caps_the_workers_rather_than_refusing(self, tmp_path, monkeypatch):
-        # Heads train on 30 points of 2 classes.
+        # Heads train on 30 points of 2 classes.  The target head, on 2
+        # inputs, is the largest; it takes exact steps while two of them
+        # fit, and below that Newton-CG, whose heads then cap the workers.
         config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
                   "empirical": {"datasets": self.line_csvs(tmp_path)}, "risk_train": {"epochs": 1}}
         self.two_cpus_and_no_crossover(monkeypatch)
-        head = finetune._head_bytes(30, 2, 2)
-        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
+        exact, head = finetune._head_bytes(30, 2, 2), finetune._newton_cg_bytes(30, 2, 2)
+        assert exact == finetune._exact_step_bytes(30, 2, 2) > head
+        for budget, workers in ((2 * exact, 2), (2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert run(PipelineConfig.from_dict(config))["workers"] == workers
 

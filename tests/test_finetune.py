@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -944,7 +945,9 @@ class TestTrainClassifier:
     def test_the_cap_picks_the_route(self, monkeypatch, classes, in_dim):
         # Heads up to the cap take exact steps and no Hessian product;
         # above it, Newton-CG and no exact Hessian.  A 100-class head on 100
-        # inputs, 10 100 parameters, stays on the Hessian products.
+        # inputs, 10 100 parameters, stays on the Hessian products.  Below
+        # the cap, a budget that does not hold two exact-step heads puts the
+        # head on Newton-CG too.
         routes = []
         hessian, curvature = finetune._head_hessian, finetune._head_curvature
 
@@ -967,6 +970,12 @@ class TestTrainClassifier:
         train_classifier(family, cloud, labels, cloud, labels)
         expected = "exact" if family.parameter_count() <= finetune._DENSE_STEP_MAX_PARAMS else "newton_cg"
         assert routes and set(routes) == {expected}
+        if expected == "exact":
+            routes.clear()
+            budget = 2 * finetune._exact_step_bytes(n, classes, in_dim) - 1
+            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
+            train_classifier(family, cloud, labels, cloud, labels)
+            assert routes and set(routes) == {"newton_cg"}
 
     def test_the_row_order_does_not_matter(self):
         # The minimizer depends on the weighted rows alone; a permutation
@@ -1174,9 +1183,11 @@ class TestEvaluatePairs:
 
     def test_a_head_above_the_budget_is_refused_before_any_fit(self, monkeypatch):
         # 2-D 3-class domains of 30 training points: the largest head is a
-        # target head on 3 inputs, so the classes name the cause.
+        # target head on 3 inputs, so the classes name the cause.  A head
+        # is refused on Newton-CG: it takes exact steps only where two
+        # heads of theirs fit the budget.
         domains = make_synthetic_domains(3, samples_per_domain=60)
-        needed = finetune._head_bytes(30, 3, 3)
+        needed = finetune._newton_cg_bytes(30, 3, 3)
         monkeypatch.setattr(finetune, "train_classifier", self.no_fit)
         monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed)
         with pytest.raises(AssertionError, match="a fit ran"):
@@ -1639,6 +1650,7 @@ class TestConcurrentFits:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert finetune._fit_workers(domains) == 1  # below the crossover
         monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", 20)
+        monkeypatch.setattr(finetune, "_NEWTON_CG_CONCURRENT_MIN_POINTS", 20)
         assert finetune._fit_workers(domains) == 2  # the measured cap, not 3 CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert finetune._fit_workers(domains) == 1
@@ -1651,15 +1663,66 @@ class TestConcurrentFits:
         head = finetune._head_bytes(20, 3, 3)
         assert head > finetune._head_bytes(20, 3, 1)
         assert head == 8 * ((3 + 1 + 10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 8192)
-        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
+        # Below two such heads it takes Newton-CG, whose working set then
+        # caps the workers: per point the copy, the label index, 2 class
+        # rows, the squared points and the most probable classes' index.
+        newton_cg = finetune._newton_cg_bytes(20, 3, 3)
+        assert newton_cg == 8 * ((2 * 3 + 2 * 3 + 2) * 20 + 12 * 3 * 4 + 8192) < head
+        for budget, workers, exact in (
+            (2 * head, 2, True), (2 * head - 1, 2, False), (2 * newton_cg, 2, False),
+            (2 * newton_cg - 1, 1, False), (newton_cg, 1, False),
+        ):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
+            assert finetune._takes_exact_steps(20, 3, 3) is exact
             assert finetune._fit_workers(domains) == workers
         # Not even one head fits: refused ahead of every other gate.
-        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", head - 1)
+        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", newton_cg - 1)
         for min_points in (20, 600):
             monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", min_points)
             with pytest.raises(ValueError, match="makes 3 classes, and training a head on 20 points"):
                 finetune._fit_workers(domains)
+
+    @staticmethod
+    def sized_domains(n, dim, classes):
+        """Two domains of n training points on dim features, for `_fit_workers`'s arithmetic alone."""
+        half = SimpleNamespace(size=n, dim=dim)
+        return [
+            SimpleNamespace(name=name, train=half, classes=classes,
+                            train_labels=np.arange(classes), held_out_labels=np.arange(classes))
+            for name in "ab"
+        ]
+
+    @pytest.mark.parametrize(
+        "dim, classes, crossover", [(1, 4, 3000), (16, 2, 3000), (2, 8, 600), (4, 8, 600)]
+    )
+    def test_the_crossover_follows_the_target_heads_route(self, monkeypatch, dim, classes, crossover):
+        # Target heads on exact steps fork from 3 000 points; on Newton-CG,
+        # whose fits cost more, from 600.  A source head on Newton-CG alone
+        # (2 classes on 16 inputs) keeps the exact steps' crossover.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert finetune._takes_exact_steps(crossover, classes, classes) is (crossover == 3000)
+        for n, workers in ((crossover - 1, 1), (crossover, 2)):
+            assert finetune._fit_workers(self.sized_domains(n, dim, classes)) == workers
+
+    @pytest.mark.parametrize("n, dim, classes", [
+        (1_000_000, 14, 2), (3_900_000, 14, 2), (2_000_000, 1, 15), (3_000_000, 4, 4), (10_000, 4, 4),
+    ])
+    def test_exact_steps_cost_a_run_no_worker(self, monkeypatch, n, dim, classes):
+        # Arithmetic only: no fit runs.  Exact steps hold up to about four
+        # times Newton-CG's memory per point, so a head takes them only
+        # where two heads of theirs fit the budget.  A run then gets the
+        # processes Newton-CG heads alone would give it, sized as the
+        # larger head on max(dim, classes) inputs: 2-class heads on 14
+        # features from 0.96M to 3.9M points, which exact steps alone
+        # would refuse, run, as do 4-D 4-class heads on two processes to
+        # 3.7M points, which exact steps alone would hold to one from 2.2M.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        budget = finetune._HEAD_BUDGET_BYTES
+        heads = budget // finetune._newton_cg_bytes(n, classes, max(dim, classes))
+        assert heads >= 1
+        assert finetune._fit_workers(self.sized_domains(n, dim, classes)) == min(2, heads)
+        if finetune._exact_step_bytes(n, classes, dim) > budget // 2:
+            assert not finetune._takes_exact_steps(n, classes, dim)
 
     def test_every_route_forks_above_the_crossover(self, monkeypatch):
         # A fit process solves no transport problem, so the input risks'
