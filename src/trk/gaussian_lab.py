@@ -59,6 +59,9 @@ _EMBED_TOL = 1e-9
 # and the spread of a random task's mean.
 _EIG_RANGE = (0.5, 2.0)
 _MEAN_SCALE = 0.5
+# The largest drift of `random_basic_pair`: the width 2 * drift of its
+# uniform drifts stays finite.
+_MAX_DRIFT = float(np.finfo(np.float64).max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -471,10 +474,18 @@ def _rotated(normal: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     return (basis * eigs[..., None, :]) @ np.swapaxes(basis, -1, -2)
 
 
+def _uniform(low, high, draws: np.ndarray) -> np.ndarray:
+    """`draws` in [0, 1) mapped to [low, high) as `uniform` maps them: low + (high - low) * u."""
+    return low + (high - low) * draws
+
+
 def _random_tasks(dim_x: int, dim_y: int, seeds) -> _Joints:
     """Unchecked moments of `random_task` at each of `seeds`, stacked on one leading axis.
 
-    Task i draws every number from its own default_rng(seeds[i]).
+    Task i reads its own default_rng(seeds[i]) in the order `random_task`
+    documents, with one fill of that stream per run of draws of one kind:
+    the numbers are those of the plain `normal` and `uniform` calls, with
+    the range maps applied over the whole stack after the draws.
     """
     n = dim_x + dim_y
     normal = np.empty((len(seeds), n, n))
@@ -482,10 +493,11 @@ def _random_tasks(dim_x: int, dim_y: int, seeds) -> _Joints:
     mean = np.empty((len(seeds), n))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        normal[i] = rng.normal(size=(n, n))
-        eigs[i] = rng.uniform(*_EIG_RANGE, size=n)
-        mean[i] = rng.normal(scale=_MEAN_SCALE, size=n)
-    full = _rotated(normal, eigs)  # QR draws nothing, so it runs after every draw
+        rng.standard_normal(out=normal[i])
+        rng.random(out=eigs[i])
+        rng.standard_normal(out=mean[i])
+    full = _rotated(normal, _uniform(*_EIG_RANGE, eigs))
+    mean *= _MEAN_SCALE
     return _Joints(
         mean[:, :dim_x], mean[:, dim_x:],
         full[:, :dim_x, :dim_x], full[:, :dim_x, dim_x:], full[:, dim_x:, dim_x:],
@@ -498,7 +510,9 @@ def random_task(dim_x: int, dim_y: int, seed: int) -> GaussianJoint:
     The full (X, Y) covariance is drawn with eigenvalues uniform in
     `_EIG_RANGE` under a Haar-random basis, which keeps every conditional
     covariance nonsingular and the risk magnitudes O(1); the mean is normal
-    with scale `_MEAN_SCALE`.
+    with scale `_MEAN_SCALE`.  Every number comes from default_rng(seed),
+    in this order: the (n, n) normal matrix whose Q factor is the basis
+    (n = dim_x + dim_y), the n eigenvalues, the n mean coordinates.
     """
     return _random_tasks(dim_x, dim_y, [seed]).law(0)
 
@@ -520,40 +534,45 @@ def _random_pairs(dim: int, seeds, drift: float = 0.25) -> _Joints:
     """Unchecked moments of `random_basic_pair` at each of `seeds`.
 
     The leading axes are (2, len(seeds)): [0] holds the sources and [1] the
-    targets.  Pair i draws every number from its own default_rng(seeds[i]),
-    in the order below, so its moments do not depend on the stack it is in.
+    targets.  Pair i reads its own default_rng(seeds[i]) in the order
+    `random_basic_pair` documents, so its moments do not depend on the
+    stack it is in.  It reads that stream in six fills, one per run of
+    draws of one kind, into buffers laid out in stream order; the uniform
+    blocks are mapped to their ranges over the whole stack after the draws,
+    as `uniform` maps each, so the numbers are those of the 13 plain calls.
     """
-    if drift < 0.0:
-        raise ValueError(f"drift must be nonnegative, got {drift}")
+    if not 0.0 <= drift <= _MAX_DRIFT:  # uniform(-drift, drift) needs a finite 2 * drift
+        raise ValueError(f"drift must be in [0, {_MAX_DRIFT!r}], got {drift!r}")
     count = len(seeds)
     normal = np.empty((2, count, dim, dim))
-    eigs = np.empty((2, count, dim))
-    mean_x = np.empty((2, count, dim))
-    w = np.empty((2, count, dim))
-    b = np.empty((2, count))
-    noise = np.empty((2, count))
-    scale = np.empty(count)
+    direction = np.empty((count, dim))  # the direction of the source weights
+    # Uniform draws in [0, 1) until mapped below.
+    source_draws = np.empty((count, 2 * dim))  # eigenvalues, input mean
+    scalar_draws = np.empty((count, 3))  # weight norm, bias, noise
+    target_draws = np.empty((count, 3 * dim + 2))  # eigenvalues, drifts, noise
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        normal[0, i] = rng.normal(size=(dim, dim))
-        eigs[0, i] = rng.uniform(*_EIG_RANGE, size=dim)
-        mean_x[0, i] = rng.uniform(-0.5, 0.5, size=dim)
-        w[0, i] = rng.normal(size=dim)  # the direction of the source weights
-        scale[i] = rng.uniform(0.7, 1.1)
-        b[0, i] = rng.uniform(-0.5, 0.5)
-        noise[0, i] = rng.uniform(0.4, 1.0)
-        normal[1, i] = rng.normal(size=(dim, dim))
-        eigs[1, i] = rng.uniform(*_EIG_RANGE, size=dim)
-        # The target's drifts from the source.
-        mean_x[1, i] = rng.uniform(-drift, drift, size=dim)
-        w[1, i] = rng.uniform(-drift, drift, size=dim)
-        b[1, i] = rng.uniform(-drift, drift)
-        noise[1, i] = rng.uniform(0.4, 1.0)
-    cov_xx = _rotated(normal, eigs)  # QR draws nothing, so it runs after every draw
+        rng.standard_normal(out=normal[0, i])
+        rng.random(out=source_draws[i])
+        rng.standard_normal(out=direction[i])
+        rng.random(out=scalar_draws[i])
+        rng.standard_normal(out=normal[1, i])
+        rng.random(out=target_draws[i])
+    eigs_s, mean_s = np.split(source_draws, [dim], axis=1)
+    scale, b_s, noise_s = scalar_draws.T
+    eigs_t, drifts, noise_t = np.split(target_draws, [dim, 3 * dim + 1], axis=1)
+    # The target's drifts from the source: of the input mean, the weights, the bias.
+    drifts = _uniform(-drift, drift, drifts)
+    mean_x = np.stack((_uniform(-0.5, 0.5, mean_s), drifts[:, :dim]))
+    w = np.stack((direction, drifts[:, dim:-1]))
+    b = np.stack((_uniform(-0.5, 0.5, b_s), drifts[:, -1]))
+    noise = _uniform(0.4, 1.0, np.stack((noise_s, noise_t[:, 0])))
+    # QR draws nothing, so it runs after every draw.
+    cov_xx = _rotated(normal, _uniform(*_EIG_RANGE, np.stack((eigs_s, eigs_t))))
     # Convex blending keeps the target input spectrum inside `_EIG_RANGE`.
     cov_xx[1] = 0.8 * cov_xx[0] + 0.2 * cov_xx[1]
     # |w| as np.linalg.norm takes it for one vector: sqrt(w . w).
-    w[0] = w[0] / np.sqrt(_dot(w[0], w[0]))[:, None] * scale[:, None]
+    w[0] = w[0] / np.sqrt(_dot(w[0], w[0]))[:, None] * _uniform(0.7, 1.1, scale)[:, None]
     for drifted in (mean_x, w, b):
         drifted[1] += drifted[0]
     return _regression_joints(mean_x, cov_xx, w, b, noise)
@@ -569,6 +588,20 @@ def random_basic_pair(
     noise level).  Bounded weights and bounded drift keep both risks and the
     spread of their naive Monte-Carlo estimators O(1), so sampled
     cross-checks can use absolute tolerances.
+
+    Every number comes from default_rng(seed), in this order.  The source:
+    its (dim, dim) normal matrix whose Q factor is the basis of its input
+    covariance, dim eigenvalues uniform in `_EIG_RANGE`, dim input-mean
+    coordinates uniform in [-0.5, 0.5), dim normal weight coordinates (a
+    direction), the weight norm uniform in [0.7, 1.1), the bias uniform in
+    [-0.5, 0.5), the noise variance uniform in [0.4, 1.0).  The target:
+    its normal matrix and dim eigenvalues as the source's (its input
+    covariance is 0.8 of the source's plus 0.2 of that one), then drifts
+    uniform in [-drift, drift) of the dim input-mean coordinates, the dim
+    weights and the bias, and its noise variance uniform in [0.4, 1.0).
+
+    Raises:
+        ValueError: when drift is negative or 2 * drift is not finite.
     """
     pair = _random_pairs(dim, [seed], drift)
     return pair.law((0, 0)), pair.law((1, 0))

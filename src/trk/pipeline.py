@@ -35,7 +35,7 @@ from .finetune import (
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
-from .gaussian_lab import _basic_cases, _random_pairs, _random_tasks
+from .gaussian_lab import _MAX_DRIFT, _basic_cases, _random_pairs, _random_tasks
 from .optimal_transport import OtConfig
 from .transfer_core import PolynomialCombiner, combine
 
@@ -269,7 +269,12 @@ def _check_mode_params(mode: str, params: dict) -> None:
         for key in ("dim", "n_pairs"):
             _require(params[key] >= 1, f"gaussian_lab.{key}", ">= 1", params[key])
         if "drift" in params:  # identical tasks read none
-            _require(params["drift"] >= 0.0, "gaussian_lab.drift", ">= 0", params["drift"])
+            drift = params["drift"]
+            _require(drift >= 0.0, "gaussian_lab.drift", ">= 0", drift)
+            _require(
+                drift <= _MAX_DRIFT, "gaussian_lab.drift",
+                f"at most {_MAX_DRIFT!r}, so that 2 * drift is finite", drift,
+            )
     elif mode == "synthetic_office":
         for key in ("n_domains", "classes"):
             _require(params[key] >= 2, f"synthetic_office.{key}", ">= 2", params[key])
@@ -768,6 +773,16 @@ def _gaussian_half(cfg: PipelineConfig, pairs: range) -> list[dict]:
     return rows
 
 
+def _rendered_half(cfg: PipelineConfig, pairs: range) -> list[tuple[list[dict], str, str]]:
+    """`_gaussian_half(cfg, pairs)` with its `_render_rows` text, as the one item of a half.
+
+    A worker renders the rows it computes, so the rows cross the pipe with
+    their text and the parent only concatenates.
+    """
+    rows = _gaussian_half(cfg, pairs)
+    return [(rows, *_render_rows(rows))]
+
+
 def _gaussian_rows(cfg: PipelineConfig, start: int, stop: int) -> list[dict]:
     """The rows of pairs start..stop-1, pair i drawn at seed + i, computed as one stack."""
     params = cfg.mode_params
@@ -832,32 +847,55 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.dot(*units), -1.0, 1.0))
 
 
-def _report_text(report: dict) -> str:
-    """`json.dumps(report, indent=2, sort_keys=True)`, its flat rows encoded by json's C encoder.
+class _Lines(list):
+    """The lines a csv writer writes into it."""
 
-    With an indent json always runs its pure-Python encoder; without one it
-    runs the C encoder, which the row separator below makes lay out each
-    row's keys as the indent would.  The rows are spliced in at the report's
-    one top-level `"rows": []` line: nested keys sit deeper, and a string
-    holds no raw newline.
+    write = list.append
+
+
+# Between two rows of the report's "rows" array, as the indent lays them out.
+_JSON_ROW_SEPARATOR = ",\n    "
+
+
+def _render_rows(rows: list[dict]) -> tuple[str, str]:
+    """The pairs.csv lines of `rows` and their objects in report.json's "rows" array.
+
+    The csv lines follow the header, one per row.  The objects are json's
+    C encoder's, which the key separator below makes lay out each row as
+    `json.dumps(..., indent=2)` lays it out two levels deep (an indent
+    always selects the pure-Python encoder), joined by
+    `_JSON_ROW_SEPARATOR`.  Rendering is a function of each row alone, so
+    the text of two runs of rows joins into the text of their concatenation.
+    """
+    lines = _Lines()
+    # csv quotes a name holding a comma, quote or newline; None is an empty cell.
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerows([row[c] for c in _CSV_COLUMNS] for row in rows)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+    objects = _JSON_ROW_SEPARATOR.join(f"{{\n      {encode(row)[1:-1]}\n    }}" for row in rows)
+    return "".join(lines), objects
+
+
+def _report_text(report: dict, json_rows: str) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)`, with `json_rows` from `_render_rows`.
+
+    The rows are spliced in at the report's one top-level `"rows": []`
+    line: nested keys sit deeper, and a string holds no raw newline.
     """
     text = json.dumps({**report, "rows": []}, indent=2, sort_keys=True)
-    if not report["rows"]:
+    if not json_rows:
         return text
-    encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
-    rows = ",\n    ".join(f"{{\n      {encode(row)[1:-1]}\n    }}" for row in report["rows"])
-    return text.replace('\n  "rows": [],\n', f'\n  "rows": [\n    {rows}\n  ],\n', 1)
+    return text.replace('\n  "rows": [],\n', f'\n  "rows": [\n    {json_rows}\n  ],\n', 1)
 
 
-def _write_outputs(report: dict, rows: list[dict], out_dir: Path) -> None:
+def _write_outputs(report: dict, rendered: tuple[str, str], out_dir: Path) -> None:
+    """pairs.csv and report.json of `report`, whose rows `_render_rows` renders as `rendered`."""
+    csv_rows, json_rows = rendered
     out_dir.mkdir(parents=True, exist_ok=True)
-    # csv quotes a name holding a comma, quote or newline; None is an empty cell.
     with open(out_dir / "pairs.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerows([row[c] for c in _CSV_COLUMNS] for row in rows)
+        handle.write(",".join(_CSV_COLUMNS) + "\n" + csv_rows)
     with open(out_dir / "report.json", "w") as handle:
-        handle.write(_report_text(report) + "\n")
+        handle.write(_report_text(report, json_rows) + "\n")
 
 
 def run(cfg: PipelineConfig) -> dict:
@@ -870,11 +908,17 @@ def run(cfg: PipelineConfig) -> dict:
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
+    rendered = None  # the rows' `_render_rows` text where their workers render them
     if cfg.mode == "gaussian_lab":
         workers = _gaussian_workers(cfg.mode_params)
-        rows = _run_forked(
-            lambda pairs: _gaussian_half(cfg, pairs), range(cfg.mode_params["n_pairs"]), workers,
+        halves = _run_forked(
+            lambda pairs: _rendered_half(cfg, pairs), range(cfg.mode_params["n_pairs"]), workers,
             lambda pairs: f"the process for pairs task_{pairs[0]}..task_{pairs[-1]}",
+        )
+        rows = [row for half_rows, _, _ in halves for row in half_rows]
+        rendered = (
+            "".join(csv_rows for _, csv_rows, _ in halves),
+            _JSON_ROW_SEPARATOR.join(json_rows for _, _, json_rows in halves if json_rows),
         )
     elif cfg.override_risks is not None:
         rows, workers = _rows_from_override(cfg), None
@@ -898,7 +942,7 @@ def run(cfg: PipelineConfig) -> dict:
         "timings": timings,
         "workers": workers,
     }
-    _write_outputs(report, rows, cfg.out_dir)
+    _write_outputs(report, rendered or _render_rows(rows), cfg.out_dir)
     return report
 
 

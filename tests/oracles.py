@@ -288,6 +288,69 @@ def basic_case_exact(source, target) -> dict[str, float]:
     }
 
 
+def _rotated_plainly(normal: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Q diag(eigenvalues) Q^T for the Q factor of one normal matrix."""
+    basis, _ = np.linalg.qr(normal)
+    return (basis * eigenvalues) @ basis.T
+
+
+def random_basic_pair_draw(dim: int, seed: int, drift: float) -> tuple[tuple, tuple]:
+    """The (mean_x, mean_y, cov_xx, cov_xy, cov_yy) moments of one random basic pair.
+
+    The 13 calls of default_rng(seed) that `random_basic_pair` documents,
+    one numpy call per draw, in its order; the moments of
+    Y = w . X + b + noise then follow for one pair alone.
+    """
+    rng = np.random.default_rng(seed)
+    source_normal = rng.normal(size=(dim, dim))
+    source_eigenvalues = rng.uniform(0.5, 2.0, size=dim)
+    source_mean = rng.uniform(-0.5, 0.5, size=dim)
+    direction = rng.normal(size=dim)
+    norm = rng.uniform(0.7, 1.1)
+    source_bias = rng.uniform(-0.5, 0.5)
+    source_noise = rng.uniform(0.4, 1.0)
+    target_normal = rng.normal(size=(dim, dim))
+    target_eigenvalues = rng.uniform(0.5, 2.0, size=dim)
+    mean_drift = rng.uniform(-drift, drift, size=dim)
+    weight_drift = rng.uniform(-drift, drift, size=dim)
+    bias_drift = rng.uniform(-drift, drift)
+    target_noise = rng.uniform(0.4, 1.0)
+
+    source_cov = _rotated_plainly(source_normal, source_eigenvalues)
+    target_cov = 0.8 * source_cov + 0.2 * _rotated_plainly(target_normal, target_eigenvalues)
+    source_w = direction / np.linalg.norm(direction) * norm
+
+    def joint(mean_x, cov_xx, w, bias, noise):
+        return (
+            mean_x, np.array([w @ mean_x + bias]), cov_xx, cov_xx @ w[:, None],
+            np.array([[w @ cov_xx @ w + noise]]),
+        )
+
+    return (
+        joint(source_mean, source_cov, source_w, source_bias, source_noise),
+        joint(
+            source_mean + mean_drift, target_cov, source_w + weight_drift,
+            source_bias + bias_drift, target_noise,
+        ),
+    )
+
+
+def random_task_draw(dim_x: int, dim_y: int, seed: int) -> tuple:
+    """The (mean_x, mean_y, cov_xx, cov_xy, cov_yy) moments of one `random_task`.
+
+    Its 3 calls of default_rng(seed), one numpy call per draw, in the
+    documented order.
+    """
+    n = dim_x + dim_y
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=(n, n))
+    eigenvalues = rng.uniform(0.5, 2.0, size=n)
+    mean = rng.normal(scale=0.5, size=n)
+    full = _rotated_plainly(normal, eigenvalues)
+    x, y = slice(None, dim_x), slice(dim_x, None)
+    return mean[x], mean[y], full[x, x], full[x, y], full[y, y]
+
+
 def regularized_softmax_loss(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, weights: np.ndarray,
     n_classes: int, l2: float,

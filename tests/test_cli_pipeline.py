@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -622,6 +623,9 @@ class TestPipelineConfig:
              r"synthetic_office.samples_per_domain must be >= 4 \* classes = 12, got 5"),
             ({"mode": "gaussian_lab", "gaussian_lab": {"drift": -1}},
              "gaussian_lab.drift must be >= 0, got -1.0"),
+            ({"mode": "gaussian_lab", "gaussian_lab": {"drift": 1e308}},
+             r"gaussian_lab.drift must be at most 8.988465674311579e\+307, so that 2 \* drift "
+             r"is finite, got 1e\+308"),
             ({"mode": "empirical", "empirical": {"format": "xml"}},
              r"empirical.format must be one of \('csv', 'json', None\), got 'xml'"),
             ({"mode": "synthetic_office",
@@ -858,6 +862,23 @@ class TestGaussianLabMode:
         }]
         assert not (tmp_path / "out").exists()
 
+    def test_a_drift_past_half_the_float_range_is_one_json_line(self, tmp_path, capsys):
+        # 2 * drift overflows, which numpy's uniform would raise as an
+        # OverflowError traceback; the config refuses it first.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "mode": "gaussian_lab", "out_dir": str(tmp_path / "out"),
+            "gaussian_lab": {"dim": 3, "n_pairs": 5, "drift": 1e308},
+        }))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{
+            "error": f"{path}: gaussian_lab.drift must be at most 8.988465674311579e+307, "
+            "so that 2 * drift is finite, got 1e+308"
+        }]
+        assert not (tmp_path / "out").exists()
+
     def test_block_working_set_stays_within_budget(self, tmp_path):
         # 64-D pairs: the arrays of one block stay within the byte budget
         # (the rows, a few KiB, ride on top).
@@ -958,18 +979,24 @@ class TestGaussianLabProcesses:
         self, tmp_path, monkeypatch, kind, identical
     ):
         # Blocks of 4 pairs: the second half starts at pair 7, mid-block.
+        # Each process renders its own rows, so the files are compared as bytes.
         monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 4 * 10 * 8 * 5**2)
         assert pipeline._block_pairs(4) == 4
         outputs = {}
         for workers in (1, 2):
             force_gaussian_workers(monkeypatch, workers)
             cfg = gaussian_lab_config(
-                tmp_path / str(workers), seed=7, divergence={"kind": kind},
+                tmp_path, seed=7, divergence={"kind": kind},
                 gaussian_lab={"dim": 4, "n_pairs": 13, "identical_tasks": identical},
             )
             report = run(cfg)
             assert report["workers"] == workers
-            outputs[workers] = (report["rows"], (cfg.out_dir / "pairs.csv").read_bytes())
+            text = (cfg.out_dir / "report.json").read_text()
+            # The only entries the process count or the clock change.
+            text, timed = re.subn(r'\n  "timings": \{\n    "pairs": [^\n]+\n  \},', "", text)
+            text, counted = re.subn(f',\n  "workers": {workers}\n}}\n$', "\n}\n", text)
+            assert (timed, counted) == (1, 1)
+            outputs[workers] = (report["rows"], (cfg.out_dir / "pairs.csv").read_bytes(), text)
         assert outputs[2] == outputs[1]
         assert len(outputs[1][0]) == 13
         assert_no_child_left()

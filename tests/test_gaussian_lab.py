@@ -239,6 +239,31 @@ class TestStackedKernel:
             for got, want in zip(moments(random_task(3, 2, seed)), tasks.at(i)):
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes(), seed
 
+    @pytest.mark.parametrize("drift", [0.0, 0.25, 3.5])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 30])
+    def test_pairs_are_the_documented_draws(self, dim, drift):
+        # Bit for bit the plain calls, in the documented order, of each
+        # pair's own stream; a reordered or rescaled draw shows here.
+        seeds = [0, 1, 9173, 2**40]
+        pairs = _random_pairs(dim, seeds, drift=drift)
+        for i, seed in enumerate(seeds):
+            for role, law in enumerate(oracles.random_basic_pair_draw(dim, seed, drift)):
+                for got, want in zip(pairs.at((role, i)), law):
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (seed, role)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 1), (8, 2), (30, 1)])
+    def test_tasks_are_the_documented_draws(self, dims):
+        seeds = [0, 5, 9173]
+        tasks = _random_tasks(*dims, seeds)
+        for i, seed in enumerate(seeds):
+            for got, want in zip(tasks.at(i), oracles.random_task_draw(*dims, seed)):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), seed
+
+    @pytest.mark.parametrize("drift", [-1e-300, 1e308, np.inf, np.nan])
+    def test_a_drift_without_a_finite_width_is_refused(self, drift):
+        with pytest.raises(ValueError, match=r"drift must be in \[0, 8.988465674311579e\+307\]"):
+            random_basic_pair(3, 0, drift=drift)
+
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     def test_matches_exact_oracle(self, dim):
         seeds = range(500, 512)
