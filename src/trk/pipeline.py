@@ -57,11 +57,13 @@ _BLOCK_BYTES = 2 * 2**20
 _PAIR_MATRICES = 10
 # Pairs from which a gaussian_lab run computes its rows on two processes
 # (`_gaussian_workers`).  A fork, pipe and reap of an empty child cost about
-# 5 ms here, and one of half the rows about 8 ms.  Run in-process on a 2-CPU
-# host, 15-21 alternating pairs per size, two processes ran at a median
-# 1.12-1.19x serial speed at dims 1-2 from 500 pairs (lower quartile
-# 1.02-1.09x) but 1.06-1.10x at 400, and at 1.31x at dim 8 from 300 pairs
-# and 1.5-1.6x from 500.
+# 2 ms here.  Run in-process on a 2-CPU host, 15 alternating pairs per size,
+# with each process drawing in buffer fills and rendering its own rows, two
+# processes ran at a median 1.07-1.25x serial speed at dim 2 from 200 pairs
+# and 1.36x at 500, and at 1.13-1.27x at dim 8 from 200 and 1.6x from 700.
+# Dim 1 crosses later: 0.5-0.7x up to 400 pairs, 0.69x and 1.11x at 500 in
+# two sweeps, 1.17x at 600 and 1.13-1.25x from 700.  No single count is
+# better for all three, so the count stays where dims 1-2 crossed before.
 _CONCURRENT_MIN_PAIRS = 500
 # Largest `dim` a gaussian_lab run computes on two processes.  From 26 on,
 # OpenBLAS runs the stacked `eigh` of `psd_sqrt` on a thread per CPU in
