@@ -11,11 +11,9 @@ on held-out data.  A head is the unique minimizer of its weighted
 cross-entropy plus `_HEAD_L2 / 2 * ||params||^2`, a strongly convex loss,
 found by damped Newton from zero (`_newton`): it depends on its data alone,
 not on a budget, a step size, a seed or a start.  A head of at most
-`_DENSE_STEP_MAX_PARAMS` parameters, on points few enough for its memory
-(`_takes_exact_steps`), solves each step with its exact Hessian, one
-Cholesky factorization over its class pairs; any other solves it by
-conjugate gradients on Hessian products, with no Hessian formed, so its
-memory stays linear in its points and its parameters.
+`_DENSE_STEP_MAX_PARAMS` parameters solves each step with its exact
+Hessian, any other by conjugate gradients on Hessian products; every pass
+over a head's points runs in `_point_blocks` blocks.
 The module also holds the process split, `_run_forked`, that these fits and
 the pipeline's `gaussian_lab` rows run on.
 
@@ -30,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import os
 import pickle
@@ -81,43 +80,33 @@ _NEWTON_MAX_HALVINGS = 60
 # Armijo's sufficient-decrease fraction of the line search (Nocedal &
 # Wright 2006, sec. 3.1).
 _ARMIJO = 1e-4
+# Points per block of every per-point pass of a head (`_point_blocks`).  Whole
+# fits, one core, medians of 9 alternating runs at 200 000 points, blocks of
+# 4 096/8 192/16 384/32 768/65 536 points/one piece: 4-D 4-class (exact)
+# 165/134/148/155/190/222 ms, 1-D 4-class 126/88/84/87/108/125 ms, 8-D 8-class
+# (Newton-CG) 2.0/1.6/2.1/2.4/2.9/2.9 s.  8 192 splits the benchmark's
+# 10 000-point heads, moving their bits and slowing them (10.0 vs 8.8 ms).
+_BLOCK_POINTS = 16384
 # Largest head, in parameters classes * (in_dim + 1), whose Newton steps
 # solve its exact Hessian (`_exact_newton_steps`); larger heads take
-# Newton-CG (`_head_curvature`, `_conjugate_gradient`).  An exact step
-# costs a (pairs, n) @ (n, feature pairs) product, so it grows with the
-# square of the classes or of the inputs, where Newton-CG's ten or so
-# Hessian products per step grow with their product.  Whole fits, one core
-# of a 2-CPU host, median of 3 x 3 runs per side: below 30 parameters
-# the exact steps took 0.26-0.82x Newton-CG's time on every shape timed
-# at n = 400, 2 000 and 10 000 (the benchmark's 8- and 20-parameter heads
-# 0.35-0.48x from 2 000 points); at 30, 0.29-0.41x from 6 to 15 classes
-# and 0.61-0.95x at 2 and 3, whose 55-120 feature pairs cost most; at 2
-# classes on 16 inputs, 34 parameters, 0.85-1.19x, and at 2 on 19, 1.16x.
-# Above the cap the exact step's per-point memory, (classes + feature
-# pairs + class pairs) vectors against Newton-CG's 2 * (classes + in_dim),
-# would also grow past the 3.5-4x it reaches at 30; below it, a head on
-# too many points for that memory takes Newton-CG too (`_takes_exact_steps`).
+# Newton-CG (`_head_curvature`, `_conjugate_gradient`).  Whole fits, one core,
+# median of 3 x 3 runs per side: below 30 parameters the exact steps took
+# 0.26-0.82x Newton-CG's time on every shape timed at n = 400, 2 000 and
+# 10 000; at 30, 0.29-0.95x; at 2 classes on 16 inputs, 34 parameters,
+# 0.85-1.19x, and at 2 on 19, 1.16x.  The cap alone picks the route
+# (`_takes_exact_steps`): beyond its inputs, an exact step holds only blocks.
 _DENSE_STEP_MAX_PARAMS = 30
 # Training points from which `evaluate_risk_accuracy_pairs` runs its fits on
-# two processes, while its target heads, the heads each pair fits, take
-# exact steps (`_fit_workers`).  Each process holds its own GIL, and a fork,
-# pipe and reap cost about 3 ms, which weighs most where a block holds least
-# work: one source and one pair at 2 domains.  The exact-step heads fit a
-# 1-D 4-class head on 10 000 points in about 5 ms and a 4-D one in about
-# 10 ms, under half Newton-CG's time, so the fork weighs more.  On 1-D
-# 4-class domains (2-CPU host, median per-pair speed of 21 alternating
-# serial/two-process pairs per size) two processes ran at 2 domains at
-# 0.65-0.88x serial speed from 400 to 1 000 points, 0.77-1.04x at 1 500 and
-# 2 000, 1.07x at 2 500, then 1.25x at 3 000, 1.24x at 4 000 and 1.27x at
-# 5 000 (1.46x at 10 000, 11 pairs); at 3 domains 1.03-1.09x from 400 to
-# 800, 1.14-1.18x from 1 000 to 2 000 and 1.25-1.28x at 3 000 and 5 000; at
-# 4 domains (11 pairs) 1.15-1.35x from 200 to 2 000 and 1.40-1.69x from
-# 5 000.  2 domains lose below 2 500, so the crossover is the first size
-# past it that gains at every domain count.  Where only the source heads
-# take Newton-CG, 2 classes on 16-D domains (11 pairs, input risks left out
-# of the timing), 2 domains read 0.88-1.40x from 400 to 2 000 points with
-# no clear gain, 0.97x and 1.15x at 3 000 in two series, and 1.19x and
-# 1.48x at 5 000 and 10 000; 3 domains 1.05-1.27x.  So it holds there.
+# two processes, while its target heads take exact steps (`_fit_workers`).  A
+# fork, pipe and reap cost about 3 ms.  On 1-D 4-class domains (2-CPU host,
+# median per-pair speed of 21 alternating serial/two-process pairs per size)
+# two processes ran at 2 domains at 0.65-1.04x serial speed from 400 to 2 000
+# points, 1.07x at 2 500 and 1.24-1.46x from 3 000 to 10 000; at 3 domains
+# 1.03-1.18x below 3 000 and 1.25-1.28x from it; at 4 domains 1.15-1.69x from
+# 200.  2 domains lose below 2 500, so the crossover is the first size past it
+# that gains at every domain count.  With Newton-CG source heads (2 classes on
+# 16-D) 2 domains read 0.97-1.15x at 3 000 and 1.19-1.48x from 5 000, so it
+# holds there too.
 _CONCURRENT_MIN_POINTS = 3000
 # The same crossover where the target heads take Newton-CG, above the exact
 # steps' cap: each fit costs more, so the fork weighs less.  On 8-class
@@ -134,8 +123,7 @@ _MAX_FIT_WORKERS = 2
 # Bytes the classifier heads of one run may take while they train
 # (`_head_bytes` each).  `_fit_workers` refuses a run whose single largest
 # head is above it; below it, the heads that train at once are capped at as
-# many as it holds.  A head takes exact steps only while `_MAX_FIT_WORKERS`
-# of them fit it (`_takes_exact_steps`).
+# many as it holds.
 _HEAD_BUDGET_BYTES = 1 << 30
 # prctl(2) option that has the kernel signal a process when its parent dies.
 _PR_SET_PDEATHSIG = 1
@@ -225,22 +213,38 @@ class SoftmaxHeadFamily(AffineMapFamily):
         self.classes = classes
 
     def predict(self, params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return _class_argmax(_class_logits(*self.unpack(params), points.T))
+        """Each point's most probable class: the first largest logit, or the first NaN, as numpy's argmax.
+
+        The (classes, block) logits of one `_point_blocks` block at a time.
+        numpy's class-axis argmax copies what it reads, transposed, so it
+        reads columns of at most 8192 entries, numpy's own ufunc buffer.
+        """
+        weights, bias = self.unpack(params)
+        index = np.empty(len(points), dtype=np.intp)
+        width = max(1, 8192 // self.classes)
+        for block in _point_blocks(len(points)):
+            logits, out = _class_logits(weights, bias, points[block].T), index[block]
+            for start in range(0, len(out), width):
+                np.argmax(logits[:, start:start + width], axis=0, out=out[start:start + width])
+        return index
 
 
-def _class_argmax(values: np.ndarray) -> np.ndarray:
-    """`np.argmax(values, axis=0)` of a class-major (classes, n) array, a block of columns at a time.
+def _point_blocks(n: int) -> list[slice]:
+    """The blocks of n points that every per-point pass of a head walks, in order.
 
-    numpy's argmax over the leading axis of a C-ordered array copies it,
-    transposed; blocks of at most 8192 entries bound that copy to the size
-    of numpy's own ufunc buffer, where a whole (classes, n) copy would
-    double the array it reads.
+    `_BLOCK_POINTS` points each, the last the rest, so a pass's working set
+    is one block's.  A sum over the points adds its blocks' terms in this
+    order (`functools.reduce(np.add, ...)`): one block's term stays as it is.
     """
-    classes, n = values.shape
-    index = np.empty(n, dtype=np.intp)
-    width = max(1, 8192 // classes)
-    for start in range(0, n, width):
-        np.argmax(values[:, start:start + width], axis=0, out=index[start:start + width])
+    return [slice(start, min(start + _BLOCK_POINTS, n)) for start in range(0, n, _BLOCK_POINTS)]
+
+
+def _block_index(index: np.ndarray) -> np.ndarray:
+    """`index`, a writable class per point, made in place one index into its block's flattened (classes, block) array."""
+    for block in _point_blocks(len(index)):
+        width = block.stop - block.start
+        index[block] *= width
+        index[block] += np.arange(width)
     return index
 
 
@@ -285,10 +289,10 @@ def _head_operands(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     """What a head's fit reads of its fixed points and labels.
 
     The points as a contiguous (in_dim, n) array, and each point's label
-    entry as one index into the flattened (classes, n) array.
+    entry as one index into its block's flattened (classes, block) array
+    (`_block_index`).
     """
-    n = len(labels)
-    return np.ascontiguousarray(points.T), labels * n + np.arange(n)
+    return np.ascontiguousarray(points.T), _block_index(labels.astype(np.intp))
 
 
 def _equal_weight_coupling(
@@ -403,19 +407,24 @@ def cross_entropy_objective(
     Newton steps.
     """
     points_t, flat = _head_operands(points, labels) if _operands is None else _operands
-    residual = _class_logits(*family.unpack(params), points_t)
-    residual -= np.maximum.reduce(residual, axis=0)
-    picked = residual.reshape(-1)[flat]
-    np.exp(residual, out=residual)
-    normalizer = np.add.reduce(residual, axis=0)
-    picked -= np.log(normalizer)
-    picked *= weights
-    value = float(-np.sum(picked))
-    residual *= np.divide(weights, normalizer, out=normalizer)
-    residual.reshape(-1)[flat] -= weights
-    grad_weights = (points_t @ residual.T).T
-    grad_bias = residual.sum(axis=1)
-    return value, np.concatenate([grad_weights.ravel(), grad_bias])
+    head = family.unpack(params)
+
+    def term(block: slice) -> np.ndarray:
+        residual = _class_logits(*head, points_t[:, block])
+        residual -= np.maximum.reduce(residual, axis=0)
+        picked = residual.reshape(-1)[flat[block]]
+        np.exp(residual, out=residual)
+        normalizer = np.add.reduce(residual, axis=0)
+        picked -= np.log(normalizer)
+        picked *= weights[block]
+        value = -np.sum(picked)
+        residual *= np.divide(weights[block], normalizer, out=normalizer)
+        residual.reshape(-1)[flat[block]] -= weights[block]
+        grad_weights = (points_t[:, block] @ residual.T).T
+        return np.concatenate([grad_weights.ravel(), residual.sum(axis=1), [value]])
+
+    total = functools.reduce(np.add, map(term, _point_blocks(len(flat))))
+    return float(total[-1]), total[:-1]
 
 
 def _head_curvature(
@@ -442,21 +451,33 @@ def _head_curvature(
     """
     probs = _class_probabilities(family.build(params), points_t)
     n = points_t.shape[1]
-    top = _class_argmax(probs) * n + np.arange(n)
-    spread = 1.0 - probs
-    spread *= probs
-    spread *= weights
-    diagonal = np.concatenate([(spread @ np.square(points_t).T).ravel(), spread.sum(axis=1)])
+    top = np.empty(n, dtype=np.intp)
+    for block in _point_blocks(n):
+        np.argmax(probs[:, block], axis=0, out=top[block])
+    _block_index(top)
+
+    def diagonal_term(block: slice) -> np.ndarray:
+        spread = 1.0 - probs[:, block]
+        spread *= probs[:, block]
+        spread *= weights[block]
+        return np.concatenate([(spread @ np.square(points_t[:, block]).T).ravel(), spread.sum(axis=1)])
+
+    diagonal = functools.reduce(np.add, map(diagonal_term, _point_blocks(n)))
     diagonal += _HEAD_L2
 
     def product(direction: np.ndarray) -> np.ndarray:
-        moved = _class_logits(*family.unpack(direction), points_t)
-        moved -= moved.reshape(-1)[top]
-        moved -= np.einsum("cn,cn->n", probs, moved)
-        moved *= probs
-        moved *= weights
-        grad_weights = (points_t @ moved.T).T
-        return np.concatenate([grad_weights.ravel(), moved.sum(axis=1)]) + _HEAD_L2 * direction
+        head = family.unpack(direction)
+
+        def term(block: slice) -> np.ndarray:
+            moved = _class_logits(*head, points_t[:, block])
+            moved -= moved.reshape(-1)[top[block]]
+            moved -= np.einsum("cn,cn->n", probs[:, block], moved)
+            moved *= probs[:, block]
+            moved *= weights[block]
+            grad_weights = (points_t[:, block] @ moved.T).T
+            return np.concatenate([grad_weights.ravel(), moved.sum(axis=1)])
+
+        return functools.reduce(np.add, map(term, _point_blocks(n))) + _HEAD_L2 * direction
 
     return product, diagonal
 
@@ -517,19 +538,13 @@ def _sum_zero_basis(classes: int) -> np.ndarray:
     return np.where(row < k, 1.0, np.where(row == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
 
 
-def _pair_operands(
-    points_t: np.ndarray, classes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What a head's exact Hessians (`_head_hessian`) read of its fixed points, built once per fit.
+def _feature_products(points_t: np.ndarray) -> np.ndarray:
+    """The (feature pairs, n) products x~_j x~_k of the points, x~ = (x, 1) a point's features and its bias.
 
-    With x~ = (x, 1) a point's features and its bias: the (feature pairs,
-    n) products x~_j x~_k of each pair j <= k in row-major order, the
-    index that spreads such a row onto the full (in_dim + 1)^2 block, the
-    (pairs, classes - 1) differences u_ab = T_a - T_b of the rows of the
-    sum-zero basis T for each class pair a < b, in the order of
-    `np.triu_indices`, and T itself.  A product that overflows stays
-    infinite (numpy reports it as the squared points of `_head_curvature`
-    do), and every Hessian that reads it is the step's failure.
+    One row per pair j <= k in row-major order.  A product that overflows
+    stays infinite (numpy reports it as the squared points of
+    `_head_curvature` do), and every Hessian that reads it is the step's
+    failure.
     """
     in_dim, n = points_t.shape
     width = in_dim + 1
@@ -540,17 +555,28 @@ def _pair_operands(
         products[row + in_dim - j] = points_t[j]
         row += width - j
     products[row] = 1.0
+    return products
+
+
+def _pair_operands(in_dim: int, classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a head's exact Hessians (`_head_hessian`) read of its shape, built once per fit.
+
+    The index that spreads a row of `_feature_products` onto the full
+    (in_dim + 1)^2 block, the (pairs, classes - 1) differences u_ab = T_a -
+    T_b of the rows of the sum-zero basis T for each class pair a < b, in
+    the order of `np.triu_indices`, and T itself.
+    """
+    width = in_dim + 1
     upper = np.zeros((width, width), dtype=np.intp)
-    upper[np.triu_indices(width)] = np.arange(len(products))
-    spread = np.maximum(upper, upper.T).ravel()
+    upper[np.triu_indices(width)] = np.arange(width * (width + 1) // 2)
     basis = _sum_zero_basis(classes)
     first, second = np.triu_indices(classes, 1)
-    return products, spread, basis[first] - basis[second], basis
+    return np.maximum(upper, upper.T).ravel(), basis[first] - basis[second], basis
 
 
 def _head_hessian(
     family: SoftmaxHeadFamily, params: np.ndarray, points_t: np.ndarray, weights: np.ndarray,
-    operands: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    operands: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """A head's loss Hessian, `_HEAD_L2` included, on the sum-zero class subspace.
 
@@ -559,28 +585,41 @@ def _head_hessian(
     `_pair_operands` gives them.  Over the class pairs a < b, the data
     Hessian is sum (e_a - e_b)(e_a - e_b)^T (x) C_ab with C_ab the
     contraction of the pair weights w p_a p_b with x~ x~^T (Boehning 1992),
-    so restricted it is sum u_ab u_ab^T (x) C_ab: one (pairs, n) @ (n,
-    feature pairs) product gives every C_ab.  Each term carries its own
-    weight, at least 0, so a saturated head keeps its small curvature:
-    nothing subtracts it from a probability that rounds to 1.  The dropped
-    directions shift every class alike; the loss is flat along them, and
-    neither the gradient nor the iterates from zero leave the subspace.
-    Holds the (classes, n) probabilities and the (pairs, n) pair weights.
+    so restricted it is sum u_ab u_ab^T (x) C_ab: per `_point_blocks`
+    block, one (pairs, block) @ (block, feature pairs) product of the
+    block's pair weights and `_feature_products`, summed over the blocks,
+    gives every C_ab.  Each term carries its own weight, at least 0, so a
+    saturated head keeps its small curvature: nothing subtracts it from a
+    probability that rounds to 1.  The dropped directions shift every class
+    alike; the loss is flat along them, and neither the gradient nor the
+    iterates from zero leave the subspace.  A block holds its (classes,
+    block) probabilities, (pairs, block) pair weights and (feature pairs,
+    block) products.  numpy reports a product that overflows, and the
+    arithmetic after it, whose infinities make the Hessian the step's
+    failure, warns of nothing.
     """
-    products, spread, differences, _ = operands
-    probs = _class_probabilities(family.build(params), points_t)
-    classes, n = probs.shape
-    pair_weights = np.empty((len(differences), n))
-    row = 0
-    for a in range(classes - 1):
-        np.multiply(probs[a + 1:], probs[a], out=pair_weights[row:row + classes - 1 - a])
-        row += classes - 1 - a
-    pair_weights *= weights
-    blocks = (pair_weights @ products.T)[:, spread]
+    spread, differences, _ = operands
+    model, classes = family.build(params), family.classes
+
+    def term(block: slice) -> np.ndarray:
+        products = _feature_products(points_t[:, block])
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = _class_probabilities(model, points_t[:, block])
+            pair_weights = np.empty((len(differences), probs.shape[1]))
+            row = 0
+            for a in range(classes - 1):
+                np.multiply(probs[a + 1:], probs[a], out=pair_weights[row:row + classes - 1 - a])
+                row += classes - 1 - a
+            pair_weights *= weights[block]
+            return pair_weights @ products.T
+
+    blocks = functools.reduce(np.add, map(term, _point_blocks(points_t.shape[1])))
     width, rank = family.in_dim + 1, classes - 1
-    terms = differences[:, :, None] @ blocks[:, None, :]
-    hessian = (differences.T @ terms.reshape(len(differences), -1)).reshape(rank, rank, width, width)
-    hessian = hessian.transpose(0, 2, 1, 3).reshape(rank * width, rank * width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = differences[:, :, None] @ blocks[:, spread][:, None, :]
+        hessian = differences.T @ terms.reshape(len(differences), -1)
+    hessian = hessian.reshape(rank, rank, width, width).transpose(0, 2, 1, 3)
+    hessian = hessian.reshape(rank * width, rank * width)
     hessian.reshape(-1)[:: rank * width + 1] += _HEAD_L2
     return hessian
 
@@ -614,16 +653,17 @@ def _exact_newton_steps(
     Builds `_pair_operands` once; each step forms `_head_hessian` and
     solves it by `_cholesky_step` on the sum-zero subspace, where the
     gradient lies: its class sums are zero, the data's and, for iterates
-    from zero, the L2 term's.  Overflow in the Hessian or the step is read
-    as the step's failure, not warned of.
+    from zero, the L2 term's.  Overflow in the Hessian's arithmetic
+    (`_head_hessian`) or the step is read as the step's failure, not warned
+    of.
     """
-    operands = _pair_operands(points_t, family.classes)
+    operands = _pair_operands(family.in_dim, family.classes)
     basis = operands[-1]
 
     def step(params: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
         grid = np.column_stack(family.unpack(grad))
+        hessian = _head_hessian(family, params, points_t, weights, operands)
         with np.errstate(over="ignore", invalid="ignore"):
-            hessian = _head_hessian(family, params, points_t, weights, operands)
             solved = _cholesky_step(hessian, (basis.T @ grid).ravel())
         if solved is None:
             return None
@@ -776,13 +816,11 @@ def train_classifier(
     plus `_HEAD_L2 / 2 * ||params||^2` over all its parameters, biases
     included.  That loss is strongly convex, so its minimizer is unique:
     the head depends on the training rows and their weights alone, not on
-    their order.  `_newton` finds it from zero.  Where
-    `_takes_exact_steps` holds, up to `_DENSE_STEP_MAX_PARAMS` parameters
-    and while the memory allows, each step solves the exact Hessian
-    (`_exact_newton_steps`); otherwise conjugate gradients solve it on the
-    Hessian products of `_head_curvature`, with no Hessian formed, so a
-    large head's memory stays linear in its points.  Both routes stop by
-    the same rule and fail with the same errors.
+    their order.  `_newton` finds it from zero: up to
+    `_DENSE_STEP_MAX_PARAMS` parameters each step solves the exact Hessian
+    (`_exact_newton_steps`), otherwise conjugate gradients solve it on the
+    Hessian products of `_head_curvature`.  Both routes stop by the same
+    rule and fail with the same errors.
 
     Returns:
         (accuracy, model, trace) with accuracy weighted by the held-out
@@ -818,7 +856,7 @@ def train_classifier(
         )
         return value + _HEAD_L2 / 2.0 * float(params @ params), grad + _HEAD_L2 * params
 
-    if _takes_exact_steps(features.size, family.classes, family.in_dim):
+    if _takes_exact_steps(family.classes, family.in_dim):
         newton_step = _exact_newton_steps(family, operands[0], features.weights)
     else:
         def newton_step(params: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
@@ -827,8 +865,12 @@ def train_classifier(
             )
 
     trace = _newton(objective, newton_step, family.parameter_count())
-    predicted = family.predict(trace.parameters, eval_features.points)
-    accuracy = float(np.sum(eval_features.weights * (predicted == eval_labels)))
+
+    def hits(block: slice) -> np.ndarray:
+        predicted = family.predict(trace.parameters, eval_features.points[block])
+        return np.sum(eval_features.weights[block] * (predicted == eval_labels[block]))
+
+    accuracy = float(functools.reduce(np.add, map(hits, _point_blocks(eval_features.size))))
     return accuracy, family.build(trace.parameters), trace
 
 
@@ -925,78 +967,37 @@ def _named(what: str, fit, *args):
         raise TrainingDivergedError(f"{what}: {err}", err.trace) from err
 
 
-def _exact_step_bytes(n: int, classes: int, in_dim: int) -> int:
-    """Bytes a classifier head takes while it trains on n points by exact Newton steps.
-
-    Through the fit, its contiguous (in_dim, n) points, a copy from in_dim
-    2 (at in_dim 1 the transpose is already contiguous), its flat label
-    index and its (in_dim + 1)(in_dim + 2) / 2 feature products stay alive.
-    A Hessian (`_head_hessian`) holds the (classes, n) probabilities and
-    the (pairs, n) pair weights, at least three vectors' worth, beside its
-    (pairs, classes - 1, (in_dim + 1)^2) class-pair terms, its pair blocks
-    and two of its ((classes - 1)(in_dim + 1))^2 matrices; the Cholesky
-    solve holds less.  A loss evaluation (one class array and three
-    vectors) and the held-out scoring (its logits and their argmax) fit
-    under that, and numpy's 8192-element ufunc buffer covers the small
-    arrays and `_class_argmax`'s blocks.
-    """
-    copy = in_dim if in_dim > 1 else 0
-    width, pairs, rank = in_dim + 1, classes * (classes - 1) // 2, classes - 1
-    vectors = copy + 1 + width * (width + 1) // 2 + classes + max(pairs, 3)
-    small = pairs * (rank + 2) * width**2 + 2 * (rank * width) ** 2
-    return 8 * (vectors * n + small + 8192)
-
-
-def _newton_cg_bytes(n: int, classes: int, in_dim: int) -> int:
-    """Bytes a classifier head takes while it trains on n points by Newton-CG.
-
-    Its points, their copy and its label index stay alive, as on the exact
-    route.  The largest working set above them is a Hessian diagonal's
-    (`_head_curvature`): the (classes, n) probabilities, the (classes, n)
-    spread w p (1 - p), the squared points and the most probable classes'
-    index, for 2 * classes + in_dim + 1 vectors of n.  A Hessian product
-    (two class arrays and three vectors), a loss evaluation and the
-    held-out scoring fit under it, and conjugate gradients hold about
-    twelve vectors of the parameters.
-    """
-    copy = in_dim if in_dim > 1 else 0
-    vectors = 2 * classes + in_dim + copy + 2
-    return 8 * (vectors * n + 12 * classes * (in_dim + 1) + 8192)
-
-
-def _takes_exact_steps(n: int, classes: int, in_dim: int) -> bool:
-    """Whether a classifier head on `in_dim` inputs solves its Newton steps exactly on n points.
+def _takes_exact_steps(classes: int, in_dim: int) -> bool:
+    """Whether a classifier head of `classes` on `in_dim` inputs solves its Newton steps exactly.
 
     Up to `_DENSE_STEP_MAX_PARAMS` parameters, where exact steps are the
-    faster route, and while `_MAX_FIT_WORKERS` heads of theirs fit
-    `_HEAD_BUDGET_BYTES`: exact steps hold up to about four times
-    Newton-CG's memory per point, and a head that takes them never leaves
-    a run fewer heads at once than the run's processes, nor refuses one
-    that Newton-CG holds.  `train_classifier` takes the route and
-    `_head_bytes` counts it.
+    faster route.  `train_classifier` takes the route and `_head_bytes`
+    counts it.
     """
-    return (
-        classes * (in_dim + 1) <= _DENSE_STEP_MAX_PARAMS
-        and _MAX_FIT_WORKERS * _exact_step_bytes(n, classes, in_dim) <= _HEAD_BUDGET_BYTES
-    )
+    return classes * (in_dim + 1) <= _DENSE_STEP_MAX_PARAMS
 
 
 def _head_bytes(n: int, classes: int, in_dim: int) -> int:
     """Bytes a classifier head on `in_dim` inputs takes while it trains on n points.
 
-    `_exact_step_bytes` or `_newton_cg_bytes`, by the route
-    `_takes_exact_steps` picks.  Under tracemalloc this is 1.02-1.09x the
-    measured peak for 2-16 classes and in_dim 1-16 at n = 10 000, on both
-    routes, 1.04-1.05x for the two 30-parameter heads with most class
-    pairs (15 classes, in_dim 1) and most feature pairs (2, in_dim 14) at
-    n = 1 000, and 1.01-1.12x for heads of 100 classes on 200 points and
-    of 300 inputs on 400.  A run sizes both heads on its longest training
-    half (`_fit_workers`): a source head reads the dim-D points, a target
-    head the class probabilities.
+    Per point, its inputs: the (in_dim, n) points' copy from in_dim 2 and
+    the label index; on Newton-CG also a step's (classes, n) probabilities
+    and most probable classes (`_head_curvature`).  Per point of one block,
+    the largest block pass: a Hessian's probabilities, pair weights and
+    feature products, or a diagonal's spread and squared points.  Then the
+    exact step's pair terms and two Hessians, or twelve parameter vectors of
+    conjugate gradients, and numpy's 8192-element ufunc buffer.  Under
+    tracemalloc this is 1.00-1.15x the peak on the tested shapes.
     """
-    if _takes_exact_steps(n, classes, in_dim):
-        return _exact_step_bytes(n, classes, in_dim)
-    return _newton_cg_bytes(n, classes, in_dim)
+    copy = in_dim if in_dim > 1 else 0
+    width, pairs, rank = in_dim + 1, classes * (classes - 1) // 2, classes - 1
+    if _takes_exact_steps(classes, in_dim):
+        points, block = copy + 1, width * (width + 1) // 2 + classes + pairs
+        small = pairs * (rank + 2) * width**2 + 2 * (rank * width) ** 2
+    else:
+        points, block = copy + 2 + classes, classes + in_dim
+        small = 12 * classes * width
+    return 8 * (points * n + block * min(n, _BLOCK_POINTS) + small + 8192)
 
 
 def _fork_workers() -> int:
@@ -1018,9 +1019,7 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
     `_fork_workers()`, and no more heads of the run's largest size than
     `_HEAD_BUDGET_BYTES` holds: the larger `_head_bytes` of a source head
     on dim inputs and a target head on classes inputs, on the longest
-    training half, each on the route `_takes_exact_steps` picks.  A head
-    takes exact steps only where two of them fit, so a refused head is
-    on Newton-CG.  1 while every training half is below the crossover of
+    training half.  1 while every training half is below the crossover of
     the target heads' route: `_CONCURRENT_MIN_POINTS` points for exact
     steps, `_NEWTON_CG_CONCURRENT_MIN_POINTS` for Newton-CG.  A fit process
     only trains: every input risk, dense route or not, is solved before
@@ -1047,8 +1046,8 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
             f"{cause}, and training a head on {n} points would need about "
             f"{needed / 2**30:.3g} GiB, above the {_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
         )
-    exact_targets = _takes_exact_steps(n, classes, classes)
-    if n < (_CONCURRENT_MIN_POINTS if exact_targets else _NEWTON_CG_CONCURRENT_MIN_POINTS):
+    if n < (_CONCURRENT_MIN_POINTS if _takes_exact_steps(classes, classes)
+            else _NEWTON_CG_CONCURRENT_MIN_POINTS):
         return 1
     return min(_fork_workers(), heads)
 

@@ -2065,20 +2065,25 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_head_budget_is_the_working_set_arithmetic(self, tmp_path, monkeypatch):
-        # Two 8-row datasets: heads train on 4 points.  1-D with labels up to
-        # 9 makes 10 classes, and the largest head a target head on 10
-        # inputs; 12-D with labels up to 1, the source head on 12 inputs.
-        # At budgets this small no head takes exact steps, which need two
-        # of their heads to fit, so each is counted on Newton-CG.  The
-        # refusal names the dataset holding the largest label, or the
-        # longest (the first of equals) and its feature count.  finetune
-        # alone holds the budget.
+        # Two 8-row datasets: heads train on 4 points, one block.  1-D with labels up
+        # to 9 makes 10 classes.  The largest head is then the source head
+        # on 1 input, 20 parameters: per point its label index, per point
+        # of its block 3 feature products, 10 class rows and 45 class-pair
+        # rows, then its 45 pair terms and two Hessians, which outweigh the
+        # 110-parameter target head on Newton-CG.  12-D with labels up to 1
+        # makes it the source head on 12 inputs, 26 parameters: per point
+        # the copy and the label index, per point of its block 91 feature
+        # products, 2 class rows and 1 class-pair row.  The refusal names
+        # the dataset holding the largest label, or the longest (the first
+        # of equals) and its feature count.  finetune alone holds the
+        # budget.
         assert "_HEAD_BUDGET_BYTES" not in vars(pipeline)
+        assert finetune._head_bytes(4, 10, 1) > finetune._head_bytes(4, 10, 10)
         for columns, top, cause, needed in (
             (1, 9, "b1: its largest label 9 makes 10 classes",
-             8 * ((2 * 10 + 2 * 10 + 2) * 4 + 12 * 10 * 11 + 8192)),
+             8 * (1 * 4 + (3 + 10 + 45) * 4 + 45 * 11 * 2**2 + 2 * (9 * 2) ** 2 + 8192)),
             (12, 1, "a12: its points have 12 features",
-             8 * ((2 * 2 + 2 * 12 + 2) * 4 + 12 * 2 * 13 + 8192)),
+             8 * ((12 + 1) * 4 + (91 + 2 + 1) * 4 + 1 * 3 * 13**2 + 2 * 13**2 + 8192)),
         ):
             paths = []
             header = ",".join(f"x{j}" for j in range(columns))
@@ -2160,14 +2165,14 @@ class TestCli:
 
     def test_head_budget_caps_the_workers_rather_than_refusing(self, tmp_path, monkeypatch):
         # Heads train on 30 points of 2 classes.  The target head, on 2
-        # inputs, is the largest; it takes exact steps while two of them
-        # fit, and below that Newton-CG, whose heads then cap the workers.
+        # inputs, is the largest; it takes exact steps at any budget, and
+        # its count caps the workers.
         config = {"mode": "empirical", "out_dir": str(tmp_path / "out"),
                   "empirical": {"datasets": self.line_csvs(tmp_path)}, "risk_train": {"epochs": 1}}
         self.two_cpus_and_no_crossover(monkeypatch)
-        exact, head = finetune._head_bytes(30, 2, 2), finetune._newton_cg_bytes(30, 2, 2)
-        assert exact == finetune._exact_step_bytes(30, 2, 2) > head
-        for budget, workers in ((2 * exact, 2), (2 * head, 2), (2 * head - 1, 1), (head, 1)):
+        head = finetune._head_bytes(30, 2, 2)
+        assert finetune._takes_exact_steps(2, 2) and head > finetune._head_bytes(30, 2, 1)
+        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert run(PipelineConfig.from_dict(config))["workers"] == workers
 

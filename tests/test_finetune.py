@@ -460,15 +460,21 @@ class TestSoftmaxKernel:
         # both sides of the exact steps' parameter cap, up to 8 classes on
         # 2 inputs below it and from 16 classes on 1 input above; the next
         # two heads sit at the cap with most class pairs and most feature
-        # pairs.  The last two hold more parameters than points: 100
-        # classes on 200 points and 300 inputs on 400.
+        # pairs.  Two more hold more parameters than points: 100 classes
+        # on 200 points and 300 inputs on 400.  The last two span three
+        # blocks, one on each route.
         shapes = [(10_000, classes, in_dim) for classes, in_dim in itertools.product(
             (2, 3, 4, 8, 16), (1, 2, 4, 16)
         )]
         cap = finetune._DENSE_STEP_MAX_PARAMS
         at_cap = [(1000, 15, 1), (1000, 2, 14)]
         assert all(classes * (in_dim + 1) == cap for _, classes, in_dim in at_cap)
-        for n, classes, in_dim in shapes + at_cap + [(200, 100, 100), (400, 10, 300)]:
+        blocked = [(40_000, 4, 1), (40_000, 8, 8)]
+        assert [finetune._takes_exact_steps(classes, in_dim) for _, classes, in_dim in blocked] == [
+            True, False
+        ]
+        assert all(n > 2 * finetune._BLOCK_POINTS for n, _, _ in blocked)
+        for n, classes, in_dim in shapes + at_cap + [(200, 100, 100), (400, 10, 300)] + blocked:
             rng = np.random.default_rng(classes * in_dim)
             family = SoftmaxHeadFamily(in_dim, classes)
             labels = np.arange(n) % classes
@@ -488,13 +494,44 @@ class TestSoftmaxKernel:
             counted = finetune._head_bytes(n, classes, in_dim)
             assert peak <= counted <= 1.25 * peak, (n, classes, in_dim)
 
-    def test_a_prediction_holds_one_class_array(self):
-        # The held-out logits are the one (classes, n) array, beside an
-        # 8192-element block, numpy's ufunc buffer (their bias is added by
-        # broadcast) or the argmax's copy of a block of columns, and a few
-        # vectors of n: 1.4 class arrays here, where the class-axis
-        # argmax's copy of the whole array peaked at 2.0.
-        n, classes = 200, 100
+    def test_an_exact_step_head_holds_only_its_inputs_per_point(self):
+        # From one block to 61: the count's per-point term is the head's
+        # label index alone (at in_dim 1 its points need no copy), and no
+        # class, class-pair or feature-pair vector, and the fit stays
+        # within it at the same bound.
+        classes, in_dim = 4, 1
+        assert finetune._takes_exact_steps(classes, in_dim)
+        grow = finetune._head_bytes(2_000_000, classes, in_dim) - finetune._head_bytes(
+            1_000_000, classes, in_dim
+        )
+        assert grow == 8 * 1_000_000
+        family = SoftmaxHeadFamily(in_dim, classes)
+        for n in (10_000, 100_000, 1_000_000):
+            rng = np.random.default_rng(n)
+            labels = np.arange(n) % classes
+            points = 2.0 * rng.normal(size=(classes, in_dim))[labels] + rng.normal(size=(n, in_dim))
+            cloud = EmpiricalDistribution.from_points(points)
+            args = (family, cloud, labels, cloud, labels)
+            if n == 10_000:
+                train_classifier(*args)
+            tracemalloc.start()
+            try:
+                train_classifier(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            counted = finetune._head_bytes(n, classes, in_dim)
+            assert peak <= counted <= 1.25 * peak, n
+
+    def test_a_prediction_holds_one_class_array(self, monkeypatch):
+        # The held-out logits of one block are the one class array, beside
+        # an 8192-element column block, numpy's ufunc buffer (their bias is
+        # added by broadcast) or the argmax's copy of a block of columns,
+        # and a few vectors of n: under a quarter of the whole (classes, n)
+        # logits here, where the class-axis argmax's copy of the whole
+        # array peaked at 2.0 of them.
+        n, classes, block = 2000, 100, 20
+        monkeypatch.setattr(finetune, "_BLOCK_POINTS", block)
         rng = np.random.default_rng(41)
         family = SoftmaxHeadFamily(classes, classes)
         params = rng.normal(size=family.parameter_count())
@@ -508,16 +545,29 @@ class TestSoftmaxKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (n * classes + 8192 + 4 * n)
+        assert peak <= 8 * (block * classes + 8192 + 4 * n) < 8 * n * classes // 4
         np.testing.assert_array_equal(predicted, expected)
 
+    @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("classes, n", [(3, 5), (7, 5000), (100, 200), (9000, 3)])
-    def test_class_argmax_is_numpys_over_any_blocks(self, classes, n):
-        # Ties and NaN as numpy has them: the first largest, or the first NaN.
+    def test_predict_is_numpys_argmax_over_any_blocks(self, monkeypatch, classes, n, block):
+        # Ties and NaN as numpy has them: the first largest, or the first
+        # NaN.  Small integer logits tie exactly, and an infinite weight on
+        # a zero feature makes a NaN logit; the logits are `_class_logits`'s
+        # own, over one block or many.
         rng = np.random.default_rng(classes)
-        values = rng.integers(0, 3, size=(classes, n)).astype(float)
-        values[rng.integers(0, classes, size=n // 2), rng.integers(0, n, size=n // 2)] = np.nan
-        np.testing.assert_array_equal(finetune._class_argmax(values), np.argmax(values, axis=0))
+        family = SoftmaxHeadFamily(1, classes)
+        weights = rng.integers(0, 3, size=(classes, 1)).astype(float)
+        weights[rng.integers(0, classes, size=max(1, classes // 4))] = np.inf
+        bias = rng.integers(0, 3, size=classes).astype(float)
+        points = rng.integers(0, 3, size=(n, 1)).astype(float)
+        if block is not None:
+            monkeypatch.setattr(finetune, "_BLOCK_POINTS", block)
+        with np.errstate(invalid="ignore"):
+            logits = finetune._class_logits(weights, bias, points.T)
+            predicted = family.predict(np.concatenate([weights.ravel(), bias]), points)
+        assert np.isnan(logits).any()
+        np.testing.assert_array_equal(predicted, np.argmax(logits, axis=0))
 
 
 class TestMinimizeOutputRisk:
@@ -893,7 +943,7 @@ class TestTrainClassifier:
             weights /= weights.sum()
             params = rng.normal(size=family.parameter_count())
             points_t, _ = finetune._head_operands(points, labels)
-            operands = finetune._pair_operands(points_t, classes)
+            operands = finetune._pair_operands(in_dim, classes)
             hessian = finetune._head_hessian(family, params, points_t, weights, operands)
 
             def gradient(at):
@@ -945,9 +995,8 @@ class TestTrainClassifier:
     def test_the_cap_picks_the_route(self, monkeypatch, classes, in_dim):
         # Heads up to the cap take exact steps and no Hessian product;
         # above it, Newton-CG and no exact Hessian.  A 100-class head on 100
-        # inputs, 10 100 parameters, stays on the Hessian products.  Below
-        # the cap, a budget that does not hold two exact-step heads puts the
-        # head on Newton-CG too.
+        # inputs, 10 100 parameters, stays on the Hessian products.  The
+        # shape alone picks the route, on any number of points.
         routes = []
         hessian, curvature = finetune._head_hessian, finetune._head_curvature
 
@@ -970,12 +1019,7 @@ class TestTrainClassifier:
         train_classifier(family, cloud, labels, cloud, labels)
         expected = "exact" if family.parameter_count() <= finetune._DENSE_STEP_MAX_PARAMS else "newton_cg"
         assert routes and set(routes) == {expected}
-        if expected == "exact":
-            routes.clear()
-            budget = 2 * finetune._exact_step_bytes(n, classes, in_dim) - 1
-            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
-            train_classifier(family, cloud, labels, cloud, labels)
-            assert routes and set(routes) == {"newton_cg"}
+        assert finetune._takes_exact_steps(classes, in_dim) is (expected == "exact")
 
     def test_the_row_order_does_not_matter(self):
         # The minimizer depends on the weighted rows alone; a permutation
@@ -1099,6 +1143,98 @@ class TestTrainClassifier:
         assert runs[0][2].objectives == runs[1][2].objectives
 
 
+class TestPointBlocks:
+    """Every per-point pass of a head over many `_point_blocks` blocks gives the one-block result.
+
+    Blocks of 7 points give many blocks and a ragged last one; sums over
+    them agree to 1e-15 of the largest entry, and predictions exactly.
+    """
+
+    SHAPES = [(2, 1), (4, 1), (3, 2), (4, 4), (8, 8), (2, 14), (15, 1)]
+
+    @staticmethod
+    def instance(classes, in_dim):
+        rng = np.random.default_rng(10 * classes + in_dim)
+        n = 7 * int(rng.integers(10, 40)) + int(rng.integers(1, 7))
+        family = SoftmaxHeadFamily(in_dim, classes)
+        points = 2.0 * rng.normal(size=(n, in_dim))
+        labels = rng.integers(0, classes, size=n)
+        weights = rng.random(n)
+        return family, points, labels, weights / weights.sum(), rng.normal(size=family.parameter_count())
+
+    @staticmethod
+    def passes(family, points, labels, weights, params):
+        """The loss and gradient, exact Hessian, Newton-CG diagonal and one product, at the current blocks."""
+        points_t, flat = finetune._head_operands(points, labels)
+        value, grad = cross_entropy_objective(
+            family, params, points, labels, weights, _operands=(points_t, flat)
+        )
+        hessian = finetune._head_hessian(
+            family, params, points_t, weights, finetune._pair_operands(family.in_dim, family.classes)
+        )
+        product, diagonal = finetune._head_curvature(family, params, points_t, weights)
+        direction = np.random.default_rng(family.classes).normal(size=params.size)
+        return [np.array([value]), grad, hessian, diagonal, product(direction)]
+
+    @pytest.mark.parametrize("classes, in_dim", SHAPES)
+    def test_each_blocked_sum_is_the_one_block_sum(self, monkeypatch, classes, in_dim):
+        args = self.instance(classes, in_dim)
+        one = self.passes(*args)
+        monkeypatch.setattr(finetune, "_BLOCK_POINTS", 7)
+        assert len(finetune._point_blocks(len(args[2]))) > 10
+        many = self.passes(*args)
+        for name, a, b in zip(("loss", "gradient", "hessian", "diagonal", "product"), many, one):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), name
+
+    def test_blocked_fits_reach_the_one_block_minimizer(self, monkeypatch, head_route):
+        # Within the stop rule's bound of `test_the_two_routes_reach_one_minimizer`.
+        tol, l2 = finetune._NEWTON_TOL, finetune._HEAD_L2
+        flat = TestTrainClassifier.flat
+        for family, cloud, labels in TestTrainClassifier.head_instances():
+            fits = []
+            for block in (finetune._BLOCK_POINTS, 7):
+                monkeypatch.setattr(finetune, "_BLOCK_POINTS", block)
+                fits.append(flat(train_classifier(family, cloud, labels, cloud, labels)[1]))
+            assert np.linalg.norm(fits[1] - fits[0]) <= 2.0 * np.sqrt(2.0 * tol / l2)
+
+    @pytest.mark.parametrize("classes, in_dim", [(3, 1), (4, 4), (12, 12), (5, 20)])
+    def test_blocked_predictions_are_the_one_block_predictions(self, monkeypatch, classes, in_dim):
+        rng = np.random.default_rng(classes + in_dim)
+        family = SoftmaxHeadFamily(in_dim, classes)
+        params = rng.normal(size=family.parameter_count())
+        points = rng.normal(size=(1001, in_dim))
+        one = family.predict(params, points)
+        monkeypatch.setattr(finetune, "_BLOCK_POINTS", 7)
+        np.testing.assert_array_equal(family.predict(params, points), one)
+
+    def test_only_the_block_helper_steps_through_points(self):
+        # Every pass over a head's points walks `_point_blocks`: no other
+        # code in finetune steps by `_BLOCK_POINTS`, which only the count
+        # reads besides.  The removed argmax helper and byte counters are
+        # gone from the package.
+        readers = []
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Name) and child.id == "_BLOCK_POINTS":
+                    readers.append((function, isinstance(child.ctx, ast.Store)))
+                visit(child, function)
+
+        path = Path(finetune.__file__)
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+        assert sorted(readers, key=lambda reader: (reader[0] or "", reader[1])) == [
+            (None, True), ("_head_bytes", False), ("_point_blocks", False), ("_point_blocks", False)
+        ]
+        for source in sorted(path.parent.glob("*.py")):
+            text = source.read_text(encoding="utf-8")
+            for name in ("_class_argmax", "_exact_step_bytes", "_newton_cg_bytes"):
+                assert name not in text, (source.name, name)
+
+
 class TestSyntheticDomains:
     def test_shapes_and_names(self):
         domains = make_synthetic_domains(0)
@@ -1183,11 +1319,10 @@ class TestEvaluatePairs:
 
     def test_a_head_above_the_budget_is_refused_before_any_fit(self, monkeypatch):
         # 2-D 3-class domains of 30 training points: the largest head is a
-        # target head on 3 inputs, so the classes name the cause.  A head
-        # is refused on Newton-CG: it takes exact steps only where two
-        # heads of theirs fit the budget.
+        # target head on 3 inputs, so the classes name the cause.
         domains = make_synthetic_domains(3, samples_per_domain=60)
-        needed = finetune._newton_cg_bytes(30, 3, 3)
+        needed = finetune._head_bytes(30, 3, 3)
+        assert needed > finetune._head_bytes(30, 3, 2)
         monkeypatch.setattr(finetune, "train_classifier", self.no_fit)
         monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed)
         with pytest.raises(AssertionError, match="a fit ran"):
@@ -1658,25 +1793,17 @@ class TestConcurrentFits:
         assert finetune._fit_workers(domains) == 2
         # Three classes on 1-D domains: the target head, on 3 inputs, is the
         # largest.  Its 12 parameters take exact steps: per point the copy
-        # of its 3 inputs, the label index, 10 feature products, 3 class
-        # rows and 3 class-pair rows, then its pair terms and Hessians.
+        # of its 3 inputs and the label index, per point of its one block
+        # 10 feature products, 3 class rows and 3 class-pair rows, then its
+        # pair terms and Hessians.  That one count caps the workers.
         head = finetune._head_bytes(20, 3, 3)
-        assert head > finetune._head_bytes(20, 3, 1)
-        assert head == 8 * ((3 + 1 + 10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 8192)
-        # Below two such heads it takes Newton-CG, whose working set then
-        # caps the workers: per point the copy, the label index, 2 class
-        # rows, the squared points and the most probable classes' index.
-        newton_cg = finetune._newton_cg_bytes(20, 3, 3)
-        assert newton_cg == 8 * ((2 * 3 + 2 * 3 + 2) * 20 + 12 * 3 * 4 + 8192) < head
-        for budget, workers, exact in (
-            (2 * head, 2, True), (2 * head - 1, 2, False), (2 * newton_cg, 2, False),
-            (2 * newton_cg - 1, 1, False), (newton_cg, 1, False),
-        ):
+        assert finetune._takes_exact_steps(3, 3) and head > finetune._head_bytes(20, 3, 1)
+        assert head == 8 * ((3 + 1) * 20 + (10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 8192)
+        for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
-            assert finetune._takes_exact_steps(20, 3, 3) is exact
             assert finetune._fit_workers(domains) == workers
         # Not even one head fits: refused ahead of every other gate.
-        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", newton_cg - 1)
+        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", head - 1)
         for min_points in (20, 600):
             monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", min_points)
             with pytest.raises(ValueError, match="makes 3 classes, and training a head on 20 points"):
@@ -1700,29 +1827,26 @@ class TestConcurrentFits:
         # whose fits cost more, from 600.  A source head on Newton-CG alone
         # (2 classes on 16 inputs) keeps the exact steps' crossover.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert finetune._takes_exact_steps(crossover, classes, classes) is (crossover == 3000)
+        assert finetune._takes_exact_steps(classes, classes) is (crossover == 3000)
         for n, workers in ((crossover - 1, 1), (crossover, 2)):
             assert finetune._fit_workers(self.sized_domains(n, dim, classes)) == workers
 
-    @pytest.mark.parametrize("n, dim, classes", [
-        (1_000_000, 14, 2), (3_900_000, 14, 2), (2_000_000, 1, 15), (3_000_000, 4, 4), (10_000, 4, 4),
-    ])
-    def test_exact_steps_cost_a_run_no_worker(self, monkeypatch, n, dim, classes):
-        # Arithmetic only: no fit runs.  Exact steps hold up to about four
-        # times Newton-CG's memory per point, so a head takes them only
-        # where two heads of theirs fit the budget.  A run then gets the
-        # processes Newton-CG heads alone would give it, sized as the
-        # larger head on max(dim, classes) inputs: 2-class heads on 14
-        # features from 0.96M to 3.9M points, which exact steps alone
-        # would refuse, run, as do 4-D 4-class heads on two processes to
-        # 3.7M points, which exact steps alone would hold to one from 2.2M.
+    @pytest.mark.parametrize("n", [10_000, 1_000_000, 3_900_000, 4_000_000])
+    def test_exact_steps_cost_a_run_no_worker(self, monkeypatch, n):
+        # Arithmetic only: no fit runs.  A 2-class head on 14 features,
+        # the exact steps' largest feature pairs, takes them at any n and
+        # holds per point only its inputs: the copy of its 14 features and
+        # its label index, 15 floats, where Newton-CG held 34 (the copy,
+        # the label index, 2 class rows, the squared points and the most
+        # probable classes).  So two such heads fit the budget at 4M
+        # training points, where a run counted on Newton-CG was refused.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        budget = finetune._HEAD_BUDGET_BYTES
-        heads = budget // finetune._newton_cg_bytes(n, classes, max(dim, classes))
-        assert heads >= 1
-        assert finetune._fit_workers(self.sized_domains(n, dim, classes)) == min(2, heads)
-        if finetune._exact_step_bytes(n, classes, dim) > budget // 2:
-            assert not finetune._takes_exact_steps(n, classes, dim)
+        assert finetune._takes_exact_steps(2, 14)
+        head = finetune._head_bytes(n, 2, 14)
+        block = min(n, finetune._BLOCK_POINTS)
+        assert head == 8 * (15 * n + (120 + 2 + 1) * block + 3 * 15**2 + 2 * 15**2 + 8192)
+        assert 8 * 34 * 4_000_000 > finetune._HEAD_BUDGET_BYTES >= 2 * head
+        assert finetune._fit_workers(self.sized_domains(n, 14, 2)) == 2
 
     def test_every_route_forks_above_the_crossover(self, monkeypatch):
         # A fit process solves no transport problem, so the input risks'
