@@ -120,6 +120,10 @@ _NEWTON_CG_CONCURRENT_MIN_POINTS = 600
 # crossovers of the fits and of `gaussian_lab` were measured with.  More are
 # not measured until a host with more cores shows a gain.
 _MAX_FIT_WORKERS = 2
+# numpy's ufunc buffer, in elements (`np.getbufsize()`).
+_UFUNC_BUFFER = 8192
+# An ndarray's object and shape, in floats (112 + 16 bytes for one axis).
+_ARRAY_HEADER_FLOATS = 16
 # Bytes the classifier heads of one run may take while they train
 # (`_head_bytes` each).  `_fit_workers` refuses a run whose single largest
 # head is above it; below it, the heads that train at once are capped at as
@@ -217,11 +221,12 @@ class SoftmaxHeadFamily(AffineMapFamily):
 
         The (classes, block) logits of one `_point_blocks` block at a time.
         numpy's class-axis argmax copies what it reads, transposed, so it
-        reads columns of at most 8192 entries, numpy's own ufunc buffer.
+        reads columns of at most `_UFUNC_BUFFER` entries, numpy's own ufunc
+        buffer.
         """
         weights, bias = self.unpack(params)
         index = np.empty(len(points), dtype=np.intp)
-        width = max(1, 8192 // self.classes)
+        width = max(1, _UFUNC_BUFFER // self.classes)
         for block in _point_blocks(len(points)):
             logits, out = _class_logits(weights, bias, points[block].T), index[block]
             for start in range(0, len(out), width):
@@ -576,7 +581,7 @@ def _pair_operands(in_dim: int, classes: int) -> tuple[np.ndarray, np.ndarray, n
 
 def _head_hessian(
     family: SoftmaxHeadFamily, params: np.ndarray, points_t: np.ndarray, weights: np.ndarray,
-    operands: tuple[np.ndarray, np.ndarray, np.ndarray],
+    operands: tuple[np.ndarray, np.ndarray, np.ndarray], products: np.ndarray | None = None,
 ) -> np.ndarray:
     """A head's loss Hessian, `_HEAD_L2` included, on the sum-zero class subspace.
 
@@ -594,15 +599,18 @@ def _head_hessian(
     alike; the loss is flat along them, and neither the gradient nor the
     iterates from zero leave the subspace.  A block holds its (classes,
     block) probabilities, (pairs, block) pair weights and (feature pairs,
-    block) products.  numpy reports a product that overflows, and the
-    arithmetic after it, whose infinities make the Hessian the step's
-    failure, warns of nothing.
+    block) products, built per call unless `products` gives
+    `_feature_products(points_t)` kept by the caller.  numpy reports a
+    product that overflows, and the arithmetic after it, whose infinities
+    make the Hessian the step's failure, warns of nothing.
     """
     spread, differences, _ = operands
     model, classes = family.build(params), family.classes
 
     def term(block: slice) -> np.ndarray:
-        products = _feature_products(points_t[:, block])
+        block_products = (
+            _feature_products(points_t[:, block]) if products is None else products[:, block]
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             probs = _class_probabilities(model, points_t[:, block])
             pair_weights = np.empty((len(differences), probs.shape[1]))
@@ -611,7 +619,7 @@ def _head_hessian(
                 np.multiply(probs[a + 1:], probs[a], out=pair_weights[row:row + classes - 1 - a])
                 row += classes - 1 - a
             pair_weights *= weights[block]
-            return pair_weights @ products.T
+            return pair_weights @ block_products.T
 
     blocks = functools.reduce(np.add, map(term, _point_blocks(points_t.shape[1])))
     width, rank = family.in_dim + 1, classes - 1
@@ -650,19 +658,21 @@ def _exact_newton_steps(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray | None]:
     """A head's Newton step (params, grad) -> H^-1 grad, from its exact Hessian.
 
-    Builds `_pair_operands` once; each step forms `_head_hessian` and
-    solves it by `_cholesky_step` on the sum-zero subspace, where the
-    gradient lies: its class sums are zero, the data's and, for iterates
-    from zero, the L2 term's.  Overflow in the Hessian's arithmetic
-    (`_head_hessian`) or the step is read as the step's failure, not warned
-    of.
+    Builds `_pair_operands` once, and the `_feature_products` of a head of
+    one `_point_blocks` block, which holds no more than a step would; each
+    step forms `_head_hessian` and solves it by `_cholesky_step` on the
+    sum-zero subspace, where the gradient lies: its class sums are zero,
+    the data's and, for iterates from zero, the L2 term's.  Overflow in the
+    Hessian's arithmetic (`_head_hessian`) or the step is read as the
+    step's failure, not warned of.
     """
     operands = _pair_operands(family.in_dim, family.classes)
     basis = operands[-1]
+    products = _feature_products(points_t) if len(_point_blocks(points_t.shape[1])) == 1 else None
 
     def step(params: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
         grid = np.column_stack(family.unpack(grad))
-        hessian = _head_hessian(family, params, points_t, weights, operands)
+        hessian = _head_hessian(family, params, points_t, weights, operands, products)
         with np.errstate(over="ignore", invalid="ignore"):
             solved = _cholesky_step(hessian, (basis.T @ grid).ravel())
         if solved is None:
@@ -865,6 +875,7 @@ def train_classifier(
             )
 
     trace = _newton(objective, newton_step, family.parameter_count())
+    del newton_step  # an exact step's kept feature products go before the prediction
 
     def hits(block: slice) -> np.ndarray:
         predicted = family.predict(trace.parameters, eval_features.points[block])
@@ -983,21 +994,34 @@ def _head_bytes(n: int, classes: int, in_dim: int) -> int:
     Per point, its inputs: the (in_dim, n) points' copy from in_dim 2 and
     the label index; on Newton-CG also a step's (classes, n) probabilities
     and most probable classes (`_head_curvature`).  Per point of one block,
-    the largest block pass: a Hessian's probabilities, pair weights and
-    feature products, or a diagonal's spread and squared points.  Then the
-    exact step's pair terms and two Hessians, or twelve parameter vectors of
-    conjugate gradients, and numpy's 8192-element ufunc buffer.  Under
-    tracemalloc this is 1.00-1.15x the peak on the tested shapes.
+    the largest block pass: the feature products beside a Hessian's
+    probabilities and pair weights, or, for a head of one block, which
+    keeps its products through every step, beside the loss kernel's class
+    array and three vectors; or a diagonal's spread and squared points.
+    Then the exact step's pair terms and two Hessians, or twelve parameter
+    vectors of conjugate gradients with their array headers.  Last, numpy's
+    ufunc buffers of broadcasts, each at most `_UFUNC_BUFFER` elements and
+    never more than the (rows, n) array it serves: one over an exact step's
+    class-pair or feature-product rows, or two over a Newton-CG product's
+    class arrays; numpy buffers no block past 4096 points, and there the
+    allowance covers the fit's Python objects.  Under tracemalloc this is
+    1.01-1.20x the peak on the tested shapes, from 50 points up.  On 21
+    shapes from 50 to 10 000 points it is at most 1.45x the peak, which
+    exceeds it by at most 5.2 KiB, in Python objects no term counts.
     """
     copy = in_dim if in_dim > 1 else 0
     width, pairs, rank = in_dim + 1, classes * (classes - 1) // 2, classes - 1
+    per_block = min(n, _BLOCK_POINTS)
     if _takes_exact_steps(classes, in_dim):
-        points, block = copy + 1, width * (width + 1) // 2 + classes + pairs
+        beside = max(pairs, 3) if per_block == n else pairs
+        points, block = copy + 1, width * (width + 1) // 2 + classes + beside
         small = pairs * (rank + 2) * width**2 + 2 * (rank * width) ** 2
+        buffers = min(_UFUNC_BUFFER, max(pairs, in_dim) * n)
     else:
         points, block = copy + 2 + classes, classes + in_dim
-        small = 12 * classes * width
-    return 8 * (points * n + block * min(n, _BLOCK_POINTS) + small + 8192)
+        small = 12 * (classes * width + _ARRAY_HEADER_FLOATS)
+        buffers = 2 * min(_UFUNC_BUFFER, classes * n)
+    return 8 * (points * n + block * per_block + small + buffers)
 
 
 def _fork_workers() -> int:

@@ -17,7 +17,9 @@ import csv
 import itertools
 import json
 import math
+import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -72,6 +74,13 @@ _CONCURRENT_MIN_PAIRS = 500
 # 1.47-1.69x at dims 12-25, and 1.6-1.9x at dim 32 under
 # OPENBLAS_NUM_THREADS=1.
 _CONCURRENT_MAX_DIM = 25
+# Bytes of dataset files, in all, from which an empirical run reads them on
+# two processes (`_ingest_workers`).  On 2 and 4 perfbench-style CSVs (one
+# feature, 2-CPU host, `_empirical_domains` in-process, 31-41 alternating
+# serial/two-process pairs per size) two processes ran at a median
+# 0.24-0.73x serial speed up to 411 KB, where the fork, pipe and reap cost
+# 3-4 ms, 0.94-1.19x from 415 KB to 1 MB, and 1.11-1.43x from 1.2 to 2.5 MB.
+_CONCURRENT_MIN_BYTES = 1_200_000
 # The closed forms of a gaussian_lab row besides its risks.
 _GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
 
@@ -438,45 +447,49 @@ def _plain_csv_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndar
 
     A plain file is UTF-8 and holds no quote, carriage return or NUL (which
     `csv.reader` refuses before Python 3.11), a header naming the label
-    column once, no underscore below the header, no blank or whitespace-only
-    line, no ragged row, no line longer than the csv field size limit and no
-    cell that is not a finite number.
-    Such a file splits on newlines and commas into the cells `csv.reader`
-    gives, and each cell goes through `float()` as `_csv_number` reads it,
-    so the values are bit-equal to `_csv_module_table`'s.  Any other file is
-    left to that reader, which reports what is wrong with it.
+    column once, no underscore below the header, no line longer in bytes
+    than the csv field size limit, and at least one row, every one of the
+    header's width and every cell a finite number.  Its bytes are checked
+    and let go, and numpy's C reader (`np.loadtxt`) parses the rows from
+    the file.  On such a file both readers split the same cells, and
+    numpy converts each as `float()` does or refuses it, so the values are
+    bit-equal to `_csv_module_table`'s.  What numpy reads and that reader
+    refuses is declined here: a blank line, which numpy skips, by the row
+    count (rows are the newlines after the header), and `inf`, `nan` or an
+    overflow by the finiteness check.  Any other file is left to that
+    reader, which reports what is wrong with it.
     """
+    data = path.read_bytes()
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if not len(ends) or data.find(b"_", ends[0]) != -1:
+        return None
     try:
-        text = path.read_bytes().decode("utf-8")
+        header = [name.strip() for name in data[: ends[0]].decode("utf-8").split(",")]
     except UnicodeDecodeError:
         return None
-    if any(c in text for c in '"\r\0'):
-        return None
-    head, _, body = text.partition("\n")
-    del text  # one copy of the text, not two, stays alive under the cell list below
-    header = [name.strip() for name in head.split(",")]
+    lines = np.diff(ends, prepend=-1, append=len(data)) - 1
+    rows = len(ends) - (data[-1] == ord("\n"))
     width = len(header)
-    if header.count(label_column) != 1 or width < 2 or "_" in body:
-        return None
-    if body.endswith("\n"):
-        body = body[:-1]
-    lines = body.split("\n")
-    limit = csv.field_size_limit()
-    # A blank or whitespace-only line has no comma, since width >= 2.
+    del data  # only the numbers stay alive while numpy parses
     if (
-        max(len(head), max(map(len, lines))) > limit
-        or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
+        header.count(label_column) != 1 or width < 2 or rows < 1
+        or lines.max() > csv.field_size_limit()
     ):
         return None
-    del lines
-    cells = body.replace("\n", ",").split(",")
     try:
-        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
-    except ValueError:
+        with warnings.catch_warnings():
+            # A file of blank rows holds no data, which the row count declines.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(
+                path, delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=2,
+                dtype=np.float64, encoding="utf-8",
+            )
+    except ValueError:  # a cell numpy cannot parse, a ragged row, or bytes that are not UTF-8
         return None
-    if not np.isfinite(values).all():
+    if values.shape != (rows, width) or not np.isfinite(values).all():
         return None
-    values = values.reshape(-1, width)
     label_idx = header.index(label_column)
     return np.delete(values, label_idx, axis=1), values[:, label_idx].copy()
 
@@ -703,8 +716,26 @@ def _row(
     }
 
 
+def _ingest_workers(paths: list[str]) -> int:
+    """How many processes `_empirical_domains` reads the dataset files `paths` on.
+
+    `_fork_workers()` from `_CONCURRENT_MIN_BYTES` bytes of files in all,
+    sized before any is read; 1 below it, and where a file cannot be sized,
+    so that its read names the first bad file in file order.
+    """
+    try:
+        total = sum(os.stat(path).st_size for path in paths)
+    except (OSError, ValueError):  # ValueError: a path holding NUL
+        return 1
+    return _fork_workers() if total >= _CONCURRENT_MIN_BYTES else 1
+
+
 def _empirical_domains(cfg: PipelineConfig) -> list[SyntheticDomain]:
-    """The datasets as domains, named by file stem; only the domains' copies outlive this call."""
+    """The datasets as domains, named by file stem; only the domains' copies outlive this call.
+
+    `_run_forked` reads the files on `_ingest_workers(paths)` processes,
+    each half in file order, so the first bad file in file order fails.
+    """
     paths = cfg.mode_params["datasets"]
     if len(paths) < 2:
         raise ValueError("empirical mode needs at least 2 datasets (or an override table)")
@@ -716,7 +747,11 @@ def _empirical_domains(cfg: PipelineConfig) -> list[SyntheticDomain]:
                 f"empirical.datasets {seen[stem]!r} and {path!r} share the file stem {stem!r}"
             )
         seen[stem] = path
-    datasets = [_ingest_labeled(p, cfg) for p in paths]
+    datasets = _run_forked(
+        lambda block: [_ingest_labeled(paths[i], cfg) for i in block], range(len(paths)),
+        _ingest_workers(paths),
+        lambda block: "the process reading datasets " + ", ".join(paths[i] for i in block),
+    )
     # Labels of 0 alone make one class, which every training half refuses.
     classes = max(int(labels.max()) for _, labels in datasets) + 1
     return [

@@ -451,6 +451,15 @@ class TestIngestFuzz:
     @example(text="x,y,label\n1,2,0\n3,4,1")  # no final newline
     @example(text="x,label\n")
     @example(text="")
+    # What numpy's reader and float() read otherwise: numpy skips a blank
+    # line and warns of a file of none but blank rows, and refuses a digit
+    # that is not ASCII, which float() reads.
+    @example(text="x,label\n\n")
+    @example(text="x,label\n#1.0,0\n2.0,1\n")  # a comment line to numpy's defaults
+    @example(text="x,label\n1.0,0\n\t\n2.0,1\n")  # a tab-only line
+    @example(text="x,label\n\u0661,0\n2.0,1\n")  # an Arabic-Indic digit one
+    @example(text="x,label\ninfinity,0\n")
+    @example(text="x,label\n0x10,0\n")
     def test_csv_fast_path_matches_the_csv_reader(self, tmp_path_factory, text):
         # The plain-file fast path declines, or gives the csv-module
         # reader's values bit for bit; a dataset read either way gives the
@@ -475,6 +484,87 @@ class TestIngestFuzz:
         points, labels = pipeline._plain_csv_table(path, "label")
         np.testing.assert_array_equal(points, [[1.5, -2.25e-3], [4.0, 1e-310], [0.1, -0.0]])
         np.testing.assert_array_equal(labels, [0.0, 3.0, 1.0])
+
+    def test_ingestion_peaks_near_its_file(self, tmp_path):
+        # A 20 000 x 9 plain CSV of full-precision floats, about 3 MiB.  Its
+        # bytes are checked and let go before numpy parses the file, so
+        # the text is never held beside the parsed table.
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(20_000, 8))
+        labels = rng.integers(0, 4, size=20_000)
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(f"x{j}" for j in range(8)) + ",label\n" + "".join(
+            ",".join(map(repr, row.tolist())) + f",{label}\n" for row, label in zip(values, labels)
+        ))
+        assert pipeline._plain_csv_table(path, "label") is not None
+        tracemalloc.start()
+        try:
+            dist, read = ingest_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
+        np.testing.assert_array_equal(dist.points, values)
+        np.testing.assert_array_equal(read, labels)
+
+    @staticmethod
+    def domain_bytes(domains):
+        return [
+            (d.name, d.classes, *(a.tobytes() for a in (
+                d.train.points, d.train.weights, d.train_labels,
+                d.held_out.points, d.held_out.weights, d.held_out_labels,
+            )))
+            for d in domains
+        ]
+
+    @pytest.mark.parametrize("bad, named", [
+        ((), None), ((3,), 3), ((1,), 1), ((1, 2), 1), ((2, 3), 2), ((0, 3), 0),
+    ])
+    def test_two_processes_read_the_one_process_domains(self, tmp_path, monkeypatch, bad, named):
+        # Four files, two per process.  The domains match bit for bit, and
+        # a bad file in either half fails naming the first bad file in
+        # file order, as one process reads them.
+        paths = []
+        for k in range(4):
+            path = tmp_path / f"d{k}.csv"
+            rows = "".join(f"{(i * (k + 3)) % 17 / 4},{i % 3}\n" for i in range(40))
+            path.write_text("x,label\n" + ("oops,0\n" if k in bad else "") + rows)
+            paths.append(str(path))
+        cfg = PipelineConfig.from_dict({
+            "mode": "empirical", "out_dir": str(tmp_path / "out"), "empirical": {"datasets": paths},
+        })
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        total = sum(os.stat(path).st_size for path in paths)
+        outcomes = {}
+        for least, workers in ((total + 1, 1), (total, 2)):
+            monkeypatch.setattr(pipeline, "_CONCURRENT_MIN_BYTES", least)
+            assert pipeline._ingest_workers(paths) == workers
+            try:
+                outcomes[workers] = self.domain_bytes(pipeline._empirical_domains(cfg))
+            except ValueError as err:
+                outcomes[workers] = str(err)
+        assert outcomes[2] == outcomes[1]
+        if named is not None:
+            assert outcomes[1] == f"{paths[named]}: line 2, column 'x': could not parse 'oops'"
+        assert_no_child_left()
+
+    def test_a_file_that_cannot_be_sized_is_read_on_one_process(self, tmp_path, monkeypatch):
+        # The error names the first bad file in file order: the malformed
+        # one ahead of the missing one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(pipeline, "_CONCURRENT_MIN_BYTES", 0)
+        good, bad, last = (tmp_path / f"{name}.csv" for name in ("good", "bad", "last"))
+        for path in (good, last):
+            path.write_text("x,label\n1.0,0\n2.0,1\n3.0,0\n4.0,1\n")
+        bad.write_text("x,label\n1.0\n")
+        assert pipeline._ingest_workers([str(good), str(last)]) == 2
+        paths = [str(good), str(bad), str(tmp_path / "missing.csv"), str(last)]
+        assert pipeline._ingest_workers(paths) == 1
+        cfg = PipelineConfig.from_dict({
+            "mode": "empirical", "out_dir": str(tmp_path / "out"), "empirical": {"datasets": paths},
+        })
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2 has 1 cells"):
+            pipeline._empirical_domains(cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(text=JSON_DOCUMENTS)
@@ -2069,11 +2159,13 @@ class TestCli:
         # to 9 makes 10 classes.  The largest head is then the source head
         # on 1 input, 20 parameters: per point its label index, per point
         # of its block 3 feature products, 10 class rows and 45 class-pair
-        # rows, then its 45 pair terms and two Hessians, which outweigh the
-        # 110-parameter target head on Newton-CG.  12-D with labels up to 1
-        # makes it the source head on 12 inputs, 26 parameters: per point
-        # the copy and the label index, per point of its block 91 feature
-        # products, 2 class rows and 1 class-pair row.  The refusal names
+        # rows, then its 45 pair terms and two Hessians, and numpy's buffer
+        # over its class-pair rows, which outweigh the 110-parameter target
+        # head on Newton-CG.  12-D with labels up to 1 makes it the source
+        # head on 12 inputs, 26 parameters: per point the copy and the
+        # label index, per point of its block 91 feature products, 2 class
+        # rows and the loss kernel's 3 vectors, then numpy's buffer over
+        # its 12 feature rows.  The refusal names
         # the dataset holding the largest label, or the longest (the first
         # of equals) and its feature count.  finetune alone holds the
         # budget.
@@ -2081,9 +2173,9 @@ class TestCli:
         assert finetune._head_bytes(4, 10, 1) > finetune._head_bytes(4, 10, 10)
         for columns, top, cause, needed in (
             (1, 9, "b1: its largest label 9 makes 10 classes",
-             8 * (1 * 4 + (3 + 10 + 45) * 4 + 45 * 11 * 2**2 + 2 * (9 * 2) ** 2 + 8192)),
+             8 * (1 * 4 + (3 + 10 + 45) * 4 + 45 * 11 * 2**2 + 2 * (9 * 2) ** 2 + 45 * 4)),
             (12, 1, "a12: its points have 12 features",
-             8 * ((12 + 1) * 4 + (91 + 2 + 1) * 4 + 1 * 3 * 13**2 + 2 * 13**2 + 8192)),
+             8 * ((12 + 1) * 4 + (91 + 2 + 3) * 4 + 1 * 3 * 13**2 + 2 * 13**2 + 12 * 4)),
         ):
             paths = []
             header = ",".join(f"x{j}" for j in range(columns))

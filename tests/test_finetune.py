@@ -461,8 +461,10 @@ class TestSoftmaxKernel:
         # 2 inputs below it and from 16 classes on 1 input above; the next
         # two heads sit at the cap with most class pairs and most feature
         # pairs.  Two more hold more parameters than points: 100 classes
-        # on 200 points and 300 inputs on 400.  The last two span three
-        # blocks, one on each route.
+        # on 200 points and 300 inputs on 400.  Two span three blocks, one
+        # on each route.  The last hold 50 to 200 points, where numpy's
+        # ufunc buffers are smaller than its 8192 elements: a Newton-CG head
+        # of 2 classes on 15 inputs and an exact head of 4 on 4.
         shapes = [(10_000, classes, in_dim) for classes, in_dim in itertools.product(
             (2, 3, 4, 8, 16), (1, 2, 4, 16)
         )]
@@ -474,7 +476,9 @@ class TestSoftmaxKernel:
             True, False
         ]
         assert all(n > 2 * finetune._BLOCK_POINTS for n, _, _ in blocked)
-        for n, classes, in_dim in shapes + at_cap + [(200, 100, 100), (400, 10, 300)] + blocked:
+        small = [(n, classes, in_dim) for n in (50, 100, 200) for classes, in_dim in ((2, 15), (4, 4))]
+        wide = [(200, 100, 100), (400, 10, 300)]
+        for n, classes, in_dim in shapes + at_cap + wide + blocked + small:
             rng = np.random.default_rng(classes * in_dim)
             family = SoftmaxHeadFamily(in_dim, classes)
             labels = np.arange(n) % classes
@@ -1795,10 +1799,11 @@ class TestConcurrentFits:
         # largest.  Its 12 parameters take exact steps: per point the copy
         # of its 3 inputs and the label index, per point of its one block
         # 10 feature products, 3 class rows and 3 class-pair rows, then its
-        # pair terms and Hessians.  That one count caps the workers.
+        # pair terms and Hessians, and numpy's buffer over 3 rows.  That one
+        # count caps the workers.
         head = finetune._head_bytes(20, 3, 3)
         assert finetune._takes_exact_steps(3, 3) and head > finetune._head_bytes(20, 3, 1)
-        assert head == 8 * ((3 + 1) * 20 + (10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 8192)
+        assert head == 8 * ((3 + 1) * 20 + (10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 3 * 20)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
             monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
             assert finetune._fit_workers(domains) == workers
@@ -1844,7 +1849,8 @@ class TestConcurrentFits:
         assert finetune._takes_exact_steps(2, 14)
         head = finetune._head_bytes(n, 2, 14)
         block = min(n, finetune._BLOCK_POINTS)
-        assert head == 8 * (15 * n + (120 + 2 + 1) * block + 3 * 15**2 + 2 * 15**2 + 8192)
+        beside = 3 if n <= finetune._BLOCK_POINTS else 1  # one block keeps its products
+        assert head == 8 * (15 * n + (120 + 2 + beside) * block + 3 * 15**2 + 2 * 15**2 + 8192)
         assert 8 * 34 * 4_000_000 > finetune._HEAD_BUDGET_BYTES >= 2 * head
         assert finetune._fit_workers(self.sized_domains(n, 14, 2)) == 2
 
