@@ -34,6 +34,23 @@ _SYMMETRY_TOL = 1e-8
 # Below about a thousand values numpy's stable argsort alone is faster than
 # its default one plus the tie check (timeit, numpy 2.4, 2-core x86-64 VM).
 _CHECKED_SORT_MIN = 1024
+# Bytes a run's working sets may take at once, sized by `_budget_holds`: a
+# dense transport route's, and those of the classifier heads training at once.
+MEMORY_BUDGET_BYTES = 1 << 30
+
+
+def _budget_holds(what: str, needed: int) -> int:
+    """How many working sets of `needed` bytes the budget holds; none is refused, naming `what`."""
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ValueError(f"{what} needs about {needed / 2**30:.3g} GiB, above the "
+                         f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget")
+    return MEMORY_BUDGET_BYTES // needed
+
+
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """Refuse a value out of its range, in a message that opens with its name."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _freeze(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
@@ -245,8 +262,7 @@ class Gaussian1D:
         variance = float(self.variance)
         if not np.isfinite(mean) or not np.isfinite(variance):
             raise ValueError("mean and variance must be finite")
-        if variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {variance!r}")
+        _require(variance > 0.0, "variance", "positive", variance)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", variance)
 

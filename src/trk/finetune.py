@@ -42,7 +42,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution, _freeze, _quantile_side, _sort_order
+from .distributions import (
+    EmpiricalDistribution, _budget_holds, _freeze, _quantile_side, _require, _sort_order,
+)
 from .optimal_transport import OtConfig, _quantile_coupling, _quantile_cost
 from .transfer_core import AffineModel, input_risk
 
@@ -124,11 +126,6 @@ _MAX_FIT_WORKERS = 2
 _UFUNC_BUFFER = 8192
 # An ndarray's object and shape, in floats (112 + 16 bytes for one axis).
 _ARRAY_HEADER_FLOATS = 16
-# Bytes the classifier heads of one run may take while they train
-# (`_head_bytes` each).  `_fit_workers` refuses a run whose single largest
-# head is above it; below it, the heads that train at once are capped at as
-# many as it holds.
-_HEAD_BUDGET_BYTES = 1 << 30
 # prctl(2) option that has the kernel signal a process when its parent dies.
 _PR_SET_PDEATHSIG = 1
 
@@ -145,10 +142,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
+        _require(0.0 < self.learning_rate < np.inf, "learning_rate", "positive", self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,7 @@ class AffineMapFamily:
     """Affine output maps y = W z + b with a flat parameter vector."""
 
     def __init__(self, in_dim: int, out_dim: int):
-        if in_dim < 1 or out_dim < 1:
-            raise ValueError(f"dimensions must be >= 1, got ({in_dim}, {out_dim})")
+        _require(in_dim >= 1 and out_dim >= 1, "dimensions", ">= 1", f"({in_dim}, {out_dim})")
         self.in_dim = in_dim
         self.out_dim = out_dim
 
@@ -211,8 +205,7 @@ class SoftmaxHeadFamily(AffineMapFamily):
     """Affine logits read through a softmax; parameters as in the base."""
 
     def __init__(self, in_dim: int, classes: int):
-        if classes < 2:
-            raise ValueError(f"classes must be >= 2, got {classes}")
+        _require(classes >= 2, "classes", ">= 2", classes)
         super().__init__(in_dim, classes)
         self.classes = classes
 
@@ -905,6 +898,19 @@ class SyntheticDomain:
             raise ValueError("held_out_labels must match the held-out cloud size")
 
 
+def _check_domains(n_domains: int, classes: int, samples_per_domain: int, spread: float) -> None:
+    """Refuse a range `make_synthetic_domains` reads, in a message that opens with its name."""
+    _require(n_domains >= 2, "n_domains", ">= 2", n_domains)
+    _require(classes >= 2, "classes", ">= 2", classes)
+    least = 4 * classes
+    _require(samples_per_domain >= least, "samples_per_domain", f">= 4 * classes = {least}",
+             samples_per_domain)
+    # The last domain's blobs have width 0.45 * (1 + (n_domains - 1) * spread).
+    last = n_domains - 1
+    _require(1.0 + last * spread >= 0.0, "spread", f">= -1 / (n_domains - 1) = {-1.0 / last!r}",
+             spread)
+
+
 def make_synthetic_domains(
     seed: int,
     n_domains: int = 3,
@@ -920,12 +926,10 @@ def make_synthetic_domains(
     it by shift * k(k+2)/3 along the first axis, and widens the class blobs
     by a factor 1 + k * spread.  The quadratic offsets make every pairwise
     domain distance distinct, so transfer quality degrades along a clean
-    ladder.  Each domain is split in half for training and evaluation.
+    ladder.  Each domain is split in half for training and evaluation.  The
+    ranges it reads are refused as `_check_domains` states them.
     """
-    if n_domains < 2:
-        raise ValueError(f"need at least 2 domains, got {n_domains}")
-    if samples_per_domain < 4 * classes:
-        raise ValueError(f"samples_per_domain too small for {classes} classes")
+    _check_domains(n_domains, classes, samples_per_domain, spread)
     angles = 2.0 * np.pi * np.arange(classes) / classes
     base_means = 1.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     domains = []
@@ -1041,7 +1045,7 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
     """How many processes `evaluate_risk_accuracy_pairs` runs its fits on over `domains`.
 
     `_fork_workers()`, and no more heads of the run's largest size than
-    `_HEAD_BUDGET_BYTES` holds: the larger `_head_bytes` of a source head
+    the memory budget holds: the larger `_head_bytes` of a source head
     on dim inputs and a target head on classes inputs, on the longest
     training half.  1 while every training half is below the crossover of
     the target heads' route: `_CONCURRENT_MIN_POINTS` points for exact
@@ -1056,20 +1060,16 @@ def _fit_workers(domains: list[SyntheticDomain]) -> int:
     """
     longest = max(domains, key=lambda d: d.train.size)
     n, dim, classes = longest.train.size, longest.train.dim, longest.classes
+    top = classes - 1
+    holder = next((d.name for d in domains if top in d.train_labels or top in d.held_out_labels),
+                  None)
+    cause = (
+        f"{longest.name}: its points have {dim} features" if dim > classes
+        else f"{holder}: its largest label {top} makes {classes} classes" if holder
+        else f"the domains declare {classes} classes"
+    )
     needed = max(_head_bytes(n, classes, dim), _head_bytes(n, classes, classes))
-    heads = _HEAD_BUDGET_BYTES // needed
-    if heads == 0:
-        top = classes - 1
-        holders = [d.name for d in domains if top in d.train_labels or top in d.held_out_labels]
-        cause = (
-            f"{longest.name}: its points have {dim} features" if dim > classes
-            else f"{holders[0]}: its largest label {top} makes {classes} classes" if holders
-            else f"the domains declare {classes} classes"
-        )
-        raise ValueError(
-            f"{cause}, and training a head on {n} points would need about "
-            f"{needed / 2**30:.3g} GiB, above the {_HEAD_BUDGET_BYTES / 2**30:g} GiB head budget"
-        )
+    heads = _budget_holds(f"{cause}, and training a head on {n} points", needed)
     if n < (_CONCURRENT_MIN_POINTS if _takes_exact_steps(classes, classes)
             else _NEWTON_CG_CONCURRENT_MIN_POINTS):
         return 1
@@ -1204,9 +1204,9 @@ def evaluate_risk_accuracy_pairs(
 
     Raises:
         ValueError: before any fit, if the domains differ in class or feature
-            count, or a head would exceed `_HEAD_BUDGET_BYTES` (`_fit_workers`).
+            count, or a head would exceed the memory budget (`_fit_workers`).
         ValueError, RuntimeError: before any fit, from the first failing
-            input-risk solve (`wasserstein`'s dense-budget refusal, an
+            input-risk solve (`wasserstein`'s memory-budget refusal, an
             infeasible plan, a SinkhornConvergenceError).
         TrainingDivergedError: if a fit diverges, or a source head's
             representation of the target points is not finite; the message

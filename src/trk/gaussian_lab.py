@@ -31,6 +31,7 @@ from .distributions import (
     GaussianND,
     _checked_joint,
     _dot,
+    _require,
     gaussian_kl,
     gaussian_w2,
 )
@@ -444,8 +445,7 @@ def conditionally_independent_augmentation(
 
 def restrict_inputs(task: GaussianJoint, keep: int) -> GaussianJoint:
     """Sub-task over the first `keep` input coordinates."""
-    if not 1 <= keep <= task.dim_x:
-        raise ValueError(f"keep must be in [1, {task.dim_x}], got {keep}")
+    _require(1 <= keep <= task.dim_x, "keep", f"in [1, {task.dim_x}]", keep)
     return GaussianJoint(
         mean_x=task.mean_x[:keep],
         mean_y=task.mean_y,
@@ -457,8 +457,7 @@ def restrict_inputs(task: GaussianJoint, keep: int) -> GaussianJoint:
 
 def restrict_outputs(task: GaussianJoint, keep: int) -> GaussianJoint:
     """Sub-task over the first `keep` output coordinates."""
-    if not 1 <= keep <= task.dim_y:
-        raise ValueError(f"keep must be in [1, {task.dim_y}], got {keep}")
+    _require(1 <= keep <= task.dim_y, "keep", f"in [1, {task.dim_y}]", keep)
     return GaussianJoint(
         mean_x=task.mean_x,
         mean_y=task.mean_y[:keep],
@@ -479,6 +478,16 @@ def _uniform(low, high, draws: np.ndarray) -> np.ndarray:
     return low + (high - low) * draws
 
 
+def _check_draws(drift: float | None = None, **dims: int) -> None:
+    """Refuse a dimension below 1 or a drift, when given, outside [0, `_MAX_DRIFT`]."""
+    for name, dim in dims.items():
+        _require(dim >= 1, name, ">= 1", dim)
+    if drift is not None:
+        _require(drift >= 0.0, "drift", ">= 0", drift)
+        rule = f"at most {_MAX_DRIFT!r}, so that 2 * drift is finite"
+        _require(drift <= _MAX_DRIFT, "drift", rule, drift)
+
+
 def _random_tasks(dim_x: int, dim_y: int, seeds) -> _Joints:
     """Unchecked moments of `random_task` at each of `seeds`, stacked on one leading axis.
 
@@ -487,6 +496,7 @@ def _random_tasks(dim_x: int, dim_y: int, seeds) -> _Joints:
     the numbers are those of the plain `normal` and `uniform` calls, with
     the range maps applied over the whole stack after the draws.
     """
+    _check_draws(dim_x=dim_x, dim_y=dim_y)
     n = dim_x + dim_y
     normal = np.empty((len(seeds), n, n))
     eigs = np.empty((len(seeds), n))
@@ -512,7 +522,8 @@ def random_task(dim_x: int, dim_y: int, seed: int) -> GaussianJoint:
     covariance nonsingular and the risk magnitudes O(1); the mean is normal
     with scale `_MEAN_SCALE`.  Every number comes from default_rng(seed),
     in this order: the (n, n) normal matrix whose Q factor is the basis
-    (n = dim_x + dim_y), the n eigenvalues, the n mean coordinates.
+    (n = dim_x + dim_y), the n eigenvalues, the n mean coordinates.  A
+    dimension below 1 is refused.
     """
     return _random_tasks(dim_x, dim_y, [seed]).law(0)
 
@@ -541,8 +552,7 @@ def _random_pairs(dim: int, seeds, drift: float = 0.25) -> _Joints:
     blocks are mapped to their ranges over the whole stack after the draws,
     as `uniform` maps each, so the numbers are those of the 13 plain calls.
     """
-    if not 0.0 <= drift <= _MAX_DRIFT:  # uniform(-drift, drift) needs a finite 2 * drift
-        raise ValueError(f"drift must be in [0, {_MAX_DRIFT!r}], got {drift!r}")
+    _check_draws(drift, dim=dim)
     count = len(seeds)
     normal = np.empty((2, count, dim, dim))
     direction = np.empty((count, dim))  # the direction of the source weights
@@ -601,7 +611,8 @@ def random_basic_pair(
     weights and the bias, and its noise variance uniform in [0.4, 1.0).
 
     Raises:
-        ValueError: when drift is negative or 2 * drift is not finite.
+        ValueError: when dim is below 1, drift is negative or 2 * drift is
+            not finite.
     """
     pair = _random_pairs(dim, [seed], drift)
     return pair.law((0, 0)), pair.law((1, 0))

@@ -12,7 +12,7 @@ entropic route over-approximates the exact cost by an epsilon-dependent
 amount; it is cross-checked against the LP in the test suite rather than
 bounded here.
 The three dense routes refuse, before building the cost matrix, an instance
-whose n x m working set would exceed DENSE_BUDGET_BYTES.
+whose n x m working set would exceed the memory budget.
 The cost matrix is built in numpy, and the assignment route loads scipy's
 compiled `_lsap` extension by itself, so a one-dimensional run and an
 assignment run import no scipy package.  The assignment falls back to
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, _budget_holds, _require
 
 __all__ = [
     "OtConfig",
@@ -50,8 +50,6 @@ MARGINAL_TOL = 1e-7
 _SINKHORN_TOL = 1e-6
 _SINKHORN_CHECK_EVERY = 10
 
-# Working-set memory above which a dense route refuses the instance.
-DENSE_BUDGET_BYTES = 1 << 30
 # Peak traced memory of each dense route, counted in n x m float64 matrices
 # (tracemalloc at a few hundred points per side; HiGHS's own heap excluded).
 _DENSE_MATRICES = {"assignment": 3, "lp": 41, "sinkhorn": 10}
@@ -101,8 +99,7 @@ class OtConfig:
 
     def __post_init__(self) -> None:
         # Each range is checked as one chained comparison, which NaN fails.
-        if not 1.0 <= self.p < np.inf:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        _require(1.0 <= self.p < np.inf, "p", ">= 1", self.p)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
         if self.sinkhorn_epsilon is not None and not 0.0 < self.sinkhorn_epsilon < np.inf:
@@ -140,14 +137,9 @@ def _cost_matrix(a: EmpiricalDistribution, b: EmpiricalDistribution, p: float) -
 
 
 def _check_dense_budget(method: str, n: int, m: int) -> None:
-    """Refuse a dense route whose n x m working set would exceed the budget."""
-    needed = _DENSE_MATRICES[method] * n * m * 8
-    if needed > DENSE_BUDGET_BYTES:
-        raise ValueError(
-            f"the {method} route on supports of {n} and {m} points needs about "
-            f"{needed / 2**30:.1f} GiB, above the {DENSE_BUDGET_BYTES / 2**30:g} GiB "
-            "dense-transport budget; subsample the clouds"
-        )
+    """Refuse a dense route whose n x m working set would exceed the memory budget."""
+    _budget_holds(f"the {method} route on supports of {n} and {m} points",
+                  _DENSE_MATRICES[method] * n * m * 8)
 
 
 def _quantile_coupling(
@@ -198,8 +190,7 @@ def wasserstein_1d_exact(
     """
     if a.dim != 1 or b.dim != 1:
         raise ValueError(f"exact 1-d route needs dim 1, got {a.dim} and {b.dim}")
-    if p < 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _require(p >= 1.0, "order p", ">= 1", p)
     order, cumulative = a._side
     positions, values, lengths = _quantile_coupling(cumulative, b)
     return _quantile_cost(a.points[order[positions], 0] - values, lengths, p) ** (1.0 / p)
@@ -374,7 +365,7 @@ def wasserstein(
 
     Raises:
         ValueError: on dimension mismatch, or when a dense route would
-            exceed DENSE_BUDGET_BYTES; the size check runs before the cost
+            exceed the memory budget; the size check runs before the cost
             matrix is built.
         RuntimeError: when a solver returns a plan with a negative entry or
             marginals off by more than MARGINAL_TOL.

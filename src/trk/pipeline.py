@@ -27,17 +27,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import EmpiricalDistribution, _kl_moments, _w2_moments
+from .distributions import EmpiricalDistribution, _kl_moments, _require, _w2_moments
 from .finetune import (
     SyntheticDomain,
     TrainConfig,
+    _check_domains,
     _fit_workers,
     _fork_workers,
     _run_forked,
     evaluate_risk_accuracy_pairs,
     make_synthetic_domains,
 )
-from .gaussian_lab import _MAX_DRIFT, _basic_cases, _random_pairs, _random_tasks
+from .gaussian_lab import _basic_cases, _check_draws, _random_pairs, _random_tasks
 from .optimal_transport import OtConfig
 from .transfer_core import PolynomialCombiner, combine
 
@@ -81,6 +82,10 @@ _CONCURRENT_MAX_DIM = 25
 # 0.24-0.73x serial speed up to 411 KB, where the fork, pipe and reap cost
 # 3-4 ms, 0.94-1.19x from 415 KB to 1 MB, and 1.11-1.43x from 1.2 to 2.5 MB.
 _CONCURRENT_MIN_BYTES = 1_200_000
+# Bytes per slice of `_plain_csv_table`'s newline scan.  A 256 KiB slice's
+# mask takes ingestion's tracemalloc peak from 2.05x to 1.15x a 3 MiB or a
+# 30 MiB CSV, at about the same scan time.
+_SCAN_BYTES = 1 << 18
 # The closed forms of a gaussian_lab row besides its risks.
 _GAUSSIAN_TERMS = ("kl_variance", "kl_bias", "w_variance", "w_bias", "regret", "residual")
 
@@ -244,15 +249,10 @@ def _parse(raw: dict, override_risks: str | Path | None) -> dict:
     return config
 
 
-def _require(ok: bool, path: str, rule: str, value) -> None:
-    if not ok:
-        raise ValueError(f"{path} must be {rule}, got {value!r}")
-
-
-def _build(cls, path: str, **fields):
-    """`cls(**fields)`, with the section path in front of its range errors."""
+def _build(make, path: str, **fields):
+    """`make(**fields)`, with the section path in front of its range errors."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except ValueError as err:  # its messages open with the field name
         raise ValueError(f"{path}.{err}") from None
 
@@ -272,34 +272,6 @@ def _combiner_section(form: str, combiner: PolynomialCombiner) -> dict:
     if form == "linear":
         return {"form": form, "weight": combiner.input_coeff}
     return {"form": form, **asdict(combiner)}
-
-
-def _check_mode_params(mode: str, params: dict) -> None:
-    """Ranges the mode's generators would otherwise reject at run time."""
-    if mode == "gaussian_lab":
-        for key in ("dim", "n_pairs"):
-            _require(params[key] >= 1, f"gaussian_lab.{key}", ">= 1", params[key])
-        if "drift" in params:  # identical tasks read none
-            drift = params["drift"]
-            _require(drift >= 0.0, "gaussian_lab.drift", ">= 0", drift)
-            _require(
-                drift <= _MAX_DRIFT, "gaussian_lab.drift",
-                f"at most {_MAX_DRIFT!r}, so that 2 * drift is finite", drift,
-            )
-    elif mode == "synthetic_office":
-        for key in ("n_domains", "classes"):
-            _require(params[key] >= 2, f"synthetic_office.{key}", ">= 2", params[key])
-        least = 4 * params["classes"]
-        _require(
-            params["samples_per_domain"] >= least, "synthetic_office.samples_per_domain",
-            f">= 4 * classes = {least}", params["samples_per_domain"],
-        )
-        # The last domain's blobs have width 0.45 * (1 + (n_domains - 1) * spread).
-        last = params["n_domains"] - 1
-        _require(
-            1.0 + last * params["spread"] >= 0.0, "synthetic_office.spread",
-            f">= -1 / (n_domains - 1) = {-1.0 / last!r}", params["spread"],
-        )
 
 
 @dataclass(frozen=True)
@@ -332,11 +304,17 @@ class PipelineConfig:
             _require(seed >= 0, "seed", ">= 0", seed)
         _require(rescale > 0.0, "input_risk_rescale", "positive", rescale)
         params = config.get(mode, {})  # an override run reads no mode section
-        _check_mode_params(mode, params)
+        # The generators check the ranges they read; no generator reads n_pairs.
         kind = ot = risk_train = None
-        if mode == "gaussian_lab":
+        if mode == "gaussian_lab":  # in the section's order: the first bad key is named
+            _build(_check_draws, mode, dim=params["dim"])
+            _require(params["n_pairs"] >= 1, "gaussian_lab.n_pairs", ">= 1", params["n_pairs"])
+            _build(_check_draws, mode, drift=params.get("drift"))
             kind = config["divergence"]["kind"]
         elif override_risks is None:
+            if mode == "synthetic_office":
+                ranges = ("n_domains", "classes", "samples_per_domain", "spread")
+                _build(_check_domains, mode, **{key: params[key] for key in ranges})
             ot = _build(OtConfig, "divergence", **config["divergence"])
             risk_train = _build(TrainConfig, "risk_train", seed=seed, **config["risk_train"])
         return PipelineConfig(
@@ -460,9 +438,13 @@ def _plain_csv_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndar
     reader, which reports what is wrong with it.
     """
     data = path.read_bytes()
-    if b'"' in data or b"\r" in data or b"\0" in data:
+    if not data or b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    text = np.frombuffer(data, np.uint8)
+    ends = np.concatenate([  # newlines, a slice at a time: no mask as large as the file
+        start + np.flatnonzero(text[start : start + _SCAN_BYTES] == ord("\n"))
+        for start in range(0, len(text), _SCAN_BYTES)
+    ])
     if not len(ends) or data.find(b"_", ends[0]) != -1:
         return None
     try:
@@ -472,7 +454,7 @@ def _plain_csv_table(path: Path, label_column: str) -> tuple[np.ndarray, np.ndar
     lines = np.diff(ends, prepend=-1, append=len(data)) - 1
     rows = len(ends) - (data[-1] == ord("\n"))
     width = len(header)
-    del data  # only the numbers stay alive while numpy parses
+    del data, text  # only the numbers stay alive while numpy parses
     if (
         header.count(label_column) != 1 or width < 2 or rows < 1
         or lines.max() > csv.field_size_limit()

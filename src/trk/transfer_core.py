@@ -29,6 +29,7 @@ from .distributions import (
     GaussianLike,
     GaussianND,
     _as_nd,
+    _require,
     gaussian_kl,
     gaussian_w2,
 )
@@ -100,12 +101,9 @@ class PolynomialCombiner:
     def __post_init__(self) -> None:
         for name in ("input_coeff", "output_coeff", "power"):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name != "power" and value < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-        if self.power < 1.0:
-            raise ValueError(f"power must be >= 1 for Lipschitz behavior, got {self.power}")
+            _require(np.isfinite(value), name, "finite", value)
+            _require(name == "power" or value >= 0.0, name, "nonnegative", value)
+        _require(self.power >= 1.0, "power", ">= 1 for Lipschitz behavior", self.power)
 
 
 def _gaussian_pushforward(dist: GaussianLike, model: AffineModel) -> GaussianND:

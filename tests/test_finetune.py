@@ -24,7 +24,7 @@ from oracles import (
     regularized_softmax_loss,
     softmax_cross_entropy,
 )
-from trk import finetune
+from trk import distributions, finetune, optimal_transport as ot_module
 from trk.distributions import EmpiricalDistribution, Gaussian1D, gaussian_w2
 from trk.finetune import (
     AffineMapFamily,
@@ -1260,6 +1260,21 @@ class TestSyntheticDomains:
         with pytest.raises(ValueError, match="samples_per_domain"):
             make_synthetic_domains(0, samples_per_domain=8)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # The last of 3 domains would draw its blobs at width 0.45 * (1 - 2).
+            ({"n_domains": 3, "spread": -1.0},
+             "spread must be >= -1 / (n_domains - 1) = -0.5, got -1.0"),
+            ({"classes": 1}, "classes must be >= 2, got 1"),
+        ],
+    )
+    def test_the_generator_refuses_its_own_ranges(self, params, message):
+        # The messages the config shows under `synthetic_office.`.
+        with pytest.raises(ValueError) as caught:
+            make_synthetic_domains(0, **params)
+        assert str(caught.value) == message
+
 
 @pytest.fixture(scope="module")
 def transfer_table():
@@ -1322,21 +1337,23 @@ class TestEvaluatePairs:
         )
 
     def test_a_head_above_the_budget_is_refused_before_any_fit(self, monkeypatch):
-        # 2-D 3-class domains of 30 training points: the largest head is a
-        # target head on 3 inputs, so the classes name the cause.
-        domains = make_synthetic_domains(3, samples_per_domain=60)
+        # 1-D 3-class domains of 30 training points: the largest head is a
+        # target head on 3 inputs, so the classes name the cause.  Their
+        # input risks take the quantile sweep, which the memory budget does
+        # not size; a 2-D pair's dense route would need more than one head.
+        domains = line_domains(30, classes=3)
         needed = finetune._head_bytes(30, 3, 3)
-        assert needed > finetune._head_bytes(30, 3, 2)
+        assert needed > finetune._head_bytes(30, 3, 1)
         monkeypatch.setattr(finetune, "train_classifier", self.no_fit)
-        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed)
+        monkeypatch.setattr(distributions, "MEMORY_BUDGET_BYTES", needed)
         with pytest.raises(AssertionError, match="a fit ran"):
             evaluate_risk_accuracy_pairs(domains)
-        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", needed - 1)
+        monkeypatch.setattr(distributions, "MEMORY_BUDGET_BYTES", needed - 1)
         with pytest.raises(ValueError) as caught:
             evaluate_risk_accuracy_pairs(domains)
         assert str(caught.value).startswith(
-            "domain_a: its largest label 2 makes 3 classes, and training a head on 30 points "
-            f"would need about {needed / 2**30:.3g} GiB, above the "
+            "a: its largest label 2 makes 3 classes, and training a head on 30 points "
+            f"needs about {needed / 2**30:.3g} GiB, above the "
         )
         # A class count that no label reaches is named as declared.
         declared = [replace(d, classes=4) for d in domains]
@@ -1805,10 +1822,10 @@ class TestConcurrentFits:
         assert finetune._takes_exact_steps(3, 3) and head > finetune._head_bytes(20, 3, 1)
         assert head == 8 * ((3 + 1) * 20 + (10 + 3 + 3) * 20 + 3 * 4 * 4**2 + 2 * (2 * 4) ** 2 + 3 * 20)
         for budget, workers in ((2 * head, 2), (2 * head - 1, 1), (head, 1)):
-            monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", budget)
+            monkeypatch.setattr(distributions, "MEMORY_BUDGET_BYTES", budget)
             assert finetune._fit_workers(domains) == workers
         # Not even one head fits: refused ahead of every other gate.
-        monkeypatch.setattr(finetune, "_HEAD_BUDGET_BYTES", head - 1)
+        monkeypatch.setattr(distributions, "MEMORY_BUDGET_BYTES", head - 1)
         for min_points in (20, 600):
             monkeypatch.setattr(finetune, "_CONCURRENT_MIN_POINTS", min_points)
             with pytest.raises(ValueError, match="makes 3 classes, and training a head on 20 points"):
@@ -1851,7 +1868,7 @@ class TestConcurrentFits:
         block = min(n, finetune._BLOCK_POINTS)
         beside = 3 if n <= finetune._BLOCK_POINTS else 1  # one block keeps its products
         assert head == 8 * (15 * n + (120 + 2 + beside) * block + 3 * 15**2 + 2 * 15**2 + 8192)
-        assert 8 * 34 * 4_000_000 > finetune._HEAD_BUDGET_BYTES >= 2 * head
+        assert 8 * 34 * 4_000_000 > distributions.MEMORY_BUDGET_BYTES >= 2 * head
         assert finetune._fit_workers(self.sized_domains(n, 14, 2)) == 2
 
     def test_every_route_forks_above_the_crossover(self, monkeypatch):
@@ -1965,6 +1982,51 @@ class TestConcurrentFits:
         for path in sorted(Path(finetune.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
         assert forks == [("finetune", "_run_forked")]
+
+
+class TestLimitsStatedOnce:
+    """Each limit lives in the one module that reads it."""
+
+    @staticmethod
+    def trees():
+        for path in sorted(Path(finetune.__file__).parent.glob("*.py")):
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_one_memory_budget_sizes_the_dense_routes_and_the_heads(self, monkeypatch):
+        # One budget name, bound once and imported nowhere, so a patch of it
+        # reaches every refusal.
+        bound = []
+        for module, tree in self.trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    if node.id.endswith("_BUDGET_BYTES"):
+                        bound.append((module, node.id))
+                elif isinstance(node, ast.alias):
+                    assert not node.name.endswith("_BUDGET_BYTES"), module
+        assert bound == [("distributions", "MEMORY_BUDGET_BYTES")]
+        half = SimpleNamespace(size=10**7, dim=1)
+        domains = [SimpleNamespace(name=name, train=half, classes=50, train_labels=np.arange(50),
+                                   held_out_labels=np.arange(50)) for name in "ab"]
+        for budget, named in ((1 << 30, "1 GiB"), (2 << 30, "2 GiB")):
+            monkeypatch.setattr(distributions, "MEMORY_BUDGET_BYTES", budget)
+            with pytest.raises(ValueError) as dense:
+                ot_module._check_dense_budget("lp", 10**5, 10**5)
+            with pytest.raises(ValueError) as head:
+                finetune._fit_workers(domains)
+            for refusal in (dense, head):
+                assert str(refusal.value).endswith(f"GiB, above the {named} memory budget")
+
+    def test_the_generators_alone_check_the_mode_ranges(self):
+        # The pipeline prefixes their messages with the section; it keeps no
+        # copy of their rules or their constants.
+        pipeline = dict(self.trees())["pipeline"]
+        assert "_check_mode_params" not in {
+            node.name for node in ast.walk(pipeline) if isinstance(node, ast.FunctionDef)
+        }
+        assert "_MAX_DRIFT" not in {
+            alias.name for node in ast.walk(pipeline) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
 
 
 class TestWassersteinHeuristicBound:

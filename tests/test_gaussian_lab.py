@@ -259,10 +259,33 @@ class TestStackedKernel:
             for got, want in zip(tasks.at(i), oracles.random_task_draw(*dims, seed)):
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes(), seed
 
-    @pytest.mark.parametrize("drift", [-1e-300, 1e308, np.inf, np.nan])
-    def test_a_drift_without_a_finite_width_is_refused(self, drift):
-        with pytest.raises(ValueError, match=r"drift must be in \[0, 8.988465674311579e\+307\]"):
+    @pytest.mark.parametrize(
+        "drift, rule",
+        [
+            (-1e-300, ">= 0"),
+            (np.nan, ">= 0"),
+            (1e308, "at most 8.988465674311579e+307, so that 2 * drift is finite"),
+            (np.inf, "at most 8.988465674311579e+307, so that 2 * drift is finite"),
+        ],
+    )
+    def test_a_drift_without_a_finite_width_is_refused(self, drift, rule):
+        # The two messages the config shows under `gaussian_lab.`.
+        with pytest.raises(ValueError) as caught:
             random_basic_pair(3, 0, drift=drift)
+        assert str(caught.value) == f"drift must be {rule}, got {drift!r}"
+
+    @pytest.mark.parametrize(
+        "draw, message",
+        [
+            (lambda: random_basic_pair(0, 0), "dim must be >= 1, got 0"),
+            (lambda: random_task(0, 1, 0), "dim_x must be >= 1, got 0"),
+            (lambda: random_task(2, 0, 0), "dim_y must be >= 1, got 0"),
+        ],
+    )
+    def test_a_dimension_below_one_is_refused_by_name(self, draw, message):
+        with pytest.raises(ValueError) as caught:
+            draw()
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     def test_matches_exact_oracle(self, dim):

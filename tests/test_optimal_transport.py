@@ -17,6 +17,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance as scipy_w1
 
 import oracles
+import trk.distributions as distributions
 import trk.optimal_transport as ot_module
 from trk.distributions import EmpiricalDistribution, Gaussian1D, gaussian_w2, sample
 from trk.optimal_transport import (
@@ -547,7 +548,7 @@ class TestDenseBudget:
         assert str(exc.value).startswith(
             "the sinkhorn route on supports of 20000 and 20000 points needs about"
         )
-        assert "above the 1 GiB dense-transport budget" in str(exc.value)
+        assert str(exc.value).endswith("GiB, above the 1 GiB memory budget")
         # Not even one row of the 20 000 x 20 000 cost matrix was allocated.
         assert peak < n * 8
 
@@ -556,8 +557,8 @@ class TestDenseBudget:
         # The largest square instance under the budget passes; one more point
         # per side is refused.  Only sizes are checked, nothing is allocated.
         per_entry = ot_module._DENSE_MATRICES[method] * 8
-        n = int(np.sqrt(ot_module.DENSE_BUDGET_BYTES / per_entry))
-        assert n * n * per_entry <= ot_module.DENSE_BUDGET_BYTES
+        n = int(np.sqrt(distributions.MEMORY_BUDGET_BYTES / per_entry))
+        assert n * n * per_entry <= distributions.MEMORY_BUDGET_BYTES
         ot_module._check_dense_budget(method, n, n)
         with pytest.raises(ValueError, match=f"supports of {n + 1} and {n + 1} points"):
             ot_module._check_dense_budget(method, n + 1, n + 1)
